@@ -10,15 +10,13 @@ closed-form projections instead of a bilevel program.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import dist_point_capsule, dist_point_disk, Point2
-from .reachability import CapsuleFamily, DiskFamily
+from .geometry import capsule_projection
+from .reachability import ReachableFamily
 from .unicycle import ControlInput, RobotState
-
-ReachableFamily = Union[CapsuleFamily, DiskFamily]
 
 
 @dataclass(frozen=True)
@@ -102,26 +100,20 @@ def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> Pr
     """Project each shifted position onto each family's step-k set.
 
     Entry (k, r) is the distance/projection pair of shifted[k-1] against set
-    r at step k. Entries are independent; distances are raw set distances
-    (the robot radius is applied later, inside the planner constraint).
+    r at step k. Entries are independent, so all of them come from one
+    closed-form call over the stacked families; distances are raw set
+    distances (the robot radius is applied later, inside the planner
+    constraint).
     """
     shifted = np.asarray(shifted, dtype=float)
     n = shifted.shape[0]
-    projections = []
     for fam in families:
         if fam.horizon < n:
             raise ValueError(f"family horizon {fam.horizon} shorter than plan horizon {n}")
-        z = np.empty((n, 2))
-        d = np.empty(n)
-        if isinstance(fam, CapsuleFamily):
-            for k in range(1, n + 1):
-                dk, zk = dist_point_capsule(Point2(*shifted[k - 1]), fam.set_at(k))
-                d[k - 1] = dk
-                z[k - 1] = (zk.x, zk.y)
-        else:
-            for k in range(1, n + 1):
-                dk, zk = dist_point_disk(Point2(*shifted[k - 1]), fam.set_at(k))
-                d[k - 1] = dk
-                z[k - 1] = (zk.x, zk.y)
-        projections.append(FamilyProjection(fam, z, d))
-    return ProjectionSet(tuple(projections), horizon=n)
+    a = np.reshape([fam.a for fam in families], (-1, 1, 2))
+    b = np.reshape([fam.b for fam in families], (-1, 1, 2))
+    radii = np.reshape([fam.radii[:n] for fam in families], (-1, n))
+    d, z = capsule_projection(shifted[None, :, :], a, b, radii)
+    return ProjectionSet(
+        tuple(FamilyProjection(fam, z[i], d[i]) for i, fam in enumerate(families)), horizon=n
+    )

@@ -1,24 +1,20 @@
-"""Exact 2D primitives: hulls, halfspaces, distances, projections, raycasts.
+"""Exact 2D primitives: points, segments, disks, capsule projection, raycasts.
 
-All operations are pure functions over immutable values. Distances are exact
-closed forms (the sets involved are 2D convex), so no iterative solver is
-needed at this layer.
+Every reachable set the planner uses is a capsule {x : dist(x, segment a-b)
+<= r}, a disk when a == b, so one closed-form projection serves them all, and
+with r = 0 it is the point-to-segment distance. One batched ray kernel serves
+the range sensor and line-of-sight checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for containment / convexity / degeneracy checks, in meters.
+# Tolerance for degeneracy checks, in meters.
 EPS_GEO = 1e-9
-
-
-class DegenerateGeometryError(ValueError):
-    """Input does not span the dimension required by the operation."""
 
 
 @dataclass(frozen=True)
@@ -67,359 +63,61 @@ class Disk:
         return math.hypot(p.x - self.center.x, p.y - self.center.y) <= self.radius + tol
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex polygon with both vertex and halfspace representations.
+def capsule_projection(p, a, b, r=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from p to the capsule {x : dist(x, segment a-b) <= r} and the
+    nearest point of its boundary.
 
-    vertices are counter-clockwise and strictly convex. The halfspace form
-    {y : A y <= b} is derived at construction; normals are unit outward.
+    p, a and b are (..., 2) and r is (...); all broadcast. With q the axis
+    point nearest to p, the distance is max(0, |p - q| - r) and the boundary
+    point is q + r n with n pointing from q to p. Interior points get distance
+    0 and their nearest boundary point, so downstream constraint gradients
+    stay informative; a point on the axis takes the axis's left normal as n,
+    or +x when the axis has zero length. With r = 0 the distance is the
+    point-to-segment distance.
     """
-
-    vertices: np.ndarray  # (m, 2), CCW
-    normals: np.ndarray = field(init=False)  # (m, 2), unit outward
-    offsets: np.ndarray = field(init=False)  # (m,)
-
-    def __post_init__(self):
-        verts = np.asarray(self.vertices, dtype=float)
-        if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
-            raise DegenerateGeometryError("polygon needs at least 3 vertices")
-        object.__setattr__(self, "vertices", verts)
-        normals, offsets = _halfspace_arrays(verts)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "offsets", offsets)
-        # Every vertex must satisfy every halfspace; violation means the
-        # vertex ordering is not convex CCW.
-        slack = verts @ normals.T - offsets[None, :]
-        if np.max(slack) > EPS_GEO:
-            raise DegenerateGeometryError("vertices do not form a CCW convex polygon")
-
-    def halfspaces(self) -> list[tuple[np.ndarray, float]]:
-        return [(self.normals[i].copy(), float(self.offsets[i])) for i in range(len(self.offsets))]
-
-    def contains(self, p, tol: float = EPS_GEO) -> bool:
-        q = p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
-        return bool(np.all(self.normals @ q <= self.offsets + tol))
-
-
-@dataclass(frozen=True)
-class Capsule:
-    """Union of two equal-radius disks and the rectangle spanned between them.
-
-    A zero-length axis or zero radius degenerates gracefully: `body` is None
-    and distance queries fall back to the disk / bare-segment cases.
-    """
-
-    c1: Disk
-    c2: Disk
-    body: Optional[ConvexPolygon]
-
-    def __post_init__(self):
-        if abs(self.c1.radius - self.c2.radius) > EPS_GEO:
-            raise ValueError("capsule disks must share one radius")
-
-    @property
-    def radius(self) -> float:
-        return self.c1.radius
-
-    @property
-    def axis(self) -> Segment:
-        return Segment(self.c1.center, self.c2.center)
-
-    @staticmethod
-    def from_segment(a: Point2, b: Point2, radius: float) -> "Capsule":
-        """Build the capsule swept by a disk of `radius` along segment a-b.
-
-        The rectangle is the convex hull of the four tangent points taken
-        perpendicular to the axis at each endpoint.
-        """
-        if radius < 0:
-            raise ValueError(f"negative capsule radius {radius}")
-        ax, ay = b.x - a.x, b.y - a.y
-        length = math.hypot(ax, ay)
-        body = None
-        if length > EPS_GEO and radius > EPS_GEO:
-            nx, ny = -ay / length, ax / length  # left normal
-            corners = [
-                Point2(a.x + radius * nx, a.y + radius * ny),
-                Point2(a.x - radius * nx, a.y - radius * ny),
-                Point2(b.x + radius * nx, b.y + radius * ny),
-                Point2(b.x - radius * nx, b.y - radius * ny),
-            ]
-            body = convex_hull(corners)
-        return Capsule(Disk(a, radius), Disk(b, radius), body)
-
-    def contains(self, p: Point2, tol: float = EPS_GEO) -> bool:
-        d, _ = point_segment_distance(p.as_array(), self.c1.center.as_array(), self.c2.center.as_array())
-        return d <= self.radius + tol
-
-
-def convex_hull(points: Sequence[Point2]) -> ConvexPolygon:
-    """Convex hull (Andrew's monotone chain), CCW, collinear points dropped.
-
-    Raises DegenerateGeometryError for fewer than 3 distinct points or an
-    all-collinear input.
-    """
-    pts = sorted({(float(p.x), float(p.y)) for p in points})
-    if len(pts) < 3:
-        raise DegenerateGeometryError("convex hull needs at least 3 distinct points")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= EPS_GEO:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= EPS_GEO:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        raise DegenerateGeometryError("points are collinear; hull is degenerate")
-    return ConvexPolygon(np.array(hull, dtype=float))
-
-
-def halfspaces_from_vertices(vertices) -> list[tuple[np.ndarray, float]]:
-    """H-representation {y : A y <= b} of a CCW convex polygon.
-
-    Returns one (unit outward normal, offset) pair per edge. Raises
-    DegenerateGeometryError for non-convex input.
-    """
-    verts = _vertices_to_array(vertices)
-    normals, offsets = _halfspace_arrays(verts)
-    slack = verts @ normals.T - offsets[None, :]
-    if np.max(slack) > EPS_GEO:
-        raise DegenerateGeometryError("vertices are not a CCW convex polygon")
-    return [(normals[i].copy(), float(offsets[i])) for i in range(len(offsets))]
-
-
-def _vertices_to_array(vertices) -> np.ndarray:
-    if isinstance(vertices, ConvexPolygon):
-        return vertices.vertices
-    rows = []
-    for v in vertices:
-        if isinstance(v, Point2):
-            rows.append([v.x, v.y])
-        else:
-            rows.append([float(v[0]), float(v[1])])
-    arr = np.array(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 3:
-        raise DegenerateGeometryError("polygon needs at least 3 vertices")
-    return arr
-
-
-def _halfspace_arrays(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nxt = np.roll(verts, -1, axis=0)
-    edges = nxt - verts
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    if np.any(lengths <= EPS_GEO):
-        raise DegenerateGeometryError("zero-length polygon edge")
-    # CCW ordering puts the outward normal to the right of each edge.
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, verts)
-    return normals, offsets
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """Distance from p to segment a-b and the closest point on it."""
+    p, a, b, r = (np.asarray(v, dtype=float) for v in (p, a, b, r))
     ab = b - a
-    denom = float(ab @ ab)
-    if denom <= EPS_GEO * EPS_GEO:
-        return float(np.hypot(*(p - a))), a.copy()
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    q = a + t * ab
-    return float(np.hypot(*(p - q))), q
+    denom = np.sum(ab * ab, axis=-1)
+    degenerate = denom <= EPS_GEO * EPS_GEO
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(degenerate, 0.0, np.clip(np.sum((p - a) * ab, axis=-1) / denom, 0.0, 1.0))
+        q = a + t[..., None] * ab
+        diff = p - q
+        dist = np.hypot(diff[..., 0], diff[..., 1])
+        length = np.hypot(ab[..., 0], ab[..., 1])
+        left = np.stack([-ab[..., 1], ab[..., 0]], axis=-1) / length[..., None]
+        on_axis = q + r[..., None] * np.where(degenerate[..., None], np.array([1.0, 0.0]), left)
+        # Off the axis, q + r n is the point dividing p-q in the ratio
+        # s = (|p - q| - r) / |p - q|.
+        s = ((dist - r) / dist)[..., None]
+        z = np.where((dist > EPS_GEO)[..., None], (1.0 - s) * p + s * q, on_axis)
+    return np.maximum(0.0, dist - r), z
 
 
-def points_segment_distance(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized distance from each row of pts (n, 2) to segment a-b."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom <= EPS_GEO * EPS_GEO:
-        return np.hypot(pts[:, 0] - a[0], pts[:, 1] - a[1])
-    t = np.clip((pts - a) @ ab / denom, 0.0, 1.0)
-    q = a + t[:, None] * ab
-    d = pts - q
-    return np.hypot(d[:, 0], d[:, 1])
-
-
-def dist_point_polygon(p: Point2, poly: ConvexPolygon) -> tuple[float, Point2]:
-    """Minimum distance from p to {y : A y <= b}, with its global minimizer.
-
-    Interior points return (0, p). Exterior points project onto the nearest
-    edge or vertex; for a 2D convex polygon the per-edge projection plus
-    vertex clamp is the exact minimizer of the distance program.
-    """
-    q = p.as_array()
-    if poly.contains(q):
-        return 0.0, p
-    verts = poly.vertices
-    nxt = np.roll(verts, -1, axis=0)
-    best_d = math.inf
-    best_q = verts[0]
-    for i in range(len(verts)):
-        d, proj = point_segment_distance(q, verts[i], nxt[i])
-        if d < best_d:
-            best_d, best_q = d, proj
-    return best_d, Point2(float(best_q[0]), float(best_q[1]))
-
-
-def _boundary_point_from_inside(p: np.ndarray, cap: Capsule) -> Point2:
-    """Nearest capsule-boundary point for an interior p.
-
-    The boundary is the level set dist(., axis) = radius, so the closest
-    boundary point lies radially away from the axis-closest point.
-    """
-    a = cap.c1.center.as_array()
-    b = cap.c2.center.as_array()
-    r = cap.radius
-    d_axis, q = point_segment_distance(p, a, b)
-    if d_axis > EPS_GEO:
-        n = (p - q) / d_axis
-    else:
-        # On the axis: pick the left normal (or +x for a degenerate axis).
-        ab = b - a
-        length = float(np.hypot(*ab))
-        n = np.array([-ab[1], ab[0]]) / length if length > EPS_GEO else np.array([1.0, 0.0])
-    out = q + r * n
-    return Point2(float(out[0]), float(out[1]))
-
-
-def dist_point_disk(p: Point2, disk: Disk) -> tuple[float, Point2]:
-    """Distance to a disk (0 inside) and the projection onto its circle.
-
-    The projection is the convex combination of p and the center with ratio
-    (distance-to-center - radius) / distance-to-center; interior points map
-    to the nearest circle point, and a point at the exact center maps to the
-    +x circle point for determinism.
-    """
-    c = disk.center.as_array()
-    q = p.as_array()
-    dc = float(np.hypot(*(q - c)))
-    if dc <= EPS_GEO:
-        z = c + np.array([disk.radius, 0.0])
-        return 0.0, Point2(float(z[0]), float(z[1]))
-    ratio = (dc - disk.radius) / dc
-    z = (1.0 - ratio) * q + ratio * c
-    return max(0.0, dc - disk.radius), Point2(float(z[0]), float(z[1]))
-
-
-def dist_point_capsule(p: Point2, cap: Capsule) -> tuple[float, Point2]:
-    """Minimum distance from p to a capsule with the matching projection.
-
-    Branches: distance to each cap circle is distance-to-center minus radius;
-    distance to the rectangle body is the polygon minimizer (zero inside).
-    The overall distance is the smallest branch value clamped at zero, and the
-    projected point comes from the winning branch (ties broken body, then c1,
-    then c2). Interior points return distance 0 with the nearest boundary
-    point so downstream constraint gradients stay informative.
-    """
-    q = p.as_array()
-    c1 = cap.c1.center.as_array()
-    c2 = cap.c2.center.as_array()
-    r = cap.radius
-
-    axis_len = float(np.hypot(*(c2 - c1)))
-    if axis_len <= EPS_GEO:
-        # Degenerate axis: the capsule is a single disk.
-        if r <= EPS_GEO:
-            d = float(np.hypot(*(q - c1)))
-            return d, Point2(float(c1[0]), float(c1[1]))
-        return dist_point_disk(p, cap.c1)
-
-    if r <= EPS_GEO:
-        # Bare segment.
-        d, proj = point_segment_distance(q, c1, c2)
-        return d, Point2(float(proj[0]), float(proj[1]))
-
-    d_axis, _ = point_segment_distance(q, c1, c2)
-    if d_axis <= r + EPS_GEO:
-        if d_axis >= r - EPS_GEO:
-            return 0.0, p  # on the boundary
-        return 0.0, _boundary_point_from_inside(q, cap)
-
-    dc1 = float(np.hypot(*(q - c1)))
-    dc2 = float(np.hypot(*(q - c2)))
-    d_circ1 = dc1 - r
-    d_circ2 = dc2 - r
-    d_body, z_body = dist_point_polygon(p, cap.body) if cap.body is not None else (math.inf, p)
-
-    d_proj = min(d_body, d_circ1, d_circ2)
-    if d_body <= d_proj + EPS_GEO:
-        return d_body, z_body
-    if d_circ1 <= d_proj + EPS_GEO:
-        ratio = (dc1 - r) / dc1
-        z = (1.0 - ratio) * q + ratio * c1
-        return d_circ1, Point2(float(z[0]), float(z[1]))
-    ratio = (dc2 - r) / dc2
-    z = (1.0 - ratio) * q + ratio * c2
-    return d_circ2, Point2(float(z[0]), float(z[1]))
-
-
-def raycast(
-    origin: Point2,
-    direction: np.ndarray,
-    segments: Sequence[Segment],
-    max_range: float,
-) -> Optional[tuple[float, Point2]]:
-    """Nearest intersection of a ray with any segment, within max_range.
-
-    Returns (range, hit point) or None on a miss. Rays parallel to a segment
-    miss that segment.
-    """
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
-    d = np.asarray(direction, dtype=float)
-    o = origin.as_array()
-    best_t = math.inf
-    for seg in segments:
-        t = _ray_segment_param(o, d, seg.a.as_array(), seg.b.as_array())
-        if t is not None and t < best_t:
-            best_t = t
-    if best_t > max_range:
-        return None
-    hit = o + best_t * d
-    return best_t, Point2(float(hit[0]), float(hit[1]))
-
-
-def _ray_segment_param(o: np.ndarray, d: np.ndarray, a: np.ndarray, b: np.ndarray) -> Optional[float]:
-    e = b - a
-    denom = d[0] * e[1] - d[1] * e[0]
-    if abs(denom) < 1e-14:
-        return None
-    ao = a - o
-    t = (ao[0] * e[1] - ao[1] * e[0]) / denom
-    s = (ao[0] * d[1] - ao[1] * d[0]) / denom
-    if t >= 0.0 and -1e-12 <= s <= 1.0 + 1e-12:
-        return float(t)
-    return None
-
-
-def raycast_fan(
+def cast_rays(
     origin: np.ndarray,
-    angles: np.ndarray,
+    dirs: np.ndarray,
     seg_a: np.ndarray,
     seg_b: np.ndarray,
     max_range: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batch raycast of many angles against many segments.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nearest hit of each ray origin + t dirs[i], t >= 0, on segments
+    seg_a[j]-seg_b[j].
 
-    seg_a, seg_b are (m, 2) endpoint arrays. Returns (ranges, hit_mask) where
-    misses carry max_range. Fully vectorized: O(rays x segments) memory.
+    dirs is (n, 2) unit directions; seg_a and seg_b are (m, 2). Returns
+    (ranges, hit_mask, segment_index): a miss, including a hit beyond
+    max_range, carries max_range and index -1. Rays parallel to a segment miss
+    it. Fully vectorized: O(rays x segments) memory.
     """
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (n, 2)
-    e = seg_b - seg_a  # (m, 2)
-    ao = seg_a[None, :, :] - origin[None, None, :]  # (1, m, 2)
-    denom = dirs[:, None, 0] * e[None, :, 1] - dirs[:, None, 1] * e[None, :, 0]  # (n, m)
+    e = seg_b - seg_a
+    ao = seg_a - origin
+    denom = dirs[:, None, 0] * e[None, :, 1] - dirs[:, None, 1] * e[None, :, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ao[:, :, 0] * e[None, :, 1] - ao[:, :, 1] * e[None, :, 0]) / denom
-        s = (ao[:, :, 0] * dirs[:, None, 1] - ao[:, :, 1] * dirs[:, None, 0]) / denom
+        t = (ao[None, :, 0] * e[None, :, 1] - ao[None, :, 1] * e[None, :, 0]) / denom
+        s = (ao[None, :, 0] * dirs[:, None, 1] - ao[None, :, 1] * dirs[:, None, 0]) / denom
     valid = (np.abs(denom) >= 1e-14) & (t >= 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
     t = np.where(valid, t, np.inf)
-    ranges = t.min(axis=1)
+    ranges = t.min(axis=1, initial=np.inf)
     hit_mask = ranges <= max_range
-    ranges = np.where(hit_mask, ranges, max_range)
-    return ranges, hit_mask
+    seg_idx = np.where(hit_mask, t.argmin(axis=1) if t.size else -1, -1)
+    return np.where(hit_mask, ranges, max_range), hit_mask, seg_idx

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Point2, Segment, raycast_fan
+from .geometry import Point2, Segment, cast_rays
 from .unicycle import RobotState
 from .world import WorldMap
 
@@ -83,35 +83,10 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
     n = params.num_rays
     angles = 2.0 * np.pi * np.arange(n) / n
-    seg_a, seg_b = world.segment_arrays()
-    if len(seg_a) == 0:
-        ranges = np.full(n, params.max_range)
-        hit_mask = np.zeros(n, dtype=bool)
-        seg_idx = np.full(n, -1, dtype=int)
-    else:
-        ranges, hit_mask, seg_idx = _fan_with_indices(origin, angles, seg_a, seg_b, params.max_range)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    ranges, hit_mask, seg_idx = cast_rays(origin, dirs, *world.segment_arrays(), params.max_range)
     points = origin[None, :] + ranges[:, None] * dirs
     return Scan(pose, angles, ranges, hit_mask, points, seg_idx, params.max_range)
-
-
-def _fan_with_indices(origin, angles, seg_a, seg_b, max_range):
-    # Same math as geometry.raycast_fan but keeps the argmin segment index.
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    e = seg_b - seg_a
-    ao = seg_a[None, :, :] - origin[None, None, :]
-    denom = dirs[:, None, 0] * e[None, :, 1] - dirs[:, None, 1] * e[None, :, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ao[:, :, 0] * e[None, :, 1] - ao[:, :, 1] * e[None, :, 0]) / denom
-        s = (ao[:, :, 0] * dirs[:, None, 1] - ao[:, :, 1] * dirs[:, None, 0]) / denom
-    valid = (np.abs(denom) >= 1e-14) & (t >= 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
-    t = np.where(valid, t, np.inf)
-    idx = np.argmin(t, axis=1)
-    ranges = t[np.arange(len(angles)), idx]
-    hit_mask = ranges <= max_range
-    seg_idx = np.where(hit_mask, idx, -1)
-    ranges = np.where(hit_mask, ranges, max_range)
-    return ranges, hit_mask, seg_idx
 
 
 def detect_occlusions(scan_: Scan, params: LidarParams) -> list[OcclusionBoundary]:

@@ -10,8 +10,10 @@ projection and d_safe_static + r_robot + r_circle from each static coverage
 circle. Avoidance is subject to the stop-speed complementarity semantics: a
 step may sit inside a margin only if the plan is stopped there. The solver
 realizes this with a stop index j (move through step j, hold position after),
-found by one full-freedom solve plus a binary search over j when needed;
-the all-stopped plan is the always-feasible floor.
+found by one full-freedom solve plus, when needed, probes of earlier stop
+indexes: the previous step's index and its two neighbours first, then the rest
+in order if none of those beats standing still. The cheapest candidate wins,
+and the all-stopped plan is the always-feasible floor.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .avoidance import OpenLoopPlan, ProjectionSet
 from .lidar_sim import PointCloudCircle
-from .solver import EvalResult, SqpResult, solve_sqp
+from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, SqpResult, solve_sqp
 from .unicycle import ControlInput, RobotState, dynamics_step, rollout
 
 __all__ = [
@@ -44,10 +46,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("oampc.nmpc")
-
-STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_MAX_ITER = "max_iter"
 
 
 @dataclass(frozen=True)
@@ -347,10 +345,12 @@ def solve(problem: NlpProblem) -> SolveResult:
     """Plan over the horizon, honoring stop-speed complementarity.
 
     First solves with motion allowed through step N-1 (avoidance enforced at
-    every moving step). If that fails or barely improves on standing still, a
-    binary search finds the largest stop index whose problem is feasible;
-    the stationary plan is the guaranteed fallback floor whenever the
-    current state respects the track limits.
+    every moving step). If that fails or barely improves on standing still,
+    earlier stop indexes are probed: the previous step's winning index and its
+    two neighbours first, then, if none of them beats standing still, every
+    other index in increasing order. The cheapest candidate wins, ties going
+    to the larger stop index; the stationary plan is the guaranteed fallback
+    floor whenever the current state respects the track limits.
     """
     t0 = time.perf_counter()
     params = problem.params

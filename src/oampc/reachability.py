@@ -3,8 +3,8 @@
 Hidden agents are abstracted by the occlusion boundary they could cross:
 their step-k reachable set is the boundary segment inflated by k times the
 per-step travel bound (a capsule). Visible agents get concentric disks grown
-the same way. Measurement fusion shrinks a tracked agent's set when a fresh
-detection arrives.
+the same way: capsules with a zero-length axis. Measurement fusion shrinks a
+tracked agent's set when a fresh detection arrives.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Capsule, Disk, Point2
+from .geometry import Disk, Point2
 from .lidar_sim import OcclusionBoundary
 
 
@@ -43,68 +43,40 @@ def step_distance(model: AgentModel, dt: float) -> float:
     return model.v_target * dt
 
 
-@dataclass(frozen=True)
-class CapsuleFamily:
-    """Nested capsules over one occlusion boundary, indexed k = 1..N.
+@dataclass(frozen=True, eq=False)
+class ReachableFamily:
+    """Nested reachable sets of one agent, indexed k = 1..N.
 
-    capsules[k-1] has radius k * d_step + agent radius on the boundary
-    segment, so each capsule contains its predecessor.
+    The step-k set is the capsule {x : dist(x, segment a-b) <= radii[k-1]}.
+    A hidden agent's axis is the occlusion boundary it could cross; a visible
+    agent's disks are the case a == b. Radii grow by one step distance per
+    step, so each set contains its predecessor.
     """
 
-    boundary: OcclusionBoundary
-    capsules: tuple[Capsule, ...]
-    d_step: float
-
-    def set_at(self, k: int) -> Capsule:
-        return self.capsules[k - 1]
+    a: np.ndarray  # (2,)
+    b: np.ndarray  # (2,)
+    radii: np.ndarray  # (N,)
 
     @property
     def horizon(self) -> int:
-        return len(self.capsules)
+        return len(self.radii)
 
 
-@dataclass(frozen=True)
-class DiskFamily:
-    """Concentric reachable disks for a visible agent, indexed k = 1..N."""
-
-    initial: Disk
-    disks: tuple[Disk, ...]
-    d_step: float
-
-    def set_at(self, k: int) -> Disk:
-        return self.disks[k - 1]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.disks)
-
-
-def build_capsules(boundary: OcclusionBoundary, model: AgentModel, dt: float, horizon: int) -> CapsuleFamily:
-    """Capsule family over a boundary segment.
-
-    Circles of radius k*d_step + agent radius at both segment endpoints; the
-    rectangle is the hull of the four perpendicular tangent points. A
-    zero-length boundary degenerates to a disk-equivalent capsule.
-    """
+def build_capsules(boundary: OcclusionBoundary, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
+    """Capsules of radius k*d_step + agent radius over a boundary segment. A
+    zero-length boundary gives disks."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    d_step = step_distance(model, dt)
-    a, b = boundary.seg.a, boundary.seg.b
-    capsules = tuple(
-        Capsule.from_segment(a, b, k * d_step + model.radius) for k in range(1, horizon + 1)
-    )
-    return CapsuleFamily(boundary, capsules, d_step)
+    a, b = boundary.seg.as_array()
+    return ReachableFamily(a, b, np.arange(1, horizon + 1) * step_distance(model, dt) + model.radius)
 
 
-def build_disks(detection: Disk, model: AgentModel, dt: float, horizon: int) -> DiskFamily:
+def build_disks(detection: Disk, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
     """Concentric disks growing by one step distance per horizon step."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    d_step = step_distance(model, dt)
-    disks = tuple(
-        Disk(detection.center, detection.radius + k * d_step) for k in range(1, horizon + 1)
-    )
-    return DiskFamily(detection, disks, d_step)
+    c = detection.center.as_array()
+    return ReachableFamily(c, c, detection.radius + np.arange(1, horizon + 1) * step_distance(model, dt))
 
 
 def fuse_measurement(prev_one_step: Disk, sensed: Disk) -> Disk:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .avoidance import OpenLoopPlan, project_plan, shift_extrapolate
-from .geometry import Disk, Point2, points_segment_distance
+from .geometry import Disk, Point2, capsule_projection
 from .lidar_sim import LidarParams, PointCloudCircle, detect_occlusions, downsample, scan
 from .nmpc import (
     MpcParams,
@@ -32,7 +32,9 @@ from .reachability import (
     build_capsules,
     build_disks,
     fuse_measurement,
+    step_distance,
 )
+from .solver import STATUS_OPTIMAL
 from .unicycle import RobotState, dynamics_step
 from .world import WorldMap
 
@@ -112,7 +114,7 @@ class StepRecord:
     state: np.ndarray  # (3,) state the input was computed at
     applied_input: np.ndarray  # (2,)
     status: str
-    solve_ms: float  # projection + NMPC solve wall time
+    solve_ms: float  # wall time of reach, agent visibility, projection, solve and fallback audit
     stop_index: int
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
@@ -176,11 +178,7 @@ def ground_truth_collision(
     for pos, r in zip(agent_positions, agent_radii):
         if np.hypot(*(p - pos)) <= r_robot + r:
             return True
-    seg_a, seg_b = world.segment_arrays()
-    for a, b in zip(seg_a, seg_b):
-        if points_segment_distance(p[None, :], a, b)[0] <= r_robot:
-            return True
-    return False
+    return bool(np.any(capsule_projection(p, *world.segment_arrays())[0] <= r_robot))
 
 
 @dataclass
@@ -234,7 +232,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         sensed = Disk(Point2(*pos), scn.agents[idx].radius)
         prev = sim.agent_tracks.get(idx)
         if prev is not None:
-            propagated = build_disks(prev, scn.agent_model, dt, 1).set_at(1)
+            propagated = Disk(prev.center, prev.radius + step_distance(scn.agent_model, dt))
             sensed = fuse_measurement(propagated, sensed)
         new_tracks[idx] = sensed
         families.append(build_disks(sensed, scn.agent_model, dt, params.N))
@@ -258,7 +256,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     fallback_used = False
     fallback_feasible = None
-    if result.status == "optimal":
+    if result.status == STATUS_OPTIMAL:
         plan = result.plan
     else:
         fallback_used = True
@@ -296,12 +294,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     # Clearances at the pre-step state (what the planner saw).
     pos = sim.z[:2]
-    occ_clear = math.inf
-    for b in boundaries:
-        occ_clear = min(
-            occ_clear,
-            float(points_segment_distance(pos[None, :], b.seg.a.as_array(), b.seg.b.as_array())[0]),
-        )
+    ends = np.reshape([b.seg.as_array() for b in boundaries], (-1, 2, 2))
+    occ_clear = float(capsule_projection(pos, ends[:, 0], ends[:, 1])[0].min(initial=math.inf))
     agent_clear = math.inf
     for p in agent_positions:
         agent_clear = min(agent_clear, float(np.hypot(*(pos - p))))
@@ -414,7 +408,7 @@ def compute_metrics(log: TrajectoryLog, goal_time: Optional[float] = None, goals
         solve_avg_ms=float(solve_times.mean()),
         solve_max_ms=float(solve_times.max()),
         solve_std_ms=float(solve_times.std()),
-        infeasible_steps=sum(1 for r in log if r.status != "optimal"),
+        infeasible_steps=sum(1 for r in log if r.status != STATUS_OPTIMAL),
         fallback_invocations=sum(1 for r in log if r.fallback_used),
         steps=len(log),
         goals_reached=goals_reached,

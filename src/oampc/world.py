@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Point2, Segment, points_segment_distance
+from .geometry import Point2, Segment, capsule_projection, cast_rays
 
 
 def _point_in_polygon(p: np.ndarray, verts: np.ndarray) -> bool:
@@ -101,13 +101,7 @@ class WorldMap:
     def min_clearance(self, p) -> float:
         """Distance from p to the nearest map segment (inf when empty)."""
         q = p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
-        if not self._segments:
-            return float("inf")
-        best = float("inf")
-        pts = q[None, :]
-        for a, b in zip(self._seg_a, self._seg_b):
-            best = min(best, float(points_segment_distance(pts, a, b)[0]))
-        return best
+        return float(capsule_projection(q, self._seg_a, self._seg_b)[0].min(initial=np.inf))
 
     def segment_visible(self, a: np.ndarray, b: np.ndarray) -> bool:
         """True when the open segment a-b crosses no map segment (a clear
@@ -116,14 +110,8 @@ class WorldMap:
         dist = float(np.hypot(*d))
         if dist <= 1e-12:
             return True
-        direction = d / dist
-        from .geometry import _ray_segment_param
-
-        for sa, sb in zip(self._seg_a, self._seg_b):
-            t = _ray_segment_param(a, direction, sa, sb)
-            if t is not None and t < dist - 1e-9:
-                return False
-        return True
+        ranges, _, _ = cast_rays(a, (d / dist)[None, :], self._seg_a, self._seg_b, dist)
+        return bool(ranges[0] >= dist - 1e-9)
 
 
 def rectangle(x0: float, y0: float, x1: float, y1: float) -> np.ndarray:

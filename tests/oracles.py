@@ -158,3 +158,53 @@ def polygon_distance_sampled(p, verts, samples_per_edge: int = 4000) -> float:
         d = np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]).min()
         best = min(best, float(d))
     return best
+
+
+def segment_distance(pts, a, b) -> np.ndarray:
+    """Distance from each row of pts to segment a-b: the perpendicular
+    distance where the foot of the perpendicular lies on the segment, else
+    the distance to the nearer endpoint."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d_end = np.minimum(np.hypot(*(pts - a).T), np.hypot(*(pts - b).T))
+    ab = b - a
+    length = float(np.hypot(*ab))
+    if length <= 1e-12:
+        return d_end
+    rel = pts - a
+    along = (rel[:, 0] * ab[0] + rel[:, 1] * ab[1]) / length
+    perp = np.abs(ab[0] * rel[:, 1] - ab[1] * rel[:, 0]) / length
+    return np.where((along >= 0.0) & (along <= length), perp, d_end)
+
+
+def _orientation(o, p, q) -> float:
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def segments_cross(p1, p2, q1, q2) -> bool:
+    """Proper crossing of segments p1-p2 and q1-q2 by inline cross products:
+    each segment's endpoints lie strictly on opposite sides of the other's
+    line. Touching and collinear overlaps do not count."""
+    return (
+        _orientation(p1, p2, q1) * _orientation(p1, p2, q2) < 0.0
+        and _orientation(q1, q2, p1) * _orientation(q1, q2, p2) < 0.0
+    )
+
+
+def raycast_scalar(origin, direction, segments):
+    """Nearest hit of one ray on a list of (a, b) segments, as (range, index),
+    or (inf, -1) on a miss. Each hit solves origin + t d = a + s (b - a) as a
+    2x2 linear system; a singular system (parallel ray) is a miss."""
+    o = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    best = (np.inf, -1)
+    for i, (a, b) in enumerate(segments):
+        a = np.asarray(a, dtype=float)
+        m = np.column_stack([d, a - np.asarray(b, dtype=float)])
+        if abs(np.linalg.det(m)) < 1e-12:
+            continue
+        t, s = np.linalg.solve(m, a - o)
+        if t >= 0.0 and -1e-12 <= s <= 1.0 + 1e-12 and t < best[0]:
+            best = (float(t), i)
+    return best

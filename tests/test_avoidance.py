@@ -6,6 +6,8 @@ from oampc.geometry import Disk, Point2, Segment
 from oampc.lidar_sim import OcclusionBoundary
 from oampc.reachability import AgentModel, build_capsules, build_disks
 
+from oracles import capsule_distance_sampled
+
 
 def plan_from_positions(positions, stamp=0):
     positions = np.asarray(positions, dtype=float)
@@ -84,6 +86,28 @@ class TestProjectPlan:
                 if proj.d_proj[k] > 0:
                     gap = np.hypot(*(shifted[k] - proj.z_proj[k]))
                     assert gap == pytest.approx(proj.d_proj[k], abs=1e-9)
+
+    def test_stacked_families_match_sampling_oracle(self):
+        # Capsules, a zero-length boundary and disks, projected in one call:
+        # every entry matches the sampling oracle for its own step-k set.
+        rng = np.random.default_rng(13)
+        n = 5
+        model = AgentModel(0.5, radius=0.1)
+        fams = [
+            self.make_capsule_family(n),
+            build_capsules(OcclusionBoundary(Segment(Point2(1, 1), Point2(1, 1)), 0), model, 0.1, n + 2),
+            build_disks(Disk(Point2(-1, 0.5), 0.2), model, 0.1, n),
+            build_capsules(OcclusionBoundary(Segment(Point2(-2, -1), Point2(0, -2)), 0), model, 0.1, n),
+        ]
+        shifted = rng.uniform(-3, 3, size=(n, 2))
+        ps = project_plan(shifted, fams)
+        for fam, proj in zip(fams, ps.families):
+            assert proj.family is fam
+            for k in range(n):
+                ref = capsule_distance_sampled(shifted[k], fam.a, fam.b, fam.radii[k])
+                assert proj.d_proj[k] == pytest.approx(ref, abs=2e-6)
+                on_boundary = capsule_distance_sampled(proj.z_proj[k], fam.a, fam.b, fam.radii[k])
+                assert on_boundary == pytest.approx(0.0, abs=1e-6)
 
     def test_family_horizon_too_short(self):
         fam = self.make_capsule_family(3)

@@ -5,309 +5,193 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oampc.geometry import (
-    Capsule,
-    ConvexPolygon,
-    DegenerateGeometryError,
-    Disk,
-    Point2,
-    Segment,
-    convex_hull,
-    dist_point_capsule,
-    dist_point_disk,
-    dist_point_polygon,
-    halfspaces_from_vertices,
-    point_segment_distance,
-    raycast,
-    raycast_fan,
-)
+from oampc.geometry import Disk, Point2, capsule_projection, cast_rays
 
-from oracles import capsule_distance_sampled, point_in_convex_polygon, point_in_capsule
+from oracles import capsule_distance_sampled, point_in_capsule, raycast_scalar, segment_distance
 
-UNIT_SQUARE = [Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)]
+# Families stacked next to every single-capsule case below, so each case also
+# runs as one row of a broadcast call that mixes zero-length and non-zero
+# axes, with and without radius.
+MIX_A = np.array([[5.0, 5.0], [-3.0, 1.0], [0.5, -2.0], [1.0, 1.0]])
+MIX_B = np.array([[5.0, 5.0], [-1.0, 2.0], [0.5, -2.0], [2.0, -1.0]])
+MIX_R = np.array([0.3, 0.7, 0.0, 0.0])
 
 
-class TestConvexHull:
-    def test_interior_point_dropped(self):
-        pts = UNIT_SQUARE + [Point2(0.5, 0.5)]
-        hull = convex_hull(pts)
-        assert len(hull.vertices) == 4
-        assert {tuple(v) for v in hull.vertices} == {(0, 0), (1, 0), (1, 1), (0, 1)}
-
-    def test_identity_on_triangle(self):
-        pts = [Point2(0, 0), Point2(2, 0), Point2(1, 1)]
-        hull = convex_hull(pts)
-        assert {tuple(v) for v in hull.vertices} == {(0, 0), (2, 0), (1, 1)}
-
-    def test_random_disk_points_contained(self):
-        rng = np.random.default_rng(7)
-        ang = rng.uniform(0, 2 * np.pi, 100)
-        rad = np.sqrt(rng.uniform(0, 1, 100))
-        pts = [Point2(r * math.cos(a), r * math.sin(a)) for r, a in zip(rad, ang)]
-        hull = convex_hull(pts)
-        for p in pts:
-            assert hull.contains(p, tol=1e-9)
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateGeometryError):
-            convex_hull([Point2(0, 0), Point2(1, 1)])
-        with pytest.raises(DegenerateGeometryError):
-            convex_hull([Point2(0, 0), Point2(1, 1), Point2(2, 2), Point2(3, 3)])
-
-    def test_ccw_ordering(self):
-        hull = convex_hull(UNIT_SQUARE)
-        v = hull.vertices
-        area2 = 0.0
-        for i in range(len(v)):
-            a, b = v[i], v[(i + 1) % len(v)]
-            area2 += a[0] * b[1] - b[0] * a[1]
-        assert area2 > 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=4, max_size=30))
-    def test_idempotent(self, raw):
-        pts = [Point2(x, y) for x, y in raw]
-        try:
-            h1 = convex_hull(pts)
-        except DegenerateGeometryError:
-            return
-        h2 = convex_hull([Point2(x, y) for x, y in h1.vertices])
-        assert np.allclose(
-            sorted(map(tuple, h1.vertices)), sorted(map(tuple, h2.vertices)), atol=1e-12
-        )
-
-
-class TestHalfspaces:
-    def test_unit_square(self):
-        hs = halfspaces_from_vertices(UNIT_SQUARE)
-        assert len(hs) == 4
-        got = {(round(n[0]), round(n[1]), round(b, 9)) for n, b in hs}
-        assert got == {(0, -1, 0.0), (1, 0, 1.0), (0, 1, 1.0), (-1, 0, 0.0)}
-
-    def test_triangle_self_consistency(self):
-        verts = [Point2(0, 0), Point2(2, 0), Point2(1, 1)]
-        hs = halfspaces_from_vertices(verts)
-        assert len(hs) == 3
-        for v in verts:
-            for n, b in hs:
-                assert n @ v.as_array() <= b + 1e-9
-
-    def test_random_hull_interior_sampling(self):
-        rng = np.random.default_rng(3)
-        pts = [Point2(x, y) for x, y in rng.uniform(-5, 5, size=(40, 2))]
-        hull = convex_hull(pts)
-        # Rejection-sample interior points against the independent oracle.
-        lo, hi = hull.vertices.min(axis=0), hull.vertices.max(axis=0)
-        count = 0
-        while count < 10_000:
-            batch = rng.uniform(lo, hi, size=(5000, 2))
-            for q in batch:
-                if point_in_convex_polygon(q, hull.vertices):
-                    count += 1
-                    assert np.all(hull.normals @ q <= hull.offsets + 1e-9)
-            if count == 0:
-                break
-
-    def test_nonconvex_rejected(self):
-        verts = [Point2(0, 0), Point2(2, 0), Point2(1, 0.2), Point2(1, 2)]
-        with pytest.raises(DegenerateGeometryError):
-            halfspaces_from_vertices(verts)
-
-    def test_normals_unit_length(self):
-        hull = convex_hull([Point2(0, 0), Point2(3, 1), Point2(2, 4), Point2(-1, 2)])
-        assert np.allclose(np.hypot(hull.normals[:, 0], hull.normals[:, 1]), 1.0)
-
-
-class TestDistPointPolygon:
-    def setup_method(self):
-        self.square = ConvexPolygon(np.array([[0.0, 0.0], [1, 0], [1, 1], [0, 1]]))
-
-    def test_outside_edge(self):
-        d, q = dist_point_polygon(Point2(2, 0.5), self.square)
-        assert d == pytest.approx(1.0)
-        assert (q.x, q.y) == pytest.approx((1.0, 0.5))
-
-    def test_inside_returns_zero_and_point(self):
-        d, q = dist_point_polygon(Point2(0.5, 0.5), self.square)
-        assert d == 0.0
-        assert (q.x, q.y) == (0.5, 0.5)
-
-    def test_corner(self):
-        d, q = dist_point_polygon(Point2(2, 2), self.square)
-        assert d == pytest.approx(math.sqrt(2))
-        assert (q.x, q.y) == pytest.approx((1.0, 1.0))
-
-    def test_minimizer_feasible_and_minimal(self):
-        rng = np.random.default_rng(11)
-        hull = convex_hull([Point2(x, y) for x, y in rng.uniform(-2, 2, size=(12, 2))])
-        for _ in range(200):
-            p = Point2(*rng.uniform(-5, 5, size=2))
-            d, q = dist_point_polygon(p, hull)
-            qa = q.as_array()
-            assert np.all(hull.normals @ qa <= hull.offsets + 1e-9)
-            assert d == pytest.approx(np.hypot(*(p.as_array() - qa)), abs=1e-12)
-            # No boundary point sampled at 1e-3 spacing may beat d by > 1e-6.
-            verts = hull.vertices
-            for i in range(len(verts)):
-                a, b = verts[i], verts[(i + 1) % len(verts)]
-                n = max(2, int(np.hypot(*(b - a)) / 1e-3))
-                ts = np.linspace(0, 1, n)
-                pts = a + ts[:, None] * (b - a)
-                dmin = np.hypot(pts[:, 0] - p.x, pts[:, 1] - p.y).min()
-                assert dmin >= d - 1e-6
+def project(p, a, b, r):
+    """Projection of p onto capsule (a, b, r), taken as the last row of a
+    stacked call over the mixed families; the other rows must equal their
+    single-family calls."""
+    p = np.asarray(p, dtype=float)
+    d, z = capsule_projection(
+        p[None, :], np.vstack([MIX_A, a]), np.vstack([MIX_B, b]), np.append(MIX_R, r)
+    )
+    for i in range(len(MIX_R)):
+        di, zi = capsule_projection(p, MIX_A[i], MIX_B[i], MIX_R[i])
+        assert d[i] == di and np.array_equal(z[i], zi)
+    return float(d[-1]), z[-1]
 
 
 class TestDistPointCapsule:
-    def setup_method(self):
-        self.cap = Capsule.from_segment(Point2(0, 0), Point2(2, 0), 0.5)
+    A, B, R = [0.0, 0.0], [2.0, 0.0], 0.5
 
     def test_collinear_past_cap(self):
-        d, z = dist_point_capsule(Point2(3, 0), self.cap)
+        d, z = project([3, 0], self.A, self.B, self.R)
         assert d == pytest.approx(0.5)
-        assert (z.x, z.y) == pytest.approx((2.5, 0.0))
+        assert z == pytest.approx([2.5, 0.0])
 
     def test_perpendicular_to_face(self):
-        d, z = dist_point_capsule(Point2(1, 2), self.cap)
+        d, z = project([1, 2], self.A, self.B, self.R)
         assert d == pytest.approx(1.5)
-        assert (z.x, z.y) == pytest.approx((1.0, 0.5))
+        assert z == pytest.approx([1.0, 0.5])
 
     def test_interior_point(self):
-        d, z = dist_point_capsule(Point2(1, 0.2), self.cap)
+        d, z = project([1, 0.2], self.A, self.B, self.R)
         assert d == 0.0
-        assert capsule_distance_sampled([z.x, z.y], [0, 0], [2, 0], 0.5) == pytest.approx(0.0, abs=1e-9)
-        assert (z.x, z.y) == pytest.approx((1.0, 0.5))
+        assert capsule_distance_sampled(z, self.A, self.B, self.R) == pytest.approx(0.0, abs=1e-9)
+        assert z == pytest.approx([1.0, 0.5])
+
+    def test_on_axis_point_takes_left_normal(self):
+        d, z = project([1.5, 0.0], self.A, self.B, self.R)
+        assert d == 0.0
+        assert z == pytest.approx([1.5, 0.5])
+        d, z = project([1.0, 1.0], [0, 0], [2, 2], 1.0)
+        assert d == 0.0
+        assert z == pytest.approx([1.0 - math.sqrt(0.5), 1.0 + math.sqrt(0.5)])
 
     def test_degenerate_axis_is_disk(self):
-        cap = Capsule.from_segment(Point2(1, 1), Point2(1, 1), 0.3)
-        d, z = dist_point_capsule(Point2(2, 1), cap)
+        d, z = project([2, 1], [1, 1], [1, 1], 0.3)
         assert d == pytest.approx(0.7)
-        assert (z.x, z.y) == pytest.approx((1.3, 1.0))
+        assert z == pytest.approx([1.3, 1.0])
 
     def test_zero_radius_is_segment(self):
-        cap = Capsule.from_segment(Point2(0, 0), Point2(2, 0), 0.0)
-        assert cap.body is None
-        d, z = dist_point_capsule(Point2(1, 1), cap)
+        d, z = project([1, 1], self.A, self.B, 0.0)
         assert d == pytest.approx(1.0)
-        assert (z.x, z.y) == pytest.approx((1.0, 0.0))
+        assert z == pytest.approx([1.0, 0.0])
 
     def test_tie_break_order_body_first(self):
-        # Point equidistant from body face and cap circle picks the body.
-        d, z = dist_point_capsule(Point2(0.0, 1.0), self.cap)
-        dc1 = math.hypot(0.0, 1.0) - 0.5
-        assert d == pytest.approx(dc1)
-        assert (z.x, z.y) == pytest.approx((0.0, 0.5))
+        # Equidistant from the straight side and the cap circle at a: both
+        # give the same boundary point.
+        d, z = project([0.0, 1.0], self.A, self.B, self.R)
+        assert d == pytest.approx(0.5)
+        assert z == pytest.approx([0.0, 0.5])
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(23)
-        for _ in range(300):
-            a = rng.uniform(-3, 3, 2)
-            b = rng.uniform(-3, 3, 2)
-            r = rng.uniform(0.05, 1.5)
-            p = rng.uniform(-6, 6, 2)
-            cap = Capsule.from_segment(Point2(*a), Point2(*b), r)
-            d, z = dist_point_capsule(Point2(*p), cap)
-            d_ref = capsule_distance_sampled(p, a, b, r)
-            assert d == pytest.approx(d_ref, abs=2e-6)
-            if d > 0:
-                assert np.hypot(*(np.array([z.x, z.y]) - p)) == pytest.approx(d, abs=1e-9)
+        n = 300
+        a = rng.uniform(-3, 3, (n, 2))
+        b = rng.uniform(-3, 3, (n, 2))
+        b[::3] = a[::3]  # every third capsule is a disk
+        r = rng.uniform(0.05, 1.5, n)
+        p = rng.uniform(-6, 6, (n, 2))
+        d, z = capsule_projection(p, a, b, r)
+        for i in range(n):
+            assert d[i] == pytest.approx(capsule_distance_sampled(p[i], a[i], b[i], r[i]), abs=2e-6)
+            assert capsule_distance_sampled(z[i], a[i], b[i], r[i]) == pytest.approx(0.0, abs=1e-6)
+            if d[i] > 0:
+                assert np.hypot(*(z[i] - p[i])) == pytest.approx(d[i], abs=1e-9)
 
     @settings(max_examples=80, deadline=None)
     @given(
         st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
         st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        st.booleans(),
         st.floats(0.01, 2.0),
         st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
     )
-    def test_distance_nonnegative_and_consistent(self, a, b, r, p):
-        cap = Capsule.from_segment(Point2(*a), Point2(*b), r)
-        d, z = dist_point_capsule(Point2(*p), cap)
+    def test_distance_nonnegative_and_consistent(self, a, b, disk, r, p):
+        a, p = np.array(a), np.array(p)
+        b = a if disk else np.array(b)
+        d, z = project(p, a, b, r)
         assert d >= 0.0
-        # When outside, the projection must sit on the boundary.
+        # The projection always sits on the boundary; outside points are
+        # outside by the independent containment test.
+        assert abs(capsule_distance_sampled(z, a, b, r)) <= 1e-6
         if d > 1e-9:
-            assert abs(capsule_distance_sampled([z.x, z.y], np.array(a), np.array(b), r)) <= 1e-6
-            assert not point_in_capsule(np.array(p), np.array(a), np.array(b), r)
+            assert not point_in_capsule(p, a, b, r)
 
 
 class TestDistPointDisk:
     def test_outside(self):
-        d, z = dist_point_disk(Point2(3, 0), Disk(Point2(0, 0), 1.0))
+        d, z = project([3, 0], [0, 0], [0, 0], 1.0)
         assert d == pytest.approx(2.0)
-        assert (z.x, z.y) == pytest.approx((1.0, 0.0))
+        assert z == pytest.approx([1.0, 0.0])
 
     def test_inside_projects_to_circle(self):
-        d, z = dist_point_disk(Point2(0.2, 0), Disk(Point2(0, 0), 1.0))
+        d, z = project([0.2, 0], [0, 0], [0, 0], 1.0)
         assert d == 0.0
-        assert (z.x, z.y) == pytest.approx((1.0, 0.0))
+        assert z == pytest.approx([1.0, 0.0])
 
     def test_center_deterministic(self):
-        d, z = dist_point_disk(Point2(0, 0), Disk(Point2(0, 0), 0.5))
+        d, z = project([0, 0], [0, 0], [0, 0], 0.5)
         assert d == 0.0
-        assert (z.x, z.y) == pytest.approx((0.5, 0.0))
+        assert z == pytest.approx([0.5, 0.0])
+
+
+def _cast_one(origin, direction, segments, max_range):
+    seg_a = np.array([s[0] for s in segments], dtype=float)
+    seg_b = np.array([s[1] for s in segments], dtype=float)
+    origin = np.asarray(origin, dtype=float)
+    ranges, hit, idx = cast_rays(origin, np.array([direction], dtype=float), seg_a, seg_b, max_range)
+    return float(ranges[0]), bool(hit[0]), int(idx[0])
+
+
+def _random_segments(rng, m):
+    return [(rng.uniform(-4, 4, 2), rng.uniform(-4, 4, 2)) for _ in range(m)]
 
 
 class TestRaycast:
     def test_wall_hit(self):
-        wall = [Segment(Point2(2, -1), Point2(2, 1))]
-        out = raycast(Point2(0, 0), np.array([1.0, 0.0]), wall, max_range=10)
-        assert out is not None
-        rng_, hit = out
+        rng_, hit, idx = _cast_one([0, 0], [1.0, 0.0], [([2, -1], [2, 1])], max_range=10)
+        assert hit and idx == 0
         assert rng_ == pytest.approx(2.0)
-        assert (hit.x, hit.y) == pytest.approx((2.0, 0.0))
 
     def test_miss(self):
-        wall = [Segment(Point2(2, -1), Point2(2, 1))]
-        assert raycast(Point2(0, 0), np.array([0.0, 1.0]), wall, max_range=10) is None
+        rng_, hit, idx = _cast_one([0, 0], [0.0, 1.0], [([2, -1], [2, 1])], max_range=10)
+        assert not hit and idx == -1
+        assert rng_ == 10
+
+    def test_no_segments(self):
+        ranges, hit, idx = cast_rays(np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), 3.0)
+        assert np.all(ranges == 3.0) and not hit.any() and np.all(idx == -1)
 
     def test_square_room_analytic(self):
         half = 2.0
-        room = [
-            Segment(Point2(-half, -half), Point2(half, -half)),
-            Segment(Point2(half, -half), Point2(half, half)),
-            Segment(Point2(half, half), Point2(-half, half)),
-            Segment(Point2(-half, half), Point2(-half, -half)),
-        ]
+        corners = [(-half, -half), (half, -half), (half, half), (-half, half)]
+        room = np.array(corners)
         angles = np.linspace(0, 2 * np.pi, 360, endpoint=False)
-        for th in angles:
-            out = raycast(Point2(0, 0), np.array([math.cos(th), math.sin(th)]), room, max_range=10)
-            assert out is not None
-            expected = half / max(abs(math.cos(th)), abs(math.sin(th)))
-            assert out[0] == pytest.approx(expected, abs=1e-9)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        ranges, hit, _ = cast_rays(np.zeros(2), dirs, room, np.roll(room, -1, axis=0), max_range=10)
+        expected = half / np.maximum(np.abs(dirs[:, 0]), np.abs(dirs[:, 1]))
+        assert hit.all()
+        assert ranges == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_under_segment_removal(self):
         rng = np.random.default_rng(5)
-        segs = [
-            Segment(Point2(*rng.uniform(-4, 4, 2)), Point2(*rng.uniform(-4, 4, 2)))
-            for _ in range(12)
-        ]
+        segs = _random_segments(rng, 12)
         for trial in range(50):
             th = rng.uniform(0, 2 * np.pi)
-            d = np.array([math.cos(th), math.sin(th)])
-            full = raycast(Point2(0, 0), d, segs, max_range=20)
-            full_range = full[0] if full else math.inf
+            d = [math.cos(th), math.sin(th)]
+            full, _, _ = _cast_one([0, 0], d, segs, max_range=20)
             drop = rng.integers(0, len(segs))
-            reduced = [s for i, s in enumerate(segs) if i != drop]
-            red = raycast(Point2(0, 0), d, reduced, max_range=20)
-            red_range = red[0] if red else math.inf
-            assert red_range >= full_range - 1e-12
+            red, _, _ = _cast_one([0, 0], d, [s for i, s in enumerate(segs) if i != drop], max_range=20)
+            assert red >= full - 1e-12
 
     def test_fan_matches_scalar(self):
         rng = np.random.default_rng(9)
-        segs = [
-            Segment(Point2(*rng.uniform(-4, 4, 2)), Point2(*rng.uniform(-4, 4, 2)))
-            for _ in range(8)
-        ]
-        seg_a = np.array([s.a.as_array() for s in segs])
-        seg_b = np.array([s.b.as_array() for s in segs])
+        segs = _random_segments(rng, 8)
+        seg_a = np.array([s[0] for s in segs])
+        seg_b = np.array([s[1] for s in segs])
         angles = np.linspace(0, 2 * np.pi, 90, endpoint=False)
-        ranges, mask = raycast_fan(np.zeros(2), angles, seg_a, seg_b, max_range=6.0)
-        for i, th in enumerate(angles):
-            out = raycast(Point2(0, 0), np.array([math.cos(th), math.sin(th)]), segs, max_range=6.0)
-            if out is None:
-                assert not mask[i]
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        ranges, mask, idx = cast_rays(np.zeros(2), dirs, seg_a, seg_b, max_range=6.0)
+        for i in range(len(angles)):
+            t, j = raycast_scalar(np.zeros(2), dirs[i], segs)
+            if t > 6.0:
+                assert not mask[i] and idx[i] == -1
                 assert ranges[i] == 6.0
             else:
-                assert mask[i]
-                assert ranges[i] == pytest.approx(out[0], abs=1e-9)
+                assert mask[i] and idx[i] == j
+                assert ranges[i] == pytest.approx(t, abs=1e-9)
 
 
 class TestTypes:
@@ -319,17 +203,26 @@ class TestTypes:
         with pytest.raises(ValueError):
             Disk(Point2(0, 0), -0.1)
 
-    def test_capsule_requires_equal_radii(self):
-        with pytest.raises(ValueError):
-            Capsule(Disk(Point2(0, 0), 0.5), Disk(Point2(1, 0), 0.6), None)
-
     def test_capsule_body_is_tangent_rectangle(self):
-        cap = Capsule.from_segment(Point2(0, 0), Point2(2, 0), 0.5)
-        assert cap.body is not None
-        corners = {tuple(np.round(v, 9)) for v in cap.body.vertices}
-        assert corners == {(0.0, 0.5), (0.0, -0.5), (2.0, 0.5), (2.0, -0.5)}
+        # The straight sides of the capsule on (0,0)-(2,0) with radius 0.5
+        # are the lines y = +-0.5 over 0 <= x <= 2: points on them are on the
+        # boundary, points just off them are inside or outside by the offset.
+        a, b, r = [0.0, 0.0], [2.0, 0.0], 0.5
+        xs = np.linspace(0.0, 2.0, 9)
+        for side in (0.5, -0.5):
+            on = np.column_stack([xs, np.full_like(xs, side)])
+            d, z = capsule_projection(on, a, b, r)
+            assert np.all(d == 0.0)
+            assert z == pytest.approx(on)
+            off = on + [0.0, 0.1 * np.sign(side)]
+            d, _ = capsule_projection(off, a, b, r)
+            assert d == pytest.approx([capsule_distance_sampled(p, a, b, r) for p in off], abs=1e-6)
+            assert d == pytest.approx(0.1)
 
     def test_point_segment_distance_degenerate(self):
-        d, q = point_segment_distance(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
+        d, q = capsule_projection(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))
         assert d == pytest.approx(math.sqrt(2))
         assert np.allclose(q, 0)
+        pts = np.random.default_rng(4).uniform(-3, 3, (50, 2))
+        d, _ = capsule_projection(pts, [-1.0, 0.5], [2.0, -0.5])
+        assert d == pytest.approx(segment_distance(pts, [-1.0, 0.5], [2.0, -0.5]), abs=1e-12)

@@ -331,7 +331,7 @@ class TestFallbackPlan:
         assert report.ok(params.feas_tol)
         # Shrinkage: the new one-step set sits inside the previous two-step set.
         gap = np.hypot(*(agent_next - agent_pos))
-        assert gap + fam_next.set_at(1).radius <= fam.set_at(2).radius + 1e-12
+        assert gap + fam_next.radii[0] <= fam.radii[1] + 1e-12
 
     def test_requires_stopped_tail(self):
         inputs = np.ones((4, 2))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oampc.geometry import Disk, Point2, Segment
+from oampc.geometry import Disk, Point2, Segment, capsule_projection
 from oampc.lidar_sim import OcclusionBoundary
 from oampc.reachability import (
     AgentModel,
@@ -14,7 +14,7 @@ from oampc.reachability import (
     step_distance,
 )
 
-from oracles import point_in_capsule
+from oracles import capsule_distance_sampled, point_in_capsule, segment_distance
 
 
 def boundary(ax, ay, bx, by):
@@ -40,71 +40,73 @@ class TestStepDistance:
 class TestBuildCapsules:
     def test_final_radius_minkowski_oracle(self):
         fam = build_capsules(boundary(1, 0, 3, 0), AgentModel(0.5), 0.1, 10)
-        cap = fam.set_at(10)
-        assert cap.radius == pytest.approx(0.5)
+        a, b, r = fam.a, fam.b, fam.radii[9]
+        assert r == pytest.approx(0.5)
         # Minkowski-sum check: points within 0.5 of the segment are inside,
-        # farther points are outside.
+        # farther points are outside, by the projection and by the oracle.
         rng = np.random.default_rng(0)
-        for _ in range(500):
-            p = rng.uniform([-1, -2], [5, 2])
-            seg_d = _dist_to_segment(p, np.array([1.0, 0]), np.array([3.0, 0]))
-            if seg_d <= 0.5 - 1e-9:
-                assert cap.contains(Point2(*p))
-            elif seg_d >= 0.5 + 1e-9:
-                assert not cap.contains(Point2(*p))
+        pts = rng.uniform([-1, -2], [5, 2], size=(500, 2))
+        d, _ = capsule_projection(pts, a, b, r)
+        seg_d = segment_distance(pts, [1.0, 0.0], [3.0, 0.0])
+        for p, di, si in zip(pts, d, seg_d):
+            if si <= 0.5 - 1e-9:
+                assert di == 0.0 and point_in_capsule(p, a, b, r)
+            elif si >= 0.5 + 1e-9:
+                assert di > 0.0 and not point_in_capsule(p, a, b, r)
 
     def test_zero_speed_single_step_is_bare_segment(self):
         fam = build_capsules(boundary(0, 0, 1, 0), AgentModel(0.0), 0.1, 1)
-        cap = fam.set_at(1)
-        assert cap.radius == 0.0
-        assert cap.body is None
+        assert fam.radii.tolist() == [0.0]
+        pts = np.random.default_rng(2).uniform(-1, 2, size=(100, 2))
+        d, _ = capsule_projection(pts, fam.a, fam.b, fam.radii[0])
+        assert d == pytest.approx(segment_distance(pts, [0, 0], [1, 0]), abs=1e-12)
 
     def test_nesting_by_sampling(self):
-        from oampc.geometry import points_segment_distance
-
         fam = build_capsules(boundary(-1, 0.5, 2, 1.5), AgentModel(0.5), 0.1, 5)
         rng = np.random.default_rng(1)
         a = np.array([-1, 0.5])
         b = np.array([2, 1.5])
         for k in range(1, 5):
-            inner, outer = fam.set_at(k), fam.set_at(k + 1)
+            inner, outer = fam.radii[k - 1], fam.radii[k]
             # Build points of the inner capsule directly: segment point plus
             # an offset of at most the inner radius.
             t = rng.uniform(0, 1, 1000)
             ang = rng.uniform(0, 2 * np.pi, 1000)
-            rad = inner.radius * np.sqrt(rng.uniform(0, 1, 1000))
+            rad = inner * np.sqrt(rng.uniform(0, 1, 1000))
             pts = a + t[:, None] * (b - a) + rad[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            assert all(point_in_capsule(p, a, b, inner.radius + 1e-12) for p in pts[:50])
-            d_out = points_segment_distance(pts, a, b)
-            assert np.all(d_out <= outer.radius + 1e-9)
+            assert all(point_in_capsule(p, a, b, inner + 1e-12) for p in pts[:50])
+            assert np.all(segment_distance(pts, a, b) <= outer + 1e-9)
+            d, _ = capsule_projection(pts, fam.a, fam.b, outer)
+            assert np.all(d == 0.0)
 
     def test_agent_radius_offsets_all_steps(self):
         fam = build_capsules(boundary(0, 0, 1, 0), AgentModel(0.5, radius=0.3), 0.1, 3)
-        for k in range(1, 4):
-            assert fam.set_at(k).radius == pytest.approx(0.3 + 0.05 * k)
+        assert fam.radii == pytest.approx([0.35, 0.40, 0.45])
 
     def test_degenerate_boundary_is_disk_family(self):
         fam = build_capsules(boundary(1, 1, 1, 1), AgentModel(0.5), 0.1, 3)
+        assert np.array_equal(fam.a, fam.b)
+        p = np.array([2.0, 1.5])
         for k in range(1, 4):
-            cap = fam.set_at(k)
-            assert cap.body is None
-            assert cap.c1.center == cap.c2.center
+            r = fam.radii[k - 1]
+            d, _ = capsule_projection(p, fam.a, fam.b, r)
+            assert d == pytest.approx(capsule_distance_sampled(p, [1, 1], [1, 1], r), abs=1e-9)
+            assert d == pytest.approx(np.hypot(1.0, 0.5) - 0.05 * k)
 
 
 class TestBuildDisks:
     def test_radii(self):
         fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.5), 0.1, 3)
-        assert [d.radius for d in fam.disks] == pytest.approx([0.15, 0.20, 0.25])
+        assert fam.radii == pytest.approx([0.15, 0.20, 0.25])
 
     def test_zero_speed_constant(self):
         fam = build_disks(Disk(Point2(1, 2), 0.2), AgentModel(0.0), 0.1, 4)
-        assert all(d.radius == 0.2 for d in fam.disks)
-        assert all(d.center == Point2(1, 2) for d in fam.disks)
+        assert np.all(fam.radii == 0.2)
+        assert fam.a.tolist() == [1, 2] and fam.b.tolist() == [1, 2]
 
     def test_concentric_nesting(self):
         fam = build_disks(Disk(Point2(0, 0), 0.05), AgentModel(0.7), 0.1, 6)
-        for k in range(1, 6):
-            assert fam.set_at(k).radius < fam.set_at(k + 1).radius
+        assert np.all(np.diff(fam.radii) > 0)
 
 
 class TestFuseMeasurement:
@@ -154,8 +156,6 @@ class TestSafetyContainment:
     def test_agents_stay_inside_capsules(self):
         # Agents starting on the boundary segment and moving at most v_target
         # per step stay inside the step-k capsule.
-        from oampc.geometry import points_segment_distance
-
         model = AgentModel(0.5)
         dt = 0.1
         horizon = 8
@@ -170,9 +170,7 @@ class TestSafetyContainment:
             ang = rng.uniform(0, 2 * np.pi, trials)
             speed = rng.uniform(0, model.v_target, trials)
             pos = pos + (speed * dt)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            cap = fam.set_at(k)
-            d = points_segment_distance(pos, a, b)
-            assert np.all(d <= cap.radius + 1e-9), f"step {k}"
+            assert np.all(segment_distance(pos, a, b) <= fam.radii[k - 1] + 1e-9), f"step {k}"
 
     def test_lemma1_point_measurement_monotonicity(self):
         # With exact point detections, the fused set at t+1 stays inside the
@@ -185,7 +183,7 @@ class TestSafetyContainment:
             current = Disk(Point2(*pos), 0.0)
             for step in range(100):
                 fam = build_disks(current, model, dt, 1)
-                one_step = fam.set_at(1)
+                one_step = Disk(current.center, float(fam.radii[0]))
                 ang = rng.uniform(0, 2 * np.pi)
                 speed = rng.uniform(0, model.v_target)
                 pos = pos + speed * dt * np.array([math.cos(ang), math.sin(ang)])
@@ -196,8 +194,3 @@ class TestSafetyContainment:
                 assert d + fused.radius <= one_step.radius + 1e-9
                 current = fused
 
-
-def _dist_to_segment(p, a, b):
-    ab = b - a
-    t = np.clip((p - a) @ ab / (ab @ ab), 0, 1)
-    return float(np.hypot(*(p - (a + t * ab))))
