@@ -93,24 +93,17 @@ def detect_occlusions(scan_: Scan, params: LidarParams) -> list[OcclusionBoundar
     """Boundaries of unobserved space: every cyclic consecutive ray pair whose
     range difference exceeds jump_threshold yields the segment from the nearer
     hit point to the farther point (a true hit or the max-range point)."""
-    n = scan_.num_rays
-    out: list[OcclusionBoundary] = []
-    ranges = scan_.ranges
-    points = scan_.points
-    for i in range(n):
-        j = (i + 1) % n
-        if abs(ranges[j] - ranges[i]) <= params.jump_threshold:
-            continue
-        near, far = (i, j) if ranges[i] < ranges[j] else (j, i)
-        a = points[near]
-        b = points[far]
-        out.append(
-            OcclusionBoundary(
-                Segment(Point2(float(a[0]), float(a[1])), Point2(float(b[0]), float(b[1]))),
-                ray_index=i,
-            )
-        )
-    return out
+    ranges, points = scan_.ranges, scan_.points
+    n = len(ranges)
+    first = np.flatnonzero(np.abs(np.roll(ranges, -1) - ranges) > params.jump_threshold)
+    second = (first + 1) % n
+    closer = ranges[first] < ranges[second]
+    near = np.where(closer, first, second)
+    far = np.where(closer, second, first)
+    return [
+        OcclusionBoundary(Segment(Point2(*points[a].tolist()), Point2(*points[b].tolist())), ray_index=int(i))
+        for i, a, b in zip(first, near, far)
+    ]
 
 
 def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) -> list[PointCloudCircle]:
@@ -123,11 +116,9 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
     when a world is supplied: track limits are enforced as planner state
     bounds, not as point-cloud avoidance.
     """
-    keep_mask = scan_.hit_mask.copy()
+    keep_mask = scan_.hit_mask
     if world is not None:
-        for i in range(scan_.num_rays):
-            if keep_mask[i] and world.is_boundary_segment(int(scan_.segment_index[i])):
-                keep_mask[i] = False
+        keep_mask = keep_mask & ~world.is_boundary_segment(scan_.segment_index)
     hits = scan_.points[keep_mask]
     if len(hits) == 0:
         return []
@@ -139,10 +130,15 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
 
     centers = np.array(kept)
     # Coverage backstop: every hit must be within coverage_radius of a center.
+    # Hits the thinned centers leave uncovered are added in ray order, each
+    # unless an earlier added one covers it.
     r = params.coverage_radius
-    for p in hits:
-        d = np.hypot(centers[:, 0] - p[0], centers[:, 1] - p[1])
-        if d.min() > r:
-            centers = np.vstack([centers, p])
+    diff = hits[:, None, :] - centers[None, :, :]
+    uncovered = hits[np.hypot(diff[..., 0], diff[..., 1]).min(axis=1) > r]
+    added: list[np.ndarray] = []
+    for p in uncovered:
+        if all(np.hypot(*(p - c)) > r for c in added):
+            added.append(p)
+    centers = np.vstack([centers, *added])
 
     return [PointCloudCircle(Point2(float(c[0]), float(c[1])), r) for c in centers]

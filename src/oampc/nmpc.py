@@ -7,20 +7,24 @@ stopping constraint z_N = z_{N-1} reduces to pinning the last input at zero.
 Collision avoidance enters through fixed projected points: at horizon step k
 the planned position must keep d_safe + r_robot from each reachable-set
 projection and d_safe_static + r_robot + r_circle from each static coverage
-circle. Avoidance is subject to the stop-speed complementarity semantics: a
-step may sit inside a margin only if the plan is stopped there. The solver
-realizes this with a stop index j (move through step j, hold position after),
-found by one full-freedom solve plus, when needed, probes of earlier stop
-indexes: the previous step's index and its two neighbours first, then the rest
-in order if none of those beats standing still. The cheapest candidate wins,
-and the all-stopped plan is the always-feasible floor.
+circle. The planner and the auditor (check_feasibility) share these rows, the
+track limits and the input box, except that the planner relaxes a row the
+robot already starts inside to the current standoff, so that it can still
+turn and escape; the auditor keeps the strict margin.
+
+Avoidance is subject to the stop-speed complementarity semantics: a step may
+sit inside a margin only if the plan is stopped there. The solver realizes
+this with a stop index j (move through step j, hold position after), found by
+one full-freedom solve plus, when needed, probes of earlier stop indexes: the
+previous step's index and its two neighbours first, then the rest in order if
+none of those beats standing still. The cheapest candidate wins, and the
+all-stopped plan is the always-feasible floor.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -68,8 +72,6 @@ class MpcParams:
     delta_max: float = math.pi
     state_bounds: Optional[tuple[float, float, float, float]] = None  # xmin, xmax, ymin, ymax
     feas_tol: float = 1e-6
-    opt_tol: float = 1e-8
-    max_iter: int = 60
 
     def __post_init__(self):
         if self.N < 2:
@@ -90,6 +92,11 @@ class MpcParams:
             xmin, xmax, ymin, ymax = self.state_bounds
             if xmin >= xmax or ymin >= ymax:
                 raise ValueError("empty state bounds")
+
+    @property
+    def input_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of an input (v, delta)."""
+        return np.array([self.v_min, self.delta_min]), np.array([self.v_max, self.delta_max])
 
     @property
     def Qz(self) -> np.ndarray:
@@ -140,7 +147,6 @@ class SolveResult:
     plan: OpenLoopPlan
     objective: float
     iterations: int
-    wall_time: float
     stop_index: int  # steps with motion allowed; N-1 means full freedom
 
 
@@ -162,55 +168,43 @@ def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> floa
     return cost
 
 
-@dataclass
-class _ConstraintData:
-    """Distance-anchor rows grouped per horizon step.
+def _avoidance_rows(
+    projections: ProjectionSet, static_circles: Sequence[PointCloudCircle], params: MpcParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every avoidance row of one planning step.
 
-    anchors[k] is an (m_k, 2) array of points the step-k position must keep
-    dmins[k] away from; assembled once per solve from the projection set and
-    the culled static circles.
+    Returns anchors (N, M, 2) and margins (M,): the step-k position must keep
+    margins[m] from anchors[k-1, m]. The rows are the families' projections
+    (margin d_safe + r_robot), then the static circles' centres (margin
+    d_safe_static + r_robot + radius, the same anchor at every step).
     """
+    n = projections.horizon
+    fams = np.reshape([p.z_proj for p in projections.families], (-1, n, 2)).transpose(1, 0, 2)
+    centres = np.reshape([c.center.as_array() for c in static_circles], (-1, 2))
+    radii = np.array([c.radius for c in static_circles], dtype=float)
+    anchors = np.concatenate([fams, np.broadcast_to(centres, (n,) + centres.shape)], axis=1)
+    margins = np.concatenate(
+        [
+            np.full(len(projections.families), params.d_safe + params.r_robot),
+            params.d_safe_static + params.r_robot + radii,
+        ]
+    )
+    return anchors, margins
 
-    anchors: list[np.ndarray]
-    dmins: list[np.ndarray]
 
+def _track_gaps(positions: np.ndarray, params: MpcParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps to the track limits and their gradient in the position.
 
-def _build_anchor_rows(problem: NlpProblem, stop_index: int) -> _ConstraintData:
-    params = problem.params
-    n = params.N
-    p0 = problem.z0[:2]
-    d_dyn = params.d_safe + params.r_robot
-    reach = params.dt * max(abs(params.v_min), abs(params.v_max))
-
-    anchors: list[np.ndarray] = [np.zeros((0, 2)) for _ in range(n + 1)]
-    dmins: list[np.ndarray] = [np.zeros(0) for _ in range(n + 1)]
-    for k in range(1, min(stop_index, n - 1) + 1):
-        rows = []
-        dvals = []
-        # A row can only be active if its anchor is within the robot's step-k
-        # travel radius plus the margin; farther rows are dropped exactly.
-        cull = k * reach + 1e-6
-        for proj in problem.projections.families:
-            q = proj.z_proj[k - 1]
-            gap = np.hypot(*(q - p0))
-            if gap <= cull + d_dyn:
-                rows.append(q)
-                # Recoverable margin: a state already inside a margin (from
-                # anchor drift between re-projections) must still be able to
-                # rotate in place and escape, so the row never demands more
-                # than the current standoff.
-                dvals.append(min(d_dyn, gap))
-        for circ in problem.static_circles:
-            c = circ.center.as_array()
-            dmin = params.d_safe_static + params.r_robot + circ.radius
-            gap = np.hypot(*(c - p0))
-            if gap <= cull + dmin:
-                rows.append(c)
-                dvals.append(min(dmin, gap))
-        if rows:
-            anchors[k] = np.array(rows)
-            dmins[k] = np.array(dvals)
-    return _ConstraintData(anchors, dmins)
+    For positions (..., 2) returns gaps (G, ...), in order px - xmin,
+    xmax - px, py - ymin, ymax - py (negative outside the track), and the
+    constant gradient (G, 2). G is 0 when the track is unbounded.
+    """
+    if params.state_bounds is None:
+        return np.zeros((0,) + positions.shape[:-1]), np.zeros((0, 2))
+    xmin, xmax, ymin, ymax = params.state_bounds
+    px, py = positions[..., 0], positions[..., 1]
+    gaps = np.stack([px - xmin, xmax - px, py - ymin, ymax - py])
+    return gaps, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 class _NlpEvaluator:
@@ -227,11 +221,29 @@ class _NlpEvaluator:
         self.params = problem.params
         self.j = stop_index
         self.n_free = 2 * stop_index
-        self.cons = _build_anchor_rows(problem, stop_index)
+        params = self.params
+        n, j = params.N, stop_index
+
+        anchors, margins = _avoidance_rows(problem.projections, problem.static_circles, params)
+        diff = anchors - problem.z0[:2]
+        gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
+        steps = np.arange(1, n + 1)[:, None]
+        reach = params.dt * max(abs(params.v_min), abs(params.v_max))
+        # Rows bind only while the plan moves, through step min(j, N-1). A
+        # row can only be active if its anchor is within the robot's step-k
+        # travel radius plus the margin; farther rows are dropped exactly.
+        keep = (steps <= min(j, n - 1)) & (gap <= steps * reach + 1e-6 + margins)
+        self._row_step = np.nonzero(keep)[0] + 1
+        self._row_anchor = anchors[keep]
+        # Planner-only relaxation: a row the robot already starts inside (from
+        # anchor drift between re-projections) demands no more than the
+        # current standoff, so the state can still rotate in place and
+        # escape. check_feasibility audits the strict margin.
+        self._row_margin = np.minimum(margins, gap)[keep]
+
         # Effort and rate costs are quadratic in the inputs with a constant
         # Hessian; assemble it once.
-        n, j = self.params.N, stop_index
-        Qu, Qdu = self.params.Qu, self.params.Qdu
+        Qu, Qdu = params.Qu, params.Qdu
         H = np.zeros((self.n_free, self.n_free))
         for k in range(n):
             blk = slice(2 * k, 2 * k + 2)
@@ -253,7 +265,6 @@ class _NlpEvaluator:
 
     def __call__(self, x: np.ndarray) -> EvalResult:
         params = self.params
-        n = params.N
         dt = params.dt
         j = self.j
         u = self.full_inputs(x)
@@ -289,56 +300,20 @@ class _NlpEvaluator:
         grad_u[:-1] -= 2.0 * (du[1:] @ Qdu)
         grad += grad_u[:j].reshape(-1)
 
-        c_parts: list[np.ndarray] = []
-        j_parts: list[np.ndarray] = []
-        for k in range(1, j + 1):
-            anchors = self.cons.anchors[k]
-            if len(anchors) == 0:
-                continue
-            Pk = sens[k][:2, :]
-            diff = states[k, :2][None, :] - anchors
-            dist = np.hypot(diff[:, 0], diff[:, 1])
-            dirs = diff / np.maximum(dist, 1e-9)[:, None]
-            c_parts.append(dist - self.cons.dmins[k])
-            j_parts.append(dirs @ Pk)
-        if params.state_bounds is not None:
-            xmin, xmax, ymin, ymax = params.state_bounds
-            P = sens[1 : j + 1, :2, :]  # (j, 2, n_free)
-            px, py = states[1 : j + 1, 0], states[1 : j + 1, 1]
-            c_parts.append(np.concatenate([px - xmin, xmax - px, py - ymin, ymax - py]))
-            j_parts.append(
-                np.vstack([P[:, 0, :], -P[:, 0, :], P[:, 1, :], -P[:, 1, :]])
-            )
-
-        if c_parts:
-            c = np.concatenate(c_parts)
-            jac = np.vstack(j_parts)
-        else:
-            c = np.zeros(0)
-            jac = np.zeros((0, self.n_free))
+        k = self._row_step
+        diff = states[k, :2] - self._row_anchor
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        dirs = diff / np.maximum(dist, 1e-9)[:, None]
+        P = sens[:, :2, :]
+        gaps, gap_grad = _track_gaps(states[1 : j + 1, :2], params)
+        c = np.concatenate([dist - self._row_margin, gaps.ravel()])
+        jac = np.vstack(
+            [
+                np.einsum("ri,riv->rv", dirs, P[k]),
+                np.einsum("gi,kiv->gkv", gap_grad, P[1:]).reshape(-1, self.n_free),
+            ]
+        )
         return EvalResult(f=f, grad=grad, hess=hess, c=c, jac=jac)
-
-
-def _plan_from_inputs(problem: NlpProblem, u: np.ndarray, stamp: int) -> OpenLoopPlan:
-    states = rollout(problem.z0, u, problem.params.dt)
-    return OpenLoopPlan(states, u.copy(), stamp)
-
-
-def _solve_at_stop_index(problem: NlpProblem, stop_index: int, u_init: np.ndarray) -> SqpResult:
-    params = problem.params
-    evaluator = _NlpEvaluator(problem, stop_index)
-    lb = np.tile([params.v_min, params.delta_min], stop_index)
-    ub = np.tile([params.v_max, params.delta_max], stop_index)
-    x0 = u_init[:stop_index].reshape(-1)
-    return solve_sqp(
-        evaluator,
-        x0,
-        lb,
-        ub,
-        feas_tol=params.feas_tol,
-        opt_tol=params.opt_tol,
-        max_iter=params.max_iter,
-    )
 
 
 def solve(problem: NlpProblem) -> SolveResult:
@@ -352,18 +327,16 @@ def solve(problem: NlpProblem) -> SolveResult:
     to the larger stop index; the stationary plan is the guaranteed fallback
     floor whenever the current state respects the track limits.
     """
-    t0 = time.perf_counter()
     params = problem.params
     n = params.N
     stamp = problem.warm_start.stamp
 
-    u_ws = problem.warm_start.inputs.copy()
-    u_ws[:, 0] = np.clip(u_ws[:, 0], params.v_min, params.v_max)
-    u_ws[:, 1] = np.clip(u_ws[:, 1], params.delta_min, params.delta_max)
+    lo, hi = params.input_box
+    u_ws = np.clip(problem.warm_start.inputs, lo, hi)
     u_ws[n - 1] = 0.0
 
     stationary = _aligned_stationary_plan(problem, stamp)
-    stationary_ok = _within_state_bounds(problem.z0, params)
+    stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)
 
     candidates: list[tuple[float, OpenLoopPlan, SqpResult, int]] = []
@@ -372,13 +345,13 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     def run_probe(j: int, u_init: np.ndarray):
         nonlocal iterations
-        res = _solve_at_stop_index(problem, j, u_init)
+        evaluator = _NlpEvaluator(problem, j)
+        res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
         iterations += res.iterations
         if res.status != STATUS_OPTIMAL:
             return None
-        u = np.zeros((n, 2))
-        u[:j] = res.x.reshape(j, 2)
-        plan = _plan_from_inputs(problem, u, stamp)
+        u = evaluator.full_inputs(res.x)
+        plan = OpenLoopPlan(rollout(problem.z0, u, params.dt), u, stamp)
         cost = total_cost(plan, problem.goal, params, problem.u_prev)
         return (cost, plan, res, j)
 
@@ -386,8 +359,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         # Turn toward the goal bearing first, then roll forward: the escape
         # pattern a wedged heading needs, encoded explicitly because the
         # linearization cannot discover it from rest.
-        err = math.atan2(problem.goal[1] - problem.z0[1], problem.goal[0] - problem.z0[0])
-        err = math.remainder(err - problem.z0[2], 2.0 * math.pi)
+        err = _goal_bearing_error(problem)
         rate = params.delta_max if err >= 0 else params.delta_min
         if abs(rate) < 1e-9:
             return None
@@ -460,7 +432,6 @@ def solve(problem: NlpProblem) -> SolveResult:
             plan=problem.warm_start,
             objective=math.inf,
             iterations=iterations,
-            wall_time=time.perf_counter() - t0,
             stop_index=0,
         )
 
@@ -480,7 +451,6 @@ def solve(problem: NlpProblem) -> SolveResult:
         plan=plan,
         objective=cost,
         iterations=iterations,
-        wall_time=time.perf_counter() - t0,
         stop_index=j,
     )
 
@@ -497,8 +467,7 @@ def _aligned_stationary_plan(problem: NlpProblem, stamp: int) -> OpenLoopPlan:
     params = problem.params
     n = params.N
     z0 = problem.z0
-    err = math.atan2(problem.goal[1] - z0[1], problem.goal[0] - z0[0])
-    err = math.remainder(err - z0[2], 2.0 * math.pi)
+    err = _goal_bearing_error(problem)
     inputs = np.zeros((n, 2))
     if abs(err) > 1e-3:
         remaining = err
@@ -512,12 +481,11 @@ def _aligned_stationary_plan(problem: NlpProblem, stamp: int) -> OpenLoopPlan:
     return OpenLoopPlan(states, inputs, stamp)
 
 
-def _within_state_bounds(z: np.ndarray, params: MpcParams, tol: float = None) -> bool:
-    if params.state_bounds is None:
-        return True
-    tol = params.feas_tol if tol is None else tol
-    xmin, xmax, ymin, ymax = params.state_bounds
-    return xmin - tol <= z[0] <= xmax + tol and ymin - tol <= z[1] <= ymax + tol
+def _goal_bearing_error(problem: NlpProblem) -> float:
+    """Heading change in [-pi, pi] that points the robot at the goal."""
+    z0, goal = problem.z0, problem.goal
+    bearing = math.atan2(goal[1] - z0[1], goal[0] - z0[0])
+    return math.remainder(bearing - z0[2], 2.0 * math.pi)
 
 
 @dataclass
@@ -568,8 +536,9 @@ def check_feasibility(
     terminal stop are hard; avoidance is audited in the complementarity form
     ||z_k - z_{k-1}|| * g_t(z_k) <= 0 so stopped steps tolerate positive
     margins. Stopped means not translating: the motion factor is measured on
-    position, since rotating in place cannot produce contact. Diagnostic
-    only: never raises.
+    position, since rotating in place cannot produce contact. Every row keeps
+    its strict margin, also where the planner relaxed it because the robot
+    started inside it. Diagnostic only: never raises.
     """
     n = plan.horizon
     states = plan.states
@@ -582,38 +551,17 @@ def check_feasibility(
     initial_error = 0.0 if z_init is None else float(np.abs(states[0] - np.asarray(z_init)).max())
     terminal_error = float(np.linalg.norm(states[n] - states[n - 1]))
 
-    ib = 0.0
-    ib = max(ib, float(np.max(params.v_min - inputs[:, 0], initial=0.0)))
-    ib = max(ib, float(np.max(inputs[:, 0] - params.v_max, initial=0.0)))
-    ib = max(ib, float(np.max(params.delta_min - inputs[:, 1], initial=0.0)))
-    ib = max(ib, float(np.max(inputs[:, 1] - params.delta_max, initial=0.0)))
-
-    sb = 0.0
-    if params.state_bounds is not None:
-        xmin, xmax, ymin, ymax = params.state_bounds
-        px, py = states[1:, 0], states[1:, 1]
-        sb = max(
-            float(np.max(xmin - px, initial=0.0)),
-            float(np.max(px - xmax, initial=0.0)),
-            float(np.max(ymin - py, initial=0.0)),
-            float(np.max(py - ymax, initial=0.0)),
-        )
+    lo, hi = params.input_box
+    ib = float(np.max(np.concatenate([lo - inputs, inputs - hi]), initial=0.0))
+    gaps, _ = _track_gaps(states[1:, :2], params)
+    sb = float(np.max(-gaps, initial=0.0))
 
     motion = np.linalg.norm(np.diff(states[:, :2], axis=0), axis=1)
-    margins = np.zeros(n)
-    d_dyn = params.d_safe + params.r_robot
-    for k in range(1, n + 1):
-        g = -math.inf
-        pk = states[k, :2]
-        for proj in projections.families:
-            dist = float(np.hypot(*(pk - proj.z_proj[k - 1])))
-            g = max(g, d_dyn - dist)
-        for circ in static_circles:
-            dmin = params.d_safe_static + params.r_robot + circ.radius
-            dist = float(np.hypot(*(pk - circ.center.as_array())))
-            g = max(g, dmin - dist)
-        margins[k - 1] = 0.0 if g == -math.inf else g
-    complementarity = np.maximum(0.0, motion * np.maximum(margins, 0.0))
+    anchors, margins = _avoidance_rows(projections, static_circles, params)
+    diff = states[1:, None, :2] - anchors
+    excess = margins - np.hypot(diff[..., 0], diff[..., 1])  # (N, M)
+    avoidance = excess.max(axis=1) if len(margins) else np.zeros(n)
+    complementarity = np.maximum(0.0, motion * np.maximum(avoidance, 0.0))
 
     return FeasibilityReport(
         dynamics_defect=dynamics_defect,
@@ -622,7 +570,7 @@ def check_feasibility(
         input_bound_violation=ib,
         state_bound_violation=sb,
         step_motion=motion,
-        avoidance_margin=margins,
+        avoidance_margin=avoidance,
         complementarity=complementarity,
     )
 

@@ -13,7 +13,6 @@ constraints; everything is dense numpy.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,6 +23,10 @@ logger = logging.getLogger("oampc.solver")
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITER = "max_iter"
+
+_TRUST_RADIUS = 1.0  # initial trust-region radius
+_PENALTY_INIT = 10.0  # floor of the initial exact-penalty weight
+_PENALTY_MAX = 1e7  # a violation surviving this weight means infeasible
 
 
 @dataclass
@@ -45,7 +48,6 @@ class SqpResult:
     objective: float
     iterations: int
     max_violation: float
-    wall_time: float
 
 
 def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 40):
@@ -158,9 +160,6 @@ def solve_sqp(
     feas_tol: float = 1e-6,
     opt_tol: float = 1e-8,
     max_iter: int = 60,
-    trust_radius: float = 1.0,
-    penalty: float = 10.0,
-    penalty_max: float = 1e7,
 ) -> SqpResult:
     """Minimize evaluate(x).f subject to evaluate(x).c >= 0 and lb <= x <= ub.
 
@@ -168,14 +167,12 @@ def solve_sqp(
     feas_tol. The best feasible iterate seen (including x0) is never
     discarded, so a feasible warm start is never degraded.
     """
-    t_start = time.perf_counter()
-    n = len(x0)
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     ev = evaluate(x)
     # Constraint gradients are unit-scale here (distances), so a penalty on
     # the order of the objective gradient makes violations never profitable.
-    mu = max(penalty, float(np.abs(ev.grad).max(initial=0.0)))
-    delta = trust_radius
+    mu = max(_PENALTY_INIT, float(np.abs(ev.grad).max(initial=0.0)))
+    delta = _TRUST_RADIUS
     delta_min, delta_max = 1e-12, 16.0
 
     best_x, best_f = None, np.inf
@@ -186,15 +183,15 @@ def solve_sqp(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         viol = _violation(ev.c)
-        d, sigma, lam = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+        d, sigma = _elastic_qp_step(ev, x, lb, ub, delta, mu)
 
         # An active elastic slack means the linearized constraints were not
         # met within the current penalty budget: escalate until they are or
         # the budget is exhausted (which signals true infeasibility).
         rounds = 0
-        while sigma > max(feas_tol, 1e-12) and mu < penalty_max and rounds < 3:
-            mu = min(10.0 * mu, penalty_max)
-            d, sigma, lam = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+        while sigma > max(feas_tol, 1e-12) and mu < _PENALTY_MAX and rounds < 3:
+            mu = min(10.0 * mu, _PENALTY_MAX)
+            d, sigma = _elastic_qp_step(ev, x, lb, ub, delta, mu)
             rounds += 1
 
         model_decrease = -(ev.grad @ d + 0.5 * d @ ev.hess @ d) + mu * (viol - sigma)
@@ -203,10 +200,10 @@ def solve_sqp(
             if viol <= feas_tol:
                 status = STATUS_OPTIMAL
                 break
-            if mu >= penalty_max:
+            if mu >= _PENALTY_MAX:
                 status = STATUS_INFEASIBLE
                 break
-            mu = min(10.0 * mu, penalty_max)
+            mu = min(10.0 * mu, _PENALTY_MAX)
             continue
 
         trial = np.clip(x + d, lb, ub)
@@ -226,7 +223,7 @@ def solve_sqp(
                 c=ev_trial.c,
                 jac=ev.jac,
             )
-            w, _, _ = _elastic_qp_step(ev_soc, trial, lb, ub, delta, mu)
+            w, _ = _elastic_qp_step(ev_soc, trial, lb, ub, delta, mu)
             trial_soc = np.clip(trial + w, lb, ub)
             ev_soc_t = evaluate(trial_soc)
             viol_soc = _violation(ev_soc_t.c)
@@ -248,10 +245,10 @@ def solve_sqp(
                 if viol <= feas_tol:
                     status = STATUS_OPTIMAL
                 else:
-                    status = STATUS_INFEASIBLE if mu >= penalty_max else STATUS_MAX_ITER
-                    if mu < penalty_max:
-                        mu = min(10.0 * mu, penalty_max)
-                        delta = trust_radius * 0.01
+                    status = STATUS_INFEASIBLE if mu >= _PENALTY_MAX else STATUS_MAX_ITER
+                    if mu < _PENALTY_MAX:
+                        mu = min(10.0 * mu, _PENALTY_MAX)
+                        delta = _TRUST_RADIUS * 0.01
                         continue
                 break
 
@@ -277,7 +274,6 @@ def solve_sqp(
         objective=ev.f,
         iterations=iterations,
         max_violation=final_viol,
-        wall_time=time.perf_counter() - t_start,
     )
 
 
@@ -314,8 +310,7 @@ def _elastic_qp_step(ev: EvalResult, x, lb, ub, delta, mu):
 
     G = np.vstack(rows)
     h = np.concatenate(rhs)
-    y, z = solve_qp(P, q, G, h)
+    y, _ = solve_qp(P, q, G, h)
     d = np.clip(y[:n], lo, up)
     sigma = max(0.0, float(y[n]))
-    lam = z[:m] if m else np.zeros(0)
-    return d, sigma, lam
+    return d, sigma

@@ -81,7 +81,8 @@ class WorldMap:
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._seg_a, self._seg_b
 
-    def is_boundary_segment(self, index: int) -> bool:
+    def is_boundary_segment(self, index):
+        """True for indexes of boundary-track segments; elementwise on arrays."""
         return index < self._boundary_count
 
     def contains_free(self, p, clearance: float = 0.0) -> bool:

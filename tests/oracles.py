@@ -208,3 +208,76 @@ def raycast_scalar(origin, direction, segments):
         if t >= 0.0 and -1e-12 <= s <= 1.0 + 1e-12 and t < best[0]:
             best = (float(t), i)
     return best
+
+
+def avoidance_margins_loop(states, projections, static_circles, params) -> np.ndarray:
+    """Worst avoidance margin of each plan step k = 1..N, one row at a time:
+    the largest (required margin - distance) over the families' projections
+    (margin d_safe + r_robot) and the static circles (margin d_safe_static +
+    r_robot + radius), and 0 at a step with no rows."""
+    n = len(states) - 1
+    margins = np.zeros(n)
+    d_dyn = params.d_safe + params.r_robot
+    for k in range(1, n + 1):
+        g = -np.inf
+        pk = states[k, :2]
+        for proj in projections.families:
+            dist = float(np.hypot(*(pk - proj.z_proj[k - 1])))
+            g = max(g, d_dyn - dist)
+        for circ in static_circles:
+            dmin = params.d_safe_static + params.r_robot + circ.radius
+            dist = float(np.hypot(*(pk - circ.center.as_array())))
+            g = max(g, dmin - dist)
+        margins[k - 1] = 0.0 if g == -np.inf else g
+    return margins
+
+
+def planner_avoidance_rows(states, z0, projections, static_circles, params, stop_index) -> np.ndarray:
+    """The planner's avoidance constraint values c at a rollout, one row at a
+    time, ordered by step, then family, then circle.
+
+    At moving steps k = 1..min(stop_index, N-1) a row is kept when its anchor
+    lies within k * dt * max|v| + 1e-6 plus its margin of the start position;
+    its value is the distance minus min(margin, start gap), so a row the robot
+    starts inside asks for no more than the standoff it has."""
+    p0 = np.asarray(z0, dtype=float)[:2]
+    reach = params.dt * max(abs(params.v_min), abs(params.v_max))
+    out = []
+    for k in range(1, min(stop_index, params.N - 1) + 1):
+        rows = [(proj.z_proj[k - 1], params.d_safe + params.r_robot) for proj in projections.families]
+        rows += [
+            (circ.center.as_array(), params.d_safe_static + params.r_robot + circ.radius) for circ in static_circles
+        ]
+        for anchor, margin in rows:
+            gap = float(np.hypot(*(anchor - p0)))
+            if gap <= k * reach + 1e-6 + margin:
+                out.append(float(np.hypot(*(states[k, :2] - anchor))) - min(margin, gap))
+    return np.array(out)
+
+
+def occlusion_pairs_loop(ranges, jump_threshold) -> list[tuple[int, int, int]]:
+    """(ray index, nearer ray, farther ray) for every cyclic consecutive ray
+    pair whose ranges differ by more than jump_threshold, in ray order."""
+    n = len(ranges)
+    out = []
+    for i in range(n):
+        j = (i + 1) % n
+        if abs(ranges[j] - ranges[i]) > jump_threshold:
+            out.append((i, i, j) if ranges[i] < ranges[j] else (i, j, i))
+    return out
+
+
+def coverage_centers_loop(hits, spacing, radius) -> np.ndarray:
+    """Coverage circle centres, one hit at a time: keep a hit in order once it
+    is at least spacing from the last kept one, then add, in order, every hit
+    farther than radius from all centres so far."""
+    if len(hits) == 0:
+        return np.zeros((0, 2))
+    centers = [hits[0]]
+    for p in hits[1:]:
+        if np.hypot(*(p - centers[-1])) >= spacing:
+            centers.append(p)
+    for p in hits:
+        if min(np.hypot(*(p - c)) for c in centers) > radius:
+            centers.append(p)
+    return np.array(centers)

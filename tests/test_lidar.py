@@ -14,6 +14,8 @@ from oampc.lidar_sim import (
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
+from oracles import coverage_centers_loop, occlusion_pairs_loop
+
 
 def square_room(half=2.0):
     return WorldMap(boundary=rectangle(-half, -half, half, half))
@@ -149,6 +151,14 @@ class TestDetectOcclusions:
         far = bounds[0].seg.b
         assert math.hypot(far.x, far.y) == pytest.approx(10.0)
 
+    def test_matches_loop_oracle(self):
+        params = LidarParams(num_rays=240, max_range=6.0, jump_threshold=0.3)
+        _, scans = pillar_scans(params)
+        for s in scans:
+            got = [(b.ray_index, b.seg.a.x, b.seg.a.y, b.seg.b.x, b.seg.b.y) for b in detect_occlusions(s, params)]
+            want = [(i, *s.points[near], *s.points[far]) for i, near, far in occlusion_pairs_loop(s.ranges, 0.3)]
+            assert got == want
+
     def test_corner_map_boundary_location(self):
         # L-shaped track: the only large jump from the start pose is across
         # the corner opening at (1.5, 2).
@@ -163,6 +173,24 @@ class TestDetectOcclusions:
         for b in bounds:
             assert b.seg.a.x == pytest.approx(1.5, abs=0.05)
             assert 1.2 < b.seg.a.y <= 2.0 + 1e-9
+
+
+def pillar_world():
+    pillars = [rectangle(x, y, x + 0.3, y + 0.3) for x in (-2.5, -0.5, 1.5) for y in (-2.5, 0.8)]
+    return WorldMap(boundary=rectangle(-4, -4, 4, 4), obstacles=pillars)
+
+
+def pillar_scans(params, count=30, seed=0):
+    """Scans from random free poses among pillars: many range jumps, and
+    grazing hits that the thinned centres leave uncovered."""
+    world = pillar_world()
+    rng = np.random.default_rng(seed)
+    scans = []
+    while len(scans) < count:
+        p = rng.uniform(-3.8, 3.8, 2)
+        if world.contains_free(p, clearance=0.05):
+            scans.append(scan(world, RobotState(p[0], p[1], 0.0), params))
+    return world, scans
 
 
 class TestDownsample:
@@ -248,6 +276,24 @@ class TestDownsample:
         assert downsample(s, params, world=world) == []
         # Without the world the same scan yields circles.
         assert len(downsample(s, params)) > 0
+
+
+    def test_matches_loop_oracle(self):
+        params = LidarParams(num_rays=200, max_range=8.0, downsample_spacing=0.8, coverage_radius=0.4)
+        world, scans = pillar_scans(params)
+        deduplicated = 0
+        for s in scans:
+            for w in (world, None):
+                hits = s.points[[h and (w is None or not world.is_boundary_segment(int(i)))
+                                 for h, i in zip(s.hit_mask, s.segment_index)]]
+                want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
+                got = np.array([[c.center.x, c.center.y] for c in downsample(s, params, world=w)]).reshape(-1, 2)
+                assert np.array_equal(got, want)
+                thinned = coverage_centers_loop(hits, params.downsample_spacing, np.inf)
+                uncovered = sum(min(np.hypot(*(p - c)) for c in thinned) > params.coverage_radius for p in hits)
+                deduplicated += uncovered > len(want) - len(thinned)
+        # Some scans leave uncovered hits that an earlier backstop centre covers.
+        assert deduplicated
 
 
 class TestLidarParams:

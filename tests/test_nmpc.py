@@ -22,6 +22,8 @@ from oampc.nmpc import (
 from oampc.reachability import AgentModel, build_capsules, build_disks
 from oampc.unicycle import rollout
 
+from oracles import avoidance_margins_loop, planner_avoidance_rows
+
 
 def empty_projections(n):
     return ProjectionSet((), horizon=n)
@@ -282,6 +284,67 @@ class TestCheckFeasibility:
             res.plan, problem.projections, problem.static_circles, params, z_init=problem.z0
         )
         assert report.ok(params.feas_tol)
+
+
+class TestAvoidanceRows:
+    """The planner's rows and the audit's margins come from one table; both
+    are checked against one-row-at-a-time oracles."""
+
+    @staticmethod
+    def _random_rows(rng, params, n_families, n_circles):
+        families = []
+        for _ in range(n_families):
+            a, b = rng.uniform(-2, 2, (2, 2))
+            if rng.random() < 0.5:
+                families.append(build_disks(Disk(Point2(*a), 0.1), AgentModel(0.5), params.dt, params.N))
+            else:
+                seg = OcclusionBoundary(Segment(Point2(*a), Point2(*b)), 0)
+                families.append(build_capsules(seg, AgentModel(0.5), params.dt, params.N))
+        circles = [
+            PointCloudCircle(Point2(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.1, 0.3)))
+            for _ in range(n_circles)
+        ]
+        return families, circles
+
+    @pytest.mark.parametrize("n_families,n_circles", [(3, 4), (2, 0), (0, 3), (0, 0)])
+    def test_audit_margins_match_loop_oracle(self, n_families, n_circles):
+        rng = np.random.default_rng(40 + 10 * n_families + n_circles)
+        params = MpcParams()
+        n = params.N
+        for _ in range(20):
+            families, circles = self._random_rows(rng, params, n_families, n_circles)
+            inputs = rng.uniform([0.0, -2.0], [2.0, 2.0], (n, 2))
+            states = rollout(rng.uniform(-1, 1, 3), inputs, params.dt)
+            plan = OpenLoopPlan(states, inputs, 0)
+            shifted = states[1:, :2] + rng.normal(0.0, 0.1, (n, 2))
+            projections = project_plan(shifted, families) if families else empty_projections(n)
+            report = check_feasibility(plan, projections, circles, params)
+            want = avoidance_margins_loop(states, projections, circles, params)
+            assert np.array_equal(report.avoidance_margin, want)
+
+    def test_planner_rows_match_cull_then_relax_oracle(self):
+        params = MpcParams()  # no track limits, so c holds the avoidance rows only
+        seg = OcclusionBoundary(Segment(Point2(1.2, -0.5), Point2(1.2, 0.5)), 0)
+        families = [
+            build_capsules(seg, AgentModel(0.5), params.dt, params.N),
+            # Its projection sits 0.05 m from the robot: relaxed at every step.
+            build_disks(Disk(Point2(0.1, 0.1), 0.05), AgentModel(0.0), params.dt, params.N),
+        ]
+        circles = [
+            PointCloudCircle(Point2(0.0, 0.2), 0.15),  # the robot starts inside its 0.45 m margin
+            PointCloudCircle(Point2(1.3, 0.0), 0.2),  # culled at the early steps only
+            PointCloudCircle(Point2(6.0, 5.0), 0.2),  # beyond the cull at every step
+        ]
+        problem = make_problem([0, 0, 0.2], [3, 0], params, families=families, circles=circles)
+        lo, hi = params.input_box
+        rng = np.random.default_rng(5)
+        for j in (1, 4, params.N - 1):
+            ev = _NlpEvaluator(problem, stop_index=j)
+            for _ in range(5):
+                x = rng.uniform(np.tile(lo, j), np.tile(hi, j))
+                states = rollout(problem.z0, ev.full_inputs(x), params.dt)
+                want = planner_avoidance_rows(states, problem.z0, problem.projections, circles, params, j)
+                assert np.array_equal(ev(x).c, want)
 
 
 class TestFallbackPlan:
