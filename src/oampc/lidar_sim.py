@@ -123,12 +123,18 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
     if len(hits) == 0:
         return []
 
-    kept: list[np.ndarray] = [hits[0]]
-    for p in hits[1:]:
-        if np.hypot(*(p - kept[-1])) >= params.downsample_spacing:
-            kept.append(p)
+    # The greedy walk is sequential; Python floats keep it cheap. np.hypot,
+    # not math.hypot: the two differ in the last bit on some inputs.
+    spacing = params.downsample_spacing
+    pts = hits.tolist()
+    kept = [0]
+    kx, ky = pts[0]
+    for i, (x, y) in enumerate(pts[1:], start=1):
+        if np.hypot(x - kx, y - ky) >= spacing:
+            kept.append(i)
+            kx, ky = x, y
 
-    centers = np.array(kept)
+    centers = hits[kept]
     # Coverage backstop: every hit must be within coverage_radius of a center.
     # Hits the thinned centers leave uncovered are added in ray order, each
     # unless an earlier added one covers it.

@@ -146,7 +146,8 @@ class SolveResult:
     status: str
     plan: OpenLoopPlan
     objective: float
-    iterations: int
+    iterations: int  # SQP iterations summed over the probes
+    qp_iterations: int  # interior-point iterations summed over the probes
     stop_index: int  # steps with motion allowed; N-1 means full freedom
 
 
@@ -341,13 +342,15 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     candidates: list[tuple[float, OpenLoopPlan, SqpResult, int]] = []
     iterations = 0
+    qp_iterations = 0
     stall_eps = 1e-3 * max(1.0, abs(cost_stationary))
 
     def run_probe(j: int, u_init: np.ndarray):
-        nonlocal iterations
+        nonlocal iterations, qp_iterations
         evaluator = _NlpEvaluator(problem, j)
         res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
         iterations += res.iterations
+        qp_iterations += res.qp_iterations
         if res.status != STATUS_OPTIMAL:
             return None
         u = evaluator.full_inputs(res.x)
@@ -432,6 +435,7 @@ def solve(problem: NlpProblem) -> SolveResult:
             plan=problem.warm_start,
             objective=math.inf,
             iterations=iterations,
+            qp_iterations=qp_iterations,
             stop_index=0,
         )
 
@@ -451,6 +455,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         plan=plan,
         objective=cost,
         iterations=iterations,
+        qp_iterations=qp_iterations,
         stop_index=j,
     )
 

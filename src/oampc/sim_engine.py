@@ -114,13 +114,16 @@ class StepRecord:
     state: np.ndarray  # (3,) state the input was computed at
     applied_input: np.ndarray  # (2,)
     status: str
-    solve_ms: float  # wall time of reach, agent visibility, projection, solve and fallback audit
+    solve_ms: float  # wall time of reach, agent visibility, projection, solve and audit
     stop_index: int
+    sqp_iterations: int  # summed over the stop-index probes of this step
+    qp_iterations: int  # interior-point iterations, summed over the same probes
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
     fallback_used: bool
     fallback_feasible: Optional[bool]
+    audit_violation: float  # check_feasibility(plan).max_violation of the applied plan
     collision: bool
     n_boundaries: int
     n_families: int
@@ -254,14 +257,13 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     )
     result = solve(problem)
 
-    fallback_used = False
+    fallback_used = result.status != STATUS_OPTIMAL
+    plan = warm if fallback_used else result.plan
+    # Every applied plan is audited; the audit is recorded and never changes
+    # which plan is applied.
+    report = check_feasibility(plan, projections, circles, params, z_init=sim.z)
     fallback_feasible = None
-    if result.status == STATUS_OPTIMAL:
-        plan = result.plan
-    else:
-        fallback_used = True
-        plan = warm
-        report = check_feasibility(plan, projections, circles, params, z_init=sim.z)
+    if fallback_used:
         fallback_feasible = report.ok(params.feas_tol)
         if not fallback_feasible:
             logger.warning("step %d: fallback plan failed the feasibility audit", sim.t)
@@ -309,11 +311,14 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             status=result.status,
             solve_ms=solve_ms,
             stop_index=result.stop_index,
+            sqp_iterations=result.iterations,
+            qp_iterations=result.qp_iterations,
             occlusion_clearance=occ_clear,
             agent_clearance=agent_clear,
             static_clearance=static_clear,
             fallback_used=fallback_used,
             fallback_feasible=fallback_feasible,
+            audit_violation=report.max_violation,
             collision=collided,
             n_boundaries=len(boundaries),
             n_families=len(families),

@@ -3,8 +3,9 @@
 Sequential quadratic programming with a trust region and an exact penalty:
 each iteration linearizes the constraints, adds a single elastic slack so the
 subproblem is always feasible, and solves the resulting convex QP with a
-primal-dual interior-point method. Deterministic given identical inputs,
-warm-startable, and reports feasibility residuals.
+primal-dual interior-point method. Deterministic given identical inputs and
+reports feasibility residuals. The SQP starts from the caller's point, so a
+previous plan warm-starts it; every QP cold-starts its interior-point method.
 
 Sized for problems with tens of variables and a few hundred inequality
 constraints; everything is dense numpy.
@@ -48,28 +49,35 @@ class SqpResult:
     objective: float
     iterations: int
     max_violation: float
+    qp_iterations: int  # interior-point iterations summed over every QP solved
 
 
 def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 40):
     """Minimize 0.5 y'Py + q'y subject to G y <= h (P PSD, dense).
 
-    Mehrotra predictor-corrector on the slack form G y + s = h, s >= 0.
-    Returns (y, z) with z the constraint multipliers. Accuracy targets what
-    an SQP outer loop needs, with a stagnation exit for degenerate cases.
+    Mehrotra predictor-corrector on the slack form G y + s = h, s >= 0,
+    cold-started from y = 0 on every call. Each iteration factors the normal
+    matrix P + G'WG once by Cholesky and inverts the factor; both Newton
+    solves are products with that inverse plus one refinement pass. Returns
+    (y, z, iterations) with z the constraint multipliers and iterations the
+    number of Newton steps taken. Accuracy targets what an SQP outer loop
+    needs, with a stagnation exit for degenerate cases.
     """
     n = len(q)
     m = len(h)
     if m == 0:
-        return np.linalg.solve(P + 1e-12 * np.eye(n), -q), np.zeros(0)
+        return np.linalg.solve(P + 1e-12 * np.eye(n), -q), np.zeros(0), 0
 
     y = np.zeros(n)
     s = np.maximum(h - G @ y, 1.0)
     z = np.ones(m)
     Gt = G.T
+    eye = np.eye(n)
 
     scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
     best = (np.inf, y.copy(), z.copy())
     stalled = 0
+    iterations = 0
     for _ in range(max_iter):
         r_d = P @ y + q + Gt @ z
         r_p = G @ y + s - h
@@ -95,19 +103,23 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
         L = None
         while L is None:
             try:
-                L = np.linalg.cholesky(M + reg * np.eye(n))
+                L = np.linalg.cholesky(M + reg * eye)
             except np.linalg.LinAlgError:
                 reg = max(reg * 1e4, 1e-8)
                 if reg > 1.0:
                     _, y, z = best
-                    return y, z
+                    return y, z, iterations
+        # One inverse of the factor serves all four solves of this iteration:
+        # a matrix-vector product is far cheaper than a LAPACK solve call at
+        # this size. Li is applied twice rather than forming Li'Li, whose
+        # rounding loses the small-eigenvalue directions of a near-singular M.
+        Li = np.linalg.inv(L)
 
         def newton(r_c):
             rhs = -r_d - Gt @ (w * r_p - r_c / s)
-            dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            dy = Li.T @ (Li @ rhs)
             # One refinement pass recovers digits lost to ill-conditioning.
-            corr = rhs - M @ dy
-            dy += np.linalg.solve(L.T, np.linalg.solve(L, corr))
+            dy += Li.T @ (Li @ (rhs - M @ dy))
             gdy = G @ dy
             ds = -r_p - gdy
             dz = w * (r_p + gdy) - r_c / s
@@ -128,6 +140,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
         y += alpha_p * dy
         s += alpha_p * ds
         z += alpha_d * dz
+        iterations += 1
 
     r_d = P @ y + q + Gt @ z
     r_p = G @ y + s - h
@@ -135,7 +148,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
     resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
     if resid > best[0]:
         _, y, z = best
-    return y, z
+    return y, z, iterations
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -181,9 +194,11 @@ def solve_sqp(
 
     status = STATUS_MAX_ITER
     iterations = 0
+    qp_iterations = 0
     for iterations in range(1, max_iter + 1):
         viol = _violation(ev.c)
-        d, sigma = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+        d, sigma, k = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+        qp_iterations += k
 
         # An active elastic slack means the linearized constraints were not
         # met within the current penalty budget: escalate until they are or
@@ -191,7 +206,8 @@ def solve_sqp(
         rounds = 0
         while sigma > max(feas_tol, 1e-12) and mu < _PENALTY_MAX and rounds < 3:
             mu = min(10.0 * mu, _PENALTY_MAX)
-            d, sigma = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+            d, sigma, k = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+            qp_iterations += k
             rounds += 1
 
         model_decrease = -(ev.grad @ d + 0.5 * d @ ev.hess @ d) + mu * (viol - sigma)
@@ -223,7 +239,8 @@ def solve_sqp(
                 c=ev_trial.c,
                 jac=ev.jac,
             )
-            w, _ = _elastic_qp_step(ev_soc, trial, lb, ub, delta, mu)
+            w, _, k = _elastic_qp_step(ev_soc, trial, lb, ub, delta, mu)
+            qp_iterations += k
             trial_soc = np.clip(trial + w, lb, ub)
             ev_soc_t = evaluate(trial_soc)
             viol_soc = _violation(ev_soc_t.c)
@@ -274,6 +291,7 @@ def solve_sqp(
         objective=ev.f,
         iterations=iterations,
         max_violation=final_viol,
+        qp_iterations=qp_iterations,
     )
 
 
@@ -282,6 +300,7 @@ def _elastic_qp_step(ev: EvalResult, x, lb, ub, delta, mu):
 
     Variables y = [d, sigma]; minimize 0.5 d'Hd + g'd + mu*sigma subject to
     c + J d + sigma >= 0, sigma >= 0, and the trust/bound box on d.
+    Returns (d, sigma, interior-point iterations).
     """
     n = len(x)
     m = len(ev.c)
@@ -310,7 +329,7 @@ def _elastic_qp_step(ev: EvalResult, x, lb, ub, delta, mu):
 
     G = np.vstack(rows)
     h = np.concatenate(rhs)
-    y, _ = solve_qp(P, q, G, h)
+    y, _, iterations = solve_qp(P, q, G, h)
     d = np.clip(y[:n], lo, up)
     sigma = max(0.0, float(y[n]))
-    return d, sigma
+    return d, sigma, iterations

@@ -281,3 +281,89 @@ def coverage_centers_loop(hits, spacing, radius) -> np.ndarray:
         if min(np.hypot(*(p - c)) for c in centers) > radius:
             centers.append(p)
     return np.array(centers)
+
+
+def solve_qp_reference(P, q, G, h, max_iter: int = 40):
+    """The interior-point QP with a fresh LAPACK solve on the Cholesky factor
+    and its transpose for every Newton solve and refinement pass.
+
+    Same iterates, tolerances and exits as `oampc.solver.solve_qp`, written
+    without the inverse of the factor. Returns (y, z, iterations).
+    """
+    n = len(q)
+    m = len(h)
+    if m == 0:
+        return np.linalg.solve(P + 1e-12 * np.eye(n), -q), np.zeros(0), 0
+
+    def max_step(v, dv):
+        neg = dv < 0
+        if not neg.any():
+            return 1.0
+        return min(1.0, float(np.min(-v[neg] / dv[neg])))
+
+    y = np.zeros(n)
+    s = np.maximum(h - G @ y, 1.0)
+    z = np.ones(m)
+    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
+    best = (np.inf, y.copy(), z.copy())
+    stalled = 0
+    iterations = 0
+    for _ in range(max_iter):
+        r_d = P @ y + q + G.T @ z
+        r_p = G @ y + s - h
+        mu = float(s @ z) / m
+        resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
+        if resid < best[0]:
+            best = (resid, y.copy(), z.copy())
+        if resid <= 1e-9 * scale and mu <= 1e-11 * scale:
+            break
+        if resid < 0.99 * best[0] or resid == best[0]:
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 8:
+                break
+
+        w = np.minimum(z / np.maximum(s, 1e-14), 1e12)
+        M = P + (G.T * w) @ G
+        reg = 1e-12
+        L = None
+        while L is None:
+            try:
+                L = np.linalg.cholesky(M + reg * np.eye(n))
+            except np.linalg.LinAlgError:
+                reg = max(reg * 1e4, 1e-8)
+                if reg > 1.0:
+                    _, y, z = best
+                    return y, z, iterations
+
+        def newton(r_c):
+            rhs = -r_d - G.T @ (w * r_p - r_c / s)
+            dy = np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            corr = rhs - M @ dy
+            dy += np.linalg.solve(L.T, np.linalg.solve(L, corr))
+            gdy = G @ dy
+            return dy, -r_p - gdy, w * (r_p + gdy) - r_c / s
+
+        dy_a, ds_a, dz_a = newton(s * z)
+        alpha_p = max_step(s, ds_a)
+        alpha_d = max_step(z, dz_a)
+        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+
+        r_c = s * z + ds_a * dz_a - sigma * mu
+        dy, ds, dz = newton(r_c)
+        alpha_p = 0.99 * max_step(s, ds)
+        alpha_d = 0.99 * max_step(z, dz)
+        y += alpha_p * dy
+        s += alpha_p * ds
+        z += alpha_d * dz
+        iterations += 1
+
+    r_d = P @ y + q + G.T @ z
+    r_p = G @ y + s - h
+    mu = float(s @ z) / m
+    resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
+    if resid > best[0]:
+        _, y, z = best
+    return y, z, iterations

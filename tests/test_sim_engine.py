@@ -1,7 +1,8 @@
 import numpy as np
 
+import oampc.sim_engine
 from oampc.geometry import Point2, Segment
-from oampc.nmpc import MpcParams
+from oampc.nmpc import MpcParams, check_feasibility
 from oampc.reachability import AgentModel
 from oampc.sim_engine import (
     MODE_OCCLUSION_AWARE,
@@ -63,10 +64,34 @@ def corner_scenario() -> Scenario:
 
 
 class TestClosedLoop:
-    def test_corner_reaches_goal_safely(self):
+    def test_corner_reaches_goal_safely(self, monkeypatch):
+        problems = []
+        solve = oampc.sim_engine.solve
+
+        def recorded_solve(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
         log, metrics = run(corner_scenario())
         assert metrics.goals_reached == 1
         assert metrics.steps <= 64
         assert not metrics.collision
         assert not any(rec.collision for rec in log)
         assert metrics.fallback_invocations == 0
+        # Every applied plan carries its own audit.
+        assert len(problems) == len(log)
+        for rec, problem in zip(log, problems):
+            report = check_feasibility(
+                rec.plan, problem.projections, problem.static_circles, problem.params, z_init=rec.state
+            )
+            assert rec.audit_violation == report.max_violation
+
+    def test_solver_counters_logged_and_repeatable(self):
+        scenario = corner_scenario().with_overrides(max_steps=4)
+        first, _ = run(scenario)
+        second, _ = run(scenario)
+        counters = [(rec.sqp_iterations, rec.qp_iterations) for rec in first]
+        assert len(counters) == 4
+        assert all(qp >= sqp > 0 for sqp, qp in counters)
+        assert counters == [(rec.sqp_iterations, rec.qp_iterations) for rec in second]

@@ -3,6 +3,8 @@ import pytest
 
 from oampc.solver import EvalResult, solve_qp, solve_sqp
 
+from oracles import solve_qp_reference
+
 
 class TestQp:
     def test_unconstrained_minimum_inside_box(self):
@@ -11,7 +13,7 @@ class TestQp:
         q = np.array([-2.0, 4.0])
         G = np.vstack([np.eye(2), -np.eye(2)])
         h = np.array([10.0, 10.0, 10.0, 10.0])
-        y, _ = solve_qp(P, q, G, h)
+        y, _, _ = solve_qp(P, q, G, h)
         assert y == pytest.approx([1.0, -2.0], abs=1e-7)
 
     def test_active_bound(self):
@@ -19,7 +21,7 @@ class TestQp:
         q = np.array([-2.0, 4.0])
         G = np.vstack([np.eye(2), -np.eye(2)])
         h = np.array([0.5, 10.0, 10.0, 10.0])  # y0 <= 0.5 active
-        y, z = solve_qp(P, q, G, h)
+        y, z, _ = solve_qp(P, q, G, h)
         assert y == pytest.approx([0.5, -2.0], abs=1e-7)
         assert z[0] > 1e-8  # active multiplier
 
@@ -32,7 +34,7 @@ class TestQp:
             q = rng.normal(size=n)
             G = rng.normal(size=(m, n))
             h = rng.uniform(0.5, 2.0, size=m)
-            y, z = solve_qp(P, q, G, h)
+            y, z, _ = solve_qp(P, q, G, h)
             slack = h - G @ y
             assert slack.min() >= -1e-7  # primal feasible
             assert z.min() >= -1e-9  # dual feasible
@@ -43,9 +45,77 @@ class TestQp:
     def test_no_constraints(self):
         P = np.array([[4.0]])
         q = np.array([-8.0])
-        y, z = solve_qp(P, q, np.zeros((0, 1)), np.zeros(0))
+        y, z, _ = solve_qp(P, q, np.zeros((0, 1)), np.zeros(0))
         assert y == pytest.approx([2.0])
         assert len(z) == 0
+
+
+def planner_shaped_qp(rng, n=8, m=30, delta=0.5, mu=100.0):
+    """The elastic trust-region QP the SQP builds: variables [d, sigma], rows
+    c + J d + sigma >= 0 (a third active at d = 0 and duplicated, so their
+    slacks collapse), sigma >= 0 and the box |d| <= delta."""
+    A = 0.3 * rng.normal(size=(n, n))
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = A @ A.T + 1e-9 * np.eye(n)
+    P[n, n] = 1e-9
+    q = np.concatenate([rng.normal(size=n), [mu]])
+    J = rng.normal(size=(m, n))
+    c = rng.uniform(-0.3, 0.5, size=m)
+    k = m // 3
+    J[k : 2 * k] = J[:k]
+    c[: 2 * k] = 0.0
+    e_sigma = np.zeros((1, n + 1))
+    e_sigma[0, n] = -1.0
+    box = np.hstack([np.eye(n), np.zeros((n, 1))])
+    G = np.vstack([np.hstack([-J, -np.ones((m, 1))]), e_sigma, box, -box])
+    h = np.concatenate([c, [0.0], np.full(2 * n, delta)])
+    return P, q, G, h
+
+
+class TestQpMatchesReference:
+    """solve_qp against the same method with LAPACK solves on the factor."""
+
+    def test_planner_shaped_qps(self):
+        rng = np.random.default_rng(5)
+        clipped = 0
+        for _ in range(20):
+            P, q, G, h = planner_shaped_qp(rng)
+            y, z, iterations = solve_qp(P, q, G, h)
+            y_ref, _, iterations_ref = solve_qp_reference(P, q, G, h)
+            assert iterations == iterations_ref > 0
+            assert np.abs(y - y_ref).max() <= 1e-6
+            clipped += (z / np.maximum(h - G @ y, 1e-14)).max() > 1e12
+        # Scalings past the 1e12 clip are part of what is compared.
+        assert clipped >= 5
+
+    @pytest.mark.parametrize("a", [1 / 3, 0.7, np.sqrt(2), 3.7])
+    def test_singular_normal_matrix(self, a, monkeypatch):
+        # P = 0 and G of rank one: P + G'WG is singular, so the Cholesky
+        # fails at the smallest regularisation and the ladder raises it.
+        failures = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(M):
+            try:
+                return cholesky(M)
+            except np.linalg.LinAlgError:
+                failures.append(M)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        v = np.array([1.0, a, 1.0 / a])
+        P = np.zeros((3, 3))
+        G = np.vstack([v, 2 * v, -v])
+        h = np.array([1.0, 2.0, 1.0])
+        y, z, iterations = solve_qp(P, -v, G, h)
+        assert failures
+        y_ref, _, iterations_ref = solve_qp_reference(P, -v, G, h)
+        assert iterations == iterations_ref
+        # Every y with v'y = 1 is optimal: only that component is determined,
+        # and both reach it with a consistent multiplier.
+        assert v @ y == pytest.approx(v @ y_ref, abs=1e-9)
+        assert v @ y == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(G.T @ z - v).max() <= 1e-9
 
 
 def quadratic_problem(center, H=None):
