@@ -79,7 +79,9 @@ def capsule_projection(p, a, b, r=0.0) -> tuple[np.ndarray, np.ndarray]:
     ab = b - a
     denom = np.sum(ab * ab, axis=-1)
     degenerate = denom <= EPS_GEO * EPS_GEO
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Off-axis terms are computed everywhere and masked afterwards; a
+    # subnormal dist may overflow s, which the mask discards.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = np.where(degenerate, 0.0, np.clip(np.sum((p - a) * ab, axis=-1) / denom, 0.0, 1.0))
         q = a + t[..., None] * ab
         diff = p - q

@@ -148,6 +148,8 @@ class SolveResult:
     objective: float
     iterations: int  # SQP iterations summed over the probes
     qp_iterations: int  # interior-point iterations summed over the probes
+    qp_solves: int  # QP solves summed over the probes
+    probes: int  # SQP solves run for this step, re-probes included
     stop_index: int  # steps with motion allowed; N-1 means full freedom
 
 
@@ -343,14 +345,18 @@ def solve(problem: NlpProblem) -> SolveResult:
     candidates: list[tuple[float, OpenLoopPlan, SqpResult, int]] = []
     iterations = 0
     qp_iterations = 0
+    qp_solves = 0
+    probes = 0
     stall_eps = 1e-3 * max(1.0, abs(cost_stationary))
 
     def run_probe(j: int, u_init: np.ndarray):
-        nonlocal iterations, qp_iterations
+        nonlocal iterations, qp_iterations, qp_solves, probes
         evaluator = _NlpEvaluator(problem, j)
         res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
         iterations += res.iterations
         qp_iterations += res.qp_iterations
+        qp_solves += res.qp_solves
+        probes += 1
         if res.status != STATUS_OPTIMAL:
             return None
         u = evaluator.full_inputs(res.x)
@@ -436,6 +442,8 @@ def solve(problem: NlpProblem) -> SolveResult:
             objective=math.inf,
             iterations=iterations,
             qp_iterations=qp_iterations,
+            qp_solves=qp_solves,
+            probes=probes,
             stop_index=0,
         )
 
@@ -456,6 +464,8 @@ def solve(problem: NlpProblem) -> SolveResult:
         objective=cost,
         iterations=iterations,
         qp_iterations=qp_iterations,
+        qp_solves=qp_solves,
+        probes=probes,
         stop_index=j,
     )
 

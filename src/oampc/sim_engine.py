@@ -8,10 +8,11 @@ of the planner's own approximations.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +94,6 @@ class Scenario:
     agent_model: AgentModel = field(default_factory=lambda: AgentModel(0.5))
     mode: str = MODE_OCCLUSION_AWARE
     max_steps: int = 400
-    seed: int = 0
 
     def __post_init__(self):
         self.goals = [np.asarray(g, dtype=float)[:2] for g in self.goals]
@@ -118,6 +118,8 @@ class StepRecord:
     stop_index: int
     sqp_iterations: int  # summed over the stop-index probes of this step
     qp_iterations: int  # interior-point iterations, summed over the same probes
+    qp_solves: int  # QP solves, summed over the same probes
+    probes: int  # SQP solves of this step, re-probes included
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
@@ -148,6 +150,21 @@ class TrajectoryLog:
 
     def __iter__(self):
         return iter(self.records)
+
+    def write_jsonl(self, path) -> None:
+        """Write one JSON object per record, in order. Arrays become lists and
+        the plan an object of its states, inputs and stamp; floats are written
+        by repr (inf as Infinity), so `json.loads` reads every value back
+        exactly."""
+        with open(path, "w") as f:
+            for rec in self.records:
+                f.write(json.dumps(asdict(rec), default=_to_json) + "\n")
+
+
+def _to_json(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -313,6 +330,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             stop_index=result.stop_index,
             sqp_iterations=result.iterations,
             qp_iterations=result.qp_iterations,
+            qp_solves=result.qp_solves,
+            probes=result.probes,
             occlusion_clearance=occ_clear,
             agent_clearance=agent_clear,
             static_clearance=static_clear,

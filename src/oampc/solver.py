@@ -3,12 +3,16 @@
 Sequential quadratic programming with a trust region and an exact penalty:
 each iteration linearizes the constraints, adds a single elastic slack so the
 subproblem is always feasible, and solves the resulting convex QP with a
-primal-dual interior-point method. Deterministic given identical inputs and
-reports feasibility residuals. The SQP starts from the caller's point, so a
-previous plan warm-starts it; every QP cold-starts its interior-point method.
+primal-dual interior-point method. A linearization assembles its QP once:
+raising the penalty weight only changes the QP's linear term. Deterministic
+given identical inputs and reports feasibility residuals. The SQP starts from
+the caller's point, so a previous plan warm-starts it; every QP cold-starts
+its interior-point method.
 
 Sized for problems with tens of variables and a few hundred inequality
-constraints; everything is dense numpy.
+constraints; everything is dense numpy. At that size an interior-point
+iteration's time goes mostly to numpy's per-call overhead, so the loop is
+written to make few calls.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class SqpResult:
     iterations: int
     max_violation: float
     qp_iterations: int  # interior-point iterations summed over every QP solved
+    qp_solves: int  # solve_qp calls
 
 
 def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 40):
@@ -62,20 +67,36 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
     (y, z, iterations) with z the constraint multipliers and iterations the
     number of Newton steps taken. Accuracy targets what an SQP outer loop
     needs, with a stagnation exit for degenerate cases.
+
+    At tens of variables every numpy call costs more than its arithmetic, so
+    the loop computes each shared term once and updates the iterates out of
+    place (the incumbent keeps references, not copies); every value still
+    comes from the same floating-point operations in the same order.
     """
     n = len(q)
     m = len(h)
+    eye = np.eye(n)
     if m == 0:
-        return np.linalg.solve(P + 1e-12 * np.eye(n), -q), np.zeros(0), 0
+        return np.linalg.solve(P + 1e-12 * eye, -q), np.zeros(0), 0
 
     y = np.zeros(n)
     s = np.maximum(h - G @ y, 1.0)
     z = np.ones(m)
     Gt = G.T
-    eye = np.eye(n)
+    reg_eye = 1e-12 * eye
+    ratios = np.empty(m)
+
+    def max_step(v, dv):
+        # min(1, min of -v/dv over dv < 0) without boolean indexing: negation
+        # is exact, so that minimum is minus the largest v/dv.
+        ratios.fill(-np.inf)
+        np.divide(v, dv, out=ratios, where=dv < 0)
+        return min(1.0, -np.maximum.reduce(ratios))
 
     scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
-    best = (np.inf, y.copy(), z.copy())
+    tol_resid = 1e-9 * scale
+    tol_mu = 1e-11 * scale
+    best_resid, best_y, best_z = np.inf, y, z
     stalled = 0
     iterations = 0
     for _ in range(max_iter):
@@ -83,12 +104,12 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
         r_p = G @ y + s - h
         mu = float(s @ z) / m
 
-        resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
-        if resid < best[0]:
-            best = (resid, y.copy(), z.copy())
-        if resid <= 1e-9 * scale and mu <= 1e-11 * scale:
+        resid = max(np.maximum.reduce(np.abs(r_d)), np.maximum.reduce(np.abs(r_p)), mu)
+        if resid < best_resid:
+            best_resid, best_y, best_z = resid, y, z
+        if resid <= tol_resid and mu <= tol_mu:
             break
-        if resid < 0.99 * best[0] or resid == best[0]:
+        if resid < 0.99 * best_resid or resid == best_resid:
             stalled = 0
         else:
             stalled += 1
@@ -99,63 +120,59 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
         # of active constraints collapse.
         w = np.minimum(z / np.maximum(s, 1e-14), 1e12)
         M = P + (Gt * w) @ G
-        reg = 1e-12
+        reg, shift = 1e-12, reg_eye
         L = None
         while L is None:
             try:
-                L = np.linalg.cholesky(M + reg * eye)
+                L = np.linalg.cholesky(M + shift)
             except np.linalg.LinAlgError:
                 reg = max(reg * 1e4, 1e-8)
                 if reg > 1.0:
-                    _, y, z = best
-                    return y, z, iterations
+                    return best_y, best_z, iterations
+                shift = reg * eye
         # One inverse of the factor serves all four solves of this iteration:
         # a matrix-vector product is far cheaper than a LAPACK solve call at
         # this size. Li is applied twice rather than forming Li'Li, whose
         # rounding loses the small-eigenvalue directions of a near-singular M.
         Li = np.linalg.inv(L)
+        LiT = Li.T
+        neg_r_d = -r_d
+        neg_r_p = -r_p
+        w_r_p = w * r_p
+        sz = s * z
 
         def newton(r_c):
-            rhs = -r_d - Gt @ (w * r_p - r_c / s)
-            dy = Li.T @ (Li @ rhs)
+            r_c_s = r_c / s
+            rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
+            dy = LiT @ (Li @ rhs)
             # One refinement pass recovers digits lost to ill-conditioning.
-            dy += Li.T @ (Li @ (rhs - M @ dy))
+            dy += LiT @ (Li @ (rhs - M @ dy))
             gdy = G @ dy
-            ds = -r_p - gdy
-            dz = w * (r_p + gdy) - r_c / s
-            return dy, ds, dz
+            return dy, neg_r_p - gdy, w * (r_p + gdy) - r_c_s
 
         # Affine scaling step.
-        dy_a, ds_a, dz_a = newton(s * z)
-        alpha_p = _max_step(s, ds_a)
-        alpha_d = _max_step(z, dz_a)
+        dy_a, ds_a, dz_a = newton(sz)
+        alpha_p = max_step(s, ds_a)
+        alpha_d = max_step(z, dz_a)
         mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector.
-        r_c = s * z + ds_a * dz_a - sigma * mu
-        dy, ds, dz = newton(r_c)
-        alpha_p = 0.99 * _max_step(s, ds)
-        alpha_d = 0.99 * _max_step(z, dz)
-        y += alpha_p * dy
-        s += alpha_p * ds
-        z += alpha_d * dz
+        dy, ds, dz = newton(sz + ds_a * dz_a - sigma * mu)
+        alpha_p = 0.99 * max_step(s, ds)
+        alpha_d = 0.99 * max_step(z, dz)
+        y = y + alpha_p * dy
+        s = s + alpha_p * ds
+        z = z + alpha_d * dz
         iterations += 1
 
     r_d = P @ y + q + Gt @ z
     r_p = G @ y + s - h
     mu = float(s @ z) / m
-    resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
-    if resid > best[0]:
-        _, y, z = best
+    resid = max(np.maximum.reduce(np.abs(r_d)), np.maximum.reduce(np.abs(r_p)), mu)
+    if resid > best_resid:
+        return best_y, best_z, iterations
     return y, z, iterations
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float(np.min(-v[neg] / dv[neg])))
 
 
 def _violation(c: np.ndarray) -> float:
@@ -188,17 +205,22 @@ def solve_sqp(
     delta = _TRUST_RADIUS
     delta_min, delta_max = 1e-12, 16.0
 
-    best_x, best_f = None, np.inf
+    best, best_f = None, np.inf  # (x, evaluation) of the cheapest feasible iterate
     if _violation(ev.c) <= feas_tol:
-        best_x, best_f = x.copy(), ev.f
+        best, best_f = (x, ev), ev.f
 
     status = STATUS_MAX_ITER
     iterations = 0
     qp_iterations = 0
+    qp_solves = 0
+    qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
     for iterations in range(1, max_iter + 1):
         viol = _violation(ev.c)
-        d, sigma, k = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+        if qp is None:
+            qp = _ElasticQp(ev, x, lb, ub, delta)
+        d, sigma, k = qp.solve(mu)
         qp_iterations += k
+        qp_solves += 1
 
         # An active elastic slack means the linearized constraints were not
         # met within the current penalty budget: escalate until they are or
@@ -206,8 +228,9 @@ def solve_sqp(
         rounds = 0
         while sigma > max(feas_tol, 1e-12) and mu < _PENALTY_MAX and rounds < 3:
             mu = min(10.0 * mu, _PENALTY_MAX)
-            d, sigma, k = _elastic_qp_step(ev, x, lb, ub, delta, mu)
+            d, sigma, k = qp.solve(mu)
             qp_iterations += k
+            qp_solves += 1
             rounds += 1
 
         model_decrease = -(ev.grad @ d + 0.5 * d @ ev.hess @ d) + mu * (viol - sigma)
@@ -222,6 +245,7 @@ def solve_sqp(
             mu = min(10.0 * mu, _PENALTY_MAX)
             continue
 
+        qp = None  # accepting the step moves x, rejecting it shrinks delta
         trial = np.clip(x + d, lb, ub)
         ev_trial = evaluate(trial)
         viol_trial = _violation(ev_trial.c)
@@ -239,8 +263,9 @@ def solve_sqp(
                 c=ev_trial.c,
                 jac=ev.jac,
             )
-            w, _, k = _elastic_qp_step(ev_soc, trial, lb, ub, delta, mu)
+            w, _, k = _ElasticQp(ev_soc, trial, lb, ub, delta).solve(mu)
             qp_iterations += k
+            qp_solves += 1
             trial_soc = np.clip(trial + w, lb, ub)
             ev_soc_t = evaluate(trial_soc)
             viol_soc = _violation(ev_soc_t.c)
@@ -253,7 +278,7 @@ def solve_sqp(
             x = trial
             ev = ev_trial
             if viol_trial <= feas_tol and ev_trial.f < best_f:
-                best_x, best_f = x.copy(), ev_trial.f
+                best, best_f = (x, ev), ev.f
             if rho >= 0.7 and np.max(np.abs(d)) >= 0.9 * delta:
                 delta = min(2.0 * delta, delta_max)
         else:
@@ -270,11 +295,11 @@ def solve_sqp(
                 break
 
     final_viol = _violation(ev.c)
-    if status == STATUS_OPTIMAL or best_x is not None:
-        # Prefer the incumbent when the final iterate is worse or infeasible.
-        if best_x is not None and (final_viol > feas_tol or best_f < ev.f):
-            x = best_x
-            ev = evaluate(x)
+    if status == STATUS_OPTIMAL or best is not None:
+        # Prefer the incumbent when the final iterate is worse or infeasible;
+        # its evaluation was kept, so it is not evaluated again.
+        if best is not None and (final_viol > feas_tol or best_f < ev.f):
+            x, ev = best
             final_viol = _violation(ev.c)
         if final_viol <= feas_tol:
             status = STATUS_OPTIMAL
@@ -292,44 +317,44 @@ def solve_sqp(
         iterations=iterations,
         max_violation=final_viol,
         qp_iterations=qp_iterations,
+        qp_solves=qp_solves,
     )
 
 
-def _elastic_qp_step(ev: EvalResult, x, lb, ub, delta, mu):
+class _ElasticQp:
     """Trust-region QP subproblem with one elastic slack.
 
     Variables y = [d, sigma]; minimize 0.5 d'Hd + g'd + mu*sigma subject to
-    c + J d + sigma >= 0, sigma >= 0, and the trust/bound box on d.
-    Returns (d, sigma, interior-point iterations).
+    c + J d + sigma >= 0, sigma >= 0, and the trust/bound box on d. Only the
+    penalty weight mu enters after assembly, so one linearization assembles
+    P, G and h once and every penalty round reuses them.
     """
-    n = len(x)
-    m = len(ev.c)
-    P = np.zeros((n + 1, n + 1))
-    P[:n, :n] = ev.hess + 1e-9 * np.eye(n)
-    P[n, n] = 1e-9
-    q = np.concatenate([ev.grad, [mu]])
 
-    up = np.minimum(ub - x, delta)
-    lo = np.maximum(lb - x, -delta)
+    def __init__(self, ev: EvalResult, x, lb, ub, delta):
+        n = len(x)
+        m = len(ev.c)
+        eye = np.eye(n)
+        self.P = np.zeros((n + 1, n + 1))
+        self.P[:n, :n] = ev.hess + 1e-9 * eye
+        self.P[n, n] = 1e-9
+        self.grad = ev.grad
+        self.up = np.minimum(ub - x, delta)
+        self.lo = np.maximum(lb - x, -delta)
+        # Rows: linearized constraints, sigma >= 0, then the upper and lower
+        # box on d (the lower one is -eye, signed zeros included).
+        G = np.zeros((m + 1 + 2 * n, n + 1))
+        G[:m, :n] = -ev.jac
+        G[:m, n] = -1.0
+        G[m, n] = -1.0
+        G[m + 1 : m + 1 + n, :n] = eye
+        G[m + 1 + n :, :n] = -eye
+        self.G = G
+        self.h = np.concatenate([ev.c, np.zeros(1), self.up, -self.lo])
 
-    rows = []
-    rhs = []
-    if m:
-        rows.append(np.hstack([-ev.jac, -np.ones((m, 1))]))
-        rhs.append(ev.c)
-    e_sigma = np.zeros((1, n + 1))
-    e_sigma[0, n] = -1.0
-    rows.append(e_sigma)
-    rhs.append(np.zeros(1))
-    eye = np.eye(n)
-    rows.append(np.hstack([eye, np.zeros((n, 1))]))
-    rhs.append(up)
-    rows.append(np.hstack([-eye, np.zeros((n, 1))]))
-    rhs.append(-lo)
-
-    G = np.vstack(rows)
-    h = np.concatenate(rhs)
-    y, _, iterations = solve_qp(P, q, G, h)
-    d = np.clip(y[:n], lo, up)
-    sigma = max(0.0, float(y[n]))
-    return d, sigma, iterations
+    def solve(self, mu: float):
+        """Returns (d, sigma, interior-point iterations) at penalty weight mu."""
+        n = len(self.grad)
+        y, _, iterations = solve_qp(self.P, np.concatenate([self.grad, [mu]]), self.G, self.h)
+        d = np.clip(y[:n], self.lo, self.up)
+        sigma = max(0.0, float(y[n]))
+        return d, sigma, iterations

@@ -367,3 +367,131 @@ def solve_qp_reference(P, q, G, h, max_iter: int = 40):
     if resid > best[0]:
         _, y, z = best
     return y, z, iterations
+
+
+def solve_qp_parent(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 40):
+    """The interior-point QP as it was before its loop was rewritten for fewer
+    numpy calls, kept verbatim: `oampc.solver.solve_qp` must return the same
+    (y, z, iterations) bit for bit. Like the library it looks up
+    `np.linalg.cholesky` at call time, so a patched factorisation reaches both.
+    """
+    n = len(q)
+    m = len(h)
+    if m == 0:
+        return np.linalg.solve(P + 1e-12 * np.eye(n), -q), np.zeros(0), 0
+
+    y = np.zeros(n)
+    s = np.maximum(h - G @ y, 1.0)
+    z = np.ones(m)
+    Gt = G.T
+    eye = np.eye(n)
+
+    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
+    best = (np.inf, y.copy(), z.copy())
+    stalled = 0
+    iterations = 0
+    for _ in range(max_iter):
+        r_d = P @ y + q + Gt @ z
+        r_p = G @ y + s - h
+        mu = float(s @ z) / m
+
+        resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
+        if resid < best[0]:
+            best = (resid, y.copy(), z.copy())
+        if resid <= 1e-9 * scale and mu <= 1e-11 * scale:
+            break
+        if resid < 0.99 * best[0] or resid == best[0]:
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= 8:
+                break
+
+        # Clipping the scaling keeps the normal matrix solvable when slacks
+        # of active constraints collapse.
+        w = np.minimum(z / np.maximum(s, 1e-14), 1e12)
+        M = P + (Gt * w) @ G
+        reg = 1e-12
+        L = None
+        while L is None:
+            try:
+                L = np.linalg.cholesky(M + reg * eye)
+            except np.linalg.LinAlgError:
+                reg = max(reg * 1e4, 1e-8)
+                if reg > 1.0:
+                    _, y, z = best
+                    return y, z, iterations
+        # One inverse of the factor serves all four solves of this iteration:
+        # a matrix-vector product is far cheaper than a LAPACK solve call at
+        # this size. Li is applied twice rather than forming Li'Li, whose
+        # rounding loses the small-eigenvalue directions of a near-singular M.
+        Li = np.linalg.inv(L)
+
+        def newton(r_c):
+            rhs = -r_d - Gt @ (w * r_p - r_c / s)
+            dy = Li.T @ (Li @ rhs)
+            # One refinement pass recovers digits lost to ill-conditioning.
+            dy += Li.T @ (Li @ (rhs - M @ dy))
+            gdy = G @ dy
+            ds = -r_p - gdy
+            dz = w * (r_p + gdy) - r_c / s
+            return dy, ds, dz
+
+        # Affine scaling step.
+        dy_a, ds_a, dz_a = newton(s * z)
+        alpha_p = _max_step_parent(s, ds_a)
+        alpha_d = _max_step_parent(z, dz_a)
+        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+
+        # Corrector.
+        r_c = s * z + ds_a * dz_a - sigma * mu
+        dy, ds, dz = newton(r_c)
+        alpha_p = 0.99 * _max_step_parent(s, ds)
+        alpha_d = 0.99 * _max_step_parent(z, dz)
+        y += alpha_p * dy
+        s += alpha_p * ds
+        z += alpha_d * dz
+        iterations += 1
+
+    r_d = P @ y + q + Gt @ z
+    r_p = G @ y + s - h
+    mu = float(s @ z) / m
+    resid = max(np.abs(r_d).max(), np.abs(r_p).max(), mu)
+    if resid > best[0]:
+        _, y, z = best
+    return y, z, iterations
+
+
+def _max_step_parent(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float(np.min(-v[neg] / dv[neg])))
+
+
+def elastic_qp_parent(ev, x, lb, ub, delta):
+    """P, G and h of the elastic trust-region QP as the SQP assembled them,
+    one block at a time, before the assembly moved into one preallocated G."""
+    n = len(x)
+    m = len(ev.c)
+    P = np.zeros((n + 1, n + 1))
+    P[:n, :n] = ev.hess + 1e-9 * np.eye(n)
+    P[n, n] = 1e-9
+    up = np.minimum(ub - x, delta)
+    lo = np.maximum(lb - x, -delta)
+    rows = []
+    rhs = []
+    if m:
+        rows.append(np.hstack([-ev.jac, -np.ones((m, 1))]))
+        rhs.append(ev.c)
+    e_sigma = np.zeros((1, n + 1))
+    e_sigma[0, n] = -1.0
+    rows.append(e_sigma)
+    rhs.append(np.zeros(1))
+    eye = np.eye(n)
+    rows.append(np.hstack([eye, np.zeros((n, 1))]))
+    rhs.append(up)
+    rows.append(np.hstack([-eye, np.zeros((n, 1))]))
+    rhs.append(-lo)
+    return P, np.vstack(rows), np.concatenate(rhs)

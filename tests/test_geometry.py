@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,15 @@ class TestDistPointCapsule:
         d, z = project([1.0, 1.0], [0, 0], [2, 2], 1.0)
         assert d == 0.0
         assert z == pytest.approx([1.0 - math.sqrt(0.5), 1.0 + math.sqrt(0.5)])
+
+    def test_subnormal_offset_is_quiet(self):
+        # |p - q| is subnormal: the masked off-axis ratio overflows, and the
+        # point is treated as on the axis without a floating-point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, z = capsule_projection([0.0, 5e-324], [-1.0, 0.0], [1.0, 0.0], 0.5)
+        assert d == 0.0
+        assert z == pytest.approx([0.0, 0.5])
 
     def test_degenerate_axis_is_disk(self):
         d, z = project([2, 1], [1, 1], [1, 1], 0.3)

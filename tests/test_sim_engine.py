@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 
 import oampc.sim_engine
@@ -8,6 +11,7 @@ from oampc.sim_engine import (
     MODE_OCCLUSION_AWARE,
     AgentScript,
     Scenario,
+    StepRecord,
     ground_truth_collision,
     run,
 )
@@ -86,6 +90,8 @@ class TestClosedLoop:
                 rec.plan, problem.projections, problem.static_circles, problem.params, z_init=rec.state
             )
             assert rec.audit_violation == report.max_violation
+            # Every SQP iteration solves at least one QP, every probe is an SQP.
+            assert rec.qp_solves >= rec.sqp_iterations >= rec.probes >= 1
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)
@@ -95,3 +101,43 @@ class TestClosedLoop:
         assert len(counters) == 4
         assert all(qp >= sqp > 0 for sqp, qp in counters)
         assert counters == [(rec.sqp_iterations, rec.qp_iterations) for rec in second]
+        solves = [(rec.qp_solves, rec.probes) for rec in first]
+        assert all(qp_solves >= rec.sqp_iterations for (qp_solves, _), rec in zip(solves, first))
+        assert all(probes >= 1 for _, probes in solves)
+        assert solves == [(rec.qp_solves, rec.probes) for rec in second]
+
+
+class TestJsonLines:
+    def test_round_trip(self, tmp_path):
+        log, _ = run(corner_scenario().with_overrides(max_steps=12))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rows) == len(log) == 12
+        for row, rec in zip(rows, log):
+            assert row.keys() == {f.name for f in fields(StepRecord)}
+            for name in ("state", "applied_input"):
+                assert np.array_equal(np.array(row[name]), getattr(rec, name))
+            assert np.array_equal(np.array(row["plan"]["states"]), rec.plan.states)
+            assert np.array_equal(np.array(row["plan"]["inputs"]), rec.plan.inputs)
+            assert row["plan"]["stamp"] == rec.plan.stamp
+            for name in (
+                "tau",
+                "status",
+                "solve_ms",
+                "stop_index",
+                "sqp_iterations",
+                "qp_iterations",
+                "qp_solves",
+                "probes",
+                "occlusion_clearance",
+                "agent_clearance",
+                "static_clearance",
+                "fallback_used",
+                "fallback_feasible",
+                "audit_violation",
+                "collision",
+                "n_boundaries",
+                "n_families",
+            ):
+                assert row[name] == getattr(rec, name), name

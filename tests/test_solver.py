@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oampc.solver import EvalResult, solve_qp, solve_sqp
+from oampc.solver import EvalResult, _ElasticQp, solve_qp, solve_sqp
 
-from oracles import solve_qp_reference
+from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
 
 
 class TestQp:
@@ -116,6 +116,80 @@ class TestQpMatchesReference:
         assert v @ y == pytest.approx(v @ y_ref, abs=1e-9)
         assert v @ y == pytest.approx(1.0, abs=1e-9)
         assert np.abs(G.T @ z - v).max() <= 1e-9
+
+
+def assert_same_bits(P, q, G, h):
+    y, z, iterations = solve_qp(P, q, G, h)
+    y_ref, z_ref, iterations_ref = solve_qp_parent(P, q, G, h)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(z, z_ref)
+    assert iterations == iterations_ref
+    return iterations
+
+
+class TestQpMatchesParent:
+    """solve_qp returns the pre-rewrite loop's (y, z, iterations) bit for bit."""
+
+    def test_planner_shaped_qps(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            assert assert_same_bits(*planner_shaped_qp(rng)) > 0
+
+    @pytest.mark.parametrize("a", [1 / 3, 0.7, np.sqrt(2), 3.7])
+    def test_singular_normal_matrix(self, a, monkeypatch):
+        failures = []
+        cholesky = np.linalg.cholesky
+
+        def counting_cholesky(M):
+            try:
+                return cholesky(M)
+            except np.linalg.LinAlgError:
+                failures.append(M)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        v = np.array([1.0, a, 1.0 / a])
+        G = np.vstack([v, 2 * v, -v])
+        assert_same_bits(np.zeros((3, 3)), -v, G, np.array([1.0, 2.0, 1.0]))
+        # The regularisation ladder ran in both.
+        assert failures
+
+    def test_random_kkt_qps(self):
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            n, m = 6, 10
+            A = rng.normal(size=(n, n))
+            P = A @ A.T + 0.5 * np.eye(n)
+            G = rng.normal(size=(m, n))
+            assert_same_bits(P, rng.normal(size=n), G, rng.uniform(0.5, 2.0, size=m))
+
+    def test_no_constraints(self):
+        assert assert_same_bits(np.array([[4.0]]), np.array([-8.0]), np.zeros((0, 1)), np.zeros(0)) == 0
+
+    def test_exhausted_regularisation_returns_incumbent(self):
+        # P outside the PSD contract fails every Cholesky of the ladder: both
+        # return the start point after zero iterations.
+        G = np.vstack([np.eye(2), -np.eye(2)])
+        assert assert_same_bits(-10.0 * np.eye(2), np.ones(2), G, np.ones(4)) == 0
+
+
+class TestElasticQp:
+    def test_assembly_matches_parent(self):
+        rng = np.random.default_rng(3)
+        for m in (0, 7):
+            n = 5
+            A = rng.normal(size=(n, n))
+            jac = rng.normal(size=(m, n))
+            jac[:, 0] = 0.0  # signed zeros must survive the negation too
+            ev = EvalResult(f=1.0, grad=rng.normal(size=n), hess=A @ A.T, c=rng.normal(size=m), jac=jac)
+            x = rng.uniform(-1, 1, size=n)
+            args = (ev, x, np.full(n, -1.5), np.full(n, 1.5), 0.4)
+            qp = _ElasticQp(*args)
+            P, G, h = elastic_qp_parent(*args)
+            for got, want in ((qp.P, P), (qp.G, G), (qp.h, h)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                assert got.flags.c_contiguous == want.flags.c_contiguous
 
 
 def quadratic_problem(center, H=None):
