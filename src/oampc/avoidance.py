@@ -1,10 +1,11 @@
 """Collision-avoidance half of the planner alternation.
 
-Shift the previous open-loop trajectory one step forward (extrapolating the
-final position), then project every shifted position onto every per-step
-reachable set. The projected points are handed to the planner as fixed
-constraint anchors, which is what keeps this half a batch of independent
-closed-form projections instead of a bilevel program.
+The previous open-loop plan ends stopped, so shifting it one step forward
+(nmpc.fallback_plan) repeats its final position; every shifted position is
+then projected onto every per-step reachable set. The projected points are
+handed to the planner as fixed constraint anchors, which is what keeps this
+half a batch of independent closed-form projections instead of a bilevel
+program.
 """
 
 from __future__ import annotations
@@ -79,21 +80,6 @@ class ProjectionSet:
 
     def __len__(self) -> int:
         return len(self.families)
-
-
-def shift_extrapolate(prev: OpenLoopPlan) -> np.ndarray:
-    """Positions of the previous plan shifted one step forward, length N.
-
-    Returns rows for steps 1..N of the new plan: the old positions 2..N plus
-    a final linear extrapolation z(N) + (z(N) - z(N-1)). A plan that ended
-    stopped extrapolates to the same stopped point.
-    """
-    pos = prev.positions()
-    n = prev.horizon
-    shifted = np.empty((n, 2))
-    shifted[: n - 1] = pos[2 : n + 1]
-    shifted[n - 1] = pos[n] + (pos[n] - pos[n - 1])
-    return shifted
 
 
 def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> ProjectionSet:

@@ -59,9 +59,6 @@ class Disk:
         if self.radius < 0:
             raise ValueError(f"negative disk radius {self.radius}")
 
-    def contains(self, p: Point2, tol: float = EPS_GEO) -> bool:
-        return math.hypot(p.x - self.center.x, p.y - self.center.y) <= self.radius + tol
-
 
 def capsule_projection(p, a, b, r=0.0) -> tuple[np.ndarray, np.ndarray]:
     """Distance from p to the capsule {x : dist(x, segment a-b) <= r} and the

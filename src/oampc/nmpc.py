@@ -3,6 +3,9 @@
 The decision variables are the input sequence only (single shooting), so the
 dynamics and initial condition hold exactly by construction and the terminal
 stopping constraint z_N = z_{N-1} reduces to pinning the last input at zero.
+The model is defined once: unicycle.rollout gives the states,
+unicycle.sensitivities their closed-form derivatives in the inputs, and
+_objective the cost with its gradients, for the planner and total_cost alike.
 
 Collision avoidance enters through fixed projected points: at horizon step k
 the planned position must keep d_safe + r_robot from each reachable-set
@@ -26,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +37,7 @@ import numpy as np
 from .avoidance import OpenLoopPlan, ProjectionSet
 from .lidar_sim import PointCloudCircle
 from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, SqpResult, solve_sqp
-from .unicycle import ControlInput, RobotState, dynamics_step, rollout
+from .unicycle import ControlInput, RobotState, dynamics_step, rollout, sensitivities
 
 __all__ = [
     "RobotState",
@@ -118,6 +122,10 @@ class NlpProblem:
     stop_hint, when given, is the stop index that won the previous planning
     step; the solver probes its neighborhood first when the full-freedom
     problem saturates.
+
+    The avoidance rows that can bind while a plan moves are built once here,
+    ordered by horizon step, so a probe with stop index j keeps a prefix of
+    them: the rows of steps 1..min(j, N-1).
     """
 
     z0: np.ndarray  # (3,)
@@ -128,17 +136,37 @@ class NlpProblem:
     warm_start: OpenLoopPlan
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(2))
     stop_hint: Optional[int] = None
+    row_step: np.ndarray = field(init=False, repr=False)  # (R,) horizon step of each row
+    row_anchor: np.ndarray = field(init=False, repr=False)  # (R, 2)
+    row_margin: np.ndarray = field(init=False, repr=False)  # (R,)
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float)
         self.goal = np.asarray(self.goal, dtype=float)
         self.u_prev = np.asarray(self.u_prev, dtype=float)
-        if self.projections.horizon != self.params.N:
-            raise ValueError(
-                f"projection horizon {self.projections.horizon} != N {self.params.N}"
-            )
-        if self.warm_start.horizon != self.params.N:
+        params = self.params
+        n = params.N
+        if self.projections.horizon != n:
+            raise ValueError(f"projection horizon {self.projections.horizon} != N {n}")
+        if self.warm_start.horizon != n:
             raise ValueError("warm start horizon mismatch")
+
+        anchors, margins = _avoidance_rows(self.projections, self.static_circles, params)
+        diff = anchors - self.z0[:2]
+        gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
+        steps = np.arange(1, n + 1)[:, None]
+        reach = params.dt * max(abs(params.v_min), abs(params.v_max))
+        # Rows bind only while the plan moves, at most through step N-1. A
+        # row can only be active if its anchor is within the robot's step-k
+        # travel radius plus the margin; farther rows are dropped exactly.
+        keep = (steps < n) & (gap <= steps * reach + 1e-6 + margins)
+        self.row_step = np.nonzero(keep)[0] + 1
+        self.row_anchor = anchors[keep]
+        # Planner-only relaxation: a row the robot already starts inside (from
+        # anchor drift between re-projections) demands no more than the
+        # current standoff, so the state can still rotate in place and
+        # escape. check_feasibility audits the strict margin.
+        self.row_margin = np.minimum(margins, gap)[keep]
 
 
 @dataclass
@@ -154,21 +182,48 @@ class SolveResult:
 
 
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
-    """Tracking + input effort + input-rate cost over the plan.
+    """Tracking + input effort + input-rate cost over the plan: the planner's
+    objective (_objective), so a solved probe's SQP objective is this cost."""
+    u_prev = np.zeros(2) if u_prev is None else np.asarray(u_prev, dtype=float)
+    return _objective(plan.states, plan.inputs, np.asarray(goal, dtype=float), params, u_prev)[0]
+
+
+def _objective(states, inputs, goal, params: MpcParams, u_prev) -> tuple[float, np.ndarray, np.ndarray]:
+    """The planner's cost and its gradients in the states and in the inputs.
 
     Sum over k of ||z_k - goal||^2_Qz for k = 0..N plus ||u_k||^2_Qu and
     ||u_k - u_{k-1}||^2_Qdu for k = 0..N-1, where the rate at k = 0 is taken
-    against the previously applied input.
+    against the previously applied input u_prev. Returns (cost, (N+1, 3)
+    gradient in the states, (N, 2) gradient in the inputs).
     """
-    goal = np.asarray(goal, dtype=float)
-    u_prev = np.zeros(2) if u_prev is None else np.asarray(u_prev, dtype=float)
-    Qz, Qu, Qdu = params.Qz, params.Qu, params.Qdu
-    err = plan.states - goal[None, :]
-    cost = float(np.einsum("ki,ij,kj->", err, Qz, err))
-    cost += float(np.einsum("ki,ij,kj->", plan.inputs, Qu, plan.inputs))
-    du = np.diff(np.vstack([u_prev[None, :], plan.inputs]), axis=0)
-    cost += float(np.einsum("ki,ij,kj->", du, Qdu, du))
-    return cost
+    err = states - goal
+    du = inputs.copy()
+    du[0] -= u_prev
+    du[1:] -= inputs[:-1]
+    # The weight matrices are diagonal: scale by their diagonals.
+    Qe, Qu_u, Qdu_du = err * params.q_state, inputs * params.q_input, du * params.q_input_rate
+    cost = float(np.einsum("ki,ki->", Qe, err))
+    cost += float(np.einsum("ki,ki->", Qu_u, inputs))
+    cost += float(np.einsum("ki,ki->", Qdu_du, du))
+    grad_u = 2.0 * (Qu_u + Qdu_du)
+    grad_u[:-1] -= 2.0 * Qdu_du[1:]
+    return cost, 2.0 * Qe, grad_u
+
+
+@lru_cache(maxsize=64)
+def _input_hessian(params: MpcParams, n_free: int) -> np.ndarray:
+    """Constant Hessian of the effort and rate costs in the first n_free
+    inputs, the later ones held at zero: kron(I, 2Qu + 2Qdu) plus the rate's
+    second difference kron(I - E_{+1} - E_{-1}, 2Qdu). Every free input has a
+    successor in the horizon, so every diagonal block carries 2Qdu twice.
+    It depends on the parameters only, so it is built once and read-only."""
+    eye = np.eye(n_free)
+    rate = 2.0 * params.Qdu
+    hess = np.kron(eye, 2.0 * params.Qu + rate) + np.kron(
+        eye - np.eye(n_free, k=1) - np.eye(n_free, k=-1), rate
+    )
+    hess.flags.writeable = False
+    return hess
 
 
 def _avoidance_rows(
@@ -214,9 +269,10 @@ class _NlpEvaluator:
     """Single-shooting evaluation of cost, constraints, and derivatives.
 
     Decision vector: the free inputs u_0..u_{j-1} flattened; inputs from the
-    stop index j onward are fixed at zero. State sensitivities propagate as
-    S_{k+1} = A_k S_k + B_k E_k, giving analytic gradients and a Gauss-Newton
-    cost Hessian.
+    stop index j onward are fixed at zero. The state sensitivities are the
+    closed form of unicycle.sensitivities, which gives analytic gradients and
+    a Gauss-Newton cost Hessian. The avoidance rows are the problem's rows
+    through step min(j, N-1).
     """
 
     def __init__(self, problem: NlpProblem, stop_index: int):
@@ -224,42 +280,11 @@ class _NlpEvaluator:
         self.params = problem.params
         self.j = stop_index
         self.n_free = 2 * stop_index
-        params = self.params
-        n, j = params.N, stop_index
-
-        anchors, margins = _avoidance_rows(problem.projections, problem.static_circles, params)
-        diff = anchors - problem.z0[:2]
-        gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
-        steps = np.arange(1, n + 1)[:, None]
-        reach = params.dt * max(abs(params.v_min), abs(params.v_max))
-        # Rows bind only while the plan moves, through step min(j, N-1). A
-        # row can only be active if its anchor is within the robot's step-k
-        # travel radius plus the margin; farther rows are dropped exactly.
-        keep = (steps <= min(j, n - 1)) & (gap <= steps * reach + 1e-6 + margins)
-        self._row_step = np.nonzero(keep)[0] + 1
-        self._row_anchor = anchors[keep]
-        # Planner-only relaxation: a row the robot already starts inside (from
-        # anchor drift between re-projections) demands no more than the
-        # current standoff, so the state can still rotate in place and
-        # escape. check_feasibility audits the strict margin.
-        self._row_margin = np.minimum(margins, gap)[keep]
-
-        # Effort and rate costs are quadratic in the inputs with a constant
-        # Hessian; assemble it once.
-        Qu, Qdu = params.Qu, params.Qdu
-        H = np.zeros((self.n_free, self.n_free))
-        for k in range(n):
-            blk = slice(2 * k, 2 * k + 2)
-            if k < j:
-                H[blk, blk] += 2.0 * Qu + 2.0 * Qdu
-            if 1 <= k and k - 1 < j:
-                prev = slice(2 * (k - 1), 2 * (k - 1) + 2)
-                H[prev, prev] += 2.0 * Qdu
-                if k < j:
-                    H[blk, prev] -= 2.0 * Qdu
-                    H[prev, blk] -= 2.0 * Qdu
-        self._hess_input = H
-        self._state_steps = np.minimum(np.arange(n + 1), j)
+        rows = np.searchsorted(problem.row_step, stop_index, side="right")
+        self._row_step = problem.row_step[:rows]
+        self._row_anchor = problem.row_anchor[:rows]
+        self._row_margin = problem.row_margin[:rows]
+        self._hess_input = _input_hessian(self.params, stop_index)
 
     def full_inputs(self, x: np.ndarray) -> np.ndarray:
         u = np.zeros((self.params.N, 2))
@@ -267,47 +292,21 @@ class _NlpEvaluator:
         return u
 
     def __call__(self, x: np.ndarray) -> EvalResult:
-        params = self.params
-        dt = params.dt
-        j = self.j
+        params, problem, j = self.params, self.problem, self.j
         u = self.full_inputs(x)
-        states = rollout(self.problem.z0, u, dt)
+        states = rollout(problem.z0, u, params.dt)
+        S = sensitivities(states, j, params.dt)  # (N+1, 3, n_free)
 
-        # Sensitivities S_k = dz_k/dx for k = 0..j (frozen afterwards).
-        sens = np.zeros((j + 1, 3, self.n_free))
-        for k in range(j):
-            psi = states[k, 2]
-            v = u[k, 0]
-            A = np.array(
-                [[1.0, 0.0, -dt * v * math.sin(psi)], [0.0, 1.0, dt * v * math.cos(psi)], [0.0, 0.0, 1.0]]
-            )
-            sens[k + 1] = A @ sens[k]
-            sens[k + 1][0, 2 * k] = dt * math.cos(psi)
-            sens[k + 1][1, 2 * k] = dt * math.sin(psi)
-            sens[k + 1][2, 2 * k + 1] = dt
-
-        S_all = sens[self._state_steps]  # (n+1, 3, n_free)
-
-        Qz, Qu, Qdu = params.Qz, params.Qu, params.Qdu
-        err = states - self.problem.goal[None, :]
-        Qe = err @ Qz
-        f = float(np.einsum("ki,ki->", Qe, err))
-        grad = 2.0 * np.einsum("kiv,ki->v", S_all, Qe)
-        QS = np.einsum("ij,kjv->kiv", Qz, S_all)
-        hess = 2.0 * np.einsum("kiv,kiw->vw", S_all, QS) + self._hess_input
-
-        du = np.diff(np.vstack([self.problem.u_prev[None, :], u]), axis=0)
-        f += float(np.einsum("ki,ij,kj->", u, Qu, u))
-        f += float(np.einsum("ki,ij,kj->", du, Qdu, du))
-        grad_u = 2.0 * (u @ Qu) + 2.0 * (du @ Qdu)
-        grad_u[:-1] -= 2.0 * (du[1:] @ Qdu)
-        grad += grad_u[:j].reshape(-1)
+        f, grad_z, grad_u = _objective(states, u, problem.goal, params, problem.u_prev)
+        grad = np.einsum("kiv,ki->v", S, grad_z) + grad_u[:j].ravel()
+        QS = S * np.asarray(params.q_state)[:, None]  # Qz S
+        hess = 2.0 * np.einsum("kiv,kiw->vw", S, QS) + self._hess_input
 
         k = self._row_step
         diff = states[k, :2] - self._row_anchor
         dist = np.hypot(diff[:, 0], diff[:, 1])
         dirs = diff / np.maximum(dist, 1e-9)[:, None]
-        P = sens[:, :2, :]
+        P = S[: j + 1, :2, :]
         gaps, gap_grad = _track_gaps(states[1 : j + 1, :2], params)
         c = np.concatenate([dist - self._row_margin, gaps.ravel()])
         jac = np.vstack(
@@ -360,9 +359,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         if res.status != STATUS_OPTIMAL:
             return None
         u = evaluator.full_inputs(res.x)
-        plan = OpenLoopPlan(rollout(problem.z0, u, params.dt), u, stamp)
-        cost = total_cost(plan, problem.goal, params, problem.u_prev)
-        return (cost, plan, res, j)
+        return (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, stamp), res, j)
 
     def rotate_then_drive_seed(j: int) -> Optional[np.ndarray]:
         # Turn toward the goal bearing first, then roll forward: the escape

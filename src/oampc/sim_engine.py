@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .avoidance import OpenLoopPlan, project_plan, shift_extrapolate
+from .avoidance import OpenLoopPlan, project_plan
 from .geometry import Disk, Point2, capsule_projection
 from .lidar_sim import LidarParams, PointCloudCircle, detect_occlusions, downsample, scan
 from .nmpc import (
@@ -176,7 +176,6 @@ class Metrics:
     solve_avg_ms: float
     solve_max_ms: float
     solve_std_ms: float
-    infeasible_steps: int
     fallback_invocations: int
     steps: int
     goals_reached: int
@@ -213,7 +212,6 @@ class _SimState:
     agent_tracks: dict[int, Disk] = field(default_factory=dict)
     last_stop_index: Optional[int] = None
     done: bool = False
-    collided: bool = False
     goal_time: Optional[float] = None
 
 
@@ -257,10 +255,10 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         new_tracks[idx] = sensed
         families.append(build_disks(sensed, scn.agent_model, dt, params.N))
 
-    # Plan.
-    shifted = shift_extrapolate(sim.prev_plan)
-    projections = project_plan(shifted, families)
+    # Plan. The previous plan ends stopped, so its shift is the warm start
+    # and the fallback at once, and its steps 1..N are the points projected.
     warm = fallback_plan(sim.prev_plan)
+    projections = project_plan(warm.positions()[1:], families)
     goal = scn.goals[sim.goal_index]
     problem = NlpProblem(
         z0=sim.z,
@@ -352,7 +350,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     sim.u_prev = np.asarray(u, dtype=float).copy()
     sim.agent_tracks = new_tracks
     sim.last_stop_index = result.stop_index
-    sim.collided = collided
 
     # Goal consumption: position-only tolerance, goals in order.
     while sim.goal_index < len(scn.goals) and (
@@ -432,7 +429,6 @@ def compute_metrics(log: TrajectoryLog, goal_time: Optional[float] = None, goals
         solve_avg_ms=float(solve_times.mean()),
         solve_max_ms=float(solve_times.max()),
         solve_std_ms=float(solve_times.std()),
-        infeasible_steps=sum(1 for r in log if r.status != STATUS_OPTIMAL),
         fallback_invocations=sum(1 for r in log if r.fallback_used),
         steps=len(log),
         goals_reached=goals_reached,

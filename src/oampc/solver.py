@@ -27,11 +27,13 @@ logger = logging.getLogger("oampc.solver")
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
-STATUS_MAX_ITER = "max_iter"
 
 _TRUST_RADIUS = 1.0  # initial trust-region radius
 _PENALTY_INIT = 10.0  # floor of the initial exact-penalty weight
 _PENALTY_MAX = 1e7  # a violation surviving this weight means infeasible
+_SQP_MAX_ITER = 60
+_SQP_OPT_TOL = 1e-8  # relative model decrease below which the SQP stops
+_QP_MAX_ITER = 40  # interior-point iterations per QP
 
 
 @dataclass
@@ -57,7 +59,7 @@ class SqpResult:
     qp_solves: int  # solve_qp calls
 
 
-def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 40):
+def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     """Minimize 0.5 y'Py + q'y subject to G y <= h (P PSD, dense).
 
     Mehrotra predictor-corrector on the slack form G y + s = h, s >= 0,
@@ -99,7 +101,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray, max_ite
     best_resid, best_y, best_z = np.inf, y, z
     stalled = 0
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(_QP_MAX_ITER):
         r_d = P @ y + q + Gt @ z
         r_p = G @ y + s - h
         mu = float(s @ z) / m
@@ -188,14 +190,14 @@ def solve_sqp(
     ub: np.ndarray,
     *,
     feas_tol: float = 1e-6,
-    opt_tol: float = 1e-8,
-    max_iter: int = 60,
 ) -> SqpResult:
     """Minimize evaluate(x).f subject to evaluate(x).c >= 0 and lb <= x <= ub.
 
     An iterate is feasible when its worst constraint violation is within
     feas_tol. The best feasible iterate seen (including x0) is never
-    discarded, so a feasible warm start is never degraded.
+    discarded, so a feasible warm start is never degraded. The status is
+    decided once, at the returned point: optimal if it is feasible,
+    infeasible otherwise.
     """
     x = np.clip(np.asarray(x0, dtype=float), lb, ub)
     ev = evaluate(x)
@@ -209,12 +211,11 @@ def solve_sqp(
     if _violation(ev.c) <= feas_tol:
         best, best_f = (x, ev), ev.f
 
-    status = STATUS_MAX_ITER
     iterations = 0
     qp_iterations = 0
     qp_solves = 0
     qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _SQP_MAX_ITER + 1):
         viol = _violation(ev.c)
         if qp is None:
             qp = _ElasticQp(ev, x, lb, ub, delta)
@@ -235,12 +236,8 @@ def solve_sqp(
 
         model_decrease = -(ev.grad @ d + 0.5 * d @ ev.hess @ d) + mu * (viol - sigma)
 
-        if model_decrease <= opt_tol * (1.0 + abs(ev.f) + mu * viol):
-            if viol <= feas_tol:
-                status = STATUS_OPTIMAL
-                break
-            if mu >= _PENALTY_MAX:
-                status = STATUS_INFEASIBLE
+        if model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol):
+            if viol <= feas_tol or mu >= _PENALTY_MAX:
                 break
             mu = min(10.0 * mu, _PENALTY_MAX)
             continue
@@ -284,28 +281,18 @@ def solve_sqp(
         else:
             delta = max(0.25 * delta, delta_min)
             if delta <= delta_min:
-                if viol <= feas_tol:
-                    status = STATUS_OPTIMAL
-                else:
-                    status = STATUS_INFEASIBLE if mu >= _PENALTY_MAX else STATUS_MAX_ITER
-                    if mu < _PENALTY_MAX:
-                        mu = min(10.0 * mu, _PENALTY_MAX)
-                        delta = _TRUST_RADIUS * 0.01
-                        continue
-                break
+                if viol <= feas_tol or mu >= _PENALTY_MAX:
+                    break
+                mu = min(10.0 * mu, _PENALTY_MAX)
+                delta = _TRUST_RADIUS * 0.01
 
     final_viol = _violation(ev.c)
-    if status == STATUS_OPTIMAL or best is not None:
+    if best is not None and (final_viol > feas_tol or best_f < ev.f):
         # Prefer the incumbent when the final iterate is worse or infeasible;
         # its evaluation was kept, so it is not evaluated again.
-        if best is not None and (final_viol > feas_tol or best_f < ev.f):
-            x, ev = best
-            final_viol = _violation(ev.c)
-        if final_viol <= feas_tol:
-            status = STATUS_OPTIMAL
-    if status == STATUS_MAX_ITER and final_viol <= feas_tol and iterations >= max_iter:
-        # Ran out of iterations at a feasible point: usable plan.
-        status = STATUS_OPTIMAL
+        x, ev = best
+        final_viol = _violation(ev.c)
+    status = STATUS_OPTIMAL if final_viol <= feas_tol else STATUS_INFEASIBLE
 
     logger.debug(
         "sqp done status=%s iters=%d f=%.6g viol=%.3g", status, iterations, ev.f, final_viol

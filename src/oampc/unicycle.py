@@ -1,4 +1,5 @@
-"""Unicycle kinematics: state/input types and the Euler-discretized step."""
+"""Unicycle kinematics: state/input types, the Euler step, and its rollout
+with closed-form sensitivities."""
 
 from __future__ import annotations
 
@@ -8,18 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def wrap_angle(psi: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.remainder(psi, 2.0 * math.pi)
-    if wrapped <= -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 @dataclass(frozen=True)
 class RobotState:
-    """Pose (x, y, psi). psi is kept continuous internally and wrapped only
-    at reporting boundaries to avoid 2*pi jumps inside the planner."""
+    """Pose (x, y, psi). psi is kept continuous, never wrapped, so the
+    planner sees no 2*pi jumps."""
 
     x: float
     y: float
@@ -34,9 +27,6 @@ class RobotState:
 
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y], dtype=float)
-
-    def wrapped(self) -> "RobotState":
-        return RobotState(self.x, self.y, wrap_angle(self.psi))
 
 
 @dataclass(frozen=True)
@@ -66,14 +56,39 @@ def dynamics_step(z: RobotState, u: ControlInput, dt: float) -> RobotState:
 
 
 def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
-    """Roll a (N, 2) input sequence out from z0, returning (N+1, 3) states."""
-    n = inputs.shape[0]
-    states = np.empty((n + 1, 3), dtype=float)
-    states[0] = z0
-    for k in range(n):
-        x, y, psi = states[k]
-        v, delta = inputs[k]
-        states[k + 1, 0] = x + dt * v * math.cos(psi)
-        states[k + 1, 1] = y + dt * v * math.sin(psi)
-        states[k + 1, 2] = psi + dt * delta
-    return states
+    """Roll a (N, 2) input sequence out from z0, returning (N+1, 3) states.
+
+    The Euler step as three running sums from z0: the heading first, then
+    the positions along it. Each sum adds in step order, so the states are
+    those of stepping dynamics_step N times.
+    """
+    inc = np.empty((inputs.shape[0] + 1, 3))
+    inc[0] = z0
+    inc[1:, 2] = dt * inputs[:, 1]
+    psi = np.cumsum(inc[:-1, 2])
+    ds = dt * inputs[:, 0]
+    inc[1:, 0] = ds * np.cos(psi)
+    inc[1:, 1] = ds * np.sin(psi)
+    return np.cumsum(inc, axis=0)
+
+
+def sensitivities(states: np.ndarray, n_free: int, dt: float) -> np.ndarray:
+    """Derivatives of rolled-out states in the first n_free inputs.
+
+    For the states (N+1, 3) of a rollout, returns S (N+1, 3, 2 n_free) with
+    S[k, :, 2i] = dz_k/dv_i and S[k, :, 2i+1] = dz_k/ddelta_i:
+      dz_k/dv_i     = dt (cos psi_i, sin psi_i, 0)               for i < k,
+      dz_k/ddelta_i = dt (-(y_k - y_{i+1}), x_k - x_{i+1}, 1)    for i < k,
+    and zero for i >= k. A heading change at step i turns every later step
+    of the path about the point z_{i+1}, which is where the second form
+    comes from.
+    """
+    x, y, psi = states[:, 0], states[:, 1], states[:, 2]
+    dt_after = dt * np.tri(len(states), n_free, -1)  # dt where i < k, else 0
+    S = np.zeros((len(states), 3, n_free, 2))
+    S[:, 0, :, 0] = dt_after * np.cos(psi[:n_free])
+    S[:, 1, :, 0] = dt_after * np.sin(psi[:n_free])
+    S[:, 0, :, 1] = dt_after * (y[1 : n_free + 1] - y[:, None])
+    S[:, 1, :, 1] = dt_after * (x[:, None] - x[1 : n_free + 1])
+    S[:, 2, :, 1] = dt_after
+    return S.reshape(len(states), 3, 2 * n_free)

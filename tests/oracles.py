@@ -7,6 +7,8 @@ products, distances come from dense boundary sampling with local refinement.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -253,6 +255,58 @@ def planner_avoidance_rows(states, z0, projections, static_circles, params, stop
             if gap <= k * reach + 1e-6 + margin:
                 out.append(float(np.hypot(*(states[k, :2] - anchor))) - min(margin, gap))
     return np.array(out)
+
+
+def rollout_loop(z0, inputs, dt) -> np.ndarray:
+    """Euler rollout of the unicycle, one dynamics step at a time."""
+    n = inputs.shape[0]
+    states = np.empty((n + 1, 3), dtype=float)
+    states[0] = z0
+    for k in range(n):
+        x, y, psi = states[k]
+        v, delta = inputs[k]
+        states[k + 1, 0] = x + dt * v * math.cos(psi)
+        states[k + 1, 1] = y + dt * v * math.sin(psi)
+        states[k + 1, 2] = psi + dt * delta
+    return states
+
+
+def input_hessian_loop(params, stop_index) -> np.ndarray:
+    """Hessian of the effort and rate costs in the free inputs u_0..u_{j-1},
+    accumulated one cost term at a time; the inputs from j on are zero."""
+    Qu, Qdu = params.Qu, params.Qdu
+    n, j = params.N, stop_index
+    H = np.zeros((2 * j, 2 * j))
+    for k in range(n):
+        blk = slice(2 * k, 2 * k + 2)
+        if k < j:
+            H[blk, blk] += 2.0 * Qu + 2.0 * Qdu
+        if 1 <= k and k - 1 < j:
+            prev = slice(2 * (k - 1), 2 * (k - 1) + 2)
+            H[prev, prev] += 2.0 * Qdu
+            if k < j:
+                H[blk, prev] -= 2.0 * Qdu
+                H[prev, blk] -= 2.0 * Qdu
+    return H
+
+
+def sensitivities_recursion(states, inputs, stop_index, dt) -> np.ndarray:
+    """dz_k/dx (N+1, 3, 2j) for the free inputs x = u_0..u_{j-1}, propagated
+    as S_{k+1} = A_k S_k + B_k with the Euler step's Jacobians; the states
+    after step j do not move, so S_k = S_j there."""
+    j = stop_index
+    sens = np.zeros((j + 1, 3, 2 * j))
+    for k in range(j):
+        psi = states[k, 2]
+        v = inputs[k, 0]
+        A = np.array(
+            [[1.0, 0.0, -dt * v * math.sin(psi)], [0.0, 1.0, dt * v * math.cos(psi)], [0.0, 0.0, 1.0]]
+        )
+        sens[k + 1] = A @ sens[k]
+        sens[k + 1][0, 2 * k] = dt * math.cos(psi)
+        sens[k + 1][1, 2 * k] = dt * math.sin(psi)
+        sens[k + 1][2, 2 * k + 1] = dt
+    return sens[np.minimum(np.arange(len(states)), j)]
 
 
 def occlusion_pairs_loop(ranges, jump_threshold) -> list[tuple[int, int, int]]:

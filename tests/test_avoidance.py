@@ -1,44 +1,12 @@
 import numpy as np
 import pytest
 
-from oampc.avoidance import OpenLoopPlan, project_plan, shift_extrapolate
+from oampc.avoidance import OpenLoopPlan, project_plan
 from oampc.geometry import Disk, Point2, Segment
 from oampc.lidar_sim import OcclusionBoundary
 from oampc.reachability import AgentModel, build_capsules, build_disks
 
 from oracles import capsule_distance_sampled
-
-
-def plan_from_positions(positions, stamp=0):
-    positions = np.asarray(positions, dtype=float)
-    n = len(positions) - 1
-    states = np.column_stack([positions, np.zeros(len(positions))])
-    inputs = np.zeros((n, 2))
-    return OpenLoopPlan(states, inputs, stamp)
-
-
-class TestShiftExtrapolate:
-    def test_linear_extrapolation(self):
-        plan = plan_from_positions([(0, 0), (1, 0), (2, 0)])
-        shifted = shift_extrapolate(plan)
-        assert shifted.shape == (2, 2)
-        assert shifted[0] == pytest.approx([2, 0])
-        assert shifted[1] == pytest.approx([3, 0])
-
-    def test_stationary_plan(self):
-        plan = OpenLoopPlan.stationary(np.array([1.0, 2.0, 0.5]), horizon=5, stamp=3)
-        shifted = shift_extrapolate(plan)
-        assert np.allclose(shifted, [1.0, 2.0])
-
-    def test_extrapolation_continues_heading(self):
-        # A plan turning through a corner: the extrapolated point continues
-        # the final displacement vector exactly.
-        pts = [(0, 0), (0.2, 0.02), (0.4, 0.08), (0.55, 0.2), (0.65, 0.35)]
-        plan = plan_from_positions(pts)
-        shifted = shift_extrapolate(plan)
-        last_delta = np.array(pts[-1]) - np.array(pts[-2])
-        assert shifted[-1] == pytest.approx(np.array(pts[-1]) + last_delta)
-        assert np.allclose(shifted[:-1], np.array(pts)[2:])
 
 
 class TestProjectPlan:

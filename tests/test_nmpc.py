@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oampc.avoidance import OpenLoopPlan, project_plan, shift_extrapolate, ProjectionSet
+from oampc.avoidance import OpenLoopPlan, project_plan, ProjectionSet
 from oampc.geometry import Disk, Point2, Segment
 from oampc.lidar_sim import OcclusionBoundary, PointCloudCircle
 from oampc.nmpc import (
@@ -20,9 +20,15 @@ from oampc.nmpc import (
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
-from oampc.unicycle import rollout
+from oampc.unicycle import rollout, sensitivities
 
-from oracles import avoidance_margins_loop, planner_avoidance_rows
+from oracles import (
+    avoidance_margins_loop,
+    input_hessian_loop,
+    planner_avoidance_rows,
+    rollout_loop,
+    sensitivities_recursion,
+)
 
 
 def empty_projections(n):
@@ -33,7 +39,7 @@ def make_problem(z0, goal, params=None, families=(), circles=(), warm=None, u_pr
     params = params or MpcParams()
     n = params.N
     warm = warm or OpenLoopPlan.stationary(np.asarray(z0, dtype=float), n, 0)
-    shifted = shift_extrapolate(warm)
+    shifted = fallback_plan(warm).positions()[1:]
     projections = project_plan(shifted, list(families)) if families else empty_projections(n)
     goal3 = np.array([goal[0], goal[1], 0.0]) if len(goal) == 2 else np.asarray(goal, float)
     return NlpProblem(
@@ -109,25 +115,29 @@ class TestTotalCost:
 
 
 class TestGradients:
+    """Evaluator derivatives against central differences at every stop
+    index 1..N-1."""
+
     def test_cost_gradient_matches_central_differences(self):
         rng = np.random.default_rng(1)
-        params = MpcParams(q_state=(10, 10, 0.3), N=6)
+        params = MpcParams(q_state=(10, 10, 0.3), q_input=(1.5, 0.5), q_input_rate=(0.7, 2.0), N=6)
         rel_errs = []
         for _ in range(100):
-            problem = make_problem(rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 2), params)
-            ev = _NlpEvaluator(problem, stop_index=params.N - 1)
-            x = rng.uniform([params.v_min, params.delta_min] * (params.N - 1),
-                            [params.v_max, params.delta_max] * (params.N - 1))
-            res = ev(x)
-            h = 1e-6
-            fd = np.zeros_like(x)
-            for i in range(len(x)):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd[i] = (ev(xp).f - ev(xm).f) / (2 * h)
-            denom = max(1.0, np.abs(fd).max())
-            rel_errs.append(np.abs(res.grad - fd).max() / denom)
+            problem = make_problem(rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 2), params,
+                                   u_prev=rng.uniform(-1, 1, 2))
+            for j in range(1, params.N):
+                ev = _NlpEvaluator(problem, stop_index=j)
+                x = rng.uniform([params.v_min, params.delta_min] * j, [params.v_max, params.delta_max] * j)
+                res = ev(x)
+                h = 1e-6
+                fd = np.zeros_like(x)
+                for i in range(len(x)):
+                    xp, xm = x.copy(), x.copy()
+                    xp[i] += h
+                    xm[i] -= h
+                    fd[i] = (ev(xp).f - ev(xm).f) / (2 * h)
+                denom = max(1.0, np.abs(fd).max())
+                rel_errs.append(np.abs(res.grad - fd).max() / denom)
         assert max(rel_errs) <= 1e-5
 
     def test_constraint_jacobian_matches_central_differences(self):
@@ -137,20 +147,85 @@ class TestGradients:
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         circles = [PointCloudCircle(Point2(0.5, -1.0), 0.15)]
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], circles=circles)
-        ev = _NlpEvaluator(problem, stop_index=params.N - 1)
         for _ in range(20):
-            x = rng.uniform(-0.5, 1.5, 2 * (params.N - 1))
-            res = ev(x)
-            if len(res.c) == 0:
-                continue
-            h = 1e-6
-            fd = np.zeros_like(res.jac)
-            for i in range(len(x)):
-                xp, xm = x.copy(), x.copy()
-                xp[i] += h
-                xm[i] -= h
-                fd[:, i] = (ev(xp).c - ev(xm).c) / (2 * h)
-            assert np.abs(res.jac - fd).max() <= 1e-5
+            for j in range(1, params.N):
+                ev = _NlpEvaluator(problem, stop_index=j)
+                x = rng.uniform(-0.5, 1.5, 2 * j)
+                res = ev(x)
+                if len(res.c) == 0:
+                    continue
+                h = 1e-6
+                fd = np.zeros_like(res.jac)
+                for i in range(len(x)):
+                    xp, xm = x.copy(), x.copy()
+                    xp[i] += h
+                    xm[i] -= h
+                    fd[:, i] = (ev(xp).c - ev(xm).c) / (2 * h)
+                assert np.abs(res.jac - fd).max() <= 1e-5
+
+
+class TestSingleShootingModel:
+    """The closed forms of the model against the step-by-step forms they
+    replace, kept in tests/oracles.py."""
+
+    def test_rollout_equals_step_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            n = int(rng.integers(1, 15))
+            inputs = rng.uniform([-1.0, -4.0], [2.5, 4.0], (n, 2))
+            inputs[rng.integers(0, n + 1) :] = 0.0  # a zero tail, possibly empty
+            z0 = rng.uniform(-10.0, 10.0, 3)
+            dt = float(rng.uniform(0.01, 0.5))
+            got, want = rollout(z0, inputs, dt), rollout_loop(z0, inputs, dt)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_input_hessian_equals_loop_at_every_stop_index(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            params = MpcParams(
+                N=int(rng.integers(2, 13)),
+                q_input=tuple(rng.uniform(0.1, 5.0, 2)),
+                q_input_rate=tuple(rng.uniform(0.1, 5.0, 2)),
+            )
+            problem = make_problem([0, 0, 0], [1, 0], params)
+            for j in range(1, params.N):
+                got = _NlpEvaluator(problem, j)._hess_input
+                want = input_hessian_loop(params, j)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sensitivities_match_recursion(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            dt = float(rng.uniform(0.05, 0.3))
+            z0 = rng.uniform(-5.0, 5.0, 3)
+            inputs = rng.uniform([-0.5, -4.0], [2.0, 4.0], (n, 2))
+            for j in range(1, n):
+                u = inputs.copy()
+                u[j:] = 0.0
+                states = rollout(z0, u, dt)
+                got = sensitivities(states, j, dt)
+                assert got.shape == (n + 1, 3, 2 * j)
+                assert np.abs(got - sensitivities_recursion(states, u, j, dt)).max() <= 1e-12
+
+    def test_evaluator_cost_is_total_cost(self):
+        # A probe's cost is the SQP objective, so it must be the very number
+        # total_cost gives its plan.
+        rng = np.random.default_rng(14)
+        params = MpcParams(N=6, q_state=(10, 7, 0.3), q_input=(1.5, 0.5), q_input_rate=(0.7, 2.0),
+                           state_bounds=(-5, 5, -5, 5))
+        seg = OcclusionBoundary(Segment(Point2(1.0, 0.4), Point2(2.0, 1.0)), 0)
+        fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
+        problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], u_prev=np.array([0.4, -0.2]))
+        for j in range(1, params.N):
+            ev = _NlpEvaluator(problem, j)
+            for _ in range(5):
+                x = rng.uniform(np.tile([-0.5, -2.0], j), np.tile([2.0, 2.0], j))
+                u = ev.full_inputs(x)
+                plan = OpenLoopPlan(rollout(problem.z0, u, params.dt), u, 0)
+                assert ev(x).f == total_cost(plan, problem.goal, params, problem.u_prev)
 
 
 class TestSolve:
@@ -256,7 +331,7 @@ class TestCheckFeasibility:
         params = MpcParams()
         fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.0), params.dt, params.N)
         plan = OpenLoopPlan.stationary(np.zeros(3), params.N, 0)
-        shifted = shift_extrapolate(plan)
+        shifted = fallback_plan(plan).positions()[1:]
         projections = project_plan(shifted, [fam])
         report = check_feasibility(plan, projections, [], params, z_init=np.zeros(3))
         assert report.ok(params.feas_tol)
@@ -388,7 +463,7 @@ class TestFallbackPlan:
         # Agent moves at most one step distance.
         agent_next = agent_pos + np.array([-0.04, 0.02])
         fam_next = build_disks(Disk(Point2(*agent_next), 0.1), model, params.dt, params.N)
-        shifted = shift_extrapolate(res.plan)
+        shifted = fallback_plan(res.plan).positions()[1:]
         projections = project_plan(shifted, [fam_next])
         report = check_feasibility(fb, projections, [], params, z_init=res.plan.states[1])
         assert report.ok(params.feas_tol)

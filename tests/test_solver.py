@@ -274,6 +274,37 @@ class TestSqp:
         assert res.status == "infeasible"
         assert res.max_violation > 1e-3
 
+    def test_status_is_feasibility_of_returned_point(self):
+        # Random keep-out disks plus one keep-in disk, some of them
+        # unsatisfiable together: every solve ends optimal exactly when the
+        # point it returns is feasible.
+        rng = np.random.default_rng(6)
+        statuses = set()
+        for _ in range(40):
+            target = rng.uniform(-2, 2, 2)
+            outside = rng.uniform(-2, 2, (3, 2))
+            r_out = rng.uniform(0.2, 1.5, 3)
+            inside, r_in = rng.uniform(-2, 2, 2), rng.uniform(0.2, 1.0)
+
+            def evaluate(x, target=target, outside=outside, r_out=r_out, inside=inside, r_in=r_in):
+                e = x - target
+                d_out = np.hypot(*(x - outside).T)
+                d_in = np.hypot(*(x - inside))
+                dirs_out = (x - outside) / np.maximum(d_out, 1e-12)[:, None]
+                dir_in = (x - inside) / max(d_in, 1e-12)
+                return EvalResult(
+                    f=float(e @ e),
+                    grad=2 * e,
+                    hess=2 * np.eye(2),
+                    c=np.concatenate([d_out - r_out, [r_in - d_in]]),
+                    jac=np.vstack([dirs_out, -dir_in]),
+                )
+
+            res = solve_sqp(evaluate, rng.uniform(-2, 2, 2), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
+            assert res.status == ("optimal" if res.max_violation <= 1e-6 else "infeasible")
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible"}
+
     def test_feasible_warm_start_never_degraded(self):
         # Start at a feasible point; the returned objective must not be worse.
         target = np.array([0.0, 0.0])
@@ -323,7 +354,6 @@ class TestSqp:
             np.array([-1.2, 1.0]),
             lb=np.full(2, -5.0),
             ub=np.full(2, 5.0),
-            max_iter=200,
         )
         assert res.status == "optimal"
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-4)
