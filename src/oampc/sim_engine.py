@@ -19,7 +19,7 @@ import numpy as np
 
 from .avoidance import OpenLoopPlan, project_plan
 from .geometry import Disk, Point2, capsule_projection
-from .lidar_sim import LidarParams, PointCloudCircle, detect_occlusions, downsample, scan
+from .lidar_sim import LidarParams, PoseInObstacleError, detect_occlusions, downsample, scan
 from .nmpc import (
     MpcParams,
     NlpProblem,
@@ -44,7 +44,17 @@ logger = logging.getLogger("oampc.sim")
 MODE_BASELINE = "baseline"
 MODE_OCCLUSION_AWARE = "occlusion_aware"
 
+# Why a run ended (Metrics.terminal_reason).
+TERMINAL_GOAL = "goal"
+TERMINAL_COLLISION = "collision"
+TERMINAL_BUDGET = "budget"  # max_steps ran out first
+TERMINAL_MODEL_VIOLATION = "model_violation"  # an agent broke the agent model
+TERMINAL_POSE_IN_OBSTACLE = "pose_in_obstacle"  # the sensor pose is inside an obstacle
+
 GOAL_TOLERANCE = 0.1
+
+# StepRecord's layer times, in pipeline order; their sum is the step time.
+STEP_LAYERS = ("sense_ms", "reach_ms", "project_ms", "solve_ms", "audit_ms")
 
 
 @dataclass
@@ -114,7 +124,12 @@ class StepRecord:
     state: np.ndarray  # (3,) state the input was computed at
     applied_input: np.ndarray  # (2,)
     status: str
-    solve_ms: float  # wall time of reach, agent visibility, projection, solve and audit
+    # Wall time of each layer of STEP_LAYERS.
+    sense_ms: float  # scan, occlusion detection, downsampling
+    reach_ms: float  # capsules, agent visibility, fusion, disks
+    project_ms: float  # shifted plan, projection, the problem's constraint table
+    solve_ms: float  # nmpc.solve
+    audit_ms: float  # check_feasibility of the applied plan
     stop_index: int
     sqp_iterations: int  # summed over the stop-index probes of this step
     qp_iterations: int  # interior-point iterations, summed over the same probes
@@ -134,6 +149,11 @@ class StepRecord:
     @property
     def min_clearance(self) -> float:
         return min(self.occlusion_clearance, self.agent_clearance, self.static_clearance)
+
+    @property
+    def step_ms(self) -> float:
+        """In-program step time: the sum of the layer times."""
+        return sum(getattr(self, name) for name in STEP_LAYERS)
 
 
 @dataclass
@@ -173,12 +193,14 @@ class Metrics:
     min_clearance: float
     min_occlusion_clearance: float
     collision: bool
-    solve_avg_ms: float
-    solve_max_ms: float
-    solve_std_ms: float
+    step_ms_p50: float  # over StepRecord.step_ms; nan for an empty log
+    step_ms_p99: float
+    step_ms_max: float
+    deadline_misses: int  # steps whose step_ms exceeds dt
     fallback_invocations: int
     steps: int
     goals_reached: int
+    terminal_reason: str
 
 
 def ground_truth_collision(
@@ -211,7 +233,7 @@ class _SimState:
     u_prev: np.ndarray
     agent_tracks: dict[int, Disk] = field(default_factory=dict)
     last_stop_index: Optional[int] = None
-    done: bool = False
+    terminal_reason: Optional[str] = None  # set by the step that ends the run
     goal_time: Optional[float] = None
 
 
@@ -232,13 +254,14 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     agent_positions = [a.position(sim.tau) for a in scn.agents]
 
     # Sense.
+    t_sense = time.perf_counter()
     sweep = scan(scn.world, robot, scn.lidar)
     boundaries = detect_occlusions(sweep, scn.lidar)
     circles = downsample(sweep, scn.lidar, world=scn.world)
 
     # Reachable sets: capsules over occlusion boundaries (skipped by the
     # baseline planner), disks for visible agents (both planners).
-    t_plan = time.perf_counter()
+    t_reach = time.perf_counter()
     families = []
     if scn.mode == MODE_OCCLUSION_AWARE:
         for b in boundaries:
@@ -257,6 +280,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     # Plan. The previous plan ends stopped, so its shift is the warm start
     # and the fallback at once, and its steps 1..N are the points projected.
+    t_project = time.perf_counter()
     warm = fallback_plan(sim.prev_plan)
     projections = project_plan(warm.positions()[1:], families)
     goal = scn.goals[sim.goal_index]
@@ -270,7 +294,9 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         u_prev=sim.u_prev,
         stop_hint=sim.last_stop_index,
     )
+    t_solve = time.perf_counter()
     result = solve(problem)
+    t_audit = time.perf_counter()
 
     fallback_used = result.status != STATUS_OPTIMAL
     plan = warm if fallback_used else result.plan
@@ -282,7 +308,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         fallback_feasible = report.ok(params.feas_tol)
         if not fallback_feasible:
             logger.warning("step %d: fallback plan failed the feasibility audit", sim.t)
-    solve_ms = (time.perf_counter() - t_plan) * 1e3
+    t_end = time.perf_counter()
 
     # Act.
     u = plan.inputs[0]
@@ -324,7 +350,11 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             state=sim.z.copy(),
             applied_input=np.asarray(u, dtype=float).copy(),
             status=result.status,
-            solve_ms=solve_ms,
+            sense_ms=(t_reach - t_sense) * 1e3,
+            reach_ms=(t_project - t_reach) * 1e3,
+            project_ms=(t_solve - t_project) * 1e3,
+            solve_ms=(t_audit - t_solve) * 1e3,
+            audit_ms=(t_end - t_audit) * 1e3,
             stop_index=result.stop_index,
             sqp_iterations=result.iterations,
             qp_iterations=result.qp_iterations,
@@ -357,16 +387,21 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     ):
         sim.goal_index += 1
     if sim.goal_index >= len(scn.goals):
-        sim.done = True
+        sim.terminal_reason = TERMINAL_GOAL
         sim.goal_time = sim.tau
     if collided:
-        sim.done = True
+        sim.terminal_reason = TERMINAL_COLLISION
     return sim
 
 
 def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     """Run the closed loop until the goals are consumed, a ground-truth
-    collision occurs, or the step budget is exhausted."""
+    collision occurs, or the step budget is exhausted.
+
+    An agent that breaks the agent model (ModelViolationError) or a sensor
+    pose inside an obstacle (PoseInObstacleError) also ends the run: the log
+    holds the steps completed before it, and Metrics.terminal_reason says
+    which of these ended the run."""
     _validate_scenario(scenario)
     params = scenario.mpc
     z0 = scenario.robot_init.as_array()
@@ -380,18 +415,34 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
         u_prev=np.zeros(2),
     )
     log = TrajectoryLog()
-    while not sim.done and sim.t < scenario.max_steps:
-        sim = step(sim, log)
-    metrics = compute_metrics(log, goal_time=sim.goal_time, goals_reached=sim.goal_index)
+    try:
+        while sim.terminal_reason is None and sim.t < scenario.max_steps:
+            sim = step(sim, log)
+    except ModelViolationError as exc:
+        logger.warning("step %d: %s", sim.t, exc)
+        sim.terminal_reason = TERMINAL_MODEL_VIOLATION
+    except PoseInObstacleError as exc:
+        logger.warning("step %d: %s", sim.t, exc)
+        sim.terminal_reason = TERMINAL_POSE_IN_OBSTACLE
+    metrics = compute_metrics(
+        log,
+        params.dt,
+        goal_time=sim.goal_time,
+        goals_reached=sim.goal_index,
+        terminal_reason=sim.terminal_reason or TERMINAL_BUDGET,
+    )
     logger.info(
-        "run %s/%s: steps=%d goals=%d/%d collision=%s solve_avg=%.1f ms",
+        "run %s/%s: %s after %d steps, goals=%d/%d, step p50=%.1f p99=%.1f max=%.1f ms, %d over dt",
         scenario.name,
         scenario.mode,
+        metrics.terminal_reason,
         metrics.steps,
         sim.goal_index,
         len(scenario.goals),
-        metrics.collision,
-        metrics.solve_avg_ms,
+        metrics.step_ms_p50,
+        metrics.step_ms_p99,
+        metrics.step_ms_max,
+        metrics.deadline_misses,
     )
     return log, metrics
 
@@ -414,22 +465,38 @@ def _validate_scenario(scenario: Scenario):
             raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
 
 
-def compute_metrics(log: TrajectoryLog, goal_time: Optional[float] = None, goals_reached: int = 0) -> Metrics:
-    """Aggregate a log; std is the population standard deviation."""
-    if len(log) == 0:
-        raise ValueError("cannot compute metrics of an empty log")
-    solve_times = np.array([r.solve_ms for r in log])
-    clearances = np.array([r.min_clearance for r in log])
-    occ = np.array([r.occlusion_clearance for r in log])
+def percentiles(values, qs) -> np.ndarray:
+    """Percentiles qs of values by linear interpolation, numpy's default
+    method; nan for no values. Not np.percentile: its first call imports
+    numpy.ma, which would add about 1.4 MB to the peak memory of a run."""
+    x = np.sort(values)
+    if len(x) == 0:
+        return np.full(len(qs), math.nan)
+    return np.interp(np.asarray(qs) / 100.0 * (len(x) - 1), np.arange(len(x)), x)
+
+
+def compute_metrics(
+    log: TrajectoryLog,
+    dt: float,
+    goal_time: Optional[float] = None,
+    goals_reached: int = 0,
+    terminal_reason: str = TERMINAL_BUDGET,
+) -> Metrics:
+    """Aggregate a log, which may be empty. Step-time percentiles are over
+    StepRecord.step_ms; a deadline miss is a step over dt."""
+    step_ms = np.array([r.step_ms for r in log])
+    p50, p99, worst = percentiles(step_ms, [50, 99, 100])
     return Metrics(
         time_to_goal=goal_time,
-        min_clearance=float(clearances.min()),
-        min_occlusion_clearance=float(occ.min()),
+        min_clearance=min((r.min_clearance for r in log), default=math.inf),
+        min_occlusion_clearance=min((r.occlusion_clearance for r in log), default=math.inf),
         collision=any(r.collision for r in log),
-        solve_avg_ms=float(solve_times.mean()),
-        solve_max_ms=float(solve_times.max()),
-        solve_std_ms=float(solve_times.std()),
+        step_ms_p50=float(p50),
+        step_ms_p99=float(p99),
+        step_ms_max=float(worst),
+        deadline_misses=int(np.count_nonzero(step_ms > dt * 1e3)),
         fallback_invocations=sum(1 for r in log if r.fallback_used),
         steps=len(log),
         goals_reached=goals_reached,
+        terminal_reason=terminal_reason,
     )

@@ -9,6 +9,15 @@ given identical inputs and reports feasibility residuals. The SQP starts from
 the caller's point, so a previous plan warm-starts it; every QP cold-starts
 its interior-point method.
 
+The interior-point method stops at one tolerance, 1e-9 times the QP's data
+scale, on the largest of the dual residual, the primal residual and the
+complementarity mu. mu gets no tighter target: once both residuals reach
+about 1e-10*scale, mu swings between 1e-11 and 1e-10*scale from one
+iteration to the next, the floating-point floor of the Mehrotra iteration,
+and waiting for it to go lower only idles. The stall exit (8 iterations
+without progress) is left mainly to QPs with a large penalty weight, which
+the cold start does not solve.
+
 Sized for problems with tens of variables and a few hundred inequality
 constraints; everything is dense numpy. At that size an interior-point
 iteration's time goes mostly to numpy's per-call overhead, so the loop is
@@ -67,8 +76,12 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     matrix P + G'WG once by Cholesky and inverts the factor; both Newton
     solves are products with that inverse plus one refinement pass. Returns
     (y, z, iterations) with z the constraint multipliers and iterations the
-    number of Newton steps taken. Accuracy targets what an SQP outer loop
-    needs, with a stagnation exit for degenerate cases.
+    number of Newton steps taken. It stops at the first iterate whose dual
+    residual, primal residual and complementarity mu are all within
+    1e-9*scale, scale being 1 plus the largest |q| or |h| (the module
+    docstring says why mu has no tighter target). A stagnation exit ends the
+    QPs that never get there, degenerate and large-penalty ones, and returns
+    the iterate with the smallest residual.
 
     At tens of variables every numpy call costs more than its arithmetic, so
     the loop computes each shared term once and updates the iterates out of
@@ -97,7 +110,6 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
     scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
     tol_resid = 1e-9 * scale
-    tol_mu = 1e-11 * scale
     best_resid, best_y, best_z = np.inf, y, z
     stalled = 0
     iterations = 0
@@ -109,7 +121,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         resid = max(np.maximum.reduce(np.abs(r_d)), np.maximum.reduce(np.abs(r_p)), mu)
         if resid < best_resid:
             best_resid, best_y, best_z = resid, y, z
-        if resid <= tol_resid and mu <= tol_mu:
+        if resid <= tol_resid:
             break
         if resid < 0.99 * best_resid or resid == best_resid:
             stalled = 0

@@ -1,5 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -12,9 +17,12 @@ from oampc.sim_engine import (
     AgentScript,
     Scenario,
     StepRecord,
+    TrajectoryLog,
+    compute_metrics,
     ground_truth_collision,
     run,
 )
+from oampc.summarize import main as summarize_main
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
@@ -79,6 +87,7 @@ class TestClosedLoop:
         monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
         log, metrics = run(corner_scenario())
         assert metrics.goals_reached == 1
+        assert metrics.terminal_reason == "goal"
         assert metrics.steps <= 64
         assert not metrics.collision
         assert not any(rec.collision for rec in log)
@@ -92,11 +101,17 @@ class TestClosedLoop:
             assert rec.audit_violation == report.max_violation
             # Every SQP iteration solves at least one QP, every probe is an SQP.
             assert rec.qp_solves >= rec.sqp_iterations >= rec.probes >= 1
+        # Step-time tails over the in-program step time, the sum of the layers.
+        step_ms = [rec.sense_ms + rec.reach_ms + rec.project_ms + rec.solve_ms + rec.audit_ms for rec in log]
+        assert [rec.step_ms for rec in log] == step_ms
+        assert 0 < metrics.step_ms_p50 <= metrics.step_ms_p99 <= metrics.step_ms_max == max(step_ms)
+        assert metrics.deadline_misses == sum(t > 100.0 for t in step_ms)
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)
-        first, _ = run(scenario)
+        first, metrics = run(scenario)
         second, _ = run(scenario)
+        assert metrics.terminal_reason == "budget"
         counters = [(rec.sqp_iterations, rec.qp_iterations) for rec in first]
         assert len(counters) == 4
         assert all(qp >= sqp > 0 for sqp, qp in counters)
@@ -105,6 +120,49 @@ class TestClosedLoop:
         assert all(qp_solves >= rec.sqp_iterations for (qp_solves, _), rec in zip(solves, first))
         assert all(probes >= 1 for _, probes in solves)
         assert solves == [(rec.qp_solves, rec.probes) for rec in second]
+
+
+class _Teleporter(AgentScript):
+    """Jumps from its first waypoint to its last at tau = 0.15 s, breaking
+    any speed bound."""
+
+    def position(self, tau):
+        return self.waypoints[0 if tau < 0.15 else -1].copy()
+
+
+class TestTerminalReason:
+    # "goal" and "budget" are checked in TestClosedLoop.
+    def test_collision(self):
+        # A pedestrian standing 0.1 m ahead of the robot: contact after one step.
+        ped = AgentScript(waypoints=np.array([[0.1, 0.0]]), speed=0.0)
+        log, metrics = run(corner_scenario().with_overrides(agents=[ped]))
+        assert len(log) == 1 and log.records[0].collision
+        assert metrics.collision
+        assert metrics.terminal_reason == "collision"
+
+    def test_model_violation_returns_partial_log(self):
+        ped = _Teleporter(waypoints=np.array([[8.0, 4.0], [8.0, 5.0]]), speed=0.5)
+        log, metrics = run(corner_scenario().with_overrides(agents=[ped]))
+        # The step at tau = 0.1 s sees the jump: the log holds the one before.
+        assert len(log) == metrics.steps == 1
+        assert metrics.terminal_reason == "model_violation"
+
+    def test_pose_in_obstacle_returns_partial_log(self, monkeypatch):
+        # An actuator fault puts the robot in the middle of the upper block,
+        # more than r_robot from its edges, so no contact is seen; the next
+        # scan starts inside the obstacle.
+        monkeypatch.setattr(oampc.sim_engine, "dynamics_step", lambda *_: RobotState(3.0, 2.9, 0.0))
+        log, metrics = run(corner_scenario())
+        assert len(log) == metrics.steps == 1
+        assert not metrics.collision
+        assert metrics.terminal_reason == "pose_in_obstacle"
+
+    def test_metrics_of_an_empty_log(self):
+        metrics = compute_metrics(TrajectoryLog(), 0.1)
+        assert metrics.steps == metrics.deadline_misses == metrics.fallback_invocations == 0
+        assert math.isnan(metrics.step_ms_p50) and math.isnan(metrics.step_ms_max)
+        assert metrics.min_clearance == math.inf
+        assert metrics.terminal_reason == "budget"
 
 
 class TestJsonLines:
@@ -124,7 +182,11 @@ class TestJsonLines:
             for name in (
                 "tau",
                 "status",
+                "sense_ms",
+                "reach_ms",
+                "project_ms",
                 "solve_ms",
+                "audit_ms",
                 "stop_index",
                 "sqp_iterations",
                 "qp_iterations",
@@ -141,3 +203,28 @@ class TestJsonLines:
                 "n_families",
             ):
                 assert row[name] == getattr(rec, name), name
+
+    def test_summary(self, tmp_path, capsys):
+        log, _ = run(corner_scenario().with_overrides(max_steps=12))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        summarize_main([str(path)])
+        out = capsys.readouterr().out
+        lines = dict(line.split(":", 1) for line in out.splitlines() if ":" in line)
+        assert int(lines["steps"]) == 12
+        solve_ms = [rec.solve_ms for rec in log]
+        assert lines["solve ms"].split() == [f"{np.percentile(solve_ms, q):.2f}" for q in (50, 99)]
+        misses = sum(rec.step_ms > 100.0 for rec in log)
+        assert int(lines["steps over dt (100 ms)"]) == misses
+        assert int(lines["fallback steps"]) == 0
+        assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
+        qp_iterations = np.mean([rec.qp_iterations for rec in log])
+        assert lines["interior-point iterations per step"].strip() == f"{qp_iterations:.1f}"
+        # The same summary from the command line.
+        src = str(Path(oampc.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "oampc.summarize", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == out

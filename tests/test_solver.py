@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from oampc.solver import EvalResult, _ElasticQp, solve_qp, solve_sqp
+import oampc.solver
+from oampc.sim_engine import run
+from oampc.solver import _QP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
 
 from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
+from test_sim_engine import corner_scenario
 
 
 class TestQp:
@@ -73,7 +76,10 @@ def planner_shaped_qp(rng, n=8, m=30, delta=0.5, mu=100.0):
 
 
 class TestQpMatchesReference:
-    """solve_qp against the same method with LAPACK solves on the factor."""
+    """solve_qp against the same method with LAPACK solves on the factor.
+
+    The reference's exit also waits for mu <= 1e-11*scale, so it is compared
+    truncated at the iteration where solve_qp stopped."""
 
     def test_planner_shaped_qps(self):
         rng = np.random.default_rng(5)
@@ -81,8 +87,9 @@ class TestQpMatchesReference:
         for _ in range(20):
             P, q, G, h = planner_shaped_qp(rng)
             y, z, iterations = solve_qp(P, q, G, h)
-            y_ref, _, iterations_ref = solve_qp_reference(P, q, G, h)
+            y_ref, _, iterations_ref = solve_qp_reference(P, q, G, h, max_iter=iterations)
             assert iterations == iterations_ref > 0
+            assert iterations <= solve_qp_reference(P, q, G, h)[2]
             assert np.abs(y - y_ref).max() <= 1e-6
             clipped += (z / np.maximum(h - G @ y, 1e-14)).max() > 1e12
         # Scalings past the 1e12 clip are part of what is compared.
@@ -109,8 +116,9 @@ class TestQpMatchesReference:
         h = np.array([1.0, 2.0, 1.0])
         y, z, iterations = solve_qp(P, -v, G, h)
         assert failures
-        y_ref, _, iterations_ref = solve_qp_reference(P, -v, G, h)
+        y_ref, _, iterations_ref = solve_qp_reference(P, -v, G, h, max_iter=iterations)
         assert iterations == iterations_ref
+        assert iterations <= solve_qp_reference(P, -v, G, h)[2]
         # Every y with v'y = 1 is optimal: only that component is determined,
         # and both reach it with a consistent multiplier.
         assert v @ y == pytest.approx(v @ y_ref, abs=1e-9)
@@ -120,15 +128,18 @@ class TestQpMatchesReference:
 
 def assert_same_bits(P, q, G, h):
     y, z, iterations = solve_qp(P, q, G, h)
-    y_ref, z_ref, iterations_ref = solve_qp_parent(P, q, G, h)
+    y_ref, z_ref, iterations_ref = solve_qp_parent(P, q, G, h, max_iter=iterations)
     assert np.array_equal(y, y_ref)
     assert np.array_equal(z, z_ref)
     assert iterations == iterations_ref
+    assert iterations <= solve_qp_parent(P, q, G, h)[2]
     return iterations
 
 
 class TestQpMatchesParent:
-    """solve_qp returns the pre-rewrite loop's (y, z, iterations) bit for bit."""
+    """solve_qp takes the pre-rewrite loop's iterates and stops no later: its
+    (y, z, iterations) equal that loop's, truncated at the same iteration
+    count, bit for bit."""
 
     def test_planner_shaped_qps(self):
         rng = np.random.default_rng(5)
@@ -171,6 +182,39 @@ class TestQpMatchesParent:
         # return the start point after zero iterations.
         G = np.vstack([np.eye(2), -np.eye(2)])
         assert assert_same_bits(-10.0 * np.eye(2), np.ones(2), G, np.ones(4)) == 0
+
+
+class TestFloorExit:
+    def test_planner_qps_stop_where_the_parent_stalls(self, monkeypatch):
+        # The planner's own QPs, from the first steps of the corner run. Where
+        # the pre-rewrite loop idles at the floating-point floor until its
+        # 8-iteration stall exit, solve_qp stops at the first iterate within
+        # the tolerance.
+        qps = []
+        monkeypatch.setattr(oampc.solver, "solve_qp", lambda *qp: qps.append(qp) or solve_qp(*qp))
+        run(corner_scenario().with_overrides(max_steps=5))
+        stalls = 0
+        for P, q, G, h in qps:
+            y, z, iterations = solve_qp(P, q, G, h)
+            y_par, z_par, iterations_par = solve_qp_parent(P, q, G, h)
+            # A stall exit returns an incumbent 8 or more iterations older
+            # than the last iterate.
+            stalled = iterations_par < _QP_MAX_ITER and any(
+                np.array_equal(y_j, y_par) and np.array_equal(z_j, z_par)
+                for y_j, z_j, _ in (solve_qp_parent(P, q, G, h, max_iter=j) for j in range(iterations_par - 7))
+            )
+            if not stalled:
+                continue
+            stalls += 1
+            assert iterations < iterations_par
+            # KKT residuals at the returned point, the slack taken as h - Gy.
+            scale = 1.0 + max(np.abs(q).max(), np.abs(h).max())
+            slack = h - G @ y
+            r_d = np.abs(P @ y + q + G.T @ z).max()
+            r_p = max(0.0, -slack.min())
+            mu = float(np.maximum(slack, 0.0) @ z) / len(h)
+            assert max(r_d, r_p, mu) <= 1e-9 * scale
+        assert stalls >= 1
 
 
 class TestElasticQp:
