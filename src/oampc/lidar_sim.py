@@ -123,17 +123,7 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
     if len(hits) == 0:
         return []
 
-    # The greedy walk is sequential; Python floats keep it cheap. np.hypot,
-    # not math.hypot: the two differ in the last bit on some inputs.
-    spacing = params.downsample_spacing
-    pts = hits.tolist()
-    kept = [0]
-    kx, ky = pts[0]
-    for i, (x, y) in enumerate(pts[1:], start=1):
-        if np.hypot(x - kx, y - ky) >= spacing:
-            kept.append(i)
-            kx, ky = x, y
-
+    kept = _greedy_walk(hits, params.downsample_spacing)
     centers = hits[kept]
     # Coverage backstop: every hit must be within coverage_radius of a center.
     # Hits the thinned centers leave uncovered are added in ray order, each
@@ -148,3 +138,33 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
     centers = np.vstack([centers, *added])
 
     return [PointCloudCircle(Point2(float(c[0]), float(c[1])), r) for c in centers]
+
+
+_WALK_WINDOW = 32  # hits measured per np.hypot call of the greedy walk
+
+
+def _greedy_walk(hits: np.ndarray, spacing: float) -> list[int]:
+    """Indexes of the hits (n, 2) a greedy walk keeps: the first, then, in
+    order, each hit at least spacing from the last one kept.
+
+    Each kept hit measures the hits after it a window at a time, in one
+    np.hypot call, and the walk jumps to the first at or beyond spacing. The
+    differences and distances are the elementwise ones of a walk one hit at a
+    time, so the same hits are kept.
+    """
+    xs, ys = hits[:, 0].copy(), hits[:, 1].copy()
+    n = len(xs)
+    kept = [0]
+    while True:
+        x0, y0 = xs[kept[-1]], ys[kept[-1]]
+        start = kept[-1] + 1
+        while start < n:
+            stop = min(n, start + _WALK_WINDOW)
+            far = np.hypot(xs[start:stop] - x0, ys[start:stop] - y0) >= spacing
+            k = int(far.argmax())
+            if far[k]:
+                kept.append(start + k)
+                break
+            start = stop
+        else:
+            return kept

@@ -19,24 +19,35 @@ Avoidance is subject to the stop-speed complementarity semantics: a step may
 sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
 one full-freedom solve plus, when needed, probes of earlier stop indexes: the
-previous step's index and its two neighbours first, then the rest in order if
-none of those beats standing still. The cheapest candidate wins, and the
-all-stopped plan is the always-feasible floor.
+previous step's index and its two neighbours first (the hint phase), then the
+rest in order if none of those beats standing still (the sweep). The cheapest
+candidate wins, and the all-stopped plan is the always-feasible floor.
+
+The probes of the hint and sweep phases do not depend on each other. A phase
+of two or more runs them in a pool of worker processes, forked from this one
+at the first such phase and terminated at exit; the full-freedom probe and the
+phase logic stay here. Results come back in the order they were submitted, so
+the plans and counters are those of running the probes one after another.
+Each probe's time is taken where it ran and summed into SolveResult.probe_ms;
+a tracer that wraps functions in this process sees only the probes run here.
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
 import math
+import os
+import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .avoidance import OpenLoopPlan, ProjectionSet
 from .lidar_sim import PointCloudCircle
-from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, SqpResult, solve_sqp
+from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, solve_sqp
 from .unicycle import ControlInput, RobotState, dynamics_step, rollout, sensitivities
 
 __all__ = [
@@ -178,7 +189,9 @@ class SolveResult:
     qp_iterations: int  # interior-point iterations summed over the probes
     qp_solves: int  # QP solves summed over the probes
     probes: int  # SQP solves run for this step, re-probes included
+    probe_ms: float  # the probes' own times, each taken where it ran, summed
     stop_index: int  # steps with motion allowed; N-1 means full freedom
+    search: str  # the last phase run: "full", "hint" or "sweep"
 
 
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
@@ -324,86 +337,46 @@ def solve(problem: NlpProblem) -> SolveResult:
     First solves with motion allowed through step N-1 (avoidance enforced at
     every moving step). If that fails or barely improves on standing still,
     earlier stop indexes are probed: the previous step's winning index and its
-    two neighbours first, then, if none of them beats standing still, every
-    other index in increasing order. The cheapest candidate wins, ties going
-    to the larger stop index; the stationary plan is the guaranteed fallback
-    floor whenever the current state respects the track limits.
+    two neighbours first (the hint phase), then, if none of them beats
+    standing still, every other index in increasing order (the sweep). The
+    cheapest candidate wins, ties going to the larger stop index; the
+    stationary plan is the guaranteed fallback floor whenever the current
+    state respects the track limits.
+
+    The probes of one phase do not depend on each other, so a phase of two
+    or more runs them in a pool of forked worker processes (_map). Results
+    come back in the order they were submitted, so the candidates, the
+    tie-breaks and the counters are those of running the probes one after
+    another here, bit for bit.
     """
     params = problem.params
     n = params.N
-    stamp = problem.warm_start.stamp
 
     lo, hi = params.input_box
     u_ws = np.clip(problem.warm_start.inputs, lo, hi)
     u_ws[n - 1] = 0.0
 
-    stationary = _aligned_stationary_plan(problem, stamp)
+    stationary = _aligned_stationary_plan(problem, problem.warm_start.stamp)
     stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)
+    # A candidate improves on standing still only below this cost.
+    floor = cost_stationary - 1e-3 * max(1.0, abs(cost_stationary))
 
-    candidates: list[tuple[float, OpenLoopPlan, SqpResult, int]] = []
-    iterations = 0
-    qp_iterations = 0
-    qp_solves = 0
-    probes = 0
-    stall_eps = 1e-3 * max(1.0, abs(cost_stationary))
+    candidates: list[tuple[float, OpenLoopPlan, int]] = []
+    work = _Work()
 
-    def run_probe(j: int, u_init: np.ndarray):
-        nonlocal iterations, qp_iterations, qp_solves, probes
-        evaluator = _NlpEvaluator(problem, j)
-        res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
-        iterations += res.iterations
-        qp_iterations += res.qp_iterations
-        qp_solves += res.qp_solves
-        probes += 1
-        if res.status != STATUS_OPTIMAL:
-            return None
-        u = evaluator.full_inputs(res.x)
-        return (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, stamp), res, j)
+    def collect(results) -> None:
+        nonlocal work
+        for cand, cost in results:
+            work = work + cost
+            if cand is not None:
+                candidates.append(cand)
 
-    def rotate_then_drive_seed(j: int) -> Optional[np.ndarray]:
-        # Turn toward the goal bearing first, then roll forward: the escape
-        # pattern a wedged heading needs, encoded explicitly because the
-        # linearization cannot discover it from rest.
-        err = _goal_bearing_error(problem)
-        rate = params.delta_max if err >= 0 else params.delta_min
-        if abs(rate) < 1e-9:
-            return None
-        turn_steps = min(j - 1, int(math.ceil(abs(err / (rate * params.dt))))) if j > 1 else 0
-        seed = np.zeros((n, 2))
-        if turn_steps > 0:
-            seed[:turn_steps, 1] = np.clip(err / (turn_steps * params.dt), params.delta_min, params.delta_max)
-        seed[turn_steps:j, 0] = min(0.4, params.v_max)
-        return seed
+    probe = partial(_try_stop_index, problem, u_ws, floor)
+    collect([probe(n - 1)])
+    search = "full"
 
-    def try_stop_index(j: int, u_init: np.ndarray) -> bool:
-        cand = run_probe(j, u_init)
-        helped = cand is not None and cand[0] < cost_stationary - stall_eps
-        if not helped and np.abs(u_init[:j, 0]).max(initial=0.0) < 0.1:
-            # At zero speed the heading-rate-to-position coupling vanishes,
-            # so the linear model cannot see that turning first pays off.
-            # Re-probe from a small forward-speed seed, then from an explicit
-            # rotate-then-drive seed.
-            nudged = u_init.copy()
-            nudged[:j, 0] = min(0.3, params.v_max)
-            cand2 = run_probe(j, nudged)
-            if cand2 is not None and (cand is None or cand2[0] < cand[0]):
-                cand = cand2
-            if cand is None or cand[0] >= cost_stationary - stall_eps:
-                seed = rotate_then_drive_seed(j)
-                if seed is not None:
-                    cand3 = run_probe(j, seed)
-                    if cand3 is not None and (cand is None or cand3[0] < cand[0]):
-                        cand = cand3
-        if cand is None:
-            return False
-        candidates.append(cand)
-        return True
-
-    full_ok = try_stop_index(n - 1, u_ws)
-    stagnant = not full_ok or candidates[0][0] >= cost_stationary - stall_eps
-
-    if stagnant:
+    if not candidates or candidates[0][0] >= floor:
         # Full freedom is blocked or has no incentive to move: probe earlier
         # stop indexes. Holding after an early stop drops the late margins,
         # which is what lets the plan edge toward a receding constraint, so
@@ -414,38 +387,28 @@ def solve(problem: NlpProblem) -> SolveResult:
         order: list[int] = []
         if hint is not None:
             order.extend(j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2)
-        remaining = [j for j in range(1, n - 1) if j not in order]
-
-        def probe_list(js):
-            for j in js:
-                u_init = u_ws.copy()
-                u_init[j:] = 0.0
-                try_stop_index(j, u_init)
-
-        probe_list(order)
-        best_sweep = min((c[0] for c in candidates), default=math.inf)
-        if best_sweep >= cost_stationary - stall_eps:
-            probe_list(remaining)
+        search = "hint"
+        collect(_map(probe, order, n))
+        if min((c[0] for c in candidates), default=math.inf) >= floor:
+            search = "sweep"
+            collect(_map(probe, [j for j in range(1, n - 1) if j not in order], n))
 
     if stationary_ok:
-        candidates.append((cost_stationary, stationary, None, 0))
+        candidates.append((cost_stationary, stationary, 0))
 
     if not candidates:
-        status = STATUS_INFEASIBLE
         logger.debug("solve infeasible: initial state violates track limits")
         return SolveResult(
-            status=status,
+            status=STATUS_INFEASIBLE,
             plan=problem.warm_start,
             objective=math.inf,
-            iterations=iterations,
-            qp_iterations=qp_iterations,
-            qp_solves=qp_solves,
-            probes=probes,
             stop_index=0,
+            search=search,
+            **work._asdict(),
         )
 
-    candidates.sort(key=lambda item: (item[0], -item[3]))
-    cost, plan, res, j = candidates[0]
+    candidates.sort(key=lambda item: (item[0], -item[2]))
+    cost, plan, j = candidates[0]
     translation = float(np.abs(np.diff(plan.states[:, :2], axis=0)).max())
     if stationary_ok and translation <= 1e-4 and np.abs(stationary.inputs[:, 1]).max() > 1e-9:
         # Parked without moving anywhere: hold position but keep turning
@@ -459,12 +422,121 @@ def solve(problem: NlpProblem) -> SolveResult:
         status=STATUS_OPTIMAL,
         plan=plan,
         objective=cost,
-        iterations=iterations,
-        qp_iterations=qp_iterations,
-        qp_solves=qp_solves,
-        probes=probes,
         stop_index=j,
+        search=search,
+        **work._asdict(),
     )
+
+
+class _Work(NamedTuple):
+    """What probes cost, summed with +: SolveResult's counters."""
+
+    iterations: int = 0
+    qp_iterations: int = 0
+    qp_solves: int = 0
+    probes: int = 0
+    probe_ms: float = 0.0
+
+    def __add__(self, other: "_Work") -> "_Work":
+        return _Work(*(a + b for a, b in zip(self, other)))
+
+
+def _run_probe(problem: NlpProblem, j: int, u_init: np.ndarray) -> tuple[Optional[tuple], _Work]:
+    """One SQP probe at stop index j from u_init (N, 2).
+
+    Returns the candidate (cost, plan, j), or None when the SQP ends
+    infeasible, and the probe's work, its time taken where it ran."""
+    t0 = time.perf_counter()
+    params = problem.params
+    lo, hi = params.input_box
+    evaluator = _NlpEvaluator(problem, j)
+    res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
+    cand = None
+    if res.status == STATUS_OPTIMAL:
+        u = evaluator.full_inputs(res.x)
+        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, problem.warm_start.stamp), j)
+    ms = (time.perf_counter() - t0) * 1e3
+    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, 1, ms)
+
+
+def _try_stop_index(problem: NlpProblem, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
+    """Probe stop index j from the warm start u_ws with its inputs from j on
+    zeroed, then, if that does not get below floor from rest, re-probe from
+    two escape seeds. Returns the cheapest candidate or None, and the summed
+    work of its up to 3 SQPs. A module-level function, so a worker process
+    can run it."""
+    u_init = u_ws.copy()
+    u_init[j:] = 0.0
+    cand, work = _run_probe(problem, j, u_init)
+    helped = cand is not None and cand[0] < floor
+    if not helped and np.abs(u_init[:j, 0]).max(initial=0.0) < 0.1:
+        # At zero speed the heading-rate-to-position coupling vanishes, so
+        # the linear model cannot see that turning first pays off. Re-probe
+        # from a small forward-speed seed, then from an explicit
+        # rotate-then-drive seed.
+        nudged = u_init.copy()
+        nudged[:j, 0] = min(0.3, problem.params.v_max)
+        cand2, cost = _run_probe(problem, j, nudged)
+        work = work + cost
+        if cand2 is not None and (cand is None or cand2[0] < cand[0]):
+            cand = cand2
+        seed = _rotate_then_drive_seed(problem, j) if cand is None or cand[0] >= floor else None
+        if seed is not None:
+            cand3, cost = _run_probe(problem, j, seed)
+            work = work + cost
+            if cand3 is not None and (cand is None or cand3[0] < cand[0]):
+                cand = cand3
+    return cand, work
+
+
+def _rotate_then_drive_seed(problem: NlpProblem, j: int) -> Optional[np.ndarray]:
+    """Turn toward the goal bearing first, then roll forward: the escape
+    pattern a wedged heading needs, encoded explicitly because the
+    linearization cannot discover it from rest."""
+    params = problem.params
+    err = _goal_bearing_error(problem)
+    rate = params.delta_max if err >= 0 else params.delta_min
+    if abs(rate) < 1e-9:
+        return None
+    turn_steps = min(j - 1, int(math.ceil(abs(err / (rate * params.dt))))) if j > 1 else 0
+    seed = np.zeros((params.N, 2))
+    if turn_steps > 0:
+        seed[:turn_steps, 1] = np.clip(err / (turn_steps * params.dt), params.delta_min, params.delta_max)
+    seed[turn_steps:j, 0] = min(0.4, params.v_max)
+    return seed
+
+
+# The worker pool of the hint and sweep phases once started; False where none
+# can run.
+_pool = None
+
+
+def _map(fn, js: list[int], n: int) -> list:
+    """[fn(j) for j in js], in order: in the worker pool when there are two or
+    more, else here. The first such call starts the pool (_start_pool)."""
+    global _pool
+    if len(js) > 1 and _pool is None:
+        _pool = _start_pool(n)
+    if len(js) < 2 or not _pool:
+        return list(map(fn, js))
+    return _pool.map(fn, js, chunksize=1)
+
+
+def _start_pool(n: int):
+    """A pool of min(available CPUs, N - 2) forked workers, N - 2 being the
+    largest phase, terminated at exit; False where that is fewer than 2 or
+    processes cannot fork. Forked workers start from this process's memory:
+    unlike forkserver and spawn workers, they do not import the caller's
+    script, so it need not guard its main code."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, n - 2)
+    if workers < 2 or not hasattr(os, "fork"):
+        return False
+    import multiprocessing
+
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    atexit.register(pool.terminate)
+    return pool
 
 
 def _aligned_stationary_plan(problem: NlpProblem, stamp: int) -> OpenLoopPlan:

@@ -135,6 +135,8 @@ class StepRecord:
     qp_iterations: int  # interior-point iterations, summed over the same probes
     qp_solves: int  # QP solves, summed over the same probes
     probes: int  # SQP solves of this step, re-probes included
+    probe_ms: float  # the probes' own times, each taken in the process that ran it, summed
+    search: str  # the last stop-index search phase run: "full", "hint" or "sweep"
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
@@ -360,6 +362,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             qp_iterations=result.qp_iterations,
             qp_solves=result.qp_solves,
             probes=result.probes,
+            probe_ms=result.probe_ms,
+            search=result.search,
             occlusion_clearance=occ_clear,
             agent_clearance=agent_clear,
             static_clearance=static_clear,

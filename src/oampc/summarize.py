@@ -1,23 +1,38 @@
-"""Summarise a step log written by `TrajectoryLog.write_jsonl`.
+"""Summarise a step log written by `TrajectoryLog.write_jsonl`, or compare two.
 
     python -m oampc.summarize LOG.jsonl
+    python -m oampc.summarize A.jsonl --against B.jsonl
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the steps that applied
-the fallback plan and the largest audit violation; and the stop-index
-probes, QP solves and interior-point iterations per step. The control period
-is the spacing of the logged times, or `MpcParams.dt` for a one-step log.
+the fallback plan and the largest audit violation; the stop-index probes, QP
+solves and interior-point iterations per step; and the steps that ended in
+each stop-index search phase, with p50 and p99 of probe_ms / solve_ms (above
+1 when probes ran in parallel). The control period is the spacing of the
+logged times, or `MpcParams.dt` for a one-step log.
+
+With --against, prints instead how the two logs differ and exits with status
+1 if they do. A step differs when a field the two logs share, other than a
+time (`*_ms`), is not the same to the bit. The comparison names the first
+such step, the largest difference in states, applied inputs and plans, and
+the totals of the probe, QP-solve and interior-point-iteration counters.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 import numpy as np
 
 from .nmpc import MpcParams
 from .sim_engine import STEP_LAYERS, percentiles
+
+
+# (label, StepRecord field) of the per-step solver counters.
+COUNTERS = (("probes", "probes"), ("QP solves", "qp_solves"), ("interior-point iterations", "qp_iterations"))
+SEARCH_PHASES = ("full", "hint", "sweep")
 
 
 def summarize(rows: list[dict]) -> list[str]:
@@ -36,19 +51,59 @@ def summarize(rows: list[dict]) -> list[str]:
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
     ]
-    for label, name in (("probes", "probes"), ("QP solves", "qp_solves"), ("interior-point iterations", "qp_iterations")):
+    for label, name in COUNTERS:
         lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
+    if "search" in rows[0]:  # logs before the search phase was logged lack these
+        phases = [row["search"] for row in rows]
+        lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
+        p50, p99 = percentiles([row["probe_ms"] / row["solve_ms"] for row in rows], [50, 99])
+        lines.append(f"probe_ms / solve_ms: {p50:.2f} {p99:.2f}")
     return lines
 
 
-def main(argv=None) -> None:
+def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
+    """The comparison lines of logs a and b, and whether they are the same."""
+    lines = [f"steps: {len(a)} against {len(b)}"]
+    first = None
+    largest = dict.fromkeys(("state", "applied_input", "plan states", "plan inputs"), 0.0)
+    for k, (x, y) in enumerate(zip(a, b)):
+        shared = sorted(x.keys() & y.keys())
+        differ = [name for name in shared if not name.endswith("_ms") and json.dumps(x[name]) != json.dumps(y[name])]
+        if differ and first is None:
+            first = f"first step that differs: {k} (tau {x['tau']!r}): {' '.join(differ)}"
+        for name, u, v in (
+            ("state", x["state"], y["state"]),
+            ("applied_input", x["applied_input"], y["applied_input"]),
+            ("plan states", x["plan"]["states"], y["plan"]["states"]),
+            ("plan inputs", x["plan"]["inputs"], y["plan"]["inputs"]),
+        ):
+            largest[name] = max(largest[name], float(np.abs(np.subtract(u, v)).max()))
+    lines.append(first or "first step that differs: none")
+    lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
+    for label, name in COUNTERS:
+        ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)
+        steps = sum(x[name] != y[name] for x, y in zip(a, b))
+        lines.append(f"{label}: {ta} against {tb} ({tb - ta:+d}), {steps} steps differ")
+    return lines, first is None and len(a) == len(b)
+
+
+def read(path) -> list[dict]:
+    with open(path) as f:
+        return [json.loads(line) for line in f if line.strip()]
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m oampc.summarize", description=__doc__.splitlines()[0])
     parser.add_argument("log", help="JSON-lines step log")
+    parser.add_argument("--against", metavar="LOG", help="compare with this log; exit 1 if they differ")
     args = parser.parse_args(argv)
-    with open(args.log) as f:
-        rows = [json.loads(line) for line in f if line.strip()]
-    print("\n".join(summarize(rows)))
+    if args.against is None:
+        print("\n".join(summarize(read(args.log))))
+        return 0
+    lines, same = compare(read(args.log), read(args.against))
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

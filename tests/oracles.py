@@ -321,6 +321,21 @@ def occlusion_pairs_loop(ranges, jump_threshold) -> list[tuple[int, int, int]]:
     return out
 
 
+def greedy_walk_scalar(hits, spacing) -> list[int]:
+    """Indexes a greedy walk over hits (n, 2) keeps, one hit at a time on
+    Python floats: the first hit, then each one at least spacing from the
+    last kept one. np.hypot, not math.hypot: the two differ in the last bit
+    on some inputs."""
+    pts = np.asarray(hits, dtype=float).tolist()
+    kept = [0]
+    kx, ky = pts[0]
+    for i, (x, y) in enumerate(pts[1:], start=1):
+        if np.hypot(x - kx, y - ky) >= spacing:
+            kept.append(i)
+            kx, ky = x, y
+    return kept
+
+
 def coverage_centers_loop(hits, spacing, radius) -> np.ndarray:
     """Coverage circle centres, one hit at a time: keep a hit in order once it
     is at least spacing from the last kept one, then add, in order, every hit

@@ -1,20 +1,28 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oampc.geometry import Point2, Segment
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
     detect_occlusions,
+    _greedy_walk,
     downsample,
     scan,
 )
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
-from oracles import coverage_centers_loop, occlusion_pairs_loop
+from oracles import coverage_centers_loop, greedy_walk_scalar, occlusion_pairs_loop
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import generate  # noqa: E402
 
 
 def square_room(half=2.0):
@@ -294,6 +302,54 @@ class TestDownsample:
                 deduplicated += uncovered > len(want) - len(thinned)
         # Some scans leave uncovered hits that an earlier backstop centre covers.
         assert deduplicated
+
+
+class TestGreedyWalk:
+    """The windowed walk keeps exactly the hits the one-hit-at-a-time walk
+    keeps."""
+
+    @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
+    def test_matches_scalar_walk_on_workload_scans(self, workload):
+        # Scans from random free poses in the workload's world, with and
+        # without its boundary hits.
+        scn = generate(workload, 1, 1)[0]
+        world, params = scn.world, scn.lidar
+        rng = np.random.default_rng(1)
+        lo, hi = world.boundary.min(axis=0), world.boundary.max(axis=0)
+        walks = 0
+        while walks < 40:
+            p = rng.uniform(lo, hi)
+            if not world.contains_free(p, clearance=0.2):
+                continue
+            s = scan(world, RobotState(p[0], p[1], 0.0), params)
+            for mask in (s.hit_mask, s.hit_mask & ~world.is_boundary_segment(s.segment_index)):
+                if mask.any():
+                    hits = s.points[mask]
+                    assert _greedy_walk(hits, params.downsample_spacing) == greedy_walk_scalar(
+                        hits, params.downsample_spacing
+                    )
+                    walks += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=300),
+        unit=st.sampled_from([0.01, 0.1, 0.3, 1 / 3]),
+        spacing=st.sampled_from([0.1, 0.3, 0.5, 1.0, 2.0]),
+    )
+    def test_matches_scalar_walk_on_random_walks(self, steps, unit, spacing):
+        # Lattice random walks: distances of exactly spacing, long runs
+        # closer than spacing (beyond one window) and repeated points.
+        hits = np.cumsum(np.array(steps, dtype=float) * unit, axis=0)
+        assert _greedy_walk(hits, spacing) == greedy_walk_scalar(hits, spacing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hits=st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=100),
+        spacing=st.floats(1e-3, 5.0),
+    )
+    def test_matches_scalar_walk_on_arbitrary_hits(self, hits, spacing):
+        hits = np.array(hits, dtype=float)
+        assert _greedy_walk(hits, spacing) == greedy_walk_scalar(hits, spacing)
 
 
 class TestLidarParams:

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oampc.nmpc
+import oampc.sim_engine
 from oampc.avoidance import OpenLoopPlan, project_plan, ProjectionSet
 from oampc.geometry import Disk, Point2, Segment
 from oampc.lidar_sim import OcclusionBoundary, PointCloudCircle
@@ -20,6 +27,7 @@ from oampc.nmpc import (
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
+from oampc.summarize import main as summarize_main
 from oampc.unicycle import rollout, sensitivities
 
 from oracles import (
@@ -29,6 +37,10 @@ from oracles import (
     rollout_loop,
     sensitivities_recursion,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import generate  # noqa: E402
 
 
 def empty_projections(n):
@@ -324,6 +336,109 @@ class TestSolve:
         r1, r2 = solve(p1), solve(p2)
         assert np.array_equal(r1.plan.inputs, r2.plan.inputs)
         assert r1.stop_index == r2.stop_index
+
+
+def in_process_map(fn, js, n):
+    """nmpc._map with no worker pool: every phase runs in this process."""
+    return list(map(fn, js))
+
+
+@pytest.fixture(scope="module")
+def corner_fast_pooled():
+    """The first 30 steps of a corner-fast episode, with the worker pool: its
+    log and the (problem, result) of every step."""
+    solves = []
+    recorded = oampc.sim_engine.solve
+
+    def recorded_solve(problem):
+        solves.append((problem, recorded(problem)))
+        return solves[-1][1]
+
+    scn = generate("corner-fast", 1, 1)[0].with_overrides(max_steps=30)
+    oampc.sim_engine.solve = recorded_solve
+    try:
+        log, _ = oampc.sim_engine.run(scn)
+    finally:
+        oampc.sim_engine.solve = recorded
+    return scn, log, solves
+
+
+# One solve from z0 = (1, 0, 0) toward GOAL. At the goal no move beats standing
+# still, so the search sweeps N - 2 stop indexes; 1 m short of it, the
+# full-freedom probe wins alone.
+SWEEP_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import numpy as np
+    from oampc.avoidance import OpenLoopPlan, ProjectionSet
+    from oampc.nmpc import MpcParams, NlpProblem, solve
+
+    params = MpcParams()
+    z0 = np.array([1.0, 0.0, 0.0])
+    goal = np.array(GOAL)
+    warm = OpenLoopPlan.stationary(z0, params.N, 0)
+    problem = NlpProblem(z0, goal, ProjectionSet((), horizon=params.N), [], params, warm)
+    res = solve(problem)
+    pooled = "multiprocessing" in sys.modules
+    workers = [p.pid for p in sys.modules["multiprocessing"].active_children()] if pooled else []
+    print(res.search, res.probes, pooled, *workers)
+    """
+)
+
+
+def run_script(tmp_path, goal):
+    script = tmp_path / "sweep.py"
+    script.write_text(SWEEP_SCRIPT.replace("GOAL", repr(goal)))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout.split(), done.stderr
+
+
+class TestParallelProbes:
+    """Hint and sweep probes in worker processes give the plans, tie-breaks
+    and counters of running them one after another in this process."""
+
+    def test_pool_equals_in_process_on_recorded_sweeps(self, corner_fast_pooled, monkeypatch):
+        _, _, solves = corner_fast_pooled
+        searched = [(p, r) for p, r in solves if r.search != "full"]
+        assert {r.search for _, r in searched} == {"hint", "sweep"}
+        assert oampc.nmpc._pool or len(os.sched_getaffinity(0)) < 2  # the phases ran in workers
+        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
+        for problem, pooled in searched:
+            here = solve(problem)
+            assert np.array_equal(here.plan.states, pooled.plan.states)
+            assert np.array_equal(here.plan.inputs, pooled.plan.inputs)
+            for name in ("status", "objective", "stop_index", "search", "iterations", "qp_iterations",
+                         "qp_solves", "probes"):
+                assert getattr(here, name) == getattr(pooled, name), name
+            assert here.probe_ms > 0 and pooled.probe_ms > 0
+
+    def test_corner_fast_same_log_both_ways(self, corner_fast_pooled, monkeypatch, tmp_path):
+        scn, pooled, _ = corner_fast_pooled
+        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
+        here, _ = oampc.sim_engine.run(scn)
+        pooled.write_jsonl(tmp_path / "pooled.jsonl")
+        here.write_jsonl(tmp_path / "here.jsonl")
+        assert summarize_main([str(tmp_path / "pooled.jsonl"), "--against", str(tmp_path / "here.jsonl")]) == 0
+        assert [rec.search for rec in here] == [rec.search for rec in pooled]
+
+    def test_unguarded_script_sweeps_and_leaves_no_worker(self, tmp_path):
+        code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
+        assert code == 0 and err == ""
+        search, probes, pooled, *workers = out
+        assert search == "sweep" and int(probes) >= MpcParams().N - 1
+        n_workers = min(len(os.sched_getaffinity(0)), MpcParams().N - 2)
+        assert pooled == str(n_workers >= 2) and len(workers) == (n_workers if n_workers >= 2 else 0)
+        for pid in map(int, workers):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_single_probe_step_never_imports_multiprocessing(self, tmp_path):
+        code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
+        assert code == 0 and err == ""
+        assert out == ["full", "1", "False"]
 
 
 class TestCheckFeasibility:

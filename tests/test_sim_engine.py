@@ -101,6 +101,7 @@ class TestClosedLoop:
             assert rec.audit_violation == report.max_violation
             # Every SQP iteration solves at least one QP, every probe is an SQP.
             assert rec.qp_solves >= rec.sqp_iterations >= rec.probes >= 1
+            assert rec.search in ("full", "hint", "sweep") and rec.probe_ms > 0
         # Step-time tails over the in-program step time, the sum of the layers.
         step_ms = [rec.sense_ms + rec.reach_ms + rec.project_ms + rec.solve_ms + rec.audit_ms for rec in log]
         assert [rec.step_ms for rec in log] == step_ms
@@ -192,6 +193,8 @@ class TestJsonLines:
                 "qp_iterations",
                 "qp_solves",
                 "probes",
+                "probe_ms",
+                "search",
                 "occlusion_clearance",
                 "agent_clearance",
                 "static_clearance",
@@ -220,6 +223,11 @@ class TestJsonLines:
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
         qp_iterations = np.mean([rec.qp_iterations for rec in log])
         assert lines["interior-point iterations per step"].strip() == f"{qp_iterations:.1f}"
+        phases = lines["steps by search phase"].split()
+        assert phases[::2] == ["full", "hint", "sweep"]
+        assert [int(c) for c in phases[1::2]] == [sum(rec.search == p for rec in log) for p in phases[::2]]
+        ratio = [rec.probe_ms / rec.solve_ms for rec in log]
+        assert lines["probe_ms / solve_ms"].split() == [f"{np.percentile(ratio, q):.2f}" for q in (50, 99)]
         # The same summary from the command line.
         src = str(Path(oampc.__file__).parents[1])
         done = subprocess.run(
@@ -228,3 +236,32 @@ class TestJsonLines:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+
+    def test_against(self, tmp_path, capsys):
+        log, _ = run(corner_scenario().with_overrides(max_steps=6))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        log.write_jsonl(a)
+        rows = [json.loads(line) for line in a.read_text().splitlines()]
+        # Times may differ; so may a field only one log has.
+        for row in rows:
+            row["solve_ms"] += 1.0
+            del row["search"]
+        b.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert summarize_main([str(a), "--against", str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "first step that differs: none" in out
+        assert "probes: {0} against {0} (+0), 0 steps differ".format(sum(rec.probes for rec in log)) in out
+        # A plan input off by one unit in the last place at step 4, and one
+        # more QP solve there.
+        rows[4]["plan"]["inputs"][2][0] = float(np.nextafter(rows[4]["plan"]["inputs"][2][0], 9.0))
+        rows[4]["qp_solves"] += 1
+        b.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert summarize_main([str(a), "--against", str(b)]) == 1
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["first step that differs"] == f"4 (tau {log.records[4].tau!r}): plan qp_solves"
+        assert "plan inputs 0.0" not in lines["largest difference"]
+        assert lines["QP solves"].endswith("(+1), 1 steps differ")
+        # A shorter log differs too.
+        b.write_text("".join(json.dumps(row) + "\n" for row in rows[:4]))
+        assert summarize_main([str(a), "--against", str(b)]) == 1
+        assert "steps: 6 against 4" in capsys.readouterr().out
