@@ -6,6 +6,10 @@ then projected onto every per-step reachable set. The projected points are
 handed to the planner as fixed constraint anchors, which is what keeps this
 half a batch of independent closed-form projections instead of a bilevel
 program.
+
+A ProjectionSet holds the F families and two arrays from one closed-form
+call: z_proj (F, N, 2), the projected points, and d_proj (F, N), the
+distances, where [f, k-1] is family f at horizon step k.
 """
 
 from __future__ import annotations
@@ -62,21 +66,16 @@ class OpenLoopPlan:
 
 
 @dataclass(frozen=True)
-class FamilyProjection:
-    """Projections of the shifted trajectory onto one reachable family:
-    z_proj[k-1] and d_proj[k-1] correspond to horizon step k."""
-
-    family: ReachableFamily
-    z_proj: np.ndarray  # (N, 2)
-    d_proj: np.ndarray  # (N,)
-
-
-@dataclass(frozen=True)
 class ProjectionSet:
     """All per-step, per-set projections for one planner step."""
 
-    families: tuple[FamilyProjection, ...]
-    horizon: int
+    families: tuple[ReachableFamily, ...]
+    z_proj: np.ndarray  # (F, N, 2)
+    d_proj: np.ndarray  # (F, N)
+
+    @property
+    def horizon(self) -> int:
+        return self.z_proj.shape[1]
 
     def __len__(self) -> int:
         return len(self.families)
@@ -100,6 +99,4 @@ def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> Pr
     b = np.reshape([fam.b for fam in families], (-1, 1, 2))
     radii = np.reshape([fam.radii[:n] for fam in families], (-1, n))
     d, z = capsule_projection(shifted[None, :, :], a, b, radii)
-    return ProjectionSet(
-        tuple(FamilyProjection(fam, z[i], d[i]) for i, fam in enumerate(families)), horizon=n
-    )
+    return ProjectionSet(tuple(families), z, d)

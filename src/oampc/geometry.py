@@ -1,9 +1,12 @@
-"""Exact 2D primitives: points, segments, disks, capsule projection, raycasts.
+"""Exact 2D primitives: points, disks, capsule projection, raycasts.
 
 Every reachable set the planner uses is a capsule {x : dist(x, segment a-b)
 <= r}, a disk when a == b, so one closed-form projection serves them all, and
 with r = 0 it is the point-to-segment distance. One batched ray kernel serves
 the range sensor and line-of-sight checks.
+
+Segments are arrays, not objects: a segment is its two ends a and b, each
+(..., 2), and a batch of M segments is two (M, 2) arrays of starts and ends.
 """
 
 from __future__ import annotations
@@ -33,21 +36,6 @@ class Point2:
 
     def __iter__(self):
         return iter((self.x, self.y))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Directed segment from a to b."""
-
-    a: Point2
-    b: Point2
-
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a.x, self.a.y], [self.b.x, self.b.y]])
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,21 @@ Produces per-ray ranges against the polygonal world, detects occlusion
 boundaries from range discontinuities between consecutive rays, and thins
 obstacle hit points into coverage circles for static avoidance.
 
+Both results are arrays: detect_occlusions gives a (B, 2, 2) array of
+[near, far] boundary ends in ray order, and downsample an (M, 3) array of
+circle centre x, centre y and radius.
+
 Rays are cast at fixed world-frame angles: the sensor is omnidirectional, so
 robot heading does not affect the returns, and tests stay frame-independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point2, Segment, cast_rays
+from .geometry import cast_rays
 from .unicycle import RobotState
 from .world import WorldMap
 
@@ -61,21 +65,6 @@ class Scan:
         return len(self.angles)
 
 
-@dataclass(frozen=True)
-class OcclusionBoundary:
-    """Line-of-sight segment from the near hit to the far point of a
-    consecutive-ray range jump. Everything beyond it is unobserved."""
-
-    seg: Segment
-    ray_index: int
-
-
-@dataclass(frozen=True)
-class PointCloudCircle:
-    center: Point2
-    radius: float
-
-
 def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     """Cast num_rays rays from the pose against every world segment."""
     origin = pose.position()
@@ -89,10 +78,12 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     return Scan(pose, angles, ranges, hit_mask, points, seg_idx, params.max_range)
 
 
-def detect_occlusions(scan_: Scan, params: LidarParams) -> list[OcclusionBoundary]:
+def detect_occlusions(scan_: Scan, params: LidarParams) -> np.ndarray:
     """Boundaries of unobserved space: every cyclic consecutive ray pair whose
     range difference exceeds jump_threshold yields the segment from the nearer
-    hit point to the farther point (a true hit or the max-range point)."""
+    hit point to the farther point (a true hit or the max-range point).
+
+    Returns a (B, 2, 2) array of [near, far] rows in ray order."""
     ranges, points = scan_.ranges, scan_.points
     n = len(ranges)
     first = np.flatnonzero(np.abs(np.roll(ranges, -1) - ranges) > params.jump_threshold)
@@ -100,28 +91,23 @@ def detect_occlusions(scan_: Scan, params: LidarParams) -> list[OcclusionBoundar
     closer = ranges[first] < ranges[second]
     near = np.where(closer, first, second)
     far = np.where(closer, second, first)
-    return [
-        OcclusionBoundary(Segment(Point2(*points[a].tolist()), Point2(*points[b].tolist())), ray_index=int(i))
-        for i, a, b in zip(first, near, far)
-    ]
+    return np.stack([points[near], points[far]], axis=1)
 
 
-def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) -> list[PointCloudCircle]:
-    """Thin obstacle hit points into coverage circles.
+def downsample(scan_: Scan, params: LidarParams, world: WorldMap) -> np.ndarray:
+    """Thin obstacle hit points into coverage circles, an (M, 3) array of
+    centre x, centre y and radius (coverage_radius).
 
     Walks hits in ray order keeping a point once it is at least
     downsample_spacing from the last kept one, then adds any hit left farther
     than coverage_radius from every kept center (a backstop that keeps the
-    coverage guarantee even on grazing scans). Boundary-track hits are skipped
-    when a world is supplied: track limits are enforced as planner state
-    bounds, not as point-cloud avoidance.
+    coverage guarantee even on grazing scans). Hits on the world's boundary
+    track are skipped: track limits are enforced as planner state bounds, not
+    as point-cloud avoidance.
     """
-    keep_mask = scan_.hit_mask
-    if world is not None:
-        keep_mask = keep_mask & ~world.is_boundary_segment(scan_.segment_index)
-    hits = scan_.points[keep_mask]
+    hits = scan_.points[scan_.hit_mask & ~world.is_boundary_segment(scan_.segment_index)]
     if len(hits) == 0:
-        return []
+        return np.zeros((0, 3))
 
     kept = _greedy_walk(hits, params.downsample_spacing)
     centers = hits[kept]
@@ -136,8 +122,7 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap | None = None) 
         if all(np.hypot(*(p - c)) > r for c in added):
             added.append(p)
     centers = np.vstack([centers, *added])
-
-    return [PointCloudCircle(Point2(float(c[0]), float(c[1])), r) for c in centers]
+    return np.column_stack([centers, np.full(len(centers), r)])
 
 
 _WALK_WINDOW = 32  # hits measured per np.hypot call of the greedy walk

@@ -41,19 +41,15 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .avoidance import OpenLoopPlan, ProjectionSet
-from .lidar_sim import PointCloudCircle
 from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, solve_sqp
-from .unicycle import ControlInput, RobotState, dynamics_step, rollout, sensitivities
+from .unicycle import rollout, sensitivities
 
 __all__ = [
-    "RobotState",
-    "ControlInput",
-    "dynamics_step",
     "MpcParams",
     "NlpProblem",
     "SolveResult",
@@ -142,7 +138,7 @@ class NlpProblem:
     z0: np.ndarray  # (3,)
     goal: np.ndarray  # (3,)
     projections: ProjectionSet
-    static_circles: Sequence[PointCloudCircle]
+    static_circles: np.ndarray  # (M, 3) centre x, centre y, radius
     params: MpcParams
     warm_start: OpenLoopPlan
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(2))
@@ -240,7 +236,7 @@ def _input_hessian(params: MpcParams, n_free: int) -> np.ndarray:
 
 
 def _avoidance_rows(
-    projections: ProjectionSet, static_circles: Sequence[PointCloudCircle], params: MpcParams
+    projections: ProjectionSet, static_circles: np.ndarray, params: MpcParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every avoidance row of one planning step.
 
@@ -250,14 +246,12 @@ def _avoidance_rows(
     d_safe_static + r_robot + radius, the same anchor at every step).
     """
     n = projections.horizon
-    fams = np.reshape([p.z_proj for p in projections.families], (-1, n, 2)).transpose(1, 0, 2)
-    centres = np.reshape([c.center.as_array() for c in static_circles], (-1, 2))
-    radii = np.array([c.radius for c in static_circles], dtype=float)
-    anchors = np.concatenate([fams, np.broadcast_to(centres, (n,) + centres.shape)], axis=1)
+    centres = np.broadcast_to(static_circles[:, :2], (n, len(static_circles), 2))
+    anchors = np.concatenate([projections.z_proj.transpose(1, 0, 2), centres], axis=1)
     margins = np.concatenate(
         [
             np.full(len(projections.families), params.d_safe + params.r_robot),
-            params.d_safe_static + params.r_robot + radii,
+            params.d_safe_static + params.r_robot + static_circles[:, 2],
         ]
     )
     return anchors, margins
@@ -610,7 +604,7 @@ class FeasibilityReport:
 def check_feasibility(
     plan: OpenLoopPlan,
     projections: ProjectionSet,
-    static_circles: Sequence[PointCloudCircle],
+    static_circles: np.ndarray,
     params: MpcParams,
     z_init: Optional[np.ndarray] = None,
 ) -> FeasibilityReport:

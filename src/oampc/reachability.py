@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Disk, Point2
-from .lidar_sim import OcclusionBoundary
 
 
 class ModelViolationError(RuntimeError):
@@ -62,12 +61,13 @@ class ReachableFamily:
         return len(self.radii)
 
 
-def build_capsules(boundary: OcclusionBoundary, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
-    """Capsules of radius k*d_step + agent radius over a boundary segment. A
-    zero-length boundary gives disks."""
+def build_capsules(boundary: np.ndarray, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
+    """Capsules of radius k*d_step + agent radius over a boundary segment, one
+    (2, 2) [near, far] row of detect_occlusions. A zero-length boundary gives
+    disks."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    a, b = boundary.seg.as_array()
+    a, b = boundary
     return ReachableFamily(a, b, np.arange(1, horizon + 1) * step_distance(model, dt) + model.radius)
 
 

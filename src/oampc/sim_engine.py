@@ -339,8 +339,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     # Clearances at the pre-step state (what the planner saw).
     pos = sim.z[:2]
-    ends = np.reshape([b.seg.as_array() for b in boundaries], (-1, 2, 2))
-    occ_clear = float(capsule_projection(pos, ends[:, 0], ends[:, 1])[0].min(initial=math.inf))
+    occ_clear = float(capsule_projection(pos, boundaries[:, 0], boundaries[:, 1])[0].min(initial=math.inf))
     agent_clear = math.inf
     for p in agent_positions:
         agent_clear = min(agent_clear, float(np.hypot(*(pos - p))))

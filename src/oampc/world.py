@@ -3,16 +3,20 @@
 The outer boundary doubles as the track limit (enforced by the planner as
 state bounds), while obstacle and wall segments are what the range sensor
 returns and what static avoidance reacts to.
+
+Polygons are (m, 2) vertex arrays and walls one (W, 2, 2) array of [start,
+end] rows. The map's segments are two (S, 2) arrays of starts and ends
+(segment_arrays): the boundary's edges, then each obstacle's, then the walls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Point2, Segment, capsule_projection, cast_rays
+from .geometry import Point2, capsule_projection, cast_rays
 
 
 def _point_in_polygon(p: np.ndarray, verts: np.ndarray) -> bool:
@@ -30,27 +34,16 @@ def _point_in_polygon(p: np.ndarray, verts: np.ndarray) -> bool:
     return inside
 
 
-def _polygon_segments(verts: np.ndarray) -> list[Segment]:
-    segs = []
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        segs.append(Segment(Point2(float(a[0]), float(a[1])), Point2(float(b[0]), float(b[1]))))
-    return segs
-
-
 @dataclass
 class WorldMap:
     """Polygonal world. `boundary` is the outer free-space polygon (may be
     None for an open world); `obstacles` are solid polygons inside it;
-    `walls` are bare segments (both sides solid)."""
+    `walls` are bare segments (both sides solid), [start, end] rows."""
 
     boundary: Optional[np.ndarray] = None  # (m, 2)
     obstacles: list[np.ndarray] = field(default_factory=list)
-    walls: list[Segment] = field(default_factory=list)
+    walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))  # (W, 2, 2)
 
-    _segments: list[Segment] = field(init=False, repr=False)
     _boundary_count: int = field(init=False, repr=False)
     _seg_a: np.ndarray = field(init=False, repr=False)
     _seg_b: np.ndarray = field(init=False, repr=False)
@@ -59,24 +52,14 @@ class WorldMap:
         if self.boundary is not None:
             self.boundary = np.asarray(self.boundary, dtype=float)
         self.obstacles = [np.asarray(o, dtype=float) for o in self.obstacles]
-        segs: list[Segment] = []
-        if self.boundary is not None:
-            segs.extend(_polygon_segments(self.boundary))
-        self._boundary_count = len(segs)
-        for obs in self.obstacles:
-            segs.extend(_polygon_segments(obs))
-        segs.extend(self.walls)
-        self._segments = segs
-        if segs:
-            self._seg_a = np.array([s.a.as_array() for s in segs])
-            self._seg_b = np.array([s.b.as_array() for s in segs])
-        else:
-            self._seg_a = np.zeros((0, 2))
-            self._seg_b = np.zeros((0, 2))
-
-    @property
-    def segments(self) -> list[Segment]:
-        return self._segments
+        self.walls = np.asarray(self.walls, dtype=float)
+        if self.walls.ndim != 3 or self.walls.shape[1:] != (2, 2):
+            raise ValueError(f"walls must be (W, 2, 2), got shape {self.walls.shape}")
+        polygons = ([] if self.boundary is None else [self.boundary]) + self.obstacles
+        self._boundary_count = 0 if self.boundary is None else len(self.boundary)
+        # A polygon's edge i runs from vertex i to vertex i + 1, cyclically.
+        self._seg_a = np.concatenate([*polygons, self.walls[:, 0]])
+        self._seg_b = np.concatenate([*(np.roll(v, -1, axis=0) for v in polygons), self.walls[:, 1]])
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._seg_a, self._seg_b
@@ -94,7 +77,7 @@ class WorldMap:
         for obs in self.obstacles:
             if _point_in_polygon(q, obs):
                 return False
-        if clearance > 0.0 and len(self._segments) > 0:
+        if clearance > 0.0 and len(self._seg_a) > 0:
             if self.min_clearance(q) < clearance:
                 return False
         return True

@@ -25,33 +25,6 @@ def point_in_convex_polygon(p, verts) -> bool:
     return True
 
 
-def point_in_polygon_raycast(p, verts) -> bool:
-    """Even-odd ray casting test; works for non-convex polygons too."""
-    x, y = float(p[0]), float(p[1])
-    inside = False
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
-            inside = not inside
-        j = i
-    return inside
-
-
-def capsule_boundary_points(a, b, r, num: int) -> np.ndarray:
-    """Sample `num` points along a capsule boundary parameterized by arc/edge.
-
-    Works for degenerate cases: a zero-length axis gives a circle, zero radius
-    gives the bare segment.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ts = np.linspace(0.0, 1.0, num, endpoint=False)
-    return _capsule_boundary_at(a, b, r, ts)
-
-
 def _capsule_boundary_at(a, b, r, ts) -> np.ndarray:
     """Boundary point at normalized parameter t in [0, 1).
 
@@ -144,24 +117,6 @@ def capsule_distance_sampled(p, a, b, r, coarse: int = 2048, refine_rounds: int 
     return float(d.min())
 
 
-def polygon_distance_sampled(p, verts, samples_per_edge: int = 4000) -> float:
-    """Distance to a convex polygon by dense edge sampling (0 if inside)."""
-    p = np.asarray(p, dtype=float)
-    verts = np.asarray(verts, dtype=float)
-    if point_in_convex_polygon(p, verts):
-        return 0.0
-    best = np.inf
-    n = len(verts)
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        ts = np.linspace(0.0, 1.0, samples_per_edge)
-        pts = a + ts[:, None] * (b - a)
-        d = np.hypot(pts[:, 0] - p[0], pts[:, 1] - p[1]).min()
-        best = min(best, float(d))
-    return best
-
-
 def segment_distance(pts, a, b) -> np.ndarray:
     """Distance from each row of pts to segment a-b: the perpendicular
     distance where the foot of the perpendicular lies on the segment, else
@@ -215,20 +170,21 @@ def raycast_scalar(origin, direction, segments):
 def avoidance_margins_loop(states, projections, static_circles, params) -> np.ndarray:
     """Worst avoidance margin of each plan step k = 1..N, one row at a time:
     the largest (required margin - distance) over the families' projections
-    (margin d_safe + r_robot) and the static circles (margin d_safe_static +
-    r_robot + radius), and 0 at a step with no rows."""
+    (margin d_safe + r_robot) and the static circles, rows of centre x,
+    centre y and radius (margin d_safe_static + r_robot + radius), and 0 at a
+    step with no rows."""
     n = len(states) - 1
     margins = np.zeros(n)
     d_dyn = params.d_safe + params.r_robot
     for k in range(1, n + 1):
         g = -np.inf
         pk = states[k, :2]
-        for proj in projections.families:
-            dist = float(np.hypot(*(pk - proj.z_proj[k - 1])))
+        for z_proj in projections.z_proj:
+            dist = float(np.hypot(*(pk - z_proj[k - 1])))
             g = max(g, d_dyn - dist)
-        for circ in static_circles:
-            dmin = params.d_safe_static + params.r_robot + circ.radius
-            dist = float(np.hypot(*(pk - circ.center.as_array())))
+        for cx, cy, radius in static_circles:
+            dmin = params.d_safe_static + params.r_robot + radius
+            dist = float(np.hypot(pk[0] - cx, pk[1] - cy))
             g = max(g, dmin - dist)
         margins[k - 1] = 0.0 if g == -np.inf else g
     return margins
@@ -246,10 +202,8 @@ def planner_avoidance_rows(states, z0, projections, static_circles, params, stop
     reach = params.dt * max(abs(params.v_min), abs(params.v_max))
     out = []
     for k in range(1, min(stop_index, params.N - 1) + 1):
-        rows = [(proj.z_proj[k - 1], params.d_safe + params.r_robot) for proj in projections.families]
-        rows += [
-            (circ.center.as_array(), params.d_safe_static + params.r_robot + circ.radius) for circ in static_circles
-        ]
+        rows = [(z_proj[k - 1], params.d_safe + params.r_robot) for z_proj in projections.z_proj]
+        rows += [(circ[:2], params.d_safe_static + params.r_robot + circ[2]) for circ in static_circles]
         for anchor, margin in rows:
             gap = float(np.hypot(*(anchor - p0)))
             if gap <= k * reach + 1e-6 + margin:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from oampc.avoidance import OpenLoopPlan, project_plan
-from oampc.geometry import Disk, Point2, Segment
-from oampc.lidar_sim import OcclusionBoundary
+from oampc.geometry import Disk, Point2
 from oampc.reachability import AgentModel, build_capsules, build_disks
 
 from oracles import capsule_distance_sampled
@@ -11,36 +10,37 @@ from oracles import capsule_distance_sampled
 
 class TestProjectPlan:
     def make_capsule_family(self, n=5):
-        seg = OcclusionBoundary(Segment(Point2(0, 0), Point2(2, 0)), ray_index=0)
-        return build_capsules(seg, AgentModel(0.5), 0.1, n)
+        return build_capsules(np.array([[0.0, 0.0], [2.0, 0.0]]), AgentModel(0.5), 0.1, n)
 
     def test_far_points_analytic_distance(self):
         n = 5
         fam = self.make_capsule_family(n)
         shifted = np.tile([1.0, 2.0], (n, 1))  # 2 m above the axis midpoint
         ps = project_plan(shifted, [fam])
-        proj = ps.families[0]
+        assert ps.families == (fam,)
+        assert ps.z_proj.shape == (1, n, 2) and ps.d_proj.shape == (1, n)
         for k in range(1, n + 1):
-            assert proj.d_proj[k - 1] == pytest.approx(2.0 - 0.05 * k)
+            assert ps.d_proj[0, k - 1] == pytest.approx(2.0 - 0.05 * k)
+            assert ps.z_proj[0, k - 1] == pytest.approx([1.0, 0.05 * k])
 
     def test_interior_point_zero(self):
         fam = self.make_capsule_family(3)
         shifted = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         ps = project_plan(shifted, [fam])
-        assert np.all(ps.families[0].d_proj == 0.0)
+        assert np.all(ps.d_proj == 0.0)
 
     def test_zero_families(self):
         ps = project_plan(np.zeros((4, 2)), [])
         assert len(ps) == 0
         assert ps.horizon == 4
+        assert ps.z_proj.shape == (0, 4, 2) and ps.d_proj.shape == (0, 4)
 
     def test_disk_family_entries(self):
         fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.5), 0.1, 3)
         shifted = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         ps = project_plan(shifted, [fam])
-        proj = ps.families[0]
         for k in range(1, 4):
-            assert proj.d_proj[k - 1] == pytest.approx(1.0 - 0.1 - 0.05 * k)
+            assert ps.d_proj[0, k - 1] == pytest.approx(1.0 - 0.1 - 0.05 * k)
 
     def test_projection_consistency(self):
         # For every entry the projected point realizes the reported distance.
@@ -49,11 +49,11 @@ class TestProjectPlan:
         fams = [self.make_capsule_family(n), build_disks(Disk(Point2(1, 1), 0.2), AgentModel(0.4), 0.1, n)]
         shifted = rng.uniform(-3, 3, size=(n, 2))
         ps = project_plan(shifted, fams)
-        for proj in ps.families:
+        for z_proj, d_proj in zip(ps.z_proj, ps.d_proj):
             for k in range(n):
-                if proj.d_proj[k] > 0:
-                    gap = np.hypot(*(shifted[k] - proj.z_proj[k]))
-                    assert gap == pytest.approx(proj.d_proj[k], abs=1e-9)
+                if d_proj[k] > 0:
+                    gap = np.hypot(*(shifted[k] - z_proj[k]))
+                    assert gap == pytest.approx(d_proj[k], abs=1e-9)
 
     def test_stacked_families_match_sampling_oracle(self):
         # Capsules, a zero-length boundary and disks, projected in one call:
@@ -63,18 +63,18 @@ class TestProjectPlan:
         model = AgentModel(0.5, radius=0.1)
         fams = [
             self.make_capsule_family(n),
-            build_capsules(OcclusionBoundary(Segment(Point2(1, 1), Point2(1, 1)), 0), model, 0.1, n + 2),
+            build_capsules(np.array([[1.0, 1.0], [1.0, 1.0]]), model, 0.1, n + 2),
             build_disks(Disk(Point2(-1, 0.5), 0.2), model, 0.1, n),
-            build_capsules(OcclusionBoundary(Segment(Point2(-2, -1), Point2(0, -2)), 0), model, 0.1, n),
+            build_capsules(np.array([[-2.0, -1.0], [0.0, -2.0]]), model, 0.1, n),
         ]
         shifted = rng.uniform(-3, 3, size=(n, 2))
         ps = project_plan(shifted, fams)
-        for fam, proj in zip(fams, ps.families):
-            assert proj.family is fam
+        assert ps.families == tuple(fams)
+        for fam, z_proj, d_proj in zip(fams, ps.z_proj, ps.d_proj):
             for k in range(n):
                 ref = capsule_distance_sampled(shifted[k], fam.a, fam.b, fam.radii[k])
-                assert proj.d_proj[k] == pytest.approx(ref, abs=2e-6)
-                on_boundary = capsule_distance_sampled(proj.z_proj[k], fam.a, fam.b, fam.radii[k])
+                assert d_proj[k] == pytest.approx(ref, abs=2e-6)
+                on_boundary = capsule_distance_sampled(z_proj[k], fam.a, fam.b, fam.radii[k])
                 assert on_boundary == pytest.approx(0.0, abs=1e-6)
 
     def test_family_horizon_too_short(self):
@@ -90,8 +90,8 @@ class TestProjectPlan:
         shifted = np.array([[0.5, 1.0], [0.7, 1.1], [0.9, 1.3], [1.1, 1.6]])
         a = project_plan(shifted, [f1, f2])
         b = project_plan(shifted, [f2, f1])
-        assert np.array_equal(a.families[0].z_proj, b.families[1].z_proj)
-        assert np.array_equal(a.families[1].d_proj, b.families[0].d_proj)
+        assert np.array_equal(a.z_proj, b.z_proj[::-1])
+        assert np.array_equal(a.d_proj, b.d_proj[::-1])
 
 
 class TestOpenLoopPlan:

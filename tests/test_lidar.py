@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oampc.geometry import Point2, Segment
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
@@ -27,6 +26,11 @@ from workloads import generate  # noqa: E402
 
 def square_room(half=2.0):
     return WorldMap(boundary=rectangle(-half, -half, half, half))
+
+
+def as_walls(verts):
+    """A polygon's edges as a (W, 2, 2) walls array."""
+    return np.array([[verts[i], verts[(i + 1) % len(verts)]] for i in range(len(verts))])
 
 
 class TestScan:
@@ -125,47 +129,45 @@ class TestDetectOcclusions:
         s = self._scan_from_ranges([2.0, 2.05, 2.1, 4.8, 4.85, 2.2, 2.1, 2.05])
         # Jumps at (2,3) and (4,5); with threshold 0.5 both register.
         bounds = detect_occlusions(s, LidarParams(jump_threshold=0.5))
-        idx = [b.ray_index for b in bounds]
-        assert idx == [2, 4]
-        b = bounds[0]
+        # In ray order, each row [near, far].
+        assert np.array_equal(bounds, s.points[[[2, 3], [5, 4]]])
+        near, far = bounds[0]
         # Near endpoint is the shorter-range hit.
-        assert np.hypot(b.seg.a.x, b.seg.a.y) == pytest.approx(2.1)
-        assert np.hypot(b.seg.b.x, b.seg.b.y) == pytest.approx(4.8)
+        assert np.hypot(*near) == pytest.approx(2.1)
+        assert np.hypot(*far) == pytest.approx(4.8)
 
     def test_constant_ranges_none(self):
         s = self._scan_from_ranges([3.0] * 12)
-        assert detect_occlusions(s, LidarParams(jump_threshold=0.5)) == []
+        assert detect_occlusions(s, LidarParams(jump_threshold=0.5)).shape == (0, 2, 2)
 
     def test_near_to_strictly_farther(self):
         rng = np.random.default_rng(2)
         s = self._scan_from_ranges(rng.uniform(1.0, 6.0, 36))
-        for b in detect_occlusions(s, LidarParams(jump_threshold=0.5)):
-            da = math.hypot(b.seg.a.x, b.seg.a.y)
-            db = math.hypot(b.seg.b.x, b.seg.b.y)
-            assert db > da
+        for near, far in detect_occlusions(s, LidarParams(jump_threshold=0.5)):
+            assert math.hypot(*far) > math.hypot(*near)
 
     def test_boundary_length_at_least_threshold(self):
         rng = np.random.default_rng(4)
         s = self._scan_from_ranges(rng.uniform(0.5, 8.0, 60))
         params = LidarParams(jump_threshold=0.7)
-        for b in detect_occlusions(s, params):
-            assert b.seg.length >= params.jump_threshold - 1e-12
+        for near, far in detect_occlusions(s, params):
+            assert math.hypot(*(far - near)) >= params.jump_threshold - 1e-12
 
     def test_miss_contributes_virtual_far_point(self):
         ranges = [2.0, 2.0, 10.0, 10.0, 2.0, 2.0]  # 10.0 == max_range: misses
         s = self._scan_from_ranges(ranges, max_range=10.0)
         bounds = detect_occlusions(s, LidarParams(jump_threshold=1.0))
         assert len(bounds) == 2
-        far = bounds[0].seg.b
-        assert math.hypot(far.x, far.y) == pytest.approx(10.0)
+        assert math.hypot(*bounds[0, 1]) == pytest.approx(10.0)
 
     def test_matches_loop_oracle(self):
         params = LidarParams(num_rays=240, max_range=6.0, jump_threshold=0.3)
         _, scans = pillar_scans(params)
         for s in scans:
-            got = [(b.ray_index, b.seg.a.x, b.seg.a.y, b.seg.b.x, b.seg.b.y) for b in detect_occlusions(s, params)]
-            want = [(i, *s.points[near], *s.points[far]) for i, near, far in occlusion_pairs_loop(s.ranges, 0.3)]
-            assert got == want
+            got = detect_occlusions(s, params)
+            want = [[s.points[near], s.points[far]] for _, near, far in occlusion_pairs_loop(s.ranges, 0.3)]
+            assert got.shape == (len(want), 2, 2)
+            assert np.array_equal(got, np.reshape(want, (-1, 2, 2)))
 
     def test_corner_map_boundary_location(self):
         # L-shaped track: the only large jump from the start pose is across
@@ -178,9 +180,9 @@ class TestDetectOcclusions:
         assert len(bounds) >= 1
         # Each boundary must brush the corner region: the near point sits on
         # the inner wall x=1.5 close to y=2.
-        for b in bounds:
-            assert b.seg.a.x == pytest.approx(1.5, abs=0.05)
-            assert 1.2 < b.seg.a.y <= 2.0 + 1e-9
+        for (x, y), _ in bounds:
+            assert x == pytest.approx(1.5, abs=0.05)
+            assert 1.2 < y <= 2.0 + 1e-9
 
 
 def pillar_world():
@@ -202,6 +204,10 @@ def pillar_scans(params, count=30, seed=0):
 
 
 class TestDownsample:
+    # Synthetic scans are thinned against an open world: it has no boundary
+    # track, so every hit is kept.
+    OPEN = WorldMap()
+
     def _wall_scan(self, num_hits, spacing):
         # Hits along a straight wall at y=2, x = 0, spacing, 2*spacing, ...
         n = num_hits
@@ -226,15 +232,14 @@ class TestDownsample:
         # >= 0.5 m keeps one point every 0.6 m of wall.
         s = self._wall_scan(100, 0.2)
         params = LidarParams(downsample_spacing=0.5, coverage_radius=0.35)
-        circles = downsample(s, params)
+        circles = downsample(s, params, self.OPEN)
         wall_len = 99 * 0.2
         assert wall_len / 0.6 <= len(circles) <= math.ceil(wall_len / 0.5) + 1
 
     def test_single_hit(self):
         s = self._wall_scan(1, 0.2)
-        circles = downsample(s, LidarParams())
-        assert len(circles) == 1
-        assert circles[0].radius == LidarParams().coverage_radius
+        circles = downsample(s, LidarParams(), self.OPEN)
+        assert np.array_equal(circles, [[0.0, 2.0, LidarParams().coverage_radius]])
 
     def test_no_hits(self):
         from oampc.lidar_sim import Scan
@@ -250,7 +255,7 @@ class TestDownsample:
             np.full(n, -1),
             5.0,
         )
-        assert downsample(s, LidarParams()) == []
+        assert downsample(s, LidarParams(), self.OPEN).shape == (0, 3)
 
     def test_coverage_invariant(self):
         world = WorldMap(
@@ -259,8 +264,9 @@ class TestDownsample:
         )
         params = LidarParams(num_rays=360, max_range=12.0, downsample_spacing=0.3, coverage_radius=0.2)
         s = scan(world, RobotState(-0.5, -0.2, 0.1), params)
-        circles = downsample(s, params, world=world)
-        centers = np.array([[c.center.x, c.center.y] for c in circles])
+        circles = downsample(s, params, world)
+        assert np.all(circles[:, 2] == params.coverage_radius)
+        centers = circles[:, :2]
         # Every obstacle hit lies within coverage_radius of some center.
         for i in range(s.num_rays):
             if not s.hit_mask[i] or world.is_boundary_segment(int(s.segment_index[i])):
@@ -272,31 +278,40 @@ class TestDownsample:
     def test_consecutive_spacing(self):
         s = self._wall_scan(200, 0.05)
         params = LidarParams(downsample_spacing=0.4, coverage_radius=0.25)
-        circles = downsample(s, params)
-        centers = np.array([[c.center.x, c.center.y] for c in circles])
+        centers = downsample(s, params, self.OPEN)[:, :2]
         gaps = np.hypot(*np.diff(centers, axis=0).T)
         assert np.all(gaps >= params.downsample_spacing - 1e-9)
 
     def test_boundary_hits_excluded_when_world_given(self):
-        world = WorldMap(boundary=rectangle(-2, -2, 2, 2))
+        room = rectangle(-2, -2, 2, 2)
+        world = WorldMap(boundary=room)
         params = LidarParams(num_rays=90, max_range=10.0)
         s = scan(world, RobotState(0, 0, 0), params)
-        assert downsample(s, params, world=world) == []
-        # Without the world the same scan yields circles.
-        assert len(downsample(s, params)) > 0
+        assert downsample(s, params, world).shape == (0, 3)
+        # The same room as bare walls is no track limit: its hits yield circles.
+        walled = WorldMap(walls=as_walls(room))
+        s = scan(walled, RobotState(0, 0, 0), params)
+        assert s.hit_mask.all()
+        assert len(downsample(s, params, walled)) > 0
 
 
     def test_matches_loop_oracle(self):
         params = LidarParams(num_rays=200, max_range=8.0, downsample_spacing=0.8, coverage_radius=0.4)
         world, scans = pillar_scans(params)
+        # The same pillars in the same room, its edges walls: no hit is on a
+        # track limit.
+        walled = WorldMap(obstacles=world.obstacles, walls=as_walls(world.boundary))
         deduplicated = 0
-        for s in scans:
-            for w in (world, None):
-                hits = s.points[[h and (w is None or not world.is_boundary_segment(int(i)))
-                                 for h, i in zip(s.hit_mask, s.segment_index)]]
+        for pose in (s.pose for s in scans):
+            for w in (world, walled):
+                s = scan(w, pose, params)
+                hits = s.points[[h and not w.is_boundary_segment(int(i)) for h, i in zip(s.hit_mask, s.segment_index)]]
+                if w is walled:
+                    assert len(hits) == np.count_nonzero(s.hit_mask)
                 want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
-                got = np.array([[c.center.x, c.center.y] for c in downsample(s, params, world=w)]).reshape(-1, 2)
-                assert np.array_equal(got, want)
+                got = downsample(s, params, w)
+                assert np.array_equal(got[:, :2], want)
+                assert np.all(got[:, 2] == params.coverage_radius)
                 thinned = coverage_centers_loop(hits, params.downsample_spacing, np.inf)
                 uncovered = sum(min(np.hypot(*(p - c)) for c in thinned) > params.coverage_radius for p in hits)
                 deduplicated += uncovered > len(want) - len(thinned)

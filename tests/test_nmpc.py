@@ -10,25 +10,21 @@ import pytest
 
 import oampc.nmpc
 import oampc.sim_engine
-from oampc.avoidance import OpenLoopPlan, project_plan, ProjectionSet
-from oampc.geometry import Disk, Point2, Segment
-from oampc.lidar_sim import OcclusionBoundary, PointCloudCircle
+from oampc.avoidance import OpenLoopPlan, project_plan
+from oampc.geometry import Disk, Point2
 from oampc.nmpc import (
-    ControlInput,
     FeasibilityReport,
     MpcParams,
     NlpProblem,
-    RobotState,
     _NlpEvaluator,
     check_feasibility,
-    dynamics_step,
     fallback_plan,
     solve,
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
 from oampc.summarize import main as summarize_main
-from oampc.unicycle import rollout, sensitivities
+from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, sensitivities
 
 from oracles import (
     avoidance_margins_loop,
@@ -43,22 +39,22 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import generate  # noqa: E402
 
 
-def empty_projections(n):
-    return ProjectionSet((), horizon=n)
+def circle_rows(circles):
+    """Static circles, each (x, y, radius), as downsample's (M, 3) array."""
+    return np.reshape(np.array(circles, dtype=float), (-1, 3))
 
 
 def make_problem(z0, goal, params=None, families=(), circles=(), warm=None, u_prev=None):
     params = params or MpcParams()
-    n = params.N
-    warm = warm or OpenLoopPlan.stationary(np.asarray(z0, dtype=float), n, 0)
+    warm = warm or OpenLoopPlan.stationary(np.asarray(z0, dtype=float), params.N, 0)
     shifted = fallback_plan(warm).positions()[1:]
-    projections = project_plan(shifted, list(families)) if families else empty_projections(n)
+    projections = project_plan(shifted, list(families))
     goal3 = np.array([goal[0], goal[1], 0.0]) if len(goal) == 2 else np.asarray(goal, float)
     return NlpProblem(
         z0=np.asarray(z0, dtype=float),
         goal=goal3,
         projections=projections,
-        static_circles=list(circles),
+        static_circles=circle_rows(circles),
         params=params,
         warm_start=warm,
         u_prev=np.zeros(2) if u_prev is None else u_prev,
@@ -155,9 +151,9 @@ class TestGradients:
     def test_constraint_jacobian_matches_central_differences(self):
         rng = np.random.default_rng(2)
         params = MpcParams(N=5, state_bounds=(-5, 5, -5, 5))
-        seg = OcclusionBoundary(Segment(Point2(1.5, 0.5), Point2(2.5, 1.0)), 0)
+        seg = np.array([[1.5, 0.5], [2.5, 1.0]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
-        circles = [PointCloudCircle(Point2(0.5, -1.0), 0.15)]
+        circles = [(0.5, -1.0, 0.15)]
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], circles=circles)
         for _ in range(20):
             for j in range(1, params.N):
@@ -228,7 +224,7 @@ class TestSingleShootingModel:
         rng = np.random.default_rng(14)
         params = MpcParams(N=6, q_state=(10, 7, 0.3), q_input=(1.5, 0.5), q_input_rate=(0.7, 2.0),
                            state_bounds=(-5, 5, -5, 5))
-        seg = OcclusionBoundary(Segment(Point2(1.0, 0.4), Point2(2.0, 1.0)), 0)
+        seg = np.array([[1.0, 0.4], [2.0, 1.0]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], u_prev=np.array([0.4, -0.2]))
         for j in range(1, params.N):
@@ -267,28 +263,28 @@ class TestSolve:
 
     def test_respects_capsule_margin(self):
         params = MpcParams()
-        seg = OcclusionBoundary(Segment(Point2(1.2, -0.5), Point2(1.2, 0.5)), 0)
+        seg = np.array([[1.2, -0.5], [1.2, 0.5]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0], [3, 0], params, families=[fam])
         res = solve(problem)
         assert res.status == "optimal"
         dmin = params.d_safe + params.r_robot
-        proj = problem.projections.families[0]
+        z_proj = problem.projections.z_proj[0]
         for k in range(1, res.stop_index + 1):
-            dist = np.hypot(*(res.plan.states[k, :2] - proj.z_proj[k - 1]))
+            dist = np.hypot(*(res.plan.states[k, :2] - z_proj[k - 1]))
             assert dist >= dmin - params.feas_tol
 
     def test_stop_inside_margin_allowed(self):
         # The goal sits beyond an anchor blocking the way: the plan may move
         # then hold, with held steps tolerating margin violations.
         params = MpcParams()
-        seg = OcclusionBoundary(Segment(Point2(0.9, -2.0), Point2(0.9, 2.0)), 0)
+        seg = np.array([[0.9, -2.0], [0.9, 2.0]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0], [3, 0], params, families=[fam])
         res = solve(problem)
         assert res.status == "optimal"
         report = check_feasibility(
-            res.plan, problem.projections, [], params, z_init=problem.z0
+            res.plan, problem.projections, problem.static_circles, params, z_init=problem.z0
         )
         assert report.ok(params.feas_tol)
 
@@ -308,10 +304,10 @@ class TestSolve:
         problem = make_problem([0, 0, 0], [3, 0], params, families=[fam])
         res = solve(problem)
         assert res.status == "optimal"
-        proj = problem.projections.families[0]
+        z_proj = problem.projections.z_proj[0]
         for k in range(1, params.N):
-            gap0 = np.hypot(*(problem.z0[:2] - proj.z_proj[k - 1]))
-            gap_k = np.hypot(*(res.plan.states[k, :2] - proj.z_proj[k - 1]))
+            gap0 = np.hypot(*(problem.z0[:2] - z_proj[k - 1]))
+            gap_k = np.hypot(*(res.plan.states[k, :2] - z_proj[k - 1]))
             assert gap_k >= gap0 - params.feas_tol
 
     def test_never_degrades_feasible_warm_start(self):
@@ -329,7 +325,7 @@ class TestSolve:
 
     def test_deterministic(self):
         params = MpcParams()
-        seg = OcclusionBoundary(Segment(Point2(1.0, -0.3), Point2(1.4, 0.8)), 0)
+        seg = np.array([[1.0, -0.3], [1.4, 0.8]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         p1 = make_problem([0, 0, 0.1], [3, 0.5], params, families=[fam])
         p2 = make_problem([0, 0, 0.1], [3, 0.5], params, families=[fam])
@@ -370,14 +366,14 @@ SWEEP_SCRIPT = textwrap.dedent(
     """
     import sys
     import numpy as np
-    from oampc.avoidance import OpenLoopPlan, ProjectionSet
+    from oampc.avoidance import OpenLoopPlan, project_plan
     from oampc.nmpc import MpcParams, NlpProblem, solve
 
     params = MpcParams()
     z0 = np.array([1.0, 0.0, 0.0])
     goal = np.array(GOAL)
     warm = OpenLoopPlan.stationary(z0, params.N, 0)
-    problem = NlpProblem(z0, goal, ProjectionSet((), horizon=params.N), [], params, warm)
+    problem = NlpProblem(z0, goal, project_plan(warm.positions()[1:], []), np.zeros((0, 3)), params, warm)
     res = solve(problem)
     pooled = "multiprocessing" in sys.modules
     workers = [p.pid for p in sys.modules["multiprocessing"].active_children()] if pooled else []
@@ -448,7 +444,7 @@ class TestCheckFeasibility:
         plan = OpenLoopPlan.stationary(np.zeros(3), params.N, 0)
         shifted = fallback_plan(plan).positions()[1:]
         projections = project_plan(shifted, [fam])
-        report = check_feasibility(plan, projections, [], params, z_init=np.zeros(3))
+        report = check_feasibility(plan, projections, circle_rows([]), params, z_init=np.zeros(3))
         assert report.ok(params.feas_tol)
         assert report.avoidance_margin.max() > 0  # inside the margin, reported
 
@@ -460,13 +456,13 @@ class TestCheckFeasibility:
         states = rollout(np.zeros(3), inputs, params.dt)
         plan = OpenLoopPlan(states, inputs, 0)
         projections = project_plan(states[1:, :2], [fam])
-        report = check_feasibility(plan, projections, [], params, z_init=np.zeros(3))
+        report = check_feasibility(plan, projections, circle_rows([]), params, z_init=np.zeros(3))
         assert not report.ok(params.feas_tol)
         assert report.complementarity.max() > params.feas_tol
 
     def test_solver_optimal_plan_clean(self):
         params = MpcParams(state_bounds=(-1, 4, -2, 2))
-        seg = OcclusionBoundary(Segment(Point2(2.0, -0.5), Point2(2.0, 0.5)), 0)
+        seg = np.array([[2.0, -0.5], [2.0, 0.5]])
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0], [3.5, 0], params, families=[fam])
         res = solve(problem)
@@ -488,12 +484,9 @@ class TestAvoidanceRows:
             if rng.random() < 0.5:
                 families.append(build_disks(Disk(Point2(*a), 0.1), AgentModel(0.5), params.dt, params.N))
             else:
-                seg = OcclusionBoundary(Segment(Point2(*a), Point2(*b)), 0)
+                seg = np.array([a, b])
                 families.append(build_capsules(seg, AgentModel(0.5), params.dt, params.N))
-        circles = [
-            PointCloudCircle(Point2(*rng.uniform(-2, 2, 2)), float(rng.uniform(0.1, 0.3)))
-            for _ in range(n_circles)
-        ]
+        circles = circle_rows([(*rng.uniform(-2, 2, 2), rng.uniform(0.1, 0.3)) for _ in range(n_circles)])
         return families, circles
 
     @pytest.mark.parametrize("n_families,n_circles", [(3, 4), (2, 0), (0, 3), (0, 0)])
@@ -507,24 +500,26 @@ class TestAvoidanceRows:
             states = rollout(rng.uniform(-1, 1, 3), inputs, params.dt)
             plan = OpenLoopPlan(states, inputs, 0)
             shifted = states[1:, :2] + rng.normal(0.0, 0.1, (n, 2))
-            projections = project_plan(shifted, families) if families else empty_projections(n)
+            projections = project_plan(shifted, families)
             report = check_feasibility(plan, projections, circles, params)
             want = avoidance_margins_loop(states, projections, circles, params)
             assert np.array_equal(report.avoidance_margin, want)
 
     def test_planner_rows_match_cull_then_relax_oracle(self):
         params = MpcParams()  # no track limits, so c holds the avoidance rows only
-        seg = OcclusionBoundary(Segment(Point2(1.2, -0.5), Point2(1.2, 0.5)), 0)
+        seg = np.array([[1.2, -0.5], [1.2, 0.5]])
         families = [
             build_capsules(seg, AgentModel(0.5), params.dt, params.N),
             # Its projection sits 0.05 m from the robot: relaxed at every step.
             build_disks(Disk(Point2(0.1, 0.1), 0.05), AgentModel(0.0), params.dt, params.N),
         ]
-        circles = [
-            PointCloudCircle(Point2(0.0, 0.2), 0.15),  # the robot starts inside its 0.45 m margin
-            PointCloudCircle(Point2(1.3, 0.0), 0.2),  # culled at the early steps only
-            PointCloudCircle(Point2(6.0, 5.0), 0.2),  # beyond the cull at every step
-        ]
+        circles = circle_rows(
+            [
+                (0.0, 0.2, 0.15),  # the robot starts inside its 0.45 m margin
+                (1.3, 0.0, 0.2),  # culled at the early steps only
+                (6.0, 5.0, 0.2),  # beyond the cull at every step
+            ]
+        )
         problem = make_problem([0, 0, 0.2], [3, 0], params, families=families, circles=circles)
         lo, hi = params.input_box
         rng = np.random.default_rng(5)
@@ -580,7 +575,7 @@ class TestFallbackPlan:
         fam_next = build_disks(Disk(Point2(*agent_next), 0.1), model, params.dt, params.N)
         shifted = fallback_plan(res.plan).positions()[1:]
         projections = project_plan(shifted, [fam_next])
-        report = check_feasibility(fb, projections, [], params, z_init=res.plan.states[1])
+        report = check_feasibility(fb, projections, circle_rows([]), params, z_init=res.plan.states[1])
         assert report.ok(params.feas_tol)
         # Shrinkage: the new one-step set sits inside the previous two-step set.
         gap = np.hypot(*(agent_next - agent_pos))

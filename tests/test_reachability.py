@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oampc.geometry import Disk, Point2, Segment, capsule_projection
-from oampc.lidar_sim import OcclusionBoundary
+from oampc.geometry import Disk, Point2, capsule_projection
 from oampc.reachability import (
     AgentModel,
     ModelViolationError,
@@ -18,7 +17,8 @@ from oracles import capsule_distance_sampled, point_in_capsule, segment_distance
 
 
 def boundary(ax, ay, bx, by):
-    return OcclusionBoundary(Segment(Point2(ax, ay), Point2(bx, by)), ray_index=0)
+    """One [near, far] row of detect_occlusions."""
+    return np.array([[ax, ay], [bx, by]], dtype=float)
 
 
 class TestStepDistance:

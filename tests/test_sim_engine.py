@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 import oampc.sim_engine
-from oampc.geometry import Point2, Segment
 from oampc.nmpc import MpcParams, check_feasibility
 from oampc.reachability import AgentModel
 from oampc.sim_engine import (
@@ -30,7 +29,7 @@ from oracles import segment_distance
 
 
 class TestGroundTruthCollision:
-    WALL = WorldMap(walls=[Segment(Point2(-1, 0), Point2(1, 0))])
+    WALL = WorldMap(walls=np.array([[[-1.0, 0.0], [1.0, 0.0]]]))
 
     def test_closed_contact_with_wall(self):
         assert ground_truth_collision(RobotState(0.5, 0.5, 0.0), [], [], self.WALL, r_robot=0.5)
@@ -107,6 +106,50 @@ class TestClosedLoop:
         assert [rec.step_ms for rec in log] == step_ms
         assert 0 < metrics.step_ms_p50 <= metrics.step_ms_p99 <= metrics.step_ms_max == max(step_ms)
         assert metrics.deadline_misses == sum(t > 100.0 for t in step_ms)
+
+    def test_open_world_with_one_visible_agent(self, monkeypatch):
+        # No map segment: every ray misses, so each step has no occlusion
+        # boundary and no static circle, and the empty arrays pass through
+        # the problem, its audit and the clearances. One pedestrian, walking
+        # away from the robot's path, is seen at every step.
+        ped = AgentScript(waypoints=np.array([[1.5, 1.0], [1.5, 3.0]]), speed=0.3)
+        scenario = Scenario(
+            name="open",
+            world=WorldMap(),
+            robot_init=RobotState(0.0, 0.0, 0.0),
+            goals=[np.array([3.0, 0.0])],
+            agents=[ped],
+            max_steps=64,
+        )
+        boundaries, problems = [], []
+        detect, solve = oampc.sim_engine.detect_occlusions, oampc.sim_engine.solve
+
+        def recorded_detect(*args):
+            boundaries.append(detect(*args))
+            return boundaries[-1]
+
+        def recorded_solve(problem):
+            problems.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(oampc.sim_engine, "detect_occlusions", recorded_detect)
+        monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
+        log, metrics = run(scenario)
+        assert metrics.terminal_reason == "goal" and metrics.steps == 18
+        assert all(b.shape == (0, 2, 2) for b in boundaries) and len(boundaries) == len(log)
+        assert not metrics.collision and metrics.fallback_invocations == 0
+        assert metrics.min_occlusion_clearance == math.inf
+        n = scenario.mpc.N
+        for rec, problem in zip(log, problems, strict=True):
+            assert rec.n_boundaries == 0 and rec.occlusion_clearance == math.inf
+            assert rec.n_families == 1 and rec.static_clearance == math.inf
+            assert problem.static_circles.shape == (0, 3)
+            assert problem.projections.z_proj.shape == (1, n, 2)
+            report = check_feasibility(
+                rec.plan, problem.projections, problem.static_circles, problem.params, z_init=rec.state
+            )
+            assert rec.audit_violation == report.max_violation
+            assert report.ok(problem.params.feas_tol)
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oampc.geometry import Point2, Segment
+from oampc.geometry import Point2
 from oampc.world import WorldMap, rectangle
 
 from oracles import point_in_convex_polygon, segment_distance, segments_cross
@@ -12,8 +12,37 @@ def polygon_edges(verts):
 
 
 def random_walls(rng, m):
-    ends = rng.uniform(-4, 4, size=(m, 2, 2))
-    return ends, [Segment(Point2(*a), Point2(*b)) for a, b in ends]
+    return rng.uniform(-4, 4, size=(m, 2, 2))
+
+
+class TestSegmentArrays:
+    def test_match_per_edge_loop(self):
+        # The boundary's edges, then each obstacle's, then the walls, each
+        # edge from a vertex to the next one, cyclically.
+        rng = np.random.default_rng(29)
+        boundary = np.array([[-5.0, -5.0], [5.0, -5.0], [5.0, 5.0], [0.0, 6.0], [-5.0, 5.0]])
+        obstacles = [rectangle(-1, -1, 1, 1), np.array([[2.0, 2.0], [3.0, 2.0], [2.5, 3.0]])]
+        walls = random_walls(rng, 3)
+        for b in (boundary, None):
+            world = WorldMap(boundary=b, obstacles=obstacles, walls=walls)
+            polygons = ([] if b is None else [b]) + obstacles
+            edges = [edge for verts in polygons for edge in polygon_edges(verts)] + [tuple(w) for w in walls]
+            seg_a, seg_b = world.segment_arrays()
+            assert seg_a.shape == seg_b.shape == (len(edges), 2)
+            assert np.array_equal(seg_a, [a for a, _ in edges])
+            assert np.array_equal(seg_b, [b for _, b in edges])
+            n_boundary = 0 if b is None else len(b)
+            marked = world.is_boundary_segment(np.arange(len(edges)))
+            assert marked.tolist() == [i < n_boundary for i in range(len(edges))]
+
+    def test_empty_world(self):
+        seg_a, seg_b = WorldMap().segment_arrays()
+        assert seg_a.shape == seg_b.shape == (0, 2)
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 2), (3, 2), (1, 2, 3), (1, 3, 2), (1, 1, 2, 2)])
+    def test_walls_must_be_w_2_2(self, shape):
+        with pytest.raises(ValueError):
+            WorldMap(walls=np.zeros(shape))
 
 
 class TestSegmentVisible:
@@ -42,8 +71,8 @@ class TestSegmentVisible:
 
     def test_matches_cross_product_oracle(self):
         rng = np.random.default_rng(17)
-        ends, walls = random_walls(rng, 10)
-        world = WorldMap(walls=walls)
+        ends = random_walls(rng, 10)
+        world = WorldMap(walls=ends)
         for _ in range(400):
             a, b = rng.uniform(-5, 5, size=(2, 2))
             blocked = any(segments_cross(a, b, wa, wb) for wa, wb in ends)
@@ -63,8 +92,8 @@ class TestMinClearance:
     def test_matches_segment_oracle(self):
         rng = np.random.default_rng(19)
         boundary, obstacle = rectangle(-5, -5, 5, 5), rectangle(-1, 0.5, 2, 1.5)
-        ends, walls = random_walls(rng, 4)
-        world = WorldMap(boundary=boundary, obstacles=[obstacle], walls=walls)
+        ends = random_walls(rng, 4)
+        world = WorldMap(boundary=boundary, obstacles=[obstacle], walls=ends)
         edges = polygon_edges(boundary) + polygon_edges(obstacle) + list(ends)
         pts = rng.uniform(-5, 5, size=(200, 2))
         expected = np.min([segment_distance(pts, a, b) for a, b in edges], axis=0)
