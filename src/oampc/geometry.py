@@ -88,23 +88,30 @@ def cast_rays(
     seg_b: np.ndarray,
     max_range: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nearest hit of each ray origin + t dirs[i], t >= 0, on segments
-    seg_a[j]-seg_b[j].
+    """Nearest hit of each ray origin + t dirs[..., i, :], t >= 0, on segments
+    seg_a[..., j, :]-seg_b[..., j, :].
 
-    dirs is (n, 2) unit directions; seg_a and seg_b are (m, 2). Returns
-    (ranges, hit_mask, segment_index): a miss, including a hit beyond
-    max_range, carries max_range and index -1. Rays parallel to a segment miss
-    it. Fully vectorized: O(rays x segments) memory.
+    dirs is (..., n, 2) unit directions; seg_a and seg_b are (..., m, 2). The
+    leading axes broadcast, so a batch of ray runs can each be cast against
+    its own segments. Returns (ranges, hit_mask, segment_index), each
+    (..., n): a miss, including a hit beyond max_range, carries max_range and
+    index -1. Rays parallel to a segment miss it. Fully vectorized:
+    O(rays x segments) memory.
     """
+    # Rays run along the last axis, segments along the one before: the long
+    # axis innermost keeps numpy's inner loops long.
     e = seg_b - seg_a
     ao = seg_a - origin
-    denom = dirs[:, None, 0] * e[None, :, 1] - dirs[:, None, 1] * e[None, :, 0]
+    dx, dy = dirs[..., None, :, 0], dirs[..., None, :, 1]
+    ex, ey = e[..., :, None, 0], e[..., :, None, 1]
+    ax, ay = ao[..., :, None, 0], ao[..., :, None, 1]
+    denom = dx * ey - dy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (ao[None, :, 0] * e[None, :, 1] - ao[None, :, 1] * e[None, :, 0]) / denom
-        s = (ao[None, :, 0] * dirs[:, None, 1] - ao[None, :, 1] * dirs[:, None, 0]) / denom
+        t = (ax * ey - ay * ex) / denom
+        s = (ax * dy - ay * dx) / denom
     valid = (np.abs(denom) >= 1e-14) & (t >= 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
     t = np.where(valid, t, np.inf)
-    ranges = t.min(axis=1, initial=np.inf)
+    ranges = t.min(axis=-2, initial=np.inf)
     hit_mask = ranges <= max_range
-    seg_idx = np.where(hit_mask, t.argmin(axis=1) if t.size else -1, -1)
+    seg_idx = np.where(hit_mask, t.argmin(axis=-2) if t.size else -1, -1)
     return np.where(hit_mask, ranges, max_range), hit_mask, seg_idx

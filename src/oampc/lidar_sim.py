@@ -15,10 +15,12 @@ robot heading does not affect the returns, and tests stay frame-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import cast_rays
+from .geometry import EPS_GEO, cast_rays
 from .unicycle import RobotState
 from .world import WorldMap
 
@@ -66,16 +68,92 @@ class Scan:
 
 
 def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
-    """Cast num_rays rays from the pose against every world segment."""
+    """Cast num_rays rays from the pose against the world's segments.
+
+    The rays are split into _SECTORS contiguous runs, and each run is cast
+    against only the segments that can meet one of its rays
+    (_sector_segments), all runs in one cast_rays call. Per ray and segment
+    the kernel's arithmetic is elementwise, and a dropped segment is one the
+    ray cannot hit, so ranges, hit mask and segment indexes are those of one
+    cast against every segment."""
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
-    n = params.num_rays
+    sweep = _sweep(params.num_rays)
+    seg_a, seg_b = world.segment_arrays()
+    members = _sector_segments(origin, seg_a, seg_b, sweep)
+    # Each sector's segments in map order, then as many of the others as the
+    # largest sector needs. No ray of a sector hits one of the others, so
+    # each ray's nearest hit and its first index among equals are unchanged.
+    order = np.argsort(~members, axis=1, kind="stable")[:, : members.sum(axis=1).max(initial=0)]
+    ranges, hit_mask, local = cast_rays(origin, sweep.grid, seg_a[order], seg_b[order], params.max_range)
+    # A closing column of -1 maps a miss's index -1 to -1.
+    order = np.concatenate([order, np.full((_SECTORS, 1), -1)], axis=1)
+    index = order[sweep.rows, local][sweep.kept]
+    ranges = ranges[sweep.kept]
+    points = origin[None, :] + ranges[:, None] * sweep.dirs
+    return Scan(pose, sweep.angles, ranges, hit_mask[sweep.kept], points, index, params.max_range)
+
+
+# Sectors a sweep is cast in. On a 2-core x86-64 container, against a scan
+# casting every ray at every segment, a pillars-crowd scan (1440 rays, 52
+# segments) took 0.58-0.60x the time with 16 sectors, 0.62x with 12,
+# 0.66-0.68x with 8 and 0.56-0.57x with 24. A corner scan (360 rays, 12
+# segments) is too small to gain: 1.03-1.19x with any of them.
+_SECTORS = 16
+
+
+class _Sweep(NamedTuple):
+    """The fixed layout of an n-ray sweep cast in _SECTORS sectors."""
+
+    angles: np.ndarray  # (n,) strictly increasing over [0, 2pi)
+    dirs: np.ndarray  # (n, 2) unit directions
+    grid: np.ndarray  # (_SECTORS, w, 2) directions by sector; a short sector repeats its last ray
+    kept: np.ndarray  # (_SECTORS, w) slots that are not repeats, in ray order
+    rows: np.ndarray  # (_SECTORS, 1) sector numbers
+    lo: np.ndarray  # (_SECTORS, 1) first ray angle of each sector, less the padding
+    size: np.ndarray  # (_SECTORS, 1) angle from lo to the last ray, plus the padding
+
+
+@lru_cache(maxsize=8)
+def _sweep(n: int) -> _Sweep:
     angles = 2.0 * np.pi * np.arange(n) / n
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    ranges, hit_mask, seg_idx = cast_rays(origin, dirs, *world.segment_arrays(), params.max_range)
-    points = origin[None, :] + ranges[:, None] * dirs
-    return Scan(pose, angles, ranges, hit_mask, points, seg_idx, params.max_range)
+    bounds = np.arange(_SECTORS + 1) * n // _SECTORS
+    cols = np.arange(np.diff(bounds).max())
+    grid = dirs[np.minimum(bounds[:-1, None] + cols, bounds[1:, None] - 1)]
+    kept = bounds[:-1, None] + cols < bounds[1:, None]
+    # Two ray spacings on each side of a sector, against rounding and the
+    # ray kernel's end tolerance.
+    pad = 2.0 * (2.0 * np.pi / n)
+    first, last = angles[bounds[:-1], None], angles[bounds[1:] - 1, None]
+    rows = np.arange(_SECTORS)[:, None]
+    sweep = _Sweep(angles, dirs, grid, kept, rows, first - pad, last - first + 2.0 * pad)
+    for array in sweep:
+        array.flags.writeable = False
+    return sweep
+
+
+def _sector_segments(origin, seg_a, seg_b, sweep: _Sweep) -> np.ndarray:
+    """(_SECTORS, S) mask of the segments each sector's rays are cast against.
+
+    A ray meets a segment only at a bearing inside the arc between the
+    bearings of the segment's ends, the shorter way round (a segment not
+    through the origin subtends less than pi). A sector takes every segment
+    whose arc overlaps the sector's padded angles. A segment whose arc
+    exceeds 0.9 pi (the origin near its line, between its ends) or with an
+    end within EPS_GEO of the origin, where bearings mean nothing, joins
+    every sector."""
+    two_pi = 2.0 * np.pi
+    ends = np.stack([seg_a, seg_b]) - origin  # (2, S, 2)
+    theta = np.arctan2(ends[..., 1], ends[..., 0])
+    arc = np.remainder(theta[1] - theta[0] + np.pi, two_pi) - np.pi  # signed, a to b
+    start = theta[0] + np.minimum(arc, 0.0)
+    span = np.abs(arc)
+    # Two arcs on the circle overlap when either one's start lies in the other.
+    overlap = (np.remainder(sweep.lo - start, two_pi) <= span) | (np.remainder(start - sweep.lo, two_pi) <= sweep.size)
+    near = np.hypot(ends[..., 0], ends[..., 1]).min(axis=0) <= EPS_GEO
+    return overlap | (span > 0.9 * np.pi) | near
 
 
 def detect_occlusions(scan_: Scan, params: LidarParams) -> np.ndarray:
@@ -110,18 +188,22 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap) -> np.ndarray:
         return np.zeros((0, 3))
 
     kept = _greedy_walk(hits, params.downsample_spacing)
-    centers = hits[kept]
     # Coverage backstop: every hit must be within coverage_radius of a center.
     # Hits the thinned centers leave uncovered are added in ray order, each
-    # unless an earlier added one covers it.
+    # unless an earlier added one covers it. Distances come from contiguous
+    # x and y columns, elementwise as np.hypot(*(p - c)) of each pair.
     r = params.coverage_radius
-    diff = hits[:, None, :] - centers[None, :, :]
-    uncovered = hits[np.hypot(diff[..., 0], diff[..., 1]).min(axis=1) > r]
-    added: list[np.ndarray] = []
-    for p in uncovered:
-        if all(np.hypot(*(p - c)) > r for c in added):
-            added.append(p)
-    centers = np.vstack([centers, *added])
+    xs, ys = hits[:, 0].copy(), hits[:, 1].copy()
+    cx, cy = xs[kept], ys[kept]
+    dist = np.hypot(xs[:, None] - cx, ys[:, None] - cy).min(axis=1)
+    ux, uy = xs[dist > r], ys[dist > r]
+    # covers[i][j]: uncovered hit j, if added, covers the later uncovered hit i.
+    covers = (~(np.hypot(ux[:, None] - ux, uy[:, None] - uy) > r)).tolist()
+    added: list[int] = []
+    for i, row in enumerate(covers):
+        if not any(row[j] for j in added):
+            added.append(i)
+    centers = np.concatenate([np.column_stack([cx, cy]), np.column_stack([ux[added], uy[added]])])
     return np.column_stack([centers, np.full(len(centers), r)])
 
 

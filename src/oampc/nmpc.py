@@ -190,6 +190,35 @@ class SolveResult:
     search: str  # the last phase run: "full", "hint" or "sweep"
 
 
+class _Probe(NamedTuple):
+    """What a stop-index probe reads of an NlpProblem: the start, goal and
+    previous input, the parameters, the warm start's stamp and the avoidance
+    row table. The probes of a step share it in this process and are sent it,
+    not the whole problem, in a worker."""
+
+    z0: np.ndarray
+    goal: np.ndarray
+    u_prev: np.ndarray
+    params: MpcParams
+    stamp: int
+    row_step: np.ndarray
+    row_anchor: np.ndarray
+    row_margin: np.ndarray
+
+    @classmethod
+    def of(cls, problem: NlpProblem) -> "_Probe":
+        return cls(
+            problem.z0,
+            problem.goal,
+            problem.u_prev,
+            problem.params,
+            problem.warm_start.stamp,
+            problem.row_step,
+            problem.row_anchor,
+            problem.row_margin,
+        )
+
+
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
     """Tracking + input effort + input-rate cost over the plan: the planner's
     objective (_objective), so a solved probe's SQP objective is this cost."""
@@ -279,10 +308,11 @@ class _NlpEvaluator:
     stop index j onward are fixed at zero. The state sensitivities are the
     closed form of unicycle.sensitivities, which gives analytic gradients and
     a Gauss-Newton cost Hessian. The avoidance rows are the problem's rows
-    through step min(j, N-1).
+    through step min(j, N-1). It reads the problem's fields that _Probe
+    holds, so it takes either.
     """
 
-    def __init__(self, problem: NlpProblem, stop_index: int):
+    def __init__(self, problem: "NlpProblem | _Probe", stop_index: int):
         self.problem = problem
         self.params = problem.params
         self.j = stop_index
@@ -350,7 +380,8 @@ def solve(problem: NlpProblem) -> SolveResult:
     u_ws = np.clip(problem.warm_start.inputs, lo, hi)
     u_ws[n - 1] = 0.0
 
-    stationary = _aligned_stationary_plan(problem, problem.warm_start.stamp)
+    data = _Probe.of(problem)
+    stationary = _aligned_stationary_plan(data)
     stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)
     # A candidate improves on standing still only below this cost.
@@ -366,7 +397,7 @@ def solve(problem: NlpProblem) -> SolveResult:
             if cand is not None:
                 candidates.append(cand)
 
-    probe = partial(_try_stop_index, problem, u_ws, floor)
+    probe = partial(_try_stop_index, data, u_ws, floor)
     collect([probe(n - 1)])
     search = "full"
 
@@ -435,7 +466,7 @@ class _Work(NamedTuple):
         return _Work(*(a + b for a, b in zip(self, other)))
 
 
-def _run_probe(problem: NlpProblem, j: int, u_init: np.ndarray) -> tuple[Optional[tuple], _Work]:
+def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tuple], _Work]:
     """One SQP probe at stop index j from u_init (N, 2).
 
     Returns the candidate (cost, plan, j), or None when the SQP ends
@@ -448,12 +479,12 @@ def _run_probe(problem: NlpProblem, j: int, u_init: np.ndarray) -> tuple[Optiona
     cand = None
     if res.status == STATUS_OPTIMAL:
         u = evaluator.full_inputs(res.x)
-        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, problem.warm_start.stamp), j)
+        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, problem.stamp), j)
     ms = (time.perf_counter() - t0) * 1e3
     return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, 1, ms)
 
 
-def _try_stop_index(problem: NlpProblem, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
+def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
     """Probe stop index j from the warm start u_ws with its inputs from j on
     zeroed, then, if that does not get below floor from rest, re-probe from
     two escape seeds. Returns the cheapest candidate or None, and the summed
@@ -483,7 +514,7 @@ def _try_stop_index(problem: NlpProblem, u_ws: np.ndarray, floor: float, j: int)
     return cand, work
 
 
-def _rotate_then_drive_seed(problem: NlpProblem, j: int) -> Optional[np.ndarray]:
+def _rotate_then_drive_seed(problem: _Probe, j: int) -> Optional[np.ndarray]:
     """Turn toward the goal bearing first, then roll forward: the escape
     pattern a wedged heading needs, encoded explicitly because the
     linearization cannot discover it from rest."""
@@ -533,7 +564,7 @@ def _start_pool(n: int):
     return pool
 
 
-def _aligned_stationary_plan(problem: NlpProblem, stamp: int) -> OpenLoopPlan:
+def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:
     """Hold position while rotating toward the current goal bearing.
 
     Positions never change, so the plan is admissible whenever the pose
@@ -556,10 +587,10 @@ def _aligned_stationary_plan(problem: NlpProblem, stamp: int) -> OpenLoopPlan:
             inputs[k, 1] = delta
             remaining -= delta * params.dt
     states = rollout(z0, inputs, params.dt)
-    return OpenLoopPlan(states, inputs, stamp)
+    return OpenLoopPlan(states, inputs, problem.stamp)
 
 
-def _goal_bearing_error(problem: NlpProblem) -> float:
+def _goal_bearing_error(problem: _Probe) -> float:
     """Heading change in [-pi, pi] that points the robot at the goal."""
     z0, goal = problem.z0, problem.goal
     bearing = math.atan2(goal[1] - z0[1], goal[0] - z0[0])
@@ -658,10 +689,12 @@ def fallback_plan(prev: OpenLoopPlan) -> OpenLoopPlan:
 
     A feasible previous plan ends stopped (the terminal equality forces its
     last input to zero for the unicycle), so the appended step holds the
-    final state and the shifted plan ends stopped as well. This is the
-    guaranteed contingency when a fresh solve fails: reachable sets only
-    shrink between steps, so the shifted plan stays feasible under the new
-    constraint data.
+    final state. The shifted plan therefore ends stopped and satisfies the
+    dynamics. It is not guaranteed to clear the new constraint data: the
+    reachable sets are rebuilt from every scan and need not shrink between
+    steps, so the shift can fail the audit (at 25 of 64 steps of a
+    corner-fast episode). sim_engine audits it whenever it applies it and
+    logs the result as fallback_feasible.
     """
     if np.abs(prev.inputs[-1]).max() > 1e-9:
         raise ValueError("previous plan does not end stopped; it was not terminally feasible")

@@ -21,7 +21,14 @@ the cold start does not solve.
 Sized for problems with tens of variables and a few hundred inequality
 constraints; everything is dense numpy. At that size an interior-point
 iteration's time goes mostly to numpy's per-call overhead, so the loop is
-written to make few calls.
+written to make few calls. The slacks and multipliers live in one (2, m)
+array [s; z], and each Newton step writes [ds; dz] into one reused (2, m)
+buffer, so one masked divide and one row-wise max give both step lengths and
+one V + alphas D moves s and z together. The predictor and the corrector are
+written out in the loop, not in a per-iteration closure. What no rewrite of
+the loop removes is the Cholesky factor, its inverse and G'WG: 27 to 40 us
+of an iteration's 120 to 190 us at 19 variables and 136 rows, on a 2-core
+x86-64 container whose speed varies.
 """
 
 from __future__ import annotations
@@ -83,10 +90,10 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     QPs that never get there, degenerate and large-penalty ones, and returns
     the iterate with the smallest residual.
 
-    At tens of variables every numpy call costs more than its arithmetic, so
-    the loop computes each shared term once and updates the iterates out of
-    place (the incumbent keeps references, not copies); every value still
-    comes from the same floating-point operations in the same order.
+    The loop keeps [s; z] and [ds; dz] in (2, m) arrays (see the module
+    docstring) and updates the iterates out of place, so the incumbent keeps
+    references, not copies. Every value comes from the same floating-point
+    operations in the same order as a loop over separate s and z arrays.
     """
     n = len(q)
     m = len(h)
@@ -95,27 +102,34 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         return np.linalg.solve(P + 1e-12 * eye, -q), np.zeros(0), 0
 
     y = np.zeros(n)
-    s = np.maximum(h - G @ y, 1.0)
-    z = np.ones(m)
+    V = np.ones((2, m))  # [s; z]
+    np.maximum(h - G @ y, 1.0, out=V[0])
     Gt = G.T
     reg_eye = 1e-12 * eye
-    ratios = np.empty(m)
+    R = np.empty(n + m)  # [r_d; r_p]: dual and primal residuals
+    r_d, r_p = R[:n], R[n:]
+    D = np.empty((2, m))  # [ds; dz]: the latest Newton step
+    ds, dz = D
+    ratios = np.empty((2, m))
+    descent = np.empty((2, m), dtype=bool)
 
-    def max_step(v, dv):
-        # min(1, min of -v/dv over dv < 0) without boolean indexing: negation
-        # is exact, so that minimum is minus the largest v/dv.
+    def step_lengths():
+        # Per row, min(1, min of -V/D over D < 0) without boolean indexing:
+        # negation is exact, so that minimum is minus the largest V/D.
         ratios.fill(-np.inf)
-        np.divide(v, dv, out=ratios, where=dv < 0)
-        return min(1.0, -np.maximum.reduce(ratios))
+        np.less(D, 0.0, out=descent)
+        np.divide(V, D, out=ratios, where=descent)
+        return np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
 
     scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
     tol_resid = 1e-9 * scale
-    best_resid, best_y, best_z = np.inf, y, z
+    best_resid, best_y, best_z = np.inf, y, V[1]
     stalled = 0
     iterations = 0
     for _ in range(_QP_MAX_ITER):
-        r_d = P @ y + q + Gt @ z
-        r_p = G @ y + s - h
+        s, z = V
+        np.add(P @ y + q, Gt @ z, out=r_d)
+        np.subtract(G @ y + s, h, out=r_p)
         mu = float(s @ z) / m
 
         resid = max(np.maximum.reduce(np.abs(r_d)), np.maximum.reduce(np.abs(r_p)), mu)
@@ -131,9 +145,10 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
                 break
 
         # Clipping the scaling keeps the normal matrix solvable when slacks
-        # of active constraints collapse.
+        # of active constraints collapse. G'W is formed as (WG)': the same
+        # products in the same layout as Gt * w, from a faster broadcast.
         w = np.minimum(z / np.maximum(s, 1e-14), 1e12)
-        M = P + (Gt * w) @ G
+        M = P + (G * w[:, None]).T @ G
         reg, shift = 1e-12, reg_eye
         L = None
         while L is None:
@@ -150,36 +165,40 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         # rounding loses the small-eigenvalue directions of a near-singular M.
         Li = np.linalg.inv(L)
         LiT = Li.T
-        neg_r_d = -r_d
-        neg_r_p = -r_p
+        neg_R = -R
+        neg_r_d, neg_r_p = neg_R[:n], neg_R[n:]
         w_r_p = w * r_p
         sz = s * z
 
-        def newton(r_c):
-            r_c_s = r_c / s
-            rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
-            dy = LiT @ (Li @ rhs)
-            # One refinement pass recovers digits lost to ill-conditioning.
-            dy += LiT @ (Li @ (rhs - M @ dy))
-            gdy = G @ dy
-            return dy, neg_r_p - gdy, w * (r_p + gdy) - r_c_s
-
-        # Affine scaling step.
-        dy_a, ds_a, dz_a = newton(sz)
-        alpha_p = max_step(s, ds_a)
-        alpha_d = max_step(z, dz_a)
-        mu_aff = float((s + alpha_p * ds_a) @ (z + alpha_d * dz_a)) / m
+        # Predictor (affine scaling step): the Newton step for the
+        # complementarity residual r_c = s z, with one refinement pass that
+        # recovers digits lost to ill-conditioning.
+        r_c_s = sz / s
+        rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
+        dy = LiT @ (Li @ rhs)
+        dy += LiT @ (Li @ (rhs - M @ dy))
+        gdy = G @ dy
+        np.subtract(neg_r_p, gdy, out=ds)
+        np.subtract(w * (r_p + gdy), r_c_s, out=dz)
+        after = V + step_lengths() * D
+        mu_aff = float(after[0] @ after[1]) / m
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
-        # Corrector.
-        dy, ds, dz = newton(sz + ds_a * dz_a - sigma * mu)
-        alpha_p = 0.99 * max_step(s, ds)
-        alpha_d = 0.99 * max_step(z, dz)
-        y = y + alpha_p * dy
-        s = s + alpha_p * ds
-        z = z + alpha_d * dz
+        # Corrector: the same Newton step for the centred second-order
+        # residual r_c = s z + ds dz - sigma mu.
+        r_c_s = (sz + ds * dz - sigma * mu) / s
+        rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
+        dy = LiT @ (Li @ rhs)
+        dy += LiT @ (Li @ (rhs - M @ dy))
+        gdy = G @ dy
+        np.subtract(neg_r_p, gdy, out=ds)
+        np.subtract(w * (r_p + gdy), r_c_s, out=dz)
+        alphas = 0.99 * step_lengths()
+        y = y + alphas[0] * dy
+        V = V + alphas * D
         iterations += 1
 
+    s, z = V
     r_d = P @ y + q + Gt @ z
     r_p = G @ y + s - h
     mu = float(s @ z) / m

@@ -33,6 +33,7 @@ from .sim_engine import STEP_LAYERS, percentiles
 # (label, StepRecord field) of the per-step solver counters.
 COUNTERS = (("probes", "probes"), ("QP solves", "qp_solves"), ("interior-point iterations", "qp_iterations"))
 SEARCH_PHASES = ("full", "hint", "sweep")
+SLOWEST = 5  # slowest steps listed
 
 
 def summarize(rows: list[dict]) -> list[str]:
@@ -58,6 +59,14 @@ def summarize(rows: list[dict]) -> list[str]:
         lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
         p50, p99 = percentiles([row["probe_ms"] / row["solve_ms"] for row in rows], [50, 99])
         lines.append(f"probe_ms / solve_ms: {p50:.2f} {p99:.2f}")
+        per_iteration = [1e3 * row["probe_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
+        p50, p99 = percentiles(per_iteration, [50, 99])
+        lines.append(f"us per interior-point iteration: {p50:.1f} {p99:.1f}")
+        lines.append("slowest steps: step_ms search probes qp_solves qp_iterations")
+        for k in np.argsort(-step_ms, kind="stable")[:SLOWEST]:
+            row = rows[k]
+            counters = " ".join(str(row[name]) for name in ("probes", "qp_solves", "qp_iterations"))
+            lines.append(f"step {k}: {step_ms[k]:.2f} {row['search']} {counters}")
     return lines
 
 

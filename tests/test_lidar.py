@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oampc.geometry import cast_rays
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
     detect_occlusions,
     _greedy_walk,
+    _sector_segments,
+    _sweep,
     downsample,
     scan,
 )
@@ -87,6 +90,63 @@ class TestScan:
         assert np.all(np.diff(s.angles) > 0)
         assert s.angles[0] == 0.0
         assert s.angles[-1] < 2 * np.pi
+
+
+def dense_cast(world, pose, params):
+    """One cast_rays call against every map segment: the sweep unsplit."""
+    n = params.num_rays
+    angles = 2.0 * np.pi * np.arange(n) / n
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    return cast_rays(pose.position(), dirs, *world.segment_arrays(), params.max_range)
+
+
+def workload_poses(world, seed, count):
+    """Free poses in a workload's world: count at random, count within 1e-3 m
+    of a segment's interior or of one of its ends (a vertex), and count on a
+    segment's line just past one of its ends, where rays run along it."""
+    rng = np.random.default_rng(seed)
+    seg_a, seg_b = world.segment_arrays()
+    lo, hi = world.boundary.min(axis=0), world.boundary.max(axis=0)
+    poses = {"random": [], "near": [], "in line": []}
+    while min(map(len, poses.values())) < count:
+        k = rng.integers(len(seg_a))
+        a, b = seg_a[k], seg_b[k]
+        unit = (b - a) / np.hypot(*(b - a))
+        normal = np.array([-unit[1], unit[0]])
+        off, angle = rng.uniform(1e-6, 1e-3), rng.uniform(0.0, 2.0 * np.pi)
+        for kind, p in (
+            ("random", rng.uniform(lo, hi)),
+            ("near", a + rng.uniform() * (b - a) + rng.choice([-1.0, 1.0]) * off * normal),
+            ("near", a + off * np.array([math.cos(angle), math.sin(angle)])),
+            ("in line", a - rng.uniform(1e-3, 1.0) * unit),
+        ):
+            if len(poses[kind]) < count and world.contains_free(p):
+                poses[kind].append(RobotState(p[0], p[1], 0.0))
+    return [pose for kind in poses.values() for pose in kind]
+
+
+class TestSectorScan:
+    """scan casts each sector of its sweep against only the segments that can
+    meet its rays; ranges, hit mask and segment indexes are those of one cast
+    against every segment."""
+
+    @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
+    @pytest.mark.parametrize("num_rays", [1440, 1001, 99, 13])
+    def test_matches_dense_cast(self, workload, num_rays):
+        scn = generate(workload, 1, 1)[0]
+        world = scn.world
+        params = LidarParams(num_rays=num_rays, max_range=scn.lidar.max_range)
+        seg_a, seg_b = world.segment_arrays()
+        dropped = 0
+        for pose in workload_poses(world, num_rays, 10):
+            s = scan(world, pose, params)
+            ranges, hit_mask, index = dense_cast(world, pose, params)
+            assert np.array_equal(s.ranges, ranges)
+            assert np.array_equal(s.hit_mask, hit_mask)
+            assert np.array_equal(s.segment_index, index)
+            dropped += np.count_nonzero(~_sector_segments(pose.position(), seg_a, seg_b, _sweep(num_rays)))
+        # The sectors do leave segments out.
+        assert dropped > 0
 
 
 def _analytic_range(d, half=4.0, box=(1.0, -0.5, 2.0, 0.5)):
@@ -317,6 +377,26 @@ class TestDownsample:
                 deduplicated += uncovered > len(want) - len(thinned)
         # Some scans leave uncovered hits that an earlier backstop centre covers.
         assert deduplicated
+
+
+    def test_matches_loop_oracle_on_workload_scans(self):
+        # 1440-ray scans among the pillars-crowd pillars, near walls and
+        # vertices too: the backstop adds hits, and some of them cover others.
+        scn = generate("pillars-crowd", 1, 1)[0]
+        world, params = scn.world, scn.lidar
+        added = deduplicated = 0
+        for pose in workload_poses(world, 3, 4):
+            s = scan(world, pose, params)
+            hits = s.points[s.hit_mask & ~world.is_boundary_segment(s.segment_index)]
+            want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
+            got = downsample(s, params, world)
+            assert np.array_equal(got[:, :2], want)
+            assert np.all(got[:, 2] == params.coverage_radius)
+            thinned = coverage_centers_loop(hits, params.downsample_spacing, np.inf)
+            uncovered = sum(min(np.hypot(*(p - c)) for c in thinned) > params.coverage_radius for p in hits)
+            added += len(want) > len(thinned)
+            deduplicated += uncovered > len(want) - len(thinned)
+        assert added and deduplicated
 
 
 class TestGreedyWalk:

@@ -271,6 +271,19 @@ class TestJsonLines:
         assert [int(c) for c in phases[1::2]] == [sum(rec.search == p for rec in log) for p in phases[::2]]
         ratio = [rec.probe_ms / rec.solve_ms for rec in log]
         assert lines["probe_ms / solve_ms"].split() == [f"{np.percentile(ratio, q):.2f}" for q in (50, 99)]
+        per_iteration = [1e3 * rec.probe_ms / rec.qp_iterations for rec in log if rec.qp_iterations]
+        assert len(per_iteration) > 1
+        want = [f"{np.percentile(per_iteration, q):.1f}" for q in (50, 99)]
+        assert lines["us per interior-point iteration"].split() == want
+        # The five slowest steps, slowest first.
+        assert lines["slowest steps"].split() == ["step_ms", "search", "probes", "qp_solves", "qp_iterations"]
+        listed = [key for key in lines if key.removeprefix("step ").isdigit()]
+        slowest = sorted(range(len(log)), key=lambda k: -log.records[k].step_ms)[:5]
+        assert listed == [f"step {k}" for k in slowest]
+        for k in slowest:
+            rec = log.records[k]
+            want = [f"{rec.step_ms:.2f}", rec.search, str(rec.probes), str(rec.qp_solves), str(rec.qp_iterations)]
+            assert lines[f"step {k}"].split() == want
         # The same summary from the command line.
         src = str(Path(oampc.__file__).parents[1])
         done = subprocess.run(

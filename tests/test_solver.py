@@ -1,12 +1,19 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oampc.nmpc
 import oampc.solver
-from oampc.sim_engine import run
+from oampc.sim_engine import MODE_BASELINE, run
 from oampc.solver import _QP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
 
 from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
 from test_sim_engine import corner_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import generate  # noqa: E402
 
 
 class TestQp:
@@ -176,6 +183,20 @@ class TestQpMatchesParent:
 
     def test_no_constraints(self):
         assert assert_same_bits(np.array([[4.0]]), np.array([-8.0]), np.zeros((0, 1)), np.zeros(0)) == 0
+
+    def test_pillars_crowd_qps(self, monkeypatch):
+        # The planner's own QPs from the first steps of a pillars-crowd
+        # episode: baseline mode, so disk rows, and static circles thinned
+        # from 1440-ray scans. Every probe runs here, where it is recorded.
+        scn = generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=6)
+        assert scn.mode == MODE_BASELINE and scn.lidar.num_rays == 1440
+        qps = []
+        monkeypatch.setattr(oampc.nmpc, "_pool", False)
+        monkeypatch.setattr(oampc.solver, "solve_qp", lambda *qp: qps.append(qp) or solve_qp(*qp))
+        run(scn)
+        assert len(qps) >= 30 and max(len(h) for _, _, _, h in qps) >= 100
+        for qp in qps:
+            assert_same_bits(*qp)
 
     def test_exhausted_regularisation_returns_incumbent(self):
         # P outside the PSD contract fails every Cholesky of the ladder: both
