@@ -190,13 +190,23 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap) -> np.ndarray:
     kept = _greedy_walk(hits, params.downsample_spacing)
     # Coverage backstop: every hit must be within coverage_radius of a center.
     # Hits the thinned centers leave uncovered are added in ray order, each
-    # unless an earlier added one covers it. Distances come from contiguous
-    # x and y columns, elementwise as np.hypot(*(p - c)) of each pair.
+    # unless an earlier added one covers it. A hit is first measured against
+    # the kept centers before and after it in ray order, which cover most
+    # hits; only the hits both leave uncovered are measured against every
+    # center. Distances come from contiguous x and y columns, elementwise as
+    # np.hypot(*(p - c)) of each pair, so the uncovered hits are those no
+    # center is within coverage_radius of.
     r = params.coverage_radius
     xs, ys = hits[:, 0].copy(), hits[:, 1].copy()
     cx, cy = xs[kept], ys[kept]
-    dist = np.hypot(xs[:, None] - cx, ys[:, None] - cy).min(axis=1)
-    ux, uy = xs[dist > r], ys[dist > r]
+    before = np.searchsorted(kept, np.arange(len(xs)), side="right") - 1
+    after = np.minimum(before + 1, len(kept) - 1)
+    far_from_neighbours = (np.hypot(xs - cx[before], ys - cy[before]) > r) & (
+        np.hypot(xs - cx[after], ys - cy[after]) > r
+    )
+    fx, fy = xs[far_from_neighbours], ys[far_from_neighbours]
+    far = (np.hypot(fx[:, None] - cx, fy[:, None] - cy) > r).all(axis=1)
+    ux, uy = fx[far], fy[far]
     # covers[i][j]: uncovered hit j, if added, covers the later uncovered hit i.
     covers = (~(np.hypot(ux[:, None] - ux, uy[:, None] - uy) > r)).tolist()
     added: list[int] = []

@@ -4,8 +4,9 @@ The decision variables are the input sequence only (single shooting), so the
 dynamics and initial condition hold exactly by construction and the terminal
 stopping constraint z_N = z_{N-1} reduces to pinning the last input at zero.
 The model is defined once: unicycle.rollout gives the states,
-unicycle.sensitivities their closed-form derivatives in the inputs, and
-_objective the cost with its gradients, for the planner and total_cost alike.
+unicycle.rollout_sensitivities the same states with their closed-form
+derivatives in the inputs, in one pass, and _objective the cost with its
+gradients, for the planner and total_cost alike.
 
 Collision avoidance enters through fixed projected points: at horizon step k
 the planned position must keep d_safe + r_robot from each reachable-set
@@ -47,7 +48,7 @@ import numpy as np
 
 from .avoidance import OpenLoopPlan, ProjectionSet
 from .solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, EvalResult, solve_sqp
-from .unicycle import rollout, sensitivities
+from .unicycle import rollout, rollout_sensitivities
 
 __all__ = [
     "MpcParams",
@@ -184,7 +185,9 @@ class SolveResult:
     iterations: int  # SQP iterations summed over the probes
     qp_iterations: int  # interior-point iterations summed over the probes
     qp_solves: int  # QP solves summed over the probes
+    penalty_rungs: int  # QP solves at a raised penalty, summed over the probes
     probes: int  # SQP solves run for this step, re-probes included
+    infeasible_probes: int  # probes whose SQP ended infeasible
     probe_ms: float  # the probes' own times, each taken where it ran, summed
     stop_index: int  # steps with motion allowed; N-1 means full freedom
     search: str  # the last phase run: "full", "hint" or "sweep"
@@ -305,9 +308,9 @@ class _NlpEvaluator:
     """Single-shooting evaluation of cost, constraints, and derivatives.
 
     Decision vector: the free inputs u_0..u_{j-1} flattened; inputs from the
-    stop index j onward are fixed at zero. The state sensitivities are the
-    closed form of unicycle.sensitivities, which gives analytic gradients and
-    a Gauss-Newton cost Hessian. The avoidance rows are the problem's rows
+    stop index j onward are fixed at zero. One pass of
+    unicycle.rollout_sensitivities gives the states and their closed-form
+    sensitivities, hence analytic gradients and a Gauss-Newton cost Hessian. The avoidance rows are the problem's rows
     through step min(j, N-1). It reads the problem's fields that _Probe
     holds, so it takes either.
     """
@@ -322,6 +325,7 @@ class _NlpEvaluator:
         self._row_anchor = problem.row_anchor[:rows]
         self._row_margin = problem.row_margin[:rows]
         self._hess_input = _input_hessian(self.params, stop_index)
+        self._q_state = np.asarray(self.params.q_state)[:, None]
 
     def full_inputs(self, x: np.ndarray) -> np.ndarray:
         u = np.zeros((self.params.N, 2))
@@ -331,12 +335,11 @@ class _NlpEvaluator:
     def __call__(self, x: np.ndarray) -> EvalResult:
         params, problem, j = self.params, self.problem, self.j
         u = self.full_inputs(x)
-        states = rollout(problem.z0, u, params.dt)
-        S = sensitivities(states, j, params.dt)  # (N+1, 3, n_free)
+        states, S = rollout_sensitivities(problem.z0, u, j, params.dt)  # S (N+1, 3, n_free)
 
         f, grad_z, grad_u = _objective(states, u, problem.goal, params, problem.u_prev)
         grad = np.einsum("kiv,ki->v", S, grad_z) + grad_u[:j].ravel()
-        QS = S * np.asarray(params.q_state)[:, None]  # Qz S
+        QS = S * self._q_state  # Qz S
         hess = 2.0 * np.einsum("kiv,kiw->vw", S, QS) + self._hess_input
 
         k = self._row_step
@@ -459,7 +462,9 @@ class _Work(NamedTuple):
     iterations: int = 0
     qp_iterations: int = 0
     qp_solves: int = 0
+    penalty_rungs: int = 0
     probes: int = 0
+    infeasible_probes: int = 0
     probe_ms: float = 0.0
 
     def __add__(self, other: "_Work") -> "_Work":
@@ -481,7 +486,7 @@ def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tu
         u = evaluator.full_inputs(res.x)
         cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, problem.stamp), j)
     ms = (time.perf_counter() - t0) * 1e3
-    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, 1, ms)
+    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(cand is None), ms)
 
 
 def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:

@@ -134,7 +134,9 @@ class StepRecord:
     sqp_iterations: int  # summed over the stop-index probes of this step
     qp_iterations: int  # interior-point iterations, summed over the same probes
     qp_solves: int  # QP solves, summed over the same probes
+    penalty_rungs: int  # QP solves after the first at one linearization, summed over the same probes
     probes: int  # SQP solves of this step, re-probes included
+    infeasible_probes: int  # probes whose SQP ended infeasible
     probe_ms: float  # the probes' own times, each taken in the process that ran it, summed
     search: str  # the last stop-index search phase run: "full", "hint" or "sweep"
     occlusion_clearance: float  # center distance to nearest occlusion boundary
@@ -360,7 +362,9 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             sqp_iterations=result.iterations,
             qp_iterations=result.qp_iterations,
             qp_solves=result.qp_solves,
+            penalty_rungs=result.penalty_rungs,
             probes=result.probes,
+            infeasible_probes=result.infeasible_probes,
             probe_ms=result.probe_ms,
             search=result.search,
             occlusion_clearance=occ_clear,

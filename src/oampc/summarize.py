@@ -5,17 +5,19 @@
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the steps that applied
-the fallback plan and the largest audit violation; the stop-index probes, QP
-solves and interior-point iterations per step; and the steps that ended in
-each stop-index search phase, with p50 and p99 of probe_ms / solve_ms (above
-1 when probes ran in parallel). The control period is the spacing of the
-logged times, or `MpcParams.dt` for a one-step log.
+the fallback plan and the largest audit violation; the stop-index probes,
+infeasible probes, QP solves, penalty rungs (QP solves after the first at one
+linearization) and interior-point iterations per step; and the steps that
+ended in each stop-index search phase, with p50 and p99 of probe_ms /
+solve_ms (above 1 when probes ran in parallel), and the slowest steps with
+their counters. A counter an older log lacks is left out. The control period
+is the spacing of the logged times, or `MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
 time (`*_ms`), is not the same to the bit. The comparison names the first
 such step, the largest difference in states, applied inputs and plans, and
-the totals of the probe, QP-solve and interior-point-iteration counters.
+the totals of the solver counters both logs have.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .sim_engine import STEP_LAYERS, percentiles
 
 
 # (label, StepRecord field) of the per-step solver counters.
-COUNTERS = (("probes", "probes"), ("QP solves", "qp_solves"), ("interior-point iterations", "qp_iterations"))
+COUNTERS = (
+    ("probes", "probes"),
+    ("infeasible probes", "infeasible_probes"),
+    ("QP solves", "qp_solves"),
+    ("penalty rungs", "penalty_rungs"),
+    ("interior-point iterations", "qp_iterations"),
+)
 SEARCH_PHASES = ("full", "hint", "sweep")
 SLOWEST = 5  # slowest steps listed
 
@@ -52,8 +60,10 @@ def summarize(rows: list[dict]) -> list[str]:
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
     ]
+    counters = [name for _, name in COUNTERS if name in rows[0]]
     for label, name in COUNTERS:
-        lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
+        if name in counters:
+            lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
     if "search" in rows[0]:  # logs before the search phase was logged lack these
         phases = [row["search"] for row in rows]
         lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
@@ -62,11 +72,11 @@ def summarize(rows: list[dict]) -> list[str]:
         per_iteration = [1e3 * row["probe_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
         p50, p99 = percentiles(per_iteration, [50, 99])
         lines.append(f"us per interior-point iteration: {p50:.1f} {p99:.1f}")
-        lines.append("slowest steps: step_ms search probes qp_solves qp_iterations")
+        lines.append("slowest steps: step_ms search " + " ".join(counters))
         for k in np.argsort(-step_ms, kind="stable")[:SLOWEST]:
             row = rows[k]
-            counters = " ".join(str(row[name]) for name in ("probes", "qp_solves", "qp_iterations"))
-            lines.append(f"step {k}: {step_ms[k]:.2f} {row['search']} {counters}")
+            values = " ".join(str(row[name]) for name in counters)
+            lines.append(f"step {k}: {step_ms[k]:.2f} {row['search']} {values}")
     return lines
 
 
@@ -90,6 +100,8 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     lines.append(first or "first step that differs: none")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
     for label, name in COUNTERS:
+        if not (a and b and name in a[0] and name in b[0]):
+            continue
         ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)
         steps = sum(x[name] != y[name] for x, y in zip(a, b))
         lines.append(f"{label}: {ta} against {tb} ({tb - ta:+d}), {steps} steps differ")

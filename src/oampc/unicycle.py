@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,33 +63,51 @@ def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
     the positions along it. Each sum adds in step order, so the states are
     those of stepping dynamics_step N times.
     """
+    return _rollout(z0, inputs, dt)[0]
+
+
+def _rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """rollout's states, with the cosines and sines of the headings psi_0 ..
+    psi_{N-1} it moved along."""
     inc = np.empty((inputs.shape[0] + 1, 3))
     inc[0] = z0
     inc[1:, 2] = dt * inputs[:, 1]
     psi = np.cumsum(inc[:-1, 2])
     ds = dt * inputs[:, 0]
-    inc[1:, 0] = ds * np.cos(psi)
-    inc[1:, 1] = ds * np.sin(psi)
-    return np.cumsum(inc, axis=0)
+    cos, sin = np.cos(psi), np.sin(psi)
+    inc[1:, 0] = ds * cos
+    inc[1:, 1] = ds * sin
+    return np.cumsum(inc, axis=0), cos, sin
 
 
-def sensitivities(states: np.ndarray, n_free: int, dt: float) -> np.ndarray:
-    """Derivatives of rolled-out states in the first n_free inputs.
+def rollout_sensitivities(z0: np.ndarray, inputs: np.ndarray, n_free: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """rollout's states (N+1, 3) and their derivatives in the first n_free
+    inputs, in one pass.
 
-    For the states (N+1, 3) of a rollout, returns S (N+1, 3, 2 n_free) with
-    S[k, :, 2i] = dz_k/dv_i and S[k, :, 2i+1] = dz_k/ddelta_i:
+    Returns the states and S (N+1, 3, 2 n_free) with S[k, :, 2i] = dz_k/dv_i
+    and S[k, :, 2i+1] = dz_k/ddelta_i:
       dz_k/dv_i     = dt (cos psi_i, sin psi_i, 0)               for i < k,
       dz_k/ddelta_i = dt (-(y_k - y_{i+1}), x_k - x_{i+1}, 1)    for i < k,
     and zero for i >= k. A heading change at step i turns every later step
     of the path about the point z_{i+1}, which is where the second form
-    comes from.
+    comes from. The cosines and sines are the rollout's own: its heading sum
+    is the states' heading column, added in the same order.
     """
-    x, y, psi = states[:, 0], states[:, 1], states[:, 2]
-    dt_after = dt * np.tri(len(states), n_free, -1)  # dt where i < k, else 0
+    states, cos, sin = _rollout(z0, inputs, dt)
+    x, y = states[:, 0], states[:, 1]
+    dt_after = _dt_after(len(states), n_free, dt)
     S = np.zeros((len(states), 3, n_free, 2))
-    S[:, 0, :, 0] = dt_after * np.cos(psi[:n_free])
-    S[:, 1, :, 0] = dt_after * np.sin(psi[:n_free])
+    S[:, 0, :, 0] = dt_after * cos[:n_free]
+    S[:, 1, :, 0] = dt_after * sin[:n_free]
     S[:, 0, :, 1] = dt_after * (y[1 : n_free + 1] - y[:, None])
     S[:, 1, :, 1] = dt_after * (x[:, None] - x[1 : n_free + 1])
     S[:, 2, :, 1] = dt_after
-    return S.reshape(len(states), 3, 2 * n_free)
+    return states, S.reshape(len(states), 3, 2 * n_free)
+
+
+@lru_cache(maxsize=64)
+def _dt_after(rows: int, n_free: int, dt: float) -> np.ndarray:
+    """(rows, n_free): dt where i < k, else 0. Built once, read-only."""
+    weights = dt * np.tri(rows, n_free, -1)
+    weights.flags.writeable = False
+    return weights

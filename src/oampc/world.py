@@ -19,21 +19,6 @@ import numpy as np
 from .geometry import Point2, capsule_projection, cast_rays
 
 
-def _point_in_polygon(p: np.ndarray, verts: np.ndarray) -> bool:
-    # Even-odd rule; handles non-convex polygons such as L-shaped tracks.
-    x, y = p
-    inside = False
-    n = len(verts)
-    j = n - 1
-    for i in range(n):
-        xi, yi = verts[i]
-        xj, yj = verts[j]
-        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
-            inside = not inside
-        j = i
-    return inside
-
-
 @dataclass
 class WorldMap:
     """Polygonal world. `boundary` is the outer free-space polygon (may be
@@ -47,6 +32,7 @@ class WorldMap:
     _boundary_count: int = field(init=False, repr=False)
     _seg_a: np.ndarray = field(init=False, repr=False)
     _seg_b: np.ndarray = field(init=False, repr=False)
+    _polygon_starts: np.ndarray = field(init=False, repr=False)  # first edge of each polygon
 
     def __post_init__(self):
         if self.boundary is not None:
@@ -60,6 +46,7 @@ class WorldMap:
         # A polygon's edge i runs from vertex i to vertex i + 1, cyclically.
         self._seg_a = np.concatenate([*polygons, self.walls[:, 0]])
         self._seg_b = np.concatenate([*(np.roll(v, -1, axis=0) for v in polygons), self.walls[:, 1]])
+        self._polygon_starts = np.cumsum([0] + [len(v) for v in polygons])
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._seg_a, self._seg_b
@@ -72,15 +59,34 @@ class WorldMap:
         """True when p lies in free space with at least `clearance` to every
         map segment (boundary included)."""
         q = p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
-        if self.boundary is not None and not _point_in_polygon(q, self.boundary):
-            return False
-        for obs in self.obstacles:
-            if _point_in_polygon(q, obs):
+        inside = self._inside_polygons(q)
+        if self.boundary is not None:
+            if not inside[0]:
                 return False
+            inside = inside[1:]
+        if inside.any():
+            return False
         if clearance > 0.0 and len(self._seg_a) > 0:
             if self.min_clearance(q) < clearance:
                 return False
         return True
+
+    def _inside_polygons(self, q: np.ndarray) -> np.ndarray:
+        """Per polygon (boundary first, then the obstacles), whether q is
+        inside by the even-odd rule, which handles non-convex polygons such as
+        L-shaped tracks. A ray from q toward +x crosses edge (a, b) when the
+        edge straddles q's height and meets that height right of q; each
+        crossing's abscissa is b_x + (a_x - b_x)(y - b_y) / (a_y - b_y),
+        computed only for the straddling edges."""
+        edges = self._polygon_starts[-1]
+        if not edges:
+            return np.zeros(0, dtype=bool)
+        x, y = q
+        a, b = self._seg_a[:edges], self._seg_b[:edges]
+        straddles = (b[:, 1] > y) != (a[:, 1] > y)
+        run = np.divide((a[:, 0] - b[:, 0]) * (y - b[:, 1]), a[:, 1] - b[:, 1], where=straddles, out=np.zeros(edges))
+        crossings = straddles & (x < run + b[:, 0])
+        return np.logical_xor.reduceat(crossings, self._polygon_starts[:-1])
 
     def min_clearance(self, p) -> float:
         """Distance from p to the nearest map segment (inf when empty)."""

@@ -25,6 +25,22 @@ def point_in_convex_polygon(p, verts) -> bool:
     return True
 
 
+def point_in_polygon_loop(p, verts) -> bool:
+    """Even-odd rule one edge at a time, as world.contains_free tested each
+    polygon before its edges were tested as arrays."""
+    x, y = p
+    inside = False
+    n = len(verts)
+    j = n - 1
+    for i in range(n):
+        xi, yi = verts[i]
+        xj, yj = verts[j]
+        if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+            inside = not inside
+        j = i
+    return inside
+
+
 def _capsule_boundary_at(a, b, r, ts) -> np.ndarray:
     """Boundary point at normalized parameter t in [0, 1).
 
@@ -242,6 +258,76 @@ def input_hessian_loop(params, stop_index) -> np.ndarray:
                 H[blk, prev] -= 2.0 * Qdu
                 H[prev, blk] -= 2.0 * Qdu
     return H
+
+
+def nlp_evaluation_parent(problem, stop_index, x):
+    """(f, grad, hess, c, jac) of the planner's NLP at the free inputs x, as
+    the evaluator computed them before it fused the rollout with the
+    sensitivities, kept verbatim in operations and order: the rollout, then
+    the sensitivities from the rolled-out states (their own cosines and sines
+    of the headings, their own dt-weighted step mask), the cost, and the
+    rows. `oampc.nmpc._NlpEvaluator` must return these bit for bit.
+    `problem` is an NlpProblem or anything with its fields."""
+    params, j = problem.params, stop_index
+    n_free = 2 * j
+    dt = params.dt
+    u = np.zeros((params.N, 2))
+    u[:j] = x.reshape(j, 2)
+
+    inc = np.empty((params.N + 1, 3))
+    inc[0] = problem.z0
+    inc[1:, 2] = dt * u[:, 1]
+    psi = np.cumsum(inc[:-1, 2])
+    ds = dt * u[:, 0]
+    inc[1:, 0] = ds * np.cos(psi)
+    inc[1:, 1] = ds * np.sin(psi)
+    states = np.cumsum(inc, axis=0)
+
+    xs, ys, psis = states[:, 0], states[:, 1], states[:, 2]
+    dt_after = dt * np.tri(len(states), j, -1)
+    S = np.zeros((len(states), 3, j, 2))
+    S[:, 0, :, 0] = dt_after * np.cos(psis[:j])
+    S[:, 1, :, 0] = dt_after * np.sin(psis[:j])
+    S[:, 0, :, 1] = dt_after * (ys[1 : j + 1] - ys[:, None])
+    S[:, 1, :, 1] = dt_after * (xs[:, None] - xs[1 : j + 1])
+    S[:, 2, :, 1] = dt_after
+    S = S.reshape(len(states), 3, n_free)
+
+    err = states - problem.goal
+    du = u.copy()
+    du[0] -= problem.u_prev
+    du[1:] -= u[:-1]
+    Qe, Qu_u, Qdu_du = err * params.q_state, u * params.q_input, du * params.q_input_rate
+    f = float(np.einsum("ki,ki->", Qe, err))
+    f += float(np.einsum("ki,ki->", Qu_u, u))
+    f += float(np.einsum("ki,ki->", Qdu_du, du))
+    grad_u = 2.0 * (Qu_u + Qdu_du)
+    grad_u[:-1] -= 2.0 * Qdu_du[1:]
+    grad = np.einsum("kiv,ki->v", S, 2.0 * Qe) + grad_u[:j].ravel()
+    QS = S * np.asarray(params.q_state)[:, None]
+    hess = 2.0 * np.einsum("kiv,kiw->vw", S, QS) + input_hessian_loop(params, j)
+
+    rows = np.searchsorted(problem.row_step, j, side="right")
+    k = problem.row_step[:rows]
+    diff = states[k, :2] - problem.row_anchor[:rows]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    dirs = diff / np.maximum(dist, 1e-9)[:, None]
+    P = S[: j + 1, :2, :]
+    if params.state_bounds is None:
+        gaps, gap_grad = np.zeros((0, j)), np.zeros((0, 2))
+    else:
+        xmin, xmax, ymin, ymax = params.state_bounds
+        px, py = states[1 : j + 1, 0], states[1 : j + 1, 1]
+        gaps = np.stack([px - xmin, xmax - px, py - ymin, ymax - py])
+        gap_grad = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    c = np.concatenate([dist - problem.row_margin[:rows], gaps.ravel()])
+    jac = np.vstack(
+        [
+            np.einsum("ri,riv->rv", dirs, P[k]),
+            np.einsum("gi,kiv->gkv", gap_grad, P[1:]).reshape(-1, n_free),
+        ]
+    )
+    return f, grad, hess, c, jac
 
 
 def sensitivities_recursion(states, inputs, stop_index, dt) -> np.ndarray:

@@ -399,6 +399,45 @@ class TestDownsample:
         assert added and deduplicated
 
 
+    def test_matches_loop_oracle_on_recorded_scans(self, monkeypatch):
+        # The scans of a closed-loop pillars-crowd run; on some of them the
+        # backstop adds centres.
+        import oampc.sim_engine
+
+        scans = []
+        thin = oampc.sim_engine.downsample
+        monkeypatch.setattr(oampc.sim_engine, "downsample", lambda *a, **k: scans.append((a, k)) or thin(*a, **k))
+        scn = generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=10)
+        oampc.sim_engine.run(scn)
+        world, params = scn.world, scn.lidar
+        assert len(scans) == 10
+        added = 0
+        for args, kwargs in scans:
+            s = args[0]
+            hits = s.points[s.hit_mask & ~world.is_boundary_segment(s.segment_index)]
+            want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
+            got = downsample(*args, **kwargs)
+            assert np.array_equal(got[:, :2], want)
+            assert np.all(got[:, 2] == params.coverage_radius)
+            added += len(want) > len(greedy_walk_scalar(hits, params.downsample_spacing))
+        assert added
+
+    def test_backstop_looks_past_the_neighbouring_centres(self):
+        # Hits in ray order: K0 and K1 are kept, X is within spacing of K1 so
+        # not kept, and K2 is kept. X is farther than coverage_radius from
+        # K1 and K2, its neighbouring centres, but within it of K0, so it is
+        # covered and adds no centre.
+        from oampc.lidar_sim import Scan
+
+        points = np.array([[0.0, 0.0], [0.35, 0.0], [0.1, 0.1], [1.0, 0.5]])
+        n = len(points)
+        s = Scan(RobotState(0, 0, 0), np.arange(n) * 0.1, np.ones(n), np.ones(n, bool), points, np.zeros(n, int), 10.0)
+        params = LidarParams(downsample_spacing=0.3, coverage_radius=0.2)
+        got = downsample(s, params, self.OPEN)
+        assert np.array_equal(got[:, :2], points[[0, 1, 3]])
+        assert np.array_equal(got[:, :2], coverage_centers_loop(points, 0.3, 0.2))
+
+
 class TestGreedyWalk:
     """The windowed walk keeps exactly the hits the one-hit-at-a-time walk
     keeps."""

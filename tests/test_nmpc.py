@@ -23,12 +23,14 @@ from oampc.nmpc import (
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
+from oampc.solver import STATUS_INFEASIBLE
 from oampc.summarize import main as summarize_main
-from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, sensitivities
+from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
 from oracles import (
     avoidance_margins_loop,
     input_hessian_loop,
+    nlp_evaluation_parent,
     planner_avoidance_rows,
     rollout_loop,
     sensitivities_recursion,
@@ -213,8 +215,8 @@ class TestSingleShootingModel:
             for j in range(1, n):
                 u = inputs.copy()
                 u[j:] = 0.0
-                states = rollout(z0, u, dt)
-                got = sensitivities(states, j, dt)
+                states, got = rollout_sensitivities(z0, u, j, dt)
+                assert np.array_equal(states, rollout(z0, u, dt))
                 assert got.shape == (n + 1, 3, 2 * j)
                 assert np.abs(got - sensitivities_recursion(states, u, j, dt)).max() <= 1e-12
 
@@ -234,6 +236,55 @@ class TestSingleShootingModel:
                 u = ev.full_inputs(x)
                 plan = OpenLoopPlan(rollout(problem.z0, u, params.dt), u, 0)
                 assert ev(x).f == total_cost(plan, problem.goal, params, problem.u_prev)
+
+
+class TestEvaluatorMatchesParent:
+    """The evaluator rolls out and takes the sensitivities in one pass; its
+    f, grad, hess, c and jac equal the separate passes it replaced, kept in
+    tests/oracles.py, bit for bit (signs of zeros included)."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        calls = []
+        evaluate = _NlpEvaluator.__call__
+
+        def recorded(ev, x):
+            calls.append((ev.problem, ev.j, x.copy()))
+            return evaluate(ev, x)
+
+        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)  # every probe runs here, where it is recorded
+        monkeypatch.setattr(_NlpEvaluator, "__call__", recorded)
+        return calls
+
+    @staticmethod
+    def _assert_same_bits(calls):
+        for problem, j, x in calls:
+            got = _NlpEvaluator(problem, j)(x)
+            want = nlp_evaluation_parent(problem, j, x)
+            assert got.f == want[0]
+            for name, value in zip(("grad", "hess", "c", "jac"), want[1:]):
+                assert np.array_equal(getattr(got, name), value), name
+                assert np.array_equal(np.signbit(getattr(got, name)), np.signbit(value)), name
+
+    def test_pillars_crowd_calls(self, monkeypatch):
+        calls = self._recording(monkeypatch)
+        oampc.sim_engine.run(generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=12))
+        monkeypatch.undo()
+        assert len(calls) >= 50 and any(len(p.row_step) for p, _, _ in calls)
+        self._assert_same_bits(calls)
+
+    def test_corner_fast_search_calls(self, corner_fast_pooled, monkeypatch):
+        # The probes of the steps that search earlier stop indexes among the
+        # first 30: state bounds, capsule rows and every stop index.
+        _, _, solves = corner_fast_pooled
+        calls = self._recording(monkeypatch)
+        for problem, _ in [(p, r) for p, r in solves if r.search != "full"]:
+            solve(problem)
+        monkeypatch.undo()
+        assert len(calls) >= 200
+        assert {j for _, j, _ in calls} == set(range(1, MpcParams().N))
+        assert all(p.params.state_bounds is not None for p, _, _ in calls)
+        self._assert_same_bits(calls)
 
 
 class TestSolve:
@@ -407,7 +458,7 @@ class TestParallelProbes:
             assert np.array_equal(here.plan.states, pooled.plan.states)
             assert np.array_equal(here.plan.inputs, pooled.plan.inputs)
             for name in ("status", "objective", "stop_index", "search", "iterations", "qp_iterations",
-                         "qp_solves", "probes"):
+                         "qp_solves", "penalty_rungs", "probes", "infeasible_probes"):
                 assert getattr(here, name) == getattr(pooled, name), name
             assert here.probe_ms > 0 and pooled.probe_ms > 0
 
@@ -419,6 +470,39 @@ class TestParallelProbes:
         here.write_jsonl(tmp_path / "here.jsonl")
         assert summarize_main([str(tmp_path / "pooled.jsonl"), "--against", str(tmp_path / "here.jsonl")]) == 0
         assert [rec.search for rec in here] == [rec.search for rec in pooled]
+
+    def test_rungs_and_infeasible_probes_counted(self, corner_fast_pooled, monkeypatch):
+        # Counted independently in this process: a rung is a solve of an
+        # elastic QP already solved once (one QP per linearization), and an
+        # infeasible probe an SQP that returns STATUS_INFEASIBLE.
+        _, _, solves = corner_fast_pooled
+        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
+        calls, statuses = {}, []
+        qp_solve, sqp = oampc.solver._ElasticQp.solve, oampc.nmpc.solve_sqp
+
+        def counted_qp_solve(qp, mu):
+            calls[qp] = calls.get(qp, 0) + 1  # keyed by the QP itself, kept alive
+            return qp_solve(qp, mu)
+
+        def counted_sqp(*args, **kwargs):
+            res = sqp(*args, **kwargs)
+            statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(oampc.solver._ElasticQp, "solve", counted_qp_solve)
+        monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
+        total_rungs = total_infeasible = 0
+        for problem, pooled in solves:
+            calls.clear()
+            statuses.clear()
+            here = solve(problem)
+            assert here.penalty_rungs == pooled.penalty_rungs == sum(k - 1 for k in calls.values())
+            assert here.infeasible_probes == pooled.infeasible_probes == statuses.count(STATUS_INFEASIBLE)
+            assert here.probes == len(statuses)
+            total_rungs += here.penalty_rungs
+            total_infeasible += here.infeasible_probes
+        # Corner-fast climbs the penalty ladder and ends probes infeasible.
+        assert total_rungs > 0 and total_infeasible > 0
 
     def test_unguarded_script_sweeps_and_leaves_no_worker(self, tmp_path):
         code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])

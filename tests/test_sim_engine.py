@@ -235,7 +235,9 @@ class TestJsonLines:
                 "sqp_iterations",
                 "qp_iterations",
                 "qp_solves",
+                "penalty_rungs",
                 "probes",
+                "infeasible_probes",
                 "probe_ms",
                 "search",
                 "occlusion_clearance",
@@ -264,8 +266,17 @@ class TestJsonLines:
         assert int(lines["steps over dt (100 ms)"]) == misses
         assert int(lines["fallback steps"]) == 0
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
-        qp_iterations = np.mean([rec.qp_iterations for rec in log])
-        assert lines["interior-point iterations per step"].strip() == f"{qp_iterations:.1f}"
+        for label, name in (
+            ("probes", "probes"),
+            ("infeasible probes", "infeasible_probes"),
+            ("QP solves", "qp_solves"),
+            ("penalty rungs", "penalty_rungs"),
+            ("interior-point iterations", "qp_iterations"),
+        ):
+            mean = np.mean([getattr(rec, name) for rec in log])
+            assert lines[f"{label} per step"].strip() == f"{mean:.1f}"
+        # The corner run climbs the penalty ladder.
+        assert sum(rec.penalty_rungs for rec in log) > 0
         phases = lines["steps by search phase"].split()
         assert phases[::2] == ["full", "hint", "sweep"]
         assert [int(c) for c in phases[1::2]] == [sum(rec.search == p for rec in log) for p in phases[::2]]
@@ -276,13 +287,14 @@ class TestJsonLines:
         want = [f"{np.percentile(per_iteration, q):.1f}" for q in (50, 99)]
         assert lines["us per interior-point iteration"].split() == want
         # The five slowest steps, slowest first.
-        assert lines["slowest steps"].split() == ["step_ms", "search", "probes", "qp_solves", "qp_iterations"]
+        counters = ["probes", "infeasible_probes", "qp_solves", "penalty_rungs", "qp_iterations"]
+        assert lines["slowest steps"].split() == ["step_ms", "search", *counters]
         listed = [key for key in lines if key.removeprefix("step ").isdigit()]
         slowest = sorted(range(len(log)), key=lambda k: -log.records[k].step_ms)[:5]
         assert listed == [f"step {k}" for k in slowest]
         for k in slowest:
             rec = log.records[k]
-            want = [f"{rec.step_ms:.2f}", rec.search, str(rec.probes), str(rec.qp_solves), str(rec.qp_iterations)]
+            want = [f"{rec.step_ms:.2f}", rec.search, *(str(getattr(rec, name)) for name in counters)]
             assert lines[f"step {k}"].split() == want
         # The same summary from the command line.
         src = str(Path(oampc.__file__).parents[1])

@@ -7,7 +7,7 @@ import pytest
 import oampc.nmpc
 import oampc.solver
 from oampc.sim_engine import MODE_BASELINE, run
-from oampc.solver import _QP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
+from oampc.solver import _PENALTY_MAX, _QP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
 
 from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
 from test_sim_engine import corner_scenario
@@ -133,6 +133,30 @@ class TestQpMatchesReference:
         assert np.abs(G.T @ z - v).max() <= 1e-9
 
 
+@pytest.fixture(scope="module")
+def corner_fast_qps():
+    """The planner's QPs from the first 15 steps of a corner-fast episode,
+    every probe run in this process, where it is recorded. They climb the
+    penalty ladder to its top and include stall exits."""
+    qps = []
+    pool, recorded = oampc.nmpc._pool, oampc.solver.solve_qp
+    oampc.nmpc._pool = False
+    oampc.solver.solve_qp = lambda *qp: qps.append(qp) or recorded(*qp)
+    try:
+        run(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=15))
+    finally:
+        oampc.nmpc._pool, oampc.solver.solve_qp = pool, recorded
+    return qps
+
+
+def kkt_residual(P, q, G, h, y, z):
+    """max(|r_d|, |r_p|, mu) at (y, z), the slack taken as h - Gy."""
+    slack = h - G @ y
+    r_d = np.abs(P @ y + q + G.T @ z).max()
+    r_p = max(0.0, -slack.min())
+    return max(r_d, r_p, float(np.maximum(slack, 0.0) @ z) / len(h))
+
+
 def assert_same_bits(P, q, G, h):
     y, z, iterations = solve_qp(P, q, G, h)
     y_ref, z_ref, iterations_ref = solve_qp_parent(P, q, G, h, max_iter=iterations)
@@ -198,11 +222,47 @@ class TestQpMatchesParent:
         for qp in qps:
             assert_same_bits(*qp)
 
+    def test_corner_fast_qps(self, corner_fast_qps):
+        # Penalty rungs up to the largest weight, and QPs the cold start does
+        # not solve, which leave through the stall exit with their incumbent.
+        stalls = 0
+        for P, q, G, h in corner_fast_qps:
+            iterations = assert_same_bits(P, q, G, h)
+            y, z, _ = solve_qp(P, q, G, h)
+            scale = 1.0 + max(np.abs(q).max(), np.abs(h).max())
+            stalls += iterations < _QP_MAX_ITER and kkt_residual(P, q, G, h, y, z) > 1e-9 * scale
+        assert len(corner_fast_qps) >= 150
+        assert sum(q[-1] == _PENALTY_MAX for _, q, _, _ in corner_fast_qps) >= 5
+        assert stalls >= 10
+
     def test_exhausted_regularisation_returns_incumbent(self):
         # P outside the PSD contract fails every Cholesky of the ladder: both
         # return the start point after zero iterations.
         G = np.vstack([np.eye(2), -np.eye(2)])
         assert assert_same_bits(-10.0 * np.eye(2), np.ones(2), G, np.ones(4)) == 0
+
+
+class TestWorkspace:
+    def test_results_survive_later_solves(self, corner_fast_qps):
+        # Whatever a call returns belongs to the caller: later calls, of
+        # every exit kind, leave it unchanged and share no memory with it.
+        rng = np.random.default_rng(17)
+        v = np.array([1.0, 0.7, 1.0 / 0.7])
+        qps = [
+            *corner_fast_qps[:40],
+            *(planner_shaped_qp(rng) for _ in range(5)),
+            (np.zeros((3, 3)), -v, np.vstack([v, 2 * v, -v]), np.array([1.0, 2.0, 1.0])),  # the ladder
+            (-10.0 * np.eye(2), np.ones(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),  # exhausted
+        ]
+        results = [solve_qp(*qp) for qp in qps]
+        kept = [(y.copy(), z.copy()) for y, z, _ in results]
+        for qp in reversed(qps):
+            solve_qp(*qp)
+        arrays = [a for y, z, _ in results for a in (y, z)]
+        for (y, z, _), (y_kept, z_kept) in zip(results, kept):
+            assert np.array_equal(y, y_kept) and np.array_equal(z, z_kept)
+            assert sum(np.shares_memory(y, a) for a in arrays) == 1
+            assert sum(np.shares_memory(z, a) for a in arrays) == 1
 
 
 class TestFloorExit:

@@ -1,10 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oampc.geometry import Point2
 from oampc.world import WorldMap, rectangle
 
-from oracles import point_in_convex_polygon, segment_distance, segments_cross
+from oracles import point_in_convex_polygon, point_in_polygon_loop, segment_distance, segments_cross
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import generate  # noqa: E402
 
 
 def polygon_edges(verts):
@@ -108,3 +114,66 @@ class TestMinClearance:
         for p in np.random.default_rng(23).uniform(-6, 6, size=(300, 2)):
             free = point_in_convex_polygon(p, world.boundary) and not point_in_convex_polygon(p, world.obstacles[0])
             assert world.contains_free(p) == free
+
+
+def free_by_loop(world, p):
+    """contains_free with no clearance, one polygon and one edge at a time."""
+    in_boundary = world.boundary is None or point_in_polygon_loop(p, world.boundary)
+    return in_boundary and not any(point_in_polygon_loop(p, obs) for obs in world.obstacles)
+
+
+def edge_and_vertex_points(rng, polygons, per_edge):
+    """Every vertex, points on every edge (its midpoint and random ones), and
+    points on each edge's line just past its ends."""
+    points = []
+    for verts in polygons:
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            t = np.concatenate([[0.0, 0.5], rng.uniform(0.0, 1.0, per_edge), [-1e-9, 1.0 + 1e-9]])
+            points.extend(a + t[:, None] * (b - a))
+    return points
+
+
+class TestContainsFree:
+    """contains_free tests every polygon's edges as arrays; the booleans
+    equal the even-odd loop it replaced (oracles.point_in_polygon_loop)."""
+
+    L_SHAPE = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]])
+
+    def _check(self, world, points):
+        for p in points:
+            assert world.contains_free(p) == free_by_loop(world, p), p
+
+    def test_pillars_world(self):
+        scn = generate("pillars-crowd", 1, 1)[0]
+        world = scn.world
+        assert len(world.obstacles) >= 12
+        rng = np.random.default_rng(31)
+        lo, hi = world.boundary.min(axis=0) - 0.5, world.boundary.max(axis=0) + 0.5
+        random = rng.uniform(lo, hi, size=(3000, 2))
+        on_edges = edge_and_vertex_points(rng, [world.boundary, *world.obstacles], 3)
+        self._check(world, [*random, *on_edges])
+        # Both outcomes occur, inside pillars too.
+        free = [world.contains_free(p) for p in random]
+        assert any(free) and not all(free)
+        assert any(point_in_polygon_loop(p, obs) for p in random for obs in world.obstacles)
+
+    def test_l_shaped_track(self):
+        rng = np.random.default_rng(37)
+        inner = rectangle(0.25, 2.0, 0.75, 2.5)
+        for world in (
+            WorldMap(boundary=self.L_SHAPE),
+            WorldMap(boundary=self.L_SHAPE, obstacles=[inner]),
+            WorldMap(obstacles=[self.L_SHAPE, inner]),
+        ):
+            random = rng.uniform(-0.5, 4.5, size=(2000, 2))
+            polygons = ([] if world.boundary is None else [world.boundary]) + world.obstacles
+            # Grid points hit vertex heights and edge abscissas exactly.
+            grid = np.stack(np.meshgrid(np.arange(-1, 10) * 0.5, np.arange(-1, 8) * 0.5), axis=-1).reshape(-1, 2)
+            self._check(world, [*random, *grid, *edge_and_vertex_points(rng, polygons, 5)])
+        # The notch of the L is outside the track.
+        assert not WorldMap(boundary=self.L_SHAPE).contains_free(np.array([2.5, 2.0]))
+        assert WorldMap(boundary=self.L_SHAPE).contains_free(np.array([0.5, 2.0]))
+
+    def test_open_world(self):
+        world = WorldMap(walls=random_walls(np.random.default_rng(3), 2))
+        assert world.contains_free(np.zeros(2))
