@@ -1,51 +1,21 @@
-"""Exact 2D primitives: points, disks, capsule projection, raycasts.
+"""Exact 2D primitives: capsule projection and raycasts.
 
 Every reachable set the planner uses is a capsule {x : dist(x, segment a-b)
 <= r}, a disk when a == b, so one closed-form projection serves them all, and
 with r = 0 it is the point-to-segment distance. One batched ray kernel serves
 the range sensor and line-of-sight checks.
 
-Segments are arrays, not objects: a segment is its two ends a and b, each
-(..., 2), and a batch of M segments is two (M, 2) arrays of starts and ends.
+Values are arrays, not objects: a point is a (2,) array, a disk one [x, y, r]
+row, and a segment its two ends a and b, each (..., 2); a batch of M segments
+is two (M, 2) arrays of starts and ends.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # Tolerance for degeneracy checks, in meters.
 EPS_GEO = 1e-9
-
-
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane, meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite point ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-    def __iter__(self):
-        return iter((self.x, self.y))
-
-
-@dataclass(frozen=True)
-class Disk:
-    center: Point2
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError(f"negative disk radius {self.radius}")
 
 
 def capsule_projection(p, a, b, r=0.0) -> tuple[np.ndarray, np.ndarray]:

@@ -24,11 +24,14 @@ previous step's index and its two neighbours first (the hint phase), then the
 rest in order if none of those beats standing still (the sweep). The cheapest
 candidate wins, and the all-stopped plan is the always-feasible floor.
 
-The probes of the hint and sweep phases do not depend on each other. A phase
-of two or more runs them in a pool of worker processes, forked from this one
-at the first such phase and terminated at exit; the full-freedom probe and the
-phase logic stay here. Results come back in the order they were submitted, so
-the plans and counters are those of running the probes one after another.
+Everything a probe reads of an NlpProblem is one record, NlpProblem.probe,
+built with the problem: the start, goal, previous input, parameters, stamp and
+avoidance row table. The probes of the hint and sweep phases do not depend on
+each other. A phase of two or more runs them in a pool of worker processes,
+forked from this one at the first such phase and terminated at exit, and sends
+each the probe record; the full-freedom probe and the phase logic stay here.
+Results come back in the order they were submitted, so the plans and counters
+are those of running the probes one after another.
 Each probe's time is taken where it ran and summed into SolveResult.probe_ms;
 a tracer that wraps functions in this process sees only the probes run here.
 """
@@ -110,17 +113,22 @@ class MpcParams:
         """Lower and upper bounds of an input (v, delta)."""
         return np.array([self.v_min, self.delta_min]), np.array([self.v_max, self.delta_max])
 
-    @property
-    def Qz(self) -> np.ndarray:
-        return np.diag(self.q_state)
 
-    @property
-    def Qu(self) -> np.ndarray:
-        return np.diag(self.q_input)
+class _Probe(NamedTuple):
+    """What a stop-index probe reads of an NlpProblem: the start, goal and
+    previous input, the parameters, the warm start's stamp and the avoidance
+    row table, which lives only here. NlpProblem builds it once; the probes of
+    a step share it in this process and are sent it, not the whole problem,
+    in a worker."""
 
-    @property
-    def Qdu(self) -> np.ndarray:
-        return np.diag(self.q_input_rate)
+    z0: np.ndarray
+    goal: np.ndarray
+    u_prev: np.ndarray
+    params: MpcParams
+    stamp: int
+    row_step: np.ndarray  # (R,) horizon step of each row
+    row_anchor: np.ndarray  # (R, 2)
+    row_margin: np.ndarray  # (R,)
 
 
 @dataclass
@@ -132,8 +140,8 @@ class NlpProblem:
     problem saturates.
 
     The avoidance rows that can bind while a plan moves are built once here,
-    ordered by horizon step, so a probe with stop index j keeps a prefix of
-    them: the rows of steps 1..min(j, N-1).
+    into the probe record, ordered by horizon step, so a probe with stop
+    index j keeps a prefix of them: the rows of steps 1..min(j, N-1).
     """
 
     z0: np.ndarray  # (3,)
@@ -144,9 +152,7 @@ class NlpProblem:
     warm_start: OpenLoopPlan
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(2))
     stop_hint: Optional[int] = None
-    row_step: np.ndarray = field(init=False, repr=False)  # (R,) horizon step of each row
-    row_anchor: np.ndarray = field(init=False, repr=False)  # (R, 2)
-    row_margin: np.ndarray = field(init=False, repr=False)  # (R,)
+    probe: _Probe = field(init=False, repr=False)
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float)
@@ -168,13 +174,12 @@ class NlpProblem:
         # row can only be active if its anchor is within the robot's step-k
         # travel radius plus the margin; farther rows are dropped exactly.
         keep = (steps < n) & (gap <= steps * reach + 1e-6 + margins)
-        self.row_step = np.nonzero(keep)[0] + 1
-        self.row_anchor = anchors[keep]
         # Planner-only relaxation: a row the robot already starts inside (from
         # anchor drift between re-projections) demands no more than the
         # current standoff, so the state can still rotate in place and
         # escape. check_feasibility audits the strict margin.
-        self.row_margin = np.minimum(margins, gap)[keep]
+        rows = (np.nonzero(keep)[0] + 1, anchors[keep], np.minimum(margins, gap)[keep])
+        self.probe = _Probe(self.z0, self.goal, self.u_prev, params, self.warm_start.stamp, *rows)
 
 
 @dataclass
@@ -193,35 +198,6 @@ class SolveResult:
     search: str  # the last phase run: "full", "hint" or "sweep"
 
 
-class _Probe(NamedTuple):
-    """What a stop-index probe reads of an NlpProblem: the start, goal and
-    previous input, the parameters, the warm start's stamp and the avoidance
-    row table. The probes of a step share it in this process and are sent it,
-    not the whole problem, in a worker."""
-
-    z0: np.ndarray
-    goal: np.ndarray
-    u_prev: np.ndarray
-    params: MpcParams
-    stamp: int
-    row_step: np.ndarray
-    row_anchor: np.ndarray
-    row_margin: np.ndarray
-
-    @classmethod
-    def of(cls, problem: NlpProblem) -> "_Probe":
-        return cls(
-            problem.z0,
-            problem.goal,
-            problem.u_prev,
-            problem.params,
-            problem.warm_start.stamp,
-            problem.row_step,
-            problem.row_anchor,
-            problem.row_margin,
-        )
-
-
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
     """Tracking + input effort + input-rate cost over the plan: the planner's
     objective (_objective), so a solved probe's SQP objective is this cost."""
@@ -232,8 +208,9 @@ def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> floa
 def _objective(states, inputs, goal, params: MpcParams, u_prev) -> tuple[float, np.ndarray, np.ndarray]:
     """The planner's cost and its gradients in the states and in the inputs.
 
-    Sum over k of ||z_k - goal||^2_Qz for k = 0..N plus ||u_k||^2_Qu and
-    ||u_k - u_{k-1}||^2_Qdu for k = 0..N-1, where the rate at k = 0 is taken
+    Sum over k of ||z_k - goal||^2 weighted by q_state for k = 0..N plus
+    ||u_k||^2 weighted by q_input and ||u_k - u_{k-1}||^2 weighted by
+    q_input_rate for k = 0..N-1, where the rate at k = 0 is taken
     against the previously applied input u_prev. Returns (cost, (N+1, 3)
     gradient in the states, (N, 2) gradient in the inputs).
     """
@@ -254,13 +231,14 @@ def _objective(states, inputs, goal, params: MpcParams, u_prev) -> tuple[float, 
 @lru_cache(maxsize=64)
 def _input_hessian(params: MpcParams, n_free: int) -> np.ndarray:
     """Constant Hessian of the effort and rate costs in the first n_free
-    inputs, the later ones held at zero: kron(I, 2Qu + 2Qdu) plus the rate's
-    second difference kron(I - E_{+1} - E_{-1}, 2Qdu). Every free input has a
-    successor in the horizon, so every diagonal block carries 2Qdu twice.
+    inputs, the later ones held at zero: kron(I, 2U + 2R) plus the rate's
+    second difference kron(I - E_{+1} - E_{-1}, 2R), with U = diag(q_input)
+    and R = diag(q_input_rate). Every free input has a successor in the
+    horizon, so every diagonal block carries 2R twice.
     It depends on the parameters only, so it is built once and read-only."""
     eye = np.eye(n_free)
-    rate = 2.0 * params.Qdu
-    hess = np.kron(eye, 2.0 * params.Qu + rate) + np.kron(
+    rate = 2.0 * np.diag(params.q_input_rate)
+    hess = np.kron(eye, 2.0 * np.diag(params.q_input) + rate) + np.kron(
         eye - np.eye(n_free, k=1) - np.eye(n_free, k=-1), rate
     )
     hess.flags.writeable = False
@@ -310,12 +288,11 @@ class _NlpEvaluator:
     Decision vector: the free inputs u_0..u_{j-1} flattened; inputs from the
     stop index j onward are fixed at zero. One pass of
     unicycle.rollout_sensitivities gives the states and their closed-form
-    sensitivities, hence analytic gradients and a Gauss-Newton cost Hessian. The avoidance rows are the problem's rows
-    through step min(j, N-1). It reads the problem's fields that _Probe
-    holds, so it takes either.
+    sensitivities, hence analytic gradients and a Gauss-Newton cost Hessian.
+    The avoidance rows are the probe record's rows through step min(j, N-1).
     """
 
-    def __init__(self, problem: "NlpProblem | _Probe", stop_index: int):
+    def __init__(self, problem: _Probe, stop_index: int):
         self.problem = problem
         self.params = problem.params
         self.j = stop_index
@@ -339,7 +316,7 @@ class _NlpEvaluator:
 
         f, grad_z, grad_u = _objective(states, u, problem.goal, params, problem.u_prev)
         grad = np.einsum("kiv,ki->v", S, grad_z) + grad_u[:j].ravel()
-        QS = S * self._q_state  # Qz S
+        QS = S * self._q_state  # diag(q_state) S
         hess = 2.0 * np.einsum("kiv,kiw->vw", S, QS) + self._hess_input
 
         k = self._row_step
@@ -383,7 +360,7 @@ def solve(problem: NlpProblem) -> SolveResult:
     u_ws = np.clip(problem.warm_start.inputs, lo, hi)
     u_ws[n - 1] = 0.0
 
-    data = _Probe.of(problem)
+    data = problem.probe
     stationary = _aligned_stationary_plan(data)
     stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)
@@ -698,8 +675,8 @@ def fallback_plan(prev: OpenLoopPlan) -> OpenLoopPlan:
     dynamics. It is not guaranteed to clear the new constraint data: the
     reachable sets are rebuilt from every scan and need not shrink between
     steps, so the shift can fail the audit (at 25 of 64 steps of a
-    corner-fast episode). sim_engine audits it whenever it applies it and
-    logs the result as fallback_feasible.
+    corner-fast episode). sim_engine audits it whenever it applies it, like
+    every applied plan, and logs a warning when it fails.
     """
     if np.abs(prev.inputs[-1]).max() > 1e-9:
         raise ValueError("previous plan does not end stopped; it was not terminally feasible")

@@ -4,7 +4,8 @@ Hidden agents are abstracted by the occlusion boundary they could cross:
 their step-k reachable set is the boundary segment inflated by k times the
 per-step travel bound (a capsule). Visible agents get concentric disks grown
 the same way: capsules with a zero-length axis. Measurement fusion shrinks a
-tracked agent's set when a fresh detection arrives.
+tracked agent's set when a fresh detection arrives. A detection and a
+tracked set are disks, each one [x, y, r] row.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import Disk, Point2
 
 
 class ModelViolationError(RuntimeError):
@@ -29,10 +28,8 @@ class AgentModel:
     radius: float = 0.0
 
     def __post_init__(self):
-        if self.v_target < 0:
-            raise ValueError("v_target must be nonnegative")
-        if self.radius < 0:
-            raise ValueError("agent radius must be nonnegative")
+        if not (0.0 <= self.v_target < math.inf and 0.0 <= self.radius < math.inf):
+            raise ValueError(f"v_target {self.v_target} and radius {self.radius} must be finite and nonnegative")
 
 
 def step_distance(model: AgentModel, dt: float) -> float:
@@ -71,16 +68,17 @@ def build_capsules(boundary: np.ndarray, model: AgentModel, dt: float, horizon: 
     return ReachableFamily(a, b, np.arange(1, horizon + 1) * step_distance(model, dt) + model.radius)
 
 
-def build_disks(detection: Disk, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
-    """Concentric disks growing by one step distance per horizon step."""
+def build_disks(detection: np.ndarray, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
+    """Concentric disks about a detection [x, y, r], growing by one step
+    distance per horizon step."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    c = detection.center.as_array()
-    return ReachableFamily(c, c, detection.radius + np.arange(1, horizon + 1) * step_distance(model, dt))
+    c = np.asarray(detection[:2], dtype=float)
+    return ReachableFamily(c, c, detection[2] + np.arange(1, horizon + 1) * step_distance(model, dt))
 
 
-def fuse_measurement(prev_one_step: Disk, sensed: Disk) -> Disk:
-    """Disk covering the intersection of the propagated set and a fresh
+def fuse_measurement(prev_one_step: np.ndarray, sensed: np.ndarray) -> np.ndarray:
+    """Disk [x, y, r] covering the intersection of the propagated set and a fresh
     detection, never exceeding the propagated set.
 
     When the detection already fits inside the propagated set it is returned
@@ -88,9 +86,8 @@ def fuse_measurement(prev_one_step: Disk, sensed: Disk) -> Disk:
     disk; if that spills outside the propagated set, the propagated set
     itself is returned (still covers the lens, still no growth).
     """
-    cp = prev_one_step.center.as_array()
-    cs = sensed.center.as_array()
-    rp, rs = prev_one_step.radius, sensed.radius
+    cp, cs = prev_one_step[:2], sensed[:2]
+    rp, rs = float(prev_one_step[2]), float(sensed[2])
     d = float(np.hypot(*(cs - cp)))
 
     if d > rp + rs + 1e-12:
@@ -115,5 +112,5 @@ def fuse_measurement(prev_one_step: Disk, sensed: Disk) -> Disk:
     radius = max(half_span, math.hypot(mid - x_cross, h))
 
     if float(np.hypot(*(center - cp))) + radius <= rp + 1e-12:
-        return Disk(Point2(float(center[0]), float(center[1])), radius)
+        return np.array([center[0], center[1], radius])
     return prev_one_step

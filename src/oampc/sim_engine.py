@@ -4,6 +4,11 @@ Each step runs the full planning pipeline once, applies the first input, and
 advances the scripted agents. Ground-truth collision checking is independent
 of every planner constraint, so logged safety outcomes cannot be an artifact
 of the planner's own approximations.
+
+The loop state holds only what no plan or log already holds: the step index
+is the log's length, the stop-index hint the last record's stop index and the
+previous input the previous plan's first input.
+A visible agent's track is its fused disk, one [x, y, r] row.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .avoidance import OpenLoopPlan, project_plan
-from .geometry import Disk, Point2, capsule_projection
+from .geometry import capsule_projection
 from .lidar_sim import LidarParams, PoseInObstacleError, detect_occlusions, downsample, scan
 from .nmpc import (
     MpcParams,
@@ -72,8 +77,10 @@ class AgentScript:
         self.waypoints = np.asarray(self.waypoints, dtype=float)
         if self.waypoints.ndim != 2 or self.waypoints.shape[0] < 1:
             raise ValueError("agent needs at least one waypoint")
-        if self.speed < 0:
-            raise ValueError("agent speed must be nonnegative")
+        if not (np.isfinite(self.waypoints).all() and math.isfinite(self.start_time)):
+            raise ValueError("agent waypoints and start time must be finite")
+        if not (0.0 <= self.speed < math.inf and 0.0 <= self.radius < math.inf):
+            raise ValueError(f"agent speed {self.speed} and radius {self.radius} must be finite and nonnegative")
         legs = np.diff(self.waypoints, axis=0)
         self._leg_lengths = np.hypot(legs[:, 0], legs[:, 1]) if len(legs) else np.zeros(0)
         self._cum = np.concatenate([[0.0], np.cumsum(self._leg_lengths)])
@@ -143,7 +150,6 @@ class StepRecord:
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
     fallback_used: bool
-    fallback_feasible: Optional[bool]
     audit_violation: float  # check_feasibility(plan).max_violation of the applied plan
     collision: bool
     n_boundaries: int
@@ -231,12 +237,9 @@ class _SimState:
     scenario: Scenario
     z: np.ndarray
     tau: float
-    t: int
     goal_index: int
-    prev_plan: OpenLoopPlan
-    u_prev: np.ndarray
-    agent_tracks: dict[int, Disk] = field(default_factory=dict)
-    last_stop_index: Optional[int] = None
+    prev_plan: OpenLoopPlan  # its first input is the one applied last, zeros before the first step
+    agent_tracks: dict[int, np.ndarray] = field(default_factory=dict)  # [x, y, r] rows
     terminal_reason: Optional[str] = None  # set by the step that ends the run
     goal_time: Optional[float] = None
 
@@ -270,14 +273,14 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     if scn.mode == MODE_OCCLUSION_AWARE:
         for b in boundaries:
             families.append(build_capsules(b, scn.agent_model, dt, params.N))
-    new_tracks: dict[int, Disk] = {}
+    new_tracks: dict[int, np.ndarray] = {}
     for idx, pos in enumerate(agent_positions):
         if not _agent_visible(scn.world, sim.z[:2], pos, scn.lidar.max_range):
             continue
-        sensed = Disk(Point2(*pos), scn.agents[idx].radius)
+        sensed = np.array([pos[0], pos[1], scn.agents[idx].radius])
         prev = sim.agent_tracks.get(idx)
         if prev is not None:
-            propagated = Disk(prev.center, prev.radius + step_distance(scn.agent_model, dt))
+            propagated = np.array([prev[0], prev[1], prev[2] + step_distance(scn.agent_model, dt)])
             sensed = fuse_measurement(propagated, sensed)
         new_tracks[idx] = sensed
         families.append(build_disks(sensed, scn.agent_model, dt, params.N))
@@ -295,8 +298,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         static_circles=circles,
         params=params,
         warm_start=warm,
-        u_prev=sim.u_prev,
-        stop_hint=sim.last_stop_index,
+        u_prev=sim.prev_plan.inputs[0],
+        stop_hint=log.records[-1].stop_index if log else None,
     )
     t_solve = time.perf_counter()
     result = solve(problem)
@@ -307,15 +310,11 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     # Every applied plan is audited; the audit is recorded and never changes
     # which plan is applied.
     report = check_feasibility(plan, projections, circles, params, z_init=sim.z)
-    fallback_feasible = None
-    if fallback_used:
-        fallback_feasible = report.ok(params.feas_tol)
-        if not fallback_feasible:
-            logger.warning("step %d: fallback plan failed the feasibility audit", sim.t)
+    if fallback_used and not report.ok(params.feas_tol):
+        logger.warning("step %d: fallback plan failed the feasibility audit", len(log))
     t_end = time.perf_counter()
 
     # Act.
-    u = plan.inputs[0]
     z_next = dynamics_step(robot, plan.control(0), dt)
 
     # Advance agents one period, enforcing the declared speed bound.
@@ -351,7 +350,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         StepRecord(
             tau=sim.tau,
             state=sim.z.copy(),
-            applied_input=np.asarray(u, dtype=float).copy(),
+            applied_input=plan.inputs[0].copy(),
             status=result.status,
             sense_ms=(t_reach - t_sense) * 1e3,
             reach_ms=(t_project - t_reach) * 1e3,
@@ -371,7 +370,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             agent_clearance=agent_clear,
             static_clearance=static_clear,
             fallback_used=fallback_used,
-            fallback_feasible=fallback_feasible,
             audit_violation=report.max_violation,
             collision=collided,
             n_boundaries=len(boundaries),
@@ -382,11 +380,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     sim.z = z_next.as_array()
     sim.tau = tau_next
-    sim.t += 1
     sim.prev_plan = plan
-    sim.u_prev = np.asarray(u, dtype=float).copy()
     sim.agent_tracks = new_tracks
-    sim.last_stop_index = result.stop_index
 
     # Goal consumption: position-only tolerance, goals in order.
     while sim.goal_index < len(scn.goals) and (
@@ -416,20 +411,18 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
         scenario=scenario,
         z=z0.copy(),
         tau=0.0,
-        t=0,
         goal_index=0,
         prev_plan=OpenLoopPlan.stationary(z0, params.N, -1),
-        u_prev=np.zeros(2),
     )
     log = TrajectoryLog()
     try:
-        while sim.terminal_reason is None and sim.t < scenario.max_steps:
+        while sim.terminal_reason is None and len(log) < scenario.max_steps:
             sim = step(sim, log)
     except ModelViolationError as exc:
-        logger.warning("step %d: %s", sim.t, exc)
+        logger.warning("step %d: %s", len(log), exc)
         sim.terminal_reason = TERMINAL_MODEL_VIOLATION
     except PoseInObstacleError as exc:
-        logger.warning("step %d: %s", sim.t, exc)
+        logger.warning("step %d: %s", len(log), exc)
         sim.terminal_reason = TERMINAL_POSE_IN_OBSTACLE
     metrics = compute_metrics(
         log,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -119,10 +120,15 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="LOG", help="compare with this log; exit 1 if they differ")
     args = parser.parse_args(argv)
     if args.against is None:
-        print("\n".join(summarize(read(args.log))))
-        return 0
-    lines, same = compare(read(args.log), read(args.against))
-    print("\n".join(lines))
+        lines, same = summarize(read(args.log)), True
+    else:
+        lines, same = compare(read(args.log), read(args.against))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader left early, as `| head` does: standard output goes to
+        # devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if same else 1
 
 

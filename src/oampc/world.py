@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Point2, capsule_projection, cast_rays
+from .geometry import capsule_projection, cast_rays
 
 
 @dataclass
@@ -58,7 +58,7 @@ class WorldMap:
     def contains_free(self, p, clearance: float = 0.0) -> bool:
         """True when p lies in free space with at least `clearance` to every
         map segment (boundary included)."""
-        q = p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
+        q = np.asarray(p, dtype=float)
         inside = self._inside_polygons(q)
         if self.boundary is not None:
             if not inside[0]:
@@ -90,8 +90,7 @@ class WorldMap:
 
     def min_clearance(self, p) -> float:
         """Distance from p to the nearest map segment (inf when empty)."""
-        q = p.as_array() if isinstance(p, Point2) else np.asarray(p, dtype=float)
-        return float(capsule_projection(q, self._seg_a, self._seg_b)[0].min(initial=np.inf))
+        return float(capsule_projection(p, self._seg_a, self._seg_b)[0].min(initial=np.inf))
 
     def segment_visible(self, a: np.ndarray, b: np.ndarray) -> bool:
         """True when the open segment a-b crosses no map segment (a clear

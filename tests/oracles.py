@@ -244,7 +244,7 @@ def rollout_loop(z0, inputs, dt) -> np.ndarray:
 def input_hessian_loop(params, stop_index) -> np.ndarray:
     """Hessian of the effort and rate costs in the free inputs u_0..u_{j-1},
     accumulated one cost term at a time; the inputs from j on are zero."""
-    Qu, Qdu = params.Qu, params.Qdu
+    Qu, Qdu = np.diag(params.q_input), np.diag(params.q_input_rate)
     n, j = params.N, stop_index
     H = np.zeros((2 * j, 2 * j))
     for k in range(n):
@@ -267,7 +267,7 @@ def nlp_evaluation_parent(problem, stop_index, x):
     the sensitivities from the rolled-out states (their own cosines and sines
     of the headings, their own dt-weighted step mask), the cost, and the
     rows. `oampc.nmpc._NlpEvaluator` must return these bit for bit.
-    `problem` is an NlpProblem or anything with its fields."""
+    `problem` is an NlpProblem's probe record."""
     params, j = problem.params, stop_index
     n_free = 2 * j
     dt = params.dt

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from oampc.avoidance import OpenLoopPlan, project_plan
-from oampc.geometry import Disk, Point2
 from oampc.reachability import AgentModel, build_capsules, build_disks
 
 from oracles import capsule_distance_sampled
@@ -36,7 +35,7 @@ class TestProjectPlan:
         assert ps.z_proj.shape == (0, 4, 2) and ps.d_proj.shape == (0, 4)
 
     def test_disk_family_entries(self):
-        fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.5), 0.1, 3)
+        fam = build_disks(np.array([0, 0, 0.1]), AgentModel(0.5), 0.1, 3)
         shifted = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         ps = project_plan(shifted, [fam])
         for k in range(1, 4):
@@ -46,7 +45,7 @@ class TestProjectPlan:
         # For every entry the projected point realizes the reported distance.
         rng = np.random.default_rng(5)
         n = 6
-        fams = [self.make_capsule_family(n), build_disks(Disk(Point2(1, 1), 0.2), AgentModel(0.4), 0.1, n)]
+        fams = [self.make_capsule_family(n), build_disks(np.array([1, 1, 0.2]), AgentModel(0.4), 0.1, n)]
         shifted = rng.uniform(-3, 3, size=(n, 2))
         ps = project_plan(shifted, fams)
         for z_proj, d_proj in zip(ps.z_proj, ps.d_proj):
@@ -64,7 +63,7 @@ class TestProjectPlan:
         fams = [
             self.make_capsule_family(n),
             build_capsules(np.array([[1.0, 1.0], [1.0, 1.0]]), model, 0.1, n + 2),
-            build_disks(Disk(Point2(-1, 0.5), 0.2), model, 0.1, n),
+            build_disks(np.array([-1, 0.5, 0.2]), model, 0.1, n),
             build_capsules(np.array([[-2.0, -1.0], [0.0, -2.0]]), model, 0.1, n),
         ]
         shifted = rng.uniform(-3, 3, size=(n, 2))
@@ -86,7 +85,7 @@ class TestProjectPlan:
         # Serial evaluation in any family order yields identical entries.
         n = 4
         f1 = self.make_capsule_family(n)
-        f2 = build_disks(Disk(Point2(-1, 0.5), 0.1), AgentModel(0.3), 0.1, n)
+        f2 = build_disks(np.array([-1, 0.5, 0.1]), AgentModel(0.3), 0.1, n)
         shifted = np.array([[0.5, 1.0], [0.7, 1.1], [0.9, 1.3], [1.1, 1.6]])
         a = project_plan(shifted, [f1, f2])
         b = project_plan(shifted, [f2, f1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oampc.geometry import Disk, Point2, capsule_projection, cast_rays
+from oampc.geometry import capsule_projection, cast_rays
 
 from oracles import capsule_distance_sampled, point_in_capsule, raycast_scalar, segment_distance
 
@@ -205,14 +205,6 @@ class TestRaycast:
 
 
 class TestTypes:
-    def test_point_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Point2(float("nan"), 0.0)
-
-    def test_disk_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            Disk(Point2(0, 0), -0.1)
-
     def test_capsule_body_is_tangent_rectangle(self):
         # The straight sides of the capsule on (0,0)-(2,0) with radius 0.5
         # are the lines y = +-0.5 over 0 <= x <= 2: points on them are on the

@@ -11,7 +11,6 @@ import pytest
 import oampc.nmpc
 import oampc.sim_engine
 from oampc.avoidance import OpenLoopPlan, project_plan
-from oampc.geometry import Disk, Point2
 from oampc.nmpc import (
     FeasibilityReport,
     MpcParams,
@@ -110,7 +109,7 @@ class TestTotalCost:
             got = total_cost(plan, goal, params, u_prev)
 
             # Naive term-by-term oracle.
-            Qz, Qu, Qdu = params.Qz, params.Qu, params.Qdu
+            Qz, Qu, Qdu = (np.diag(w) for w in (params.q_state, params.q_input, params.q_input_rate))
             want = 0.0
             for k in range(params.N + 1):
                 e = states[k] - goal
@@ -136,7 +135,7 @@ class TestGradients:
             problem = make_problem(rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 2), params,
                                    u_prev=rng.uniform(-1, 1, 2))
             for j in range(1, params.N):
-                ev = _NlpEvaluator(problem, stop_index=j)
+                ev = _NlpEvaluator(problem.probe, stop_index=j)
                 x = rng.uniform([params.v_min, params.delta_min] * j, [params.v_max, params.delta_max] * j)
                 res = ev(x)
                 h = 1e-6
@@ -159,7 +158,7 @@ class TestGradients:
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], circles=circles)
         for _ in range(20):
             for j in range(1, params.N):
-                ev = _NlpEvaluator(problem, stop_index=j)
+                ev = _NlpEvaluator(problem.probe, stop_index=j)
                 x = rng.uniform(-0.5, 1.5, 2 * j)
                 res = ev(x)
                 if len(res.c) == 0:
@@ -200,7 +199,7 @@ class TestSingleShootingModel:
             )
             problem = make_problem([0, 0, 0], [1, 0], params)
             for j in range(1, params.N):
-                got = _NlpEvaluator(problem, j)._hess_input
+                got = _NlpEvaluator(problem.probe, j)._hess_input
                 want = input_hessian_loop(params, j)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -230,7 +229,7 @@ class TestSingleShootingModel:
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], u_prev=np.array([0.4, -0.2]))
         for j in range(1, params.N):
-            ev = _NlpEvaluator(problem, j)
+            ev = _NlpEvaluator(problem.probe, j)
             for _ in range(5):
                 x = rng.uniform(np.tile([-0.5, -2.0], j), np.tile([2.0, 2.0], j))
                 u = ev.full_inputs(x)
@@ -351,7 +350,7 @@ class TestSolve:
         # admissible under the stop-speed semantics) and any motion it does
         # choose must not shrink the standoff to the engulfing anchor.
         params = MpcParams()
-        fam = build_disks(Disk(Point2(0.0, 0.0), 0.05), AgentModel(0.0), params.dt, params.N)
+        fam = build_disks(np.array([0.0, 0.0, 0.05]), AgentModel(0.0), params.dt, params.N)
         problem = make_problem([0, 0, 0], [3, 0], params, families=[fam])
         res = solve(problem)
         assert res.status == "optimal"
@@ -524,7 +523,7 @@ class TestParallelProbes:
 class TestCheckFeasibility:
     def test_stopped_plan_inside_margin_ok(self):
         params = MpcParams()
-        fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.0), params.dt, params.N)
+        fam = build_disks(np.array([0, 0, 0.1]), AgentModel(0.0), params.dt, params.N)
         plan = OpenLoopPlan.stationary(np.zeros(3), params.N, 0)
         shifted = fallback_plan(plan).positions()[1:]
         projections = project_plan(shifted, [fam])
@@ -534,7 +533,7 @@ class TestCheckFeasibility:
 
     def test_moving_plan_with_violation_flagged(self):
         params = MpcParams()
-        fam = build_disks(Disk(Point2(0.5, 0.0), 0.1), AgentModel(0.0), params.dt, params.N)
+        fam = build_disks(np.array([0.5, 0.0, 0.1]), AgentModel(0.0), params.dt, params.N)
         inputs = np.zeros((params.N, 2))
         inputs[: params.N - 1, 0] = 1.0
         states = rollout(np.zeros(3), inputs, params.dt)
@@ -566,7 +565,7 @@ class TestAvoidanceRows:
         for _ in range(n_families):
             a, b = rng.uniform(-2, 2, (2, 2))
             if rng.random() < 0.5:
-                families.append(build_disks(Disk(Point2(*a), 0.1), AgentModel(0.5), params.dt, params.N))
+                families.append(build_disks(np.array([*a, 0.1]), AgentModel(0.5), params.dt, params.N))
             else:
                 seg = np.array([a, b])
                 families.append(build_capsules(seg, AgentModel(0.5), params.dt, params.N))
@@ -595,7 +594,7 @@ class TestAvoidanceRows:
         families = [
             build_capsules(seg, AgentModel(0.5), params.dt, params.N),
             # Its projection sits 0.05 m from the robot: relaxed at every step.
-            build_disks(Disk(Point2(0.1, 0.1), 0.05), AgentModel(0.0), params.dt, params.N),
+            build_disks(np.array([0.1, 0.1, 0.05]), AgentModel(0.0), params.dt, params.N),
         ]
         circles = circle_rows(
             [
@@ -608,7 +607,7 @@ class TestAvoidanceRows:
         lo, hi = params.input_box
         rng = np.random.default_rng(5)
         for j in (1, 4, params.N - 1):
-            ev = _NlpEvaluator(problem, stop_index=j)
+            ev = _NlpEvaluator(problem.probe, stop_index=j)
             for _ in range(5):
                 x = rng.uniform(np.tile(lo, j), np.tile(hi, j))
                 states = rollout(problem.z0, ev.full_inputs(x), params.dt)
@@ -648,7 +647,7 @@ class TestFallbackPlan:
         params = MpcParams()
         model = AgentModel(0.5)
         agent_pos = np.array([2.5, 1.6])
-        fam = build_disks(Disk(Point2(*agent_pos), 0.1), model, params.dt, params.N)
+        fam = build_disks(np.array([*agent_pos, 0.1]), model, params.dt, params.N)
         problem = make_problem([0, 0, 0], [4, 0], params, families=[fam])
         res = solve(problem)
         assert res.status == "optimal"
@@ -656,7 +655,7 @@ class TestFallbackPlan:
         fb = fallback_plan(res.plan)
         # Agent moves at most one step distance.
         agent_next = agent_pos + np.array([-0.04, 0.02])
-        fam_next = build_disks(Disk(Point2(*agent_next), 0.1), model, params.dt, params.N)
+        fam_next = build_disks(np.array([*agent_next, 0.1]), model, params.dt, params.N)
         shifted = fallback_plan(res.plan).positions()[1:]
         projections = project_plan(shifted, [fam_next])
         report = check_feasibility(fb, projections, circle_rows([]), params, z_init=res.plan.states[1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oampc.geometry import Disk, Point2, capsule_projection
+from oampc.geometry import capsule_projection
 from oampc.reachability import (
     AgentModel,
     ModelViolationError,
@@ -14,6 +14,11 @@ from oampc.reachability import (
 )
 
 from oracles import capsule_distance_sampled, point_in_capsule, segment_distance
+
+
+def disk(x, y, r):
+    """A disk as one [x, y, r] row."""
+    return np.array([x, y, r], dtype=float)
 
 
 def boundary(ax, ay, bx, by):
@@ -35,6 +40,19 @@ class TestStepDistance:
     def test_requires_positive_dt(self):
         with pytest.raises(ValueError):
             step_distance(AgentModel(0.5), 0.0)
+
+
+class TestAgentModel:
+    def test_rejects_non_finite(self):
+        # A NaN speed bound would reach fuse_measurement as a NaN radius.
+        for v_target, radius in ((math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                AgentModel(v_target, radius)
+
+    def test_rejects_negative(self):
+        for v_target, radius in ((-0.5, 0.1), (0.5, -0.1)):
+            with pytest.raises(ValueError):
+                AgentModel(v_target, radius)
 
 
 class TestBuildCapsules:
@@ -96,37 +114,37 @@ class TestBuildCapsules:
 
 class TestBuildDisks:
     def test_radii(self):
-        fam = build_disks(Disk(Point2(0, 0), 0.1), AgentModel(0.5), 0.1, 3)
+        fam = build_disks(disk(0, 0, 0.1), AgentModel(0.5), 0.1, 3)
         assert fam.radii == pytest.approx([0.15, 0.20, 0.25])
 
     def test_zero_speed_constant(self):
-        fam = build_disks(Disk(Point2(1, 2), 0.2), AgentModel(0.0), 0.1, 4)
+        fam = build_disks(disk(1, 2, 0.2), AgentModel(0.0), 0.1, 4)
         assert np.all(fam.radii == 0.2)
         assert fam.a.tolist() == [1, 2] and fam.b.tolist() == [1, 2]
 
     def test_concentric_nesting(self):
-        fam = build_disks(Disk(Point2(0, 0), 0.05), AgentModel(0.7), 0.1, 6)
+        fam = build_disks(disk(0, 0, 0.05), AgentModel(0.7), 0.1, 6)
         assert np.all(np.diff(fam.radii) > 0)
 
 
 class TestFuseMeasurement:
     def test_subset_returns_sensed(self):
-        prev = Disk(Point2(0, 0), 1.0)
-        sensed = Disk(Point2(0.5, 0), 0.3)
-        assert fuse_measurement(prev, sensed) == sensed
+        prev = disk(0, 0, 1.0)
+        sensed = disk(0.5, 0, 0.3)
+        assert fuse_measurement(prev, sensed) is sensed
 
     def test_identity(self):
-        d = Disk(Point2(0.3, -0.2), 0.7)
-        assert fuse_measurement(d, d) == d
+        d = disk(0.3, -0.2, 0.7)
+        assert fuse_measurement(d, d) is d
 
     def test_lens_covered_and_contained(self):
-        prev = Disk(Point2(0, 0), 1.0)
-        sensed = Disk(Point2(1.5, 0), 1.0)
+        prev = disk(0, 0, 1.0)
+        sensed = disk(1.5, 0, 1.0)
         fused = fuse_measurement(prev, sensed)
-        cf = fused.center.as_array()
+        cf = fused[:2]
         cp, cs = np.zeros(2), np.array([1.5, 0.0])
         # Contained in prev.
-        assert np.hypot(*cf) + fused.radius <= prev.radius + 1e-9
+        assert np.hypot(*cf) + fused[2] <= prev[2] + 1e-9
         # Covers the intersection: sample both containment directions.
         rng = np.random.default_rng(8)
         hits = 0
@@ -135,21 +153,21 @@ class TestFuseMeasurement:
             in_lens = np.hypot(*(p - cp)) <= 1.0 and np.hypot(*(p - cs)) <= 1.0
             if in_lens:
                 hits += 1
-                assert np.hypot(*(p - cf)) <= fused.radius + 1e-9
+                assert np.hypot(*(p - cf)) <= fused[2] + 1e-9
 
     def test_prev_inside_sensed_returns_prev(self):
-        prev = Disk(Point2(0, 0), 0.3)
-        sensed = Disk(Point2(0.1, 0), 1.0)
-        assert fuse_measurement(prev, sensed) == prev
+        prev = disk(0, 0, 0.3)
+        sensed = disk(0.1, 0, 1.0)
+        assert fuse_measurement(prev, sensed) is prev
 
     def test_disjoint_raises(self):
         with pytest.raises(ModelViolationError):
-            fuse_measurement(Disk(Point2(0, 0), 0.5), Disk(Point2(2, 0), 0.5))
+            fuse_measurement(disk(0, 0, 0.5), disk(2, 0, 0.5))
 
     def test_point_measurement_inside(self):
-        prev = Disk(Point2(0, 0), 0.5)
-        sensed = Disk(Point2(0.2, 0.1), 0.0)
-        assert fuse_measurement(prev, sensed) == sensed
+        prev = disk(0, 0, 0.5)
+        sensed = disk(0.2, 0.1, 0.0)
+        assert fuse_measurement(prev, sensed) is sensed
 
 
 class TestSafetyContainment:
@@ -180,17 +198,17 @@ class TestSafetyContainment:
         rng = np.random.default_rng(3)
         for run in range(5):
             pos = rng.uniform(-1, 1, 2)
-            current = Disk(Point2(*pos), 0.0)
+            current = disk(*pos, 0.0)
             for step in range(100):
                 fam = build_disks(current, model, dt, 1)
-                one_step = Disk(current.center, float(fam.radii[0]))
+                one_step = disk(*current[:2], fam.radii[0])
                 ang = rng.uniform(0, 2 * np.pi)
                 speed = rng.uniform(0, model.v_target)
                 pos = pos + speed * dt * np.array([math.cos(ang), math.sin(ang)])
-                sensed = Disk(Point2(*pos), 0.0)
+                sensed = disk(*pos, 0.0)
                 fused = fuse_measurement(one_step, sensed)
                 # Fused set contained in the propagated set.
-                d = np.hypot(*(fused.center.as_array() - one_step.center.as_array()))
-                assert d + fused.radius <= one_step.radius + 1e-9
+                d = np.hypot(*(fused[:2] - one_step[:2]))
+                assert d + fused[2] <= one_step[2] + 1e-9
                 current = fused
 

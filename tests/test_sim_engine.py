@@ -7,6 +7,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oampc.sim_engine
 from oampc.nmpc import MpcParams, check_feasibility
@@ -101,6 +102,11 @@ class TestClosedLoop:
             # Every SQP iteration solves at least one QP, every probe is an SQP.
             assert rec.qp_solves >= rec.sqp_iterations >= rec.probes >= 1
             assert rec.search in ("full", "hint", "sweep") and rec.probe_ms > 0
+        # The planner's previous input is not kept apart: it is the previous
+        # plan's first input, the one applied at the step before, zeros at first.
+        assert np.array_equal(problems[0].u_prev, np.zeros(2))
+        for prev, problem in zip(log.records, problems[1:]):
+            assert np.array_equal(problem.u_prev, prev.applied_input)
         # Step-time tails over the in-program step time, the sum of the layers.
         step_ms = [rec.sense_ms + rec.reach_ms + rec.project_ms + rec.solve_ms + rec.audit_ms for rec in log]
         assert [rec.step_ms for rec in log] == step_ms
@@ -164,6 +170,32 @@ class TestClosedLoop:
         assert all(qp_solves >= rec.sqp_iterations for (qp_solves, _), rec in zip(solves, first))
         assert all(probes >= 1 for _, probes in solves)
         assert solves == [(rec.qp_solves, rec.probes) for rec in second]
+
+
+class TestAgentInputs:
+    """A bad agent value is refused where it enters, not met mid-run."""
+
+    def test_rejects_non_finite_waypoint(self):
+        for waypoints in ([[math.nan, 0.0]], [[0.0, 0.0], [1.0, math.inf]]):
+            with pytest.raises(ValueError):
+                AgentScript(waypoints=np.array(waypoints), speed=0.5)
+
+    def test_rejects_non_finite_start_time(self):
+        with pytest.raises(ValueError):
+            AgentScript(waypoints=np.array([[1.5, 0.0]]), speed=0.5, start_time=math.nan)
+
+    def test_rejects_bad_speed(self):
+        # A NaN speed once gave an agent on the robot's path that was never
+        # sensed and never collided.
+        for speed in (math.nan, math.inf, -0.5):
+            with pytest.raises(ValueError):
+                AgentScript(waypoints=np.array([[1.5, 0.0]]), speed=speed)
+
+    def test_rejects_negative_radius(self):
+        # A negative radius once raised out of run() mid-episode.
+        for radius in (-0.05, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                AgentScript(waypoints=np.array([[1.5, 0.0]]), speed=0.5, radius=radius)
 
 
 class _Teleporter(AgentScript):
@@ -244,7 +276,6 @@ class TestJsonLines:
                 "agent_clearance",
                 "static_clearance",
                 "fallback_used",
-                "fallback_feasible",
                 "audit_violation",
                 "collision",
                 "n_boundaries",
@@ -304,6 +335,26 @@ class TestJsonLines:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # A reader that leaves early, as `| head -4` does: the read end of the
+        # pipe is closed before the comparison writes a line.
+        log, _ = run(corner_scenario().with_overrides(max_steps=2))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        src = str(Path(oampc.__file__).parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "oampc.summarize", str(path), "--against", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_against(self, tmp_path, capsys):
         log, _ = run(corner_scenario().with_overrides(max_steps=6))

@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oampc.geometry import Point2
 from oampc.world import WorldMap, rectangle
 
 from oracles import point_in_convex_polygon, point_in_polygon_loop, segment_distance, segments_cross
@@ -92,7 +91,7 @@ class TestMinClearance:
     def test_analytic_room(self):
         world = WorldMap(boundary=rectangle(-5, -5, 5, 5), obstacles=[rectangle(-1, -1, 1, 1)])
         assert world.min_clearance(np.array([3.0, 0.0])) == pytest.approx(2.0)
-        assert world.min_clearance(Point2(4.5, 4.0)) == pytest.approx(0.5)
+        assert world.min_clearance((4.5, 4.0)) == pytest.approx(0.5)
         assert world.min_clearance(np.array([2.0, 2.0])) == pytest.approx(np.sqrt(2.0))
 
     def test_matches_segment_oracle(self):
