@@ -7,9 +7,10 @@ handed to the planner as fixed constraint anchors, which is what keeps this
 half a batch of independent closed-form projections instead of a bilevel
 program.
 
-A ProjectionSet holds the F families and two arrays from one closed-form
-call: z_proj (F, N, 2), the projected points, and d_proj (F, N), the
-distances, where [f, k-1] is family f at horizon step k.
+A ProjectionSet holds the F families and the projected points z_proj
+(F, N, 2) from one closed-form call, where [f, k-1] is family f at horizon
+step k. An OpenLoopPlan holds states and inputs only: the step it was planned
+at is the index of the log record that holds it.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ import numpy as np
 
 from .geometry import capsule_projection
 from .reachability import ReachableFamily
-from .unicycle import ControlInput, RobotState
+from .unicycle import ControlInput
 
 
 @dataclass(frozen=True)
 class OpenLoopPlan:
     """Predicted trajectory at one planner step: states (N+1, 3) and inputs
-    (N, 2), stamped with the step index it was produced at."""
+    (N, 2)."""
 
     states: np.ndarray
     inputs: np.ndarray
-    stamp: int
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
@@ -49,9 +49,6 @@ class OpenLoopPlan:
     def horizon(self) -> int:
         return self.inputs.shape[0]
 
-    def state(self, k: int) -> RobotState:
-        return RobotState(*self.states[k])
-
     def control(self, k: int) -> ControlInput:
         return ControlInput(*self.inputs[k])
 
@@ -59,10 +56,10 @@ class OpenLoopPlan:
         return self.states[:, :2]
 
     @staticmethod
-    def stationary(z0: np.ndarray, horizon: int, stamp: int) -> "OpenLoopPlan":
+    def stationary(z0: np.ndarray, horizon: int) -> "OpenLoopPlan":
         states = np.tile(np.asarray(z0, dtype=float), (horizon + 1, 1))
         inputs = np.zeros((horizon, 2))
-        return OpenLoopPlan(states, inputs, stamp)
+        return OpenLoopPlan(states, inputs)
 
 
 @dataclass(frozen=True)
@@ -71,24 +68,19 @@ class ProjectionSet:
 
     families: tuple[ReachableFamily, ...]
     z_proj: np.ndarray  # (F, N, 2)
-    d_proj: np.ndarray  # (F, N)
 
     @property
     def horizon(self) -> int:
         return self.z_proj.shape[1]
 
-    def __len__(self) -> int:
-        return len(self.families)
-
 
 def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> ProjectionSet:
     """Project each shifted position onto each family's step-k set.
 
-    Entry (k, r) is the distance/projection pair of shifted[k-1] against set
-    r at step k. Entries are independent, so all of them come from one
-    closed-form call over the stacked families; distances are raw set
-    distances (the robot radius is applied later, inside the planner
-    constraint).
+    Entry [r, k-1] is the projection of shifted[k-1] onto set r at step k.
+    Entries are independent, so all of them come from one closed-form call
+    over the stacked families; the margins (robot radius included) are
+    applied later, inside the planner constraint.
     """
     shifted = np.asarray(shifted, dtype=float)
     n = shifted.shape[0]
@@ -98,5 +90,4 @@ def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> Pr
     a = np.reshape([fam.a for fam in families], (-1, 1, 2))
     b = np.reshape([fam.b for fam in families], (-1, 1, 2))
     radii = np.reshape([fam.radii[:n] for fam in families], (-1, n))
-    d, z = capsule_projection(shifted[None, :, :], a, b, radii)
-    return ProjectionSet(tuple(families), z, d)
+    return ProjectionSet(tuple(families), capsule_projection(shifted[None, :, :], a, b, radii)[1])

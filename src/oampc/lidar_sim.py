@@ -4,6 +4,9 @@ Produces per-ray ranges against the polygonal world, detects occlusion
 boundaries from range discontinuities between consecutive rays, and thins
 obstacle hit points into coverage circles for static avoidance.
 
+A Scan holds per-ray ranges, points and hit segment indexes; a ray hit
+exactly where its segment index is not -1, and its angle is _sweep's.
+
 Both results are arrays: detect_occlusions gives a (B, 2, 2) array of
 [near, far] boundary ends in ray order, and downsample an (M, 3) array of
 circle centre x, centre y and radius.
@@ -50,21 +53,13 @@ class LidarParams:
 
 @dataclass(frozen=True)
 class Scan:
-    """One sweep: strictly increasing angles over [0, 2pi), ranges clamped to
+    """One sweep, ray i at angle _sweep(n).angles[i]: ranges clamped to
     max_range, and per-ray points (true hits, or the max-range point on the
     ray for misses so open space still reads as potentially occupied)."""
 
-    pose: RobotState
-    angles: np.ndarray
-    ranges: np.ndarray
-    hit_mask: np.ndarray
+    ranges: np.ndarray  # (n,)
     points: np.ndarray  # (n, 2)
     segment_index: np.ndarray  # (n,) index of the hit segment, -1 for miss
-    max_range: float
-
-    @property
-    def num_rays(self) -> int:
-        return len(self.angles)
 
 
 def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
@@ -74,8 +69,8 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     against only the segments that can meet one of its rays
     (_sector_segments), all runs in one cast_rays call. Per ray and segment
     the kernel's arithmetic is elementwise, and a dropped segment is one the
-    ray cannot hit, so ranges, hit mask and segment indexes are those of one
-    cast against every segment."""
+    ray cannot hit, so ranges and segment indexes are those of one cast
+    against every segment."""
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
@@ -86,13 +81,13 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     # largest sector needs. No ray of a sector hits one of the others, so
     # each ray's nearest hit and its first index among equals are unchanged.
     order = np.argsort(~members, axis=1, kind="stable")[:, : members.sum(axis=1).max(initial=0)]
-    ranges, hit_mask, local = cast_rays(origin, sweep.grid, seg_a[order], seg_b[order], params.max_range)
+    ranges, local = cast_rays(origin, sweep.grid, seg_a[order], seg_b[order], params.max_range)
     # A closing column of -1 maps a miss's index -1 to -1.
     order = np.concatenate([order, np.full((_SECTORS, 1), -1)], axis=1)
     index = order[sweep.rows, local][sweep.kept]
     ranges = ranges[sweep.kept]
     points = origin[None, :] + ranges[:, None] * sweep.dirs
-    return Scan(pose, sweep.angles, ranges, hit_mask[sweep.kept], points, index, params.max_range)
+    return Scan(ranges, points, index)
 
 
 # Sectors a sweep is cast in. On a 2-core x86-64 container, against a scan
@@ -183,7 +178,8 @@ def downsample(scan_: Scan, params: LidarParams, world: WorldMap) -> np.ndarray:
     track are skipped: track limits are enforced as planner state bounds, not
     as point-cloud avoidance.
     """
-    hits = scan_.points[scan_.hit_mask & ~world.is_boundary_segment(scan_.segment_index)]
+    index = scan_.segment_index
+    hits = scan_.points[(index >= 0) & ~world.is_boundary_segment(index)]
     if len(hits) == 0:
         return np.zeros((0, 3))
 

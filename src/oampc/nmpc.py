@@ -25,15 +25,17 @@ rest in order if none of those beats standing still (the sweep). The cheapest
 candidate wins, and the all-stopped plan is the always-feasible floor.
 
 Everything a probe reads of an NlpProblem is one record, NlpProblem.probe,
-built with the problem: the start, goal, previous input, parameters, stamp and
+built with the problem: the start, goal, previous input, parameters and
 avoidance row table. The probes of the hint and sweep phases do not depend on
 each other. A phase of two or more runs them in a pool of worker processes,
 forked from this one at the first such phase and terminated at exit, and sends
 each the probe record; the full-freedom probe and the phase logic stay here.
 Results come back in the order they were submitted, so the plans and counters
 are those of running the probes one after another.
-Each probe's time is taken where it ran and summed into SolveResult.probe_ms;
-a tracer that wraps functions in this process sees only the probes run here.
+What the probes cost is one _Work record, summed with + over the probes and
+returned as SolveResult.work; a step record takes its fields as they are.
+Each probe's time is taken where it ran and summed into its probe_ms; a
+tracer that wraps functions in this process sees only the probes run here.
 """
 
 from __future__ import annotations
@@ -116,16 +118,14 @@ class MpcParams:
 
 class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
-    previous input, the parameters, the warm start's stamp and the avoidance
-    row table, which lives only here. NlpProblem builds it once; the probes of
-    a step share it in this process and are sent it, not the whole problem,
-    in a worker."""
+    previous input, the parameters and the avoidance row table, which lives
+    only here. NlpProblem builds it once; the probes of a step share it in
+    this process and are sent it, not the whole problem, in a worker."""
 
     z0: np.ndarray
     goal: np.ndarray
     u_prev: np.ndarray
     params: MpcParams
-    stamp: int
     row_step: np.ndarray  # (R,) horizon step of each row
     row_anchor: np.ndarray  # (R, 2)
     row_margin: np.ndarray  # (R,)
@@ -179,21 +179,30 @@ class NlpProblem:
         # current standoff, so the state can still rotate in place and
         # escape. check_feasibility audits the strict margin.
         rows = (np.nonzero(keep)[0] + 1, anchors[keep], np.minimum(margins, gap)[keep])
-        self.probe = _Probe(self.z0, self.goal, self.u_prev, params, self.warm_start.stamp, *rows)
+        self.probe = _Probe(self.z0, self.goal, self.u_prev, params, *rows)
+
+
+class _Work(NamedTuple):
+    """What probes cost, summed with +."""
+
+    sqp_iterations: int = 0
+    qp_iterations: int = 0  # interior-point iterations
+    qp_solves: int = 0
+    penalty_rungs: int = 0  # QP solves at a raised penalty
+    probes: int = 0  # SQP solves, re-probes included
+    infeasible_probes: int = 0  # probes whose SQP ended infeasible
+    probe_ms: float = 0.0  # the probes' own times, each taken where it ran
+
+    def __add__(self, other: "_Work") -> "_Work":
+        return _Work(*(a + b for a, b in zip(self, other)))
 
 
 @dataclass
 class SolveResult:
     status: str
-    plan: OpenLoopPlan
+    plan: OpenLoopPlan  # the warm start when infeasible
     objective: float
-    iterations: int  # SQP iterations summed over the probes
-    qp_iterations: int  # interior-point iterations summed over the probes
-    qp_solves: int  # QP solves summed over the probes
-    penalty_rungs: int  # QP solves at a raised penalty, summed over the probes
-    probes: int  # SQP solves run for this step, re-probes included
-    infeasible_probes: int  # probes whose SQP ended infeasible
-    probe_ms: float  # the probes' own times, each taken where it ran, summed
+    work: _Work  # summed over the probes run for this step
     stop_index: int  # steps with motion allowed; N-1 means full freedom
     search: str  # the last phase run: "full", "hint" or "sweep"
 
@@ -403,14 +412,7 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     if not candidates:
         logger.debug("solve infeasible: initial state violates track limits")
-        return SolveResult(
-            status=STATUS_INFEASIBLE,
-            plan=problem.warm_start,
-            objective=math.inf,
-            stop_index=0,
-            search=search,
-            **work._asdict(),
-        )
+        return SolveResult(STATUS_INFEASIBLE, problem.warm_start, math.inf, work, stop_index=0, search=search)
 
     candidates.sort(key=lambda item: (item[0], -item[2]))
     cost, plan, j = candidates[0]
@@ -423,29 +425,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         plan = stationary
         cost = cost_stationary
         j = 0
-    return SolveResult(
-        status=STATUS_OPTIMAL,
-        plan=plan,
-        objective=cost,
-        stop_index=j,
-        search=search,
-        **work._asdict(),
-    )
-
-
-class _Work(NamedTuple):
-    """What probes cost, summed with +: SolveResult's counters."""
-
-    iterations: int = 0
-    qp_iterations: int = 0
-    qp_solves: int = 0
-    penalty_rungs: int = 0
-    probes: int = 0
-    infeasible_probes: int = 0
-    probe_ms: float = 0.0
-
-    def __add__(self, other: "_Work") -> "_Work":
-        return _Work(*(a + b for a, b in zip(self, other)))
+    return SolveResult(STATUS_OPTIMAL, plan, cost, work, stop_index=j, search=search)
 
 
 def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tuple], _Work]:
@@ -461,7 +441,7 @@ def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tu
     cand = None
     if res.status == STATUS_OPTIMAL:
         u = evaluator.full_inputs(res.x)
-        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u, problem.stamp), j)
+        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
     ms = (time.perf_counter() - t0) * 1e3
     return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(cand is None), ms)
 
@@ -569,7 +549,7 @@ def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:
             inputs[k, 1] = delta
             remaining -= delta * params.dt
     states = rollout(z0, inputs, params.dt)
-    return OpenLoopPlan(states, inputs, problem.stamp)
+    return OpenLoopPlan(states, inputs)
 
 
 def _goal_bearing_error(problem: _Probe) -> float:
@@ -682,4 +662,4 @@ def fallback_plan(prev: OpenLoopPlan) -> OpenLoopPlan:
         raise ValueError("previous plan does not end stopped; it was not terminally feasible")
     inputs = np.vstack([prev.inputs[1:], prev.inputs[-1][None, :]])
     states = np.vstack([prev.states[1:], prev.states[-1][None, :]])
-    return OpenLoopPlan(states, inputs, prev.stamp + 1)
+    return OpenLoopPlan(states, inputs)

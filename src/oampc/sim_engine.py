@@ -6,8 +6,10 @@ of every planner constraint, so logged safety outcomes cannot be an artifact
 of the planner's own approximations.
 
 The loop state holds only what no plan or log already holds: the step index
-is the log's length, the stop-index hint the last record's stop index and the
-previous input the previous plan's first input.
+is the log's length, the stop-index hint the last record's stop index, the
+previous input the previous plan's first input and the time to goal the time
+after the step that reached the last goal. A step applies the plan nmpc.solve
+returns, which is the shifted previous plan when the solve is infeasible.
 A visible agent's track is its fused disk, one [x, y, r] row.
 """
 
@@ -75,8 +77,8 @@ class AgentScript:
 
     def __post_init__(self):
         self.waypoints = np.asarray(self.waypoints, dtype=float)
-        if self.waypoints.ndim != 2 or self.waypoints.shape[0] < 1:
-            raise ValueError("agent needs at least one waypoint")
+        if self.waypoints.ndim != 2 or self.waypoints.shape[0] < 1 or self.waypoints.shape[1] != 2:
+            raise ValueError(f"agent waypoints must be (m, 2) with m >= 1, not {self.waypoints.shape}")
         if not (np.isfinite(self.waypoints).all() and math.isfinite(self.start_time)):
             raise ValueError("agent waypoints and start time must be finite")
         if not (0.0 <= self.speed < math.inf and 0.0 <= self.radius < math.inf):
@@ -113,11 +115,14 @@ class Scenario:
     max_steps: int = 400
 
     def __post_init__(self):
-        self.goals = [np.asarray(g, dtype=float)[:2] for g in self.goals]
+        self.goals = [np.asarray(g, dtype=float) for g in self.goals]
         if self.mode not in (MODE_BASELINE, MODE_OCCLUSION_AWARE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.goals:
             raise ValueError("scenario needs at least one goal")
+        for g in self.goals:
+            if g.shape != (2,) or not np.isfinite(g).all():
+                raise ValueError(f"a goal must be two finite coordinates, not {g.tolist()!r}")
 
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)
@@ -130,7 +135,6 @@ class StepRecord:
     tau: float
     state: np.ndarray  # (3,) state the input was computed at
     applied_input: np.ndarray  # (2,)
-    status: str
     # Wall time of each layer of STEP_LAYERS.
     sense_ms: float  # scan, occlusion detection, downsampling
     reach_ms: float  # capsules, agent visibility, fusion, disks
@@ -138,18 +142,19 @@ class StepRecord:
     solve_ms: float  # nmpc.solve
     audit_ms: float  # check_feasibility of the applied plan
     stop_index: int
-    sqp_iterations: int  # summed over the stop-index probes of this step
-    qp_iterations: int  # interior-point iterations, summed over the same probes
-    qp_solves: int  # QP solves, summed over the same probes
-    penalty_rungs: int  # QP solves after the first at one linearization, summed over the same probes
-    probes: int  # SQP solves of this step, re-probes included
+    # nmpc._Work's counters, summed over the stop-index probes of this step.
+    sqp_iterations: int
+    qp_iterations: int  # interior-point iterations
+    qp_solves: int
+    penalty_rungs: int  # QP solves after the first at one linearization
+    probes: int  # SQP solves, re-probes included
     infeasible_probes: int  # probes whose SQP ended infeasible
-    probe_ms: float  # the probes' own times, each taken in the process that ran it, summed
+    probe_ms: float  # the probes' own times, each taken in the process that ran it
     search: str  # the last stop-index search phase run: "full", "hint" or "sweep"
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
-    fallback_used: bool
+    fallback_used: bool  # the solve was infeasible and the shifted previous plan applied
     audit_violation: float  # check_feasibility(plan).max_violation of the applied plan
     collision: bool
     n_boundaries: int
@@ -183,7 +188,7 @@ class TrajectoryLog:
 
     def write_jsonl(self, path) -> None:
         """Write one JSON object per record, in order. Arrays become lists and
-        the plan an object of its states, inputs and stamp; floats are written
+        the plan an object of its states and inputs; floats are written
         by repr (inf as Infinity), so `json.loads` reads every value back
         exactly."""
         with open(path, "w") as f:
@@ -241,7 +246,6 @@ class _SimState:
     prev_plan: OpenLoopPlan  # its first input is the one applied last, zeros before the first step
     agent_tracks: dict[int, np.ndarray] = field(default_factory=dict)  # [x, y, r] rows
     terminal_reason: Optional[str] = None  # set by the step that ends the run
-    goal_time: Optional[float] = None
 
 
 def _agent_visible(world: WorldMap, robot_pos: np.ndarray, agent_pos: np.ndarray, max_range: float) -> bool:
@@ -306,7 +310,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     t_audit = time.perf_counter()
 
     fallback_used = result.status != STATUS_OPTIMAL
-    plan = warm if fallback_used else result.plan
+    plan = result.plan
     # Every applied plan is audited; the audit is recorded and never changes
     # which plan is applied.
     report = check_feasibility(plan, projections, circles, params, z_init=sim.z)
@@ -351,20 +355,13 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             tau=sim.tau,
             state=sim.z.copy(),
             applied_input=plan.inputs[0].copy(),
-            status=result.status,
             sense_ms=(t_reach - t_sense) * 1e3,
             reach_ms=(t_project - t_reach) * 1e3,
             project_ms=(t_solve - t_project) * 1e3,
             solve_ms=(t_audit - t_solve) * 1e3,
             audit_ms=(t_end - t_audit) * 1e3,
             stop_index=result.stop_index,
-            sqp_iterations=result.iterations,
-            qp_iterations=result.qp_iterations,
-            qp_solves=result.qp_solves,
-            penalty_rungs=result.penalty_rungs,
-            probes=result.probes,
-            infeasible_probes=result.infeasible_probes,
-            probe_ms=result.probe_ms,
+            **result.work._asdict(),
             search=result.search,
             occlusion_clearance=occ_clear,
             agent_clearance=agent_clear,
@@ -390,7 +387,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         sim.goal_index += 1
     if sim.goal_index >= len(scn.goals):
         sim.terminal_reason = TERMINAL_GOAL
-        sim.goal_time = sim.tau
     if collided:
         sim.terminal_reason = TERMINAL_COLLISION
     return sim
@@ -412,7 +408,7 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
         z=z0.copy(),
         tau=0.0,
         goal_index=0,
-        prev_plan=OpenLoopPlan.stationary(z0, params.N, -1),
+        prev_plan=OpenLoopPlan.stationary(z0, params.N),
     )
     log = TrajectoryLog()
     try:
@@ -427,7 +423,7 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     metrics = compute_metrics(
         log,
         params.dt,
-        goal_time=sim.goal_time,
+        goal_time=sim.tau if sim.goal_index == len(scenario.goals) else None,
         goals_reached=sim.goal_index,
         terminal_reason=sim.terminal_reason or TERMINAL_BUDGET,
     )

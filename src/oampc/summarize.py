@@ -10,14 +10,14 @@ infeasible probes, QP solves, penalty rungs (QP solves after the first at one
 linearization) and interior-point iterations per step; and the steps that
 ended in each stop-index search phase, with p50 and p99 of probe_ms /
 solve_ms (above 1 when probes ran in parallel), and the slowest steps with
-their counters. A counter an older log lacks is left out. The control period
-is the spacing of the logged times, or `MpcParams.dt` for a one-step log.
+their counters. The control period is the spacing of the logged times, or
+`MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
 time (`*_ms`), is not the same to the bit. The comparison names the first
 such step, the largest difference in states, applied inputs and plans, and
-the totals of the solver counters both logs have.
+the totals of the solver counters.
 """
 
 from __future__ import annotations
@@ -61,23 +61,21 @@ def summarize(rows: list[dict]) -> list[str]:
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
     ]
-    counters = [name for _, name in COUNTERS if name in rows[0]]
+    counters = [name for _, name in COUNTERS]
     for label, name in COUNTERS:
-        if name in counters:
-            lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
-    if "search" in rows[0]:  # logs before the search phase was logged lack these
-        phases = [row["search"] for row in rows]
-        lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
-        p50, p99 = percentiles([row["probe_ms"] / row["solve_ms"] for row in rows], [50, 99])
-        lines.append(f"probe_ms / solve_ms: {p50:.2f} {p99:.2f}")
-        per_iteration = [1e3 * row["probe_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
-        p50, p99 = percentiles(per_iteration, [50, 99])
-        lines.append(f"us per interior-point iteration: {p50:.1f} {p99:.1f}")
-        lines.append("slowest steps: step_ms search " + " ".join(counters))
-        for k in np.argsort(-step_ms, kind="stable")[:SLOWEST]:
-            row = rows[k]
-            values = " ".join(str(row[name]) for name in counters)
-            lines.append(f"step {k}: {step_ms[k]:.2f} {row['search']} {values}")
+        lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
+    phases = [row["search"] for row in rows]
+    lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
+    p50, p99 = percentiles([row["probe_ms"] / row["solve_ms"] for row in rows], [50, 99])
+    lines.append(f"probe_ms / solve_ms: {p50:.2f} {p99:.2f}")
+    per_iteration = [1e3 * row["probe_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
+    p50, p99 = percentiles(per_iteration, [50, 99])
+    lines.append(f"us per interior-point iteration: {p50:.1f} {p99:.1f}")
+    lines.append("slowest steps: step_ms search " + " ".join(counters))
+    for k in np.argsort(-step_ms, kind="stable")[:SLOWEST]:
+        row = rows[k]
+        values = " ".join(str(row[name]) for name in counters)
+        lines.append(f"step {k}: {step_ms[k]:.2f} {row['search']} {values}")
     return lines
 
 
@@ -101,8 +99,6 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     lines.append(first or "first step that differs: none")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
     for label, name in COUNTERS:
-        if not (a and b and name in a[0] and name in b[0]):
-            continue
         ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)
         steps = sum(x[name] != y[name] for x, y in zip(a, b))
         lines.append(f"{label}: {ta} against {tb} ({tb - ta:+d}), {steps} steps differ")

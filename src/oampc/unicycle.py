@@ -41,9 +41,6 @@ class ControlInput:
         if not (math.isfinite(self.v) and math.isfinite(self.delta)):
             raise ValueError("non-finite control input")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v, self.delta], dtype=float)
-
 
 def dynamics_step(z: RobotState, u: ControlInput, dt: float) -> RobotState:
     """One Euler step of the unicycle:

@@ -99,7 +99,7 @@ class WorldMap:
         dist = float(np.hypot(*d))
         if dist <= 1e-12:
             return True
-        ranges, _, _ = cast_rays(a, (d / dist)[None, :], self._seg_a, self._seg_b, dist)
+        ranges, _ = cast_rays(a, (d / dist)[None, :], self._seg_a, self._seg_b, dist)
         return bool(ranges[0] >= dist - 1e-9)
 
 

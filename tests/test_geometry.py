@@ -141,8 +141,8 @@ def _cast_one(origin, direction, segments, max_range):
     seg_a = np.array([s[0] for s in segments], dtype=float)
     seg_b = np.array([s[1] for s in segments], dtype=float)
     origin = np.asarray(origin, dtype=float)
-    ranges, hit, idx = cast_rays(origin, np.array([direction], dtype=float), seg_a, seg_b, max_range)
-    return float(ranges[0]), bool(hit[0]), int(idx[0])
+    ranges, idx = cast_rays(origin, np.array([direction], dtype=float), seg_a, seg_b, max_range)
+    return float(ranges[0]), int(idx[0])
 
 
 def _random_segments(rng, m):
@@ -151,18 +151,20 @@ def _random_segments(rng, m):
 
 class TestRaycast:
     def test_wall_hit(self):
-        rng_, hit, idx = _cast_one([0, 0], [1.0, 0.0], [([2, -1], [2, 1])], max_range=10)
-        assert hit and idx == 0
+        rng_, idx = _cast_one([0, 0], [1.0, 0.0], [([2, -1], [2, 1])], max_range=10)
+        assert idx == 0
         assert rng_ == pytest.approx(2.0)
+        # A hit at exactly max_range is a hit.
+        assert _cast_one([0, 0], [1.0, 0.0], [([2, -1], [2, 1])], max_range=2.0) == (2.0, 0)
 
     def test_miss(self):
-        rng_, hit, idx = _cast_one([0, 0], [0.0, 1.0], [([2, -1], [2, 1])], max_range=10)
-        assert not hit and idx == -1
+        rng_, idx = _cast_one([0, 0], [0.0, 1.0], [([2, -1], [2, 1])], max_range=10)
+        assert idx == -1
         assert rng_ == 10
 
     def test_no_segments(self):
-        ranges, hit, idx = cast_rays(np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), 3.0)
-        assert np.all(ranges == 3.0) and not hit.any() and np.all(idx == -1)
+        ranges, idx = cast_rays(np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), 3.0)
+        assert np.all(ranges == 3.0) and np.all(idx == -1)
 
     def test_square_room_analytic(self):
         half = 2.0
@@ -170,9 +172,9 @@ class TestRaycast:
         room = np.array(corners)
         angles = np.linspace(0, 2 * np.pi, 360, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ranges, hit, _ = cast_rays(np.zeros(2), dirs, room, np.roll(room, -1, axis=0), max_range=10)
+        ranges, idx = cast_rays(np.zeros(2), dirs, room, np.roll(room, -1, axis=0), max_range=10)
         expected = half / np.maximum(np.abs(dirs[:, 0]), np.abs(dirs[:, 1]))
-        assert hit.all()
+        assert np.all(idx >= 0)
         assert ranges == pytest.approx(expected, abs=1e-9)
 
     def test_monotone_under_segment_removal(self):
@@ -181,9 +183,9 @@ class TestRaycast:
         for trial in range(50):
             th = rng.uniform(0, 2 * np.pi)
             d = [math.cos(th), math.sin(th)]
-            full, _, _ = _cast_one([0, 0], d, segs, max_range=20)
+            full, _ = _cast_one([0, 0], d, segs, max_range=20)
             drop = rng.integers(0, len(segs))
-            red, _, _ = _cast_one([0, 0], d, [s for i, s in enumerate(segs) if i != drop], max_range=20)
+            red, _ = _cast_one([0, 0], d, [s for i, s in enumerate(segs) if i != drop], max_range=20)
             assert red >= full - 1e-12
 
     def test_fan_matches_scalar(self):
@@ -193,14 +195,14 @@ class TestRaycast:
         seg_b = np.array([s[1] for s in segs])
         angles = np.linspace(0, 2 * np.pi, 90, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ranges, mask, idx = cast_rays(np.zeros(2), dirs, seg_a, seg_b, max_range=6.0)
+        ranges, idx = cast_rays(np.zeros(2), dirs, seg_a, seg_b, max_range=6.0)
         for i in range(len(angles)):
             t, j = raycast_scalar(np.zeros(2), dirs[i], segs)
             if t > 6.0:
-                assert not mask[i] and idx[i] == -1
+                assert idx[i] == -1
                 assert ranges[i] == 6.0
             else:
-                assert mask[i] and idx[i] == j
+                assert idx[i] == j
                 assert ranges[i] == pytest.approx(t, abs=1e-9)
 
 

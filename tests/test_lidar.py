@@ -11,6 +11,7 @@ from oampc.geometry import cast_rays
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
+    Scan,
     detect_occlusions,
     _greedy_walk,
     _sector_segments,
@@ -40,15 +41,15 @@ class TestScan:
     def test_square_room_all_hit(self):
         params = LidarParams(num_rays=360, max_range=10.0)
         s = scan(square_room(), RobotState(0, 0, 0), params)
-        assert s.hit_mask.all()
+        assert np.all(s.segment_index >= 0)
         assert s.ranges.min() == pytest.approx(2.0)
-        for th, r in zip(s.angles, s.ranges):
+        for th, r in zip(_sweep(360).angles, s.ranges):
             assert r == pytest.approx(2.0 / max(abs(math.cos(th)), abs(math.sin(th))), abs=1e-9)
 
     def test_empty_world_all_miss(self):
         params = LidarParams(num_rays=64, max_range=5.0)
         s = scan(WorldMap(), RobotState(0, 0, 0), params)
-        assert not s.hit_mask.any()
+        assert np.all(s.segment_index == -1)
         assert np.all(s.ranges == 5.0)
         # Miss points sit at max range along each ray.
         assert np.allclose(np.hypot(s.points[:, 0], s.points[:, 1]), 5.0)
@@ -67,7 +68,7 @@ class TestScan:
         j = 180
         assert s.ranges[j] == pytest.approx(4.0)
         # Analytic expected range per ray: min over walls and obstacle faces.
-        for i, th in enumerate(s.angles):
+        for i, th in enumerate(_sweep(360).angles):
             d = np.array([math.cos(th), math.sin(th)])
             expect = _analytic_range(d)
             assert s.ranges[i] == pytest.approx(expect, abs=1e-9), f"ray {i}"
@@ -86,10 +87,10 @@ class TestScan:
         assert np.array_equal(s1.points, s2.points)
 
     def test_angles_strictly_increasing(self):
-        s = scan(square_room(), RobotState(0, 0, 0), LidarParams(num_rays=90))
-        assert np.all(np.diff(s.angles) > 0)
-        assert s.angles[0] == 0.0
-        assert s.angles[-1] < 2 * np.pi
+        angles = _sweep(90).angles
+        assert np.all(np.diff(angles) > 0)
+        assert angles[0] == 0.0
+        assert angles[-1] < 2 * np.pi
 
 
 def dense_cast(world, pose, params):
@@ -127,8 +128,8 @@ def workload_poses(world, seed, count):
 
 class TestSectorScan:
     """scan casts each sector of its sweep against only the segments that can
-    meet its rays; ranges, hit mask and segment indexes are those of one cast
-    against every segment."""
+    meet its rays; ranges and segment indexes are those of one cast against
+    every segment."""
 
     @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
     @pytest.mark.parametrize("num_rays", [1440, 1001, 99, 13])
@@ -140,9 +141,8 @@ class TestSectorScan:
         dropped = 0
         for pose in workload_poses(world, num_rays, 10):
             s = scan(world, pose, params)
-            ranges, hit_mask, index = dense_cast(world, pose, params)
+            ranges, index = dense_cast(world, pose, params)
             assert np.array_equal(s.ranges, ranges)
-            assert np.array_equal(s.hit_mask, hit_mask)
             assert np.array_equal(s.segment_index, index)
             dropped += np.count_nonzero(~_sector_segments(pose.position(), seg_a, seg_b, _sweep(num_rays)))
         # The sectors do leave segments out.
@@ -180,10 +180,7 @@ class TestDetectOcclusions:
         ranges = np.asarray(ranges, dtype=float)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         points = ranges[:, None] * dirs
-        hit_mask = ranges < max_range
-        from oampc.lidar_sim import Scan
-
-        return Scan(RobotState(0, 0, 0), angles, ranges, hit_mask, points, np.zeros(n, int), max_range)
+        return Scan(ranges, points, np.where(ranges < max_range, 0, -1))
 
     def test_single_jump(self):
         s = self._scan_from_ranges([2.0, 2.05, 2.1, 4.8, 4.85, 2.2, 2.1, 2.05])
@@ -222,8 +219,9 @@ class TestDetectOcclusions:
 
     def test_matches_loop_oracle(self):
         params = LidarParams(num_rays=240, max_range=6.0, jump_threshold=0.3)
-        _, scans = pillar_scans(params)
-        for s in scans:
+        world, poses = pillar_poses()
+        for pose in poses:
+            s = scan(world, pose, params)
             got = detect_occlusions(s, params)
             want = [[s.points[near], s.points[far]] for _, near, far in occlusion_pairs_loop(s.ranges, 0.3)]
             assert got.shape == (len(want), 2, 2)
@@ -250,17 +248,17 @@ def pillar_world():
     return WorldMap(boundary=rectangle(-4, -4, 4, 4), obstacles=pillars)
 
 
-def pillar_scans(params, count=30, seed=0):
-    """Scans from random free poses among pillars: many range jumps, and
-    grazing hits that the thinned centres leave uncovered."""
+def pillar_poses(count=30, seed=0):
+    """The pillar world and random free poses in it, whose scans have many
+    range jumps and grazing hits that the thinned centres leave uncovered."""
     world = pillar_world()
     rng = np.random.default_rng(seed)
-    scans = []
-    while len(scans) < count:
+    poses = []
+    while len(poses) < count:
         p = rng.uniform(-3.8, 3.8, 2)
         if world.contains_free(p, clearance=0.05):
-            scans.append(scan(world, RobotState(p[0], p[1], 0.0), params))
-    return world, scans
+            poses.append(RobotState(p[0], p[1], 0.0))
+    return world, poses
 
 
 class TestDownsample:
@@ -273,19 +271,8 @@ class TestDownsample:
         n = num_hits
         points = np.stack([np.arange(n) * spacing, np.full(n, 2.0)], axis=1)
         ranges = np.hypot(points[:, 0], points[:, 1])
-        angles = np.arctan2(points[:, 1], points[:, 0])
-        order = np.argsort(angles)
-        from oampc.lidar_sim import Scan
-
-        return Scan(
-            RobotState(0, 0, 0),
-            angles[order],
-            ranges[order],
-            np.ones(n, bool),
-            points[order],
-            np.zeros(n, int),
-            10.0,
-        )
+        order = np.argsort(np.arctan2(points[:, 1], points[:, 0]))
+        return Scan(ranges[order], points[order], np.zeros(n, int))
 
     def test_wall_count_oracle(self):
         # 100 hits spaced 0.2 m apart: wall length 19.8 m. Greedy thinning at
@@ -302,19 +289,8 @@ class TestDownsample:
         assert np.array_equal(circles, [[0.0, 2.0, LidarParams().coverage_radius]])
 
     def test_no_hits(self):
-        from oampc.lidar_sim import Scan
-
         n = 16
-        angles = 2 * np.pi * np.arange(n) / n
-        s = Scan(
-            RobotState(0, 0, 0),
-            angles,
-            np.full(n, 5.0),
-            np.zeros(n, bool),
-            np.zeros((n, 2)),
-            np.full(n, -1),
-            5.0,
-        )
+        s = Scan(np.full(n, 5.0), np.zeros((n, 2)), np.full(n, -1))
         assert downsample(s, LidarParams(), self.OPEN).shape == (0, 3)
 
     def test_coverage_invariant(self):
@@ -328,8 +304,8 @@ class TestDownsample:
         assert np.all(circles[:, 2] == params.coverage_radius)
         centers = circles[:, :2]
         # Every obstacle hit lies within coverage_radius of some center.
-        for i in range(s.num_rays):
-            if not s.hit_mask[i] or world.is_boundary_segment(int(s.segment_index[i])):
+        for i in range(len(s.ranges)):
+            if s.segment_index[i] < 0 or world.is_boundary_segment(int(s.segment_index[i])):
                 continue
             p = s.points[i]
             d = np.hypot(centers[:, 0] - p[0], centers[:, 1] - p[1]).min()
@@ -351,23 +327,23 @@ class TestDownsample:
         # The same room as bare walls is no track limit: its hits yield circles.
         walled = WorldMap(walls=as_walls(room))
         s = scan(walled, RobotState(0, 0, 0), params)
-        assert s.hit_mask.all()
+        assert np.all(s.segment_index >= 0)
         assert len(downsample(s, params, walled)) > 0
 
 
     def test_matches_loop_oracle(self):
         params = LidarParams(num_rays=200, max_range=8.0, downsample_spacing=0.8, coverage_radius=0.4)
-        world, scans = pillar_scans(params)
+        world, poses = pillar_poses()
         # The same pillars in the same room, its edges walls: no hit is on a
         # track limit.
         walled = WorldMap(obstacles=world.obstacles, walls=as_walls(world.boundary))
         deduplicated = 0
-        for pose in (s.pose for s in scans):
+        for pose in poses:
             for w in (world, walled):
                 s = scan(w, pose, params)
-                hits = s.points[[h and not w.is_boundary_segment(int(i)) for h, i in zip(s.hit_mask, s.segment_index)]]
+                hits = s.points[[i >= 0 and not w.is_boundary_segment(int(i)) for i in s.segment_index]]
                 if w is walled:
-                    assert len(hits) == np.count_nonzero(s.hit_mask)
+                    assert len(hits) == np.count_nonzero(s.segment_index >= 0)
                 want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
                 got = downsample(s, params, w)
                 assert np.array_equal(got[:, :2], want)
@@ -387,7 +363,7 @@ class TestDownsample:
         added = deduplicated = 0
         for pose in workload_poses(world, 3, 4):
             s = scan(world, pose, params)
-            hits = s.points[s.hit_mask & ~world.is_boundary_segment(s.segment_index)]
+            hits = s.points[(s.segment_index >= 0) & ~world.is_boundary_segment(s.segment_index)]
             want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
             got = downsample(s, params, world)
             assert np.array_equal(got[:, :2], want)
@@ -414,7 +390,7 @@ class TestDownsample:
         added = 0
         for args, kwargs in scans:
             s = args[0]
-            hits = s.points[s.hit_mask & ~world.is_boundary_segment(s.segment_index)]
+            hits = s.points[(s.segment_index >= 0) & ~world.is_boundary_segment(s.segment_index)]
             want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)
             got = downsample(*args, **kwargs)
             assert np.array_equal(got[:, :2], want)
@@ -427,11 +403,9 @@ class TestDownsample:
         # not kept, and K2 is kept. X is farther than coverage_radius from
         # K1 and K2, its neighbouring centres, but within it of K0, so it is
         # covered and adds no centre.
-        from oampc.lidar_sim import Scan
-
         points = np.array([[0.0, 0.0], [0.35, 0.0], [0.1, 0.1], [1.0, 0.5]])
         n = len(points)
-        s = Scan(RobotState(0, 0, 0), np.arange(n) * 0.1, np.ones(n), np.ones(n, bool), points, np.zeros(n, int), 10.0)
+        s = Scan(np.ones(n), points, np.zeros(n, int))
         params = LidarParams(downsample_spacing=0.3, coverage_radius=0.2)
         got = downsample(s, params, self.OPEN)
         assert np.array_equal(got[:, :2], points[[0, 1, 3]])
@@ -456,7 +430,8 @@ class TestGreedyWalk:
             if not world.contains_free(p, clearance=0.2):
                 continue
             s = scan(world, RobotState(p[0], p[1], 0.0), params)
-            for mask in (s.hit_mask, s.hit_mask & ~world.is_boundary_segment(s.segment_index)):
+            hit = s.segment_index >= 0
+            for mask in (hit, hit & ~world.is_boundary_segment(s.segment_index)):
                 if mask.any():
                     hits = s.points[mask]
                     assert _greedy_walk(hits, params.downsample_spacing) == greedy_walk_scalar(

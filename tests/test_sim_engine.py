@@ -3,16 +3,17 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oampc.sim_engine
-from oampc.nmpc import MpcParams, check_feasibility
+from oampc.nmpc import MpcParams, check_feasibility, fallback_plan
 from oampc.reachability import AgentModel
 from oampc.sim_engine import (
+    GOAL_TOLERANCE,
     MODE_OCCLUSION_AWARE,
     AgentScript,
     Scenario,
@@ -22,6 +23,7 @@ from oampc.sim_engine import (
     ground_truth_collision,
     run,
 )
+from oampc.solver import STATUS_INFEASIBLE
 from oampc.summarize import main as summarize_main
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
@@ -85,9 +87,12 @@ class TestClosedLoop:
             return solve(problem)
 
         monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
-        log, metrics = run(corner_scenario())
+        scenario = corner_scenario()
+        log, metrics = run(scenario)
         assert metrics.goals_reached == 1
         assert metrics.terminal_reason == "goal"
+        # The last step reaches the goal, at its end.
+        assert metrics.time_to_goal == log.records[-1].tau + scenario.mpc.dt
         assert metrics.steps <= 64
         assert not metrics.collision
         assert not any(rec.collision for rec in log)
@@ -161,7 +166,7 @@ class TestClosedLoop:
         scenario = corner_scenario().with_overrides(max_steps=4)
         first, metrics = run(scenario)
         second, _ = run(scenario)
-        assert metrics.terminal_reason == "budget"
+        assert metrics.terminal_reason == "budget" and metrics.time_to_goal is None
         counters = [(rec.sqp_iterations, rec.qp_iterations) for rec in first]
         assert len(counters) == 4
         assert all(qp >= sqp > 0 for sqp, qp in counters)
@@ -170,6 +175,35 @@ class TestClosedLoop:
         assert all(qp_solves >= rec.sqp_iterations for (qp_solves, _), rec in zip(solves, first))
         assert all(probes >= 1 for _, probes in solves)
         assert solves == [(rec.qp_solves, rec.probes) for rec in second]
+
+    def test_fallback_step_applies_the_shift(self, monkeypatch):
+        # Steps 3 and 4 solve infeasible and return the warm start, as
+        # nmpc.solve does when it has no candidate: each applies the shift of
+        # the plan before it and audits it.
+        problems = []
+        solve = oampc.sim_engine.solve
+
+        def infeasible_solve(problem):
+            problems.append(problem)
+            result = solve(problem)
+            if len(problems) - 1 in (3, 4):
+                result = replace(result, status=STATUS_INFEASIBLE, plan=problem.warm_start, objective=math.inf)
+            return result
+
+        monkeypatch.setattr(oampc.sim_engine, "solve", infeasible_solve)
+        log, metrics = run(corner_scenario().with_overrides(max_steps=8))
+        assert [rec.fallback_used for rec in log] == [k in (3, 4) for k in range(8)]
+        assert metrics.fallback_invocations == 2
+        for k in (3, 4):
+            rec, problem = log.records[k], problems[k]
+            shift = fallback_plan(log.records[k - 1].plan)
+            assert np.array_equal(rec.applied_input, shift.inputs[0])
+            assert np.array_equal(rec.plan.states, shift.states)
+            assert np.array_equal(rec.plan.inputs, shift.inputs)
+            report = check_feasibility(
+                shift, problem.projections, problem.static_circles, problem.params, z_init=rec.state
+            )
+            assert rec.audit_violation == report.max_violation
 
 
 class TestAgentInputs:
@@ -197,6 +231,25 @@ class TestAgentInputs:
             with pytest.raises(ValueError):
                 AgentScript(waypoints=np.array([[1.5, 0.0]]), speed=0.5, radius=radius)
 
+    def test_rejects_waypoints_not_m_by_2(self):
+        # (m, 3) waypoints once raised a numpy broadcast error out of run().
+        with pytest.raises(ValueError):
+            AgentScript(waypoints=np.array([[4.8, 4.5, 0.0], [4.8, -2.5, 0.0]]), speed=0.5)
+
+
+class TestGoalInputs:
+    """A bad goal is refused where it enters, not met mid-run."""
+
+    def test_rejects_one_coordinate_goal(self):
+        # It once raised IndexError out of run().
+        with pytest.raises(ValueError):
+            corner_scenario().with_overrides(goals=[np.array([8.0])])
+
+    def test_rejects_non_finite_goal(self):
+        # A NaN goal once ran the whole budget with zero input.
+        with pytest.raises(ValueError):
+            corner_scenario().with_overrides(goals=[np.array([math.nan, 0.0])])
+
 
 class _Teleporter(AgentScript):
     """Jumps from its first waypoint to its last at tau = 0.15 s, breaking
@@ -215,6 +268,23 @@ class TestTerminalReason:
         assert len(log) == 1 and log.records[0].collision
         assert metrics.collision
         assert metrics.terminal_reason == "collision"
+
+    def test_collision_on_the_goal_step_keeps_the_goal_time(self, monkeypatch):
+        # Contact on the step that reaches the goal: the run ends as a
+        # collision, and the goal time is still that step's end.
+        goal = np.array([1.0, 0.0])
+        scenario = Scenario(
+            name="open", world=WorldMap(), robot_init=RobotState(0.0, 0.0, 0.0), goals=[goal], max_steps=64
+        )
+
+        def at_goal(robot, *_):
+            return bool(np.hypot(*(robot.position() - goal)) <= GOAL_TOLERANCE)
+
+        monkeypatch.setattr(oampc.sim_engine, "ground_truth_collision", at_goal)
+        log, metrics = run(scenario)
+        assert metrics.terminal_reason == "collision" and metrics.goals_reached == 1
+        assert log.records[-1].collision and not any(rec.collision for rec in log.records[:-1])
+        assert metrics.time_to_goal == log.records[-1].tau + scenario.mpc.dt
 
     def test_model_violation_returns_partial_log(self):
         ped = _Teleporter(waypoints=np.array([[8.0, 4.0], [8.0, 5.0]]), speed=0.5)
@@ -254,10 +324,9 @@ class TestJsonLines:
                 assert np.array_equal(np.array(row[name]), getattr(rec, name))
             assert np.array_equal(np.array(row["plan"]["states"]), rec.plan.states)
             assert np.array_equal(np.array(row["plan"]["inputs"]), rec.plan.inputs)
-            assert row["plan"]["stamp"] == rec.plan.stamp
+            assert row["plan"].keys() == {"states", "inputs"}
             for name in (
                 "tau",
-                "status",
                 "sense_ms",
                 "reach_ms",
                 "project_ms",
