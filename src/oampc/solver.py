@@ -83,15 +83,17 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
     Mehrotra predictor-corrector on the slack form G y + s = h, s >= 0,
     cold-started from y = 0 on every call. Each iteration factors the normal
-    matrix P + G'WG once by Cholesky and inverts the factor; both Newton
-    solves are products with that inverse plus one refinement pass. Returns
-    (y, z, iterations) with z the constraint multipliers and iterations the
-    number of Newton steps taken. It stops at the first iterate whose dual
-    residual, primal residual and complementarity mu are all within
-    1e-9*scale, scale being 1 plus the largest |q| or |h| (the module
-    docstring says why mu has no tighter target). A stagnation exit ends the
-    QPs that never get there, degenerate and large-penalty ones, and returns
-    the iterate with the smallest residual.
+    matrix P + G'WG + 1e-12 I once by Cholesky and inverts the factor; both
+    Newton solves are products with that inverse plus one refinement pass.
+    Returns (y, z, iterations) with z the constraint multipliers and
+    iterations the number of Newton steps taken. It stops at the first
+    iterate whose dual residual, primal residual and complementarity mu are
+    all within 1e-9*scale, scale being 1 plus the largest |q| or |h| (the
+    module docstring says why mu has no tighter target). The QPs that never
+    get there leave through the stall exit (8 iterations without progress),
+    the iteration cap, or a normal matrix that does not factor (a singular
+    or indefinite one, which no planner QP has), and return the iterate with
+    the smallest residual.
 
     The loop keeps [s; z] and [ds; dz] in (2, m) arrays and writes its
     temporaries into a workspace allocated once per call (see the module
@@ -102,15 +104,14 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     """
     n = len(q)
     m = len(h)
-    eye = np.eye(n)
+    reg_eye = 1e-12 * np.eye(n)
     if m == 0:
-        return np.linalg.solve(P + 1e-12 * eye, -q), np.zeros(0), 0
+        return np.linalg.solve(P + reg_eye, -q), np.zeros(0), 0
 
     y = np.zeros(n)
     V = np.ones((2, m))  # [s; z]
     np.maximum(h - G @ y, 1.0, out=V[0])
     Gt = G.T
-    reg_eye = 1e-12 * eye
     # The workspace. R is [r_d; r_p], the dual and primal residuals, and D
     # the latest Newton step [ds; dz].
     R, neg_R, abs_R = np.empty((3, n + m))
@@ -127,8 +128,8 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     tol_resid = 1e-9 * scale
     best_resid, best_y, best_z = np.inf, y, V[1]
     stalled = 0
-    iterations = 0
-    for _ in range(_QP_MAX_ITER):
+    for iterations in range(_QP_MAX_ITER + 1):
+        # Judge the iterate reached after this many Newton steps.
         s, z = V
         np.add(P @ y + q, Gt @ z, out=r_d)
         np.subtract(G @ y + s, h, out=r_p)
@@ -136,9 +137,11 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
         # The largest |r_d| and |r_p| in one reduction: a max is exact.
         resid = max(np.maximum.reduce(np.abs(R, out=abs_R)), mu)
-        if resid < best_resid:
+        # The incumbent is the earliest iterate of smallest residual, except
+        # that the last one allowed wins a tie.
+        if resid < best_resid or resid == best_resid and iterations == _QP_MAX_ITER:
             best_resid, best_y, best_z = resid, y, z
-        if resid <= tol_resid:
+        if resid <= tol_resid or iterations == _QP_MAX_ITER:
             break
         if resid < 0.99 * best_resid or resid == best_resid:
             stalled = 0
@@ -155,16 +158,10 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         np.minimum(w, 1e12, out=w)
         np.multiply(G, w[:, None], out=GW)
         np.add(P, GW.T @ G, out=M)
-        reg, shift = 1e-12, reg_eye
-        L = None
-        while L is None:
-            try:
-                L = np.linalg.cholesky(M + shift)
-            except np.linalg.LinAlgError:
-                reg = max(reg * 1e4, 1e-8)
-                if reg > 1.0:
-                    return best_y, best_z, iterations
-                shift = reg * eye
+        try:
+            L = np.linalg.cholesky(M + reg_eye)
+        except np.linalg.LinAlgError:
+            break
         # One inverse of the factor serves all four solves of this iteration:
         # a matrix-vector product is far cheaper than a LAPACK solve call at
         # this size. Li is applied twice rather than forming Li'Li, whose
@@ -212,17 +209,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         alphas = 0.99 * np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
         y = y + alphas[0] * dy
         V = V + alphas * D
-        iterations += 1
-    else:
-        # The loop ran out without a break: judge the last iterate. A break
-        # has just judged it.
-        s, z = V
-        np.add(P @ y + q, Gt @ z, out=r_d)
-        np.subtract(G @ y + s, h, out=r_p)
-        resid = max(np.maximum.reduce(np.abs(R, out=abs_R)), float(s @ z) / m)
-    if resid > best_resid:
-        return best_y, best_z, iterations
-    return y, V[1], iterations
+    return best_y, best_z, iterations
 
 
 def _violation(c: np.ndarray) -> float:

@@ -435,16 +435,11 @@ def solve_qp_reference(P, q, G, h, max_iter: int = 40):
 
         w = np.minimum(z / np.maximum(s, 1e-14), 1e12)
         M = P + (G.T * w) @ G
-        reg = 1e-12
-        L = None
-        while L is None:
-            try:
-                L = np.linalg.cholesky(M + reg * np.eye(n))
-            except np.linalg.LinAlgError:
-                reg = max(reg * 1e4, 1e-8)
-                if reg > 1.0:
-                    _, y, z = best
-                    return y, z, iterations
+        try:
+            L = np.linalg.cholesky(M + 1e-12 * np.eye(n))
+        except np.linalg.LinAlgError:
+            _, y, z = best
+            return y, z, iterations
 
         def newton(r_c):
             rhs = -r_d - G.T @ (w * r_p - r_c / s)

@@ -338,6 +338,27 @@ class TestSolve:
         )
         assert report.ok(params.feas_tol)
 
+    def test_parked_winner_is_replaced_by_the_turning_stationary_plan(self):
+        # Static circles on every side, the robot inside their margins and
+        # facing away from its goal: no plan may translate. Holding still is
+        # cheaper than turning, so the full-freedom probe wins on cost with a
+        # plan that stays parked. solve replaces it with the aligned
+        # stationary plan, which holds position and turns toward the goal.
+        ring = np.arange(6) * math.pi / 3
+        circles = [(0.35 * math.cos(a), 0.35 * math.sin(a), 0.1) for a in ring]
+        problem = make_problem([0, 0, math.pi], [5, 0], circles=circles)
+        params = problem.params
+        (cost_held, held, _), _ = oampc.nmpc._run_probe(problem.probe, params.N - 1, np.zeros((params.N, 2)))
+        turning = oampc.nmpc._aligned_stationary_plan(problem.probe)
+        cost_turning = total_cost(turning, problem.goal, params)
+        assert np.abs(np.diff(held.states[:, :2], axis=0)).max() <= 1e-4
+        assert cost_held < cost_turning
+        res = solve(problem)
+        assert (res.status, res.search, res.stop_index) == ("optimal", "full", 0)
+        assert np.array_equal(res.plan.inputs, turning.inputs) and res.objective == cost_turning
+        assert np.array_equal(res.plan.states[:, :2], np.zeros((params.N + 1, 2)))
+        assert np.all(res.plan.inputs[:-1, 1] == params.delta_min) and res.plan.inputs[-1, 1] == 0.0
+
     def test_infeasible_when_outside_track(self):
         params = MpcParams(state_bounds=(0.0, 1.0, 0.0, 1.0))
         problem = make_problem([5.0, 5.0, 0.0], [0.5, 0.5], params)

@@ -7,7 +7,7 @@ import pytest
 import oampc.nmpc
 import oampc.solver
 from oampc.sim_engine import MODE_BASELINE, run
-from oampc.solver import _PENALTY_MAX, _QP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
+from oampc.solver import _PENALTY_MAX, _QP_MAX_ITER, _SQP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
 
 from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
 from test_sim_engine import corner_scenario
@@ -102,36 +102,6 @@ class TestQpMatchesReference:
         # Scalings past the 1e12 clip are part of what is compared.
         assert clipped >= 5
 
-    @pytest.mark.parametrize("a", [1 / 3, 0.7, np.sqrt(2), 3.7])
-    def test_singular_normal_matrix(self, a, monkeypatch):
-        # P = 0 and G of rank one: P + G'WG is singular, so the Cholesky
-        # fails at the smallest regularisation and the ladder raises it.
-        failures = []
-        cholesky = np.linalg.cholesky
-
-        def counting_cholesky(M):
-            try:
-                return cholesky(M)
-            except np.linalg.LinAlgError:
-                failures.append(M)
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        v = np.array([1.0, a, 1.0 / a])
-        P = np.zeros((3, 3))
-        G = np.vstack([v, 2 * v, -v])
-        h = np.array([1.0, 2.0, 1.0])
-        y, z, iterations = solve_qp(P, -v, G, h)
-        assert failures
-        y_ref, _, iterations_ref = solve_qp_reference(P, -v, G, h, max_iter=iterations)
-        assert iterations == iterations_ref
-        assert iterations <= solve_qp_reference(P, -v, G, h)[2]
-        # Every y with v'y = 1 is optimal: only that component is determined,
-        # and both reach it with a consistent multiplier.
-        assert v @ y == pytest.approx(v @ y_ref, abs=1e-9)
-        assert v @ y == pytest.approx(1.0, abs=1e-9)
-        assert np.abs(G.T @ z - v).max() <= 1e-9
-
 
 @pytest.fixture(scope="module")
 def corner_fast_qps():
@@ -147,6 +117,32 @@ def corner_fast_qps():
     finally:
         oampc.nmpc._pool, oampc.solver.solve_qp = pool, recorded
     return qps
+
+
+@pytest.fixture
+def cholesky_failures(monkeypatch):
+    """The matrices whose Cholesky factorization failed during the test.
+    solve_qp and solve_qp_parent look np.linalg.cholesky up at call time, so
+    both are counted."""
+    failures = []
+    cholesky = np.linalg.cholesky
+
+    def counting_cholesky(M):
+        try:
+            return cholesky(M)
+        except np.linalg.LinAlgError:
+            failures.append(M)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return failures
+
+
+def singular_qp(a):
+    """P = 0 and G of rank one: P + G'WG is singular, and its Cholesky fails
+    after a few interior-point iterations. Every y with v'y = 1 is optimal."""
+    v = np.array([1.0, a, 1.0 / a])
+    return np.zeros((3, 3)), -v, np.vstack([v, 2 * v, -v]), np.array([1.0, 2.0, 1.0])
 
 
 def kkt_residual(P, q, G, h, y, z):
@@ -178,23 +174,13 @@ class TestQpMatchesParent:
             assert assert_same_bits(*planner_shaped_qp(rng)) > 0
 
     @pytest.mark.parametrize("a", [1 / 3, 0.7, np.sqrt(2), 3.7])
-    def test_singular_normal_matrix(self, a, monkeypatch):
-        failures = []
-        cholesky = np.linalg.cholesky
-
-        def counting_cholesky(M):
-            try:
-                return cholesky(M)
-            except np.linalg.LinAlgError:
-                failures.append(M)
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        v = np.array([1.0, a, 1.0 / a])
-        G = np.vstack([v, 2 * v, -v])
-        assert_same_bits(np.zeros((3, 3)), -v, G, np.array([1.0, 2.0, 1.0]))
-        # The regularisation ladder ran in both.
-        assert failures
+    def test_singular_normal_matrix(self, a, cholesky_failures):
+        # solve_qp stops at the first factorization that fails and returns
+        # its incumbent. The parent raised its regularisation there and went
+        # on, but truncated at that iteration it returns the same incumbent.
+        iterations = assert_same_bits(*singular_qp(a))
+        assert cholesky_failures
+        assert 0 < iterations < solve_qp_parent(*singular_qp(a))[2]
 
     def test_random_kkt_qps(self):
         rng = np.random.default_rng(0)
@@ -208,7 +194,7 @@ class TestQpMatchesParent:
     def test_no_constraints(self):
         assert assert_same_bits(np.array([[4.0]]), np.array([-8.0]), np.zeros((0, 1)), np.zeros(0)) == 0
 
-    def test_pillars_crowd_qps(self, monkeypatch):
+    def test_pillars_crowd_qps(self, monkeypatch, cholesky_failures):
         # The planner's own QPs from the first steps of a pillars-crowd
         # episode: baseline mode, so disk rows, and static circles thinned
         # from 1440-ray scans. Every probe runs here, where it is recorded.
@@ -221,8 +207,10 @@ class TestQpMatchesParent:
         assert len(qps) >= 30 and max(len(h) for _, _, _, h in qps) >= 100
         for qp in qps:
             assert_same_bits(*qp)
+        # No planner QP reaches solve_qp's exit on a failed factorization.
+        assert not cholesky_failures
 
-    def test_corner_fast_qps(self, corner_fast_qps):
+    def test_corner_fast_qps(self, corner_fast_qps, cholesky_failures):
         # Penalty rungs up to the largest weight, and QPs the cold start does
         # not solve, which leave through the stall exit with their incumbent.
         stalls = 0
@@ -234,12 +222,23 @@ class TestQpMatchesParent:
         assert len(corner_fast_qps) >= 150
         assert sum(q[-1] == _PENALTY_MAX for _, q, _, _ in corner_fast_qps) >= 5
         assert stalls >= 10
+        assert not cholesky_failures
 
-    def test_exhausted_regularisation_returns_incumbent(self):
-        # P outside the PSD contract fails every Cholesky of the ladder: both
-        # return the start point after zero iterations.
-        G = np.vstack([np.eye(2), -np.eye(2)])
-        assert assert_same_bits(-10.0 * np.eye(2), np.ones(2), G, np.ones(4)) == 0
+    def test_exhausted_regularisation_returns_incumbent(self, cholesky_failures):
+        # A normal matrix that does not factor ends solve_qp with its
+        # incumbent, which the parent returned once its regularisation ladder
+        # was exhausted. The singular QP fails once, after a few iterations;
+        # the parent's ladder went on from there. P outside the PSD contract
+        # fails every Cholesky: both return the start point after zero
+        # iterations.
+        qp = singular_qp(0.7)
+        solve_qp(*qp)
+        assert len(cholesky_failures) == 1
+        assert assert_same_bits(*qp) == 3
+        qp = (-10.0 * np.eye(2), np.ones(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        y, z, _ = solve_qp(*qp)
+        assert np.array_equal(y, np.zeros(2)) and np.array_equal(z, np.ones(4))
+        assert assert_same_bits(*qp) == 0
 
 
 class TestWorkspace:
@@ -247,12 +246,11 @@ class TestWorkspace:
         # Whatever a call returns belongs to the caller: later calls, of
         # every exit kind, leave it unchanged and share no memory with it.
         rng = np.random.default_rng(17)
-        v = np.array([1.0, 0.7, 1.0 / 0.7])
         qps = [
             *corner_fast_qps[:40],
             *(planner_shaped_qp(rng) for _ in range(5)),
-            (np.zeros((3, 3)), -v, np.vstack([v, 2 * v, -v]), np.array([1.0, 2.0, 1.0])),  # the ladder
-            (-10.0 * np.eye(2), np.ones(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),  # exhausted
+            singular_qp(0.7),  # a failed factorization after 3 iterations
+            (-10.0 * np.eye(2), np.ones(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)),  # and at the start
         ]
         results = [solve_qp(*qp) for qp in qps]
         kept = [(y.copy(), z.copy()) for y, z, _ in results]
@@ -383,6 +381,81 @@ class TestSqp:
         # Tangential accuracy is linear-rate with a Gauss-Newton model; a
         # sub-millimeter landing spot is the expected precision here.
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-3)
+
+    def test_second_order_correction_takes_the_corrected_step(self, monkeypatch):
+        # Stay inside the unit disk and get close to (0.5, 1), starting from
+        # (0, 1) on the circle. The constraint's linearization there is the
+        # tangent y <= 1, so the full step runs along it to about (0.5, 1)
+        # and leaves the disk by 0.12, which the penalty rejects. The
+        # correction solves the QP again with the constraint's value at the
+        # full step and its Jacobian at the start, which pulls the point back
+        # to about (0.5, 0.88); that point is taken.
+        target = np.array([0.5, 1.0])
+        evals, built = [], []  # (x, evaluation) of evaluate calls and QP assemblies
+
+        def evaluate(x):
+            e, d = x - target, np.hypot(*x)
+            ev = EvalResult(float(e @ e), 2 * e, 2 * np.eye(2), c=np.array([1.0 - d]), jac=-(x / d)[None, :])
+            evals.append((x, ev))
+            return ev
+
+        class Recorded(_ElasticQp):
+            def __init__(self, ev, x, *box):
+                built.append((x, ev))
+                super().__init__(ev, x, *box)
+
+        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
+        res = solve_sqp(evaluate, np.array([0.0, 1.0]), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
+        (_, ev0), (full, ev_full), (corrected, ev_corrected) = evals[:3]
+        assert -ev_full.c[0] > 0.1 and abs(ev_corrected.c[0]) < 0.02
+        # The second QP is the correction's, the third the next iteration's:
+        # the SQP moved to the corrected point, not to the full step.
+        x, ev = built[1]
+        assert x is full and ev.c is ev_full.c and ev.jac is ev0.jac
+        x, ev = built[2]
+        assert x is corrected and ev is ev_corrected
+        assert res.status == "optimal"
+        assert res.x == pytest.approx(target / np.hypot(*target), abs=1e-3)
+
+    @staticmethod
+    def _collapsing_radius(violation, monkeypatch):
+        """solve_sqp on one constraint whose linear model promises to remove
+        its violation with a step of 1e-13 but whose value never moves, so
+        every step is rejected and the trust radius shrinks 4x per iteration,
+        from 1 to its floor of 1e-12 in 20 iterations. Returns the result and
+        the (trust radius, penalty) of every QP solve."""
+        solves = []
+
+        class Recorded(_ElasticQp):
+            def __init__(self, ev, x, lb, ub, delta):
+                self.delta = delta
+                super().__init__(ev, x, lb, ub, delta)
+
+            def solve(self, mu):
+                solves.append((self.delta, mu))
+                return super().solve(mu)
+
+        def evaluate(x):
+            return EvalResult(0.0, np.zeros(1), np.eye(1), c=np.array([-violation]), jac=np.array([[1e7]]))
+
+        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
+        res = solve_sqp(evaluate, np.zeros(1), lb=np.array([-1.0]), ub=np.array([1.0]))
+        assert solves[:20] == [(0.25**k, 10.0) for k in range(20)]
+        assert np.array_equal(res.x, np.zeros(1))
+        return res, solves
+
+    def test_collapsed_trust_region_stops_when_feasible(self, monkeypatch):
+        # The violation is within feas_tol: at the floor the SQP stops.
+        res, solves = self._collapsing_radius(5e-7, monkeypatch)
+        assert (res.status, res.iterations, len(solves)) == ("optimal", 20, 20)
+
+    def test_collapsed_trust_region_raises_the_penalty(self, monkeypatch):
+        # The violation exceeds feas_tol: at the floor the penalty rises
+        # tenfold and the radius restarts at 0.01, well within the SQP's
+        # iteration cap.
+        res, solves = self._collapsing_radius(2e-6, monkeypatch)
+        assert solves[20] == (0.01, 100.0)
+        assert res.status == "infeasible" and 20 < res.iterations <= _SQP_MAX_ITER
 
     def test_infeasible_detected(self):
         # c1: x0 >= 1, c2: -x0 >= 1 cannot both hold.
