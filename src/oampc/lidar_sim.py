@@ -17,7 +17,7 @@ robot heading does not affect the returns, and tests stay frame-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,12 +41,18 @@ class LidarParams:
     coverage_radius: float = 0.2
 
     def __post_init__(self):
+        for f in fields(self):  # first: a NaN passes every comparison below
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if self.num_rays < 8:
             raise ValueError("num_rays must be at least 8")
         if self.max_range <= 0:
             raise ValueError("max_range must be positive")
         if self.jump_threshold <= 0:
             raise ValueError("jump_threshold must be positive")
+        if self.downsample_spacing <= 0:
+            raise ValueError("downsample_spacing must be positive")
         if self.coverage_radius < self.downsample_spacing / 2:
             raise ValueError("coverage_radius must be at least downsample_spacing/2")
 

@@ -45,7 +45,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import NamedTuple, Optional
 
@@ -91,12 +91,18 @@ class MpcParams:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
+        for f in fields(self):  # first: a NaN passes every comparison below
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if self.N < 2:
             raise ValueError("horizon N must be at least 2")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.d_safe <= 0:
             raise ValueError("d_safe must be positive")
+        if self.d_safe_static < 0 or self.r_robot < 0 or self.feas_tol <= 0:
+            raise ValueError("d_safe_static and r_robot must be nonnegative and feas_tol positive")
         if any(w < 0 for w in self.q_state):
             raise ValueError("state weights must be nonnegative")
         if any(w <= 0 for w in self.q_input) or any(w <= 0 for w in self.q_input_rate):

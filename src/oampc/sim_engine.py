@@ -11,6 +11,9 @@ previous input the previous plan's first input and the time to goal the time
 after the step that reached the last goal. A step applies the plan nmpc.solve
 returns, which is the shifted previous plan when the solve is infeasible.
 A visible agent's track is its fused disk, one [x, y, r] row.
+
+A run's aggregates are derived from its log, by `oampc.summarize`; `Metrics`
+keeps only how the run ended, which no step record holds.
 """
 
 from __future__ import annotations
@@ -161,15 +164,6 @@ class StepRecord:
     n_families: int
     plan: OpenLoopPlan
 
-    @property
-    def min_clearance(self) -> float:
-        return min(self.occlusion_clearance, self.agent_clearance, self.static_clearance)
-
-    @property
-    def step_ms(self) -> float:
-        """In-program step time: the sum of the layer times."""
-        return sum(getattr(self, name) for name in STEP_LAYERS)
-
 
 @dataclass
 class TrajectoryLog:
@@ -204,16 +198,9 @@ def _to_json(value):
 
 @dataclass
 class Metrics:
-    time_to_goal: Optional[float]
-    min_clearance: float
-    min_occlusion_clearance: float
-    collision: bool
-    step_ms_p50: float  # over StepRecord.step_ms; nan for an empty log
-    step_ms_p99: float
-    step_ms_max: float
-    deadline_misses: int  # steps whose step_ms exceeds dt
-    fallback_invocations: int
-    steps: int
+    """How a run ended: what its step log cannot hold."""
+
+    time_to_goal: Optional[float]  # end of the step that reached the last goal; None if not reached
     goals_reached: int
     terminal_reason: str
 
@@ -401,14 +388,13 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     holds the steps completed before it, and Metrics.terminal_reason says
     which of these ended the run."""
     _validate_scenario(scenario)
-    params = scenario.mpc
     z0 = scenario.robot_init.as_array()
     sim = _SimState(
         scenario=scenario,
         z=z0.copy(),
         tau=0.0,
         goal_index=0,
-        prev_plan=OpenLoopPlan.stationary(z0, params.N),
+        prev_plan=OpenLoopPlan.stationary(z0, scenario.mpc.N),
     )
     log = TrajectoryLog()
     try:
@@ -420,26 +406,10 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     except PoseInObstacleError as exc:
         logger.warning("step %d: %s", len(log), exc)
         sim.terminal_reason = TERMINAL_POSE_IN_OBSTACLE
-    metrics = compute_metrics(
-        log,
-        params.dt,
-        goal_time=sim.tau if sim.goal_index == len(scenario.goals) else None,
-        goals_reached=sim.goal_index,
-        terminal_reason=sim.terminal_reason or TERMINAL_BUDGET,
-    )
-    logger.info(
-        "run %s/%s: %s after %d steps, goals=%d/%d, step p50=%.1f p99=%.1f max=%.1f ms, %d over dt",
-        scenario.name,
-        scenario.mode,
-        metrics.terminal_reason,
-        metrics.steps,
-        sim.goal_index,
-        len(scenario.goals),
-        metrics.step_ms_p50,
-        metrics.step_ms_p99,
-        metrics.step_ms_max,
-        metrics.deadline_misses,
-    )
+    goal_time = sim.tau if sim.goal_index == len(scenario.goals) else None
+    metrics = Metrics(goal_time, sim.goal_index, sim.terminal_reason or TERMINAL_BUDGET)
+    logger.info("run %s/%s: %s after %d steps, goals=%d/%d", scenario.name, scenario.mode,
+                metrics.terminal_reason, len(log), sim.goal_index, len(scenario.goals))
     return log, metrics
 
 
@@ -459,40 +429,3 @@ def _validate_scenario(scenario: Scenario):
             scenario.lidar.max_range,
         ):
             raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
-
-
-def percentiles(values, qs) -> np.ndarray:
-    """Percentiles qs of values by linear interpolation, numpy's default
-    method; nan for no values. Not np.percentile: its first call imports
-    numpy.ma, which would add about 1.4 MB to the peak memory of a run."""
-    x = np.sort(values)
-    if len(x) == 0:
-        return np.full(len(qs), math.nan)
-    return np.interp(np.asarray(qs) / 100.0 * (len(x) - 1), np.arange(len(x)), x)
-
-
-def compute_metrics(
-    log: TrajectoryLog,
-    dt: float,
-    goal_time: Optional[float] = None,
-    goals_reached: int = 0,
-    terminal_reason: str = TERMINAL_BUDGET,
-) -> Metrics:
-    """Aggregate a log, which may be empty. Step-time percentiles are over
-    StepRecord.step_ms; a deadline miss is a step over dt."""
-    step_ms = np.array([r.step_ms for r in log])
-    p50, p99, worst = percentiles(step_ms, [50, 99, 100])
-    return Metrics(
-        time_to_goal=goal_time,
-        min_clearance=min((r.min_clearance for r in log), default=math.inf),
-        min_occlusion_clearance=min((r.occlusion_clearance for r in log), default=math.inf),
-        collision=any(r.collision for r in log),
-        step_ms_p50=float(p50),
-        step_ms_p99=float(p99),
-        step_ms_max=float(worst),
-        deadline_misses=int(np.count_nonzero(step_ms > dt * 1e3)),
-        fallback_invocations=sum(1 for r in log if r.fallback_used),
-        steps=len(log),
-        goals_reached=goals_reached,
-        terminal_reason=terminal_reason,
-    )

@@ -1,17 +1,18 @@
-"""Summarise a step log written by `TrajectoryLog.write_jsonl`, or compare two.
+"""Summarise a run from its step log (`TrajectoryLog.write_jsonl`), or compare two.
 
     python -m oampc.summarize LOG.jsonl
     python -m oampc.summarize A.jsonl --against B.jsonl
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
-time (their sum); the steps over the control period, the steps that applied
-the fallback plan and the largest audit violation; the stop-index probes,
-infeasible probes, QP solves, penalty rungs (QP solves after the first at one
-linearization) and interior-point iterations per step; and the steps that
-ended in each stop-index search phase, with p50 and p99 of probe_ms /
-solve_ms (above 1 when probes ran in parallel), and the slowest steps with
-their counters. The control period is the spacing of the logged times, or
-`MpcParams.dt` for a one-step log.
+time (their sum); the steps over the control period, the fallback steps, the
+largest audit violation, the collision steps and the smallest occlusion,
+agent and static clearance with its step (the near misses); the stop-index
+probes, infeasible probes, QP solves, penalty rungs (QP solves after the
+first at one linearization) and interior-point iterations per step; and the
+steps that ended in each stop-index search phase, with p50 and p99 of
+probe_ms / solve_ms (above 1 when probes ran in parallel), and the slowest
+steps with their counters. The control period is the spacing of the logged
+times, or `MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from .nmpc import MpcParams
-from .sim_engine import STEP_LAYERS, percentiles
+from .sim_engine import STEP_LAYERS
 
 
 # (label, StepRecord field) of the per-step solver counters.
@@ -43,6 +45,22 @@ COUNTERS = (
 )
 SEARCH_PHASES = ("full", "hint", "sweep")
 SLOWEST = 5  # slowest steps listed
+CLEARANCES = ("occlusion", "agent", "static")  # StepRecord's *_clearance fields
+
+
+def percentiles(values, qs) -> np.ndarray:
+    """Percentiles qs of values by linear interpolation, numpy's default
+    method; nan for no values, where np.percentile raises."""
+    x = np.sort(values)
+    if len(x) == 0:
+        return np.full(len(qs), math.nan)
+    return np.interp(np.asarray(qs) / 100.0 * (len(x) - 1), np.arange(len(x)), x)
+
+
+def _smallest(values: list[float]) -> str:
+    """The smallest value and its step; inf, with no step, if every value is inf."""
+    k = int(np.argmin(values))
+    return f"{values[k]!r} at step {k}" if math.isfinite(values[k]) else repr(values[k])
 
 
 def summarize(rows: list[dict]) -> list[str]:
@@ -56,10 +74,14 @@ def summarize(rows: list[dict]) -> list[str]:
     for name, values in [*times.items(), ("step_ms", step_ms)]:
         p50, p99 = percentiles(values, [50, 99])
         lines.append(f"{name[:-3]} ms: {p50:.2f} {p99:.2f}")
+    collided = [k for k, row in enumerate(rows) if row["collision"]]
+    near = ", ".join(f"{c} {_smallest([row[c + '_clearance'] for row in rows])}" for c in CLEARANCES)
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
+        f"collision steps: {len(collided)} {collided}",
+        f"smallest clearance (m): {near}",
     ]
     counters = [name for _, name in COUNTERS]
     for label, name in COUNTERS:

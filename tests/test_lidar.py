@@ -469,3 +469,18 @@ class TestLidarParams:
             LidarParams(max_range=0)
         with pytest.raises(ValueError):
             LidarParams(downsample_spacing=0.5, coverage_radius=0.2)
+
+    def test_rejects_non_finite_values(self):
+        # A NaN passes every comparison, so it once went through: a NaN
+        # jump_threshold gave no occlusion boundary at any step, so the
+        # occlusion-aware planner ran as the baseline, and a NaN
+        # coverage_radius gave NaN circle radii and no avoidance row.
+        for name in ("num_rays", "max_range", "jump_threshold", "downsample_spacing", "coverage_radius"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=name):
+                    LidarParams(**{name: value})
+
+    def test_rejects_nonpositive_downsample_spacing(self):
+        for spacing in (0.0, -0.3):
+            with pytest.raises(ValueError):
+                LidarParams(downsample_spacing=spacing)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -705,3 +706,40 @@ class TestMpcParams:
             MpcParams(v_min=0.5)  # cannot stop
         with pytest.raises(ValueError):
             MpcParams(state_bounds=(1, 0, 0, 1))
+
+    def test_rejects_non_finite_values(self):
+        # A NaN passes every comparison, so it once went through and quietly
+        # switched safety off: with a NaN d_safe every audit read 0.0.
+        bad_values = {
+            "N": math.inf,
+            "dt": math.nan,
+            "q_state": (10.0, math.nan, 0.0),
+            "q_input": (1.0, math.inf),
+            "q_input_rate": (math.nan, 1.0),
+            "d_safe": math.nan,
+            "d_safe_static": math.inf,
+            "r_robot": math.nan,
+            "v_min": -math.inf,
+            "v_max": math.inf,
+            "delta_min": math.nan,
+            "delta_max": math.inf,
+            "state_bounds": (-1.0, math.nan, -3.0, 6.0),
+            "feas_tol": math.nan,
+        }
+        assert bad_values.keys() == {f.name for f in fields(MpcParams)}
+        for name, value in bad_values.items():
+            with pytest.raises(ValueError, match=name):
+                MpcParams(**{name: value})
+
+    def test_rejects_negative_r_robot(self):
+        with pytest.raises(ValueError):
+            MpcParams(r_robot=-0.1)
+
+    def test_rejects_negative_d_safe_static(self):
+        with pytest.raises(ValueError):
+            MpcParams(d_safe_static=-0.05)
+
+    def test_rejects_nonpositive_feas_tol(self):
+        for feas_tol in (0.0, -1e-6):
+            with pytest.raises(ValueError):
+                MpcParams(feas_tol=feas_tol)

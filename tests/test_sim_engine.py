@@ -16,19 +16,28 @@ from oampc.sim_engine import (
     GOAL_TOLERANCE,
     MODE_OCCLUSION_AWARE,
     AgentScript,
+    Metrics,
     Scenario,
     StepRecord,
     TrajectoryLog,
-    compute_metrics,
     ground_truth_collision,
     run,
 )
 from oampc.solver import STATUS_INFEASIBLE
 from oampc.summarize import main as summarize_main
+from oampc.summarize import read, summarize
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
 from oracles import segment_distance
+
+
+def summary_of(log: TrajectoryLog, tmp_path) -> dict[str, str]:
+    """oampc.summarize's lines for the log, written as JSON lines and read
+    back, keyed by their label."""
+    path = tmp_path / "summarized.jsonl"
+    log.write_jsonl(path)
+    return dict(line.split(": ", 1) for line in summarize(read(path)))
 
 
 class TestGroundTruthCollision:
@@ -78,7 +87,7 @@ def corner_scenario() -> Scenario:
 
 
 class TestClosedLoop:
-    def test_corner_reaches_goal_safely(self, monkeypatch):
+    def test_corner_reaches_goal_safely(self, monkeypatch, tmp_path):
         problems = []
         solve = oampc.sim_engine.solve
 
@@ -93,10 +102,8 @@ class TestClosedLoop:
         assert metrics.terminal_reason == "goal"
         # The last step reaches the goal, at its end.
         assert metrics.time_to_goal == log.records[-1].tau + scenario.mpc.dt
-        assert metrics.steps <= 64
-        assert not metrics.collision
-        assert not any(rec.collision for rec in log)
-        assert metrics.fallback_invocations == 0
+        assert len(log) <= 64
+        assert not any(rec.collision or rec.fallback_used for rec in log)
         # Every applied plan carries its own audit.
         assert len(problems) == len(log)
         for rec, problem in zip(log, problems):
@@ -112,13 +119,15 @@ class TestClosedLoop:
         assert np.array_equal(problems[0].u_prev, np.zeros(2))
         for prev, problem in zip(log.records, problems[1:]):
             assert np.array_equal(problem.u_prev, prev.applied_input)
-        # Step-time tails over the in-program step time, the sum of the layers.
+        # The summary's step-time tails are over the in-program step time,
+        # the sum of the layers.
+        lines = summary_of(log, tmp_path)
         step_ms = [rec.sense_ms + rec.reach_ms + rec.project_ms + rec.solve_ms + rec.audit_ms for rec in log]
-        assert [rec.step_ms for rec in log] == step_ms
-        assert 0 < metrics.step_ms_p50 <= metrics.step_ms_p99 <= metrics.step_ms_max == max(step_ms)
-        assert metrics.deadline_misses == sum(t > 100.0 for t in step_ms)
+        assert lines["step ms"].split() == [f"{np.percentile(step_ms, q):.2f}" for q in (50, 99)]
+        assert int(lines["steps over dt (100 ms)"]) == sum(t > 100.0 for t in step_ms)
+        assert lines["collision steps"] == "0 []" and lines["fallback steps"] == "0"
 
-    def test_open_world_with_one_visible_agent(self, monkeypatch):
+    def test_open_world_with_one_visible_agent(self, monkeypatch, tmp_path):
         # No map segment: every ray misses, so each step has no occlusion
         # boundary and no static circle, and the empty arrays pass through
         # the problem, its audit and the clearances. One pedestrian, walking
@@ -146,10 +155,14 @@ class TestClosedLoop:
         monkeypatch.setattr(oampc.sim_engine, "detect_occlusions", recorded_detect)
         monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
         log, metrics = run(scenario)
-        assert metrics.terminal_reason == "goal" and metrics.steps == 18
+        assert metrics.terminal_reason == "goal" and len(log) == 18
         assert all(b.shape == (0, 2, 2) for b in boundaries) and len(boundaries) == len(log)
-        assert not metrics.collision and metrics.fallback_invocations == 0
-        assert metrics.min_occlusion_clearance == math.inf
+        assert not any(rec.collision or rec.fallback_used for rec in log)
+        # No boundary and no segment at any step: the summary's near-miss
+        # line reads inf for both, with no step.
+        k = int(np.argmin([rec.agent_clearance for rec in log]))
+        want = f"occlusion inf, agent {log.records[k].agent_clearance!r} at step {k}, static inf"
+        assert summary_of(log, tmp_path)["smallest clearance (m)"] == want
         n = scenario.mpc.N
         for rec, problem in zip(log, problems, strict=True):
             assert rec.n_boundaries == 0 and rec.occlusion_clearance == math.inf
@@ -176,7 +189,7 @@ class TestClosedLoop:
         assert all(probes >= 1 for _, probes in solves)
         assert solves == [(rec.qp_solves, rec.probes) for rec in second]
 
-    def test_fallback_step_applies_the_shift(self, monkeypatch):
+    def test_fallback_step_applies_the_shift(self, monkeypatch, tmp_path):
         # Steps 3 and 4 solve infeasible and return the warm start, as
         # nmpc.solve does when it has no candidate: each applies the shift of
         # the plan before it and audits it.
@@ -193,7 +206,7 @@ class TestClosedLoop:
         monkeypatch.setattr(oampc.sim_engine, "solve", infeasible_solve)
         log, metrics = run(corner_scenario().with_overrides(max_steps=8))
         assert [rec.fallback_used for rec in log] == [k in (3, 4) for k in range(8)]
-        assert metrics.fallback_invocations == 2
+        assert summary_of(log, tmp_path)["fallback steps"] == "2"
         for k in (3, 4):
             rec, problem = log.records[k], problems[k]
             shift = fallback_plan(log.records[k - 1].plan)
@@ -261,12 +274,12 @@ class _Teleporter(AgentScript):
 
 class TestTerminalReason:
     # "goal" and "budget" are checked in TestClosedLoop.
-    def test_collision(self):
+    def test_collision(self, tmp_path):
         # A pedestrian standing 0.1 m ahead of the robot: contact after one step.
         ped = AgentScript(waypoints=np.array([[0.1, 0.0]]), speed=0.0)
         log, metrics = run(corner_scenario().with_overrides(agents=[ped]))
         assert len(log) == 1 and log.records[0].collision
-        assert metrics.collision
+        assert summary_of(log, tmp_path)["collision steps"] == "1 [0]"
         assert metrics.terminal_reason == "collision"
 
     def test_collision_on_the_goal_step_keeps_the_goal_time(self, monkeypatch):
@@ -290,7 +303,7 @@ class TestTerminalReason:
         ped = _Teleporter(waypoints=np.array([[8.0, 4.0], [8.0, 5.0]]), speed=0.5)
         log, metrics = run(corner_scenario().with_overrides(agents=[ped]))
         # The step at tau = 0.1 s sees the jump: the log holds the one before.
-        assert len(log) == metrics.steps == 1
+        assert len(log) == 1
         assert metrics.terminal_reason == "model_violation"
 
     def test_pose_in_obstacle_returns_partial_log(self, monkeypatch):
@@ -299,16 +312,8 @@ class TestTerminalReason:
         # scan starts inside the obstacle.
         monkeypatch.setattr(oampc.sim_engine, "dynamics_step", lambda *_: RobotState(3.0, 2.9, 0.0))
         log, metrics = run(corner_scenario())
-        assert len(log) == metrics.steps == 1
-        assert not metrics.collision
+        assert len(log) == 1 and not log.records[0].collision
         assert metrics.terminal_reason == "pose_in_obstacle"
-
-    def test_metrics_of_an_empty_log(self):
-        metrics = compute_metrics(TrajectoryLog(), 0.1)
-        assert metrics.steps == metrics.deadline_misses == metrics.fallback_invocations == 0
-        assert math.isnan(metrics.step_ms_p50) and math.isnan(metrics.step_ms_max)
-        assert metrics.min_clearance == math.inf
-        assert metrics.terminal_reason == "budget"
 
 
 class TestJsonLines:
@@ -362,10 +367,20 @@ class TestJsonLines:
         assert int(lines["steps"]) == 12
         solve_ms = [rec.solve_ms for rec in log]
         assert lines["solve ms"].split() == [f"{np.percentile(solve_ms, q):.2f}" for q in (50, 99)]
-        misses = sum(rec.step_ms > 100.0 for rec in log)
+        step_ms = [rec.sense_ms + rec.reach_ms + rec.project_ms + rec.solve_ms + rec.audit_ms for rec in log]
+        assert lines["step ms"].split() == [f"{np.percentile(step_ms, q):.2f}" for q in (50, 99)]
+        misses = sum(t > 100.0 for t in step_ms)
         assert int(lines["steps over dt (100 ms)"]) == misses
         assert int(lines["fallback steps"]) == 0
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
+        assert lines["collision steps"].strip() == "0 []"
+        # The near misses: each smallest clearance, exact, with its step.
+        near = []
+        for name in ("occlusion", "agent", "static"):
+            values = [getattr(rec, f"{name}_clearance") for rec in log]
+            k = int(np.argmin(values))
+            near.append(f"{name} {values[k]!r} at step {k}")
+        assert lines["smallest clearance (m)"].strip() == ", ".join(near)
         for label, name in (
             ("probes", "probes"),
             ("infeasible probes", "infeasible_probes"),
@@ -390,11 +405,11 @@ class TestJsonLines:
         counters = ["probes", "infeasible_probes", "qp_solves", "penalty_rungs", "qp_iterations"]
         assert lines["slowest steps"].split() == ["step_ms", "search", *counters]
         listed = [key for key in lines if key.removeprefix("step ").isdigit()]
-        slowest = sorted(range(len(log)), key=lambda k: -log.records[k].step_ms)[:5]
+        slowest = sorted(range(len(log)), key=lambda k: -step_ms[k])[:5]
         assert listed == [f"step {k}" for k in slowest]
         for k in slowest:
             rec = log.records[k]
-            want = [f"{rec.step_ms:.2f}", rec.search, *(str(getattr(rec, name)) for name in counters)]
+            want = [f"{step_ms[k]:.2f}", rec.search, *(str(getattr(rec, name)) for name in counters)]
             assert lines[f"step {k}"].split() == want
         # The same summary from the command line.
         src = str(Path(oampc.__file__).parents[1])
@@ -404,6 +419,18 @@ class TestJsonLines:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+
+    def test_summary_of_an_empty_log(self, tmp_path, capsys):
+        # A run with no step budget ends on the budget with an empty log,
+        # whose summary is its step count.
+        log, metrics = run(corner_scenario().with_overrides(max_steps=0))
+        assert len(log) == 0
+        assert metrics == Metrics(time_to_goal=None, goals_reached=0, terminal_reason="budget")
+        path = tmp_path / "empty.jsonl"
+        log.write_jsonl(path)
+        assert path.read_text() == ""
+        assert summarize_main([str(path)]) == 0
+        assert capsys.readouterr().out == "steps: 0\n"
 
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # A reader that leaves early, as `| head -4` does: the read end of the

@@ -417,6 +417,26 @@ class TestSqp:
         assert res.status == "optimal"
         assert res.x == pytest.approx(target / np.hypot(*target), abs=1e-3)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="large-penalty elastic QPs read as an active slack stop the SQP at its start (ROADMAP item 7)",
+    )
+    def test_keep_in_disk_reaches_the_optimum(self):
+        # Stay inside the unit disk and get close to (3, 2), from (0.6, -0.8)
+        # on the circle. The optimum is (3, 2) / sqrt(13) with f =
+        # (sqrt(13) - 1)^2 = 6.789. The iterates slide along the circle but
+        # stay outside it by more than feas_tol, the penalty reaches its cap,
+        # and the SQP returns its start, f = 13.6, as optimal.
+        target = np.array([3.0, 2.0])
+
+        def evaluate(x):
+            e, d = x - target, np.hypot(*x)
+            return EvalResult(float(e @ e), 2 * e, 2 * np.eye(2), c=np.array([1.0 - d]), jac=-(x / d)[None, :])
+
+        res = solve_sqp(evaluate, np.array([0.6, -0.8]), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx((np.sqrt(13.0) - 1.0) ** 2, abs=1e-3)
+
     @staticmethod
     def _collapsing_radius(violation, monkeypatch):
         """solve_sqp on one constraint whose linear model promises to remove
