@@ -17,6 +17,7 @@ robot heading does not affect the returns, and tests stay frame-independent.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
@@ -45,6 +46,8 @@ class LidarParams:
             value = getattr(self, f.name)
             if not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, not {value!r}")
+        if isinstance(self.num_rays, bool) or not isinstance(self.num_rays, numbers.Integral):
+            raise ValueError(f"num_rays must be an integer, not {self.num_rays!r}")
         if self.num_rays < 8:
             raise ValueError("num_rays must be at least 8")
         if self.max_range <= 0:

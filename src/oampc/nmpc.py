@@ -43,6 +43,7 @@ from __future__ import annotations
 import atexit
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -95,6 +96,8 @@ class MpcParams:
             value = getattr(self, f.name)
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"{f.name} must be finite, not {value!r}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise ValueError(f"N must be an integer, not {self.N!r}")
         if self.N < 2:
             raise ValueError("horizon N must be at least 2")
         if self.dt <= 0:

@@ -26,11 +26,18 @@ live in one (2, m) array [s; z], and each Newton step writes [ds; dz] into
 one (2, m) buffer, so one masked divide and one row-wise max give both step
 lengths and one V + alphas D moves s and z together. The temporaries of an
 iteration (the scaling w, WG, the normal matrix, the centred residual, |R|)
-are written into a workspace allocated once per call. The cost of an
-iteration is about flat across the planner's problem sizes, from 10
-variables and 84 rows to 19 variables and 146 rows: 105 to 180 us on a
-2-core x86-64 container whose speed varies, of which LAPACK and BLAS take
-about 30 us at the larger size. Only fewer iterations cut more.
+are written into a workspace allocated once per call.
+
+Matrix products go through ndarray.dot, not @. Both call the same BLAS
+routine, so the results are the same bits (the tests replay the planner's
+QPs against a loop written with @), but the matmul gufunc's dispatch costs
+about 1 us more per product: 2.6 against 1.1 us for a 19 x 19 matrix and a
+vector. An iteration makes about 20 products. The cost of an iteration is
+about flat across the planner's problem sizes, from 11 variables and about
+90 rows to 19 variables and about 145: medians of 148 and 188 us on a
+2-core x86-64 container whose speed varies, against 167 and 212 us with @,
+when replaying the QPs of 40 steps of each benchmark workload. The Cholesky
+factorization and its inverse take about 40 us at the larger size.
 """
 
 from __future__ import annotations
@@ -110,7 +117,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
     y = np.zeros(n)
     V = np.ones((2, m))  # [s; z]
-    np.maximum(h - G @ y, 1.0, out=V[0])
+    np.maximum(h - G.dot(y), 1.0, out=V[0])
     Gt = G.T
     # The workspace. R is [r_d; r_p], the dual and primal residuals, and D
     # the latest Newton step [ds; dz].
@@ -131,9 +138,9 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     for iterations in range(_QP_MAX_ITER + 1):
         # Judge the iterate reached after this many Newton steps.
         s, z = V
-        np.add(P @ y + q, Gt @ z, out=r_d)
-        np.subtract(G @ y + s, h, out=r_p)
-        mu = float(s @ z) / m
+        np.add(P.dot(y) + q, Gt.dot(z), out=r_d)
+        np.subtract(G.dot(y) + s, h, out=r_p)
+        mu = float(s.dot(z)) / m
 
         # The largest |r_d| and |r_p| in one reduction: a max is exact.
         resid = max(np.maximum.reduce(np.abs(R, out=abs_R)), mu)
@@ -157,7 +164,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         np.divide(z, w, out=w)
         np.minimum(w, 1e12, out=w)
         np.multiply(G, w[:, None], out=GW)
-        np.add(P, GW.T @ G, out=M)
+        np.add(P, GW.T.dot(G), out=M)
         try:
             L = np.linalg.cholesky(M + reg_eye)
         except np.linalg.LinAlgError:
@@ -176,10 +183,10 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         # complementarity residual r_c = s z, with one refinement pass that
         # recovers digits lost to ill-conditioning.
         np.divide(sz, s, out=r_c_s)
-        rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
-        dy = LiT @ (Li @ rhs)
-        dy += LiT @ (Li @ (rhs - M @ dy))
-        gdy = G @ dy
+        rhs = neg_r_d - Gt.dot(w_r_p - r_c_s)
+        dy = LiT.dot(Li.dot(rhs))
+        dy += LiT.dot(Li.dot(rhs - M.dot(dy)))
+        gdy = G.dot(dy)
         np.subtract(neg_r_p, gdy, out=ds)
         np.subtract(w * (r_p + gdy), r_c_s, out=dz)
         # Step lengths per row: min(1, min of -V/D over D < 0) without
@@ -189,7 +196,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         np.divide(V, D, out=ratios, where=np.less(D, 0.0, out=descent))
         lengths = np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
         np.add(V, np.multiply(lengths, D, out=after), out=after)
-        mu_aff = float(after[0] @ after[1]) / m
+        mu_aff = float(after[0].dot(after[1])) / m
         sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
 
         # Corrector: the same Newton step for the centred second-order
@@ -198,10 +205,10 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         np.add(sz, r_c_s, out=r_c_s)
         np.subtract(r_c_s, sigma * mu, out=r_c_s)
         np.divide(r_c_s, s, out=r_c_s)
-        rhs = neg_r_d - Gt @ (w_r_p - r_c_s)
-        dy = LiT @ (Li @ rhs)
-        dy += LiT @ (Li @ (rhs - M @ dy))
-        gdy = G @ dy
+        rhs = neg_r_d - Gt.dot(w_r_p - r_c_s)
+        dy = LiT.dot(Li.dot(rhs))
+        dy += LiT.dot(Li.dot(rhs - M.dot(dy)))
+        gdy = G.dot(dy)
         np.subtract(neg_r_p, gdy, out=ds)
         np.subtract(w * (r_p + gdy), r_c_s, out=dz)
         ratios.fill(-np.inf)
@@ -273,7 +280,7 @@ def solve_sqp(
             penalty_rungs += 1
             rounds += 1
 
-        model_decrease = -(ev.grad @ d + 0.5 * d @ ev.hess @ d) + mu * (viol - sigma)
+        model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
 
         if model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol):
             if viol <= feas_tol or mu >= _PENALTY_MAX:
@@ -294,7 +301,7 @@ def solve_sqp(
             # point but the original Jacobian.
             ev_soc = EvalResult(
                 f=ev_trial.f,
-                grad=ev.grad + ev.hess @ (trial - x),
+                grad=ev.grad + ev.hess.dot(trial - x),
                 hess=ev.hess,
                 c=ev_trial.c,
                 jac=ev.jac,

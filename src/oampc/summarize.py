@@ -17,8 +17,8 @@ times, or `MpcParams.dt` for a one-step log.
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
 time (`*_ms`), is not the same to the bit. The comparison names the first
-such step, the largest difference in states, applied inputs and plans, and
-the totals of the solver counters.
+such step, the largest difference in states, applied inputs and plans (inf
+between plans of different horizons), and the totals of the solver counters.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
             ("plan states", x["plan"]["states"], y["plan"]["states"]),
             ("plan inputs", x["plan"]["inputs"], y["plan"]["inputs"]),
         ):
-            largest[name] = max(largest[name], float(np.abs(np.subtract(u, v)).max()))
+            # Plans of different horizons have no elementwise difference.
+            gap = float(np.abs(np.subtract(u, v)).max()) if np.shape(u) == np.shape(v) else math.inf
+            largest[name] = max(largest[name], gap)
     lines.append(first or "first step that differs: none")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
     for label, name in COUNTERS:

@@ -480,6 +480,14 @@ class TestLidarParams:
                 with pytest.raises(ValueError, match=name):
                     LidarParams(**{name: value})
 
+    def test_rejects_a_non_integer_ray_count(self):
+        # num_rays = 360.5 once went through, and the sweep then died with an
+        # IndexError at the first scan. Numpy integers are integers.
+        for value in (360.0, np.float64(360.0), 360.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="num_rays must be an integer"):
+                LidarParams(num_rays=value)
+        assert LidarParams(num_rays=np.int32(90)).num_rays == 90
+
     def test_rejects_nonpositive_downsample_spacing(self):
         for spacing in (0.0, -0.3):
             with pytest.raises(ValueError):

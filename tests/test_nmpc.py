@@ -731,6 +731,14 @@ class TestMpcParams:
             with pytest.raises(ValueError, match=name):
                 MpcParams(**{name: value})
 
+    def test_rejects_a_non_integer_horizon(self):
+        # N = 10.0 once went through, and the planner then died with a
+        # TypeError at its first step. Numpy integers are integers.
+        for value in (10.0, np.float64(10.0), 10.5, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="N must be an integer"):
+                MpcParams(N=value)
+        assert MpcParams(N=np.int64(12)).N == 12
+
     def test_rejects_negative_r_robot(self):
         with pytest.raises(ValueError):
             MpcParams(r_robot=-0.1)

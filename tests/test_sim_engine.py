@@ -480,3 +480,13 @@ class TestJsonLines:
         b.write_text("".join(json.dumps(row) + "\n" for row in rows[:4]))
         assert summarize_main([str(a), "--against", str(b)]) == 1
         assert "steps: 6 against 4" in capsys.readouterr().out
+        # So do two logs whose plans have different horizons: their plans
+        # have no elementwise difference, which reads as inf.
+        scn = corner_scenario().with_overrides(max_steps=2)
+        run(scn)[0].write_jsonl(a)
+        run(scn.with_overrides(mpc=replace(scn.mpc, N=12)))[0].write_jsonl(b)
+        assert summarize_main([str(a), "--against", str(b)]) == 1
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["first step that differs"].startswith("0 (tau 0.0): ")
+        assert "plan" in lines["first step that differs"].split(": ")[1].split()
+        assert "plan states inf, plan inputs inf" in lines["largest difference"]

@@ -103,19 +103,44 @@ class TestQpMatchesReference:
         assert clipped >= 5
 
 
+def record_qps(scn, first_step=0):
+    """The planner's QPs from step first_step of scn's run on, every probe
+    run in this process, where it is recorded, and the run's log."""
+    qps, steps = [], 0
+    pool, recorded, solve = oampc.nmpc._pool, oampc.solver.solve_qp, oampc.sim_engine.solve
+
+    def counted_solve(*args, **kwargs):
+        nonlocal steps
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            steps += 1
+
+    oampc.nmpc._pool = False
+    oampc.sim_engine.solve = counted_solve
+    oampc.solver.solve_qp = lambda *qp: steps >= first_step and qps.append(qp) or recorded(*qp)
+    try:
+        log, _ = run(scn)
+    finally:
+        oampc.nmpc._pool, oampc.solver.solve_qp, oampc.sim_engine.solve = pool, recorded, solve
+    return qps, log
+
+
 @pytest.fixture(scope="module")
 def corner_fast_qps():
-    """The planner's QPs from the first 15 steps of a corner-fast episode,
-    every probe run in this process, where it is recorded. They climb the
-    penalty ladder to its top and include stall exits."""
-    qps = []
-    pool, recorded = oampc.nmpc._pool, oampc.solver.solve_qp
-    oampc.nmpc._pool = False
-    oampc.solver.solve_qp = lambda *qp: qps.append(qp) or recorded(*qp)
-    try:
-        run(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=15))
-    finally:
-        oampc.nmpc._pool, oampc.solver.solve_qp = pool, recorded
+    """The planner's QPs from the first 15 steps of a corner-fast episode.
+    They climb the penalty ladder to its top and include stall exits."""
+    return record_qps(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=15))[0]
+
+
+@pytest.fixture(scope="module")
+def corner_occluded_qps():
+    """The planner's QPs from steps 16-25 of a corner-occluded episode: its
+    first hint run, probing stop indexes 8 down to 1 against capsule rows,
+    and two full-freedom steps after it."""
+    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=26), first_step=16)
+    assert [rec.search for rec in log][15:25] == ["full", *["hint"] * 8, "full"]
+    assert all(rec.n_boundaries > 0 for rec in log.records[16:])
     return qps
 
 
@@ -156,8 +181,11 @@ def kkt_residual(P, q, G, h, y, z):
 def assert_same_bits(P, q, G, h):
     y, z, iterations = solve_qp(P, q, G, h)
     y_ref, z_ref, iterations_ref = solve_qp_parent(P, q, G, h, max_iter=iterations)
-    assert np.array_equal(y, y_ref)
-    assert np.array_equal(z, z_ref)
+    # Sign bits too: the step log writes -0.0, so a flipped zero in a plan
+    # is a difference there.
+    for u, v in ((y, y_ref), (z, z_ref)):
+        assert np.array_equal(u, v)
+        assert np.array_equal(np.signbit(u), np.signbit(v))
     assert iterations == iterations_ref
     assert iterations <= solve_qp_parent(P, q, G, h)[2]
     return iterations
@@ -193,17 +221,19 @@ class TestQpMatchesParent:
 
     def test_no_constraints(self):
         assert assert_same_bits(np.array([[4.0]]), np.array([-8.0]), np.zeros((0, 1)), np.zeros(0)) == 0
+        # The interior-point iterates start at +0.0 and are only added to, so
+        # none is ever -0.0; this path returns one (from -q), for the sign check.
+        qp = (np.diag([4.0, 2.0]), np.array([-8.0, 0.0]), np.zeros((0, 2)), np.zeros(0))
+        assert assert_same_bits(*qp) == 0
+        assert np.signbit(solve_qp(*qp)[0]).tolist() == [False, True]
 
-    def test_pillars_crowd_qps(self, monkeypatch, cholesky_failures):
+    def test_pillars_crowd_qps(self, cholesky_failures):
         # The planner's own QPs from the first steps of a pillars-crowd
         # episode: baseline mode, so disk rows, and static circles thinned
-        # from 1440-ray scans. Every probe runs here, where it is recorded.
+        # from 1440-ray scans.
         scn = generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=6)
         assert scn.mode == MODE_BASELINE and scn.lidar.num_rays == 1440
-        qps = []
-        monkeypatch.setattr(oampc.nmpc, "_pool", False)
-        monkeypatch.setattr(oampc.solver, "solve_qp", lambda *qp: qps.append(qp) or solve_qp(*qp))
-        run(scn)
+        qps = record_qps(scn)[0]
         assert len(qps) >= 30 and max(len(h) for _, _, _, h in qps) >= 100
         for qp in qps:
             assert_same_bits(*qp)
@@ -222,6 +252,14 @@ class TestQpMatchesParent:
         assert len(corner_fast_qps) >= 150
         assert sum(q[-1] == _PENALTY_MAX for _, q, _, _ in corner_fast_qps) >= 5
         assert stalls >= 10
+        assert not cholesky_failures
+
+    def test_corner_occluded_qps(self, corner_occluded_qps, cholesky_failures):
+        # Capsule rows of hidden agents, in the stop-index probes of a hint
+        # run and the full-freedom solves around it.
+        for qp in corner_occluded_qps:
+            assert_same_bits(*qp)
+        assert len(corner_occluded_qps) >= 300 and max(len(h) for _, _, _, h in corner_occluded_qps) >= 150
         assert not cholesky_failures
 
     def test_exhausted_regularisation_returns_incumbent(self, cholesky_failures):
