@@ -17,6 +17,7 @@ robot heading does not affect the returns, and tests stay frame-independent.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -42,12 +43,12 @@ class LidarParams:
     coverage_radius: float = 0.2
 
     def __post_init__(self):
-        for f in fields(self):  # first: a NaN passes every comparison below
-            value = getattr(self, f.name)
-            if not np.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if isinstance(self.num_rays, bool) or not isinstance(self.num_rays, numbers.Integral):
             raise ValueError(f"num_rays must be an integer, not {self.num_rays!r}")
+        for f in fields(self):  # first: a NaN passes every comparison below
+            value = getattr(self, f.name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         if self.num_rays < 8:
             raise ValueError("num_rays must be at least 8")
         if self.max_range <= 0:

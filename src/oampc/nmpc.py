@@ -19,19 +19,20 @@ turn and escape; the auditor keeps the strict margin.
 Avoidance is subject to the stop-speed complementarity semantics: a step may
 sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
-one full-freedom solve plus, when needed, probes of earlier stop indexes: the
-previous step's index and its two neighbours first (the hint phase), then the
-rest in order if none of those beats standing still (the sweep). The cheapest
+one loop over three search phases, each a list of stop indexes to probe: full
+freedom, [N-1]; the previous step's index and its two neighbours (the hint);
+then the rest in increasing order (the sweep). The loop stops after the first
+phase that leaves a candidate cheaper than standing still. The cheapest
 candidate wins, and the all-stopped plan is the always-feasible floor.
 
 Everything a probe reads of an NlpProblem is one record, NlpProblem.probe,
 built with the problem: the start, goal, previous input, parameters and
-avoidance row table. The probes of the hint and sweep phases do not depend on
-each other. A phase of two or more runs them in a pool of worker processes,
-forked from this one at the first such phase and terminated at exit, and sends
-each the probe record; the full-freedom probe and the phase logic stay here.
-Results come back in the order they were submitted, so the plans and counters
-are those of running the probes one after another.
+avoidance row table. The probes of one phase do not depend on each other. A
+phase of two or more runs them in a pool of worker processes, forked from this
+one at the first such phase and terminated at exit, and sends each the probe
+record; a phase of one, such as full freedom, runs here, as does the phase
+loop. Results come back in the order they were submitted, so the plans and
+counters are those of running the probes one after another.
 What the probes cost is one _Work record, summed with + over the probes and
 returned as SolveResult.work; a step record takes its fields as they are.
 Each probe's time is taken where it ran and summed into its probe_ms; a
@@ -92,12 +93,20 @@ class MpcParams:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
-        for f in fields(self):  # first: a NaN passes every comparison below
-            value = getattr(self, f.name)
-            if value is not None and not np.isfinite(value).all():
-                raise ValueError(f"{f.name} must be finite, not {value!r}")
         if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
             raise ValueError(f"N must be an integer, not {self.N!r}")
+        lengths = {"q_state": 3, "q_input": 2, "q_input_rate": 2, "state_bounds": 4}
+        for f in fields(self):  # first: a NaN passes every comparison below
+            value = getattr(self, f.name)
+            if f.name == "state_bounds" and value is None:
+                continue
+            length = lengths.get(f.name)
+            items = np.array(value, dtype=object)
+            if items.shape != (() if length is None else (length,)) or not all(
+                isinstance(v, numbers.Real) and math.isfinite(v) for v in items.flat
+            ):
+                what = "a finite number" if length is None else f"{length} finite numbers"
+                raise ValueError(f"{f.name} must be {what}, not {value!r}")
         if self.N < 2:
             raise ValueError("horizon N must be at least 2")
         if self.dt <= 0:
@@ -356,11 +365,12 @@ class _NlpEvaluator:
 def solve(problem: NlpProblem) -> SolveResult:
     """Plan over the horizon, honoring stop-speed complementarity.
 
-    First solves with motion allowed through step N-1 (avoidance enforced at
-    every moving step). If that fails or barely improves on standing still,
-    earlier stop indexes are probed: the previous step's winning index and its
-    two neighbours first (the hint phase), then, if none of them beats
-    standing still, every other index in increasing order (the sweep). The
+    The stop indexes are probed in phases, and the search stops after the
+    first phase that leaves a candidate below the floor, a cost clearly under
+    standing still: "full", motion allowed through step N-1 (avoidance
+    enforced at every moving step); "hint", the previous step's winning index
+    and its two neighbours within [1, N-2]; "sweep", every other index in
+    increasing order. SolveResult.search names the last phase run. The
     cheapest candidate wins, ties going to the larger stop index; the
     stationary plan is the guaranteed fallback floor whenever the current
     state respects the track limits.
@@ -385,36 +395,25 @@ def solve(problem: NlpProblem) -> SolveResult:
     # A candidate improves on standing still only below this cost.
     floor = cost_stationary - 1e-3 * max(1.0, abs(cost_stationary))
 
+    # When full freedom is blocked or has no incentive to move, earlier stop
+    # indexes are probed. Holding after an early stop drops the late margins,
+    # which is what lets the plan edge toward a receding constraint, so small
+    # indexes often win on cost here. The previous step's winning index is
+    # tried first; the full sweep only runs when its neighborhood yields
+    # nothing.
+    hint = problem.stop_hint
+    near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
+    phases = (("full", [n - 1]), ("hint", near), ("sweep", [j for j in range(1, n - 1) if j not in near]))
     candidates: list[tuple[float, OpenLoopPlan, int]] = []
     work = _Work()
-
-    def collect(results) -> None:
-        nonlocal work
-        for cand, cost in results:
+    probe = partial(_try_stop_index, data, u_ws, floor)
+    for search, js in phases:
+        for cand, cost in _map(probe, js, n):
             work = work + cost
             if cand is not None:
                 candidates.append(cand)
-
-    probe = partial(_try_stop_index, data, u_ws, floor)
-    collect([probe(n - 1)])
-    search = "full"
-
-    if not candidates or candidates[0][0] >= floor:
-        # Full freedom is blocked or has no incentive to move: probe earlier
-        # stop indexes. Holding after an early stop drops the late margins,
-        # which is what lets the plan edge toward a receding constraint, so
-        # small indexes often win on cost here. The previous step's winning
-        # index is tried first; the full sweep only runs when its
-        # neighborhood yields nothing.
-        hint = problem.stop_hint
-        order: list[int] = []
-        if hint is not None:
-            order.extend(j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2)
-        search = "hint"
-        collect(_map(probe, order, n))
-        if min((c[0] for c in candidates), default=math.inf) >= floor:
-            search = "sweep"
-            collect(_map(probe, [j for j in range(1, n - 1) if j not in order], n))
+        if min((c[0] for c in candidates), default=math.inf) < floor:
+            break
 
     if stationary_ok:
         candidates.append((cost_stationary, stationary, 0))
@@ -457,31 +456,30 @@ def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tu
 
 def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
     """Probe stop index j from the warm start u_ws with its inputs from j on
-    zeroed, then, if that does not get below floor from rest, re-probe from
-    two escape seeds. Returns the cheapest candidate or None, and the summed
-    work of its up to 3 SQPs. A module-level function, so a worker process
-    can run it."""
+    zeroed, then, while no candidate gets below floor and that start is at
+    rest, re-probe from two escape seeds. Returns the cheapest candidate or
+    None, and the summed work of its up to 3 SQPs. A module-level function,
+    so a worker process can run it."""
     u_init = u_ws.copy()
     u_init[j:] = 0.0
-    cand, work = _run_probe(problem, j, u_init)
-    helped = cand is not None and cand[0] < floor
-    if not helped and np.abs(u_init[:j, 0]).max(initial=0.0) < 0.1:
+    starts = [u_init]
+    if np.abs(u_init[:j, 0]).max(initial=0.0) < 0.1:
         # At zero speed the heading-rate-to-position coupling vanishes, so
         # the linear model cannot see that turning first pays off. Re-probe
         # from a small forward-speed seed, then from an explicit
         # rotate-then-drive seed.
         nudged = u_init.copy()
         nudged[:j, 0] = min(0.3, problem.params.v_max)
-        cand2, cost = _run_probe(problem, j, nudged)
+        seed = _rotate_then_drive_seed(problem, j)
+        starts += [nudged] if seed is None else [nudged, seed]
+    cand, work = None, _Work()
+    for start in starts:
+        new, cost = _run_probe(problem, j, start)
         work = work + cost
-        if cand2 is not None and (cand is None or cand2[0] < cand[0]):
-            cand = cand2
-        seed = _rotate_then_drive_seed(problem, j) if cand is None or cand[0] >= floor else None
-        if seed is not None:
-            cand3, cost = _run_probe(problem, j, seed)
-            work = work + cost
-            if cand3 is not None and (cand is None or cand3[0] < cand[0]):
-                cand = cand3
+        if new is not None and (cand is None or new[0] < cand[0]):
+            cand = new
+        if cand is not None and cand[0] < floor:
+            break
     return cand, work
 
 
@@ -583,7 +581,6 @@ class FeasibilityReport:
     terminal_error: float
     input_bound_violation: float
     state_bound_violation: float
-    step_motion: np.ndarray  # (N,)
     avoidance_margin: np.ndarray  # (N,) g_k: positive means inside a margin
     complementarity: np.ndarray  # (N,) max(0, motion_k * g_k)
 
@@ -649,7 +646,6 @@ def check_feasibility(
         terminal_error=terminal_error,
         input_bound_violation=ib,
         state_bound_violation=sb,
-        step_motion=motion,
         avoidance_margin=avoidance,
         complementarity=complementarity,
     )

@@ -22,11 +22,13 @@ Sized for problems with tens of variables and a few hundred inequality
 constraints; everything is dense numpy. At that size an interior-point
 iteration's time goes mostly to numpy's per-call overhead, so the loop is
 written to make few calls and few allocations. The slacks and multipliers
-live in one (2, m) array [s; z], and each Newton step writes [ds; dz] into
+live in one (2, m) array [s; z], and the Newton step writes [ds; dz] into
 one (2, m) buffer, so one masked divide and one row-wise max give both step
-lengths and one V + alphas D moves s and z together. The temporaries of an
-iteration (the scaling w, WG, the normal matrix, the centred residual, |R|)
-are written into a workspace allocated once per call.
+lengths and one V + alphas D moves s and z together. The step is written
+once and run twice per iteration, for the predictor's complementarity
+residual and then for the corrector's; only that residual differs. The
+temporaries of an iteration (the scaling w, WG, the normal matrix, the
+centred residual, |R|) are written into a workspace allocated once per call.
 
 Matrix products go through ndarray.dot, not @. Both call the same BLAS
 routine, so the results are the same bits (the tests replay the planner's
@@ -43,6 +45,7 @@ factorization and its inverse take about 40 us at the larger size.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,8 +93,11 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
     Mehrotra predictor-corrector on the slack form G y + s = h, s >= 0,
     cold-started from y = 0 on every call. Each iteration factors the normal
-    matrix P + G'WG + 1e-12 I once by Cholesky and inverts the factor; both
-    Newton solves are products with that inverse plus one refinement pass.
+    matrix P + G'WG + 1e-12 I once by Cholesky and inverts the factor, then
+    runs one Newton step twice: for the predictor's complementarity residual
+    s z, and for the corrector's s z + ds dz - sigma mu. Its solve is two
+    products with the inverse plus one refinement pass, and it ends with the
+    step length of each of s and z.
     Returns (y, z, iterations) with z the constraint multipliers and
     iterations the number of Newton steps taken. It stops at the first
     iterate whose dual residual, primal residual and complementarity mu are
@@ -179,41 +185,35 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
         np.multiply(w, r_p, out=w_r_p)
         np.multiply(s, z, out=sz)
 
-        # Predictor (affine scaling step): the Newton step for the
-        # complementarity residual r_c = s z, with one refinement pass that
-        # recovers digits lost to ill-conditioning.
-        np.divide(sz, s, out=r_c_s)
-        rhs = neg_r_d - Gt.dot(w_r_p - r_c_s)
-        dy = LiT.dot(Li.dot(rhs))
-        dy += LiT.dot(Li.dot(rhs - M.dot(dy)))
-        gdy = G.dot(dy)
-        np.subtract(neg_r_p, gdy, out=ds)
-        np.subtract(w * (r_p + gdy), r_c_s, out=dz)
-        # Step lengths per row: min(1, min of -V/D over D < 0) without
-        # boolean indexing. Negation is exact, so that minimum is minus the
-        # largest V/D.
-        ratios.fill(-np.inf)
-        np.divide(V, D, out=ratios, where=np.less(D, 0.0, out=descent))
-        lengths = np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
-        np.add(V, np.multiply(lengths, D, out=after), out=after)
-        mu_aff = float(after[0].dot(after[1])) / m
-        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
-
-        # Corrector: the same Newton step for the centred second-order
-        # residual r_c = s z + ds dz - sigma mu.
-        np.multiply(ds, dz, out=r_c_s)
-        np.add(sz, r_c_s, out=r_c_s)
-        np.subtract(r_c_s, sigma * mu, out=r_c_s)
-        np.divide(r_c_s, s, out=r_c_s)
-        rhs = neg_r_d - Gt.dot(w_r_p - r_c_s)
-        dy = LiT.dot(Li.dot(rhs))
-        dy += LiT.dot(Li.dot(rhs - M.dot(dy)))
-        gdy = G.dot(dy)
-        np.subtract(neg_r_p, gdy, out=ds)
-        np.subtract(w * (r_p + gdy), r_c_s, out=dz)
-        ratios.fill(-np.inf)
-        np.divide(V, D, out=ratios, where=np.less(D, 0.0, out=descent))
-        alphas = 0.99 * np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
+        # One Newton step, run twice: the predictor's (affine scaling) for the
+        # complementarity residual r_c = s z, then the corrector's for the
+        # centred second-order residual r_c = s z + ds dz - sigma mu, with the
+        # predictor's ds, dz. Each solve takes one refinement pass, which
+        # recovers digits lost to ill-conditioning. The step lengths per row
+        # are min(1, min of -V/D over D < 0), taken without boolean indexing:
+        # negation is exact, so that minimum is minus the largest V/D.
+        r_c = sz
+        for corrector in (False, True):
+            np.divide(r_c, s, out=r_c_s)
+            rhs = neg_r_d - Gt.dot(w_r_p - r_c_s)
+            dy = LiT.dot(Li.dot(rhs))
+            dy += LiT.dot(Li.dot(rhs - M.dot(dy)))
+            gdy = G.dot(dy)
+            np.subtract(neg_r_p, gdy, out=ds)
+            np.subtract(w * (r_p + gdy), r_c_s, out=dz)
+            ratios.fill(-np.inf)
+            np.divide(V, D, out=ratios, where=np.less(D, 0.0, out=descent))
+            lengths = np.fmin(1.0, -np.maximum.reduce(ratios, axis=1, keepdims=True))
+            if corrector:
+                break
+            np.add(V, np.multiply(lengths, D, out=after), out=after)
+            mu_aff = float(after[0].dot(after[1])) / m
+            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+            r_c = r_c_s
+            np.multiply(ds, dz, out=r_c)
+            np.add(sz, r_c, out=r_c)
+            np.subtract(r_c, sigma * mu, out=r_c)
+        alphas = 0.99 * lengths
         y = y + alphas[0] * dy
         V = V + alphas * D
     return best_y, best_z, iterations
@@ -253,20 +253,30 @@ def solve_sqp(
     if _violation(ev.c) <= feas_tol:
         best, best_f = (x, ev), ev.f
 
+    def attempt(point):
+        """The point clipped to the box, its evaluation and violation, and
+        how far the merit f + mu * violation falls from x to it."""
+        point = np.clip(point, lb, ub)
+        ev_point = evaluate(point)
+        viol_point = _violation(ev_point.c)
+        return point, ev_point, viol_point, (ev.f + mu * viol) - (ev_point.f + mu * viol_point)
+
+    counts = Counter(qp_iterations=0, qp_solves=0, penalty_rungs=0)
+
+    def solve_elastic(qp: _ElasticQp):
+        """(d, sigma) of qp at the current penalty, counted. A solve of a QP
+        solved before is a penalty rung."""
+        d, sigma, qp_iterations = qp.solve(mu)
+        counts.update(qp_iterations=qp_iterations, qp_solves=1, penalty_rungs=int(qp.solves > 1))
+        return d, sigma
+
     iterations = 0
-    qp_iterations = 0
-    qp_solves = 0
-    penalty_rungs = 0
     qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
     for iterations in range(1, _SQP_MAX_ITER + 1):
         viol = _violation(ev.c)
         if qp is None:
             qp = _ElasticQp(ev, x, lb, ub, delta)
-        else:
-            penalty_rungs += 1
-        d, sigma, k = qp.solve(mu)
-        qp_iterations += k
-        qp_solves += 1
+        d, sigma = solve_elastic(qp)
 
         # An active elastic slack means the linearized constraints were not
         # met within the current penalty budget: escalate until they are or
@@ -274,10 +284,7 @@ def solve_sqp(
         rounds = 0
         while sigma > max(feas_tol, 1e-12) and mu < _PENALTY_MAX and rounds < 3:
             mu = min(10.0 * mu, _PENALTY_MAX)
-            d, sigma, k = qp.solve(mu)
-            qp_iterations += k
-            qp_solves += 1
-            penalty_rungs += 1
+            d, sigma = solve_elastic(qp)
             rounds += 1
 
         model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
@@ -289,10 +296,7 @@ def solve_sqp(
             continue
 
         qp = None  # accepting the step moves x, rejecting it shrinks delta
-        trial = np.clip(x + d, lb, ub)
-        ev_trial = evaluate(trial)
-        viol_trial = _violation(ev_trial.c)
-        actual = (ev.f + mu * viol) - (ev_trial.f + mu * viol_trial)
+        trial, ev_trial, viol_trial, actual = attempt(x + d)
         rho = actual / model_decrease
 
         if rho < 0.1 and viol_trial > max(viol, feas_tol):
@@ -306,15 +310,10 @@ def solve_sqp(
                 c=ev_trial.c,
                 jac=ev.jac,
             )
-            w, _, k = _ElasticQp(ev_soc, trial, lb, ub, delta).solve(mu)
-            qp_iterations += k
-            qp_solves += 1
-            trial_soc = np.clip(trial + w, lb, ub)
-            ev_soc_t = evaluate(trial_soc)
-            viol_soc = _violation(ev_soc_t.c)
-            actual_soc = (ev.f + mu * viol) - (ev_soc_t.f + mu * viol_soc)
-            if actual_soc > actual:
-                trial, ev_trial, viol_trial, actual = trial_soc, ev_soc_t, viol_soc, actual_soc
+            w, _ = solve_elastic(_ElasticQp(ev_soc, trial, lb, ub, delta))
+            corrected = attempt(trial + w)
+            if corrected[3] > actual:
+                trial, ev_trial, viol_trial, actual = corrected
                 rho = actual / model_decrease
 
         if rho >= 0.1:
@@ -349,9 +348,7 @@ def solve_sqp(
         objective=ev.f,
         iterations=iterations,
         max_violation=final_viol,
-        qp_iterations=qp_iterations,
-        qp_solves=qp_solves,
-        penalty_rungs=penalty_rungs,
+        **counts,
     )
 
 
@@ -384,9 +381,11 @@ class _ElasticQp:
         G[m + 1 + n :, :n] = -eye
         self.G = G
         self.h = np.concatenate([ev.c, np.zeros(1), self.up, -self.lo])
+        self.solves = 0
 
     def solve(self, mu: float):
         """Returns (d, sigma, interior-point iterations) at penalty weight mu."""
+        self.solves += 1
         n = len(self.grad)
         y, _, iterations = solve_qp(self.P, np.concatenate([self.grad, [mu]]), self.G, self.h)
         d = np.clip(y[:n], self.lo, self.up)

@@ -488,6 +488,13 @@ class TestLidarParams:
                 LidarParams(num_rays=value)
         assert LidarParams(num_rays=np.int32(90)).num_rays == 90
 
+    @pytest.mark.parametrize("name, value", [("num_rays", "360"), ("max_range", None)])
+    def test_rejects_a_value_that_is_not_a_number(self, name, value):
+        # Such a value once went through np.isfinite, whose TypeError named
+        # no field.
+        with pytest.raises(ValueError, match=name):
+            LidarParams(**{name: value})
+
     def test_rejects_nonpositive_downsample_spacing(self):
         for spacing in (0.0, -0.3):
             with pytest.raises(ValueError):

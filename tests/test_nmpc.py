@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -542,6 +543,34 @@ class TestParallelProbes:
         assert out == ["full", "1", "False"]
 
 
+class TestSearchOrder:
+    def test_phases_run_in_order(self, corner_fast_pooled, monkeypatch):
+        # A recorded step whose full-freedom probe is blocked and whose hint
+        # phase was empty, solved again with other hints. Each phase is one
+        # _map call and the last one run names the search; a hint next to
+        # the stop index that wins the sweep ends the search with that phase.
+        _, _, solves = corner_fast_pooled
+        problem = next(p for p, r in solves if r.search == "sweep")
+        n = problem.params.N
+        calls = []
+
+        def recording_map(fn, js, n):
+            calls.append(list(js))
+            return in_process_map(fn, js, n)
+
+        monkeypatch.setattr(oampc.nmpc, "_map", recording_map)
+        searches = set()
+        for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
+            calls.clear()
+            res = solve(dataclasses.replace(problem, stop_hint=hint))
+            phases = [[n - 1], near, [j for j in range(1, n - 1) if j not in near]]
+            assert len(calls) >= 2 and calls == phases[: len(calls)], hint
+            assert res.search == ("full", "hint", "sweep")[len(calls) - 1]
+            assert res.search == "sweep" or res.stop_index in near
+            searches.add(res.search)
+        assert searches == {"hint", "sweep"}
+
+
 class TestCheckFeasibility:
     def test_stopped_plan_inside_margin_ok(self):
         params = MpcParams()
@@ -738,6 +767,22 @@ class TestMpcParams:
             with pytest.raises(ValueError, match="N must be an integer"):
                 MpcParams(N=value)
         assert MpcParams(N=np.int64(12)).N == 12
+
+    @pytest.mark.parametrize("name, value", [("N", "10"), ("dt", "0.1"), ("v_max", None)])
+    def test_rejects_a_value_that_is_not_a_number(self, name, value):
+        # Such a value once went through np.isfinite, whose TypeError named
+        # no field.
+        with pytest.raises(ValueError, match=name):
+            MpcParams(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("q_state", (10.0, 10.0)), ("q_input", (1.0,)), ("q_input_rate", (1.0, 1.0, 1.0))]
+    )
+    def test_rejects_weights_of_the_wrong_length(self, name, value):
+        # A single input weight once broadcast to both inputs, and two state
+        # weights failed inside the planner with a broadcast error.
+        with pytest.raises(ValueError, match=name):
+            MpcParams(**{name: value})
 
     def test_rejects_negative_r_robot(self):
         with pytest.raises(ValueError):
