@@ -22,7 +22,6 @@ import numpy as np
 
 from .geometry import capsule_projection
 from .reachability import ReachableFamily
-from .unicycle import ControlInput
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,6 @@ class OpenLoopPlan:
     @property
     def horizon(self) -> int:
         return self.inputs.shape[0]
-
-    def control(self, k: int) -> ControlInput:
-        return ControlInput(*self.inputs[k])
 
     def positions(self) -> np.ndarray:
         return self.states[:, :2]

@@ -107,6 +107,8 @@ class MpcParams:
             ):
                 what = "a finite number" if length is None else f"{length} finite numbers"
                 raise ValueError(f"{f.name} must be {what}, not {value!r}")
+            if length is not None:  # a tuple of floats, whatever sequence was given, so params hash
+                object.__setattr__(self, f.name, tuple(float(v) for v in items))
         if self.N < 2:
             raise ValueError("horizon N must be at least 2")
         if self.dt <= 0:

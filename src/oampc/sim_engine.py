@@ -5,12 +5,14 @@ advances the scripted agents. Ground-truth collision checking is independent
 of every planner constraint, so logged safety outcomes cannot be an artifact
 of the planner's own approximations.
 
-The loop state holds only what no plan or log already holds: the step index
-is the log's length, the stop-index hint the last record's stop index, the
-previous input the previous plan's first input and the time to goal the time
-after the step that reached the last goal. A step applies the plan nmpc.solve
-returns, which is the shifted previous plan when the solve is infeasible.
-A visible agent's track is its fused disk, one [x, y, r] row.
+The loop state holds only what the step log cannot: the robot's state, the
+next goal's index and each visible agent's fused track, one [x, y, r] row.
+A step reads the rest from the log's last record: its index is the log's
+length, its time that record's time plus dt, the previous plan and stop-index
+hint that record's (time 0, the plan standing at the start and no hint at the
+first step), and the previous input that plan's first input. It applies the
+plan nmpc.solve returns, the shifted previous plan when the solve is
+infeasible. A scenario is checked once, when it is built (Scenario).
 
 A run's aggregates are derived from its log, by `oampc.summarize`; `Metrics`
 keeps only how the run ended, which no step record holds.
@@ -46,7 +48,7 @@ from .reachability import (
     step_distance,
 )
 from .solver import STATUS_OPTIMAL
-from .unicycle import RobotState, dynamics_step
+from .unicycle import ControlInput, RobotState, dynamics_step
 from .world import WorldMap
 
 logger = logging.getLogger("oampc.sim")
@@ -102,9 +104,12 @@ class AgentScript:
         return self.waypoints[i] + frac * (self.waypoints[i + 1] - self.waypoints[i])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """Declarative world plus planner configuration for one run."""
+    """Declarative world plus planner configuration for one run, frozen and
+    checked when built (with_overrides builds anew): goals, a start pose with
+    the robot's radius of free space, agents within the agent model's speed
+    and hidden agents out of sight of the start pose."""
 
     name: str
     world: WorldMap
@@ -118,7 +123,7 @@ class Scenario:
     max_steps: int = 400
 
     def __post_init__(self):
-        self.goals = [np.asarray(g, dtype=float) for g in self.goals]
+        object.__setattr__(self, "goals", [np.asarray(g, dtype=float) for g in self.goals])
         if self.mode not in (MODE_BASELINE, MODE_OCCLUSION_AWARE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.goals:
@@ -126,8 +131,18 @@ class Scenario:
         for g in self.goals:
             if g.shape != (2,) or not np.isfinite(g).all():
                 raise ValueError(f"a goal must be two finite coordinates, not {g.tolist()!r}")
+        start = self.robot_init.position()
+        if not self.world.contains_free(start, clearance=self.mpc.r_robot):
+            raise ValueError("robot initial pose is not in free space with its radius clearance")
+        for idx, agent in enumerate(self.agents):
+            if agent.speed > self.agent_model.v_target + 1e-9:
+                raise ValueError(f"agent {idx} speed {agent.speed} exceeds the model bound {self.agent_model.v_target}")
+            hidden = agent.initially_hidden
+            if hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
+                raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
 
     def with_overrides(self, **kwargs) -> "Scenario":
+        """A copy with the given fields replaced, checked as a new scenario."""
         return replace(self, **kwargs)
 
 
@@ -228,11 +243,8 @@ def ground_truth_collision(
 class _SimState:
     scenario: Scenario
     z: np.ndarray
-    tau: float
-    goal_index: int
-    prev_plan: OpenLoopPlan  # its first input is the one applied last, zeros before the first step
+    goal_index: int = 0
     agent_tracks: dict[int, np.ndarray] = field(default_factory=dict)  # [x, y, r] rows
-    terminal_reason: Optional[str] = None  # set by the step that ends the run
 
 
 def _agent_visible(world: WorldMap, robot_pos: np.ndarray, agent_pos: np.ndarray, max_range: float) -> bool:
@@ -247,9 +259,14 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     scn = sim.scenario
     params = scn.mpc
     dt = params.dt
+    if log:
+        last = log.records[-1]
+        tau, prev_plan, stop_hint = last.tau + dt, last.plan, last.stop_index
+    else:
+        tau, prev_plan, stop_hint = 0.0, OpenLoopPlan.stationary(sim.z, params.N), None
 
     robot = RobotState(*sim.z)
-    agent_positions = [a.position(sim.tau) for a in scn.agents]
+    agent_positions = [a.position(tau) for a in scn.agents]
 
     # Sense.
     t_sense = time.perf_counter()
@@ -279,7 +296,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     # Plan. The previous plan ends stopped, so its shift is the warm start
     # and the fallback at once, and its steps 1..N are the points projected.
     t_project = time.perf_counter()
-    warm = fallback_plan(sim.prev_plan)
+    warm = fallback_plan(prev_plan)
     projections = project_plan(warm.positions()[1:], families)
     goal = scn.goals[sim.goal_index]
     problem = NlpProblem(
@@ -289,8 +306,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         static_circles=circles,
         params=params,
         warm_start=warm,
-        u_prev=sim.prev_plan.inputs[0],
-        stop_hint=log.records[-1].stop_index if log else None,
+        u_prev=prev_plan.inputs[0],
+        stop_hint=stop_hint,
     )
     t_solve = time.perf_counter()
     result = solve(problem)
@@ -306,13 +323,12 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     t_end = time.perf_counter()
 
     # Act.
-    z_next = dynamics_step(robot, plan.control(0), dt)
+    z_next = dynamics_step(robot, ControlInput(*plan.inputs[0]), dt)
 
     # Advance agents one period, enforcing the declared speed bound.
-    tau_next = sim.tau + dt
     next_positions = []
     for idx, a in enumerate(scn.agents):
-        nxt = a.position(tau_next)
+        nxt = a.position(tau + dt)
         moved = float(np.hypot(*(nxt - agent_positions[idx])))
         if moved > scn.agent_model.v_target * dt + 1e-9:
             raise ModelViolationError(
@@ -339,7 +355,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     log.append(
         StepRecord(
-            tau=sim.tau,
+            tau=tau,
             state=sim.z.copy(),
             applied_input=plan.inputs[0].copy(),
             sense_ms=(t_reach - t_sense) * 1e3,
@@ -363,8 +379,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     )
 
     sim.z = z_next.as_array()
-    sim.tau = tau_next
-    sim.prev_plan = plan
     sim.agent_tracks = new_tracks
 
     # Goal consumption: position-only tolerance, goals in order.
@@ -372,10 +386,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         np.hypot(*(sim.z[:2] - scn.goals[sim.goal_index])) <= GOAL_TOLERANCE
     ):
         sim.goal_index += 1
-    if sim.goal_index >= len(scn.goals):
-        sim.terminal_reason = TERMINAL_GOAL
-    if collided:
-        sim.terminal_reason = TERMINAL_COLLISION
     return sim
 
 
@@ -386,46 +396,27 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     An agent that breaks the agent model (ModelViolationError) or a sensor
     pose inside an obstacle (PoseInObstacleError) also ends the run: the log
     holds the steps completed before it, and Metrics.terminal_reason says
-    which of these ended the run."""
-    _validate_scenario(scenario)
-    z0 = scenario.robot_init.as_array()
-    sim = _SimState(
-        scenario=scenario,
-        z=z0.copy(),
-        tau=0.0,
-        goal_index=0,
-        prev_plan=OpenLoopPlan.stationary(z0, scenario.mpc.N),
-    )
+    which of these ended the run. The scenario was checked when it was built;
+    the loop state is the robot's state, the next goal's index and the agent
+    tracks, and each step's record says whether it collided."""
+    sim = _SimState(scenario, scenario.robot_init.as_array())
     log = TrajectoryLog()
+    reason = None
     try:
-        while sim.terminal_reason is None and len(log) < scenario.max_steps:
+        while reason is None and len(log) < scenario.max_steps:
             sim = step(sim, log)
+            if log.records[-1].collision:
+                reason = TERMINAL_COLLISION
+            elif sim.goal_index == len(scenario.goals):
+                reason = TERMINAL_GOAL
     except ModelViolationError as exc:
         logger.warning("step %d: %s", len(log), exc)
-        sim.terminal_reason = TERMINAL_MODEL_VIOLATION
+        reason = TERMINAL_MODEL_VIOLATION
     except PoseInObstacleError as exc:
         logger.warning("step %d: %s", len(log), exc)
-        sim.terminal_reason = TERMINAL_POSE_IN_OBSTACLE
-    goal_time = sim.tau if sim.goal_index == len(scenario.goals) else None
-    metrics = Metrics(goal_time, sim.goal_index, sim.terminal_reason or TERMINAL_BUDGET)
+        reason = TERMINAL_POSE_IN_OBSTACLE
+    goal_time = log.records[-1].tau + scenario.mpc.dt if sim.goal_index == len(scenario.goals) else None
+    metrics = Metrics(goal_time, sim.goal_index, reason or TERMINAL_BUDGET)
     logger.info("run %s/%s: %s after %d steps, goals=%d/%d", scenario.name, scenario.mode,
                 metrics.terminal_reason, len(log), sim.goal_index, len(scenario.goals))
     return log, metrics
-
-
-def _validate_scenario(scenario: Scenario):
-    if not scenario.world.contains_free(scenario.robot_init.position(), clearance=scenario.mpc.r_robot):
-        raise ValueError("robot initial pose is not in free space with its radius clearance")
-    for idx, agent in enumerate(scenario.agents):
-        if agent.speed > scenario.agent_model.v_target + 1e-9:
-            raise ValueError(
-                f"agent {idx} speed {agent.speed} exceeds the model bound "
-                f"{scenario.agent_model.v_target}"
-            )
-        if agent.initially_hidden and _agent_visible(
-            scenario.world,
-            scenario.robot_init.position(),
-            agent.position(0.0),
-            scenario.lidar.max_range,
-        ):
-            raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")

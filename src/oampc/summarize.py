@@ -16,9 +16,10 @@ times, or `MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
-time (`*_ms`), is not the same to the bit. The comparison names the first
-such step, the largest difference in states, applied inputs and plans (inf
-between plans of different horizons), and the totals of the solver counters.
+time (`*_ms`), is not the same to the bit, and so does a step only the longer
+log has. The comparison names the first such step, the largest difference in
+states, applied inputs and plans (inf between plans of different horizons),
+and the totals of the solver counters.
 """
 
 from __future__ import annotations
@@ -120,13 +121,16 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
             # Plans of different horizons have no elementwise difference.
             gap = float(np.abs(np.subtract(u, v)).max()) if np.shape(u) == np.shape(v) else math.inf
             largest[name] = max(largest[name], gap)
+    if first is None and len(a) != len(b):
+        k = min(len(a), len(b))
+        first = f"first step that differs: {k} (tau {max(a, b, key=len)[k]['tau']!r}): in one log only"
     lines.append(first or "first step that differs: none")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
     for label, name in COUNTERS:
         ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)
         steps = sum(x[name] != y[name] for x, y in zip(a, b))
         lines.append(f"{label}: {ta} against {tb} ({tb - ta:+d}), {steps} steps differ")
-    return lines, first is None and len(a) == len(b)
+    return lines, first is None
 
 
 def read(path) -> list[dict]:

@@ -110,5 +110,4 @@ class TestOpenLoopPlan:
         plan = OpenLoopPlan.stationary(np.array([1.0, 2.0, 0.3]), horizon=4)
         assert plan.horizon == 4
         assert np.array_equal(plan.states, np.tile([1.0, 2.0, 0.3], (5, 1)))
-        assert plan.control(2).v == 0.0
         assert plan.positions().shape == (5, 2)

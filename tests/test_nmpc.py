@@ -784,6 +784,21 @@ class TestMpcParams:
         with pytest.raises(ValueError, match=name):
             MpcParams(**{name: value})
 
+    def test_sequences_are_stored_as_float_tuples(self):
+        # A list or array once went through, and the planner then died at its
+        # first probe: the cache of its input Hessian hashes the params.
+        given = {"q_state": (10, 10.0, 0), "q_input": (1.0, 2.0), "q_input_rate": (1, 1)}
+        given["state_bounds"] = (-1, 10, -3, 6)
+        forms = [given, {k: list(v) for k, v in given.items()}, {k: np.array(v) for k, v in given.items()}]
+        params = [MpcParams(**form) for form in forms]
+        assert params[0] == params[1] == params[2] and len({hash(p) for p in params}) == 1
+        plans = []
+        for p in params:
+            assert all(type(getattr(p, k)) is tuple for k in given)
+            assert all(type(v) is float and v == w for k in given for v, w in zip(getattr(p, k), given[k]))
+            plans.append(solve(make_problem([0.0, 0.0, 0.0], [2.0, 0.5], params=p)).plan.inputs)
+        assert all(np.array_equal(plan, plans[0]) for plan in plans)
+
     def test_rejects_negative_r_robot(self):
         with pytest.raises(ValueError):
             MpcParams(r_robot=-0.1)

@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Write the step log and `Metrics` of every episode of benchmark workloads.
+
+    python3 tools/step_logs.py OUT --seeds 1 2 3
+    python3 tools/step_logs.py OUT --workloads corner-occluded --seeds 1
+
+For each workload and seed, runs the episodes that
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` runs, with T the
+`run_seconds` of BENCHMARK.json: the same scenarios, generated by
+perfbench/workloads.py, one BLAS thread. Episode E is written as
+OUT/W/S/E.jsonl (`TrajectoryLog.write_jsonl`) and OUT/W/S/E.metrics.json.
+The logs of one episode from two checkouts compare with
+
+    python -m oampc.summarize A/W/S/E.jsonl --against B/W/S/E.jsonl
+
+which exits 0 when every plan, state and counter is the same to the bit.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+# perfbench/run.py sets the benchmark's one BLAS thread when imported, so it
+# comes before numpy.
+from run import episodes_for  # noqa: E402
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+from dataclasses import asdict  # noqa: E402
+
+from workloads import GENERATORS, generate  # noqa: E402
+
+from oampc.sim_engine import run  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", type=Path, help="directory to write the logs under")
+    parser.add_argument("--workloads", nargs="+", choices=sorted(GENERATORS), default=sorted(GENERATORS))
+    parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    for workload in args.workloads:
+        for seed in args.seeds:
+            folder = args.out / workload / str(seed)
+            folder.mkdir(parents=True, exist_ok=True)
+            for i, scenario in enumerate(generate(workload, seed, episodes_for(workload, seconds))):
+                log, metrics = run(scenario)
+                log.write_jsonl(folder / f"{i}.jsonl")
+                (folder / f"{i}.metrics.json").write_text(json.dumps(asdict(metrics)) + "\n")
+                print(f"{folder / str(i)}: {len(log)} steps, {metrics.terminal_reason}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
