@@ -77,35 +77,76 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
 
     The rays are split into _SECTORS contiguous runs, and each run is cast
     against only the segments that can meet one of its rays
-    (_sector_segments), all runs in one cast_rays call. Per ray and segment
-    the kernel's arithmetic is elementwise, and a dropped segment is one the
-    ray cannot hit, so ranges and segment indexes are those of one cast
-    against every segment."""
+    (_sector_segments). Per ray and segment the kernel's arithmetic is
+    elementwise, and a dropped segment is one the ray cannot hit, so ranges
+    and segment indexes are those of one cast against every segment.
+
+    One cast_rays call takes sectors of one width, so a sector with fewer
+    segments than the call's width is padded with others. _casts groups the
+    sectors by their segment counts into one call, or two when that saves
+    enough pairs of ray and segment. On a 2-core x86-64 container, timed
+    alternately at the robot states of a seed-1 episode, against one call
+    padded to the widest sector: a pillars-crowd scan (1440 rays, split at
+    60 of 66 states) took 0.71-0.74x the time, and a corner-occluded scan
+    (360 rays, never split) 1.10-1.12x, the grouping's own cost of 18-34
+    us. Split, a corner scan would take a median 86 us more."""
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
     sweep = _sweep(params.num_rays)
     seg_a, seg_b = world.segment_arrays()
     members = _sector_segments(origin, seg_a, seg_b, sweep)
-    # Each sector's segments in map order, then as many of the others as the
-    # largest sector needs. No ray of a sector hits one of the others, so
-    # each ray's nearest hit and its first index among equals are unchanged.
-    order = np.argsort(~members, axis=1, kind="stable")[:, : members.sum(axis=1).max(initial=0)]
-    ranges, local = cast_rays(origin, sweep.grid, seg_a[order], seg_b[order], params.max_range)
-    # A closing column of -1 maps a miss's index -1 to -1.
+    # Each sector's segments in map order, then the others. No ray of a
+    # sector hits one of the others, so each ray's nearest hit and its first
+    # index among equals are unchanged by the padding. A closing column of -1
+    # maps a miss's index -1 to -1.
+    order = np.argsort(~members, axis=1, kind="stable")
     order = np.concatenate([order, np.full((_SECTORS, 1), -1)], axis=1)
-    index = order[sweep.rows, local][sweep.kept]
+    ranges = np.empty(sweep.kept.shape)
+    index = np.empty(sweep.kept.shape, dtype=order.dtype)
+    for rows, width in _casts(members.sum(axis=1), sweep.grid.shape[1]):
+        cast = order[rows, :width]
+        ranges[rows], local = cast_rays(origin, sweep.grid[rows], seg_a[cast], seg_b[cast], params.max_range)
+        index[rows] = order[rows[:, None], local]
     ranges = ranges[sweep.kept]
     points = origin[None, :] + ranges[:, None] * sweep.dirs
-    return Scan(ranges, points, index)
+    return Scan(ranges, points, index[sweep.kept])
+
+
+def _casts(counts: np.ndarray, rays: int) -> list[tuple[np.ndarray, int]]:
+    """The cast_rays calls of a sweep, as (sector rows, width) pairs, from
+    the segment count of each sector and the rays a sector holds.
+
+    One call at the widest count, or two: the sectors with at most some
+    count w at width w, and the rest at the widest. w is the count that
+    saves the most pairs of ray and segment, and the split is taken when it
+    saves at least _SPLIT_PAIRS of them."""
+    widest = int(counts.max(initial=0))
+    ranked = np.sort(counts)
+    # Splitting after the i-th smallest count saves (i + 1)(widest - it)
+    # sector widths; the best i ends a run of equal counts.
+    saved = np.arange(1, len(ranked) + 1) * (widest - ranked)
+    best = int(saved.argmax())
+    if saved[best] * rays < _SPLIT_PAIRS:
+        return [(np.arange(len(counts)), widest)]
+    narrow = counts <= ranked[best]
+    return [(np.flatnonzero(narrow), int(ranked[best])), (np.flatnonzero(~narrow), widest)]
 
 
 # Sectors a sweep is cast in. On a 2-core x86-64 container, against a scan
 # casting every ray at every segment, a pillars-crowd scan (1440 rays, 52
 # segments) took 0.58-0.60x the time with 16 sectors, 0.62x with 12,
-# 0.66-0.68x with 8 and 0.56-0.57x with 24. A corner scan (360 rays, 12
-# segments) is too small to gain: 1.03-1.19x with any of them.
+# 0.66-0.68x with 8 and 0.56-0.57x with 24, each padded to its widest
+# sector. A corner scan (360 rays, 12 segments) is too small to gain:
+# 1.03-1.19x with any of them.
 _SECTORS = 16
+
+# Pairs of ray and segment a second cast_rays call must save. On a 2-core
+# x86-64 container, at the logged poses of four workload episodes, the split
+# lost a median 32 us where it saved 4,000-6,000 pairs (6 poses) and gained
+# 252 us where it saved 6,000-9,000 (17 poses). Positive, so a split always
+# leaves both calls some sectors.
+_SPLIT_PAIRS = 6000
 
 
 class _Sweep(NamedTuple):
@@ -115,7 +156,6 @@ class _Sweep(NamedTuple):
     dirs: np.ndarray  # (n, 2) unit directions
     grid: np.ndarray  # (_SECTORS, w, 2) directions by sector; a short sector repeats its last ray
     kept: np.ndarray  # (_SECTORS, w) slots that are not repeats, in ray order
-    rows: np.ndarray  # (_SECTORS, 1) sector numbers
     lo: np.ndarray  # (_SECTORS, 1) first ray angle of each sector, less the padding
     size: np.ndarray  # (_SECTORS, 1) angle from lo to the last ray, plus the padding
 
@@ -132,8 +172,7 @@ def _sweep(n: int) -> _Sweep:
     # ray kernel's end tolerance.
     pad = 2.0 * (2.0 * np.pi / n)
     first, last = angles[bounds[:-1], None], angles[bounds[1:] - 1, None]
-    rows = np.arange(_SECTORS)[:, None]
-    sweep = _Sweep(angles, dirs, grid, kept, rows, first - pad, last - first + 2.0 * pad)
+    sweep = _Sweep(angles, dirs, grid, kept, first - pad, last - first + 2.0 * pad)
     for array in sweep:
         array.flags.writeable = False
     return sweep

@@ -25,14 +25,16 @@ then the rest in increasing order (the sweep). The loop stops after the first
 phase that leaves a candidate cheaper than standing still. The cheapest
 candidate wins, and the all-stopped plan is the always-feasible floor.
 
-Everything a probe reads of an NlpProblem is one record, NlpProblem.probe,
-built with the problem: the start, goal, previous input, parameters and
-avoidance row table. The probes of one phase do not depend on each other. A
-phase of two or more runs them in a pool of worker processes, forked from this
-one at the first such phase and terminated at exit, and sends each the probe
-record; a phase of one, such as full freedom, runs here, as does the phase
-loop. Results come back in the order they were submitted, so the plans and
-counters are those of running the probes one after another.
+Everything a probe reads of an NlpProblem is one record, a _Probe, which
+solve builds once per call (_probe): the start, goal, previous input,
+parameters and avoidance row table. The problem stores only its inputs, so a
+caller that keeps problems keeps no row tables. The probes of one phase do not
+depend on each other. A phase of two or more runs them in a pool of worker
+processes, forked from this one at the first such phase and terminated at
+exit, and sends each the probe record; a phase of one, such as full freedom,
+runs here, as does the phase loop. Results come back in the order they were
+submitted, so the plans and counters are those of running the probes one
+after another.
 What the probes cost is one _Work record, summed with + over the probes and
 returned as SolveResult.work; a step record takes its fields as they are.
 Each probe's time is taken where it ran and summed into its probe_ms; a
@@ -139,8 +141,8 @@ class MpcParams:
 class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
     previous input, the parameters and the avoidance row table, which lives
-    only here. NlpProblem builds it once; the probes of a step share it in
-    this process and are sent it, not the whole problem, in a worker."""
+    only here. solve builds it once (_probe); the probes of a step share it
+    in this process and are sent it, not the whole problem, in a worker."""
 
     z0: np.ndarray
     goal: np.ndarray
@@ -159,9 +161,9 @@ class NlpProblem:
     step; the solver probes its neighborhood first when the full-freedom
     problem saturates.
 
-    The avoidance rows that can bind while a plan moves are built once here,
-    into the probe record, ordered by horizon step, so a probe with stop
-    index j keeps a prefix of them: the rows of steps 1..min(j, N-1).
+    A problem holds only its inputs: solve builds the probe record from them
+    once per call (_probe), with the avoidance rows that can bind while a
+    plan moves.
     """
 
     z0: np.ndarray  # (3,)
@@ -172,34 +174,39 @@ class NlpProblem:
     warm_start: OpenLoopPlan
     u_prev: np.ndarray = field(default_factory=lambda: np.zeros(2))
     stop_hint: Optional[int] = None
-    probe: _Probe = field(init=False, repr=False)
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float)
         self.goal = np.asarray(self.goal, dtype=float)
         self.u_prev = np.asarray(self.u_prev, dtype=float)
-        params = self.params
-        n = params.N
+        n = self.params.N
         if self.projections.horizon != n:
             raise ValueError(f"projection horizon {self.projections.horizon} != N {n}")
         if self.warm_start.horizon != n:
             raise ValueError("warm start horizon mismatch")
 
-        anchors, margins = _avoidance_rows(self.projections, self.static_circles, params)
-        diff = anchors - self.z0[:2]
-        gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
-        steps = np.arange(1, n + 1)[:, None]
-        reach = params.dt * max(abs(params.v_min), abs(params.v_max))
-        # Rows bind only while the plan moves, at most through step N-1. A
-        # row can only be active if its anchor is within the robot's step-k
-        # travel radius plus the margin; farther rows are dropped exactly.
-        keep = (steps < n) & (gap <= steps * reach + 1e-6 + margins)
-        # Planner-only relaxation: a row the robot already starts inside (from
-        # anchor drift between re-projections) demands no more than the
-        # current standoff, so the state can still rotate in place and
-        # escape. check_feasibility audits the strict margin.
-        rows = (np.nonzero(keep)[0] + 1, anchors[keep], np.minimum(margins, gap)[keep])
-        self.probe = _Probe(self.z0, self.goal, self.u_prev, params, *rows)
+
+def _probe(problem: NlpProblem) -> _Probe:
+    """The probe record of a problem. Its avoidance rows are those that can
+    bind while a plan moves, ordered by horizon step, so a probe with stop
+    index j keeps a prefix of them: the rows of steps 1..min(j, N-1)."""
+    params = problem.params
+    n = params.N
+    anchors, margins = _avoidance_rows(problem.projections, problem.static_circles, params)
+    diff = anchors - problem.z0[:2]
+    gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
+    steps = np.arange(1, n + 1)[:, None]
+    reach = params.dt * max(abs(params.v_min), abs(params.v_max))
+    # Rows bind only while the plan moves, at most through step N-1. A
+    # row can only be active if its anchor is within the robot's step-k
+    # travel radius plus the margin; farther rows are dropped exactly.
+    keep = (steps < n) & (gap <= steps * reach + 1e-6 + margins)
+    # Planner-only relaxation: a row the robot already starts inside (from
+    # anchor drift between re-projections) demands no more than the
+    # current standoff, so the state can still rotate in place and
+    # escape. check_feasibility audits the strict margin.
+    rows = (np.nonzero(keep)[0] + 1, anchors[keep], np.minimum(margins, gap)[keep])
+    return _Probe(problem.z0, problem.goal, problem.u_prev, params, *rows)
 
 
 class _Work(NamedTuple):
@@ -390,7 +397,7 @@ def solve(problem: NlpProblem) -> SolveResult:
     u_ws = np.clip(problem.warm_start.inputs, lo, hi)
     u_ws[n - 1] = 0.0
 
-    data = problem.probe
+    data = _probe(problem)
     stationary = _aligned_stationary_plan(data)
     stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oampc import lidar_sim
 from oampc.geometry import cast_rays
 from oampc.lidar_sim import (
     LidarParams,
@@ -128,25 +129,89 @@ def workload_poses(world, seed, count):
 
 class TestSectorScan:
     """scan casts each sector of its sweep against only the segments that can
-    meet its rays; ranges and segment indexes are those of one cast against
-    every segment."""
+    meet its rays, in one cast_rays call padded to the widest sector or in two
+    grouped by width; either way ranges and segment indexes are those of one
+    cast against every segment."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The cast_rays calls of scan, counted by a spy."""
+        made = []
+
+        def spy(*args):
+            made.append(args[1].shape[0])  # sectors cast in the call
+            return cast_rays(*args)
+
+        monkeypatch.setattr(lidar_sim, "cast_rays", spy)
+        return made
+
+    @staticmethod
+    def _layouts(world, pose, params, counts, calls, monkeypatch):
+        """Scan the pose split wherever that saves a pair (_SPLIT_PAIRS 1),
+        then in one padded call, asserting the calls each made, from the
+        sectors' segment counts; returns the two scans."""
+        scans = []
+        for split_pairs, want in ((1, 1 + (counts.min() < counts.max())), (math.inf, 1)):
+            monkeypatch.setattr(lidar_sim, "_SPLIT_PAIRS", split_pairs)
+            calls.clear()
+            scans.append(scan(world, pose, params))
+            assert len(calls) == want and sum(calls) == lidar_sim._SECTORS
+        return scans
 
     @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
     @pytest.mark.parametrize("num_rays", [1440, 1001, 99, 13])
-    def test_matches_dense_cast(self, workload, num_rays):
+    def test_matches_dense_cast(self, workload, num_rays, calls, monkeypatch):
         scn = generate(workload, 1, 1)[0]
         world = scn.world
         params = LidarParams(num_rays=num_rays, max_range=scn.lidar.max_range)
         seg_a, seg_b = world.segment_arrays()
-        dropped = 0
+        dropped = splits = 0
         for pose in workload_poses(world, num_rays, 10):
-            s = scan(world, pose, params)
+            counts = _sector_segments(pose.position(), seg_a, seg_b, _sweep(num_rays)).sum(axis=1)
             ranges, index = dense_cast(world, pose, params)
-            assert np.array_equal(s.ranges, ranges)
-            assert np.array_equal(s.segment_index, index)
-            dropped += np.count_nonzero(~_sector_segments(pose.position(), seg_a, seg_b, _sweep(num_rays)))
-        # The sectors do leave segments out.
-        assert dropped > 0
+            for s in self._layouts(world, pose, params, counts, calls, monkeypatch):
+                assert np.array_equal(s.ranges, ranges)
+                assert np.array_equal(s.segment_index, index)
+            dropped += np.count_nonzero(counts < len(seg_a))
+            splits += counts.min() < counts.max()
+        # The sectors do leave segments out, and the split cast ran.
+        assert dropped > 0 and splits > 0
+
+    def test_workload_sweeps_take_their_layouts(self, calls):
+        # At the default _SPLIT_PAIRS, pillars-crowd's 1440-ray sweep is split
+        # at most poses, and a corner's 360-ray sweep is cast in one call.
+        for workload, split in (("pillars-crowd", True), ("corner-occluded", False)):
+            scn = generate(workload, 1, 1)[0]
+            made = []
+            for pose in workload_poses(scn.world, 1, 10):
+                calls.clear()
+                scan(scn.world, pose, scn.lidar)
+                made.append(len(calls))
+            assert set(made) <= {1, 2}
+            assert (made.count(2) > len(made) / 2) if split else made.count(2) == 0
+
+    def test_one_crowded_sector_is_split_off(self, calls, monkeypatch):
+        # A 40-gon 3 m out puts its 40 edges in one or two sectors, which hold
+        # at least 3x the segments of any other: a wall or two of the room.
+        ring = 2.0 * np.pi * np.arange(40) / 40
+        gon = np.array([3.0, 0.5]) + 0.3 * np.stack([np.cos(ring), np.sin(ring)], axis=1)
+        world = WorldMap(boundary=rectangle(-4, -4, 4, 4), obstacles=[gon])
+        seg_a, seg_b = world.segment_arrays()
+        rng = np.random.default_rng(3)
+        poses = [RobotState(*rng.uniform(-1.0, 1.0, 2), 0.0) for _ in range(5)]
+        cases = [(LidarParams(num_rays=n, max_range=10.0), pose) for n in (1440, 360) for pose in poses]
+        scans = []
+        for params, pose in cases:
+            counts = _sector_segments(pose.position(), seg_a, seg_b, _sweep(params.num_rays)).sum(axis=1)
+            assert np.sort(counts)[-1] >= 3 * np.sort(counts)[-3]
+            calls.clear()
+            scans.append((counts, scan(world, pose, params)))
+            assert len(calls) == 2  # at the default _SPLIT_PAIRS
+        for (params, pose), (counts, default) in zip(cases, scans):
+            ranges, index = dense_cast(world, pose, params)
+            for s in [default] + self._layouts(world, pose, params, counts, calls, monkeypatch):
+                assert np.array_equal(s.ranges, ranges)
+                assert np.array_equal(s.segment_index, index)
 
 
 def _analytic_range(d, half=4.0, box=(1.0, -0.5, 2.0, 0.5)):

@@ -18,6 +18,7 @@ from oampc.nmpc import (
     MpcParams,
     NlpProblem,
     _NlpEvaluator,
+    _probe,
     check_feasibility,
     fallback_plan,
     solve,
@@ -137,7 +138,7 @@ class TestGradients:
             problem = make_problem(rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 2), params,
                                    u_prev=rng.uniform(-1, 1, 2))
             for j in range(1, params.N):
-                ev = _NlpEvaluator(problem.probe, stop_index=j)
+                ev = _NlpEvaluator(_probe(problem), stop_index=j)
                 x = rng.uniform([params.v_min, params.delta_min] * j, [params.v_max, params.delta_max] * j)
                 res = ev(x)
                 h = 1e-6
@@ -160,7 +161,7 @@ class TestGradients:
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], circles=circles)
         for _ in range(20):
             for j in range(1, params.N):
-                ev = _NlpEvaluator(problem.probe, stop_index=j)
+                ev = _NlpEvaluator(_probe(problem), stop_index=j)
                 x = rng.uniform(-0.5, 1.5, 2 * j)
                 res = ev(x)
                 if len(res.c) == 0:
@@ -201,7 +202,7 @@ class TestSingleShootingModel:
             )
             problem = make_problem([0, 0, 0], [1, 0], params)
             for j in range(1, params.N):
-                got = _NlpEvaluator(problem.probe, j)._hess_input
+                got = _NlpEvaluator(_probe(problem), j)._hess_input
                 want = input_hessian_loop(params, j)
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -231,7 +232,7 @@ class TestSingleShootingModel:
         fam = build_capsules(seg, AgentModel(0.5), params.dt, params.N)
         problem = make_problem([0, 0, 0.3], [3, 1], params, families=[fam], u_prev=np.array([0.4, -0.2]))
         for j in range(1, params.N):
-            ev = _NlpEvaluator(problem.probe, j)
+            ev = _NlpEvaluator(_probe(problem), j)
             for _ in range(5):
                 x = rng.uniform(np.tile([-0.5, -2.0], j), np.tile([2.0, 2.0], j))
                 u = ev.full_inputs(x)
@@ -350,8 +351,9 @@ class TestSolve:
         circles = [(0.35 * math.cos(a), 0.35 * math.sin(a), 0.1) for a in ring]
         problem = make_problem([0, 0, math.pi], [5, 0], circles=circles)
         params = problem.params
-        (cost_held, held, _), _ = oampc.nmpc._run_probe(problem.probe, params.N - 1, np.zeros((params.N, 2)))
-        turning = oampc.nmpc._aligned_stationary_plan(problem.probe)
+        probe = _probe(problem)
+        (cost_held, held, _), _ = oampc.nmpc._run_probe(probe, params.N - 1, np.zeros((params.N, 2)))
+        turning = oampc.nmpc._aligned_stationary_plan(probe)
         cost_turning = total_cost(turning, problem.goal, params)
         assert np.abs(np.diff(held.states[:, :2], axis=0)).max() <= 1e-4
         assert cost_held < cost_turning
@@ -639,6 +641,13 @@ class TestAvoidanceRows:
             want = avoidance_margins_loop(states, projections, circles, params)
             assert np.array_equal(report.avoidance_margin, want)
 
+    def test_problem_holds_only_its_inputs(self):
+        # The row table is built by solve, per call, so a caller that keeps
+        # problems keeps none.
+        families = [build_disks(np.array([1.0, 0.0, 0.1]), AgentModel(0.5), 0.1, 10)]
+        problem = make_problem([0, 0, 0], [3, 0], families=families, circles=[(0.0, 1.0, 0.2)])
+        assert set(vars(problem)) == {f.name for f in fields(NlpProblem) if f.init}
+
     def test_planner_rows_match_cull_then_relax_oracle(self):
         params = MpcParams()  # no track limits, so c holds the avoidance rows only
         seg = np.array([[1.2, -0.5], [1.2, 0.5]])
@@ -658,7 +667,7 @@ class TestAvoidanceRows:
         lo, hi = params.input_box
         rng = np.random.default_rng(5)
         for j in (1, 4, params.N - 1):
-            ev = _NlpEvaluator(problem.probe, stop_index=j)
+            ev = _NlpEvaluator(_probe(problem), stop_index=j)
             for _ in range(5):
                 x = rng.uniform(np.tile(lo, j), np.tile(hi, j))
                 states = rollout(problem.z0, ev.full_inputs(x), params.dt)
