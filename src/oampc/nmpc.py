@@ -19,26 +19,10 @@ turn and escape; the auditor keeps the strict margin.
 Avoidance is subject to the stop-speed complementarity semantics: a step may
 sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
-one loop over three search phases, each a list of stop indexes to probe: full
-freedom, [N-1]; the previous step's index and its two neighbours (the hint);
-then the rest in increasing order (the sweep). The loop stops after the first
-phase that leaves a candidate cheaper than standing still. The cheapest
-candidate wins, and the all-stopped plan is the always-feasible floor.
-
-Everything a probe reads of an NlpProblem is one record, a _Probe, which
-solve builds once per call (_probe): the start, goal, previous input,
-parameters and avoidance row table. The problem stores only its inputs, so a
-caller that keeps problems keeps no row tables. The probes of one phase do not
-depend on each other. A phase of two or more runs them in a pool of worker
-processes, forked from this one at the first such phase and terminated at
-exit, and sends each the probe record; a phase of one, such as full freedom,
-runs here, as does the phase loop. Results come back in the order they were
-submitted, so the plans and counters are those of running the probes one
-after another.
-What the probes cost is one _Work record, summed with + over the probes and
-returned as SolveResult.work; a step record takes its fields as they are.
-Each probe's time is taken where it ran and summed into its probe_ms; a
-tracer that wraps functions in this process sees only the probes run here.
+a search over the phases of SEARCH_PHASES (solve); the all-stopped plan is the
+always-feasible floor. Each stop index is one probe of up to three SQPs
+(_try_stop_index). What the probes cost is one _Work record, summed with +
+and returned as SolveResult.work; a step record takes its fields as they are.
 """
 
 from __future__ import annotations
@@ -62,6 +46,7 @@ from .unicycle import rollout, rollout_sensitivities
 __all__ = [
     "MpcParams",
     "NlpProblem",
+    "SEARCH_PHASES",
     "SolveResult",
     "FeasibilityReport",
     "total_cost",
@@ -71,6 +56,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger("oampc.nmpc")
+
+# The stop-index search phases, in the order solve runs them.
+SEARCH_PHASES = ("full", "hint", "sweep")
 
 
 @dataclass(frozen=True)
@@ -231,7 +219,7 @@ class SolveResult:
     objective: float
     work: _Work  # summed over the probes run for this step
     stop_index: int  # steps with motion allowed; N-1 means full freedom
-    search: str  # the last phase run: "full", "hint" or "sweep"
+    search: str  # the last phase run, one of SEARCH_PHASES
 
 
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
@@ -395,7 +383,6 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     lo, hi = params.input_box
     u_ws = np.clip(problem.warm_start.inputs, lo, hi)
-    u_ws[n - 1] = 0.0
 
     data = _probe(problem)
     stationary = _aligned_stationary_plan(data)
@@ -412,7 +399,7 @@ def solve(problem: NlpProblem) -> SolveResult:
     # nothing.
     hint = problem.stop_hint
     near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
-    phases = (("full", [n - 1]), ("hint", near), ("sweep", [j for j in range(1, n - 1) if j not in near]))
+    phases = zip(SEARCH_PHASES, ([n - 1], near, [j for j in range(1, n - 1) if j not in near]))
     candidates: list[tuple[float, OpenLoopPlan, int]] = []
     work = _Work()
     probe = partial(_try_stop_index, data, u_ws, floor)
@@ -431,8 +418,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         logger.debug("solve infeasible: initial state violates track limits")
         return SolveResult(STATUS_INFEASIBLE, problem.warm_start, math.inf, work, stop_index=0, search=search)
 
-    candidates.sort(key=lambda item: (item[0], -item[2]))
-    cost, plan, j = candidates[0]
+    cost, plan, j = min(candidates, key=lambda item: (item[0], -item[2]))
     translation = float(np.abs(np.diff(plan.states[:, :2], axis=0)).max())
     if stationary_ok and translation <= 1e-4 and np.abs(stationary.inputs[:, 1]).max() > 1e-9:
         # Parked without moving anywhere: hold position but keep turning
@@ -445,67 +431,61 @@ def solve(problem: NlpProblem) -> SolveResult:
     return SolveResult(STATUS_OPTIMAL, plan, cost, work, stop_index=j, search=search)
 
 
-def _run_probe(problem: _Probe, j: int, u_init: np.ndarray) -> tuple[Optional[tuple], _Work]:
-    """One SQP probe at stop index j from u_init (N, 2).
-
-    Returns the candidate (cost, plan, j), or None when the SQP ends
-    infeasible, and the probe's work, its time taken where it ran."""
+def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
+    """Probe stop index j: one SQP from the first j inputs of the warm start
+    u_ws, then, while no candidate gets below floor and that start is at
+    rest, one from each of two escape seeds, all on one evaluator. A
+    candidate (cost, plan, j) replaces the one kept only when strictly
+    cheaper. Returns the cheapest candidate, or None when no SQP ends
+    optimal, and the summed work of the SQPs, each timed where it ran. A
+    module-level function, so a worker process can run it."""
     t0 = time.perf_counter()
     params = problem.params
     lo, hi = params.input_box
     evaluator = _NlpEvaluator(problem, j)
-    res = solve_sqp(evaluator, u_init[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
-    cand = None
-    if res.status == STATUS_OPTIMAL:
-        u = evaluator.full_inputs(res.x)
-        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
-    ms = (time.perf_counter() - t0) * 1e3
-    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(cand is None), ms)
-
-
-def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
-    """Probe stop index j from the warm start u_ws with its inputs from j on
-    zeroed, then, while no candidate gets below floor and that start is at
-    rest, re-probe from two escape seeds. Returns the cheapest candidate or
-    None, and the summed work of its up to 3 SQPs. A module-level function,
-    so a worker process can run it."""
-    u_init = u_ws.copy()
-    u_init[j:] = 0.0
-    starts = [u_init]
-    if np.abs(u_init[:j, 0]).max(initial=0.0) < 0.1:
+    lb, ub = np.tile(lo, j), np.tile(hi, j)
+    starts = [u_ws[:j]]
+    if np.abs(u_ws[:j, 0]).max(initial=0.0) < 0.1:
         # At zero speed the heading-rate-to-position coupling vanishes, so
         # the linear model cannot see that turning first pays off. Re-probe
         # from a small forward-speed seed, then from an explicit
         # rotate-then-drive seed.
-        nudged = u_init.copy()
-        nudged[:j, 0] = min(0.3, problem.params.v_max)
+        nudged = u_ws[:j].copy()
+        nudged[:, 0] = min(0.3, params.v_max)
         seed = _rotate_then_drive_seed(problem, j)
         starts += [nudged] if seed is None else [nudged, seed]
     cand, work = None, _Work()
     for start in starts:
-        new, cost = _run_probe(problem, j, start)
-        work = work + cost
-        if new is not None and (cand is None or new[0] < cand[0]):
-            cand = new
+        res = solve_sqp(evaluator, start.reshape(-1), lb, ub, feas_tol=params.feas_tol)
+        optimal = res.status == STATUS_OPTIMAL
+        if optimal and (cand is None or res.objective < cand[0]):
+            u = evaluator.full_inputs(res.x)
+            cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
+        t1 = time.perf_counter()
+        work = work + _Work(
+            res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(not optimal), (t1 - t0) * 1e3
+        )
+        t0 = t1
         if cand is not None and cand[0] < floor:
             break
     return cand, work
 
 
 def _rotate_then_drive_seed(problem: _Probe, j: int) -> Optional[np.ndarray]:
-    """Turn toward the goal bearing first, then roll forward: the escape
-    pattern a wedged heading needs, encoded explicitly because the
-    linearization cannot discover it from rest."""
+    """The first j inputs (j, 2) that turn toward the goal bearing first,
+    then roll forward: the escape pattern a wedged heading needs, encoded
+    explicitly because the linearization cannot discover it from rest. None
+    when the heading rate is bounded to zero on that side."""
     params = problem.params
     err = _goal_bearing_error(problem)
     rate = params.delta_max if err >= 0 else params.delta_min
     if abs(rate) < 1e-9:
         return None
     turn_steps = min(j - 1, int(math.ceil(abs(err / (rate * params.dt))))) if j > 1 else 0
-    seed = np.zeros((params.N, 2))
+    seed = np.zeros((j, 2))
     if turn_steps > 0:
         seed[:turn_steps, 1] = np.clip(err / (turn_steps * params.dt), params.delta_min, params.delta_max)
-    seed[turn_steps:j, 0] = min(0.4, params.v_max)
+    seed[turn_steps:, 0] = min(0.4, params.v_max)
     return seed
 
 
@@ -516,7 +496,9 @@ _pool = None
 
 def _map(fn, js: list[int], n: int) -> list:
     """[fn(j) for j in js], in order: in the worker pool when there are two or
-    more, else here. The first such call starts the pool (_start_pool)."""
+    more, else here. The first such call starts the pool (_start_pool). A
+    tracer that wraps functions in this process sees only the probes run
+    here."""
     global _pool
     if len(js) > 1 and _pool is None:
         _pool = _start_pool(n)

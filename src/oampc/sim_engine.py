@@ -109,12 +109,13 @@ class Scenario:
     """Declarative world plus planner configuration for one run, frozen and
     checked when built (with_overrides builds anew): goals, a start pose with
     the robot's radius of free space, agents within the agent model's speed
-    and hidden agents out of sight of the start pose."""
+    and hidden agents out of sight of the start pose. The goals are kept as a
+    tuple of read-only copies, so the checked goals are the ones run."""
 
     name: str
     world: WorldMap
     robot_init: RobotState
-    goals: list[np.ndarray]
+    goals: Sequence[np.ndarray]  # kept as a tuple of read-only float copies
     agents: list[AgentScript] = field(default_factory=list)
     lidar: LidarParams = field(default_factory=LidarParams)
     mpc: MpcParams = field(default_factory=MpcParams)
@@ -123,7 +124,9 @@ class Scenario:
     max_steps: int = 400
 
     def __post_init__(self):
-        object.__setattr__(self, "goals", [np.asarray(g, dtype=float) for g in self.goals])
+        object.__setattr__(self, "goals", tuple(np.array(g, dtype=float) for g in self.goals))
+        for g in self.goals:
+            g.flags.writeable = False
         if self.mode not in (MODE_BASELINE, MODE_OCCLUSION_AWARE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if not self.goals:
@@ -168,7 +171,7 @@ class StepRecord:
     probes: int  # SQP solves, re-probes included
     infeasible_probes: int  # probes whose SQP ended infeasible
     probe_ms: float  # the probes' own times, each taken in the process that ran it
-    search: str  # the last stop-index search phase run: "full", "hint" or "sweep"
+    search: str  # the last stop-index search phase run, one of nmpc.SEARCH_PHASES
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from .nmpc import MpcParams
+from .nmpc import SEARCH_PHASES, MpcParams
 from .sim_engine import STEP_LAYERS
 
 
@@ -44,7 +44,6 @@ COUNTERS = (
     ("penalty rungs", "penalty_rungs"),
     ("interior-point iterations", "qp_iterations"),
 )
-SEARCH_PHASES = ("full", "hint", "sweep")
 SLOWEST = 5  # slowest steps listed
 CLEARANCES = ("occlusion", "agent", "static")  # StepRecord's *_clearance fields
 

@@ -25,7 +25,7 @@ from oampc.nmpc import (
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
-from oampc.solver import STATUS_INFEASIBLE
+from oampc.solver import STATUS_INFEASIBLE, solve_sqp
 from oampc.summarize import main as summarize_main
 from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
@@ -352,10 +352,16 @@ class TestSolve:
         problem = make_problem([0, 0, math.pi], [5, 0], circles=circles)
         params = problem.params
         probe = _probe(problem)
-        (cost_held, held, _), _ = oampc.nmpc._run_probe(probe, params.N - 1, np.zeros((params.N, 2)))
+        j = params.N - 1  # the full-freedom probe from rest
+        evaluator = _NlpEvaluator(probe, j)
+        lo, hi = params.input_box
+        held = solve_sqp(evaluator, np.zeros(2 * j), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
+        cost_held = held.objective
         turning = oampc.nmpc._aligned_stationary_plan(probe)
         cost_turning = total_cost(turning, problem.goal, params)
-        assert np.abs(np.diff(held.states[:, :2], axis=0)).max() <= 1e-4
+        assert held.status == "optimal"
+        held_states = rollout(probe.z0, evaluator.full_inputs(held.x), params.dt)
+        assert np.abs(np.diff(held_states[:, :2], axis=0)).max() <= 1e-4
         assert cost_held < cost_turning
         res = solve(problem)
         assert (res.status, res.search, res.stop_index) == ("optimal", "full", 0)
@@ -543,6 +549,46 @@ class TestParallelProbes:
         code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
         assert code == 0 and err == ""
         assert out == ["full", "1", "False"]
+
+
+class TestStopIndexProbe:
+    def test_one_evaluator_per_stop_index(self, corner_fast_pooled, monkeypatch):
+        # Every SQP start of a stop index, re-probes included, runs on the one
+        # evaluator its probe built. Corner-fast's recorded steps re-probe.
+        _, _, solves = corner_fast_pooled
+        built, per_probe, sqp_evaluators = [], [], []
+        init, probe, sqp = _NlpEvaluator.__init__, oampc.nmpc._try_stop_index, oampc.nmpc.solve_sqp
+
+        def counted_init(evaluator, *args):
+            built.append(evaluator)
+            init(evaluator, *args)
+
+        def counted_probe(*args):
+            before = len(built)
+            result = probe(*args)
+            per_probe.append(len(built) - before)
+            return result
+
+        def counted_sqp(evaluator, *args, **kwargs):
+            sqp_evaluators.append(evaluator)
+            return sqp(evaluator, *args, **kwargs)
+
+        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
+        monkeypatch.setattr(_NlpEvaluator, "__init__", counted_init)
+        monkeypatch.setattr(oampc.nmpc, "_try_stop_index", counted_probe)
+        monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
+        for problem, _ in solves:
+            solve(problem)
+        assert per_probe and set(per_probe) == {1}
+        assert len({id(e) for e in sqp_evaluators}) == len(built) < len(sqp_evaluators)
+
+    def test_rotate_then_drive_seed_has_a_row_per_free_input(self):
+        problem = make_problem([0, 0, math.pi / 2], [3, 0])
+        probe, n = _probe(problem), problem.params.N
+        for j in range(1, n):
+            seed = oampc.nmpc._rotate_then_drive_seed(probe, j)
+            assert seed.shape == (j, 2)
+            assert seed[-1, 0] > 0 and np.all(seed[:, 1] <= 0)  # turns right, then drives
 
 
 class TestSearchOrder:

@@ -297,6 +297,20 @@ class TestScenarioChecks:
         with pytest.raises(ValueError, match=message):
             corner_scenario().with_overrides(**bad)
 
+    def test_goals_are_not_changed_in_place(self):
+        # A goal changed after the checks ran would go unchecked: the goals
+        # are read-only copies in a tuple.
+        goal = np.array([8.0, 0.0])
+        scenario = corner_scenario().with_overrides(goals=[goal])
+        goal[0] = math.nan
+        assert scenario.goals[0].tolist() == [8.0, 0.0]
+        with pytest.raises(AttributeError):
+            scenario.goals.append(np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError):
+            scenario.goals[0][0] = math.nan
+        with pytest.raises(ValueError):
+            scenario.with_overrides(goals=[*scenario.goals, np.array([math.nan, 0.0])])
+
     def test_fields_are_not_reassigned(self):
         # A field set after the checks ran would go unchecked.
         scenario = corner_scenario()
@@ -304,7 +318,7 @@ class TestScenarioChecks:
             scenario.robot_init = RobotState(3.0, 2.9, 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="the track limits bound the robot's centre, not its disk (ROADMAP open items)")
+@pytest.mark.xfail(strict=True, reason="the track limits bound the robot's centre, not its disk (ROADMAP item 10)")
 @pytest.mark.parametrize("bounds", [(-1, 3, -1, 1), None])
 def test_robot_disk_stays_off_the_outer_wall(bounds):
     # downsample drops the scan's hits on the map boundary, relying on the

@@ -457,7 +457,7 @@ class TestSqp:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="large-penalty elastic QPs read as an active slack stop the SQP at its start (ROADMAP item 7)",
+        reason="large-penalty elastic QPs read as an active slack stop the SQP at its start (ROADMAP item 6)",
     )
     def test_keep_in_disk_reaches_the_optimum(self):
         # Stay inside the unit disk and get close to (3, 2), from (0.6, -0.8)
