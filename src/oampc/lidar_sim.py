@@ -5,7 +5,9 @@ boundaries from range discontinuities between consecutive rays, and thins
 obstacle hit points into coverage circles for static avoidance.
 
 A Scan holds per-ray ranges, points and hit segment indexes; a ray hit
-exactly where its segment index is not -1, and its angle is _sweep's.
+exactly where its segment index is not -1, and its angle is _sweep's. A sweep
+is cast in one cast_rays call over (ray, segment) pairs: each segment is
+paired with the rays near its bearing arc, and each ray keeps its nearest hit.
 
 Both results are arrays: detect_occlusions gives a (B, 2, 2) array of
 [near, far] boundary ends in ray order, and downsample an (M, 3) array of
@@ -65,7 +67,9 @@ class LidarParams:
 class Scan:
     """One sweep, ray i at angle _sweep(n).angles[i]: ranges clamped to
     max_range, and per-ray points (true hits, or the max-range point on the
-    ray for misses so open space still reads as potentially occupied)."""
+    ray for misses so open space still reads as potentially occupied). The
+    values are those of a cast of every ray at every segment, the lowest
+    segment index among equal nearest hits."""
 
     ranges: np.ndarray  # (n,)
     points: np.ndarray  # (n, 2)
@@ -75,129 +79,75 @@ class Scan:
 def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     """Cast num_rays rays from the pose against the world's segments.
 
-    The rays are split into _SECTORS contiguous runs, and each run is cast
-    against only the segments that can meet one of its rays
-    (_sector_segments). Per ray and segment the kernel's arithmetic is
-    elementwise, and a dropped segment is one the ray cannot hit, so ranges
-    and segment indexes are those of one cast against every segment.
-
-    One cast_rays call takes sectors of one width, so a sector with fewer
-    segments than the call's width is padded with others. _casts groups the
-    sectors by their segment counts into one call, or two when that saves
-    enough pairs of ray and segment. On a 2-core x86-64 container, timed
-    alternately at the robot states of a seed-1 episode, against one call
-    padded to the widest sector: a pillars-crowd scan (1440 rays, split at
-    60 of 66 states) took 0.71-0.74x the time, and a corner-occluded scan
-    (360 rays, never split) 1.10-1.12x, the grouping's own cost of 18-34
-    us. Split, a corner scan would take a median 86 us more."""
+    One cast_rays call casts each ray at only the segments it can meet, the
+    pairs of _ray_segment_pairs. A ray's range is the least of its pairs',
+    and its segment index the least among its hits at that range. Per pair
+    the kernel's arithmetic is elementwise, an unpaired segment is one the
+    ray cannot hit, and argmin too takes the least index among equals, so
+    ranges and indexes are those of a dense cast, bit for bit."""
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
     sweep = _sweep(params.num_rays)
     seg_a, seg_b = world.segment_arrays()
-    members = _sector_segments(origin, seg_a, seg_b, sweep)
-    # Each sector's segments in map order, then the others. No ray of a
-    # sector hits one of the others, so each ray's nearest hit and its first
-    # index among equals are unchanged by the padding. A closing column of -1
-    # maps a miss's index -1 to -1.
-    order = np.argsort(~members, axis=1, kind="stable")
-    order = np.concatenate([order, np.full((_SECTORS, 1), -1)], axis=1)
-    ranges = np.empty(sweep.kept.shape)
-    index = np.empty(sweep.kept.shape, dtype=order.dtype)
-    for rows, width in _casts(members.sum(axis=1), sweep.grid.shape[1]):
-        cast = order[rows, :width]
-        ranges[rows], local = cast_rays(origin, sweep.grid[rows], seg_a[cast], seg_b[cast], params.max_range)
-        index[rows] = order[rows[:, None], local]
-    ranges = ranges[sweep.kept]
+    rays, segs = _ray_segment_pairs(origin, seg_a, seg_b, params.num_rays)
+    # np.take gathers rows about 8x faster than fancy indexing here.
+    dirs, a, b = (np.take(x, i, axis=0)[:, None] for x, i in ((sweep.dirs, rays), (seg_a, segs), (seg_b, segs)))
+    reach, local = cast_rays(origin, dirs, a, b, params.max_range)
+    reach, hit = reach[:, 0], local[:, 0] >= 0
+    ranges = np.full(params.num_rays, float(params.max_range))
+    np.minimum.at(ranges, rays, reach)
+    # A ray's nearest hits are those at its range; index len(seg_a) marks none.
+    nearest = hit & (reach == ranges[rays])
+    index = np.full(params.num_rays, len(seg_a))
+    np.minimum.at(index, rays[nearest], segs[nearest])
+    index[index == len(seg_a)] = -1
     points = origin[None, :] + ranges[:, None] * sweep.dirs
-    return Scan(ranges, points, index[sweep.kept])
-
-
-def _casts(counts: np.ndarray, rays: int) -> list[tuple[np.ndarray, int]]:
-    """The cast_rays calls of a sweep, as (sector rows, width) pairs, from
-    the segment count of each sector and the rays a sector holds.
-
-    One call at the widest count, or two: the sectors with at most some
-    count w at width w, and the rest at the widest. w is the count that
-    saves the most pairs of ray and segment, and the split is taken when it
-    saves at least _SPLIT_PAIRS of them."""
-    widest = int(counts.max(initial=0))
-    ranked = np.sort(counts)
-    # Splitting after the i-th smallest count saves (i + 1)(widest - it)
-    # sector widths; the best i ends a run of equal counts.
-    saved = np.arange(1, len(ranked) + 1) * (widest - ranked)
-    best = int(saved.argmax())
-    if saved[best] * rays < _SPLIT_PAIRS:
-        return [(np.arange(len(counts)), widest)]
-    narrow = counts <= ranked[best]
-    return [(np.flatnonzero(narrow), int(ranked[best])), (np.flatnonzero(~narrow), widest)]
-
-
-# Sectors a sweep is cast in. On a 2-core x86-64 container, against a scan
-# casting every ray at every segment, a pillars-crowd scan (1440 rays, 52
-# segments) took 0.58-0.60x the time with 16 sectors, 0.62x with 12,
-# 0.66-0.68x with 8 and 0.56-0.57x with 24, each padded to its widest
-# sector. A corner scan (360 rays, 12 segments) is too small to gain:
-# 1.03-1.19x with any of them.
-_SECTORS = 16
-
-# Pairs of ray and segment a second cast_rays call must save. On a 2-core
-# x86-64 container, at the logged poses of four workload episodes, the split
-# lost a median 32 us where it saved 4,000-6,000 pairs (6 poses) and gained
-# 252 us where it saved 6,000-9,000 (17 poses). Positive, so a split always
-# leaves both calls some sectors.
-_SPLIT_PAIRS = 6000
+    return Scan(ranges, points, index)
 
 
 class _Sweep(NamedTuple):
-    """The fixed layout of an n-ray sweep cast in _SECTORS sectors."""
+    """The fixed rays of an n-ray sweep."""
 
     angles: np.ndarray  # (n,) strictly increasing over [0, 2pi)
     dirs: np.ndarray  # (n, 2) unit directions
-    grid: np.ndarray  # (_SECTORS, w, 2) directions by sector; a short sector repeats its last ray
-    kept: np.ndarray  # (_SECTORS, w) slots that are not repeats, in ray order
-    lo: np.ndarray  # (_SECTORS, 1) first ray angle of each sector, less the padding
-    size: np.ndarray  # (_SECTORS, 1) angle from lo to the last ray, plus the padding
 
 
 @lru_cache(maxsize=8)
 def _sweep(n: int) -> _Sweep:
     angles = 2.0 * np.pi * np.arange(n) / n
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    bounds = np.arange(_SECTORS + 1) * n // _SECTORS
-    cols = np.arange(np.diff(bounds).max())
-    grid = dirs[np.minimum(bounds[:-1, None] + cols, bounds[1:, None] - 1)]
-    kept = bounds[:-1, None] + cols < bounds[1:, None]
-    # Two ray spacings on each side of a sector, against rounding and the
-    # ray kernel's end tolerance.
-    pad = 2.0 * (2.0 * np.pi / n)
-    first, last = angles[bounds[:-1], None], angles[bounds[1:] - 1, None]
-    sweep = _Sweep(angles, dirs, grid, kept, first - pad, last - first + 2.0 * pad)
+    sweep = _Sweep(angles, dirs)
     for array in sweep:
         array.flags.writeable = False
     return sweep
 
 
-def _sector_segments(origin, seg_a, seg_b, sweep: _Sweep) -> np.ndarray:
-    """(_SECTORS, S) mask of the segments each sector's rays are cast against.
+def _ray_segment_pairs(origin, seg_a, seg_b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ray indexes, segment indexes) of the pairs an n-ray sweep casts,
+    grouped by segment.
 
     A ray meets a segment only at a bearing inside the arc between the
     bearings of the segment's ends, the shorter way round (a segment not
-    through the origin subtends less than pi). A sector takes every segment
-    whose arc overlaps the sector's padded angles. A segment whose arc
-    exceeds 0.9 pi (the origin near its line, between its ends) or with an
-    end within EPS_GEO of the origin, where bearings mean nothing, joins
-    every sector."""
-    two_pi = 2.0 * np.pi
+    through the origin subtends less than pi). A segment is paired with the
+    rays within two ray spacings of its arc, against rounding and the ray
+    kernel's end tolerance, n rays at most. A segment whose arc exceeds
+    0.9 pi (the origin near its line, between its ends) or with an end
+    within EPS_GEO of the origin, where bearings mean nothing, is paired
+    with every ray."""
     ends = np.stack([seg_a, seg_b]) - origin  # (2, S, 2)
     theta = np.arctan2(ends[..., 1], ends[..., 0])
-    arc = np.remainder(theta[1] - theta[0] + np.pi, two_pi) - np.pi  # signed, a to b
+    arc = np.remainder(theta[1] - theta[0] + np.pi, 2.0 * np.pi) - np.pi  # signed, a to b
     start = theta[0] + np.minimum(arc, 0.0)
     span = np.abs(arc)
-    # Two arcs on the circle overlap when either one's start lies in the other.
-    overlap = (np.remainder(sweep.lo - start, two_pi) <= span) | (np.remainder(start - sweep.lo, two_pi) <= sweep.size)
-    near = np.hypot(ends[..., 0], ends[..., 1]).min(axis=0) <= EPS_GEO
-    return overlap | (span > 0.9 * np.pi) | near
+    spacing = 2.0 * np.pi / n
+    first = np.ceil(start / spacing - 2.0).astype(np.intp)
+    count = np.floor((start + span) / spacing + 2.0).astype(np.intp) - first + 1
+    every = (span > 0.9 * np.pi) | (np.hypot(ends[..., 0], ends[..., 1]).min(axis=0) <= EPS_GEO)
+    count = np.where(every, n, np.minimum(count, n))
+    segs = np.repeat(np.arange(len(count)), count)
+    # Pair p, in the run of segment k that starts at pair c, is ray first[k] + p - c.
+    return (np.arange(len(segs)) - np.repeat(np.cumsum(count) - count - first, count)) % n, segs
 
 
 def detect_occlusions(scan_: Scan, params: LidarParams) -> np.ndarray:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oampc import lidar_sim
@@ -15,7 +15,7 @@ from oampc.lidar_sim import (
     Scan,
     detect_occlusions,
     _greedy_walk,
-    _sector_segments,
+    _ray_segment_pairs,
     _sweep,
     downsample,
     scan,
@@ -128,10 +128,9 @@ def workload_poses(world, seed, count):
 
 
 class TestSectorScan:
-    """scan casts each sector of its sweep against only the segments that can
-    meet its rays, in one cast_rays call padded to the widest sector or in two
-    grouped by width; either way ranges and segment indexes are those of one
-    cast against every segment."""
+    """scan casts each segment at only the rays in its bearing sector, the
+    pairs _ray_segment_pairs lists, in one cast_rays call; ranges and
+    segment indexes are those of one cast against every segment."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -139,79 +138,93 @@ class TestSectorScan:
         made = []
 
         def spy(*args):
-            made.append(args[1].shape[0])  # sectors cast in the call
+            made.append(args[1].shape)
             return cast_rays(*args)
 
         monkeypatch.setattr(lidar_sim, "cast_rays", spy)
         return made
 
     @staticmethod
-    def _layouts(world, pose, params, counts, calls, monkeypatch):
-        """Scan the pose split wherever that saves a pair (_SPLIT_PAIRS 1),
-        then in one padded call, asserting the calls each made, from the
-        sectors' segment counts; returns the two scans."""
-        scans = []
-        for split_pairs, want in ((1, 1 + (counts.min() < counts.max())), (math.inf, 1)):
-            monkeypatch.setattr(lidar_sim, "_SPLIT_PAIRS", split_pairs)
-            calls.clear()
-            scans.append(scan(world, pose, params))
-            assert len(calls) == want and sum(calls) == lidar_sim._SECTORS
-        return scans
+    def assert_dense(world, pose, params, calls):
+        calls.clear()
+        s = scan(world, pose, params)
+        assert len(calls) == 1
+        ranges, index = dense_cast(world, pose, params)
+        assert np.array_equal(s.ranges, ranges)
+        assert np.array_equal(s.segment_index, index)
 
     @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
-    @pytest.mark.parametrize("num_rays", [1440, 1001, 99, 13])
-    def test_matches_dense_cast(self, workload, num_rays, calls, monkeypatch):
+    @pytest.mark.parametrize("num_rays", [1440, 1001, 360, 99, 13, 8])
+    def test_matches_dense_cast(self, workload, num_rays, calls):
         scn = generate(workload, 1, 1)[0]
         world = scn.world
         params = LidarParams(num_rays=num_rays, max_range=scn.lidar.max_range)
-        seg_a, seg_b = world.segment_arrays()
-        dropped = splits = 0
         for pose in workload_poses(world, num_rays, 10):
-            counts = _sector_segments(pose.position(), seg_a, seg_b, _sweep(num_rays)).sum(axis=1)
-            ranges, index = dense_cast(world, pose, params)
-            for s in self._layouts(world, pose, params, counts, calls, monkeypatch):
-                assert np.array_equal(s.ranges, ranges)
-                assert np.array_equal(s.segment_index, index)
-            dropped += np.count_nonzero(counts < len(seg_a))
-            splits += counts.min() < counts.max()
-        # The sectors do leave segments out, and the split cast ran.
-        assert dropped > 0 and splits > 0
+            self.assert_dense(world, pose, params, calls)
 
-    def test_workload_sweeps_take_their_layouts(self, calls):
-        # At the default _SPLIT_PAIRS, pillars-crowd's 1440-ray sweep is split
-        # at most poses, and a corner's 360-ray sweep is cast in one call.
-        for workload, split in (("pillars-crowd", True), ("corner-occluded", False)):
-            scn = generate(workload, 1, 1)[0]
-            made = []
-            for pose in workload_poses(scn.world, 1, 10):
-                calls.clear()
-                scan(scn.world, pose, scn.lidar)
-                made.append(len(calls))
-            assert set(made) <= {1, 2}
-            assert (made.count(2) > len(made) / 2) if split else made.count(2) == 0
-
-    def test_one_crowded_sector_is_split_off(self, calls, monkeypatch):
-        # A 40-gon 3 m out puts its 40 edges in one or two sectors, which hold
-        # at least 3x the segments of any other: a wall or two of the room.
+    def test_crowded_polygon_matches_dense_cast(self, calls):
+        # A 40-gon 3 m out puts 40 short edges in a narrow bearing range.
         ring = 2.0 * np.pi * np.arange(40) / 40
         gon = np.array([3.0, 0.5]) + 0.3 * np.stack([np.cos(ring), np.sin(ring)], axis=1)
         world = WorldMap(boundary=rectangle(-4, -4, 4, 4), obstacles=[gon])
-        seg_a, seg_b = world.segment_arrays()
         rng = np.random.default_rng(3)
         poses = [RobotState(*rng.uniform(-1.0, 1.0, 2), 0.0) for _ in range(5)]
-        cases = [(LidarParams(num_rays=n, max_range=10.0), pose) for n in (1440, 360) for pose in poses]
-        scans = []
-        for params, pose in cases:
-            counts = _sector_segments(pose.position(), seg_a, seg_b, _sweep(params.num_rays)).sum(axis=1)
-            assert np.sort(counts)[-1] >= 3 * np.sort(counts)[-3]
-            calls.clear()
-            scans.append((counts, scan(world, pose, params)))
-            assert len(calls) == 2  # at the default _SPLIT_PAIRS
-        for (params, pose), (counts, default) in zip(cases, scans):
-            ranges, index = dense_cast(world, pose, params)
-            for s in [default] + self._layouts(world, pose, params, counts, calls, monkeypatch):
-                assert np.array_equal(s.ranges, ranges)
-                assert np.array_equal(s.segment_index, index)
+        for n in (1440, 360):
+            for pose in poses:
+                self.assert_dense(world, pose, LidarParams(num_rays=n, max_range=10.0), calls)
+
+    @pytest.mark.parametrize("workload", ["pillars-crowd", "corner-occluded"])
+    def test_pairs_leave_segments_out(self, workload):
+        scn = generate(workload, 1, 1)[0]
+        seg_a, seg_b = scn.world.segment_arrays()
+        n = scn.lidar.num_rays
+        counts = [
+            len(_ray_segment_pairs(pose.position(), seg_a, seg_b, n)[0]) for pose in workload_poses(scn.world, 1, 10)
+        ]
+        assert min(counts) < n * len(seg_a)
+
+    def test_a_vertex_at_the_origin_pairs_its_segments_with_every_ray(self):
+        world = WorldMap(boundary=rectangle(-4, -4, 4, 4), obstacles=[rectangle(1.0, -0.5, 2.0, 0.5)])
+        seg_a, seg_b = world.segment_arrays()
+        vertex = np.array([1.0, -0.5])
+        origin = vertex + np.array([-0.5e-9, -0.5e-9])
+        rays, segs = _ray_segment_pairs(origin, seg_a, seg_b, 360)
+        touching = np.flatnonzero(np.all(seg_a == vertex, axis=1) | np.all(seg_b == vertex, axis=1))
+        assert len(touching) == 2
+        for k in touching:
+            assert np.array_equal(np.sort(rays[segs == k]), np.arange(360))
+
+    def test_coincident_walls_report_the_lower_index(self, calls):
+        # Two copies of one wall: every ray that hits it hits both at the same
+        # range, and the dense cast's argmin names the first.
+        wall = [[3.0, -1.0], [3.0, 1.0]]
+        world = WorldMap(boundary=rectangle(-4, -4, 4, 4), walls=np.array([wall, wall]))
+        first = int(np.flatnonzero(np.all(world.segment_arrays()[0] == wall[0], axis=1))[0])
+        params = LidarParams(num_rays=360, max_range=10.0)
+        s = scan(world, RobotState(0.0, 0.0, 0.0), params)
+        on_wall = np.abs(s.points[:, 0] - 3.0) < 1e-9
+        assert on_wall.sum() > 10
+        assert np.all(s.segment_index[on_wall] == first)
+        self.assert_dense(world, RobotState(0.0, 0.0, 0.0), params, calls)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        walls=st.lists(
+            st.lists(st.floats(-3.5, 3.5, allow_subnormal=False), min_size=4, max_size=4), min_size=1, max_size=12
+        ),
+        pose=st.tuples(st.floats(-3.9, 3.9), st.floats(-3.9, 3.9)),
+        num_rays=st.integers(8, 1500),
+    )
+    def test_matches_dense_cast_on_random_walls(self, walls, pose, num_rays):
+        walls = np.array(walls).reshape(-1, 2, 2)
+        walls = walls[np.hypot(*(walls[:, 1] - walls[:, 0]).T) > 1e-6]
+        world = WorldMap(boundary=rectangle(-4, -4, 4, 4), walls=walls)
+        state = RobotState(pose[0], pose[1], 0.0)
+        assume(world.contains_free(state.position()))
+        s = scan(world, state, LidarParams(num_rays=num_rays, max_range=10.0))
+        ranges, index = dense_cast(world, state, LidarParams(num_rays=num_rays, max_range=10.0))
+        assert np.array_equal(s.ranges, ranges)
+        assert np.array_equal(s.segment_index, index)
 
 
 def _analytic_range(d, half=4.0, box=(1.0, -0.5, 2.0, 0.5)):
