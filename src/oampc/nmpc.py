@@ -21,8 +21,10 @@ sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
 a search over the phases of SEARCH_PHASES (solve); the all-stopped plan is the
 always-feasible floor. Each stop index is one probe of up to three SQPs
-(_try_stop_index). What the probes cost is one _Work record, summed with +
-and returned as SolveResult.work; a step record takes its fields as they are.
+(_try_stop_index); a phase of two or more sends its probes down pipes to
+forked worker processes (_map). What the probes cost is one _Work record,
+summed with + and returned as SolveResult.work; a step record takes its
+fields as they are.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ import logging
 import math
 import numbers
 import os
+import pickle
+import select
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
@@ -130,7 +135,7 @@ class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
     previous input, the parameters and the avoidance row table, which lives
     only here. solve builds it once (_probe); the probes of a step share it
-    in this process and are sent it, not the whole problem, in a worker."""
+    here, and a worker is sent it, not the whole problem, in each task."""
 
     z0: np.ndarray
     goal: np.ndarray
@@ -373,16 +378,14 @@ def solve(problem: NlpProblem) -> SolveResult:
     state respects the track limits.
 
     The probes of one phase do not depend on each other, so a phase of two
-    or more runs them in a pool of forked worker processes (_map). Results
-    come back in the order they were submitted, so the candidates, the
-    tie-breaks and the counters are those of running the probes one after
-    another here, bit for bit.
+    or more runs them in forked worker processes, one pickled task at a time
+    down each worker's pipe (_map). Each result is put at its submission
+    index, so the candidates, the tie-breaks and the counters are those of
+    running the probes one after another here, bit for bit.
     """
     params = problem.params
     n = params.N
-
-    lo, hi = params.input_box
-    u_ws = np.clip(problem.warm_start.inputs, lo, hi)
+    u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
 
     data = _probe(problem)
     stationary = _aligned_stationary_plan(data)
@@ -425,9 +428,7 @@ def solve(problem: NlpProblem) -> SolveResult:
         # toward the goal so forward plans reappear within their arrival
         # margins (a stopped rotation is admissible under the stop-speed
         # avoidance semantics).
-        plan = stationary
-        cost = cost_stationary
-        j = 0
+        cost, plan, j = cost_stationary, stationary, 0
     return SolveResult(STATUS_OPTIMAL, plan, cost, work, stop_index=j, search=search)
 
 
@@ -438,7 +439,7 @@ def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> 
     candidate (cost, plan, j) replaces the one kept only when strictly
     cheaper. Returns the cheapest candidate, or None when no SQP ends
     optimal, and the summed work of the SQPs, each timed where it ran. A
-    module-level function, so a worker process can run it."""
+    module-level function, so a task pickled for a worker names it."""
     t0 = time.perf_counter()
     params = problem.params
     lo, hi = params.input_box
@@ -489,39 +490,88 @@ def _rotate_then_drive_seed(problem: _Probe, j: int) -> Optional[np.ndarray]:
     return seed
 
 
-# The worker pool of the hint and sweep phases once started; False where none
-# can run.
+# The probe workers once started, each (pid, task pipe, result pipe); False where none can run.
 _pool = None
 
 
 def _map(fn, js: list[int], n: int) -> list:
-    """[fn(j) for j in js], in order: in the worker pool when there are two or
-    more, else here. The first such call starts the pool (_start_pool). A
-    tracer that wraps functions in this process sees only the probes run
-    here."""
+    """[fn(j) for j in js], in order: in the probe workers (started by the
+    first call with two or more), else here. Each idle worker gets one pickled
+    (fn, j); each result goes to its submission index. An exception, a
+    worker's or its death, stops the workers and is raised here. A tracer in
+    this process sees only the probes run here."""
     global _pool
     if len(js) > 1 and _pool is None:
         _pool = _start_pool(n)
     if len(js) < 2 or not _pool:
         return list(map(fn, js))
-    return _pool.map(fn, js, chunksize=1)
+    results, todo, running = [None] * len(js), list(enumerate(js)), {}
+    try:
+        while todo or running:
+            for pid, tasks, replies in [w for w in _pool if w[2] not in running][: len(todo)]:  # idle workers
+                i, j = todo.pop(0)
+                pickle.dump((fn, j), tasks)
+                tasks.flush()
+                running[replies] = pid, i
+            for pipe in select.select(list(running), [], [])[0]:
+                pid, i = running.pop(pipe)
+                try:
+                    ok, results[i] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"probe worker {pid} exited") from None
+                if not ok:
+                    raise results[i]
+    except BaseException:
+        _stop_pool()  # so that no task left running answers a later call
+        raise
+    return results
 
 
 def _start_pool(n: int):
-    """A pool of min(available CPUs, N - 2) forked workers, N - 2 being the
-    largest phase, terminated at exit; False where that is fewer than 2 or
-    processes cannot fork. Forked workers start from this process's memory:
-    unlike forkserver and spawn workers, they do not import the caller's
-    script, so it need not guard its main code."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, n - 2)
+    """min(available CPUs, N - 2) probe workers (N - 2: the largest phase),
+    forked once with a task and a result pipe each; False where that is fewer
+    than 2 or processes cannot fork. A forked worker needs no main guard in
+    the caller's script. It keeps only its own pipe ends, so it sees its task
+    pipe close (_stop_pool), and leaves by os._exit, running no exit hook."""
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n - 2)
     if workers < 2 or not hasattr(os, "fork"):
         return False
-    import multiprocessing
-
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    atexit.register(pool.terminate)
+    pipes = [os.pipe() + os.pipe() for _ in range(workers)]  # task read, task write, result read, result write
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = []
+    for task, task_w, result_r, result in pipes:
+        if (pid := os.fork()) == 0:
+            try:
+                for fd in {fd for ends in pipes for fd in ends} - {task, result}:
+                    os.close(fd)
+                tasks, results = os.fdopen(task, "rb"), os.fdopen(result, "wb")
+                while tasks.peek(1):  # empty once the task pipe is closed
+                    fn, j = pickle.load(tasks)
+                    try:
+                        reply = True, fn(j)
+                    except Exception as exc:
+                        reply = False, exc
+                    pickle.dump(reply, results)
+                    results.flush()
+                os._exit(0)
+            finally:
+                os._exit(1)
+        pool.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
+    for fd in (fd for ends in pipes for fd in ends[::3]):  # the workers' task read and result write ends
+        os.close(fd)
     return pool
+
+
+@atexit.register
+def _stop_pool() -> None:
+    """Close each worker's pipes, so that it exits, and wait for it."""
+    global _pool
+    pool, _pool = _pool or [], None
+    for pid, tasks, results in pool:
+        tasks.close()
+        results.close()
+        os.waitpid(pid, 0)
 
 
 def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:
@@ -534,20 +584,17 @@ def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:
     stationary plan.
     """
     params = problem.params
-    n = params.N
-    z0 = problem.z0
     err = _goal_bearing_error(problem)
-    inputs = np.zeros((n, 2))
+    inputs = np.zeros((params.N, 2))
     if abs(err) > 1e-3:
         remaining = err
-        for k in range(n - 1):
+        for k in range(params.N - 1):
             delta = float(np.clip(remaining / params.dt, params.delta_min, params.delta_max))
             if abs(delta) < 1e-12:
                 break
             inputs[k, 1] = delta
             remaining -= delta * params.dt
-    states = rollout(z0, inputs, params.dt)
-    return OpenLoopPlan(states, inputs)
+    return OpenLoopPlan(rollout(problem.z0, inputs, params.dt), inputs)
 
 
 def _goal_bearing_error(problem: _Probe) -> float:
@@ -577,15 +624,8 @@ class FeasibilityReport:
 
     @property
     def max_violation(self) -> float:
-        comp = float(self.complementarity.max()) if len(self.complementarity) else 0.0
-        return max(
-            self.dynamics_defect,
-            self.initial_error,
-            self.terminal_error,
-            self.input_bound_violation,
-            self.state_bound_violation,
-            comp,
-        )
+        bounds = (self.input_bound_violation, self.state_bound_violation, float(self.complementarity.max(initial=0.0)))
+        return max(self.dynamics_defect, self.initial_error, self.terminal_error, *bounds)
 
     def ok(self, tol: float) -> bool:
         return self.max_violation <= tol
@@ -608,13 +648,8 @@ def check_feasibility(
     its strict margin, also where the planner relaxed it because the robot
     started inside it. Diagnostic only: never raises.
     """
-    n = plan.horizon
-    states = plan.states
-    inputs = plan.inputs
-    dt = params.dt
-
-    predicted = rollout(states[0], inputs, dt)
-    dynamics_defect = float(np.abs(predicted - states).max())
+    n, states, inputs = plan.horizon, plan.states, plan.inputs
+    dynamics_defect = float(np.abs(rollout(states[0], inputs, params.dt) - states).max())
 
     initial_error = 0.0 if z_init is None else float(np.abs(states[0] - np.asarray(z_init)).max())
     terminal_error = float(np.linalg.norm(states[n] - states[n - 1]))
@@ -631,15 +666,7 @@ def check_feasibility(
     avoidance = excess.max(axis=1) if len(margins) else np.zeros(n)
     complementarity = np.maximum(0.0, motion * np.maximum(avoidance, 0.0))
 
-    return FeasibilityReport(
-        dynamics_defect=dynamics_defect,
-        initial_error=initial_error,
-        terminal_error=terminal_error,
-        input_bound_violation=ib,
-        state_bound_violation=sb,
-        avoidance_margin=avoidance,
-        complementarity=complementarity,
-    )
+    return FeasibilityReport(dynamics_defect, initial_error, terminal_error, ib, sb, avoidance, complementarity)
 
 
 def fallback_plan(prev: OpenLoopPlan) -> OpenLoopPlan:

@@ -5,14 +5,15 @@
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the fallback steps, the
-largest audit violation, the collision steps and the smallest occlusion,
-agent and static clearance with its step (the near misses); the stop-index
-probes, infeasible probes, QP solves, penalty rungs (QP solves after the
-first at one linearization) and interior-point iterations per step; and the
-steps that ended in each stop-index search phase, with p50 and p99 of
-probe_ms / solve_ms (above 1 when probes ran in parallel), and the slowest
-steps with their counters. The control period is the spacing of the logged
-times, or `MpcParams.dt` for a one-step log.
+largest audit violation, the collision steps, each moving (speed above 1e-6
+m/s) or stopped, and the smallest occlusion, agent and static clearance with
+its step (the near misses); the stop-index probes, infeasible probes, QP
+solves, penalty rungs (QP solves after the first at one linearization) and
+interior-point iterations per step; and the steps that ended in each
+stop-index search phase, with p50 and p99 of probe_ms / solve_ms (above 1
+when probes ran in parallel), and the slowest steps with their counters. The
+control period is the spacing of the logged times, or `MpcParams.dt` for a
+one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
@@ -75,12 +76,14 @@ def summarize(rows: list[dict]) -> list[str]:
         p50, p99 = percentiles(values, [50, 99])
         lines.append(f"{name[:-3]} ms: {p50:.2f} {p99:.2f}")
     collided = [k for k, row in enumerate(rows) if row["collision"]]
+    moving = [k for k in collided if abs(rows[k]["applied_input"][0]) > 1e-6]
     near = ", ".join(f"{c} {_smallest([row[c + '_clearance'] for row in rows])}" for c in CLEARANCES)
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
         f"collision steps: {len(collided)} {collided}",
+        f"collision steps by motion: moving {moving}, stopped {[k for k in collided if k not in moving]}",
         f"smallest clearance (m): {near}",
     ]
     counters = [name for _, name in COUNTERS]

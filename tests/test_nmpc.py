@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -442,11 +445,14 @@ def corner_fast_pooled():
 
 # One solve from z0 = (1, 0, 0) toward GOAL. At the goal no move beats standing
 # still, so the search sweeps N - 2 stop indexes; 1 m short of it, the
-# full-freedom probe wins alone.
+# full-freedom probe wins alone. It prints the last phase, the probes, whether
+# multiprocessing was imported, the live threads and the workers' PIDs.
 SWEEP_SCRIPT = textwrap.dedent(
     """
     import sys
+    import threading
     import numpy as np
+    import oampc.nmpc
     from oampc.avoidance import OpenLoopPlan, project_plan
     from oampc.nmpc import MpcParams, NlpProblem, solve
 
@@ -456,21 +462,27 @@ SWEEP_SCRIPT = textwrap.dedent(
     warm = OpenLoopPlan.stationary(z0, params.N)
     problem = NlpProblem(z0, goal, project_plan(warm.positions()[1:], []), np.zeros((0, 3)), params, warm)
     res = solve(problem)
-    pooled = "multiprocessing" in sys.modules
-    workers = [p.pid for p in sys.modules["multiprocessing"].active_children()] if pooled else []
-    print(res.search, res.work.probes, pooled, *workers)
+    workers = [pid for pid, *_ in oampc.nmpc._pool or ()]
+    print(res.search, res.work.probes, "multiprocessing" in sys.modules, threading.active_count(), *workers)
     """
 )
 
 
 def run_script(tmp_path, goal):
+    """SWEEP_SCRIPT's exit status, printed words and standard error. A script
+    that hangs is killed with every process it forked."""
     script = tmp_path / "sweep.py"
     script.write_text(SWEEP_SCRIPT.replace("GOAL", repr(goal)))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run(
-        [sys.executable, "-W", "error", str(script)], capture_output=True, text=True, env=env, timeout=120
-    )
-    return done.returncode, done.stdout.split(), done.stderr
+    args = [sys.executable, "-W", "error", str(script)]
+    pipe = subprocess.PIPE
+    with subprocess.Popen(args, stdout=pipe, stderr=pipe, text=True, env=env, start_new_session=True) as done:
+        try:
+            out, err = done.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(done.pid, signal.SIGKILL)
+            raise
+    return done.returncode, out.split(), err
 
 
 class TestParallelProbes:
@@ -537,18 +549,112 @@ class TestParallelProbes:
     def test_unguarded_script_sweeps_and_leaves_no_worker(self, tmp_path):
         code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
         assert code == 0 and err == ""
-        search, probes, pooled, *workers = out
+        search, probes, _, _, *workers = out
         assert search == "sweep" and int(probes) >= MpcParams().N - 1
         n_workers = min(len(os.sched_getaffinity(0)), MpcParams().N - 2)
-        assert pooled == str(n_workers >= 2) and len(workers) == (n_workers if n_workers >= 2 else 0)
+        assert len(workers) == (n_workers if n_workers >= 2 else 0)
         for pid in map(int, workers):
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    def test_pooled_solve_imports_no_multiprocessing_and_starts_no_thread(self, tmp_path):
+        code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
+        assert code == 0 and err == ""
+        assert out[2:4] == ["False", "1"]
+
     def test_single_probe_step_never_imports_multiprocessing(self, tmp_path):
         code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
         assert code == 0 and err == ""
-        assert out == ["full", "1", "False"]
+        assert out == ["full", "1", "False", "1"]
+
+
+def returned_late(j):
+    """j and the PID that ran it, after a wait that falls with j."""
+    time.sleep(0.05 * (4 - j))
+    return j, os.getpid()
+
+
+def raised_at_two(j):
+    if j == 2:
+        raise KeyError(f"probe {j}")
+    return j
+
+
+def exited_at_two(j):
+    if j == 2:
+        os._exit(7)
+    time.sleep(0.2)
+    return j
+
+
+def hung(*_):
+    raise TimeoutError("still waiting on the workers")
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """nmpc._map with pools of its own, two workers whatever the CPUs. A test
+    that waits 20 s fails; every worker it started is killed and reaped after
+    it, also where the pool could not stop them."""
+    started, start = [], oampc.nmpc._start_pool
+
+    def recorded_start(n):
+        pool = start(n)
+        started.extend(pid for pid, *_ in pool)
+        return pool
+
+    monkeypatch.setattr(oampc.nmpc, "_pool", None)
+    monkeypatch.setattr(oampc.nmpc, "_start_pool", recorded_start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    yield lambda fn, js: oampc.nmpc._map(fn, js, 4)
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    for pid in started:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    oampc.nmpc._stop_pool()
+    for pid in started:
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestProbeWorkers:
+    """nmpc._map on forked workers: submission order, and a worker's failure
+    raised here rather than waited on."""
+
+    def test_results_come_back_in_submission_order(self, two_workers):
+        js = [0, 1, 2, 3, 0]  # later tasks finish sooner
+        results = two_workers(returned_late, js)
+        assert [j for j, _ in results] == js
+        pids = {pid for _, pid in results}
+        assert pids == {pid for pid, *_ in oampc.nmpc._pool} and os.getpid() not in pids
+
+    def test_worker_exception_is_raised_with_its_type(self, two_workers):
+        assert two_workers(raised_at_two, [0, 1]) == [0, 1]
+        pids = [pid for pid, *_ in oampc.nmpc._pool]
+        with pytest.raises(KeyError, match="probe 2"):
+            two_workers(raised_at_two, [0, 1, 2, 3])
+        assert oampc.nmpc._pool is None and not any(map(alive, pids))
+        assert two_workers(raised_at_two, [3, 4]) == [3, 4]  # new workers
+
+    def test_dead_worker_raises_within_a_timeout(self, two_workers):
+        assert two_workers(exited_at_two, [0, 1]) == [0, 1]
+        pids = [pid for pid, *_ in oampc.nmpc._pool]
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="probe worker .* exited"):
+            two_workers(exited_at_two, [0, 1, 2, 3])
+        assert time.monotonic() - t0 < 10
+        assert oampc.nmpc._pool is None and not any(map(alive, pids))
 
 
 class TestStopIndexProbe:

@@ -353,7 +353,9 @@ class TestTerminalReason:
         ped = AgentScript(waypoints=np.array([[0.1, 0.0]]), speed=0.0)
         log, metrics = run(corner_scenario().with_overrides(agents=[ped]))
         assert len(log) == 1 and log.records[0].collision
-        assert summary_of(log, tmp_path)["collision steps"] == "1 [0]"
+        summary = summary_of(log, tmp_path)
+        assert summary["collision steps"] == "1 [0]"
+        assert summary["collision steps by motion"] == "moving [0], stopped []"  # driven into it at 2 m/s
         assert metrics.terminal_reason == "collision"
 
     def test_collision_on_the_goal_step_keeps_the_goal_time(self, monkeypatch):
@@ -448,6 +450,7 @@ class TestJsonLines:
         assert int(lines["fallback steps"]) == 0
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
         assert lines["collision steps"].strip() == "0 []"
+        assert lines["collision steps by motion"].strip() == "moving [], stopped []"
         # The near misses: each smallest clearance, exact, with its step.
         near = []
         for name in ("occlusion", "agent", "static"):
@@ -493,6 +496,20 @@ class TestJsonLines:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+
+    def test_collisions_are_moving_or_stopped(self, tmp_path):
+        # A collision step is moving (at fault) when its logged applied speed
+        # is above 1e-6 m/s, in either direction, and stopped (passive
+        # contact) otherwise, turning in place included.
+        log, _ = run(corner_scenario().with_overrides(max_steps=5))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        rows = read(path)
+        for k, speed in ((1, 0.5), (2, 0.0), (3, 1e-6), (4, -2e-6)):
+            rows[k].update(collision=True, applied_input=[speed, 0.3])
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["collision steps"] == "4 [1, 2, 3, 4]"
+        assert lines["collision steps by motion"] == "moving [1, 4], stopped [2, 3]"
 
     def test_summary_of_an_empty_log(self, tmp_path, capsys):
         # A run with no step budget ends on the budget with an empty log,
