@@ -3,9 +3,9 @@
 Hidden agents are abstracted by the occlusion boundary they could cross:
 their step-k reachable set is the boundary segment inflated by k times the
 per-step travel bound (a capsule). Visible agents get concentric disks grown
-the same way: capsules with a zero-length axis. Measurement fusion shrinks a
-tracked agent's set when a fresh detection arrives. A detection and a
-tracked set are disks, each one [x, y, r] row.
+the same way: capsules with a zero-length axis. A fresh detection replaces a
+tracked agent's set only when it fits inside, so the set never grows. A
+detection and a tracked set are disks, each one [x, y, r] row.
 """
 
 from __future__ import annotations
@@ -30,6 +30,11 @@ class AgentModel:
     def __post_init__(self):
         if not (0.0 <= self.v_target < math.inf and 0.0 <= self.radius < math.inf):
             raise ValueError(f"v_target {self.v_target} and radius {self.radius} must be finite and nonnegative")
+
+
+# The agent model's move rule: in one step an agent moves at most
+# step_distance(model, dt), and up to MOVE_SLACK more for rounding.
+MOVE_SLACK = 1e-9
 
 
 def step_distance(model: AgentModel, dt: float) -> float:
@@ -79,38 +84,10 @@ def build_disks(detection: np.ndarray, model: AgentModel, dt: float, horizon: in
 
 def fuse_measurement(prev_one_step: np.ndarray, sensed: np.ndarray) -> np.ndarray:
     """Disk [x, y, r] covering the intersection of the propagated set and a fresh
-    detection, never exceeding the propagated set.
-
-    When the detection already fits inside the propagated set it is returned
-    exactly. A proper lens is over-approximated by its smallest enclosing
-    disk; if that spills outside the propagated set, the propagated set
-    itself is returned (still covers the lens, still no growth).
-    """
-    cp, cs = prev_one_step[:2], sensed[:2]
+    detection, never exceeding the propagated set (up to MOVE_SLACK): the
+    detection when it fits inside, the propagated set otherwise."""
+    d = float(np.hypot(*(sensed[:2] - prev_one_step[:2])))
     rp, rs = float(prev_one_step[2]), float(sensed[2])
-    d = float(np.hypot(*(cs - cp)))
-
-    if d > rp + rs + 1e-12:
-        raise ModelViolationError(
-            f"detection at distance {d:.6f} cannot intersect reachable set (r={rp:.6f}+{rs:.6f})"
-        )
-    if d + rs <= rp + 1e-12:
-        return sensed
-    if d + rp <= rs + 1e-12:
-        return prev_one_step
-
-    # Proper lens: enclosing disk centered on the axis midpoint of the lens
-    # span, radius covering both the axial extremes and the crossing points.
-    u = (cs - cp) / d
-    span_lo = d - rs  # along the axis from cp
-    span_hi = rp
-    mid = 0.5 * (span_lo + span_hi)
-    half_span = 0.5 * (span_hi - span_lo)
-    x_cross = (d * d + rp * rp - rs * rs) / (2.0 * d)
-    h = math.sqrt(max(0.0, rp * rp - x_cross * x_cross))
-    center = cp + mid * u
-    radius = max(half_span, math.hypot(mid - x_cross, h))
-
-    if float(np.hypot(*(center - cp))) + radius <= rp + 1e-12:
-        return np.array([center[0], center[1], radius])
-    return prev_one_step
+    if d > rp + rs + MOVE_SLACK:
+        raise ModelViolationError(f"detection at distance {d:.6f} cannot intersect reachable set (r={rp:.6f}+{rs:.6f})")
+    return sensed if d + rs <= rp + MOVE_SLACK else prev_one_step

@@ -6,7 +6,8 @@ of every planner constraint, so logged safety outcomes cannot be an artifact
 of the planner's own approximations.
 
 The loop state holds only what the step log cannot: the robot's state, the
-next goal's index and each visible agent's fused track, one [x, y, r] row.
+next goal's index and each visible agent's track, one [x, y, r] row: its
+detection, or its propagated track when the detection does not fit inside.
 A step reads the rest from the log's last record: its index is the log's
 length, its time that record's time plus dt, the previous plan and stop-index
 hint that record's (time 0, the plan standing at the start and no hint at the
@@ -40,6 +41,7 @@ from .nmpc import (
     solve,
 )
 from .reachability import (
+    MOVE_SLACK,
     AgentModel,
     ModelViolationError,
     build_capsules,
@@ -137,8 +139,9 @@ class Scenario:
         start = self.robot_init.position()
         if not self.world.contains_free(start, clearance=self.mpc.r_robot):
             raise ValueError("robot initial pose is not in free space with its radius clearance")
+        dt = self.mpc.dt
         for idx, agent in enumerate(self.agents):
-            if agent.speed > self.agent_model.v_target + 1e-9:
+            if agent.speed * dt > step_distance(self.agent_model, dt) + MOVE_SLACK:
                 raise ValueError(f"agent {idx} speed {agent.speed} exceeds the model bound {self.agent_model.v_target}")
             hidden = agent.initially_hidden
             if hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
@@ -329,15 +332,13 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     z_next = dynamics_step(robot, ControlInput(*plan.inputs[0]), dt)
 
     # Advance agents one period, enforcing the declared speed bound.
+    bound = step_distance(scn.agent_model, dt)
     next_positions = []
     for idx, a in enumerate(scn.agents):
         nxt = a.position(tau + dt)
         moved = float(np.hypot(*(nxt - agent_positions[idx])))
-        if moved > scn.agent_model.v_target * dt + 1e-9:
-            raise ModelViolationError(
-                f"agent {idx} moved {moved:.4f} m in one step; bound is "
-                f"{scn.agent_model.v_target * dt:.4f} m"
-            )
+        if moved > bound + MOVE_SLACK:
+            raise ModelViolationError(f"agent {idx} moved {moved:.4f} m in one step; bound is {bound:.4f} m")
         next_positions.append(nxt)
 
     collided = ground_truth_collision(

@@ -155,6 +155,13 @@ class TestFuseMeasurement:
                 hits += 1
                 assert np.hypot(*(p - cf)) <= fused[2] + 1e-9
 
+    def test_detection_within_the_move_slack_returns_sensed(self):
+        # 5e-10 m out of the propagated disk is rounding, as in the step
+        # check: the detection comes back as itself.
+        prev = disk(0, 0, 0.5)
+        sensed = disk(0.3 + 5e-10, 0, 0.2)
+        assert fuse_measurement(prev, sensed) is sensed
+
     def test_prev_inside_sensed_returns_prev(self):
         prev = disk(0, 0, 0.3)
         sensed = disk(0.1, 0, 1.0)

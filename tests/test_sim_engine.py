@@ -89,6 +89,20 @@ def corner_scenario(**fields) -> Scenario:
     return Scenario(**{**defaults, **fields})
 
 
+def spy_on_fusion(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (propagated, sensed, fused) triple of every fusion call the closed
+    loop makes from now on."""
+    calls = []
+    fuse = oampc.sim_engine.fuse_measurement
+
+    def recorded_fuse(propagated, sensed):
+        calls.append((propagated, sensed, fuse(propagated, sensed)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(oampc.sim_engine, "fuse_measurement", recorded_fuse)
+    return calls
+
+
 class TestClosedLoop:
     def test_corner_reaches_goal_safely(self, monkeypatch, tmp_path):
         problems = []
@@ -177,6 +191,50 @@ class TestClosedLoop:
             )
             assert rec.audit_violation == report.max_violation
             assert report.ok(problem.params.feas_tol)
+
+    def test_fusion_returns_each_detection_of_agents_within_the_bound(self, monkeypatch):
+        # Detections are exact and every agent keeps to v_target, one at the
+        # bound itself, so each detection fits inside its propagated track
+        # and fusion hands it back: the same object, at every call.
+        peds = [
+            AgentScript(waypoints=np.array([[1.5, 1.0], [1.5, 3.0]]), speed=0.3, radius=0.1),
+            AgentScript(waypoints=np.array([[2.5, -1.0], [2.5, -3.0]]), speed=0.5, radius=0.1),
+        ]
+        scenario = Scenario(
+            name="open",
+            world=WorldMap(),
+            robot_init=RobotState(0.0, 0.0, 0.0),
+            goals=[np.array([3.0, 0.0])],
+            agents=peds,
+            max_steps=10,
+        )
+        calls = spy_on_fusion(monkeypatch)
+        log, _ = run(scenario)
+        assert len(calls) == 2 * (len(log) - 1)
+        assert all(fused is sensed for _, sensed, fused in calls)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.1])
+    def test_agent_at_the_move_slack_keeps_its_bound(self, monkeypatch, radius):
+        # 5e-10 m/s over v_target, so each 0.1 s move is 5e-11 m over the
+        # step distance, inside MOVE_SLACK: the step check accepts every
+        # move, and fusion must too. A point agent once ended the run as a
+        # model violation after one step; a disk agent's track once stayed
+        # at its first sighting and grew by a step distance every step.
+        ped = AgentScript(waypoints=np.array([[3.0, 2.0], [3.0, -2.0]]), speed=0.5 + 5e-10, radius=radius)
+        scenario = Scenario(
+            name="slack",
+            world=WorldMap(boundary=rectangle(-1, -3, 10, 3)),
+            robot_init=RobotState(0.0, 0.0, 0.0),
+            goals=[np.array([8.0, 0.0])],
+            agents=[ped],
+            agent_model=AgentModel(0.5),
+            max_steps=10,
+        )
+        calls = spy_on_fusion(monkeypatch)
+        log, metrics = run(scenario)
+        assert metrics.terminal_reason == "budget" and len(log) == 10
+        assert len(calls) == 9
+        assert all(fused is sensed for _, sensed, fused in calls)
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)
@@ -283,13 +341,32 @@ class TestScenarioChecks:
                 {"agents": [AgentScript(waypoints=np.array([[4.8, 4.5], [4.8, -2.5]]), speed=0.6)]},
                 "exceeds the model bound",
             ),
+            # 0.9e-9 m/s over the bound is 1.8e-9 m over it in each 2 s step,
+            # past MOVE_SLACK: the step check would end the run at step 0.
+            (
+                {
+                    "mpc": MpcParams(state_bounds=(-1, 10, -3, 6), dt=2.0),
+                    "agents": [
+                        AgentScript(
+                            waypoints=np.array([[4.8, 4.5], [4.8, -2.5]]), speed=0.5 + 0.9e-9, initially_hidden=True
+                        )
+                    ],
+                },
+                "exceeds the model bound",
+            ),
             # Standing in the open 1 m ahead of the robot.
             (
                 {"agents": [AgentScript(waypoints=np.array([[1.0, 0.0]]), speed=0.0, initially_hidden=True)]},
                 "declared hidden but visible",
             ),
         ],
-        ids=["start-in-obstacle", "start-near-wall", "agent-too-fast", "hidden-agent-in-sight"],
+        ids=[
+            "start-in-obstacle",
+            "start-near-wall",
+            "agent-too-fast",
+            "agent-too-fast-per-step",
+            "hidden-agent-in-sight",
+        ],
     )
     def test_refused_when_built(self, bad, message):
         with pytest.raises(ValueError, match=message):
