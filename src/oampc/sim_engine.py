@@ -13,7 +13,9 @@ length, its time that record's time plus dt, the previous plan and stop-index
 hint that record's (time 0, the plan standing at the start and no hint at the
 first step), and the previous input that plan's first input. It applies the
 plan nmpc.solve returns, the shifted previous plan when the solve is
-infeasible. A scenario is checked once, when it is built (Scenario).
+infeasible. A scenario is checked once, when it is built (Scenario). A step
+holds the agents as (A, 2) positions, at its start and at its end, and (A,)
+radii; only the visibility check and fusion visit them one at a time.
 
 A run's aggregates are derived from its log, by `oampc.summarize`; `Metrics`
 keeps only how the run ended, which no step record holds.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
@@ -131,6 +134,8 @@ class Scenario:
             g.flags.writeable = False
         if self.mode not in (MODE_BASELINE, MODE_OCCLUSION_AWARE):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral) or self.max_steps < 0:
+            raise ValueError(f"max_steps must be a non-negative integer, not {self.max_steps!r}")
         if not self.goals:
             raise ValueError("scenario needs at least one goal")
         for g in self.goals:
@@ -235,14 +240,13 @@ def ground_truth_collision(
 ) -> bool:
     """True iff the robot disk touches any agent disk or map segment.
 
-    Closed contact counts: touching exactly at the combined radius is a
-    collision.
+    The agents are (A, 2) positions (a list of (2,) arrays will do) and (A,)
+    radii, and the walls are measured by world.min_clearance. Closed contact
+    counts: touching exactly at the combined radius is a collision.
     """
     p = robot.position()
-    for pos, r in zip(agent_positions, agent_radii):
-        if np.hypot(*(p - pos)) <= r_robot + r:
-            return True
-    return bool(np.any(capsule_projection(p, *world.segment_arrays())[0] <= r_robot))
+    gaps = np.hypot(*(p - np.reshape(agent_positions, (-1, 2))).T)
+    return bool(np.any(gaps <= r_robot + np.asarray(agent_radii))) or world.min_clearance(p) <= r_robot
 
 
 @dataclass
@@ -272,7 +276,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
         tau, prev_plan, stop_hint = 0.0, OpenLoopPlan.stationary(sim.z, params.N), None
 
     robot = RobotState(*sim.z)
-    agent_positions = [a.position(tau) for a in scn.agents]
+    radii = np.array([a.radius for a in scn.agents], dtype=float)
+    agent_positions = np.reshape([a.position(tau) for a in scn.agents], (-1, 2))
 
     # Sense.
     t_sense = time.perf_counter()
@@ -291,7 +296,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     for idx, pos in enumerate(agent_positions):
         if not _agent_visible(scn.world, sim.z[:2], pos, scn.lidar.max_range):
             continue
-        sensed = np.array([pos[0], pos[1], scn.agents[idx].radius])
+        sensed = np.array([pos[0], pos[1], radii[idx]])
         prev = sim.agent_tracks.get(idx)
         if prev is not None:
             propagated = np.array([prev[0], prev[1], prev[2] + step_distance(scn.agent_model, dt)])
@@ -333,28 +338,18 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     # Advance agents one period, enforcing the declared speed bound.
     bound = step_distance(scn.agent_model, dt)
-    next_positions = []
-    for idx, a in enumerate(scn.agents):
-        nxt = a.position(tau + dt)
-        moved = float(np.hypot(*(nxt - agent_positions[idx])))
-        if moved > bound + MOVE_SLACK:
-            raise ModelViolationError(f"agent {idx} moved {moved:.4f} m in one step; bound is {bound:.4f} m")
-        next_positions.append(nxt)
+    next_positions = np.reshape([a.position(tau + dt) for a in scn.agents], (-1, 2))
+    moved = np.hypot(*(next_positions - agent_positions).T)
+    if (moved > bound + MOVE_SLACK).any():
+        idx = int(np.argmax(moved))
+        raise ModelViolationError(f"agent {idx} moved {moved[idx]:.4f} m in one step; bound is {bound:.4f} m")
 
-    collided = ground_truth_collision(
-        z_next,
-        next_positions,
-        [a.radius for a in scn.agents],
-        scn.world,
-        params.r_robot,
-    )
+    collided = ground_truth_collision(z_next, next_positions, radii, scn.world, params.r_robot)
 
     # Clearances at the pre-step state (what the planner saw).
     pos = sim.z[:2]
     occ_clear = float(capsule_projection(pos, boundaries[:, 0], boundaries[:, 1])[0].min(initial=math.inf))
-    agent_clear = math.inf
-    for p in agent_positions:
-        agent_clear = min(agent_clear, float(np.hypot(*(pos - p))))
+    agent_clear = float(np.hypot(*(pos - agent_positions).T).min(initial=math.inf))
     static_clear = scn.world.min_clearance(pos)
 
     log.append(

@@ -1,5 +1,5 @@
-"""Unicycle kinematics: state/input types, the Euler step, and its rollout
-with closed-form sensitivities."""
+"""Unicycle kinematics: state/input types, and the Euler step, written once
+(in `_rollout`), with its rollout's closed-form sensitivities."""
 
 from __future__ import annotations
 
@@ -44,13 +44,9 @@ class ControlInput:
 
 def dynamics_step(z: RobotState, u: ControlInput, dt: float) -> RobotState:
     """One Euler step of the unicycle:
-    x' = x + dt v cos(psi), y' = y + dt v sin(psi), psi' = psi + dt delta.
-    """
-    return RobotState(
-        z.x + dt * u.v * math.cos(z.psi),
-        z.y + dt * u.v * math.sin(z.psi),
-        z.psi + dt * u.delta,
-    )
+    x' = x + dt v cos(psi), y' = y + dt v sin(psi), psi' = psi + dt delta,
+    the first step of rollout, as a RobotState of Python floats."""
+    return RobotState(*rollout(z.as_array(), np.array([[u.v, u.delta]]), dt)[1].tolist())
 
 
 def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
@@ -58,7 +54,7 @@ def rollout(z0: np.ndarray, inputs: np.ndarray, dt: float) -> np.ndarray:
 
     The Euler step as three running sums from z0: the heading first, then
     the positions along it. Each sum adds in step order, so the states are
-    those of stepping dynamics_step N times.
+    those of taking the scalar Euler step N times.
     """
     return _rollout(z0, inputs, dt)[0]
 

@@ -4,9 +4,10 @@ The outer boundary doubles as the track limit (enforced by the planner as
 state bounds), while obstacle and wall segments are what the range sensor
 returns and what static avoidance reacts to.
 
-Polygons are (m, 2) vertex arrays and walls one (W, 2, 2) array of [start,
-end] rows. The map's segments are two (S, 2) arrays of starts and ends
-(segment_arrays): the boundary's edges, then each obstacle's, then the walls.
+Polygons are (m, 2) vertex arrays, m >= 3, and walls one (W, 2, 2) array of
+[start, end] rows, all finite. The map's segments are two (S, 2) arrays of
+starts and ends (segment_arrays): the boundary's edges, then each obstacle's,
+then the walls.
 """
 
 from __future__ import annotations
@@ -39,9 +40,13 @@ class WorldMap:
             self.boundary = np.asarray(self.boundary, dtype=float)
         self.obstacles = [np.asarray(o, dtype=float) for o in self.obstacles]
         self.walls = np.asarray(self.walls, dtype=float)
-        if self.walls.ndim != 3 or self.walls.shape[1:] != (2, 2):
-            raise ValueError(f"walls must be (W, 2, 2), got shape {self.walls.shape}")
+        if self.walls.ndim != 3 or self.walls.shape[1:] != (2, 2) or not np.isfinite(self.walls).all():
+            raise ValueError(f"walls must be a finite (W, 2, 2) array, got shape {self.walls.shape}")
         polygons = ([] if self.boundary is None else [self.boundary]) + self.obstacles
+        names = ["boundary"] * (self.boundary is not None) + [f"obstacle {i}" for i in range(len(self.obstacles))]
+        for name, v in zip(names, polygons):
+            if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
+                raise ValueError(f"{name} must be a finite (m, 2) array with m >= 3, got shape {v.shape}")
         self._boundary_count = 0 if self.boundary is None else len(self.boundary)
         # A polygon's edge i runs from vertex i to vertex i + 1, cyclically.
         self._seg_a = np.concatenate([*polygons, self.walls[:, 0]])

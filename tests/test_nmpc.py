@@ -194,6 +194,10 @@ class TestSingleShootingModel:
             got, want = rollout(z0, inputs, dt), rollout_loop(z0, inputs, dt)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+            # dynamics_step is the first step of the same rollout.
+            stepped = dynamics_step(RobotState(*z0.tolist()), ControlInput(*inputs[0].tolist()), dt).as_array()
+            assert np.array_equal(stepped, want[1])
+            assert np.array_equal(np.signbit(stepped), np.signbit(want[1]))
 
     def test_input_hessian_equals_loop_at_every_stop_index(self):
         rng = np.random.default_rng(12)

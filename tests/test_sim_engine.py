@@ -55,6 +55,17 @@ class TestGroundTruthCollision:
 
     def test_empty_world_no_agents(self):
         assert not ground_truth_collision(RobotState(0.0, 0.0, 0.0), [], [], WorldMap(), r_robot=0.2)
+        assert not ground_truth_collision(RobotState(0.0, 0.0, 0.0), np.zeros((0, 2)), np.zeros(0), WorldMap(), 0.2)
+
+    def test_agents_as_arrays(self):
+        # (A, 2) positions and (A,) radii: the last agent is 0.75 m away, at
+        # exactly the combined radius 0.25 + 0.5, and touches.
+        robot = RobotState(0.0, 3.0, 0.0)
+        positions = np.array([[3.0, 3.0], [0.0, 5.0], [0.0, 3.75]])
+        radii = np.array([0.2, 0.2, 0.5])
+        assert ground_truth_collision(robot, positions, radii, self.WALL, r_robot=0.25)
+        assert not ground_truth_collision(robot, positions, radii, self.WALL, r_robot=0.2499)
+        assert not ground_truth_collision(robot, positions[:2], radii[:2], self.WALL, r_robot=0.25)
 
     def test_matches_segment_oracle(self):
         rng = np.random.default_rng(29)
@@ -359,6 +370,9 @@ class TestScenarioChecks:
                 {"agents": [AgentScript(waypoints=np.array([[1.0, 0.0]]), speed=0.0, initially_hidden=True)]},
                 "declared hidden but visible",
             ),
+            ({"max_steps": 2.5}, "max_steps must be a non-negative integer"),
+            ({"max_steps": True}, "max_steps must be a non-negative integer"),
+            ({"max_steps": -3}, "max_steps must be a non-negative integer"),
         ],
         ids=[
             "start-in-obstacle",
@@ -366,6 +380,9 @@ class TestScenarioChecks:
             "agent-too-fast",
             "agent-too-fast-per-step",
             "hidden-agent-in-sight",
+            "max-steps-not-integer",
+            "max-steps-bool",
+            "max-steps-negative",
         ],
     )
     def test_refused_when_built(self, bad, message):

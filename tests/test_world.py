@@ -49,6 +49,34 @@ class TestSegmentArrays:
         with pytest.raises(ValueError):
             WorldMap(walls=np.zeros(shape))
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"obstacles": [np.array([[0.0, 0.0], [1.0, np.nan], [1.0, 1.0]])]}, "obstacle 0"),
+            ({"obstacles": [rectangle(2, 2, 3, 3), np.zeros(4)]}, "obstacle 1"),
+            ({"obstacles": [np.zeros((0, 2))]}, "obstacle 0"),
+            ({"obstacles": [np.array([[0.0, 0.0], [1.0, 1.0]])]}, "obstacle 0"),
+            ({"obstacles": [np.zeros((4, 3))]}, "obstacle 0"),
+            ({"boundary": np.zeros((0, 2))}, "boundary"),
+            ({"boundary": rectangle(-5, -5, 5, np.inf)}, "boundary"),
+            ({"walls": np.array([[[0.0, 0.0], [np.inf, 1.0]]])}, "walls"),
+        ],
+        ids=[
+            "nan-vertex",
+            "flat",
+            "no-vertices",
+            "two-vertices",
+            "three-columns",
+            "empty-boundary",
+            "inf-boundary",
+            "inf-wall",
+        ],
+    )
+    def test_refuses_malformed_polygons_and_walls(self, fields, name):
+        # Each is refused naming the polygon, not later, in a query or a scan.
+        with pytest.raises(ValueError, match=name):
+            WorldMap(**{"boundary": rectangle(-5, -5, 5, 5), **fields})
+
 
 class TestSegmentVisible:
     def setup_method(self):
