@@ -563,15 +563,28 @@ def _start_pool(n: int):
     return pool
 
 
-@atexit.register
-def _stop_pool() -> None:
-    """Close each worker's pipes, so that it exits, and wait for it."""
+def _drop_pool() -> list[int]:
+    """Forget the workers and close this process's ends of their pipes, so
+    that they exit; returns their PIDs. A process forked from this one runs
+    it at once: the workers are not its children to wait for, and its copies
+    of their task pipes would keep them from seeing EOF."""
     global _pool
     pool, _pool = _pool or [], None
-    for pid, tasks, results in pool:
+    for _, tasks, results in pool:
         tasks.close()
         results.close()
+    return [pid for pid, *_ in pool]
+
+
+@atexit.register
+def _stop_pool() -> None:
+    """Stop the workers and wait for them."""
+    for pid in _drop_pool():
         os.waitpid(pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:

@@ -4,10 +4,12 @@ Sequential quadratic programming with a trust region and an exact penalty:
 each iteration linearizes the constraints, adds a single elastic slack so the
 subproblem is always feasible, and solves the resulting convex QP with a
 primal-dual interior-point method. A linearization assembles its QP once:
-raising the penalty weight only changes the QP's linear term. Deterministic
-given identical inputs and reports feasibility residuals. The SQP starts from
-the caller's point, so a previous plan warm-starts it; every QP cold-starts
-its interior-point method.
+raising the penalty weight only changes the QP's linear term. Each point's
+violation is computed once, with its evaluation, and one rule answers a step
+without progress: stop once feasible or at the penalty cap, else raise the
+penalty tenfold. Deterministic given identical inputs and reports feasibility
+residuals. The SQP starts from the caller's point, so a previous plan
+warm-starts it; every QP cold-starts its interior-point method.
 
 The interior-point method stops at one tolerance, 1e-9 times the QP's data
 scale, on the largest of the dual residual, the primal residual and the
@@ -220,9 +222,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
 
 
 def _violation(c: np.ndarray) -> float:
-    if len(c) == 0:
-        return 0.0
-    return max(0.0, float(-c.min()))
+    return max(0.0, float(-c.min(initial=0.0)))
 
 
 def solve_sqp(
@@ -235,31 +235,31 @@ def solve_sqp(
 ) -> SqpResult:
     """Minimize evaluate(x).f subject to evaluate(x).c >= 0 and lb <= x <= ub.
 
-    An iterate is feasible when its worst constraint violation is within
-    feas_tol. The best feasible iterate seen (including x0) is never
-    discarded, so a feasible warm start is never degraded. The status is
-    decided once, at the returned point: optimal if it is feasible,
-    infeasible otherwise.
+    Each point is clipped to the box, evaluated and its violation computed,
+    once. An iterate is feasible when its worst constraint violation is
+    within feas_tol. The cheapest feasible iterate seen (including x0) is
+    never discarded, so a feasible warm start is never degraded. A step
+    without progress (a negligible model decrease, or the trust radius at its
+    floor) meets one rule: stop once feasible or at the penalty cap, else
+    raise the penalty tenfold. The status is decided once, at the returned
+    point: optimal if it is feasible, infeasible otherwise.
     """
-    x = np.clip(np.asarray(x0, dtype=float), lb, ub)
-    ev = evaluate(x)
+    def point(p):
+        """(p clipped to the box, its evaluation, its violation)."""
+        p = np.clip(p, lb, ub)
+        ev_p = evaluate(p)
+        return p, ev_p, _violation(ev_p.c)
+
+    x, ev, viol = point(np.asarray(x0, dtype=float))
     # Constraint gradients are unit-scale here (distances), so a penalty on
     # the order of the objective gradient makes violations never profitable.
     mu = max(_PENALTY_INIT, float(np.abs(ev.grad).max(initial=0.0)))
     delta = _TRUST_RADIUS
     delta_min, delta_max = 1e-12, 16.0
 
-    best, best_f = None, np.inf  # (x, evaluation) of the cheapest feasible iterate
-    if _violation(ev.c) <= feas_tol:
-        best, best_f = (x, ev), ev.f
-
-    def attempt(point):
-        """The point clipped to the box, its evaluation and violation, and
-        how far the merit f + mu * violation falls from x to it."""
-        point = np.clip(point, lb, ub)
-        ev_point = evaluate(point)
-        viol_point = _violation(ev_point.c)
-        return point, ev_point, viol_point, (ev.f + mu * viol) - (ev_point.f + mu * viol_point)
+    def merit_fall(trial):
+        """How far the merit f + mu * violation falls from x to a point()."""
+        return (ev.f + mu * viol) - (trial[1].f + mu * trial[2])
 
     counts = Counter(qp_iterations=0, qp_solves=0, penalty_rungs=0)
 
@@ -270,10 +270,11 @@ def solve_sqp(
         counts.update(qp_iterations=qp_iterations, qp_solves=1, penalty_rungs=int(qp.solves > 1))
         return d, sigma
 
-    iterations = 0
+    best = None  # the cheapest feasible point() an iteration started from
     qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
     for iterations in range(1, _SQP_MAX_ITER + 1):
-        viol = _violation(ev.c)
+        if viol <= feas_tol and (best is None or ev.f < best[1].f):
+            best = x, ev, viol
         if qp is None:
             qp = _ElasticQp(ev, x, lb, ub, delta)
         d, sigma = solve_elastic(qp)
@@ -289,65 +290,51 @@ def solve_sqp(
 
         model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
 
-        if model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol):
-            if viol <= feas_tol or mu >= _PENALTY_MAX:
-                break
-            mu = min(10.0 * mu, _PENALTY_MAX)
-            continue
+        if not (model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)):
+            qp = None  # accepting the step moves x, rejecting it shrinks delta
+            trial = point(x + d)
+            rho = merit_fall(trial) / model_decrease
 
-        qp = None  # accepting the step moves x, rejecting it shrinks delta
-        trial, ev_trial, viol_trial, actual = attempt(x + d)
-        rho = actual / model_decrease
+            if rho < 0.1 and trial[2] > max(viol, feas_tol):
+                # Second-order correction: the step was rejected by constraint
+                # curvature; retry with constraints re-evaluated at the trial
+                # point but the original Jacobian.
+                x_t, ev_t, _ = trial
+                ev_soc = EvalResult(ev_t.f, ev.grad + ev.hess.dot(x_t - x), ev.hess, ev_t.c, ev.jac)
+                w, _ = solve_elastic(_ElasticQp(ev_soc, x_t, lb, ub, delta))
+                corrected = point(x_t + w)
+                if merit_fall(corrected) > merit_fall(trial):
+                    trial = corrected
+                    rho = merit_fall(trial) / model_decrease
 
-        if rho < 0.1 and viol_trial > max(viol, feas_tol):
-            # Second-order correction: the step was rejected by constraint
-            # curvature; retry with constraints re-evaluated at the trial
-            # point but the original Jacobian.
-            ev_soc = EvalResult(
-                f=ev_trial.f,
-                grad=ev.grad + ev.hess.dot(trial - x),
-                hess=ev.hess,
-                c=ev_trial.c,
-                jac=ev.jac,
-            )
-            w, _ = solve_elastic(_ElasticQp(ev_soc, trial, lb, ub, delta))
-            corrected = attempt(trial + w)
-            if corrected[3] > actual:
-                trial, ev_trial, viol_trial, actual = corrected
-                rho = actual / model_decrease
-
-        if rho >= 0.1:
-            x = trial
-            ev = ev_trial
-            if viol_trial <= feas_tol and ev_trial.f < best_f:
-                best, best_f = (x, ev), ev.f
-            if rho >= 0.7 and np.max(np.abs(d)) >= 0.9 * delta:
-                delta = min(2.0 * delta, delta_max)
-        else:
+            if rho >= 0.1:
+                x, ev, viol = trial
+                if rho >= 0.7 and np.max(np.abs(d)) >= 0.9 * delta:
+                    delta = min(2.0 * delta, delta_max)
+                continue
             delta = max(0.25 * delta, delta_min)
-            if delta <= delta_min:
-                if viol <= feas_tol or mu >= _PENALTY_MAX:
-                    break
-                mu = min(10.0 * mu, _PENALTY_MAX)
-                delta = _TRUST_RADIUS * 0.01
+            if delta > delta_min:
+                continue
+            delta = _TRUST_RADIUS * 0.01  # restarted, with a new QP
 
-    final_viol = _violation(ev.c)
-    if best is not None and (final_viol > feas_tol or best_f < ev.f):
+        # No progress at this penalty.
+        if viol <= feas_tol or mu >= _PENALTY_MAX:
+            break
+        mu = min(10.0 * mu, _PENALTY_MAX)
+
+    if best is not None and (viol > feas_tol or best[1].f < ev.f):
         # Prefer the incumbent when the final iterate is worse or infeasible;
         # its evaluation was kept, so it is not evaluated again.
-        x, ev = best
-        final_viol = _violation(ev.c)
-    status = STATUS_OPTIMAL if final_viol <= feas_tol else STATUS_INFEASIBLE
+        x, ev, viol = best
+    status = STATUS_OPTIMAL if viol <= feas_tol else STATUS_INFEASIBLE
 
-    logger.debug(
-        "sqp done status=%s iters=%d f=%.6g viol=%.3g", status, iterations, ev.f, final_viol
-    )
+    logger.debug("sqp done status=%s iters=%d f=%.6g viol=%.3g", status, iterations, ev.f, viol)
     return SqpResult(
         status=status,
         x=x,
         objective=ev.f,
         iterations=iterations,
-        max_violation=final_viol,
+        max_violation=viol,
         **counts,
     )
 

@@ -20,14 +20,16 @@ import numpy as np
 from .geometry import capsule_projection, cast_rays
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldMap:
     """Polygonal world. `boundary` is the outer free-space polygon (may be
     None for an open world); `obstacles` are solid polygons inside it;
-    `walls` are bare segments (both sides solid), [start, end] rows."""
+    `walls` are bare segments (both sides solid), [start, end] rows.
+    Frozen, and each polygon and the walls are stored as read-only float
+    copies, so the segments built from them once stay the map's."""
 
     boundary: Optional[np.ndarray] = None  # (m, 2)
-    obstacles: list[np.ndarray] = field(default_factory=list)
+    obstacles: tuple[np.ndarray, ...] = ()
     walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))  # (W, 2, 2)
 
     _boundary_count: int = field(init=False, repr=False)
@@ -36,22 +38,27 @@ class WorldMap:
     _polygon_starts: np.ndarray = field(init=False, repr=False)  # first edge of each polygon
 
     def __post_init__(self):
+        def read_only(v):
+            v = np.array(v, dtype=float)
+            v.flags.writeable = False
+            return v
+
         if self.boundary is not None:
-            self.boundary = np.asarray(self.boundary, dtype=float)
-        self.obstacles = [np.asarray(o, dtype=float) for o in self.obstacles]
-        self.walls = np.asarray(self.walls, dtype=float)
+            object.__setattr__(self, "boundary", read_only(self.boundary))
+        object.__setattr__(self, "obstacles", tuple(map(read_only, self.obstacles)))
+        object.__setattr__(self, "walls", read_only(self.walls))
         if self.walls.ndim != 3 or self.walls.shape[1:] != (2, 2) or not np.isfinite(self.walls).all():
             raise ValueError(f"walls must be a finite (W, 2, 2) array, got shape {self.walls.shape}")
-        polygons = ([] if self.boundary is None else [self.boundary]) + self.obstacles
+        polygons = ([] if self.boundary is None else [self.boundary]) + list(self.obstacles)
         names = ["boundary"] * (self.boundary is not None) + [f"obstacle {i}" for i in range(len(self.obstacles))]
         for name, v in zip(names, polygons):
             if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2 or not np.isfinite(v).all():
                 raise ValueError(f"{name} must be a finite (m, 2) array with m >= 3, got shape {v.shape}")
-        self._boundary_count = 0 if self.boundary is None else len(self.boundary)
+        object.__setattr__(self, "_boundary_count", 0 if self.boundary is None else len(self.boundary))
         # A polygon's edge i runs from vertex i to vertex i + 1, cyclically.
-        self._seg_a = np.concatenate([*polygons, self.walls[:, 0]])
-        self._seg_b = np.concatenate([*(np.roll(v, -1, axis=0) for v in polygons), self.walls[:, 1]])
-        self._polygon_starts = np.cumsum([0] + [len(v) for v in polygons])
+        object.__setattr__(self, "_seg_a", np.concatenate([*polygons, self.walls[:, 0]]))
+        object.__setattr__(self, "_seg_b", np.concatenate([*(np.roll(v, -1, axis=0) for v in polygons), self.walls[:, 1]]))
+        object.__setattr__(self, "_polygon_starts", np.cumsum([0] + [len(v) for v in polygons]))
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self._seg_a, self._seg_b

@@ -105,6 +105,8 @@ class TestOpenLoopPlan:
             OpenLoopPlan(np.zeros((3, 3)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             OpenLoopPlan(np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="inputs must be"):
+            OpenLoopPlan(np.zeros((3, 3)), np.zeros((2, 3)))
 
     def test_accessors(self):
         plan = OpenLoopPlan.stationary(np.array([1.0, 2.0, 0.3]), horizon=4)

@@ -545,6 +545,8 @@ class TestLidarParams:
             LidarParams(num_rays=4)
         with pytest.raises(ValueError):
             LidarParams(max_range=0)
+        with pytest.raises(ValueError, match="jump_threshold must be positive"):
+            LidarParams(jump_threshold=0.0)
         with pytest.raises(ValueError):
             LidarParams(downsample_spacing=0.5, coverage_radius=0.2)
 

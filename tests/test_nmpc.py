@@ -83,6 +83,13 @@ class TestDynamicsStep:
         z = dynamics_step(RobotState(1, 1, 0), ControlInput(0, 1), 0.1)
         assert (z.x, z.y, z.psi) == pytest.approx((1.0, 1.0, 0.1))
 
+    def test_state_and_input_must_be_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite robot state"):
+                RobotState(0.0, bad, 0.0)
+            with pytest.raises(ValueError, match="non-finite control input"):
+                ControlInput(bad, 0.0)
+
 
 class TestTotalCost:
     def test_plan_at_goal_zero(self):
@@ -489,6 +496,27 @@ def run_script(tmp_path, goal):
     return done.returncode, out.split(), err
 
 
+# Two probe workers started, then a child forked that leaves by sys.exit 3 s
+# later, writing to the inherited standard error but not to standard output.
+# The parent prints its clock when it has forked and ends.
+FORK_SCRIPT = textwrap.dedent(
+    """
+    import os
+    import sys
+    import time
+    import oampc.nmpc
+
+    os.sched_getaffinity = lambda pid: {0, 1}
+    assert oampc.nmpc._map(abs, [-1, -2], 4) == [1, 2] and len(oampc.nmpc._pool) == 2
+    if os.fork() == 0:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        time.sleep(3.0)
+        sys.exit()
+    print(time.monotonic(), flush=True)
+    """
+)
+
+
 class TestParallelProbes:
     """Hint and sweep probes in worker processes give the plans, tie-breaks
     and counters of running them one after another in this process."""
@@ -570,6 +598,28 @@ class TestParallelProbes:
         code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
         assert code == 0 and err == ""
         assert out == ["full", "1", "False", "1"]
+
+    def test_forked_child_drops_the_workers(self, tmp_path):
+        # The child neither waits for the parent's workers at its exit (they
+        # are not its children: ChildProcessError) nor keeps their task pipes
+        # open, which held the parent's exit until the child had ended.
+        script = tmp_path / "fork.py"
+        script.write_text(FORK_SCRIPT)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        pipe = subprocess.PIPE
+        with subprocess.Popen(
+            [sys.executable, "-W", "error", str(script)], stdout=pipe, stderr=pipe, text=True, env=env, start_new_session=True
+        ) as done:
+            try:
+                done.wait(timeout=120)
+            except subprocess.TimeoutExpired:
+                os.killpg(done.pid, signal.SIGKILL)
+                raise
+            exited = time.monotonic()
+            forked = float(done.stdout.read())
+            err = done.stderr.read()  # read to its end, which the child's exit closes
+        assert done.returncode == 0 and err == ""
+        assert exited - forked < 1.5
 
 
 def returned_late(j):
@@ -699,6 +749,9 @@ class TestStopIndexProbe:
             seed = oampc.nmpc._rotate_then_drive_seed(probe, j)
             assert seed.shape == (j, 2)
             assert seed[-1, 0] > 0 and np.all(seed[:, 1] <= 0)  # turns right, then drives
+        # The goal on the left with no left turn allowed: no such seed.
+        left = _probe(make_problem([0, 0, 0], [0, 3], params=MpcParams(delta_max=0.0)))
+        assert oampc.nmpc._rotate_then_drive_seed(left, 3) is None
 
 
 class TestSearchOrder:
@@ -804,6 +857,15 @@ class TestAvoidanceRows:
         problem = make_problem([0, 0, 0], [3, 0], families=families, circles=[(0.0, 1.0, 0.2)])
         assert set(vars(problem)) == {f.name for f in fields(NlpProblem) if f.init}
 
+    def test_problem_horizons_must_be_n(self):
+        problem = make_problem([0, 0, 0], [3, 0])
+        n = problem.params.N
+        short = OpenLoopPlan.stationary(problem.z0, n - 1)
+        with pytest.raises(ValueError, match=f"projection horizon {n - 1} != N {n}"):
+            dataclasses.replace(problem, projections=project_plan(short.positions()[1:], []))
+        with pytest.raises(ValueError, match="warm start horizon mismatch"):
+            dataclasses.replace(problem, warm_start=short)
+
     def test_planner_rows_match_cull_then_relax_oracle(self):
         params = MpcParams()  # no track limits, so c holds the avoidance rows only
         seg = np.array([[1.2, -0.5], [1.2, 0.5]])
@@ -898,6 +960,10 @@ class TestMpcParams:
             MpcParams(q_input=(0, 1))
         with pytest.raises(ValueError):
             MpcParams(v_min=0.5)  # cannot stop
+        with pytest.raises(ValueError, match="state weights must be nonnegative"):
+            MpcParams(q_state=(10.0, -1.0, 0.0))
+        with pytest.raises(ValueError, match="heading-rate bounds must admit"):
+            MpcParams(delta_min=0.1)  # cannot hold the heading
         with pytest.raises(ValueError):
             MpcParams(state_bounds=(1, 0, 0, 1))
 

@@ -78,6 +78,8 @@ class TestBuildCapsules:
         pts = np.random.default_rng(2).uniform(-1, 2, size=(100, 2))
         d, _ = capsule_projection(pts, fam.a, fam.b, fam.radii[0])
         assert d == pytest.approx(segment_distance(pts, [0, 0], [1, 0]), abs=1e-12)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            build_capsules(boundary(0, 0, 1, 0), AgentModel(0.0), 0.1, 0)
 
     def test_nesting_by_sampling(self):
         fam = build_capsules(boundary(-1, 0.5, 2, 1.5), AgentModel(0.5), 0.1, 5)
@@ -116,6 +118,8 @@ class TestBuildDisks:
     def test_radii(self):
         fam = build_disks(disk(0, 0, 0.1), AgentModel(0.5), 0.1, 3)
         assert fam.radii == pytest.approx([0.15, 0.20, 0.25])
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            build_disks(disk(0, 0, 0.1), AgentModel(0.5), 0.1, 0)
 
     def test_zero_speed_constant(self):
         fam = build_disks(disk(1, 2, 0.2), AgentModel(0.0), 0.1, 4)

@@ -373,6 +373,8 @@ class TestScenarioChecks:
             ({"max_steps": 2.5}, "max_steps must be a non-negative integer"),
             ({"max_steps": True}, "max_steps must be a non-negative integer"),
             ({"max_steps": -3}, "max_steps must be a non-negative integer"),
+            ({"mode": "clairvoyant"}, "unknown mode"),
+            ({"goals": []}, "needs at least one goal"),
         ],
         ids=[
             "start-in-obstacle",
@@ -383,6 +385,8 @@ class TestScenarioChecks:
             "max-steps-not-integer",
             "max-steps-bool",
             "max-steps-negative",
+            "unknown-mode",
+            "no-goals",
         ],
     )
     def test_refused_when_built(self, bad, message):
@@ -526,6 +530,8 @@ class TestJsonLines:
                 "n_families",
             ):
                 assert row[name] == getattr(rec, name), name
+        with pytest.raises(ValueError, match="log time must be strictly increasing"):
+            log.append(log.records[-1])
 
     def test_summary(self, tmp_path, capsys):
         log, _ = run(corner_scenario().with_overrides(max_steps=12))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,21 @@ class TestSegmentArrays:
         # Each is refused naming the polygon, not later, in a query or a scan.
         with pytest.raises(ValueError, match=name):
             WorldMap(**{"boundary": rectangle(-5, -5, 5, 5), **fields})
+
+    def test_not_changed_after_it_is_built(self):
+        # The segments every query reads are built once, with the checks
+        # above, so the map's polygons and walls cannot change after that.
+        boundary = rectangle(-5, -5, 5, 5)
+        world = WorldMap(boundary=boundary, obstacles=[rectangle(2, 2, 3, 3)], walls=np.array([[[0, -4], [0, -3]]]))
+        with pytest.raises(AttributeError):
+            world.obstacles.append(rectangle(-1, -1, 1, 1))
+        with pytest.raises(FrozenInstanceError):
+            world.boundary = rectangle(-9, -9, 9, 9)
+        for array in (world.boundary, world.obstacles[0], world.walls):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = -9.0
+        boundary[0] = [-9, -9]  # the caller's array stays its own, and writable
+        assert world.min_clearance([-4.9, -4.9]) == pytest.approx(0.1)
 
 
 class TestSegmentVisible:
@@ -193,7 +209,7 @@ class TestContainsFree:
             WorldMap(obstacles=[self.L_SHAPE, inner]),
         ):
             random = rng.uniform(-0.5, 4.5, size=(2000, 2))
-            polygons = ([] if world.boundary is None else [world.boundary]) + world.obstacles
+            polygons = [*([] if world.boundary is None else [world.boundary]), *world.obstacles]
             # Grid points hit vertex heights and edge abscissas exactly.
             grid = np.stack(np.meshgrid(np.arange(-1, 10) * 0.5, np.arange(-1, 8) * 0.5), axis=-1).reshape(-1, 2)
             self._check(world, [*random, *grid, *edge_and_vertex_points(rng, polygons, 5)])
