@@ -74,28 +74,33 @@ GOAL_TOLERANCE = 0.1
 STEP_LAYERS = ("sense_ms", "reach_ms", "project_ms", "solve_ms", "audit_ms")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentScript:
     """Scripted pedestrian: constant speed along a waypoint polyline,
-    starting to move at start_time, standing at the last waypoint after."""
+    starting to move at start_time, standing at the last waypoint after.
+    Frozen, with the waypoints kept as a read-only float copy, so the path
+    that was checked and measured is the one walked."""
 
-    waypoints: np.ndarray  # (m, 2)
+    waypoints: np.ndarray  # (m, 2), kept as a read-only float copy
     speed: float
     start_time: float = 0.0
     initially_hidden: bool = False
     radius: float = 0.1
 
     def __post_init__(self):
-        self.waypoints = np.asarray(self.waypoints, dtype=float)
-        if self.waypoints.ndim != 2 or self.waypoints.shape[0] < 1 or self.waypoints.shape[1] != 2:
-            raise ValueError(f"agent waypoints must be (m, 2) with m >= 1, not {self.waypoints.shape}")
-        if not (np.isfinite(self.waypoints).all() and math.isfinite(self.start_time)):
+        waypoints = np.array(self.waypoints, dtype=float)
+        waypoints.flags.writeable = False
+        object.__setattr__(self, "waypoints", waypoints)
+        if waypoints.ndim != 2 or waypoints.shape[0] < 1 or waypoints.shape[1] != 2:
+            raise ValueError(f"agent waypoints must be (m, 2) with m >= 1, not {waypoints.shape}")
+        if not (np.isfinite(waypoints).all() and math.isfinite(self.start_time)):
             raise ValueError("agent waypoints and start time must be finite")
         if not (0.0 <= self.speed < math.inf and 0.0 <= self.radius < math.inf):
             raise ValueError(f"agent speed {self.speed} and radius {self.radius} must be finite and nonnegative")
-        legs = np.diff(self.waypoints, axis=0)
-        self._leg_lengths = np.hypot(legs[:, 0], legs[:, 1]) if len(legs) else np.zeros(0)
-        self._cum = np.concatenate([[0.0], np.cumsum(self._leg_lengths)])
+        legs = np.diff(waypoints, axis=0)
+        leg_lengths = np.hypot(legs[:, 0], legs[:, 1]) if len(legs) else np.zeros(0)
+        object.__setattr__(self, "_leg_lengths", leg_lengths)
+        object.__setattr__(self, "_cum", np.concatenate([[0.0], np.cumsum(leg_lengths)]))
 
     def position(self, tau: float) -> np.ndarray:
         """Agent position at absolute time tau."""

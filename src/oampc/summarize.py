@@ -7,20 +7,22 @@ Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the fallback steps, the
 largest audit violation, the collision steps, each moving (speed above 1e-6
 m/s) or stopped, and the smallest occlusion, agent and static clearance with
-its step (the near misses); the stop-index probes, infeasible probes, QP
-solves, penalty rungs (QP solves after the first at one linearization) and
-interior-point iterations per step; and the steps that ended in each
-stop-index search phase, with p50 and p99 of probe_ms / solve_ms (above 1
-when probes ran in parallel), and the slowest steps with their counters. The
-control period is the spacing of the logged times, or `MpcParams.dt` for a
-one-step log.
+its step (the near misses); the stop-index probes, infeasible probes, SQP
+iterations, QP solves, penalty rungs (QP solves after the first at one
+linearization) and interior-point iterations per step; and the steps that
+ended in each stop-index search phase, with p50 and p99 of probe_ms /
+solve_ms (above 1 when probes ran in parallel), and the slowest steps with
+their counters. The control period is the spacing of the logged times, or
+`MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
 1 if they do. A step differs when a field the two logs share, other than a
 time (`*_ms`), is not the same to the bit, and so does a step only the longer
-log has. The comparison names the first such step, the largest difference in
-states, applied inputs and plans (inf between plans of different horizons),
-and the totals of the solver counters.
+log has. The comparison names the first such step, the first step whose
+state, applied input or plan differs (`none` when only counters or other
+fields moved), the largest difference in states, applied inputs and plans
+(inf between plans of different horizons), and the totals of the solver
+counters.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .sim_engine import STEP_LAYERS
 COUNTERS = (
     ("probes", "probes"),
     ("infeasible probes", "infeasible_probes"),
+    ("SQP iterations", "sqp_iterations"),
     ("QP solves", "qp_solves"),
     ("penalty rungs", "penalty_rungs"),
     ("interior-point iterations", "qp_iterations"),
@@ -107,13 +110,16 @@ def summarize(rows: list[dict]) -> list[str]:
 def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     """The comparison lines of logs a and b, and whether they are the same."""
     lines = [f"steps: {len(a)} against {len(b)}"]
-    first = None
+    first = first_plan = None
     largest = dict.fromkeys(("state", "applied_input", "plan states", "plan inputs"), 0.0)
     for k, (x, y) in enumerate(zip(a, b)):
         shared = sorted(x.keys() & y.keys())
         differ = [name for name in shared if not name.endswith("_ms") and json.dumps(x[name]) != json.dumps(y[name])]
         if differ and first is None:
-            first = f"first step that differs: {k} (tau {x['tau']!r}): {' '.join(differ)}"
+            first = f"{k} (tau {x['tau']!r}): {' '.join(differ)}"
+        moved = [name for name in ("state", "applied_input", "plan") if name in differ]
+        if moved and first_plan is None:
+            first_plan = f"{k} (tau {x['tau']!r}): {' '.join(moved)}"
         for name, u, v in (
             ("state", x["state"], y["state"]),
             ("applied_input", x["applied_input"], y["applied_input"]),
@@ -123,10 +129,12 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
             # Plans of different horizons have no elementwise difference.
             gap = float(np.abs(np.subtract(u, v)).max()) if np.shape(u) == np.shape(v) else math.inf
             largest[name] = max(largest[name], gap)
-    if first is None and len(a) != len(b):
+    if len(a) != len(b):
         k = min(len(a), len(b))
-        first = f"first step that differs: {k} (tau {max(a, b, key=len)[k]['tau']!r}): in one log only"
-    lines.append(first or "first step that differs: none")
+        only = f"{k} (tau {max(a, b, key=len)[k]['tau']!r}): in one log only"
+        first, first_plan = first or only, first_plan or only
+    lines.append(f"first step that differs: {first or 'none'}")
+    lines.append(f"first plan difference: {first_plan or 'none'}")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
     for label, name in COUNTERS:
         ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)

@@ -3,13 +3,19 @@
 Everything here is deliberately written from scratch against the definitions,
 not by calling the code under test: point-in-shape tests use inline cross
 products, distances come from dense boundary sampling with local refinement.
+The `*_parent` functions are earlier versions of library code, kept verbatim:
+a rewrite that must keep its results bit for bit is checked against them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from typing import Callable
 
 import numpy as np
+
+from oampc import solver
 
 
 def point_in_convex_polygon(p, verts) -> bool:
@@ -599,3 +605,120 @@ def elastic_qp_parent(ev, x, lb, ub, delta):
     rows.append(np.hstack([-eye, np.zeros((n, 1))]))
     rhs.append(-lo)
     return P, np.vstack(rows), np.concatenate(rhs)
+
+
+def solve_sqp_parent(
+    evaluate: Callable[[np.ndarray], solver.EvalResult],
+    x0: np.ndarray,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    *,
+    feas_tol: float = 1e-6,
+) -> solver.SqpResult:
+    """`oampc.solver.solve_sqp` as it was before the repeat rule, kept
+    verbatim but for its logging: every iteration solves its QP. The
+    repeat rule must return the same x, objective, status and max_violation
+    bit for bit, with no more QP solves. It builds its QPs with the library's
+    `_ElasticQp`, looked up at call time like the constants, so a patched
+    class reaches both; `_ElasticQp` and `solve_qp` are checked against
+    their own oracles.
+
+    Minimize evaluate(x).f subject to evaluate(x).c >= 0 and lb <= x <= ub.
+    """
+    def point(p):
+        """(p clipped to the box, its evaluation, its violation)."""
+        p = np.clip(p, lb, ub)
+        ev_p = evaluate(p)
+        return p, ev_p, _violation_parent(ev_p.c)
+
+    x, ev, viol = point(np.asarray(x0, dtype=float))
+    # Constraint gradients are unit-scale here (distances), so a penalty on
+    # the order of the objective gradient makes violations never profitable.
+    mu = max(solver._PENALTY_INIT, float(np.abs(ev.grad).max(initial=0.0)))
+    delta = solver._TRUST_RADIUS
+    delta_min, delta_max = 1e-12, 16.0
+
+    def merit_fall(trial):
+        """How far the merit f + mu * violation falls from x to a point()."""
+        return (ev.f + mu * viol) - (trial[1].f + mu * trial[2])
+
+    counts = Counter(qp_iterations=0, qp_solves=0, penalty_rungs=0)
+
+    def solve_elastic(qp: solver._ElasticQp):
+        """(d, sigma) of qp at the current penalty, counted. A solve of a QP
+        solved before is a penalty rung."""
+        d, sigma, qp_iterations = qp.solve(mu)
+        counts.update(qp_iterations=qp_iterations, qp_solves=1, penalty_rungs=int(qp.solves > 1))
+        return d, sigma
+
+    best = None  # the cheapest feasible point() an iteration started from
+    qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
+    for iterations in range(1, solver._SQP_MAX_ITER + 1):
+        if viol <= feas_tol and (best is None or ev.f < best[1].f):
+            best = x, ev, viol
+        if qp is None:
+            qp = solver._ElasticQp(ev, x, lb, ub, delta)
+        d, sigma = solve_elastic(qp)
+
+        # An active elastic slack means the linearized constraints were not
+        # met within the current penalty budget: escalate until they are or
+        # the budget is exhausted (which signals true infeasibility).
+        rounds = 0
+        while sigma > max(feas_tol, 1e-12) and mu < solver._PENALTY_MAX and rounds < 3:
+            mu = min(10.0 * mu, solver._PENALTY_MAX)
+            d, sigma = solve_elastic(qp)
+            rounds += 1
+
+        model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
+
+        if not (model_decrease <= solver._SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)):
+            qp = None  # accepting the step moves x, rejecting it shrinks delta
+            trial = point(x + d)
+            rho = merit_fall(trial) / model_decrease
+
+            if rho < 0.1 and trial[2] > max(viol, feas_tol):
+                # Second-order correction: the step was rejected by constraint
+                # curvature; retry with constraints re-evaluated at the trial
+                # point but the original Jacobian.
+                x_t, ev_t, _ = trial
+                ev_soc = solver.EvalResult(ev_t.f, ev.grad + ev.hess.dot(x_t - x), ev.hess, ev_t.c, ev.jac)
+                w, _ = solve_elastic(solver._ElasticQp(ev_soc, x_t, lb, ub, delta))
+                corrected = point(x_t + w)
+                if merit_fall(corrected) > merit_fall(trial):
+                    trial = corrected
+                    rho = merit_fall(trial) / model_decrease
+
+            if rho >= 0.1:
+                x, ev, viol = trial
+                if rho >= 0.7 and np.max(np.abs(d)) >= 0.9 * delta:
+                    delta = min(2.0 * delta, delta_max)
+                continue
+            delta = max(0.25 * delta, delta_min)
+            if delta > delta_min:
+                continue
+            delta = solver._TRUST_RADIUS * 0.01  # restarted, with a new QP
+
+        # No progress at this penalty.
+        if viol <= feas_tol or mu >= solver._PENALTY_MAX:
+            break
+        mu = min(10.0 * mu, solver._PENALTY_MAX)
+
+    if best is not None and (viol > feas_tol or best[1].f < ev.f):
+        # Prefer the incumbent when the final iterate is worse or infeasible;
+        # its evaluation was kept, so it is not evaluated again.
+        x, ev, viol = best
+    status = solver.STATUS_OPTIMAL if viol <= feas_tol else solver.STATUS_INFEASIBLE
+
+    return solver.SqpResult(
+        status=status,
+        x=x,
+        objective=ev.f,
+        iterations=iterations,
+        max_violation=viol,
+        **counts,
+    )
+
+
+def _violation_parent(c: np.ndarray) -> float:
+    """solve_sqp_parent's violation, which reads a NaN in c as 0.0."""
+    return max(0.0, float(-c.min(initial=0.0)))

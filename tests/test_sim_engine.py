@@ -321,6 +321,30 @@ class TestAgentInputs:
         with pytest.raises(ValueError):
             AgentScript(waypoints=np.array([[4.8, 4.5, 0.0], [4.8, -2.5, 0.0]]), speed=0.5)
 
+    def test_not_changed_after_it_is_built(self):
+        # The caller's waypoint array, written after the scenario was built,
+        # once moved the agent without its leg lengths: the run ended as a
+        # model violation at step 0, the agent moving 0.275 m against a
+        # bound of 0.05 m.
+        w = np.array([[3.0, 2.0], [3.0, -2.0]])
+        ped = AgentScript(waypoints=w, speed=0.5)
+        scenario = Scenario(
+            name="alias",
+            world=WorldMap(boundary=rectangle(-1, -3, 10, 3)),
+            robot_init=RobotState(0.0, 0.0, 0.0),
+            goals=[np.array([8.0, 0.0])],
+            agents=[ped],
+            max_steps=3,
+        )
+        w[1] = [3.0, -20.0]
+        log, metrics = run(scenario)
+        assert metrics.terminal_reason == "budget" and len(log) == 3
+        assert np.array_equal(ped.position(1.0), [3.0, 1.5])
+        with pytest.raises(ValueError, match="read-only"):
+            ped.waypoints[1] = [3.0, -20.0]
+        with pytest.raises(FrozenInstanceError):
+            ped.speed = 1.0
+
 
 class TestGoalInputs:
     """A bad goal is refused where it enters, not met mid-run."""
@@ -561,6 +585,7 @@ class TestJsonLines:
         for label, name in (
             ("probes", "probes"),
             ("infeasible probes", "infeasible_probes"),
+            ("SQP iterations", "sqp_iterations"),
             ("QP solves", "qp_solves"),
             ("penalty rungs", "penalty_rungs"),
             ("interior-point iterations", "qp_iterations"),
@@ -579,7 +604,7 @@ class TestJsonLines:
         want = [f"{np.percentile(per_iteration, q):.1f}" for q in (50, 99)]
         assert lines["us per interior-point iteration"].split() == want
         # The five slowest steps, slowest first.
-        counters = ["probes", "infeasible_probes", "qp_solves", "penalty_rungs", "qp_iterations"]
+        counters = ["probes", "infeasible_probes", "sqp_iterations", "qp_solves", "penalty_rungs", "qp_iterations"]
         assert lines["slowest steps"].split() == ["step_ms", "search", *counters]
         listed = [key for key in lines if key.removeprefix("step ").isdigit()]
         slowest = sorted(range(len(log)), key=lambda k: -step_ms[k])[:5]
@@ -656,7 +681,19 @@ class TestJsonLines:
         assert summarize_main([str(a), "--against", str(b)]) == 0
         out = capsys.readouterr().out
         assert "first step that differs: none" in out
+        assert "first plan difference: none" in out
         assert "probes: {0} against {0} (+0), 0 steps differ".format(sum(rec.probes for rec in log)) in out
+        sqp_iterations = sum(rec.sqp_iterations for rec in log)
+        assert f"SQP iterations: {sqp_iterations} against {sqp_iterations} (+0), 0 steps differ" in out
+        # Counters that move with every plan the same: two fewer SQP
+        # iterations at step 2, and the plans read as the same.
+        rows[2]["sqp_iterations"] -= 2
+        b.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert summarize_main([str(a), "--against", str(b)]) == 1
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["first step that differs"] == f"2 (tau {log.records[2].tau!r}): sqp_iterations"
+        assert lines["first plan difference"] == "none"
+        assert lines["SQP iterations"].endswith("(-2), 1 steps differ")
         # A plan input off by one unit in the last place at step 4, and one
         # more QP solve there.
         rows[4]["plan"]["inputs"][2][0] = float(np.nextafter(rows[4]["plan"]["inputs"][2][0], 9.0))
@@ -664,9 +701,11 @@ class TestJsonLines:
         b.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert summarize_main([str(a), "--against", str(b)]) == 1
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-        assert lines["first step that differs"] == f"4 (tau {log.records[4].tau!r}): plan qp_solves"
+        assert lines["first step that differs"] == f"2 (tau {log.records[2].tau!r}): sqp_iterations"
+        assert lines["first plan difference"] == f"4 (tau {log.records[4].tau!r}): plan"
         assert "plan inputs 0.0" not in lines["largest difference"]
         assert lines["QP solves"].endswith("(+1), 1 steps differ")
+        rows[2]["sqp_iterations"] += 2
         # A shorter log differs too, from the first step it lacks, even when
         # the steps both logs have are the same.
         b.write_text("".join(json.dumps(row) + "\n" for row in rows[:4]))
@@ -675,6 +714,7 @@ class TestJsonLines:
             lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
             assert lines["steps"] == ("6 against 4" if first is a else "4 against 6")
             assert lines["first step that differs"] == f"4 (tau {log.records[4].tau!r}): in one log only"
+            assert lines["first plan difference"] == f"4 (tau {log.records[4].tau!r}): in one log only"
         # So do two logs whose plans have different horizons: their plans
         # have no elementwise difference, which reads as inf.
         scn = corner_scenario().with_overrides(max_steps=2)
@@ -684,4 +724,6 @@ class TestJsonLines:
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert lines["first step that differs"].startswith("0 (tau 0.0): ")
         assert "plan" in lines["first step that differs"].split(": ")[1].split()
+        assert lines["first plan difference"].startswith("0 (tau 0.0): ")
+        assert "plan" in lines["first plan difference"].split(": ")[1].split()
         assert "plan states inf, plan inputs inf" in lines["largest difference"]

@@ -7,9 +7,18 @@ import pytest
 import oampc.nmpc
 import oampc.solver
 from oampc.sim_engine import MODE_BASELINE, run
-from oampc.solver import _PENALTY_MAX, _QP_MAX_ITER, _SQP_MAX_ITER, EvalResult, _ElasticQp, solve_qp, solve_sqp
+from oampc.solver import (
+    _PENALTY_MAX,
+    _QP_MAX_ITER,
+    _SQP_MAX_ITER,
+    EvalResult,
+    _ElasticQp,
+    _violation,
+    solve_qp,
+    solve_sqp,
+)
 
-from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference
+from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference, solve_sqp_parent
 from test_sim_engine import corner_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -530,6 +539,19 @@ class TestSqp:
         assert res.status == "infeasible"
         assert res.max_violation > 1e-3
 
+    def test_nan_constraint_is_infeasible(self):
+        # A NaN constraint value is an infinite violation. It once read as
+        # none (max(0.0, nan) is 0.0), hid the -2.0 beside it, and a lone NaN
+        # constraint was certified feasible at the start.
+        assert _violation(np.array([np.nan, -2.0])) == np.inf
+        assert _violation(np.array([-2.0, np.nan])) == np.inf
+
+        def evaluate(x):
+            return EvalResult(float(x @ x), 2 * x, 2 * np.eye(1), c=np.array([np.nan]), jac=np.array([[1.0]]))
+
+        res = solve_sqp(evaluate, np.zeros(1), lb=np.array([-1.0]), ub=np.array([1.0]))
+        assert res.status == "infeasible" and res.max_violation == np.inf
+
     def test_status_is_feasibility_of_returned_point(self):
         # Random keep-out disks plus one keep-in disk, some of them
         # unsatisfiable together: every solve ends optimal exactly when the
@@ -613,3 +635,138 @@ class TestSqp:
         )
         assert res.status == "optimal"
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-4)
+
+
+def assert_same_as_parent(evaluate, x0, lb, ub, feas_tol=1e-6, res=None):
+    """solve_sqp's result on these inputs, or res if it was recorded for
+    them, against solve_sqp_parent's: the same x, objective, status and
+    max_violation to the bit, and each iteration the repeat rule took without
+    a QP one that the parent counted, with one QP and no penalty rung.
+    Returns (result, parent's result)."""
+    if res is None:
+        res = solve_sqp(evaluate, x0, lb, ub, feas_tol=feas_tol)
+    ref = solve_sqp_parent(evaluate, x0, lb, ub, feas_tol=feas_tol)
+    # Sign bits too: a flipped zero in a plan is a difference in the step log.
+    assert np.array_equal(res.x, ref.x) and np.array_equal(np.signbit(res.x), np.signbit(ref.x))
+    assert (res.objective, res.status, res.max_violation) == (ref.objective, ref.status, ref.max_violation)
+    repeats = ref.qp_solves - res.qp_solves
+    assert repeats >= 0 and res.iterations + repeats == ref.iterations
+    assert res.penalty_rungs == ref.penalty_rungs and res.qp_iterations <= ref.qp_iterations
+    return res, ref
+
+
+def record_sqp_calls(scn):
+    """(evaluate, x0, lb, ub, feas_tol, result) of every solve_sqp call of
+    scn's run, every probe run in this process, where it is recorded."""
+    calls = []
+    pool, solve = oampc.nmpc._pool, oampc.nmpc.solve_sqp
+
+    def recorded(evaluate, x0, lb, ub, *, feas_tol):
+        x0, lb, ub = np.array(x0), np.array(lb), np.array(ub)
+        res = solve(evaluate, x0, lb, ub, feas_tol=feas_tol)
+        calls.append((evaluate, x0, lb, ub, feas_tol, res))
+        return res
+
+    oampc.nmpc._pool = False
+    oampc.nmpc.solve_sqp = recorded
+    try:
+        run(scn)
+    finally:
+        oampc.nmpc._pool, oampc.nmpc.solve_sqp = pool, solve
+    return calls
+
+
+class TestSqpMatchesParent:
+    """solve_sqp returns what it returned when every iteration solved its QP
+    (oracles.solve_sqp_parent), bit for bit, with no more QP solves: the
+    repeat rule takes only iterations whose QP would return a clearly
+    rejected step again."""
+
+    @pytest.mark.parametrize("workload, episodes, steps", [("pillars-crowd", 1, 30), ("corner-fast", 2, 24)])
+    def test_planner_calls(self, workload, episodes, steps):
+        scn = generate(workload, 1, episodes)[0].with_overrides(max_steps=steps)
+        calls = record_sqp_calls(scn)
+        repeated = 0
+        for evaluate, x0, lb, ub, feas_tol, res in calls:
+            res, ref = assert_same_as_parent(evaluate, x0, lb, ub, feas_tol, res)
+            repeated += res.qp_solves < ref.qp_solves
+        # Both take repeats; corner-fast's first is at step 23, a full search.
+        assert repeated > 0
+
+    @staticmethod
+    def jump(H):
+        """One constraint c = 1e7 x - 2e-6, violated by 2e-6 at the start x =
+        0 and exactly linear, and an objective that jumps from 0 to 1e-4 off
+        the start, which its model (gradient 0, Hessian H) does not see. At
+        the initial penalty 10 the model promises a merit fall of 2e-5 and
+        the merit rises by 8e-5, rho = -4: every step is rejected, clear of
+        every threshold. At penalty 100, rho = 0.5 and the step is taken."""
+
+        def evaluate(x):
+            f = 0.0 if x[0] == 0.0 else 1e-4
+            return EvalResult(f, np.zeros(1), H * np.eye(1), c=np.array([1e7 * x[0] - 2e-6]), jac=np.array([[1e7]]))
+
+        return evaluate
+
+    def test_repeats_count_toward_the_cap(self, monkeypatch):
+        # With a cap of 3, the first iteration's rejection is repeated twice
+        # and the SQP ends there, infeasible at its start, as the parent did
+        # with three QPs. Repeats that did not count would go on to the
+        # penalty rung that takes the step.
+        monkeypatch.setattr(oampc.solver, "_SQP_MAX_ITER", 3)
+        res, ref = assert_same_as_parent(self.jump(1.0), np.zeros(1), np.array([-1.0]), np.array([1.0]))
+        assert (res.status, res.x[0], res.iterations, res.qp_solves) == ("infeasible", 0.0, 1, 1)
+        assert (ref.iterations, ref.qp_solves) == (3, 3)
+
+    def test_repeats_stop_above_the_qp_tolerance(self, monkeypatch):
+        # With the Hessian at 1e9 the QP's tolerance (1e-9 times its data
+        # scale, 11 here) is far above the exact step, 2e-13, and the first
+        # QP returns 7.2e-10. Its rejection repeats down to the radius
+        # 0.25^10 = 9.5e-7, the first below the resolution floor of 1.1e-6
+        # (100 times the tolerance); the radii below it are solved, as the
+        # parent solved them. At 0.25^16 = 2.3e-10 the QP returns the box's
+        # edge with an active slack, where every larger box returned a step
+        # far inside it, and the penalty climbs. Repeats down to the radius
+        # floor took a step at penalty 100 instead, where the parent stays
+        # infeasible. Every step is then rejected until the radius reaches
+        # its floor of 1e-12, which restarts it at 0.01.
+        solves = []
+
+        class Recorded(_ElasticQp):
+            def __init__(self, ev, x, lb, ub, delta):
+                self.delta = delta
+                super().__init__(ev, x, lb, ub, delta)
+
+            def solve(self, mu):
+                solves.append((self.delta, mu))
+                return super().solve(mu)
+
+        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
+        res = solve_sqp(self.jump(1e9), np.zeros(1), np.array([-1.0]), np.array([1.0]))
+        taken = solves[:]
+        res, ref = assert_same_as_parent(self.jump(1e9), np.zeros(1), np.array([-1.0]), np.array([1.0]), res=res)
+        assert res.status == "infeasible" and res.qp_solves < ref.qp_solves
+        assert taken[:2] == [(1.0, 10.0), (0.25**10, 10.0)]
+        assert (0.25**16, 1000.0) in taken and (0.01, 1e4) in taken
+
+    def test_no_repeat_after_a_correction(self):
+        # Keep c = 0.1 - x - 100 x^2 >= 0 and get close to x = 3, from x = 0.
+        # The linearized constraint ends the step at d = 0.1, inside the
+        # next radius, 0.25, with room, but the constraint's curvature puts
+        # the trial point 1 outside: rho = -33, and the second-order
+        # correction is tried and fails. The correction's box is the radius,
+        # so the next iteration's outcome is not this one's: it is solved,
+        # as is every iteration that tries a correction.
+        def evaluate(x):
+            return EvalResult(
+                0.5 * float((x[0] - 3.0) ** 2),
+                x - 3.0,
+                np.eye(1),
+                c=np.array([0.1 - x[0] - 100.0 * x[0] ** 2]),
+                jac=np.array([[-1.0 - 200.0 * x[0]]]),
+            )
+
+        res, ref = assert_same_as_parent(evaluate, np.zeros(1), np.array([-5.0]), np.array([5.0]))
+        assert res.status == "optimal" and 0.1 - res.x[0] - 100.0 * res.x[0] ** 2 >= -1e-6
+        # Corrections were tried (a second QP at one iteration, no rung).
+        assert ref.qp_solves > ref.iterations and ref.penalty_rungs == 0
