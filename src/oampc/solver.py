@@ -11,21 +11,21 @@ penalty tenfold. Deterministic given identical inputs and reports feasibility
 residuals. The SQP starts from the caller's point, so a previous plan
 warm-starts it; every QP cold-starts its interior-point method.
 
-A rejected step shrinks the trust radius fourfold, and the next iteration
-solves the same linearization at the same penalty in the smaller box. While
-the step fits that box with room, its convex QP returns the same step, so
-the same trial point and the same rejection. The repeat rule takes such an
-iteration without its QP: it only shrinks the radius again, and counts
-toward the iteration cap. It applies while each verdict on the step is
-clear of its threshold by more than the QP's tolerance (1e-9 times its data
-scale) can move it: rho < -1; an elastic slack at most 0.1 of the one that
-starts a penalty rung; a model decrease above twice the negligible one; a
-trial violation at most half of max(violation, feas_tol), so no
-second-order correction; the step below half the smaller radius; and that
-radius above 100 times the QP's tolerance, which it can resolve. Each margin
-was checked on the benchmark's step logs (the `_REPEAT_*` constants say
-how). Every returned point is the one an SQP that solved each QP returns,
-bit for bit, with fewer QP solves: 12% fewer on pillars-crowd.
+The repeat rule. A rejected step shrinks the trust radius fourfold, and the
+next iteration solves the same linearization at the same penalty in the
+smaller box; while the step fits that box with room, that QP returns about
+the same step, to the same rejection. So while each verdict on the step is
+clear of its threshold (rho < -1, an elastic slack well below the one that
+starts a penalty rung, a trial violation well below the one that starts a
+second-order correction), the step is below half the smaller radius, and
+that radius is well above the QP's tolerance, the iteration is taken as its
+shrink alone, with no QP and no evaluation, counted toward the iteration
+cap. The `_REPEAT_*` constants are these margins. The QP stops at its
+tolerance, not at its exact optimum, so the margins make a different
+verdict unlikely, not impossible: the returned points were the same bit for
+bit as an SQP's that solves each QP on the step logs of benchmark seeds 1-3
+and in the replayed calls of tests/test_solver.py, with 12% fewer QP solves
+on pillars-crowd.
 
 The interior-point method stops at one tolerance, 1e-9 times the QP's data
 scale, on the largest of the dual residual, the primal residual and the
@@ -82,31 +82,13 @@ _SQP_MAX_ITER = 60
 _SQP_OPT_TOL = 1e-8  # relative model decrease below which the SQP stops
 _QP_MAX_ITER = 40  # interior-point iterations per QP
 
-# The repeat rule's margins (solve_sqp). Each keeps a verdict on a rejected
-# step farther from its threshold than the QP's tolerance can move it. They
-# were measured on the 39 step logs of benchmark seeds 1-3 (tools/step_logs.py),
-# whose plans must not move. With none of them, five logs moved; the first,
-# corner-fast seed 1 episode 0 at step 51, from a step rejected at rho =
-# -0.008 that came back 1% different in the smaller box and was accepted.
-_REPEAT_RHO = -1.0  # rho below this
-# The next three keep a penalty rung, a negligible decrease and a
-# second-order correction from starting. No seed call came near them: at 1.0
-# each, no plan moved (19 more pillars-crowd QPs were skipped at a decrease
-# margin of 1.0).
-_REPEAT_SIGMA = 0.1  # elastic slack at most this times the slack that starts a rung
-_REPEAT_DECREASE = 2.0  # model decrease above this times the negligible one
-_REPEAT_VIOLATION = 0.5  # trial violation at most this times max(violation, feas_tol)
-# max|d| below this times the smaller radius. At 1.0, pillars-crowd seed 2
-# episodes 2 and 3 moved: in a box 1.3 times the step, the IPM returned a
-# worse step, whose model decrease was -8.3e-6, and the SQP stopped there.
-# At 0.25 no plan moved, but pillars-crowd QP solves fell 8.7%, not 11.8%.
-_REPEAT_BOX = 0.5
-# The smaller radius above this times the QP's tolerance, 1e-9 times its data
-# scale. In 100 steps of two seed-1 episodes per workload no repeated radius
-# was below 875 times it; a QP whose box was 0.02 times it returned the box's
-# edge, where larger boxes had returned a step far inside them
-# (TestSqpMatchesParent in tests/test_solver.py).
-_REPEAT_RESOLUTION = 100.0
+# The repeat rule's margins (module docstring), each with the divergence it
+# prevents.
+_REPEAT_RHO = -1.0  # rho below this: a step rejected at rho = -0.008 came back 1% different and was accepted
+_REPEAT_SIGMA = 0.1  # elastic slack at most this times the one that starts a penalty rung
+_REPEAT_VIOLATION = 0.5  # trial violation at most this times the one that starts a correction
+_REPEAT_BOX = 0.5  # max|d| below this times the smaller radius: at 1.0 the QP returned a worse step
+_REPEAT_RESOLUTION = 100.0  # the smaller radius above this times the QP's tolerance: a box near it returned its edge
 
 
 @dataclass
@@ -182,8 +164,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     GW = np.empty((m, n))
     M = np.empty((n, n))
 
-    scale = 1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0))
-    tol_resid = 1e-9 * scale
+    tol_resid = _qp_tolerance(q, h)
     best_resid, best_y, best_z = np.inf, y, V[1]
     stalled = 0
     for iterations in range(_QP_MAX_ITER + 1):
@@ -264,6 +245,11 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     return best_y, best_z, iterations
 
 
+def _qp_tolerance(q: np.ndarray, h: np.ndarray) -> float:
+    """solve_qp's stopping tolerance: 1e-9 times 1 plus the largest |q| or |h|."""
+    return 1e-9 * (1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0)))
+
+
 def _violation(c: np.ndarray) -> float:
     """The largest violation of c >= 0, 0.0 for none; a NaN in c is an
     infinite violation, never a met constraint."""
@@ -290,11 +276,9 @@ def solve_sqp(
     raise the penalty tenfold. The status is decided once, at the returned
     point: optimal if it is feasible, infeasible otherwise.
 
-    The repeat rule (module docstring) takes an iteration whose QP would
-    only return a clearly rejected step again as a shrink of the trust
-    radius, with no QP and no evaluation. It counts toward _SQP_MAX_ITER,
-    so the loop ends where it would have; SqpResult.iterations counts only
-    the iterations that solved a QP.
+    An iteration the repeat rule (module docstring) takes without its QP
+    counts toward _SQP_MAX_ITER, but not in SqpResult.iterations, which
+    counts the iterations that solved a QP.
     """
     def point(p):
         """(p clipped to the box, its evaluation, its violation)."""
@@ -344,24 +328,17 @@ def solve_sqp(
             rounds += 1
 
         model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
-        negligible = _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)
 
-        if not (model_decrease <= negligible):
+        if not (model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)):
             trial = point(x + d)
             rho = merit_fall(trial) / model_decrease
-            # The repeat rule (below) takes radii above floor: none unless
-            # every verdict on the step is clear of its threshold, and none
-            # the QP cannot resolve (solve_qp's tolerance on it is 1e-9
-            # times its data scale).
-            floor = math.inf
+            floor = math.inf  # the smallest radius the repeat rule may take
             if (
                 rho < _REPEAT_RHO
                 and sigma <= _REPEAT_SIGMA * sigma_tol
-                and model_decrease > _REPEAT_DECREASE * negligible
                 and trial[2] <= _REPEAT_VIOLATION * max(viol, feas_tol)
             ):
-                scale = 1.0 + max(np.abs(ev.grad).max(initial=0.0), mu, np.abs(qp.h).max())
-                floor = _REPEAT_RESOLUTION * 1e-9 * scale
+                floor = _REPEAT_RESOLUTION * qp.tolerance(mu)
             qp = None  # accepting the step moves x, rejecting it shrinks delta
 
             if rho < 0.1 and trial[2] > max(viol, feas_tol):
@@ -383,10 +360,6 @@ def solve_sqp(
                     delta = min(2.0 * delta, delta_max)
                 continue
             delta = max(0.25 * delta, delta_min)
-            # The repeat rule: the next iteration's QP differs from this one
-            # only in its smaller box, so while d is well inside that box it
-            # returns d again, to the same rejection. The iteration is taken
-            # as its shrink alone, counted toward the cap.
             while step < _REPEAT_BOX * delta and delta > floor and iterations < _SQP_MAX_ITER:
                 iterations += 1
                 repeats += 1
@@ -448,11 +421,19 @@ class _ElasticQp:
         self.h = np.concatenate([ev.c, np.zeros(1), self.up, -self.lo])
         self.solves = 0
 
+    def q(self, mu: float) -> np.ndarray:
+        """The QP's linear term at penalty weight mu."""
+        return np.concatenate([self.grad, [mu]])
+
+    def tolerance(self, mu: float) -> float:
+        """solve_qp's stopping tolerance on this QP at penalty weight mu."""
+        return _qp_tolerance(self.q(mu), self.h)
+
     def solve(self, mu: float):
         """Returns (d, sigma, interior-point iterations) at penalty weight mu."""
         self.solves += 1
         n = len(self.grad)
-        y, _, iterations = solve_qp(self.P, np.concatenate([self.grad, [mu]]), self.G, self.h)
+        y, _, iterations = solve_qp(self.P, self.q(mu), self.G, self.h)
         d = np.clip(y[:n], self.lo, self.up)
         sigma = max(0.0, float(y[n]))
         return d, sigma, iterations

@@ -694,6 +694,7 @@ class TestJsonLines:
         assert lines["first step that differs"] == f"2 (tau {log.records[2].tau!r}): sqp_iterations"
         assert lines["first plan difference"] == "none"
         assert lines["SQP iterations"].endswith("(-2), 1 steps differ")
+        rows[2]["sqp_iterations"] += 2
         # A plan input off by one unit in the last place at step 4, and one
         # more QP solve there.
         rows[4]["plan"]["inputs"][2][0] = float(np.nextafter(rows[4]["plan"]["inputs"][2][0], 9.0))
@@ -701,11 +702,10 @@ class TestJsonLines:
         b.write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert summarize_main([str(a), "--against", str(b)]) == 1
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
-        assert lines["first step that differs"] == f"2 (tau {log.records[2].tau!r}): sqp_iterations"
+        assert lines["first step that differs"] == f"4 (tau {log.records[4].tau!r}): plan qp_solves"
         assert lines["first plan difference"] == f"4 (tau {log.records[4].tau!r}): plan"
         assert "plan inputs 0.0" not in lines["largest difference"]
         assert lines["QP solves"].endswith("(+1), 1 steps differ")
-        rows[2]["sqp_iterations"] += 2
         # A shorter log differs too, from the first step it lacks, even when
         # the steps both logs have are the same.
         b.write_text("".join(json.dumps(row) + "\n" for row in rows[:4]))
