@@ -1,9 +1,10 @@
-"""Exact 2D primitives: capsule projection and raycasts.
+"""Exact 2D primitives: capsule projection and ray hits.
 
 Every reachable set the planner uses is a capsule {x : dist(x, segment a-b)
 <= r}, a disk when a == b, so one closed-form projection serves them all, and
-with r = 0 it is the point-to-segment distance. One batched ray kernel serves
-the range sensor and line-of-sight checks.
+with r = 0 it is the point-to-segment distance. One elementwise ray kernel,
+a hit distance per (ray, segment) pair, serves the range sensor and
+line-of-sight checks; each takes its own nearest hit.
 
 Values are arrays, not objects: a point is a (2,) array, a disk one [x, y, r]
 row, and a segment its two ends a and b, each (..., 2); a batch of M segments
@@ -51,37 +52,18 @@ def capsule_projection(p, a, b, r=0.0) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(0.0, dist - r), z
 
 
-def cast_rays(
-    origin: np.ndarray,
-    dirs: np.ndarray,
-    seg_a: np.ndarray,
-    seg_b: np.ndarray,
-    max_range: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest hit of each ray origin + t dirs[..., i, :], t >= 0, on segments
-    seg_a[..., j, :]-seg_b[..., j, :].
-
-    dirs is (..., n, 2) unit directions; seg_a and seg_b are (..., m, 2). The
-    leading axes broadcast, so a batch of ray runs can each be cast against
-    its own segments. Returns (ranges, segment_index), each (..., n): a
-    miss, including a hit beyond max_range, carries max_range and index -1,
-    so segment_index >= 0 is the hit mask. Rays parallel to a segment miss
-    it. Fully vectorized: O(rays x segments) memory.
-    """
-    # Rays run along the last axis, segments along the one before: the long
-    # axis innermost keeps numpy's inner loops long.
+def ray_hits(origin, dirs, seg_a, seg_b) -> np.ndarray:
+    """Distance t >= 0 at which the ray origin + t dirs meets the segment
+    seg_a-seg_b, or inf: one (ray, segment) pair per element of the (..., 2)
+    inputs, which broadcast. dirs are unit; a parallel ray misses."""
     e = seg_b - seg_a
     ao = seg_a - origin
-    dx, dy = dirs[..., None, :, 0], dirs[..., None, :, 1]
-    ex, ey = e[..., :, None, 0], e[..., :, None, 1]
-    ax, ay = ao[..., :, None, 0], ao[..., :, None, 1]
+    dx, dy = dirs[..., 0], dirs[..., 1]
+    ex, ey = e[..., 0], e[..., 1]
+    ax, ay = ao[..., 0], ao[..., 1]
     denom = dx * ey - dy * ex
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (ax * ey - ay * ex) / denom
         s = (ax * dy - ay * dx) / denom
     valid = (np.abs(denom) >= 1e-14) & (t >= 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
-    t = np.where(valid, t, np.inf)
-    ranges = t.min(axis=-2, initial=np.inf)
-    hit = ranges <= max_range
-    seg_idx = np.where(hit, t.argmin(axis=-2) if t.size else -1, -1)
-    return np.where(hit, ranges, max_range), seg_idx
+    return np.where(valid, t, np.inf)

@@ -6,7 +6,7 @@ obstacle hit points into coverage circles for static avoidance.
 
 A Scan holds per-ray ranges, points and hit segment indexes; a ray hit
 exactly where its segment index is not -1, and its angle is _sweep's. A sweep
-is cast in one cast_rays call over (ray, segment) pairs: each segment is
+is cast in one ray_hits call over (ray, segment) pairs: each segment is
 paired with the rays near its bearing arc, and each ray keeps its nearest hit.
 
 Both results are arrays: detect_occlusions gives a (B, 2, 2) array of
@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import EPS_GEO, cast_rays
+from .geometry import EPS_GEO, ray_hits
 from .unicycle import RobotState
 from .world import WorldMap
 
@@ -79,12 +79,11 @@ class Scan:
 def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     """Cast num_rays rays from the pose against the world's segments.
 
-    One cast_rays call casts each ray at only the segments it can meet, the
-    pairs of _ray_segment_pairs. A ray's range is the least of its pairs',
-    and its segment index the least among its hits at that range. Per pair
-    the kernel's arithmetic is elementwise, an unpaired segment is one the
-    ray cannot hit, and argmin too takes the least index among equals, so
-    ranges and indexes are those of a dense cast, bit for bit."""
+    One ray_hits call casts each ray at only the segments it can meet, the
+    pairs of _ray_segment_pairs. A ray's range is the least of max_range and
+    its pairs' hits, and its segment index the least among its hits at that
+    range. The kernel is elementwise and an unpaired segment is one the ray
+    cannot hit, so these are a dense cast's ranges and indexes, bit for bit."""
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
@@ -92,13 +91,11 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     seg_a, seg_b = world.segment_arrays()
     rays, segs = _ray_segment_pairs(origin, seg_a, seg_b, params.num_rays)
     # np.take gathers rows about 8x faster than fancy indexing here.
-    dirs, a, b = (np.take(x, i, axis=0)[:, None] for x, i in ((sweep.dirs, rays), (seg_a, segs), (seg_b, segs)))
-    reach, local = cast_rays(origin, dirs, a, b, params.max_range)
-    reach, hit = reach[:, 0], local[:, 0] >= 0
-    ranges = np.full(params.num_rays, float(params.max_range))
-    np.minimum.at(ranges, rays, reach)
+    t = ray_hits(origin, *(np.take(x, i, axis=0) for x, i in ((sweep.dirs, rays), (seg_a, segs), (seg_b, segs))))
+    ranges = np.full(params.num_rays, float(params.max_range))  # misses (inf) and far hits leave it
+    np.minimum.at(ranges, rays, t)
     # A ray's nearest hits are those at its range; index len(seg_a) marks none.
-    nearest = hit & (reach == ranges[rays])
+    nearest = t == ranges[rays]
     index = np.full(params.num_rays, len(seg_a))
     np.minimum.at(index, rays[nearest], segs[nearest])
     index[index == len(seg_a)] = -1

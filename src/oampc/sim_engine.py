@@ -118,9 +118,10 @@ class AgentScript:
 class Scenario:
     """Declarative world plus planner configuration for one run, frozen and
     checked when built (with_overrides builds anew): goals, a start pose with
-    the robot's radius of free space, agents within the agent model's speed
-    and hidden agents out of sight of the start pose. The goals are kept as a
-    tuple of read-only copies, so the checked goals are the ones run."""
+    the robot's radius of free space, agents within the agent model's speed,
+    hidden agents out of sight of the start pose and, occlusion-aware, a lidar
+    range beyond what the horizon can close. The goals are kept as a tuple of
+    read-only copies, so the checked goals are the ones run."""
 
     name: str
     world: WorldMap
@@ -156,6 +157,14 @@ class Scenario:
             hidden = agent.initially_hidden
             if hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
                 raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
+        # The max-range arc is not an occlusion boundary: an agent crossing it
+        # has no reachable set until seen, so it must lie past what robot and
+        # agent can close over the horizon.
+        mpc, model = self.mpc, self.agent_model
+        closing = mpc.N * dt * (max(abs(mpc.v_min), mpc.v_max) + model.v_target)
+        needed = closing + mpc.d_safe + mpc.r_robot + model.radius
+        if self.mode == MODE_OCCLUSION_AWARE and self.lidar.max_range < needed:
+            raise ValueError(f"lidar max_range {self.lidar.max_range} is below the {needed:g} m the horizon can close")
 
     def with_overrides(self, **kwargs) -> "Scenario":
         """A copy with the given fields replaced, checked as a new scenario."""

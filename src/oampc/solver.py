@@ -310,7 +310,9 @@ def solve_sqp(
     qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
     sigma_tol = max(feas_tol, 1e-12)  # a larger elastic slack is active
     iterations = repeats = 0  # iterations run toward the cap, and those taken without a QP
-    while iterations < _SQP_MAX_ITER:
+    # A trial with an infinite violation is always rejected (rho -inf or
+    # NaN), so only x0 can have one, and then no step could leave it.
+    while iterations < _SQP_MAX_ITER and viol < math.inf:
         iterations += 1
         if viol <= feas_tol and (best is None or ev.f < best[1].f):
             best = x, ev, viol

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import capsule_projection, cast_rays
+from .geometry import capsule_projection, ray_hits
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,7 @@ class WorldMap:
         dist = float(np.hypot(*d))
         if dist <= 1e-12:
             return True
-        ranges, _ = cast_rays(a, (d / dist)[None, :], self._seg_a, self._seg_b, dist)
-        return bool(ranges[0] >= dist - 1e-9)
+        return bool(ray_hits(a, d / dist, self._seg_a, self._seg_b).min(initial=np.inf) >= dist - 1e-9)
 
 
 def rectangle(x0: float, y0: float, x1: float, y1: float) -> np.ndarray:

@@ -189,6 +189,42 @@ def raycast_scalar(origin, direction, segments):
     return best
 
 
+def cast_rays_parent(
+    origin: np.ndarray,
+    dirs: np.ndarray,
+    seg_a: np.ndarray,
+    seg_b: np.ndarray,
+    max_range: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest hit of each ray origin + t dirs[..., i, :], t >= 0, on segments
+    seg_a[..., j, :]-seg_b[..., j, :].
+
+    dirs is (..., n, 2) unit directions; seg_a and seg_b are (..., m, 2). The
+    leading axes broadcast, so a batch of ray runs can each be cast against
+    its own segments. Returns (ranges, segment_index), each (..., n): a
+    miss, including a hit beyond max_range, carries max_range and index -1,
+    so segment_index >= 0 is the hit mask. Rays parallel to a segment miss
+    it. Fully vectorized: O(rays x segments) memory.
+    """
+    # Rays run along the last axis, segments along the one before: the long
+    # axis innermost keeps numpy's inner loops long.
+    e = seg_b - seg_a
+    ao = seg_a - origin
+    dx, dy = dirs[..., None, :, 0], dirs[..., None, :, 1]
+    ex, ey = e[..., :, None, 0], e[..., :, None, 1]
+    ax, ay = ao[..., :, None, 0], ao[..., :, None, 1]
+    denom = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (ax * ey - ay * ex) / denom
+        s = (ax * dy - ay * dx) / denom
+    valid = (np.abs(denom) >= 1e-14) & (t >= 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
+    t = np.where(valid, t, np.inf)
+    ranges = t.min(axis=-2, initial=np.inf)
+    hit = ranges <= max_range
+    seg_idx = np.where(hit, t.argmin(axis=-2) if t.size else -1, -1)
+    return np.where(hit, ranges, max_range), seg_idx
+
+
 def avoidance_margins_loop(states, projections, static_circles, params) -> np.ndarray:
     """Worst avoidance margin of each plan step k = 1..N, one row at a time:
     the largest (required margin - distance) over the families' projections

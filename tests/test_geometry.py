@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oampc.geometry import capsule_projection, cast_rays
+from oampc.geometry import capsule_projection, ray_hits
 
-from oracles import capsule_distance_sampled, point_in_capsule, raycast_scalar, segment_distance
+from oracles import capsule_distance_sampled, cast_rays_parent, point_in_capsule, raycast_scalar, segment_distance
 
 # Families stacked next to every single-capsule case below, so each case also
 # runs as one row of a broadcast call that mixes zero-length and non-zero
@@ -137,11 +137,28 @@ class TestDistPointDisk:
         assert z == pytest.approx([0.5, 0.0])
 
 
+def cast(origin, dirs, seg_a, seg_b, max_range):
+    """Each ray's nearest hit among the segments, reduced from one ray_hits
+    call over every (ray, segment) pair as lidar_sim.scan reduces it: the
+    range clamped at max_range, and the lowest segment index among the hits
+    at that range, -1 when none is."""
+    origin, dirs, seg_a, seg_b = (np.asarray(x, dtype=float) for x in (origin, dirs, seg_a, seg_b))
+    n, m = len(dirs), len(seg_a)
+    rays, segs = np.repeat(np.arange(n), m), np.tile(np.arange(m), n)
+    t = ray_hits(origin, dirs[rays], seg_a[segs], seg_b[segs])
+    ranges = np.full(n, float(max_range))
+    np.minimum.at(ranges, rays, t)
+    nearest = t == ranges[rays]
+    index = np.full(n, m)
+    np.minimum.at(index, rays[nearest], segs[nearest])
+    index[index == m] = -1
+    return ranges, index
+
+
 def _cast_one(origin, direction, segments, max_range):
     seg_a = np.array([s[0] for s in segments], dtype=float)
     seg_b = np.array([s[1] for s in segments], dtype=float)
-    origin = np.asarray(origin, dtype=float)
-    ranges, idx = cast_rays(origin, np.array([direction], dtype=float), seg_a, seg_b, max_range)
+    ranges, idx = cast(origin, [direction], seg_a, seg_b, max_range)
     return float(ranges[0]), int(idx[0])
 
 
@@ -163,7 +180,7 @@ class TestRaycast:
         assert rng_ == 10
 
     def test_no_segments(self):
-        ranges, idx = cast_rays(np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), 3.0)
+        ranges, idx = cast(np.zeros(2), np.eye(2), np.zeros((0, 2)), np.zeros((0, 2)), 3.0)
         assert np.all(ranges == 3.0) and np.all(idx == -1)
 
     def test_square_room_analytic(self):
@@ -172,7 +189,7 @@ class TestRaycast:
         room = np.array(corners)
         angles = np.linspace(0, 2 * np.pi, 360, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ranges, idx = cast_rays(np.zeros(2), dirs, room, np.roll(room, -1, axis=0), max_range=10)
+        ranges, idx = cast(np.zeros(2), dirs, room, np.roll(room, -1, axis=0), max_range=10)
         expected = half / np.maximum(np.abs(dirs[:, 0]), np.abs(dirs[:, 1]))
         assert np.all(idx >= 0)
         assert ranges == pytest.approx(expected, abs=1e-9)
@@ -195,7 +212,7 @@ class TestRaycast:
         seg_b = np.array([s[1] for s in segs])
         angles = np.linspace(0, 2 * np.pi, 90, endpoint=False)
         dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        ranges, idx = cast_rays(np.zeros(2), dirs, seg_a, seg_b, max_range=6.0)
+        ranges, idx = cast(np.zeros(2), dirs, seg_a, seg_b, max_range=6.0)
         for i in range(len(angles)):
             t, j = raycast_scalar(np.zeros(2), dirs[i], segs)
             if t > 6.0:
@@ -204,6 +221,40 @@ class TestRaycast:
             else:
                 assert idx[i] == j
                 assert ranges[i] == pytest.approx(t, abs=1e-9)
+
+    def test_lowest_index_among_equal_hits(self):
+        wall = ([3.0, -1.0], [3.0, 1.0])
+        assert _cast_one([0, 0], [1.0, 0.0], [([5, -1], [5, 1]), wall, wall], max_range=10) == (3.0, 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=6, max_size=6),
+                st.floats(0.0, 2.0 * math.pi),
+                st.sampled_from(["free", "from an end", "at an end", "along"]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_hits_equal_the_parent_cast_per_pair(self, pairs):
+        # Rays from anywhere, from a segment's end, at its end (where the
+        # kernel's end tolerance decides) and along its line.
+        origins, dirs, seg_a, seg_b = [], [], [], []
+        for (ox, oy, ax, ay, bx, by), angle, kind in pairs:
+            a, b = np.array([ax, ay]), np.array([bx, by])
+            origin = {"from an end": a, "along": a - 0.5 * (b - a)}.get(kind, np.array([ox, oy]))
+            aim = {"at an end": a - origin, "along": b - a}.get(kind, np.zeros(2))
+            d = aim if np.hypot(*aim) > 0 else np.array([math.cos(angle), math.sin(angle)])
+            origins.append(origin)
+            dirs.append(d / np.hypot(*d))
+            seg_a.append(a)
+            seg_b.append(b)
+        t = ray_hits(*(np.array(x) for x in (origins, dirs, seg_a, seg_b)))
+        for k in range(len(pairs)):
+            ranges, idx = cast_rays_parent(origins[k], dirs[k][None], seg_a[k][None], seg_b[k][None], np.inf)
+            assert t[k] == ranges[0] and idx[0] == 0
 
 
 class TestTypes:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oampc import lidar_sim
-from oampc.geometry import cast_rays
+from oampc.geometry import ray_hits
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
@@ -23,7 +23,7 @@ from oampc.lidar_sim import (
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
-from oracles import coverage_centers_loop, greedy_walk_scalar, occlusion_pairs_loop
+from oracles import cast_rays_parent, coverage_centers_loop, greedy_walk_scalar, occlusion_pairs_loop
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import generate  # noqa: E402
@@ -95,11 +95,12 @@ class TestScan:
 
 
 def dense_cast(world, pose, params):
-    """One cast_rays call against every map segment: the sweep unsplit."""
+    """A dense cast by cast_rays_parent, the earlier ray kernel: every ray
+    against every map segment, the sweep unsplit."""
     n = params.num_rays
     angles = 2.0 * np.pi * np.arange(n) / n
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return cast_rays(pose.position(), dirs, *world.segment_arrays(), params.max_range)
+    return cast_rays_parent(pose.position(), dirs, *world.segment_arrays(), params.max_range)
 
 
 def workload_poses(world, seed, count):
@@ -129,19 +130,19 @@ def workload_poses(world, seed, count):
 
 class TestSectorScan:
     """scan casts each segment at only the rays in its bearing sector, the
-    pairs _ray_segment_pairs lists, in one cast_rays call; ranges and
-    segment indexes are those of one cast against every segment."""
+    pairs _ray_segment_pairs lists, in one ray_hits call; ranges and
+    segment indexes are those of dense_cast."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The cast_rays calls of scan, counted by a spy."""
+        """The ray_hits calls of scan, counted by a spy."""
         made = []
 
         def spy(*args):
             made.append(args[1].shape)
-            return cast_rays(*args)
+            return ray_hits(*args)
 
-        monkeypatch.setattr(lidar_sim, "cast_rays", spy)
+        monkeypatch.setattr(lidar_sim, "ray_hits", spy)
         return made
 
     @staticmethod

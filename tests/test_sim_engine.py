@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oampc.sim_engine
+from oampc.lidar_sim import LidarParams
 from oampc.nmpc import MpcParams, check_feasibility, fallback_plan
 from oampc.reachability import AgentModel
 from oampc.sim_engine import (
@@ -399,6 +400,9 @@ class TestScenarioChecks:
             ({"max_steps": -3}, "max_steps must be a non-negative integer"),
             ({"mode": "clairvoyant"}, "unknown mode"),
             ({"goals": []}, "needs at least one goal"),
+            # The horizon closes 10 * 0.1 * (2.0 + 0.5) m, plus d_safe 0.5 and
+            # r_robot 0.2: 3.2 m, past a 3 m max-range arc.
+            ({"lidar": LidarParams(max_range=3.0)}, "below the 3.2 m the horizon can close"),
         ],
         ids=[
             "start-in-obstacle",
@@ -411,6 +415,7 @@ class TestScenarioChecks:
             "max-steps-negative",
             "unknown-mode",
             "no-goals",
+            "lidar-range-below-horizon",
         ],
     )
     def test_refused_when_built(self, bad, message):
@@ -623,18 +628,20 @@ class TestJsonLines:
         assert done.stdout == out
 
     def test_collisions_are_moving_or_stopped(self, tmp_path):
-        # A collision step is moving (at fault) when its logged applied speed
-        # is above 1e-6 m/s, in either direction, and stopped (passive
-        # contact) otherwise, turning in place included.
-        log, _ = run(corner_scenario().with_overrides(max_steps=5))
+        # A collision step is moving (at fault) when its translation over the
+        # step, dt times its logged applied speed, in either direction, is
+        # above feas_tol (1e-6 m over dt 0.1 s: 1e-5 m/s), and stopped
+        # (passive contact) otherwise, turning in place and a solver's creep
+        # of 1.9e-6 m/s included.
+        log, _ = run(corner_scenario().with_overrides(max_steps=6))
         path = tmp_path / "corner.jsonl"
         log.write_jsonl(path)
         rows = read(path)
-        for k, speed in ((1, 0.5), (2, 0.0), (3, 1e-6), (4, -2e-6)):
+        for k, speed in ((1, 0.5), (2, 0.0), (3, 1.9e-6), (4, -1.1e-5), (5, 9e-6)):
             rows[k].update(collision=True, applied_input=[speed, 0.3])
         lines = dict(line.split(": ", 1) for line in summarize(rows))
-        assert lines["collision steps"] == "4 [1, 2, 3, 4]"
-        assert lines["collision steps by motion"] == "moving [1, 4], stopped [2, 3]"
+        assert lines["collision steps"] == "5 [1, 2, 3, 4, 5]"
+        assert lines["collision steps by motion"] == "moving [1, 4], stopped [2, 3, 5]"
 
     def test_summary_of_an_empty_log(self, tmp_path, capsys):
         # A run with no step budget ends on the budget with an empty log,

@@ -551,6 +551,8 @@ class TestSqp:
 
         res = solve_sqp(evaluate, np.zeros(1), lb=np.array([-1.0]), ub=np.array([1.0]))
         assert res.status == "infeasible" and res.max_violation == np.inf
+        # No step can leave a start with an infinite violation: no QP is solved.
+        assert res.qp_solves == 0 and res.iterations == 0
 
     def test_status_is_feasibility_of_returned_point(self):
         # Random keep-out disks plus one keep-in disk, some of them

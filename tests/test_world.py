@@ -4,10 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oampc.world import WorldMap, rectangle
 
-from oracles import point_in_convex_polygon, point_in_polygon_loop, segment_distance, segments_cross
+from oracles import cast_rays_parent, point_in_convex_polygon, point_in_polygon_loop, segment_distance, segments_cross
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import generate  # noqa: E402
@@ -126,6 +128,44 @@ class TestSegmentVisible:
             a, b = rng.uniform(-5, 5, size=(2, 2))
             blocked = any(segments_cross(a, b, wa, wb) for wa, wb in ends)
             assert world.segment_visible(a, b) == (not blocked)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        walls=st.lists(
+            st.lists(st.floats(-4, 4, allow_subnormal=False), min_size=4, max_size=4), min_size=1, max_size=10
+        ),
+        k=st.integers(0, 9),
+        ends=st.lists(
+            st.tuples(
+                st.sampled_from(["free", "on the wall", "on its line"]),
+                st.floats(-1.0, 2.0),
+                st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_matches_the_parent_cast(self, walls, k, ends):
+        # Each query end is anywhere, on wall k, or on its line past its
+        # ends; with both ends on the line the query is collinear with it.
+        walls = np.array(walls).reshape(-1, 2, 2)
+        world = WorldMap(walls=walls)
+        wa, wb = walls[k % len(walls)]
+
+        def end(kind, s, point):
+            if kind == "free":
+                return np.array(point)
+            return wa + (min(max(s, 0.0), 1.0) if kind == "on the wall" else s) * (wb - wa)
+
+        a, b = (end(*e) for e in ends)
+        d = b - a
+        dist = float(np.hypot(*d))
+        if dist <= 1e-12:
+            parent = True
+        else:
+            ranges, _ = cast_rays_parent(a, (d / dist)[None, :], *world.segment_arrays(), dist)
+            parent = bool(ranges[0] >= dist - 1e-9)
+        assert world.segment_visible(a, b) == parent
 
 
 class TestMinClearance:
