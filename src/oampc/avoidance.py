@@ -81,8 +81,8 @@ def project_plan(shifted: np.ndarray, families: Sequence[ReachableFamily]) -> Pr
     shifted = np.asarray(shifted, dtype=float)
     n = shifted.shape[0]
     for fam in families:
-        if fam.horizon < n:
-            raise ValueError(f"family horizon {fam.horizon} shorter than plan horizon {n}")
+        if len(fam.radii) < n:
+            raise ValueError(f"family horizon {len(fam.radii)} shorter than plan horizon {n}")
     a = np.reshape([fam.a for fam in families], (-1, 1, 2))
     b = np.reshape([fam.b for fam in families], (-1, 1, 2))
     radii = np.reshape([fam.radii[:n] for fam in families], (-1, n))

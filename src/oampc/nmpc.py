@@ -130,6 +130,17 @@ class MpcParams:
         """Lower and upper bounds of an input (v, delta)."""
         return np.array([self.v_min, self.delta_min]), np.array([self.v_max, self.delta_max])
 
+    @property
+    def step_reach(self) -> float:
+        """Farthest the robot moves in one step: dt * max(|v_min|, |v_max|)."""
+        return self.dt * max(abs(self.v_min), abs(self.v_max))
+
+    def track_violation(self, positions) -> float:
+        """How far the worst of positions (..., 2) lies outside the track
+        limits, 0 inside them or without limits. A start or plan is on the
+        track when this is within feas_tol."""
+        return float(np.max(-_track_gaps(np.asarray(positions, dtype=float), self)[0], initial=0.0))
+
 
 class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
@@ -189,11 +200,10 @@ def _probe(problem: NlpProblem) -> _Probe:
     diff = anchors - problem.z0[:2]
     gap = np.hypot(diff[..., 0], diff[..., 1])  # (N, M) standoff at the start
     steps = np.arange(1, n + 1)[:, None]
-    reach = params.dt * max(abs(params.v_min), abs(params.v_max))
     # Rows bind only while the plan moves, at most through step N-1. A
     # row can only be active if its anchor is within the robot's step-k
     # travel radius plus the margin; farther rows are dropped exactly.
-    keep = (steps < n) & (gap <= steps * reach + 1e-6 + margins)
+    keep = (steps < n) & (gap <= steps * params.step_reach + 1e-6 + margins)
     # Planner-only relaxation: a row the robot already starts inside (from
     # anchor drift between re-projections) demands no more than the
     # current standoff, so the state can still rotate in place and
@@ -389,7 +399,7 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     data = _probe(problem)
     stationary = _aligned_stationary_plan(data)
-    stationary_ok = bool(np.min(_track_gaps(problem.z0[:2], params)[0], initial=np.inf) >= -params.feas_tol)
+    stationary_ok = params.track_violation(problem.z0[:2]) <= params.feas_tol
     cost_stationary = total_cost(stationary, problem.goal, params, problem.u_prev)
     # A candidate improves on standing still only below this cost.
     floor = cost_stationary - 1e-3 * max(1.0, abs(cost_stationary))
@@ -669,8 +679,7 @@ def check_feasibility(
 
     lo, hi = params.input_box
     ib = float(np.max(np.concatenate([lo - inputs, inputs - hi]), initial=0.0))
-    gaps, _ = _track_gaps(states[1:, :2], params)
-    sb = float(np.max(-gaps, initial=0.0))
+    sb = params.track_violation(states[1:, :2])
 
     motion = np.linalg.norm(np.diff(states[:, :2], axis=0), axis=1)
     anchors, margins = _avoidance_rows(projections, static_circles, params)

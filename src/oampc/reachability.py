@@ -2,16 +2,16 @@
 
 Hidden agents are abstracted by the occlusion boundary they could cross:
 their step-k reachable set is the boundary segment inflated by k times the
-per-step travel bound (a capsule). Visible agents get concentric disks grown
-the same way: capsules with a zero-length axis. A fresh detection replaces a
-tracked agent's set only when it fits inside, so the set never grows. A
-detection and a tracked set are disks, each one [x, y, r] row.
+per-step travel bound (a capsule, build_capsules). A visible agent's disks
+are that capsule rule on a zero-length axis at its detection [x, y, r]. A
+fresh detection replaces a tracked agent's set only when it fits inside, so
+the set never grows. A detection and a tracked set are one [x, y, r] row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,15 +58,11 @@ class ReachableFamily:
     b: np.ndarray  # (2,)
     radii: np.ndarray  # (N,)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.radii)
-
 
 def build_capsules(boundary: np.ndarray, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
-    """Capsules of radius k*d_step + agent radius over a boundary segment, one
-    (2, 2) [near, far] row of detect_occlusions. A zero-length boundary gives
-    disks."""
+    """Capsules of radius k*d_step + agent radius, k = 1..horizon, over a
+    boundary segment, one (2, 2) [near, far] row of detect_occlusions: the
+    growth rule of every reachable set. A zero-length boundary gives disks."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     a, b = boundary
@@ -74,12 +70,10 @@ def build_capsules(boundary: np.ndarray, model: AgentModel, dt: float, horizon: 
 
 
 def build_disks(detection: np.ndarray, model: AgentModel, dt: float, horizon: int) -> ReachableFamily:
-    """Concentric disks about a detection [x, y, r], growing by one step
-    distance per horizon step."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    """Concentric disks about a detection [x, y, r]: the capsules of a
+    zero-length axis at its centre, for the agent model with radius r."""
     c = np.asarray(detection[:2], dtype=float)
-    return ReachableFamily(c, c, detection[2] + np.arange(1, horizon + 1) * step_distance(model, dt))
+    return build_capsules(np.stack([c, c]), replace(model, radius=float(detection[2])), dt, horizon)
 
 
 def fuse_measurement(prev_one_step: np.ndarray, sensed: np.ndarray) -> np.ndarray:

@@ -118,7 +118,8 @@ class AgentScript:
 class Scenario:
     """Declarative world plus planner configuration for one run, frozen and
     checked when built (with_overrides builds anew): goals, a start pose with
-    the robot's radius of free space, agents within the agent model's speed,
+    the robot's radius of free space, start and goals within reach of the
+    track limits, agents within the agent model's speed,
     hidden agents out of sight of the start pose and, occlusion-aware, a lidar
     range beyond what the horizon can close. The goals are kept as a tuple of
     read-only copies, so the checked goals are the ones run."""
@@ -147,10 +148,17 @@ class Scenario:
         for g in self.goals:
             if g.shape != (2,) or not np.isfinite(g).all():
                 raise ValueError(f"a goal must be two finite coordinates, not {g.tolist()!r}")
-        start = self.robot_init.position()
-        if not self.world.contains_free(start, clearance=self.mpc.r_robot):
+        start, mpc = self.robot_init.position(), self.mpc
+        if not self.world.contains_free(start, clearance=mpc.r_robot):
             raise ValueError("robot initial pose is not in free space with its radius clearance")
-        dt = self.mpc.dt
+        # Off the track the planner has no feasible plan, not even standing
+        # still; a goal this far off it is out of reach of every plan.
+        if mpc.track_violation(start) > mpc.feas_tol:
+            raise ValueError("robot initial pose is outside the track limits")
+        for g in self.goals:
+            if mpc.track_violation(g) > GOAL_TOLERANCE + mpc.feas_tol:
+                raise ValueError(f"goal {g.tolist()} is beyond reach outside the track limits")
+        dt = mpc.dt
         for idx, agent in enumerate(self.agents):
             if agent.speed * dt > step_distance(self.agent_model, dt) + MOVE_SLACK:
                 raise ValueError(f"agent {idx} speed {agent.speed} exceeds the model bound {self.agent_model.v_target}")
@@ -158,11 +166,10 @@ class Scenario:
             if hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
                 raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
         # The max-range arc is not an occlusion boundary: an agent crossing it
-        # has no reachable set until seen, so it must lie past what robot and
-        # agent can close over the horizon.
-        mpc, model = self.mpc, self.agent_model
-        closing = mpc.N * dt * (max(abs(mpc.v_min), mpc.v_max) + model.v_target)
-        needed = closing + mpc.d_safe + mpc.r_robot + model.radius
+        # has no reachable set until seen, so it must lie past what robot (N
+        # step reaches) and agent (its step-N capsule) can close over the horizon.
+        agent_reach = build_capsules(np.zeros((2, 2)), self.agent_model, dt, mpc.N).radii[-1]
+        needed = mpc.N * mpc.step_reach + agent_reach + mpc.d_safe + mpc.r_robot
         if self.mode == MODE_OCCLUSION_AWARE and self.lidar.max_range < needed:
             raise ValueError(f"lidar max_range {self.lidar.max_range} is below the {needed:g} m the horizon can close")
 

@@ -403,6 +403,12 @@ class TestScenarioChecks:
             # The horizon closes 10 * 0.1 * (2.0 + 0.5) m, plus d_safe 0.5 and
             # r_robot 0.2: 3.2 m, past a 3 m max-range arc.
             ({"lidar": LidarParams(max_range=3.0)}, "below the 3.2 m the horizon can close"),
+            # 0.5 m left of xmin: no plan is feasible, not even standing
+            # still, so every step would apply the fallback and stay put.
+            ({"mpc": MpcParams(state_bounds=(0.5, 10, -3, 6))}, "initial pose is outside the track limits"),
+            # 0.2 m past xmax: every applied plan ends more than
+            # GOAL_TOLERANCE = 0.1 m short of it.
+            ({"goals": [np.array([8.0, 0.0]), np.array([10.2, 0.0])]}, "beyond reach outside the track limits"),
         ],
         ids=[
             "start-in-obstacle",
@@ -416,6 +422,8 @@ class TestScenarioChecks:
             "unknown-mode",
             "no-goals",
             "lidar-range-below-horizon",
+            "start-off-track",
+            "goal-off-track",
         ],
     )
     def test_refused_when_built(self, bad, message):
@@ -423,6 +431,12 @@ class TestScenarioChecks:
             corner_scenario(**bad)
         with pytest.raises(ValueError, match=message):
             corner_scenario().with_overrides(**bad)
+
+    def test_track_edges_accepted(self):
+        # A start within feas_tol of the track limits keeps its stationary
+        # floor, and a goal within GOAL_TOLERANCE + feas_tol of them is within
+        # GOAL_TOLERANCE of a point a plan can reach.
+        corner_scenario(mpc=MpcParams(state_bounds=(5e-7, 10, -3, 6)), goals=[np.array([10.1, 0.0])])
 
     def test_goals_are_not_changed_in_place(self):
         # A goal changed after the checks ran would go unchecked: the goals
