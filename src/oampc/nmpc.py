@@ -20,7 +20,7 @@ Avoidance is subject to the stop-speed complementarity semantics: a step may
 sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
 a search over the phases of SEARCH_PHASES (solve); the all-stopped plan is the
-always-feasible floor. Each stop index is one probe of up to three SQPs
+always-feasible floor. Each stop index is one probe of up to two SQPs
 (_try_stop_index); a phase of two or more sends its probes down pipes to
 forked worker processes (_map). What the probes cost is one _Work record,
 summed with + and returned as SolveResult.work; a step record takes its
@@ -444,12 +444,12 @@ def solve(problem: NlpProblem) -> SolveResult:
 
 def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
     """Probe stop index j: one SQP from the first j inputs of the warm start
-    u_ws, then, while no candidate gets below floor and that start is at
-    rest, one from each of two escape seeds, all on one evaluator. A
-    candidate (cost, plan, j) replaces the one kept only when strictly
-    cheaper. Returns the cheapest candidate, or None when no SQP ends
-    optimal, and the summed work of the SQPs, each timed where it ran. A
-    module-level function, so a task pickled for a worker names it."""
+    u_ws, then, when no candidate gets below floor and that start is at
+    rest, one from the same inputs at a small forward speed, both on one
+    evaluator. A candidate (cost, plan, j) replaces the one kept only when
+    strictly cheaper. Returns the cheapest candidate, or None when no SQP
+    ends optimal, and the summed work of the SQPs, each timed where it ran.
+    A module-level function, so a task pickled for a worker names it."""
     t0 = time.perf_counter()
     params = problem.params
     lo, hi = params.input_box
@@ -459,12 +459,10 @@ def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> 
     if np.abs(u_ws[:j, 0]).max(initial=0.0) < 0.1:
         # At zero speed the heading-rate-to-position coupling vanishes, so
         # the linear model cannot see that turning first pays off. Re-probe
-        # from a small forward-speed seed, then from an explicit
-        # rotate-then-drive seed.
+        # from a small forward-speed seed.
         nudged = u_ws[:j].copy()
         nudged[:, 0] = min(0.3, params.v_max)
-        seed = _rotate_then_drive_seed(problem, j)
-        starts += [nudged] if seed is None else [nudged, seed]
+        starts.append(nudged)
     cand, work = None, _Work()
     for start in starts:
         res = solve_sqp(evaluator, start.reshape(-1), lb, ub, feas_tol=params.feas_tol)
@@ -480,24 +478,6 @@ def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> 
         if cand is not None and cand[0] < floor:
             break
     return cand, work
-
-
-def _rotate_then_drive_seed(problem: _Probe, j: int) -> Optional[np.ndarray]:
-    """The first j inputs (j, 2) that turn toward the goal bearing first,
-    then roll forward: the escape pattern a wedged heading needs, encoded
-    explicitly because the linearization cannot discover it from rest. None
-    when the heading rate is bounded to zero on that side."""
-    params = problem.params
-    err = _goal_bearing_error(problem)
-    rate = params.delta_max if err >= 0 else params.delta_min
-    if abs(rate) < 1e-9:
-        return None
-    turn_steps = min(j - 1, int(math.ceil(abs(err / (rate * params.dt))))) if j > 1 else 0
-    seed = np.zeros((j, 2))
-    if turn_steps > 0:
-        seed[:turn_steps, 1] = np.clip(err / (turn_steps * params.dt), params.delta_min, params.delta_max)
-    seed[turn_steps:, 0] = min(0.4, params.v_max)
-    return seed
 
 
 # The probe workers once started, each (pid, task pipe, result pipe); False where none can run.

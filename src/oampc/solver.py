@@ -16,7 +16,8 @@ next iteration solves the same linearization at the same penalty in the
 smaller box; while the step fits that box with room, that QP returns about
 the same step, to the same rejection. So while each verdict on the step is
 clear of its threshold (rho < -1, an elastic slack well below the one that
-starts a penalty rung, a trial violation well below the one that starts a
+starts a penalty rung, a model decrease well above the negligible one that
+ends the SQP, a trial violation well below the one that starts a
 second-order correction), the step is below half the smaller radius, and
 that radius is well above the QP's tolerance, the iteration is taken as its
 shrink alone, with no QP and no evaluation, counted toward the iteration
@@ -25,7 +26,11 @@ tolerance, not at its exact optimum, so the margins make a different
 verdict unlikely, not impossible: the returned points were the same bit for
 bit as an SQP's that solves each QP on the step logs of benchmark seeds 1-3
 and in the replayed calls of tests/test_solver.py, with 12% fewer QP solves
-on pillars-crowd.
+on pillars-crowd. The decrease margin is there because a step whose model
+decrease is near the negligible one need not come back: a corner-fast step
+rejected at radius 2^-6 (max|d| = 1.65e-3, a decrease 1.29 times the
+negligible one) was repeated, where the QP at radius 2^-8 returned max|d| =
+2.5e-5 with a negative model decrease, and the SQP stopped there.
 
 The interior-point method stops at one tolerance, 1e-9 times the QP's data
 scale, on the largest of the dual residual, the primal residual and the
@@ -86,6 +91,7 @@ _QP_MAX_ITER = 40  # interior-point iterations per QP
 # prevents.
 _REPEAT_RHO = -1.0  # rho below this: a step rejected at rho = -0.008 came back 1% different and was accepted
 _REPEAT_SIGMA = 0.1  # elastic slack at most this times the one that starts a penalty rung
+_REPEAT_DECREASE = 2.0  # model decrease above this times the negligible one: at 1.29 a smaller box returned a rise
 _REPEAT_VIOLATION = 0.5  # trial violation at most this times the one that starts a correction
 _REPEAT_BOX = 0.5  # max|d| below this times the smaller radius: at 1.0 the QP returned a worse step
 _REPEAT_RESOLUTION = 100.0  # the smaller radius above this times the QP's tolerance: a box near it returned its edge
@@ -330,14 +336,16 @@ def solve_sqp(
             rounds += 1
 
         model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
+        negligible = _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)
 
-        if not (model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)):
+        if not (model_decrease <= negligible):
             trial = point(x + d)
             rho = merit_fall(trial) / model_decrease
             floor = math.inf  # the smallest radius the repeat rule may take
             if (
                 rho < _REPEAT_RHO
                 and sigma <= _REPEAT_SIGMA * sigma_tol
+                and model_decrease > _REPEAT_DECREASE * negligible
                 and trial[2] <= _REPEAT_VIOLATION * max(viol, feas_tol)
             ):
                 floor = _REPEAT_RESOLUTION * qp.tolerance(mu)

@@ -22,8 +22,10 @@ time (`*_ms`), is not the same to the bit, and so does a step only the longer
 log has. The comparison names the first such step, the first step whose
 state, applied input or plan differs (`none` when only counters or other
 fields moved), the largest difference in states, applied inputs and plans
-(inf between plans of different horizons), and the totals of the solver
-counters.
+(inf between plans of different horizons), the outcomes of each log (failed
+steps as the benchmark counts them: the fallback plan, an audit violation
+above `feas_tol` or a collision; moving and stopped collision steps; the
+largest audit violation) and the totals of the solver counters.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +54,9 @@ COUNTERS = (
 )
 SLOWEST = 5  # slowest steps listed
 CLEARANCES = ("occlusion", "agent", "static")  # StepRecord's *_clearance fields
+# The labels of totals() that are not solver counters; the last is a largest
+# value, the others are step counts.
+OUTCOMES = ("failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation")
 
 
 def percentiles(values, qs) -> np.ndarray:
@@ -68,26 +74,57 @@ def _smallest(values: list[float]) -> str:
     return f"{values[k]!r} at step {k}" if math.isfinite(values[k]) else repr(values[k])
 
 
+def _period(rows: list[dict]) -> float:
+    """The control period: the spacing of the logged times, or
+    `MpcParams.dt` for a log of fewer than two steps."""
+    return rows[1]["tau"] - rows[0]["tau"] if len(rows) > 1 else MpcParams().dt
+
+
+def _collisions(rows: list[dict]) -> tuple[list[int], list[int]]:
+    """The collision steps that moved (translation above `feas_tol`) and
+    those that stopped."""
+    dt = _period(rows)
+    collided = [k for k, row in enumerate(rows) if row["collision"]]
+    moving = [k for k in collided if dt * abs(rows[k]["applied_input"][0]) > MpcParams().feas_tol]
+    return moving, [k for k in collided if k not in moving]
+
+
+def totals(rows: list[dict]) -> dict:
+    """A log's outcomes (OUTCOMES) and the sum of each solver counter, by label."""
+    moving, stopped = _collisions(rows)
+    tol = MpcParams().feas_tol
+    failed = sum(row["fallback_used"] or row["audit_violation"] > tol or row["collision"] for row in rows)
+    worst = max((row["audit_violation"] for row in rows), default=0.0)
+    values = dict(zip(OUTCOMES, (failed, len(moving), len(stopped), worst)))
+    values.update((label, sum(row[name] for row in rows)) for label, name in COUNTERS)
+    return values
+
+
+def combine(logs: list[dict]) -> dict:
+    """The totals() of several logs as one: the largest audit violation is
+    the largest of them, every other value their sum."""
+    return {label: (max if label == OUTCOMES[-1] else sum)(t[label] for t in logs) for label in logs[0]}
+
+
 def summarize(rows: list[dict]) -> list[str]:
     """The summary lines of a log's rows (one dict per step, in order)."""
     if not rows:
         return ["steps: 0"]
-    dt = rows[1]["tau"] - rows[0]["tau"] if len(rows) > 1 else MpcParams().dt
+    dt = _period(rows)
     times = {name: np.array([row[name] for row in rows]) for name in STEP_LAYERS}
     step_ms = sum(times.values())
     lines = [f"steps: {len(rows)}", "layer times (ms): p50 p99"]
     for name, values in [*times.items(), ("step_ms", step_ms)]:
         p50, p99 = percentiles(values, [50, 99])
         lines.append(f"{name[:-3]} ms: {p50:.2f} {p99:.2f}")
-    collided = [k for k, row in enumerate(rows) if row["collision"]]
-    moving = [k for k in collided if dt * abs(rows[k]["applied_input"][0]) > MpcParams().feas_tol]
+    moving, stopped = _collisions(rows)
     near = ", ".join(f"{c} {_smallest([row[c + '_clearance'] for row in rows])}" for c in CLEARANCES)
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
-        f"collision steps: {len(collided)} {collided}",
-        f"collision steps by motion: moving {moving}, stopped {[k for k in collided if k not in moving]}",
+        f"collision steps: {len(moving) + len(stopped)} {sorted(moving + stopped)}",
+        f"collision steps by motion: moving {moving}, stopped {stopped}",
         f"smallest clearance (m): {near}",
     ]
     counters = [name for _, name in COUNTERS]
@@ -108,7 +145,15 @@ def summarize(rows: list[dict]) -> list[str]:
     return lines
 
 
-def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
+class Comparison(NamedTuple):
+    """What compare returns."""
+
+    lines: list[str]
+    same: bool  # no step differs
+    same_plans: bool  # no step's state, applied input or plan differs
+
+
+def compare(a: list[dict], b: list[dict]) -> Comparison:
     """The comparison lines of logs a and b, and whether they are the same."""
     lines = [f"steps: {len(a)} against {len(b)}"]
     first = first_plan = None
@@ -137,11 +182,12 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], bool]:
     lines.append(f"first step that differs: {first or 'none'}")
     lines.append(f"first plan difference: {first_plan or 'none'}")
     lines.append("largest difference: " + ", ".join(f"{name} {value!r}" for name, value in largest.items()))
+    ta, tb = totals(a), totals(b)
+    lines += [f"{label}: {ta[label]!r} against {tb[label]!r}" for label in OUTCOMES]
     for label, name in COUNTERS:
-        ta, tb = sum(row[name] for row in a), sum(row[name] for row in b)
         steps = sum(x[name] != y[name] for x, y in zip(a, b))
-        lines.append(f"{label}: {ta} against {tb} ({tb - ta:+d}), {steps} steps differ")
-    return lines, first is None
+        lines.append(f"{label}: {ta[label]} against {tb[label]} ({tb[label] - ta[label]:+d}), {steps} steps differ")
+    return Comparison(lines, first is None, first_plan is None)
 
 
 def read(path) -> list[dict]:
@@ -157,7 +203,7 @@ def main(argv=None) -> int:
     if args.against is None:
         lines, same = summarize(read(args.log)), True
     else:
-        lines, same = compare(read(args.log), read(args.against))
+        lines, same, _ = compare(read(args.log), read(args.against))
     try:
         print("\n".join(lines), flush=True)
     except BrokenPipeError:

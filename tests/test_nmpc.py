@@ -292,7 +292,7 @@ class TestEvaluatorMatchesParent:
 
     def test_corner_fast_search_calls(self, corner_fast_pooled, monkeypatch):
         # The probes of the steps that search earlier stop indexes among the
-        # first 30: state bounds, capsule rows and every stop index.
+        # first 32: state bounds, capsule rows and every stop index.
         _, _, solves = corner_fast_pooled
         calls = self._recording(monkeypatch)
         for problem, _ in [(p, r) for p, r in solves if r.search != "full"]:
@@ -456,13 +456,13 @@ def record_solves(workload, steps):
 
 @pytest.fixture(scope="module")
 def corner_fast_pooled():
-    """The first 30 steps of a corner-fast episode (record_solves)."""
-    return record_solves("corner-fast", 30)
+    """The first 32 steps of a corner-fast episode (record_solves)."""
+    return record_solves("corner-fast", 32)
 
 
 @pytest.fixture(scope="module")
 def workload_solves(corner_fast_pooled):
-    """The (workload, step, problem, result) of the first 30 steps of
+    """The (workload, step, problem, result) of the first 32 steps of
     corner-fast, 40 of corner-occluded and 20 of pillars-crowd."""
     runs = {"corner-fast": corner_fast_pooled}
     runs.update((w, record_solves(w, steps)) for w, steps in (("corner-occluded", 40), ("pillars-crowd", 20)))
@@ -757,16 +757,23 @@ class TestStopIndexProbe:
         assert per_probe and set(per_probe) == {1}
         assert len({id(e) for e in sqp_evaluators}) == len(built) < len(sqp_evaluators)
 
-    def test_rotate_then_drive_seed_has_a_row_per_free_input(self):
-        problem = make_problem([0, 0, math.pi / 2], [3, 0])
-        probe, n = _probe(problem), problem.params.N
-        for j in range(1, n):
-            seed = oampc.nmpc._rotate_then_drive_seed(probe, j)
-            assert seed.shape == (j, 2)
-            assert seed[-1, 0] > 0 and np.all(seed[:, 1] <= 0)  # turns right, then drives
-        # The goal on the left with no left turn allowed: no such seed.
-        left = _probe(make_problem([0, 0, 0], [0, 3], params=MpcParams(delta_max=0.0)))
-        assert oampc.nmpc._rotate_then_drive_seed(left, 3) is None
+    def test_a_probe_from_rest_runs_at_most_two_sqps(self, corner_fast_pooled):
+        # The recorded steps parked with a warm start at rest, probed at every
+        # stop index with a floor no candidate gets below, so that no start
+        # is skipped: a start at rest re-probes once, from its nudged copy.
+        _, _, solves = corner_fast_pooled
+        at_rest = 0
+        for problem, _ in solves:
+            params = problem.params
+            u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
+            if abs(u_ws[0, 0]) >= 0.1:
+                continue
+            for j in range(1, params.N):
+                rest = np.abs(u_ws[:j, 0]).max() < 0.1
+                _, work = oampc.nmpc._try_stop_index(_probe(problem), u_ws, -math.inf, j)
+                assert work.probes == (2 if rest else 1), j
+                at_rest += rest
+        assert at_rest >= 100
 
 
 class TestSearchOrder:
@@ -841,7 +848,7 @@ class TestSolveProperties:
         # Every start is on the track, so the stationary floor exists: the
         # result is optimal, meets every hard term and costs no more than
         # holding position while turning toward the goal.
-        assert len(workload_solves) == 90
+        assert len(workload_solves) == 92
         for workload, t, problem, result in workload_solves:
             params, where = problem.params, f"{workload} step {t}"
             assert result.status == "optimal", where
@@ -860,7 +867,7 @@ class TestSolveProperties:
         reason="the shifted plan and the relaxed rows let applied plans fail the avoidance audit (ROADMAP item 4)",
     )
     def test_applied_plans_pass_the_audit(self, corner_fast_pooled):
-        # 9 of these 30 corner-fast steps fail, on the avoidance term alone.
+        # 10 of these 32 corner-fast steps fail, on the avoidance term alone.
         _, log, solves = corner_fast_pooled
         failed = [
             t

@@ -706,6 +706,30 @@ class TestJsonLines:
         assert "probes: {0} against {0} (+0), 0 steps differ".format(sum(rec.probes for rec in log)) in out
         sqp_iterations = sum(rec.sqp_iterations for rec in log)
         assert f"SQP iterations: {sqp_iterations} against {sqp_iterations} (+0), 0 steps differ" in out
+        # The outcomes of each log, failed steps counted as the benchmark
+        # counts them.
+        tol = MpcParams().feas_tol
+        failed = sum(rec.fallback_used or rec.audit_violation > tol or rec.collision for rec in log)
+        worst = max(rec.audit_violation for rec in log)
+        assert failed == 0
+        assert f"failed steps: {failed} against {failed}\n" in out
+        assert "moving collision steps: 0 against 0\n" in out and "stopped collision steps: 0 against 0\n" in out
+        assert f"largest audit_violation: {worst!r} against {worst!r}\n" in out
+        # Outcomes that moved, in the second log: a moving and a stopped
+        # collision, a fallback, and audit violations above and at feas_tol.
+        moved = json.loads(json.dumps(rows))
+        moved[1].update(collision=True, applied_input=[0.5, 0.0])
+        moved[2].update(audit_violation=tol)
+        moved[3].update(collision=True, applied_input=[0.0, 0.3])
+        moved[4].update(audit_violation=2.0)
+        moved[5].update(fallback_used=True)
+        b.write_text("".join(json.dumps(row) + "\n" for row in moved))
+        assert summarize_main([str(a), "--against", str(b)]) == 1
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["failed steps"] == "0 against 4"
+        assert lines["moving collision steps"] == "0 against 1"
+        assert lines["stopped collision steps"] == "0 against 1"
+        assert lines["largest audit_violation"] == f"{worst!r} against 2.0"
         # Counters that move with every plan the same: two fewer SQP
         # iterations at step 2, and the plans read as the same.
         rows[2]["sqp_iterations"] -= 2

@@ -144,10 +144,10 @@ def corner_fast_qps():
 
 @pytest.fixture(scope="module")
 def corner_occluded_qps():
-    """The planner's QPs from steps 16-25 of a corner-occluded episode: its
+    """The planner's QPs from steps 16-31 of a corner-occluded episode: its
     first hint run, probing stop indexes 8 down to 1 against capsule rows,
-    and two full-freedom steps after it."""
-    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=26), first_step=16)
+    and eight full-freedom steps after it."""
+    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=32), first_step=16)
     assert [rec.search for rec in log][15:25] == ["full", *["hint"] * 8, "full"]
     assert all(rec.n_boundaries > 0 for rec in log.records[16:])
     return qps

@@ -3,6 +3,7 @@
 
     python3 tools/step_logs.py OUT --seeds 1 2 3
     python3 tools/step_logs.py OUT --workloads corner-occluded --seeds 1
+    python3 tools/step_logs.py OUT --seeds 1 2 3 --against DIR
 
 For each workload and seed, runs the episodes that
 `perfbench/run.py --workload W --seed S --seconds T --trace 0` runs, with T the
@@ -14,6 +15,11 @@ The logs of one episode from two checkouts compare with
     python -m oampc.summarize A/W/S/E.jsonl --against B/W/S/E.jsonl
 
 which exits 0 when every plan, state and counter is the same to the bit.
+
+With --against DIR, each episode's log is also compared with DIR/W/S/E.jsonl
+(`summarize.compare`): its line names the first step whose plan differs, and
+after each workload and seed come the outcome and counter totals of its
+episodes, this run's against DIR's. Exits 1 if any plan differs.
 """
 
 import sys
@@ -33,6 +39,7 @@ from dataclasses import asdict  # noqa: E402
 from workloads import GENERATORS, generate  # noqa: E402
 
 from oampc.sim_engine import run  # noqa: E402
+from oampc.summarize import combine, compare, read, totals  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -40,18 +47,33 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="directory to write the logs under")
     parser.add_argument("--workloads", nargs="+", choices=sorted(GENERATORS), default=sorted(GENERATORS))
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
+    parser.add_argument("--against", type=Path, metavar="DIR", help="compare with the logs under DIR")
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    same_plans = True
     for workload in args.workloads:
         for seed in args.seeds:
             folder = args.out / workload / str(seed)
             folder.mkdir(parents=True, exist_ok=True)
+            ours, theirs = [], []
             for i, scenario in enumerate(generate(workload, seed, episodes_for(workload, seconds))):
                 log, metrics = run(scenario)
                 log.write_jsonl(folder / f"{i}.jsonl")
                 (folder / f"{i}.metrics.json").write_text(json.dumps(asdict(metrics)) + "\n")
-                print(f"{folder / str(i)}: {len(log)} steps, {metrics.terminal_reason}", flush=True)
-    return 0
+                line = f"{folder / str(i)}: {len(log)} steps, {metrics.terminal_reason}"
+                if args.against is not None:
+                    a, b = read(folder / f"{i}.jsonl"), read(args.against / workload / str(seed) / f"{i}.jsonl")
+                    lines, _, same = compare(a, b)
+                    same_plans &= same
+                    line += ", " + next(x for x in lines if x.startswith("first plan difference"))
+                    ours.append(totals(a))
+                    theirs.append(totals(b))
+                print(line, flush=True)
+            if ours:
+                ta, tb = combine(ours), combine(theirs)
+                print(f"{workload} seed {seed}, totals of {len(ours)} episodes:", flush=True)
+                print("".join(f"  {label}: {ta[label]!r} against {tb[label]!r}\n" for label in ta), end="", flush=True)
+    return 0 if same_plans else 1
 
 
 if __name__ == "__main__":
