@@ -19,12 +19,12 @@ turn and escape; the auditor keeps the strict margin.
 Avoidance is subject to the stop-speed complementarity semantics: a step may
 sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
-a search over the phases of SEARCH_PHASES (solve); the all-stopped plan is the
-always-feasible floor. Each stop index is one probe of up to two SQPs
-(_try_stop_index); a phase of two or more sends its probes down pipes to
-forked worker processes (_map). What the probes cost is one _Work record,
-summed with + and returned as SolveResult.work; a step record takes its
-fields as they are.
+a search in rounds over the phases of SEARCH_PHASES (solve); the all-stopped
+plan is the always-feasible floor. A probe is one SQP at one stop index from
+one start (_try_stop_index); a round of two or more sends its probes down
+pipes to forked worker processes (_map). What the probes cost is one _Work
+record, summed with + and returned as SolveResult.work; a step record takes
+its fields as they are.
 """
 
 from __future__ import annotations
@@ -146,7 +146,9 @@ class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
     previous input, the parameters and the avoidance row table, which lives
     only here. solve builds it once (_probe); the probes of a step share it
-    here, and a worker is sent it, not the whole problem, in each task."""
+    here, and a worker is sent it, not the whole problem, in each task. The
+    last two fields are for the step log: how many rows were relaxed, and by
+    how much the worst of them is short of its strict margin."""
 
     z0: np.ndarray
     goal: np.ndarray
@@ -155,6 +157,8 @@ class _Probe(NamedTuple):
     row_step: np.ndarray  # (R,) horizon step of each row
     row_anchor: np.ndarray  # (R, 2)
     row_margin: np.ndarray  # (R,)
+    relaxed_rows: int
+    relaxed_excess: float  # 0 with no relaxed row
 
 
 @dataclass
@@ -209,7 +213,9 @@ def _probe(problem: NlpProblem) -> _Probe:
     # current standoff, so the state can still rotate in place and
     # escape. check_feasibility audits the strict margin.
     rows = (np.nonzero(keep)[0] + 1, anchors[keep], np.minimum(margins, gap)[keep])
-    return _Probe(problem.z0, problem.goal, problem.u_prev, params, *rows)
+    excess = (margins - gap)[keep]
+    relaxed = (int(np.count_nonzero(excess > 0)), float(excess.max(initial=0.0)))
+    return _Probe(problem.z0, problem.goal, problem.u_prev, params, *rows, *relaxed)
 
 
 class _Work(NamedTuple):
@@ -219,7 +225,7 @@ class _Work(NamedTuple):
     qp_iterations: int = 0  # interior-point iterations
     qp_solves: int = 0
     penalty_rungs: int = 0  # QP solves at a raised penalty
-    probes: int = 0  # SQP solves, re-probes included
+    probes: int = 0  # SQP solves, nudged rounds included
     infeasible_probes: int = 0  # probes whose SQP ended infeasible
     probe_ms: float = 0.0  # the probes' own times, each taken where it ran
 
@@ -235,6 +241,8 @@ class SolveResult:
     work: _Work  # summed over the probes run for this step
     stop_index: int  # steps with motion allowed; N-1 means full freedom
     search: str  # the last phase run, one of SEARCH_PHASES
+    relaxed_rows: int  # kept avoidance rows the robot starts inside (_Probe)
+    relaxed_excess: float  # the largest strict margin less the start's standoff among them
 
 
 def total_cost(plan: OpenLoopPlan, goal, params: MpcParams, u_prev=None) -> float:
@@ -377,17 +385,18 @@ class _NlpEvaluator:
 def solve(problem: NlpProblem) -> SolveResult:
     """Plan over the horizon, honoring stop-speed complementarity.
 
-    The stop indexes are probed in phases, and the search stops after the
-    first phase that leaves a candidate below the floor, a cost clearly under
-    standing still: "full", motion allowed through step N-1 (avoidance
-    enforced at every moving step); "hint", the previous step's winning index
-    and its two neighbours within [1, N-2]; "sweep", every other index in
-    increasing order. SolveResult.search names the last phase run. The
-    cheapest candidate wins, ties going to the larger stop index; the
-    stationary plan is the guaranteed fallback floor whenever the current
-    state respects the track limits.
+    The stop indexes are probed in phases: "full", motion allowed through
+    step N-1 (avoidance enforced at every moving step); "hint", the previous
+    step's winning index and its two neighbours within [1, N-2]; "sweep",
+    every other index in increasing order. The search runs one tuple of
+    rounds, each a phase, a start and its indexes, and stops after the first
+    round that leaves a candidate below the floor, a cost clearly under
+    standing still. SolveResult.search names the phase of the last round
+    run. The cheapest candidate wins, ties going to the larger stop index,
+    then to the warm start; the stationary plan is the guaranteed fallback
+    floor whenever the current state respects the track limits.
 
-    The probes of one phase do not depend on each other, so a phase of two
+    The probes of one round do not depend on each other, so a round of two
     or more runs them in forked worker processes, one pickled task at a time
     down each worker's pipe (_map). Each result is put at its submission
     index, so the candidates, the tie-breaks and the counters are those of
@@ -409,15 +418,29 @@ def solve(problem: NlpProblem) -> SolveResult:
     # which is what lets the plan edge toward a receding constraint, so small
     # indexes often win on cost here. The previous step's winning index is
     # tried first; the full sweep only runs when its neighborhood yields
-    # nothing.
+    # nothing. At zero speed the heading-rate-to-position coupling vanishes,
+    # so the linear model cannot see that turning first pays off: the full
+    # and hint indexes whose warm start is at rest get a second round from
+    # its inputs at a small forward speed. The sweep gets none: on
+    # corner-fast its nudged re-starts took a fifth of the solve time and
+    # won 13 of 128 steps.
     hint = problem.stop_hint
     near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
-    phases = zip(SEARCH_PHASES, ([n - 1], near, [j for j in range(1, n - 1) if j not in near]))
+    nudged = u_ws.copy()
+    nudged[:, 0] = min(0.3, params.v_max)
+    at_rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
+    rounds = (
+        ("full", u_ws, [n - 1]),
+        ("full", nudged, [j for j in [n - 1] if j in at_rest]),
+        ("hint", u_ws, near),
+        ("hint", nudged, [j for j in near if j in at_rest]),
+        ("sweep", u_ws, [j for j in range(1, n - 1) if j not in near]),
+    )
+    # Warm candidates come first, so min's tie-break keeps them.
     candidates: list[tuple[float, OpenLoopPlan, int]] = []
     work = _Work()
-    probe = partial(_try_stop_index, data, u_ws, floor)
-    for search, js in phases:
-        for cand, cost in _map(probe, js, n):
+    for search, start, js in rounds:
+        for cand, cost in _map(partial(_try_stop_index, data, start), js, n):
             work = work + cost
             if cand is not None:
                 candidates.append(cand)
@@ -429,7 +452,7 @@ def solve(problem: NlpProblem) -> SolveResult:
 
     if not candidates:
         logger.debug("solve infeasible: initial state violates track limits")
-        return SolveResult(STATUS_INFEASIBLE, problem.warm_start, math.inf, work, stop_index=0, search=search)
+        return SolveResult(STATUS_INFEASIBLE, problem.warm_start, math.inf, work, 0, search, data.relaxed_rows, data.relaxed_excess)
 
     cost, plan, j = min(candidates, key=lambda item: (item[0], -item[2]))
     translation = float(np.abs(np.diff(plan.states[:, :2], axis=0)).max())
@@ -439,45 +462,26 @@ def solve(problem: NlpProblem) -> SolveResult:
         # margins (a stopped rotation is admissible under the stop-speed
         # avoidance semantics).
         cost, plan, j = cost_stationary, stationary, 0
-    return SolveResult(STATUS_OPTIMAL, plan, cost, work, stop_index=j, search=search)
+    return SolveResult(STATUS_OPTIMAL, plan, cost, work, j, search, data.relaxed_rows, data.relaxed_excess)
 
 
-def _try_stop_index(problem: _Probe, u_ws: np.ndarray, floor: float, j: int) -> tuple[Optional[tuple], _Work]:
-    """Probe stop index j: one SQP from the first j inputs of the warm start
-    u_ws, then, when no candidate gets below floor and that start is at
-    rest, one from the same inputs at a small forward speed, both on one
-    evaluator. A candidate (cost, plan, j) replaces the one kept only when
-    strictly cheaper. Returns the cheapest candidate, or None when no SQP
-    ends optimal, and the summed work of the SQPs, each timed where it ran.
-    A module-level function, so a task pickled for a worker names it."""
+def _try_stop_index(problem: _Probe, start: np.ndarray, j: int) -> tuple[Optional[tuple], _Work]:
+    """Probe stop index j: one SQP from the first j inputs of start. Returns
+    the candidate (cost, plan, j), or None when the SQP does not end optimal,
+    and the work of the SQP, timed where it ran. A module-level function, so
+    a task pickled for a worker names it."""
     t0 = time.perf_counter()
     params = problem.params
     lo, hi = params.input_box
     evaluator = _NlpEvaluator(problem, j)
-    lb, ub = np.tile(lo, j), np.tile(hi, j)
-    starts = [u_ws[:j]]
-    if np.abs(u_ws[:j, 0]).max(initial=0.0) < 0.1:
-        # At zero speed the heading-rate-to-position coupling vanishes, so
-        # the linear model cannot see that turning first pays off. Re-probe
-        # from a small forward-speed seed.
-        nudged = u_ws[:j].copy()
-        nudged[:, 0] = min(0.3, params.v_max)
-        starts.append(nudged)
-    cand, work = None, _Work()
-    for start in starts:
-        res = solve_sqp(evaluator, start.reshape(-1), lb, ub, feas_tol=params.feas_tol)
-        optimal = res.status == STATUS_OPTIMAL
-        if optimal and (cand is None or res.objective < cand[0]):
-            u = evaluator.full_inputs(res.x)
-            cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
-        t1 = time.perf_counter()
-        work = work + _Work(
-            res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(not optimal), (t1 - t0) * 1e3
-        )
-        t0 = t1
-        if cand is not None and cand[0] < floor:
-            break
-    return cand, work
+    res = solve_sqp(evaluator, start[:j].reshape(-1), np.tile(lo, j), np.tile(hi, j), feas_tol=params.feas_tol)
+    optimal = res.status == STATUS_OPTIMAL
+    cand = None
+    if optimal:
+        u = evaluator.full_inputs(res.x)
+        cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
+    ms = (time.perf_counter() - t0) * 1e3
+    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(not optimal), ms)
 
 
 # The probe workers once started, each (pid, task pipe, result pipe); False where none can run.

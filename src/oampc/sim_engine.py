@@ -197,10 +197,12 @@ class StepRecord:
     qp_iterations: int  # interior-point iterations
     qp_solves: int
     penalty_rungs: int  # QP solves after the first at one linearization
-    probes: int  # SQP solves, re-probes included
+    probes: int  # SQP solves, nudged rounds included
     infeasible_probes: int  # probes whose SQP ended infeasible
     probe_ms: float  # the probes' own times, each taken in the process that ran it
     search: str  # the last stop-index search phase run, one of nmpc.SEARCH_PHASES
+    relaxed_rows: int  # the planner's avoidance rows relaxed to the start's standoff (nmpc._probe)
+    relaxed_excess: float  # how far the worst of them is short of its strict margin, 0 with none
     occlusion_clearance: float  # center distance to nearest occlusion boundary
     agent_clearance: float  # center distance to nearest true agent position
     static_clearance: float  # center distance to nearest map segment
@@ -386,6 +388,8 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             stop_index=result.stop_index,
             **result.work._asdict(),
             search=result.search,
+            relaxed_rows=result.relaxed_rows,
+            relaxed_excess=result.relaxed_excess,
             occlusion_clearance=occ_clear,
             agent_clearance=agent_clear,
             static_clearance=static_clear,

@@ -8,7 +8,10 @@ time (their sum); the steps over the control period, the fallback steps, the
 largest audit violation, the collision steps, each moving (its translation, dt
 times the applied speed, above `MpcParams.feas_tol`, as `check_feasibility`
 measures motion) or stopped, and the smallest occlusion, agent and static
-clearance with its step (the near misses); the stop-index probes, infeasible
+clearance with its step (the near misses); the planner's relaxed avoidance
+rows per step (rows the robot starts inside, which the planner holds to the
+start's standoff and the audit to the strict margin) with the steps that have
+any, and the largest strict excess among them; the stop-index probes, infeasible
 probes, SQP iterations, QP solves, penalty rungs (QP solves after the first at
 one linearization) and interior-point iterations per step; and the steps that
 ended in each stop-index search phase, with p50 and p99 of probe_ms / solve_ms
@@ -25,7 +28,8 @@ fields moved), the largest difference in states, applied inputs and plans
 (inf between plans of different horizons), the outcomes of each log (failed
 steps as the benchmark counts them: the fallback plan, an audit violation
 above `feas_tol` or a collision; moving and stopped collision steps; the
-largest audit violation) and the totals of the solver counters.
+largest audit violation) and the totals of the solver counters, each with
+this log's total less the other's.
 """
 
 from __future__ import annotations
@@ -119,6 +123,8 @@ def summarize(rows: list[dict]) -> list[str]:
         lines.append(f"{name[:-3]} ms: {p50:.2f} {p99:.2f}")
     moving, stopped = _collisions(rows)
     near = ", ".join(f"{c} {_smallest([row[c + '_clearance'] for row in rows])}" for c in CLEARANCES)
+    relaxed = [k for k, row in enumerate(rows) if row["relaxed_rows"]]
+    excess = [row["relaxed_excess"] for row in rows]
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
@@ -126,6 +132,8 @@ def summarize(rows: list[dict]) -> list[str]:
         f"collision steps: {len(moving) + len(stopped)} {sorted(moving + stopped)}",
         f"collision steps by motion: moving {moving}, stopped {stopped}",
         f"smallest clearance (m): {near}",
+        f"relaxed rows per step: {np.mean([row['relaxed_rows'] for row in rows]):.1f}, nonzero at steps {relaxed}",
+        f"largest relaxed_excess: {max(excess)!r}" + (f" at step {int(np.argmax(excess))}" if relaxed else ""),
     ]
     counters = [name for _, name in COUNTERS]
     for label, name in COUNTERS:
@@ -186,7 +194,7 @@ def compare(a: list[dict], b: list[dict]) -> Comparison:
     lines += [f"{label}: {ta[label]!r} against {tb[label]!r}" for label in OUTCOMES]
     for label, name in COUNTERS:
         steps = sum(x[name] != y[name] for x, y in zip(a, b))
-        lines.append(f"{label}: {ta[label]} against {tb[label]} ({tb[label] - ta[label]:+d}), {steps} steps differ")
+        lines.append(f"{label}: {ta[label]} against {tb[label]} ({ta[label] - tb[label]:+d}), {steps} steps differ")
     return Comparison(lines, first is None, first_plan is None)
 
 

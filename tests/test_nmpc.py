@@ -292,7 +292,7 @@ class TestEvaluatorMatchesParent:
 
     def test_corner_fast_search_calls(self, corner_fast_pooled, monkeypatch):
         # The probes of the steps that search earlier stop indexes among the
-        # first 32: state bounds, capsule rows and every stop index.
+        # first 40: state bounds, capsule rows and every stop index.
         _, _, solves = corner_fast_pooled
         calls = self._recording(monkeypatch)
         for problem, _ in [(p, r) for p, r in solves if r.search != "full"]:
@@ -456,13 +456,13 @@ def record_solves(workload, steps):
 
 @pytest.fixture(scope="module")
 def corner_fast_pooled():
-    """The first 32 steps of a corner-fast episode (record_solves)."""
-    return record_solves("corner-fast", 32)
+    """The first 40 steps of a corner-fast episode (record_solves)."""
+    return record_solves("corner-fast", 40)
 
 
 @pytest.fixture(scope="module")
 def workload_solves(corner_fast_pooled):
-    """The (workload, step, problem, result) of the first 32 steps of
+    """The (workload, step, problem, result) of the first 40 steps of
     corner-fast, 40 of corner-occluded and 20 of pillars-crowd."""
     runs = {"corner-fast": corner_fast_pooled}
     runs.update((w, record_solves(w, steps)) for w, steps in (("corner-occluded", 40), ("pillars-crowd", 20)))
@@ -728,8 +728,7 @@ class TestProbeWorkers:
 
 class TestStopIndexProbe:
     def test_one_evaluator_per_stop_index(self, corner_fast_pooled, monkeypatch):
-        # Every SQP start of a stop index, re-probes included, runs on the one
-        # evaluator its probe built. Corner-fast's recorded steps re-probe.
+        # Each probe builds one evaluator and runs one SQP on it.
         _, _, solves = corner_fast_pooled
         built, per_probe, sqp_evaluators = [], [], []
         init, probe, sqp = _NlpEvaluator.__init__, oampc.nmpc._try_stop_index, oampc.nmpc.solve_sqp
@@ -738,10 +737,10 @@ class TestStopIndexProbe:
             built.append(evaluator)
             init(evaluator, *args)
 
-        def counted_probe(*args):
-            before = len(built)
-            result = probe(*args)
-            per_probe.append(len(built) - before)
+        def counted_probe(problem, start, j):
+            before = len(built), len(sqp_evaluators)
+            result = probe(problem, start, j)
+            per_probe.append((len(built) - before[0], len(sqp_evaluators) - before[1]))
             return result
 
         def counted_sqp(evaluator, *args, **kwargs):
@@ -754,13 +753,13 @@ class TestStopIndexProbe:
         monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
         for problem, _ in solves:
             solve(problem)
-        assert per_probe and set(per_probe) == {1}
-        assert len({id(e) for e in sqp_evaluators}) == len(built) < len(sqp_evaluators)
+        assert per_probe and set(per_probe) == {(1, 1)}
+        assert [id(e) for e in sqp_evaluators] == [id(e) for e in built]
 
-    def test_a_probe_from_rest_runs_at_most_two_sqps(self, corner_fast_pooled):
+    def test_a_probe_runs_one_sqp(self, corner_fast_pooled):
         # The recorded steps parked with a warm start at rest, probed at every
-        # stop index with a floor no candidate gets below, so that no start
-        # is skipped: a start at rest re-probes once, from its nudged copy.
+        # stop index from the warm start and from its nudged copy: whatever
+        # its cost, a probe is one SQP.
         _, _, solves = corner_fast_pooled
         at_rest = 0
         for problem, _ in solves:
@@ -768,40 +767,83 @@ class TestStopIndexProbe:
             u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
             if abs(u_ws[0, 0]) >= 0.1:
                 continue
+            nudged = u_ws.copy()
+            nudged[:, 0] = min(0.3, params.v_max)
             for j in range(1, params.N):
-                rest = np.abs(u_ws[:j, 0]).max() < 0.1
-                _, work = oampc.nmpc._try_stop_index(_probe(problem), u_ws, -math.inf, j)
-                assert work.probes == (2 if rest else 1), j
-                at_rest += rest
+                for start in (u_ws, nudged):
+                    _, work = oampc.nmpc._try_stop_index(_probe(problem), start, j)
+                    assert work.probes == 1, j
+                at_rest += np.abs(u_ws[:j, 0]).max() < 0.1
         assert at_rest >= 100
 
 
 class TestSearchOrder:
-    def test_phases_run_in_order(self, corner_fast_pooled, monkeypatch):
-        # A recorded step whose full-freedom probe is blocked and whose hint
-        # phase was empty, solved again with other hints. Each phase is one
-        # _map call and the last one run names the search; a hint next to
-        # the stop index that wins the sweep ends the search with that phase.
-        _, _, solves = corner_fast_pooled
-        problem = next(p for p, r in solves if r.search == "sweep")
-        n = problem.params.N
+    @staticmethod
+    def _recording(monkeypatch):
+        """The _map calls of the solves that follow, each (indexes, whether
+        the round starts from the nudged warm start)."""
         calls = []
 
         def recording_map(fn, js, n):
-            calls.append(list(js))
+            start = fn.args[1]
+            calls.append((list(js), bool(np.all(start[:, 0] == 0.3))))
             return in_process_map(fn, js, n)
 
         monkeypatch.setattr(oampc.nmpc, "_map", recording_map)
-        searches = set()
+        return calls
+
+    def test_phases_run_in_order(self, corner_fast_pooled, monkeypatch):
+        # A recorded step whose full-freedom probe is blocked and whose hint
+        # phase found nothing, solved again with other hints. Its warm start
+        # is at rest through step 5, so the nudged rounds probe the hint
+        # indexes up to 5 and not the full-freedom index. Each round is one
+        # _map call and the last one run names the search; a hint next to
+        # the stop index that wins the sweep ends the search in a hint round.
+        _, _, solves = corner_fast_pooled
+        problem = next(p for p, r in solves if r.search == "sweep" and abs(p.warm_start.inputs[0, 0]) < 0.1)
+        n = problem.params.N
+        u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
+        rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
+        assert rest == [1, 2, 3, 4, 5]
+        calls = self._recording(monkeypatch)
+        searches, nudged = set(), []
         for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
             calls.clear()
             res = solve(dataclasses.replace(problem, stop_hint=hint))
-            phases = [[n - 1], near, [j for j in range(1, n - 1) if j not in near]]
-            assert len(calls) >= 2 and calls == phases[: len(calls)], hint
-            assert res.search == ("full", "hint", "sweep")[len(calls) - 1]
+            rounds = [
+                ([n - 1], False),
+                ([], True),
+                (near, False),
+                ([j for j in near if j in rest], True),
+                ([j for j in range(1, n - 1) if j not in near], False),
+            ]
+            assert len(calls) >= 3 and calls == rounds[: len(calls)], hint
+            assert res.search == ("full", "full", "hint", "hint", "sweep")[len(calls) - 1]
             assert res.search == "sweep" or res.stop_index in near
             searches.add(res.search)
+            nudged += [j for js, from_nudged in calls if from_nudged for j in js]
         assert searches == {"hint", "sweep"}
+        assert nudged  # a nudged hint round ran
+
+    def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_pooled, monkeypatch):
+        # The recorded steps that swept: the sweep is the last round, from
+        # the warm start, and probes every index outside the hint's
+        # neighbourhood once.
+        _, _, solves = corner_fast_pooled
+        calls = self._recording(monkeypatch)
+        swept = 0
+        for problem, recorded in solves:
+            if recorded.search != "sweep":
+                continue
+            n, hint = problem.params.N, problem.stop_hint
+            near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
+            calls.clear()
+            res = solve(problem)
+            assert res.search == "sweep" and len(calls) == 5
+            assert calls[-1] == ([j for j in range(1, n - 1) if j not in near], False)
+            assert res.work.probes == sum(len(js) for js, _ in calls)
+            swept += 1
+        assert swept >= 10
 
 
 class TestCheckFeasibility:
@@ -848,7 +890,7 @@ class TestSolveProperties:
         # Every start is on the track, so the stationary floor exists: the
         # result is optimal, meets every hard term and costs no more than
         # holding position while turning toward the goal.
-        assert len(workload_solves) == 92
+        assert len(workload_solves) == 100
         for workload, t, problem, result in workload_solves:
             params, where = problem.params, f"{workload} step {t}"
             assert result.status == "optimal", where
@@ -867,7 +909,7 @@ class TestSolveProperties:
         reason="the shifted plan and the relaxed rows let applied plans fail the avoidance audit (ROADMAP item 4)",
     )
     def test_applied_plans_pass_the_audit(self, corner_fast_pooled):
-        # 10 of these 32 corner-fast steps fail, on the avoidance term alone.
+        # 14 of these 40 corner-fast steps fail, on the avoidance term alone.
         _, log, solves = corner_fast_pooled
         failed = [
             t
@@ -953,6 +995,27 @@ class TestAvoidanceRows:
                 states = rollout(problem.z0, ev.full_inputs(x), params.dt)
                 want = planner_avoidance_rows(states, problem.z0, problem.projections, circles, params, j)
                 assert np.array_equal(ev(x).c, want)
+
+    def test_relaxed_rows_reported(self):
+        # The rows the planner relaxes, counted one at a time: those of the
+        # moving steps 1..N-1 that the robot starts inside (the cull keeps
+        # every such row). Here the disk projection and the first circle.
+        params = MpcParams()
+        families = [build_disks(np.array([0.1, 0.1, 0.05]), AgentModel(0.0), params.dt, params.N)]
+        circles = circle_rows([(0.0, 0.2, 0.15), (1.3, 0.0, 0.2)])
+        problem = make_problem([0, 0, 0.2], [3, 0], params, families=families, circles=circles)
+        anchors, margins = oampc.nmpc._avoidance_rows(problem.projections, circles, params)
+        count, worst = 0, 0.0
+        for k in range(1, params.N):
+            for anchor, margin in zip(anchors[k - 1], margins):
+                gap = np.hypot(*(anchor - problem.z0[:2]))
+                if gap < margin:
+                    count, worst = count + 1, max(worst, margin - gap)
+        assert count == 2 * (params.N - 1)
+        res = solve(problem)
+        assert (res.relaxed_rows, res.relaxed_excess) == (count, worst) == _probe(problem)[-2:]
+        free = solve(make_problem([0, 0, 0.2], [3, 0], params, circles=circle_rows([(1.3, 0.0, 0.2)])))
+        assert (free.relaxed_rows, free.relaxed_excess) == (0, 0.0)
 
 
 class TestFallbackPlan:

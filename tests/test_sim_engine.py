@@ -601,6 +601,12 @@ class TestJsonLines:
             k = int(np.argmin(values))
             near.append(f"{name} {values[k]!r} at step {k}")
         assert lines["smallest clearance (m)"].strip() == ", ".join(near)
+        relaxed = [k for k, rec in enumerate(log) if rec.relaxed_rows]
+        mean = np.mean([rec.relaxed_rows for rec in log])
+        assert lines["relaxed rows per step"].strip() == f"{mean:.1f}, nonzero at steps {relaxed}"
+        excess = [rec.relaxed_excess for rec in log]
+        at = f" at step {int(np.argmax(excess))}" if relaxed else ""
+        assert lines["largest relaxed_excess"].strip() == f"{max(excess)!r}{at}"
         for label, name in (
             ("probes", "probes"),
             ("infeasible probes", "infeasible_probes"),
@@ -656,6 +662,24 @@ class TestJsonLines:
         lines = dict(line.split(": ", 1) for line in summarize(rows))
         assert lines["collision steps"] == "5 [1, 2, 3, 4, 5]"
         assert lines["collision steps by motion"] == "moving [1, 4], stopped [2, 3, 5]"
+
+    def test_relaxed_rows_and_their_steps(self, tmp_path):
+        # The relaxed rows per step with the steps that have any, and the
+        # largest strict excess with its step; without any, no step.
+        log, _ = run(corner_scenario().with_overrides(max_steps=6))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        rows = read(path)
+        for row in rows:
+            row.update(relaxed_rows=0, relaxed_excess=0.0)
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["relaxed rows per step"] == "0.0, nonzero at steps []"
+        assert lines["largest relaxed_excess"] == "0.0"
+        rows[2].update(relaxed_rows=3, relaxed_excess=0.25)
+        rows[4].update(relaxed_rows=1, relaxed_excess=0.5)
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["relaxed rows per step"] == "0.7, nonzero at steps [2, 4]"
+        assert lines["largest relaxed_excess"] == "0.5 at step 4"
 
     def test_summary_of_an_empty_log(self, tmp_path, capsys):
         # A run with no step budget ends on the budget with an empty log,
@@ -738,7 +762,7 @@ class TestJsonLines:
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert lines["first step that differs"] == f"2 (tau {log.records[2].tau!r}): sqp_iterations"
         assert lines["first plan difference"] == "none"
-        assert lines["SQP iterations"].endswith("(-2), 1 steps differ")
+        assert lines["SQP iterations"].endswith("(+2), 1 steps differ")
         rows[2]["sqp_iterations"] += 2
         # A plan input off by one unit in the last place at step 4, and one
         # more QP solve there.
@@ -750,7 +774,7 @@ class TestJsonLines:
         assert lines["first step that differs"] == f"4 (tau {log.records[4].tau!r}): plan qp_solves"
         assert lines["first plan difference"] == f"4 (tau {log.records[4].tau!r}): plan"
         assert "plan inputs 0.0" not in lines["largest difference"]
-        assert lines["QP solves"].endswith("(+1), 1 steps differ")
+        assert lines["QP solves"].endswith("(-1), 1 steps differ")
         # A shorter log differs too, from the first step it lacks, even when
         # the steps both logs have are the same.
         b.write_text("".join(json.dumps(row) + "\n" for row in rows[:4]))

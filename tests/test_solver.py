@@ -144,12 +144,12 @@ def corner_fast_qps():
 
 @pytest.fixture(scope="module")
 def corner_occluded_qps():
-    """The planner's QPs from steps 16-31 of a corner-occluded episode: its
-    first hint run, probing stop indexes 8 down to 1 against capsule rows,
-    and eight full-freedom steps after it."""
-    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=32), first_step=16)
+    """The planner's QPs from steps 12-39 of a corner-occluded episode: four
+    full-freedom steps, its first hint run, probing stop indexes 8 down to 1
+    against capsule rows, and sixteen full-freedom steps after it."""
+    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=40), first_step=12)
     assert [rec.search for rec in log][15:25] == ["full", *["hint"] * 8, "full"]
-    assert all(rec.n_boundaries > 0 for rec in log.records[16:])
+    assert all(rec.n_boundaries > 0 for rec in log.records[12:])
     return qps
 
 
