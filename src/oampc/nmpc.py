@@ -22,9 +22,11 @@ this with a stop index j (move through step j, hold position after), found by
 a search in rounds over the phases of SEARCH_PHASES (solve); the all-stopped
 plan is the always-feasible floor. A probe is one SQP at one stop index from
 one start (_try_stop_index); a round of two or more sends its probes down
-pipes to forked worker processes (_map). What the probes cost is one _Work
-record, summed with + and returned as SolveResult.work; a step record takes
-its fields as they are.
+pipes to forked worker processes (_map). The sweep probes only the indexes
+whose warm start meets their rows (_first_violated_step), so each of its
+probes starts feasible and returns a candidate. What the probes cost is one
+_Work record, summed with + and returned as SolveResult.work; a step record
+takes its fields as they are.
 """
 
 from __future__ import annotations
@@ -382,19 +384,40 @@ class _NlpEvaluator:
         return EvalResult(f=f, grad=grad, hess=hess, c=c, jac=jac)
 
 
+def _first_violated_step(problem: _Probe, inputs: np.ndarray) -> int:
+    """The first horizon step k at which the rollout of inputs (N, 2) from
+    z0 breaks, by more than feas_tol, one of the probe record's rows (at its
+    relaxed margin) or a track limit; N + 1 if none. A NaN breaks its row,
+    as solver._violation reads it. _NlpEvaluator(problem, j) keeps the rows
+    and track limits of steps 1..j and rolls out the first j inputs the
+    same way, so the first j of these inputs are a feasible start for
+    stop index j exactly when j < k."""
+    params = problem.params
+    states = rollout(problem.z0, inputs, params.dt)
+    diff = states[problem.row_step, :2] - problem.row_anchor
+    rows_met = np.hypot(diff[:, 0], diff[:, 1]) - problem.row_margin >= -params.feas_tol
+    track_met = (_track_gaps(states[1:, :2], params)[0] >= -params.feas_tol).all(axis=0)
+    broken = np.concatenate([problem.row_step[~rows_met], np.flatnonzero(~track_met) + 1])
+    return int(broken.min(initial=params.N + 1))
+
+
 def solve(problem: NlpProblem) -> SolveResult:
     """Plan over the horizon, honoring stop-speed complementarity.
 
     The stop indexes are probed in phases: "full", motion allowed through
     step N-1 (avoidance enforced at every moving step); "hint", the previous
     step's winning index and its two neighbours within [1, N-2]; "sweep",
-    every other index in increasing order. The search runs one tuple of
-    rounds, each a phase, a start and its indexes, and stops after the first
-    round that leaves a candidate below the floor, a cost clearly under
-    standing still. SolveResult.search names the phase of the last round
-    run. The cheapest candidate wins, ties going to the larger stop index,
-    then to the warm start; the stationary plan is the guaranteed fallback
-    floor whenever the current state respects the track limits.
+    every other index below the first step at which the warm start breaks a
+    row or a track limit (_first_violated_step), in increasing order: an
+    index at or past that step would start its SQP infeasible, and such
+    probes nearly always end so. The search runs one tuple of rounds, each
+    a phase, a start and its indexes, and stops after the first round that
+    leaves a candidate below the floor, a cost clearly under standing still.
+    SolveResult.search names the phase of the last round run, "sweep" also
+    when the sweep had no index to probe. The cheapest candidate wins, ties
+    going to the larger stop index, then to the warm start; the stationary
+    plan is the guaranteed fallback floor whenever the current state
+    respects the track limits.
 
     The probes of one round do not depend on each other, so a round of two
     or more runs them in forked worker processes, one pickled task at a time
@@ -423,18 +446,23 @@ def solve(problem: NlpProblem) -> SolveResult:
     # and hint indexes whose warm start is at rest get a second round from
     # its inputs at a small forward speed. The sweep gets none: on
     # corner-fast its nudged re-starts took a fifth of the solve time and
-    # won 13 of 128 steps.
+    # won 13 of 128 steps. Nor does the sweep probe an index whose warm
+    # start already breaks one of its rows (j >= _first_violated_step): on
+    # corner-fast such probes climbed the penalty ladder to its cap and
+    # ended infeasible 151 times in 155. Every index it does probe starts
+    # feasible, and solve_sqp never gives up a feasible iterate.
     hint = problem.stop_hint
     near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
     nudged = u_ws.copy()
     nudged[:, 0] = min(0.3, params.v_max)
     at_rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
+    met = min(n - 1, _first_violated_step(data, u_ws))
     rounds = (
         ("full", u_ws, [n - 1]),
         ("full", nudged, [j for j in [n - 1] if j in at_rest]),
         ("hint", u_ws, near),
         ("hint", nudged, [j for j in near if j in at_rest]),
-        ("sweep", u_ws, [j for j in range(1, n - 1) if j not in near]),
+        ("sweep", u_ws, [j for j in range(1, met) if j not in near]),
     )
     # Warm candidates come first, so min's tie-break keeps them.
     candidates: list[tuple[float, OpenLoopPlan, int]] = []

@@ -190,7 +190,7 @@ class StepRecord:
     reach_ms: float  # capsules, agent visibility, fusion, disks
     project_ms: float  # shifted plan, projection, the problem's constraint table
     solve_ms: float  # nmpc.solve
-    audit_ms: float  # check_feasibility of the applied plan
+    audit_ms: float  # check_feasibility of the applied plan and of the shifted previous plan
     stop_index: int
     # nmpc._Work's counters, summed over the stop-index probes of this step.
     sqp_iterations: int
@@ -208,6 +208,7 @@ class StepRecord:
     static_clearance: float  # center distance to nearest map segment
     fallback_used: bool  # the solve was infeasible and the shifted previous plan applied
     audit_violation: float  # check_feasibility(plan).max_violation of the applied plan
+    fallback_violation: float  # the same audit of the shifted previous plan, applied or not
     collision: bool
     n_boundaries: int
     n_families: int
@@ -349,9 +350,11 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
 
     fallback_used = result.status != STATUS_OPTIMAL
     plan = result.plan
-    # Every applied plan is audited; the audit is recorded and never changes
-    # which plan is applied.
+    # Every applied plan is audited, and so is the shifted previous plan,
+    # the fallback, whether or not it is applied; the audits are recorded
+    # and never change which plan is applied.
     report = check_feasibility(plan, projections, circles, params, z_init=sim.z)
+    fallback_violation = check_feasibility(warm, projections, circles, params, z_init=sim.z).max_violation
     if fallback_used and not report.ok(params.feas_tol):
         logger.warning("step %d: fallback plan failed the feasibility audit", len(log))
     t_end = time.perf_counter()
@@ -395,6 +398,7 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
             static_clearance=static_clear,
             fallback_used=fallback_used,
             audit_violation=report.max_violation,
+            fallback_violation=fallback_violation,
             collision=collided,
             n_boundaries=len(boundaries),
             n_families=len(families),

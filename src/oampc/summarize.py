@@ -5,18 +5,20 @@
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the fallback steps, the
-largest audit violation, the collision steps, each moving (its translation, dt
-times the applied speed, above `MpcParams.feas_tol`, as `check_feasibility`
-measures motion) or stopped, and the smallest occlusion, agent and static
-clearance with its step (the near misses); the planner's relaxed avoidance
-rows per step (rows the robot starts inside, which the planner holds to the
-start's standoff and the audit to the strict margin) with the steps that have
-any, and the largest strict excess among them; the stop-index probes, infeasible
-probes, SQP iterations, QP solves, penalty rungs (QP solves after the first at
-one linearization) and interior-point iterations per step; and the steps that
-ended in each stop-index search phase, with p50 and p99 of probe_ms / solve_ms
-(above 1 when probes ran in parallel), and the slowest steps with their
-counters. The control period is the spacing of the logged times, or
+largest audit violation, the largest audit violation of the shifted previous
+plan (the fallback, applied or not) with its step and the steps where it is
+above `MpcParams.feas_tol`, the collision steps, each moving (its
+translation, dt times the applied speed, above `MpcParams.feas_tol`, as
+`check_feasibility` measures motion) or stopped, and the smallest occlusion,
+agent and static clearance with its step (the near misses); the planner's
+relaxed avoidance rows per step (rows the robot starts inside, which the
+planner holds to the start's standoff and the audit to the strict margin)
+with the steps that have any, and the largest strict excess among them; the
+stop-index probes, infeasible probes, SQP iterations, QP solves, penalty
+rungs (QP solves after the first at one linearization) and interior-point
+iterations per step; and the steps that ended in each stop-index search
+phase, with p50 and p99 of probe_ms / solve_ms (above 1 when probes ran in
+parallel), and the slowest steps with their counters. The control period is the spacing of the logged times, or
 `MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status
@@ -25,11 +27,11 @@ time (`*_ms`), is not the same to the bit, and so does a step only the longer
 log has. The comparison names the first such step, the first step whose
 state, applied input or plan differs (`none` when only counters or other
 fields moved), the largest difference in states, applied inputs and plans
-(inf between plans of different horizons), the outcomes of each log (failed
-steps as the benchmark counts them: the fallback plan, an audit violation
-above `feas_tol` or a collision; moving and stopped collision steps; the
-largest audit violation) and the totals of the solver counters, each with
-this log's total less the other's.
+(inf between plans of different horizons), the outcomes of each log (its
+steps; failed steps as the benchmark counts them: the fallback plan, an
+audit violation above `feas_tol` or a collision; moving and stopped
+collision steps; the largest audit violation) and the totals of the solver
+counters, each with this log's total less the other's.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ COUNTERS = (
 SLOWEST = 5  # slowest steps listed
 CLEARANCES = ("occlusion", "agent", "static")  # StepRecord's *_clearance fields
 # The labels of totals() that are not solver counters; the last is a largest
-# value, the others are step counts.
-OUTCOMES = ("failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation")
+# value, the others are step counts, the steps attempted first.
+OUTCOMES = ("steps", "failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation")
 
 
 def percentiles(values, qs) -> np.ndarray:
@@ -99,7 +101,7 @@ def totals(rows: list[dict]) -> dict:
     tol = MpcParams().feas_tol
     failed = sum(row["fallback_used"] or row["audit_violation"] > tol or row["collision"] for row in rows)
     worst = max((row["audit_violation"] for row in rows), default=0.0)
-    values = dict(zip(OUTCOMES, (failed, len(moving), len(stopped), worst)))
+    values = dict(zip(OUTCOMES, (len(rows), failed, len(moving), len(stopped), worst)))
     values.update((label, sum(row[name] for row in rows)) for label, name in COUNTERS)
     return values
 
@@ -125,10 +127,14 @@ def summarize(rows: list[dict]) -> list[str]:
     near = ", ".join(f"{c} {_smallest([row[c + '_clearance'] for row in rows])}" for c in CLEARANCES)
     relaxed = [k for k, row in enumerate(rows) if row["relaxed_rows"]]
     excess = [row["relaxed_excess"] for row in rows]
+    shift = [row["fallback_violation"] for row in rows]
+    shift_failed = [k for k, v in enumerate(shift) if v > MpcParams().feas_tol]
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
+        f"largest fallback_violation: {max(shift)!r} at step {int(np.argmax(shift))}, "
+        f"above feas_tol at {len(shift_failed)} steps {shift_failed}",
         f"collision steps: {len(moving) + len(stopped)} {sorted(moving + stopped)}",
         f"collision steps by motion: moving {moving}, stopped {stopped}",
         f"smallest clearance (m): {near}",
@@ -163,7 +169,7 @@ class Comparison(NamedTuple):
 
 def compare(a: list[dict], b: list[dict]) -> Comparison:
     """The comparison lines of logs a and b, and whether they are the same."""
-    lines = [f"steps: {len(a)} against {len(b)}"]
+    lines = []
     first = first_plan = None
     largest = dict.fromkeys(("state", "applied_input", "plan states", "plan inputs"), 0.0)
     for k, (x, y) in enumerate(zip(a, b)):

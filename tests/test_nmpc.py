@@ -21,6 +21,7 @@ from oampc.nmpc import (
     MpcParams,
     NlpProblem,
     _aligned_stationary_plan,
+    _first_violated_step,
     _NlpEvaluator,
     _probe,
     check_feasibility,
@@ -29,7 +30,7 @@ from oampc.nmpc import (
     total_cost,
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
-from oampc.solver import STATUS_INFEASIBLE, solve_sqp
+from oampc.solver import STATUS_INFEASIBLE, _violation, solve_sqp
 from oampc.summarize import main as summarize_main
 from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
@@ -292,13 +293,20 @@ class TestEvaluatorMatchesParent:
 
     def test_corner_fast_search_calls(self, corner_fast_pooled, monkeypatch):
         # The probes of the steps that search earlier stop indexes among the
-        # first 40: state bounds, capsule rows and every stop index.
+        # first 56: state bounds and capsule rows. The sweep skips the
+        # indexes whose start breaks a row, and these steps probe neither 6
+        # nor 7, so the start of every stop index at every such step is
+        # evaluated too, and every stop index is covered.
         _, _, solves = corner_fast_pooled
+        searched = [p for p, r in solves if r.search != "full"]
         calls = self._recording(monkeypatch)
-        for problem, _ in [(p, r) for p, r in solves if r.search != "full"]:
+        for problem in searched:
             solve(problem)
-        monkeypatch.undo()
         assert len(calls) >= 200
+        for problem in searched:
+            u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
+            start_violations(_probe(problem), u_ws)
+        monkeypatch.undo()
         assert {j for _, j, _ in calls} == set(range(1, MpcParams().N))
         assert all(p.params.state_bounds is not None for p, _, _ in calls)
         self._assert_same_bits(calls)
@@ -456,13 +464,13 @@ def record_solves(workload, steps):
 
 @pytest.fixture(scope="module")
 def corner_fast_pooled():
-    """The first 40 steps of a corner-fast episode (record_solves)."""
-    return record_solves("corner-fast", 40)
+    """The first 56 steps of a corner-fast episode (record_solves)."""
+    return record_solves("corner-fast", 56)
 
 
 @pytest.fixture(scope="module")
 def workload_solves(corner_fast_pooled):
-    """The (workload, step, problem, result) of the first 40 steps of
+    """The (workload, step, problem, result) of the first 56 steps of
     corner-fast, 40 of corner-occluded and 20 of pillars-crowd."""
     runs = {"corner-fast": corner_fast_pooled}
     runs.update((w, record_solves(w, steps)) for w, steps in (("corner-occluded", 40), ("pillars-crowd", 20)))
@@ -796,8 +804,9 @@ class TestSearchOrder:
         # A recorded step whose full-freedom probe is blocked and whose hint
         # phase found nothing, solved again with other hints. Its warm start
         # is at rest through step 5, so the nudged rounds probe the hint
-        # indexes up to 5 and not the full-freedom index. Each round is one
-        # _map call and the last one run names the search; a hint next to
+        # indexes up to 5 and not the full-freedom index; it breaks a row at
+        # step 6, so the sweep probes the other indexes up to 5. Each round is
+        # one _map call and the last one run names the search; a hint next to
         # the stop index that wins the sweep ends the search in a hint round.
         _, _, solves = corner_fast_pooled
         problem = next(p for p, r in solves if r.search == "sweep" and abs(p.warm_start.inputs[0, 0]) < 0.1)
@@ -805,6 +814,8 @@ class TestSearchOrder:
         u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
         rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
         assert rest == [1, 2, 3, 4, 5]
+        met = _first_violated_step(_probe(problem), u_ws)
+        assert met == 6
         calls = self._recording(monkeypatch)
         searches, nudged = set(), []
         for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
@@ -815,7 +826,7 @@ class TestSearchOrder:
                 ([], True),
                 (near, False),
                 ([j for j in near if j in rest], True),
-                ([j for j in range(1, n - 1) if j not in near], False),
+                ([j for j in range(1, met) if j not in near], False),
             ]
             assert len(calls) >= 3 and calls == rounds[: len(calls)], hint
             assert res.search == ("full", "full", "hint", "hint", "sweep")[len(calls) - 1]
@@ -827,8 +838,8 @@ class TestSearchOrder:
 
     def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_pooled, monkeypatch):
         # The recorded steps that swept: the sweep is the last round, from
-        # the warm start, and probes every index outside the hint's
-        # neighbourhood once.
+        # the warm start, and probes once every index outside the hint's
+        # neighbourhood and below the first step the warm start breaks.
         _, _, solves = corner_fast_pooled
         calls = self._recording(monkeypatch)
         swept = 0
@@ -837,13 +848,89 @@ class TestSearchOrder:
                 continue
             n, hint = problem.params.N, problem.stop_hint
             near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
+            u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
+            met = min(n - 1, _first_violated_step(_probe(problem), u_ws))
             calls.clear()
             res = solve(problem)
             assert res.search == "sweep" and len(calls) == 5
-            assert calls[-1] == ([j for j in range(1, n - 1) if j not in near], False)
+            assert calls[-1] == ([j for j in range(1, met) if j not in near], False)
             assert res.work.probes == sum(len(js) for js, _ in calls)
             swept += 1
         assert swept >= 10
+
+
+def start_violations(data, inputs):
+    """The violation of each stop index's start j = 1..N-1, the first j rows
+    of inputs, as its SQP measures it."""
+    return [_violation(_NlpEvaluator(data, j)(inputs[:j].ravel()).c) for j in range(1, data.params.N)]
+
+
+class TestFirstViolatedStep:
+    """_first_violated_step(probe, u) is the first horizon step at which the
+    rollout of u breaks a kept row or a track limit: probe j's start, the
+    first j rows of u, breaks one of its own rows exactly when j >= it."""
+
+    def test_starts_break_exactly_from_the_first_violated_step(self, workload_solves):
+        firsts = []
+        for workload, t, problem, _ in workload_solves:
+            params, data = problem.params, _probe(problem)
+            u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
+            first = _first_violated_step(data, u_ws)
+            broken = [v > params.feas_tol for v in start_violations(data, u_ws)]
+            assert broken == [j >= first for j in range(1, params.N)], (workload, t, first)
+            firsts.append(first)
+        # Most warm starts meet every row; the others break one at five or
+        # more different steps.
+        n = MpcParams().N
+        assert firsts.count(n + 1) >= 50 and len(set(firsts) - {n + 1}) >= 5
+
+    def test_a_start_off_the_track_before_any_row_breaks(self):
+        # Straight at full speed toward a static circle, across the track
+        # limit x = 0.9: the track breaks at step 5 (x = 1.0), the circle's
+        # 0.4 m margin at step 6 (x = 1.2). A NaN third input breaks step 3
+        # and every later one, as _violation reads it.
+        params = MpcParams(state_bounds=(-1.0, 0.9, -2.0, 2.0))
+        inputs = np.zeros((params.N, 2))
+        inputs[:-1, 0] = params.v_max
+        warm = OpenLoopPlan(rollout(np.zeros(3), inputs, params.dt), inputs)
+        data = _probe(make_problem([0, 0, 0], [3, 0], params, circles=[(1.5, 0.0, 0.1)], warm=warm))
+        assert list(data.row_step) == [6, 7, 8, 9]
+        assert _first_violated_step(data._replace(params=MpcParams()), inputs) == 6
+        for steps, first in ((inputs, 5), (np.where(np.arange(params.N)[:, None] == 2, np.nan, inputs), 3)):
+            assert _first_violated_step(data, steps) == first
+            broken = [v > params.feas_tol for v in start_violations(data, steps)]
+            assert broken == [j >= first for j in range(1, params.N)]
+
+    def test_the_sweep_probes_the_feasible_starts_and_ends_none_infeasible(self, corner_fast_pooled, monkeypatch):
+        # Every recorded sweep step: the sweep round probes the indexes
+        # outside the hint's neighbourhood whose start meets its own rows,
+        # as its SQP measures them, and each of its probes returns a
+        # candidate.
+        _, _, solves = corner_fast_pooled
+        rounds = []
+
+        def recording_map(fn, js, n):
+            rounds.append((list(js), in_process_map(fn, js, n)))
+            return rounds[-1][1]
+
+        monkeypatch.setattr(oampc.nmpc, "_map", recording_map)
+        swept = probed = skipped = 0
+        for problem, recorded in solves:
+            if recorded.search != "sweep":
+                continue
+            params, hint = problem.params, problem.stop_hint
+            near = [] if hint is None else [hint - 1, hint, hint + 1]
+            u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
+            met = [v <= params.feas_tol for v in start_violations(_probe(problem), u_ws)][:-1]
+            rounds.clear()
+            assert solve(problem).search == "sweep"
+            js, results = rounds[-1]
+            assert js == [j for j, ok in enumerate(met, 1) if ok and j not in near]
+            assert all(cand is not None and not work.infeasible_probes for cand, work in results)
+            swept += 1
+            probed += len(js)
+            skipped += not all(met)
+        assert swept >= 15 and probed >= 60 and skipped >= 10
 
 
 class TestCheckFeasibility:
@@ -890,7 +977,7 @@ class TestSolveProperties:
         # Every start is on the track, so the stationary floor exists: the
         # result is optimal, meets every hard term and costs no more than
         # holding position while turning toward the goal.
-        assert len(workload_solves) == 100
+        assert len(workload_solves) == 116
         for workload, t, problem, result in workload_solves:
             params, where = problem.params, f"{workload} step {t}"
             assert result.status == "optimal", where
@@ -904,12 +991,27 @@ class TestSolveProperties:
             cost = total_cost(result.plan, problem.goal, params, problem.u_prev)
             assert cost <= total_cost(floor, problem.goal, params, problem.u_prev), where
 
+    def test_each_step_records_the_audit_of_the_shift(self, corner_fast_pooled):
+        # The shift of the previous plan, applied or not, audited against the
+        # step's problem: its largest violation is the record's. The shift
+        # fails at some of these steps.
+        scn, log, solves = corner_fast_pooled
+        previous = [OpenLoopPlan.stationary(scn.robot_init.as_array(), scn.mpc.N), *(rec.plan for rec in log)]
+        failed = 0
+        for rec, (problem, _), prev in zip(log, solves, previous):
+            report = check_feasibility(
+                fallback_plan(prev), problem.projections, problem.static_circles, problem.params, z_init=problem.z0
+            )
+            assert rec.fallback_violation == report.max_violation
+            failed += not report.ok(problem.params.feas_tol)
+        assert len(solves) == len(log) == 56 and failed >= 5
+
     @pytest.mark.xfail(
         strict=True,
         reason="the shifted plan and the relaxed rows let applied plans fail the avoidance audit (ROADMAP item 4)",
     )
     def test_applied_plans_pass_the_audit(self, corner_fast_pooled):
-        # 14 of these 40 corner-fast steps fail, on the avoidance term alone.
+        # 21 of these 56 corner-fast steps fail, on the avoidance term alone.
         _, log, solves = corner_fast_pooled
         failed = [
             t

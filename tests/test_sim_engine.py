@@ -289,7 +289,7 @@ class TestClosedLoop:
             report = check_feasibility(
                 shift, problem.projections, problem.static_circles, problem.params, z_init=rec.state
             )
-            assert rec.audit_violation == report.max_violation
+            assert rec.audit_violation == rec.fallback_violation == report.max_violation
 
 
 class TestAgentInputs:
@@ -568,6 +568,7 @@ class TestJsonLines:
                 "static_clearance",
                 "fallback_used",
                 "audit_violation",
+                "fallback_violation",
                 "collision",
                 "n_boundaries",
                 "n_families",
@@ -592,6 +593,10 @@ class TestJsonLines:
         assert int(lines["steps over dt (100 ms)"]) == misses
         assert int(lines["fallback steps"]) == 0
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
+        shift = [rec.fallback_violation for rec in log]
+        above = [k for k, v in enumerate(shift) if v > MpcParams().feas_tol]
+        want = f"{max(shift)!r} at step {int(np.argmax(shift))}, above feas_tol at {len(above)} steps {above}"
+        assert lines["largest fallback_violation"].strip() == want
         assert lines["collision steps"].strip() == "0 []"
         assert lines["collision steps by motion"].strip() == "moving [], stopped []"
         # The near misses: each smallest clearance, exact, with its step.
@@ -681,6 +686,23 @@ class TestJsonLines:
         assert lines["relaxed rows per step"] == "0.7, nonzero at steps [2, 4]"
         assert lines["largest relaxed_excess"] == "0.5 at step 4"
 
+    def test_fallback_violation_and_its_steps(self, tmp_path):
+        # The largest audit violation of the shift with its step, and the
+        # steps where it is above feas_tol; one at feas_tol is not.
+        log, _ = run(corner_scenario().with_overrides(max_steps=6))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        rows = read(path)
+        for row in rows:
+            row.update(fallback_violation=0.0)
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["largest fallback_violation"] == "0.0 at step 0, above feas_tol at 0 steps []"
+        tol = MpcParams().feas_tol
+        for k, value in ((1, tol), (2, 0.25), (4, 0.5), (5, 2 * tol)):
+            rows[k].update(fallback_violation=value)
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["largest fallback_violation"] == "0.5 at step 4, above feas_tol at 3 steps [2, 4, 5]"
+
     def test_summary_of_an_empty_log(self, tmp_path, capsys):
         # A run with no step budget ends on the budget with an empty log,
         # whose summary is its step count.
@@ -736,7 +758,9 @@ class TestJsonLines:
         failed = sum(rec.fallback_used or rec.audit_violation > tol or rec.collision for rec in log)
         worst = max(rec.audit_violation for rec in log)
         assert failed == 0
-        assert f"failed steps: {failed} against {failed}\n" in out
+        # The steps attempted come first among the outcomes, next to the
+        # failed ones.
+        assert f"\nsteps: 6 against 6\nfailed steps: {failed} against {failed}\n" in out
         assert "moving collision steps: 0 against 0\n" in out and "stopped collision steps: 0 against 0\n" in out
         assert f"largest audit_violation: {worst!r} against {worst!r}\n" in out
         # Outcomes that moved, in the second log: a moving and a stopped

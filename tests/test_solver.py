@@ -137,9 +137,9 @@ def record_qps(scn, first_step=0):
 
 @pytest.fixture(scope="module")
 def corner_fast_qps():
-    """The planner's QPs from the first 15 steps of a corner-fast episode.
+    """The planner's QPs from the first 17 steps of a corner-fast episode.
     They climb the penalty ladder to its top and include stall exits."""
-    return record_qps(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=15))[0]
+    return record_qps(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=17))[0]
 
 
 @pytest.fixture(scope="module")

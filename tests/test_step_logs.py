@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 
 import oampc.sim_engine
+from oampc.summarize import read
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("step_logs", ROOT / "tools" / "step_logs.py")
@@ -32,9 +33,9 @@ class TestAgainst:
         rows = [json.loads(line) for line in (tmp_path / "a/corner-fast/1/0.jsonl").read_text().splitlines()]
         probes = sum(row["probes"] for row in rows)
         assert f"  probes: {probes} against {probes}" in out
-        assert "  failed steps: 0 against 0" in out
+        assert out[2:4] == ["  steps: 4 against 4", "  failed steps: 0 against 0"]
         assert [line.split(":")[0].strip() for line in out[2:]] == [
-            "failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation",
+            "steps", "failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation",
             "probes", "infeasible probes", "SQP iterations", "QP solves", "penalty rungs", "interior-point iterations",
         ]
         # A log to compare with whose step-2 plan differs in its last bit and
@@ -62,3 +63,31 @@ class TestAgainst:
         capsys.readouterr()
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
         assert f"  QP solves: {qp_solves} against {qp_solves + 4}" in capsys.readouterr().out.splitlines()
+
+
+    def test_totals_over_the_seeds_of_a_workload(self, tmp_path, monkeypatch, capsys):
+        # With two or more seeds, each workload's seeds are followed by the
+        # totals over all of them: the counts summed, the largest violation
+        # the largest. One seed prints no such block.
+        short_runs(monkeypatch)
+        args = ["--workloads", "corner-fast", "--seeds", "1", "2"]
+        assert step_logs.main([str(tmp_path / "a"), *args]) == 0
+        assert step_logs.main([str(tmp_path / "a"), "--workloads", "corner-fast", "--seeds", "3"]) == 0
+        path = tmp_path / "a/corner-fast/2/0.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[3]["audit_violation"] = 0.5
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        at = out.index("corner-fast seeds 1 2, totals of 2 episodes:")
+        assert at == len(out) - 12 and out[at - 12] == "corner-fast seed 2, totals of 1 episodes:"
+        ours = [read(tmp_path / f"b/corner-fast/{seed}/0.jsonl") for seed in (1, 2)]
+        probes = sum(row["probes"] for rows in ours for row in rows)
+        worst = max(row["audit_violation"] for rows in ours for row in rows)
+        assert out[at + 1 : at + 3] == ["  steps: 8 against 8", "  failed steps: 0 against 1"]
+        assert f"  probes: {probes} against {probes}" in out[at:]
+        assert f"  largest audit_violation: {worst!r} against 0.5" in out[at:]
+        args = ["--workloads", "corner-fast", "--seeds", "3", "--against", str(tmp_path / "a")]
+        assert step_logs.main([str(tmp_path / "b"), *args]) == 0
+        assert not any(" seeds " in line for line in capsys.readouterr().out.splitlines())

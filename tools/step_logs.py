@@ -19,7 +19,9 @@ which exits 0 when every plan, state and counter is the same to the bit.
 With --against DIR, each episode's log is also compared with DIR/W/S/E.jsonl
 (`summarize.compare`): its line names the first step whose plan differs, and
 after each workload and seed come the outcome and counter totals of its
-episodes, this run's against DIR's. Exits 1 if any plan differs.
+episodes, this run's against DIR's, the steps attempted first, and with two
+or more seeds, after a workload's seeds, the totals over all of them. Exits 1
+if any plan differs.
 """
 
 import sys
@@ -52,6 +54,7 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     same_plans = True
     for workload in args.workloads:
+        every_ours, every_theirs = [], []
         for seed in args.seeds:
             folder = args.out / workload / str(seed)
             folder.mkdir(parents=True, exist_ok=True)
@@ -70,10 +73,19 @@ def main(argv=None) -> int:
                     theirs.append(totals(b))
                 print(line, flush=True)
             if ours:
-                ta, tb = combine(ours), combine(theirs)
-                print(f"{workload} seed {seed}, totals of {len(ours)} episodes:", flush=True)
-                print("".join(f"  {label}: {ta[label]!r} against {tb[label]!r}\n" for label in ta), end="", flush=True)
+                print_totals(f"{workload} seed {seed}", ours, theirs)
+                every_ours += ours
+                every_theirs += theirs
+        if every_ours and len(args.seeds) > 1:
+            print_totals(f"{workload} seeds {' '.join(map(str, args.seeds))}", every_ours, every_theirs)
     return 0 if same_plans else 1
+
+
+def print_totals(what: str, ours: list[dict], theirs: list[dict]) -> None:
+    """The combined totals of these episodes' logs, ours against theirs."""
+    ta, tb = combine(ours), combine(theirs)
+    print(f"{what}, totals of {len(ours)} episodes:", flush=True)
+    print("".join(f"  {label}: {ta[label]!r} against {tb[label]!r}\n" for label in ta), end="", flush=True)
 
 
 if __name__ == "__main__":
