@@ -19,7 +19,6 @@ robot heading does not affect the returns, and tests stay frame-independent.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -28,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import EPS_GEO, ray_hits
+from .reachability import check_real
 from .unicycle import RobotState
 from .world import WorldMap
 
@@ -48,9 +48,7 @@ class LidarParams:
         if isinstance(self.num_rays, bool) or not isinstance(self.num_rays, numbers.Integral):
             raise ValueError(f"num_rays must be an integer, not {self.num_rays!r}")
         for f in fields(self):  # first: a NaN passes every comparison below
-            value = getattr(self, f.name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
+            check_real(self, f.name, nonnegative=False)
         if self.num_rays < 8:
             raise ValueError("num_rays must be at least 8")
         if self.max_range <= 0:

@@ -681,9 +681,11 @@ def check_feasibility(
     margins. Stopped means not translating: the motion factor is measured on
     position, since rotating in place cannot produce contact. Every row keeps
     its strict margin, also where the planner relaxed it because the robot
-    started inside it. Diagnostic only: never raises.
+    started inside it. Diagnostic: raises only on mismatched horizons.
     """
     n, states, inputs = plan.horizon, plan.states, plan.inputs
+    if projections.horizon != n:
+        raise ValueError(f"projection horizon {projections.horizon} != plan horizon {n}")
     dynamics_defect = float(np.abs(rollout(states[0], inputs, params.dt) - states).max())
 
     initial_error = 0.0 if z_init is None else float(np.abs(states[0] - np.asarray(z_init)).max())
@@ -711,9 +713,10 @@ def fallback_plan(prev: OpenLoopPlan) -> OpenLoopPlan:
     final state. The shifted plan therefore ends stopped and satisfies the
     dynamics. It is not guaranteed to clear the new constraint data: the
     reachable sets are rebuilt from every scan and need not shrink between
-    steps, so the shift can fail the audit (at 25 of 64 steps of a
-    corner-fast episode). sim_engine audits it whenever it applies it, like
-    every applied plan, and logs a warning when it fails.
+    steps, so the shift can fail the audit. sim_engine audits it at every
+    step, applied or not (StepRecord.fallback_violation): at seed 1 it is
+    above feas_tol at 45 of 128 corner-fast steps (worst 0.140), 8 of 278
+    corner-occluded steps and 0 of 330 pillars-crowd steps.
     """
     if np.abs(prev.inputs[-1]).max() > 1e-9:
         raise ValueError("previous plan does not end stopped; it was not terminally feasible")

@@ -3,14 +3,13 @@
 Hidden agents are abstracted by the occlusion boundary they could cross:
 their step-k reachable set is the boundary segment inflated by k times the
 per-step travel bound (a capsule, build_capsules). A visible agent's disks
-are that capsule rule on a zero-length axis at its detection [x, y, r]. A
-fresh detection replaces a tracked agent's set only when it fits inside, so
-the set never grows. A detection and a tracked set are one [x, y, r] row.
+are that capsule rule on a zero-length axis at its detection [x, y, r].
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,6 +17,14 @@ import numpy as np
 
 class ModelViolationError(RuntimeError):
     """An agent was observed outside its certified reachable set."""
+
+
+def check_real(owner, name: str, nonnegative: bool = True) -> None:
+    """Raise ValueError, naming the field, unless owner's field is a finite
+    real number, and nonnegative unless told otherwise."""
+    value = getattr(owner, name)
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and (value >= 0 or not nonnegative)):
+        raise ValueError(f"{name} must be a finite{' nonnegative' * nonnegative} number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +35,8 @@ class AgentModel:
     radius: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.v_target < math.inf and 0.0 <= self.radius < math.inf):
-            raise ValueError(f"v_target {self.v_target} and radius {self.radius} must be finite and nonnegative")
+        check_real(self, "v_target")
+        check_real(self, "radius")
 
 
 # The agent model's move rule: in one step an agent moves at most

@@ -5,17 +5,16 @@ advances the scripted agents. Ground-truth collision checking is independent
 of every planner constraint, so logged safety outcomes cannot be an artifact
 of the planner's own approximations.
 
-The loop state holds only what the step log cannot: the robot's state, the
-next goal's index and each visible agent's track, one [x, y, r] row: its
-detection, or its propagated track when the detection does not fit inside.
-A step reads the rest from the log's last record: its index is the log's
-length, its time that record's time plus dt, the previous plan and stop-index
-hint that record's (time 0, the plan standing at the start and no hint at the
-first step), and the previous input that plan's first input. It applies the
-plan nmpc.solve returns, the shifted previous plan when the solve is
-infeasible. A scenario is checked once, when it is built (Scenario). A step
-holds the agents as (A, 2) positions, at its start and at its end, and (A,)
-radii; only the visibility check and fusion visit them one at a time.
+The loop state holds only what the step log cannot: the robot's state and
+the next goal's index. A step reads the rest from the log's last record: its
+index is the log's length, its time that record's time plus dt, the previous
+plan and stop-index hint that record's (time 0, the plan standing at the
+start and no hint at the first step), and the previous input that plan's
+first input. It applies the plan nmpc.solve returns, the shifted previous
+plan when the solve is infeasible. A scenario is checked once, when it is
+built (Scenario). A step holds the agents as (A, 2) positions, at its start
+and at its end, and (A,) radii; only the visibility check visits them one at
+a time.
 
 A run's aggregates are derived from its log, by `oampc.summarize`; `Metrics`
 keeps only how the run ended, which no step record holds.
@@ -49,7 +48,8 @@ from .reachability import (
     ModelViolationError,
     build_capsules,
     build_disks,
-    fuse_measurement,
+    check_real,
+    fuse_measurement,  # noqa: F401 -- perfbench/tracing.py traces it by this name
     step_distance,
 )
 from .solver import STATUS_OPTIMAL
@@ -91,12 +91,11 @@ class AgentScript:
         waypoints = np.array(self.waypoints, dtype=float)
         waypoints.flags.writeable = False
         object.__setattr__(self, "waypoints", waypoints)
-        if waypoints.ndim != 2 or waypoints.shape[0] < 1 or waypoints.shape[1] != 2:
-            raise ValueError(f"agent waypoints must be (m, 2) with m >= 1, not {waypoints.shape}")
-        if not (np.isfinite(waypoints).all() and math.isfinite(self.start_time)):
-            raise ValueError("agent waypoints and start time must be finite")
-        if not (0.0 <= self.speed < math.inf and 0.0 <= self.radius < math.inf):
-            raise ValueError(f"agent speed {self.speed} and radius {self.radius} must be finite and nonnegative")
+        if waypoints.ndim != 2 or waypoints.shape[0] < 1 or waypoints.shape[1] != 2 or not np.isfinite(waypoints).all():
+            raise ValueError(f"agent waypoints must be a finite (m, 2) array with m >= 1, not shape {waypoints.shape}")
+        check_real(self, "start_time", nonnegative=False)
+        check_real(self, "speed")
+        check_real(self, "radius")
         legs = np.diff(waypoints, axis=0)
         leg_lengths = np.hypot(legs[:, 0], legs[:, 1]) if len(legs) else np.zeros(0)
         object.__setattr__(self, "_leg_lengths", leg_lengths)
@@ -162,8 +161,7 @@ class Scenario:
         for idx, agent in enumerate(self.agents):
             if agent.speed * dt > step_distance(self.agent_model, dt) + MOVE_SLACK:
                 raise ValueError(f"agent {idx} speed {agent.speed} exceeds the model bound {self.agent_model.v_target}")
-            hidden = agent.initially_hidden
-            if hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
+            if agent.initially_hidden and _agent_visible(self.world, start, agent.position(0.0), self.lidar.max_range):
                 raise ValueError(f"agent {idx} is declared hidden but visible from the start pose")
         # The max-range arc is not an occlusion boundary: an agent crossing it
         # has no reachable set until seen, so it must lie past what robot (N
@@ -187,7 +185,7 @@ class StepRecord:
     applied_input: np.ndarray  # (2,)
     # Wall time of each layer of STEP_LAYERS.
     sense_ms: float  # scan, occlusion detection, downsampling
-    reach_ms: float  # capsules, agent visibility, fusion, disks
+    reach_ms: float  # capsules, agent visibility, disks
     project_ms: float  # shifted plan, projection, the problem's constraint table
     solve_ms: float  # nmpc.solve
     audit_ms: float  # check_feasibility of the applied plan and of the shifted previous plan
@@ -278,14 +276,10 @@ class _SimState:
     scenario: Scenario
     z: np.ndarray
     goal_index: int = 0
-    agent_tracks: dict[int, np.ndarray] = field(default_factory=dict)  # [x, y, r] rows
 
 
 def _agent_visible(world: WorldMap, robot_pos: np.ndarray, agent_pos: np.ndarray, max_range: float) -> bool:
-    gap = float(np.hypot(*(agent_pos - robot_pos)))
-    if gap > max_range:
-        return False
-    return world.segment_visible(robot_pos, agent_pos)
+    return float(np.hypot(*(agent_pos - robot_pos))) <= max_range and world.segment_visible(robot_pos, agent_pos)
 
 
 def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
@@ -310,23 +304,15 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     circles = downsample(sweep, scn.lidar, world=scn.world)
 
     # Reachable sets: capsules over occlusion boundaries (skipped by the
-    # baseline planner), disks for visible agents (both planners).
+    # baseline planner), disks from visible agents' detections (both planners).
     t_reach = time.perf_counter()
     families = []
     if scn.mode == MODE_OCCLUSION_AWARE:
         for b in boundaries:
             families.append(build_capsules(b, scn.agent_model, dt, params.N))
-    new_tracks: dict[int, np.ndarray] = {}
-    for idx, pos in enumerate(agent_positions):
-        if not _agent_visible(scn.world, sim.z[:2], pos, scn.lidar.max_range):
-            continue
-        sensed = np.array([pos[0], pos[1], radii[idx]])
-        prev = sim.agent_tracks.get(idx)
-        if prev is not None:
-            propagated = np.array([prev[0], prev[1], prev[2] + step_distance(scn.agent_model, dt)])
-            sensed = fuse_measurement(propagated, sensed)
-        new_tracks[idx] = sensed
-        families.append(build_disks(sensed, scn.agent_model, dt, params.N))
+    for pos, radius in zip(agent_positions, radii):
+        if _agent_visible(scn.world, sim.z[:2], pos, scn.lidar.max_range):
+            families.append(build_disks([*pos, radius], scn.agent_model, dt, params.N))
 
     # Plan. The previous plan ends stopped, so its shift is the warm start
     # and the fallback at once, and its steps 1..N are the points projected.
@@ -407,7 +393,6 @@ def step(sim: _SimState, log: TrajectoryLog) -> _SimState:
     )
 
     sim.z = z_next.as_array()
-    sim.agent_tracks = new_tracks
 
     # Goal consumption: position-only tolerance, goals in order.
     while sim.goal_index < len(scn.goals) and (
@@ -425,8 +410,8 @@ def run(scenario: Scenario) -> tuple[TrajectoryLog, Metrics]:
     pose inside an obstacle (PoseInObstacleError) also ends the run: the log
     holds the steps completed before it, and Metrics.terminal_reason says
     which of these ended the run. The scenario was checked when it was built;
-    the loop state is the robot's state, the next goal's index and the agent
-    tracks, and each step's record says whether it collided."""
+    the loop state is the robot's state and the next goal's index, and each
+    step's record says whether it collided."""
     sim = _SimState(scenario, scenario.robot_init.as_array())
     log = TrajectoryLog()
     reason = None

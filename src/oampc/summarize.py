@@ -5,33 +5,34 @@
 
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the fallback steps, the
-largest audit violation, the largest audit violation of the shifted previous
-plan (the fallback, applied or not) with its step and the steps where it is
-above `MpcParams.feas_tol`, the collision steps, each moving (its
-translation, dt times the applied speed, above `MpcParams.feas_tol`, as
-`check_feasibility` measures motion) or stopped, and the smallest occlusion,
-agent and static clearance with its step (the near misses); the planner's
-relaxed avoidance rows per step (rows the robot starts inside, which the
-planner holds to the start's standoff and the audit to the strict margin)
-with the steps that have any, and the largest strict excess among them; the
-stop-index probes, infeasible probes, SQP iterations, QP solves, penalty
-rungs (QP solves after the first at one linearization) and interior-point
-iterations per step; and the steps that ended in each stop-index search
-phase, with p50 and p99 of probe_ms / solve_ms (above 1 when probes ran in
-parallel), and the slowest steps with their counters. The control period is the spacing of the logged times, or
-`MpcParams.dt` for a one-step log.
+failed steps as the benchmark counts them (the fallback plan, an audit
+violation above `MpcParams.feas_tol` or a collision), the largest audit
+violation, the largest audit violation of the shifted previous plan (the
+fallback, applied or not) with its step and the steps where it is above
+`MpcParams.feas_tol`, the collision steps, each moving (its translation, dt
+times the applied speed, above `MpcParams.feas_tol`, as `check_feasibility`
+measures motion) or stopped, and the smallest occlusion, agent and static
+clearance with its step (the near misses); the planner's relaxed avoidance
+rows per step (rows the robot starts inside, which the planner holds to the
+start's standoff and the audit to the strict margin) with the steps that have
+any, and the largest strict excess among them; the stop-index probes,
+infeasible probes, SQP iterations, QP solves, penalty rungs (QP solves after
+the first at one linearization) and interior-point iterations per step; and
+the steps that ended in each stop-index search phase, with p50 and p99 of
+probe_ms / solve_ms (above 1 when probes ran in parallel), and the slowest
+steps with their counters. The control period is the spacing of the logged
+times, or `MpcParams.dt` for a one-step log.
 
-With --against, prints instead how the two logs differ and exits with status
-1 if they do. A step differs when a field the two logs share, other than a
-time (`*_ms`), is not the same to the bit, and so does a step only the longer
-log has. The comparison names the first such step, the first step whose
-state, applied input or plan differs (`none` when only counters or other
-fields moved), the largest difference in states, applied inputs and plans
-(inf between plans of different horizons), the outcomes of each log (its
-steps; failed steps as the benchmark counts them: the fallback plan, an
-audit violation above `feas_tol` or a collision; moving and stopped
-collision steps; the largest audit violation) and the totals of the solver
-counters, each with this log's total less the other's.
+With --against, prints instead how the two logs differ and exits with status 1
+if they do. A step differs when a field the two logs share, other than a time
+(`*_ms`), is not the same to the bit, and so does a step only the longer log
+has. The comparison names the first such step, the first step whose state,
+applied input or plan differs (`none` when only counters or other fields
+moved), the largest difference in states, applied inputs and plans (inf
+between plans of different horizons), the outcomes of each log (its steps,
+failed steps, moving and stopped collision steps and the largest audit
+violation) and the totals of the solver counters, each with this log's total
+less the other's.
 """
 
 from __future__ import annotations
@@ -95,13 +96,17 @@ def _collisions(rows: list[dict]) -> tuple[list[int], list[int]]:
     return moving, [k for k in collided if k not in moving]
 
 
+def _failed(rows: list[dict]) -> list[int]:
+    """The steps that failed: a fallback plan, an audit above `feas_tol` or a collision."""
+    tol = MpcParams().feas_tol
+    return [k for k, row in enumerate(rows) if row["fallback_used"] or row["audit_violation"] > tol or row["collision"]]
+
+
 def totals(rows: list[dict]) -> dict:
     """A log's outcomes (OUTCOMES) and the sum of each solver counter, by label."""
     moving, stopped = _collisions(rows)
-    tol = MpcParams().feas_tol
-    failed = sum(row["fallback_used"] or row["audit_violation"] > tol or row["collision"] for row in rows)
     worst = max((row["audit_violation"] for row in rows), default=0.0)
-    values = dict(zip(OUTCOMES, (len(rows), failed, len(moving), len(stopped), worst)))
+    values = dict(zip(OUTCOMES, (len(rows), len(_failed(rows)), len(moving), len(stopped), worst)))
     values.update((label, sum(row[name] for row in rows)) for label, name in COUNTERS)
     return values
 
@@ -129,9 +134,11 @@ def summarize(rows: list[dict]) -> list[str]:
     excess = [row["relaxed_excess"] for row in rows]
     shift = [row["fallback_violation"] for row in rows]
     shift_failed = [k for k, v in enumerate(shift) if v > MpcParams().feas_tol]
+    failed = _failed(rows)
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
+        f"failed steps: {len(failed)} {failed}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
         f"largest fallback_violation: {max(shift)!r} at step {int(np.argmax(shift))}, "
         f"above feas_tol at {len(shift_failed)} steps {shift_failed}",

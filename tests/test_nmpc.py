@@ -967,6 +967,18 @@ class TestCheckFeasibility:
         )
         assert report.ok(params.feas_tol)
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_plan_and_projections_of_different_horizons_raise(self, steps):
+        # A 1-step plan against 10-step projections once gave a 10-entry
+        # report with max_violation 0.1; a 3-step plan failed inside numpy
+        # broadcasting. Both raise, naming the two horizons.
+        params = MpcParams()
+        fam = build_disks(np.array([0.5, 0.0, 0.1]), AgentModel(0.0), params.dt, params.N)
+        projections = project_plan(np.zeros((params.N, 2)), [fam])
+        plan = OpenLoopPlan.stationary(np.zeros(3), steps)
+        with pytest.raises(ValueError, match=f"projection horizon {params.N} != plan horizon {steps}$"):
+            check_feasibility(plan, projections, circle_rows([]), params, z_init=np.zeros(3))
+
 
 class TestSolveProperties:
     """What every plan of a correct planner satisfies, whatever plan it picks:

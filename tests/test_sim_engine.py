@@ -27,7 +27,7 @@ from oampc.sim_engine import (
 )
 from oampc.solver import STATUS_INFEASIBLE
 from oampc.summarize import main as summarize_main
-from oampc.summarize import read, summarize
+from oampc.summarize import read, summarize, totals
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
@@ -101,18 +101,33 @@ def corner_scenario(**fields) -> Scenario:
     return Scenario(**{**defaults, **fields})
 
 
-def spy_on_fusion(monkeypatch) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (propagated, sensed, fused) triple of every fusion call the closed
-    loop makes from now on."""
-    calls = []
-    fuse = oampc.sim_engine.fuse_measurement
+def spy_on_families(monkeypatch) -> list[list]:
+    """The reachable families of every step the closed loop runs from now on,
+    as project_plan receives them: the capsules, then the disks."""
+    steps = []
+    project = oampc.sim_engine.project_plan
 
-    def recorded_fuse(propagated, sensed):
-        calls.append((propagated, sensed, fuse(propagated, sensed)))
-        return calls[-1][2]
+    def recorded_project(points, families):
+        steps.append(list(families))
+        return project(points, families)
 
-    monkeypatch.setattr(oampc.sim_engine, "fuse_measurement", recorded_fuse)
-    return calls
+    monkeypatch.setattr(oampc.sim_engine, "project_plan", recorded_project)
+    return steps
+
+
+def assert_disks_of_detections(scenario: Scenario, log: TrajectoryLog, steps: list[list]):
+    """Every agent is seen at every step, and its family is the disks of its
+    detection: centre at its position at the step's time, step-k radius
+    k * v_target * dt plus its own radius."""
+    n, dt = scenario.mpc.N, scenario.mpc.dt
+    assert len(steps) == len(log)
+    for rec, families in zip(log, steps):
+        disks = families[rec.n_boundaries :]
+        assert len(disks) == len(scenario.agents)
+        for agent, family in zip(scenario.agents, disks):
+            centre = agent.position(rec.tau)
+            assert np.array_equal(family.a, centre) and np.array_equal(family.b, centre)
+            assert np.array_equal(family.radii, np.arange(1, n + 1) * (scenario.agent_model.v_target * dt) + agent.radius)
 
 
 class TestClosedLoop:
@@ -204,10 +219,10 @@ class TestClosedLoop:
             assert rec.audit_violation == report.max_violation
             assert report.ok(problem.params.feas_tol)
 
-    def test_fusion_returns_each_detection_of_agents_within_the_bound(self, monkeypatch):
+    def test_each_visible_agent_gets_the_disks_of_its_detection(self, monkeypatch):
         # Detections are exact and every agent keeps to v_target, one at the
-        # bound itself, so each detection fits inside its propagated track
-        # and fusion hands it back: the same object, at every call.
+        # bound itself, so no track is kept: at every step each agent's
+        # disks start from where it is.
         peds = [
             AgentScript(waypoints=np.array([[1.5, 1.0], [1.5, 3.0]]), speed=0.3, radius=0.1),
             AgentScript(waypoints=np.array([[2.5, -1.0], [2.5, -3.0]]), speed=0.5, radius=0.1),
@@ -220,18 +235,19 @@ class TestClosedLoop:
             agents=peds,
             max_steps=10,
         )
-        calls = spy_on_fusion(monkeypatch)
+        steps = spy_on_families(monkeypatch)
         log, _ = run(scenario)
-        assert len(calls) == 2 * (len(log) - 1)
-        assert all(fused is sensed for _, sensed, fused in calls)
+        assert len(log) == 10
+        assert_disks_of_detections(scenario, log, steps)
 
     @pytest.mark.parametrize("radius", [0.0, 0.1])
     def test_agent_at_the_move_slack_keeps_its_bound(self, monkeypatch, radius):
         # 5e-10 m/s over v_target, so each 0.1 s move is 5e-11 m over the
         # step distance, inside MOVE_SLACK: the step check accepts every
-        # move, and fusion must too. A point agent once ended the run as a
-        # model violation after one step; a disk agent's track once stayed
-        # at its first sighting and grew by a step distance every step.
+        # move, and each step's disks start from the agent's detection. A
+        # point agent once ended the run as a model violation after one step;
+        # a disk agent's track once stayed at its first sighting and grew by
+        # a step distance every step.
         ped = AgentScript(waypoints=np.array([[3.0, 2.0], [3.0, -2.0]]), speed=0.5 + 5e-10, radius=radius)
         scenario = Scenario(
             name="slack",
@@ -242,11 +258,10 @@ class TestClosedLoop:
             agent_model=AgentModel(0.5),
             max_steps=10,
         )
-        calls = spy_on_fusion(monkeypatch)
+        steps = spy_on_families(monkeypatch)
         log, metrics = run(scenario)
         assert metrics.terminal_reason == "budget" and len(log) == 10
-        assert len(calls) == 9
-        assert all(fused is sensed for _, sensed, fused in calls)
+        assert_disks_of_detections(scenario, log, steps)
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)
@@ -316,6 +331,20 @@ class TestAgentInputs:
         for radius in (-0.05, math.nan, math.inf):
             with pytest.raises(ValueError):
                 AgentScript(waypoints=np.array([[1.5, 0.0]]), speed=0.5, radius=radius)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None])
+    @pytest.mark.parametrize(
+        "cls, name",
+        [(AgentModel, "v_target"), (AgentModel, "radius"), (AgentScript, "start_time"), (AgentScript, "speed"),
+         (AgentScript, "radius")],
+    )
+    def test_rejects_a_value_that_is_not_a_finite_number(self, cls, name, value):
+        # Like MpcParams, the agent model and script name the field: a string
+        # once raised a TypeError from a comparison, a None start time one
+        # from math.isfinite.
+        valid = {AgentModel: dict(v_target=0.5), AgentScript: dict(waypoints=[[1.5, 0.0]], speed=0.5)}[cls]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite (nonnegative )?number, not "):
+            cls(**{**valid, name: value})
 
     def test_rejects_waypoints_not_m_by_2(self):
         # (m, 3) waypoints once raised a numpy broadcast error out of run().
@@ -592,6 +621,9 @@ class TestJsonLines:
         misses = sum(t > 100.0 for t in step_ms)
         assert int(lines["steps over dt (100 ms)"]) == misses
         assert int(lines["fallback steps"]) == 0
+        tol = MpcParams().feas_tol
+        failed = [k for k, rec in enumerate(log) if rec.fallback_used or rec.audit_violation > tol or rec.collision]
+        assert lines["failed steps"].strip() == f"{len(failed)} {failed}"
         assert float(lines["largest audit_violation"]) == max(rec.audit_violation for rec in log)
         shift = [rec.fallback_violation for rec in log]
         above = [k for k, v in enumerate(shift) if v > MpcParams().feas_tol]
@@ -651,6 +683,18 @@ class TestJsonLines:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == out
+        # Failed steps as the benchmark counts them, one rule with the
+        # comparison's totals: a fallback step, an audit above feas_tol and a
+        # collision fail; an audit exactly at feas_tol does not.
+        rows = read(path)
+        for row in rows:
+            row.update(fallback_used=False, audit_violation=0.0, collision=False)
+        rows[2].update(fallback_used=True)
+        rows[5].update(audit_violation=2 * tol)
+        rows[7].update(audit_violation=tol)
+        rows[9].update(collision=True)
+        assert dict(line.split(": ", 1) for line in summarize(rows))["failed steps"] == "3 [2, 5, 9]"
+        assert totals(rows)["failed steps"] == 3
 
     def test_collisions_are_moving_or_stopped(self, tmp_path):
         # A collision step is moving (at fault) when its translation over the
