@@ -21,27 +21,20 @@ sit inside a margin only if the plan is stopped there. The solver realizes
 this with a stop index j (move through step j, hold position after), found by
 a search in rounds over the phases of SEARCH_PHASES (solve); the all-stopped
 plan is the always-feasible floor. A probe is one SQP at one stop index from
-one start (_try_stop_index); a round of two or more sends its probes down
-pipes to forked worker processes (_map). The sweep probes only the indexes
-whose warm start meets their rows (_first_violated_step), so each of its
-probes starts feasible and returns a candidate. What the probes cost is one
-_Work record, summed with + and returned as SolveResult.work; a step record
-takes its fields as they are.
+one start (_try_stop_index), and a round runs its probes one after another.
+The sweep probes only the indexes whose warm start meets their rows
+(_first_violated_step), so each of its probes starts feasible and returns a
+candidate. What the probes cost is one _Work record, summed with + and
+returned as SolveResult.work; a step record takes its fields as they are.
 """
 
 from __future__ import annotations
 
-import atexit
 import logging
 import math
 import numbers
-import os
-import pickle
-import select
-import sys
-import time
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -147,10 +140,10 @@ class MpcParams:
 class _Probe(NamedTuple):
     """What a stop-index probe reads of an NlpProblem: the start, goal and
     previous input, the parameters and the avoidance row table, which lives
-    only here. solve builds it once (_probe); the probes of a step share it
-    here, and a worker is sent it, not the whole problem, in each task. The
-    last two fields are for the step log: how many rows were relaxed, and by
-    how much the worst of them is short of its strict margin."""
+    only here. solve builds it once (_probe) and the probes of a step share
+    it. The last two fields are for the step log: how many rows were
+    relaxed, and by how much the worst of them is short of its strict
+    margin."""
 
     z0: np.ndarray
     goal: np.ndarray
@@ -229,7 +222,6 @@ class _Work(NamedTuple):
     penalty_rungs: int = 0  # QP solves at a raised penalty
     probes: int = 0  # SQP solves, nudged rounds included
     infeasible_probes: int = 0  # probes whose SQP ended infeasible
-    probe_ms: float = 0.0  # the probes' own times, each taken where it ran
 
     def __add__(self, other: "_Work") -> "_Work":
         return _Work(*(a + b for a, b in zip(self, other)))
@@ -418,12 +410,6 @@ def solve(problem: NlpProblem) -> SolveResult:
     going to the larger stop index, then to the warm start; the stationary
     plan is the guaranteed fallback floor whenever the current state
     respects the track limits.
-
-    The probes of one round do not depend on each other, so a round of two
-    or more runs them in forked worker processes, one pickled task at a time
-    down each worker's pipe (_map). Each result is put at its submission
-    index, so the candidates, the tie-breaks and the counters are those of
-    running the probes one after another here, bit for bit.
     """
     params = problem.params
     n = params.N
@@ -468,7 +454,8 @@ def solve(problem: NlpProblem) -> SolveResult:
     candidates: list[tuple[float, OpenLoopPlan, int]] = []
     work = _Work()
     for search, start, js in rounds:
-        for cand, cost in _map(partial(_try_stop_index, data, start), js, n):
+        for j in js:
+            cand, cost = _try_stop_index(data, start, j)
             work = work + cost
             if cand is not None:
                 candidates.append(cand)
@@ -496,9 +483,7 @@ def solve(problem: NlpProblem) -> SolveResult:
 def _try_stop_index(problem: _Probe, start: np.ndarray, j: int) -> tuple[Optional[tuple], _Work]:
     """Probe stop index j: one SQP from the first j inputs of start. Returns
     the candidate (cost, plan, j), or None when the SQP does not end optimal,
-    and the work of the SQP, timed where it ran. A module-level function, so
-    a task pickled for a worker names it."""
-    t0 = time.perf_counter()
+    and the work of the SQP."""
     params = problem.params
     lo, hi = params.input_box
     evaluator = _NlpEvaluator(problem, j)
@@ -508,105 +493,7 @@ def _try_stop_index(problem: _Probe, start: np.ndarray, j: int) -> tuple[Optiona
     if optimal:
         u = evaluator.full_inputs(res.x)
         cand = (res.objective, OpenLoopPlan(rollout(problem.z0, u, params.dt), u), j)
-    ms = (time.perf_counter() - t0) * 1e3
-    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(not optimal), ms)
-
-
-# The probe workers once started, each (pid, task pipe, result pipe); False where none can run.
-_pool = None
-
-
-def _map(fn, js: list[int], n: int) -> list:
-    """[fn(j) for j in js], in order: in the probe workers (started by the
-    first call with two or more), else here. Each idle worker gets one pickled
-    (fn, j); each result goes to its submission index. An exception, a
-    worker's or its death, stops the workers and is raised here. A tracer in
-    this process sees only the probes run here."""
-    global _pool
-    if len(js) > 1 and _pool is None:
-        _pool = _start_pool(n)
-    if len(js) < 2 or not _pool:
-        return list(map(fn, js))
-    results, todo, running = [None] * len(js), list(enumerate(js)), {}
-    try:
-        while todo or running:
-            for pid, tasks, replies in [w for w in _pool if w[2] not in running][: len(todo)]:  # idle workers
-                i, j = todo.pop(0)
-                pickle.dump((fn, j), tasks)
-                tasks.flush()
-                running[replies] = pid, i
-            for pipe in select.select(list(running), [], [])[0]:
-                pid, i = running.pop(pipe)
-                try:
-                    ok, results[i] = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"probe worker {pid} exited") from None
-                if not ok:
-                    raise results[i]
-    except BaseException:
-        _stop_pool()  # so that no task left running answers a later call
-        raise
-    return results
-
-
-def _start_pool(n: int):
-    """min(available CPUs, N - 2) probe workers (N - 2: the largest phase),
-    forked once with a task and a result pipe each; False where that is fewer
-    than 2 or processes cannot fork. A forked worker needs no main guard in
-    the caller's script. It keeps only its own pipe ends, so it sees its task
-    pipe close (_stop_pool), and leaves by os._exit, running no exit hook."""
-    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, n - 2)
-    if workers < 2 or not hasattr(os, "fork"):
-        return False
-    pipes = [os.pipe() + os.pipe() for _ in range(workers)]  # task read, task write, result read, result write
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pool = []
-    for task, task_w, result_r, result in pipes:
-        if (pid := os.fork()) == 0:
-            try:
-                for fd in {fd for ends in pipes for fd in ends} - {task, result}:
-                    os.close(fd)
-                tasks, results = os.fdopen(task, "rb"), os.fdopen(result, "wb")
-                while tasks.peek(1):  # empty once the task pipe is closed
-                    fn, j = pickle.load(tasks)
-                    try:
-                        reply = True, fn(j)
-                    except Exception as exc:
-                        reply = False, exc
-                    pickle.dump(reply, results)
-                    results.flush()
-                os._exit(0)
-            finally:
-                os._exit(1)
-        pool.append((pid, os.fdopen(task_w, "wb"), os.fdopen(result_r, "rb")))
-    for fd in (fd for ends in pipes for fd in ends[::3]):  # the workers' task read and result write ends
-        os.close(fd)
-    return pool
-
-
-def _drop_pool() -> list[int]:
-    """Forget the workers and close this process's ends of their pipes, so
-    that they exit; returns their PIDs. A process forked from this one runs
-    it at once: the workers are not its children to wait for, and its copies
-    of their task pipes would keep them from seeing EOF."""
-    global _pool
-    pool, _pool = _pool or [], None
-    for _, tasks, results in pool:
-        tasks.close()
-        results.close()
-    return [pid for pid, *_ in pool]
-
-
-@atexit.register
-def _stop_pool() -> None:
-    """Stop the workers and wait for them."""
-    for pid in _drop_pool():
-        os.waitpid(pid, 0)
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    return cand, _Work(res.iterations, res.qp_iterations, res.qp_solves, res.penalty_rungs, 1, int(not optimal))
 
 
 def _aligned_stationary_plan(problem: _Probe) -> OpenLoopPlan:

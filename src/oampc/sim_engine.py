@@ -197,7 +197,6 @@ class StepRecord:
     penalty_rungs: int  # QP solves after the first at one linearization
     probes: int  # SQP solves, nudged rounds included
     infeasible_probes: int  # probes whose SQP ended infeasible
-    probe_ms: float  # the probes' own times, each taken in the process that ran it
     search: str  # the last stop-index search phase run, one of nmpc.SEARCH_PHASES
     relaxed_rows: int  # the planner's avoidance rows relaxed to the start's standoff (nmpc._probe)
     relaxed_excess: float  # how far the worst of them is short of its strict margin, 0 with none

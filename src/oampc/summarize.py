@@ -18,10 +18,10 @@ start's standoff and the audit to the strict margin) with the steps that have
 any, and the largest strict excess among them; the stop-index probes,
 infeasible probes, SQP iterations, QP solves, penalty rungs (QP solves after
 the first at one linearization) and interior-point iterations per step; and
-the steps that ended in each stop-index search phase, with p50 and p99 of
-probe_ms / solve_ms (above 1 when probes ran in parallel), and the slowest
-steps with their counters. The control period is the spacing of the logged
-times, or `MpcParams.dt` for a one-step log.
+the steps that ended in each stop-index search phase, p50 and p99 of
+solve_ms per interior-point iteration, and the slowest steps with their
+counters. The control period is the spacing of the logged times, or
+`MpcParams.dt` for a one-step log.
 
 With --against, prints instead how the two logs differ and exits with status 1
 if they do. A step differs when a field the two logs share, other than a time
@@ -153,9 +153,7 @@ def summarize(rows: list[dict]) -> list[str]:
         lines.append(f"{label} per step: {np.mean([row[name] for row in rows]):.1f}")
     phases = [row["search"] for row in rows]
     lines.append("steps by search phase: " + " ".join(f"{p} {phases.count(p)}" for p in SEARCH_PHASES))
-    p50, p99 = percentiles([row["probe_ms"] / row["solve_ms"] for row in rows], [50, 99])
-    lines.append(f"probe_ms / solve_ms: {p50:.2f} {p99:.2f}")
-    per_iteration = [1e3 * row["probe_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
+    per_iteration = [1e3 * row["solve_ms"] / row["qp_iterations"] for row in rows if row["qp_iterations"]]
     p50, p99 = percentiles(per_iteration, [50, 99])
     lines.append(f"us per interior-point iteration: {p50:.1f} {p99:.1f}")
     lines.append("slowest steps: step_ms search " + " ".join(counters))

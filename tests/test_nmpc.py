@@ -1,4 +1,3 @@
-import contextlib
 import dataclasses
 import math
 import os
@@ -6,7 +5,6 @@ import signal
 import subprocess
 import sys
 import textwrap
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -31,7 +29,6 @@ from oampc.nmpc import (
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
 from oampc.solver import STATUS_INFEASIBLE, _violation, solve_sqp
-from oampc.summarize import main as summarize_main
 from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
 from oracles import (
@@ -270,7 +267,6 @@ class TestEvaluatorMatchesParent:
             calls.append((ev.problem, ev.j, x.copy()))
             return evaluate(ev, x)
 
-        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)  # every probe runs here, where it is recorded
         monkeypatch.setattr(_NlpEvaluator, "__call__", recorded)
         return calls
 
@@ -291,13 +287,13 @@ class TestEvaluatorMatchesParent:
         assert len(calls) >= 50 and any(len(p.row_step) for p, _, _ in calls)
         self._assert_same_bits(calls)
 
-    def test_corner_fast_search_calls(self, corner_fast_pooled, monkeypatch):
+    def test_corner_fast_search_calls(self, corner_fast_run, monkeypatch):
         # The probes of the steps that search earlier stop indexes among the
         # first 56: state bounds and capsule rows. The sweep skips the
         # indexes whose start breaks a row, and these steps probe neither 6
         # nor 7, so the start of every stop index at every such step is
         # evaluated too, and every stop index is covered.
-        _, _, solves = corner_fast_pooled
+        _, _, solves = corner_fast_run
         searched = [p for p, r in solves if r.search != "full"]
         calls = self._recording(monkeypatch)
         for problem in searched:
@@ -438,14 +434,9 @@ class TestSolve:
         assert r1.stop_index == r2.stop_index
 
 
-def in_process_map(fn, js, n):
-    """nmpc._map with no worker pool: every phase runs in this process."""
-    return list(map(fn, js))
-
-
 def record_solves(workload, steps):
-    """The first steps of seed-1 episode 0 of a workload, with the worker
-    pool: its scenario, its log and the (problem, result) of every step."""
+    """The first steps of seed-1 episode 0 of a workload: its scenario, its
+    log and the (problem, result) of every step."""
     solves = []
     recorded = oampc.sim_engine.solve
 
@@ -463,16 +454,16 @@ def record_solves(workload, steps):
 
 
 @pytest.fixture(scope="module")
-def corner_fast_pooled():
+def corner_fast_run():
     """The first 56 steps of a corner-fast episode (record_solves)."""
     return record_solves("corner-fast", 56)
 
 
 @pytest.fixture(scope="module")
-def workload_solves(corner_fast_pooled):
+def workload_solves(corner_fast_run):
     """The (workload, step, problem, result) of the first 56 steps of
     corner-fast, 40 of corner-occluded and 20 of pillars-crowd."""
-    runs = {"corner-fast": corner_fast_pooled}
+    runs = {"corner-fast": corner_fast_run}
     runs.update((w, record_solves(w, steps)) for w, steps in (("corner-occluded", 40), ("pillars-crowd", 20)))
     return [(w, t, p, r) for w, (_, _, solves) in runs.items() for t, (p, r) in enumerate(solves)]
 
@@ -480,13 +471,12 @@ def workload_solves(corner_fast_pooled):
 # One solve from z0 = (1, 0, 0) toward GOAL. At the goal no move beats standing
 # still, so the search sweeps N - 2 stop indexes; 1 m short of it, the
 # full-freedom probe wins alone. It prints the last phase, the probes, whether
-# multiprocessing was imported, the live threads and the workers' PIDs.
+# multiprocessing was imported and the live threads.
 SWEEP_SCRIPT = textwrap.dedent(
     """
     import sys
     import threading
     import numpy as np
-    import oampc.nmpc
     from oampc.avoidance import OpenLoopPlan, project_plan
     from oampc.nmpc import MpcParams, NlpProblem, solve
 
@@ -496,15 +486,14 @@ SWEEP_SCRIPT = textwrap.dedent(
     warm = OpenLoopPlan.stationary(z0, params.N)
     problem = NlpProblem(z0, goal, project_plan(warm.positions()[1:], []), np.zeros((0, 3)), params, warm)
     res = solve(problem)
-    workers = [pid for pid, *_ in oampc.nmpc._pool or ()]
-    print(res.search, res.work.probes, "multiprocessing" in sys.modules, threading.active_count(), *workers)
+    print(res.search, res.work.probes, "multiprocessing" in sys.modules, threading.active_count())
     """
 )
 
 
 def run_script(tmp_path, goal):
     """SWEEP_SCRIPT's exit status, printed words and standard error. A script
-    that hangs is killed with every process it forked."""
+    that hangs is killed with every process it started."""
     script = tmp_path / "sweep.py"
     script.write_text(SWEEP_SCRIPT.replace("GOAL", repr(goal)))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -519,61 +508,28 @@ def run_script(tmp_path, goal):
     return done.returncode, out.split(), err
 
 
-# Two probe workers started, then a child forked that leaves by sys.exit 3 s
-# later, writing to the inherited standard error but not to standard output.
-# The parent prints its clock when it has forked and ends.
-FORK_SCRIPT = textwrap.dedent(
-    """
-    import os
-    import sys
-    import time
-    import oampc.nmpc
+class TestProbesInProcess:
+    """Every stop-index probe runs in the planner's process, one after
+    another, where its counters are taken and a tracer sees it."""
 
-    os.sched_getaffinity = lambda pid: {0, 1}
-    assert oampc.nmpc._map(abs, [-1, -2], 4) == [1, 2] and len(oampc.nmpc._pool) == 2
-    if os.fork() == 0:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-        time.sleep(3.0)
-        sys.exit()
-    print(time.monotonic(), flush=True)
-    """
-)
+    def test_a_sweep_forks_nothing_and_runs_every_probe_here(self, monkeypatch):
+        # SWEEP_SCRIPT's problem at the goal: one SQP per probe, each seen
+        # here, with no process forked.
+        def no_fork():
+            raise OSError("a probe forked")
 
+        sqps = []
+        sqp = oampc.nmpc.solve_sqp
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(oampc.nmpc, "solve_sqp", lambda *args, **kwargs: sqps.append(1) or sqp(*args, **kwargs))
+        res = solve(make_problem([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+        assert res.search == "sweep" and res.work.probes == len(sqps) >= MpcParams().N - 1
 
-class TestParallelProbes:
-    """Hint and sweep probes in worker processes give the plans, tie-breaks
-    and counters of running them one after another in this process."""
-
-    def test_pool_equals_in_process_on_recorded_sweeps(self, corner_fast_pooled, monkeypatch):
-        _, _, solves = corner_fast_pooled
-        searched = [(p, r) for p, r in solves if r.search != "full"]
-        assert {r.search for _, r in searched} == {"hint", "sweep"}
-        assert oampc.nmpc._pool or len(os.sched_getaffinity(0)) < 2  # the phases ran in workers
-        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
-        for problem, pooled in searched:
-            here = solve(problem)
-            assert np.array_equal(here.plan.states, pooled.plan.states)
-            assert np.array_equal(here.plan.inputs, pooled.plan.inputs)
-            for name in ("status", "objective", "stop_index", "search"):
-                assert getattr(here, name) == getattr(pooled, name), name
-            assert here.work._replace(probe_ms=0.0) == pooled.work._replace(probe_ms=0.0)
-            assert here.work.probe_ms > 0 and pooled.work.probe_ms > 0
-
-    def test_corner_fast_same_log_both_ways(self, corner_fast_pooled, monkeypatch, tmp_path):
-        scn, pooled, _ = corner_fast_pooled
-        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
-        here, _ = oampc.sim_engine.run(scn)
-        pooled.write_jsonl(tmp_path / "pooled.jsonl")
-        here.write_jsonl(tmp_path / "here.jsonl")
-        assert summarize_main([str(tmp_path / "pooled.jsonl"), "--against", str(tmp_path / "here.jsonl")]) == 0
-        assert [rec.search for rec in here] == [rec.search for rec in pooled]
-
-    def test_rungs_and_infeasible_probes_counted(self, corner_fast_pooled, monkeypatch):
+    def test_rungs_and_infeasible_probes_counted(self, corner_fast_run, monkeypatch):
         # Counted independently in this process: a rung is a solve of an
         # elastic QP already solved once (one QP per linearization), and an
         # infeasible probe an SQP that returns STATUS_INFEASIBLE.
-        _, _, solves = corner_fast_pooled
-        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
+        _, _, solves = corner_fast_run
         calls, statuses = {}, []
         qp_solve, sqp = oampc.solver._ElasticQp.solve, oampc.nmpc.solve_sqp
 
@@ -589,155 +545,35 @@ class TestParallelProbes:
         monkeypatch.setattr(oampc.solver._ElasticQp, "solve", counted_qp_solve)
         monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
         total_rungs = total_infeasible = 0
-        for problem, pooled in solves:
+        for problem, recorded in solves:
             calls.clear()
             statuses.clear()
             here = solve(problem).work
-            assert here.penalty_rungs == pooled.work.penalty_rungs == sum(k - 1 for k in calls.values())
-            assert here.infeasible_probes == pooled.work.infeasible_probes == statuses.count(STATUS_INFEASIBLE)
+            assert here.penalty_rungs == recorded.work.penalty_rungs == sum(k - 1 for k in calls.values())
+            assert here.infeasible_probes == recorded.work.infeasible_probes == statuses.count(STATUS_INFEASIBLE)
             assert here.probes == len(statuses)
             total_rungs += here.penalty_rungs
             total_infeasible += here.infeasible_probes
         # Corner-fast climbs the penalty ladder and ends probes infeasible.
         assert total_rungs > 0 and total_infeasible > 0
 
-    def test_unguarded_script_sweeps_and_leaves_no_worker(self, tmp_path):
+    def test_sweep_imports_no_multiprocessing_and_starts_no_thread(self, tmp_path):
         code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
         assert code == 0 and err == ""
-        search, probes, _, _, *workers = out
+        search, probes, *rest = out
         assert search == "sweep" and int(probes) >= MpcParams().N - 1
-        n_workers = min(len(os.sched_getaffinity(0)), MpcParams().N - 2)
-        assert len(workers) == (n_workers if n_workers >= 2 else 0)
-        for pid in map(int, workers):
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
-
-    def test_pooled_solve_imports_no_multiprocessing_and_starts_no_thread(self, tmp_path):
-        code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
-        assert code == 0 and err == ""
-        assert out[2:4] == ["False", "1"]
+        assert rest == ["False", "1"]
 
     def test_single_probe_step_never_imports_multiprocessing(self, tmp_path):
         code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
         assert code == 0 and err == ""
         assert out == ["full", "1", "False", "1"]
 
-    def test_forked_child_drops_the_workers(self, tmp_path):
-        # The child neither waits for the parent's workers at its exit (they
-        # are not its children: ChildProcessError) nor keeps their task pipes
-        # open, which held the parent's exit until the child had ended.
-        script = tmp_path / "fork.py"
-        script.write_text(FORK_SCRIPT)
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        pipe = subprocess.PIPE
-        with subprocess.Popen(
-            [sys.executable, "-W", "error", str(script)], stdout=pipe, stderr=pipe, text=True, env=env, start_new_session=True
-        ) as done:
-            try:
-                done.wait(timeout=120)
-            except subprocess.TimeoutExpired:
-                os.killpg(done.pid, signal.SIGKILL)
-                raise
-            exited = time.monotonic()
-            forked = float(done.stdout.read())
-            err = done.stderr.read()  # read to its end, which the child's exit closes
-        assert done.returncode == 0 and err == ""
-        assert exited - forked < 1.5
-
-
-def returned_late(j):
-    """j and the PID that ran it, after a wait that falls with j."""
-    time.sleep(0.05 * (4 - j))
-    return j, os.getpid()
-
-
-def raised_at_two(j):
-    if j == 2:
-        raise KeyError(f"probe {j}")
-    return j
-
-
-def exited_at_two(j):
-    if j == 2:
-        os._exit(7)
-    time.sleep(0.2)
-    return j
-
-
-def hung(*_):
-    raise TimeoutError("still waiting on the workers")
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    """nmpc._map with pools of its own, two workers whatever the CPUs. A test
-    that waits 20 s fails; every worker it started is killed and reaped after
-    it, also where the pool could not stop them."""
-    started, start = [], oampc.nmpc._start_pool
-
-    def recorded_start(n):
-        pool = start(n)
-        started.extend(pid for pid, *_ in pool)
-        return pool
-
-    monkeypatch.setattr(oampc.nmpc, "_pool", None)
-    monkeypatch.setattr(oampc.nmpc, "_start_pool", recorded_start)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(20)
-    yield lambda fn, js: oampc.nmpc._map(fn, js, 4)
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-    for pid in started:
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-    oampc.nmpc._stop_pool()
-    for pid in started:
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-
-
-def alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-class TestProbeWorkers:
-    """nmpc._map on forked workers: submission order, and a worker's failure
-    raised here rather than waited on."""
-
-    def test_results_come_back_in_submission_order(self, two_workers):
-        js = [0, 1, 2, 3, 0]  # later tasks finish sooner
-        results = two_workers(returned_late, js)
-        assert [j for j, _ in results] == js
-        pids = {pid for _, pid in results}
-        assert pids == {pid for pid, *_ in oampc.nmpc._pool} and os.getpid() not in pids
-
-    def test_worker_exception_is_raised_with_its_type(self, two_workers):
-        assert two_workers(raised_at_two, [0, 1]) == [0, 1]
-        pids = [pid for pid, *_ in oampc.nmpc._pool]
-        with pytest.raises(KeyError, match="probe 2"):
-            two_workers(raised_at_two, [0, 1, 2, 3])
-        assert oampc.nmpc._pool is None and not any(map(alive, pids))
-        assert two_workers(raised_at_two, [3, 4]) == [3, 4]  # new workers
-
-    def test_dead_worker_raises_within_a_timeout(self, two_workers):
-        assert two_workers(exited_at_two, [0, 1]) == [0, 1]
-        pids = [pid for pid, *_ in oampc.nmpc._pool]
-        t0 = time.monotonic()
-        with pytest.raises(RuntimeError, match="probe worker .* exited"):
-            two_workers(exited_at_two, [0, 1, 2, 3])
-        assert time.monotonic() - t0 < 10
-        assert oampc.nmpc._pool is None and not any(map(alive, pids))
-
 
 class TestStopIndexProbe:
-    def test_one_evaluator_per_stop_index(self, corner_fast_pooled, monkeypatch):
+    def test_one_evaluator_per_stop_index(self, corner_fast_run, monkeypatch):
         # Each probe builds one evaluator and runs one SQP on it.
-        _, _, solves = corner_fast_pooled
+        _, _, solves = corner_fast_run
         built, per_probe, sqp_evaluators = [], [], []
         init, probe, sqp = _NlpEvaluator.__init__, oampc.nmpc._try_stop_index, oampc.nmpc.solve_sqp
 
@@ -755,7 +591,6 @@ class TestStopIndexProbe:
             sqp_evaluators.append(evaluator)
             return sqp(evaluator, *args, **kwargs)
 
-        monkeypatch.setattr(oampc.nmpc, "_map", in_process_map)
         monkeypatch.setattr(_NlpEvaluator, "__init__", counted_init)
         monkeypatch.setattr(oampc.nmpc, "_try_stop_index", counted_probe)
         monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
@@ -764,11 +599,11 @@ class TestStopIndexProbe:
         assert per_probe and set(per_probe) == {(1, 1)}
         assert [id(e) for e in sqp_evaluators] == [id(e) for e in built]
 
-    def test_a_probe_runs_one_sqp(self, corner_fast_pooled):
+    def test_a_probe_runs_one_sqp(self, corner_fast_run):
         # The recorded steps parked with a warm start at rest, probed at every
         # stop index from the warm start and from its nudged copy: whatever
         # its cost, a probe is one SQP.
-        _, _, solves = corner_fast_pooled
+        _, _, solves = corner_fast_run
         at_rest = 0
         for problem, _ in solves:
             params = problem.params
@@ -785,30 +620,44 @@ class TestStopIndexProbe:
         assert at_rest >= 100
 
 
+def record_probes(monkeypatch):
+    """The stop-index probes of the solves that follow, in order, each (stop
+    index, whether it starts from the nudged warm start, its result)."""
+    probes = []
+    probe = oampc.nmpc._try_stop_index
+
+    def recorded(data, start, j):
+        probes.append((j, bool(np.all(start[:, 0] == 0.3)), probe(data, start, j)))
+        return probes[-1][2]
+
+    monkeypatch.setattr(oampc.nmpc, "_try_stop_index", recorded)
+    return probes
+
+
+def sweep_round(probes, problem):
+    """The probes of problem's sweep round, the last round of its search:
+    each round before it probes N-1 or an index next to the hint, which the
+    sweep never does, so the sweep's probes are those after the last of
+    these."""
+    n, hint = problem.params.N, problem.stop_hint
+    earlier = {n - 1} | (set() if hint is None else {hint - 1, hint, hint + 1})
+    k = max((i + 1 for i, (j, *_) in enumerate(probes) if j in earlier), default=0)
+    assert all(j in earlier for j, *_ in probes[:k])
+    return probes[k:]
+
+
 class TestSearchOrder:
-    @staticmethod
-    def _recording(monkeypatch):
-        """The _map calls of the solves that follow, each (indexes, whether
-        the round starts from the nudged warm start)."""
-        calls = []
-
-        def recording_map(fn, js, n):
-            start = fn.args[1]
-            calls.append((list(js), bool(np.all(start[:, 0] == 0.3))))
-            return in_process_map(fn, js, n)
-
-        monkeypatch.setattr(oampc.nmpc, "_map", recording_map)
-        return calls
-
-    def test_phases_run_in_order(self, corner_fast_pooled, monkeypatch):
+    def test_phases_run_in_order(self, corner_fast_run, monkeypatch):
         # A recorded step whose full-freedom probe is blocked and whose hint
         # phase found nothing, solved again with other hints. Its warm start
         # is at rest through step 5, so the nudged rounds probe the hint
         # indexes up to 5 and not the full-freedom index; it breaks a row at
-        # step 6, so the sweep probes the other indexes up to 5. Each round is
-        # one _map call and the last one run names the search; a hint next to
-        # the stop index that wins the sweep ends the search in a hint round.
-        _, _, solves = corner_fast_pooled
+        # step 6, so the sweep probes the other indexes up to 5. The probes
+        # are those of the first rounds, one after another, and the last
+        # round run names the search (a probe recorder sees no empty round);
+        # a hint next to the stop index that wins the sweep ends the search
+        # in a hint round.
+        _, _, solves = corner_fast_run
         problem = next(p for p, r in solves if r.search == "sweep" and abs(p.warm_start.inputs[0, 0]) < 0.1)
         n = problem.params.N
         u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
@@ -816,7 +665,7 @@ class TestSearchOrder:
         assert rest == [1, 2, 3, 4, 5]
         met = _first_violated_step(_probe(problem), u_ws)
         assert met == 6
-        calls = self._recording(monkeypatch)
+        calls = record_probes(monkeypatch)
         searches, nudged = set(), []
         for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
             calls.clear()
@@ -828,20 +677,25 @@ class TestSearchOrder:
                 ([j for j in near if j in rest], True),
                 ([j for j in range(1, met) if j not in near], False),
             ]
-            assert len(calls) >= 3 and calls == rounds[: len(calls)], hint
-            assert res.search == ("full", "full", "hint", "hint", "sweep")[len(calls) - 1]
+            probes = [(j, from_nudged) for j, from_nudged, _ in calls]
+            ran = [
+                r
+                for r, phase in enumerate(("full", "full", "hint", "hint", "sweep"), 1)
+                if phase == res.search and probes == [(j, from_nudged) for js, from_nudged in rounds[:r] for j in js]
+            ]
+            assert res.search != "full" and ran, hint
             assert res.search == "sweep" or res.stop_index in near
             searches.add(res.search)
-            nudged += [j for js, from_nudged in calls if from_nudged for j in js]
+            nudged += [j for j, from_nudged in probes if from_nudged]
         assert searches == {"hint", "sweep"}
         assert nudged  # a nudged hint round ran
 
-    def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_pooled, monkeypatch):
+    def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_run, monkeypatch):
         # The recorded steps that swept: the sweep is the last round, from
         # the warm start, and probes once every index outside the hint's
         # neighbourhood and below the first step the warm start breaks.
-        _, _, solves = corner_fast_pooled
-        calls = self._recording(monkeypatch)
+        _, _, solves = corner_fast_run
+        calls = record_probes(monkeypatch)
         swept = 0
         for problem, recorded in solves:
             if recorded.search != "sweep":
@@ -852,9 +706,11 @@ class TestSearchOrder:
             met = min(n - 1, _first_violated_step(_probe(problem), u_ws))
             calls.clear()
             res = solve(problem)
-            assert res.search == "sweep" and len(calls) == 5
-            assert calls[-1] == ([j for j in range(1, met) if j not in near], False)
-            assert res.work.probes == sum(len(js) for js, _ in calls)
+            assert res.search == "sweep"
+            assert [(j, from_nudged) for j, from_nudged, _ in sweep_round(calls, problem)] == [
+                (j, False) for j in range(1, met) if j not in near
+            ]
+            assert res.work.probes == len(calls)
             swept += 1
         assert swept >= 10
 
@@ -901,19 +757,13 @@ class TestFirstViolatedStep:
             broken = [v > params.feas_tol for v in start_violations(data, steps)]
             assert broken == [j >= first for j in range(1, params.N)]
 
-    def test_the_sweep_probes_the_feasible_starts_and_ends_none_infeasible(self, corner_fast_pooled, monkeypatch):
+    def test_the_sweep_probes_the_feasible_starts_and_ends_none_infeasible(self, corner_fast_run, monkeypatch):
         # Every recorded sweep step: the sweep round probes the indexes
         # outside the hint's neighbourhood whose start meets its own rows,
         # as its SQP measures them, and each of its probes returns a
         # candidate.
-        _, _, solves = corner_fast_pooled
-        rounds = []
-
-        def recording_map(fn, js, n):
-            rounds.append((list(js), in_process_map(fn, js, n)))
-            return rounds[-1][1]
-
-        monkeypatch.setattr(oampc.nmpc, "_map", recording_map)
+        _, _, solves = corner_fast_run
+        calls = record_probes(monkeypatch)
         swept = probed = skipped = 0
         for problem, recorded in solves:
             if recorded.search != "sweep":
@@ -922,10 +772,10 @@ class TestFirstViolatedStep:
             near = [] if hint is None else [hint - 1, hint, hint + 1]
             u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
             met = [v <= params.feas_tol for v in start_violations(_probe(problem), u_ws)][:-1]
-            rounds.clear()
+            calls.clear()
             assert solve(problem).search == "sweep"
-            js, results = rounds[-1]
-            assert js == [j for j, ok in enumerate(met, 1) if ok and j not in near]
+            js, _, results = zip(*sweep_round(calls, problem)) or ((), (), ())
+            assert list(js) == [j for j, ok in enumerate(met, 1) if ok and j not in near]
             assert all(cand is not None and not work.infeasible_probes for cand, work in results)
             swept += 1
             probed += len(js)
@@ -1003,11 +853,11 @@ class TestSolveProperties:
             cost = total_cost(result.plan, problem.goal, params, problem.u_prev)
             assert cost <= total_cost(floor, problem.goal, params, problem.u_prev), where
 
-    def test_each_step_records_the_audit_of_the_shift(self, corner_fast_pooled):
+    def test_each_step_records_the_audit_of_the_shift(self, corner_fast_run):
         # The shift of the previous plan, applied or not, audited against the
         # step's problem: its largest violation is the record's. The shift
         # fails at some of these steps.
-        scn, log, solves = corner_fast_pooled
+        scn, log, solves = corner_fast_run
         previous = [OpenLoopPlan.stationary(scn.robot_init.as_array(), scn.mpc.N), *(rec.plan for rec in log)]
         failed = 0
         for rec, (problem, _), prev in zip(log, solves, previous):
@@ -1022,9 +872,9 @@ class TestSolveProperties:
         strict=True,
         reason="the shifted plan and the relaxed rows let applied plans fail the avoidance audit (ROADMAP item 4)",
     )
-    def test_applied_plans_pass_the_audit(self, corner_fast_pooled):
+    def test_applied_plans_pass_the_audit(self, corner_fast_run):
         # 21 of these 56 corner-fast steps fail, on the avoidance term alone.
-        _, log, solves = corner_fast_pooled
+        _, log, solves = corner_fast_run
         failed = [
             t
             for t, (rec, (problem, _)) in enumerate(zip(log, solves))

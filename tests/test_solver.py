@@ -113,10 +113,9 @@ class TestQpMatchesReference:
 
 
 def record_qps(scn, first_step=0):
-    """The planner's QPs from step first_step of scn's run on, every probe
-    run in this process, where it is recorded, and the run's log."""
+    """The planner's QPs from step first_step of scn's run on, and the run's log."""
     qps, steps = [], 0
-    pool, recorded, solve = oampc.nmpc._pool, oampc.solver.solve_qp, oampc.sim_engine.solve
+    recorded, solve = oampc.solver.solve_qp, oampc.sim_engine.solve
 
     def counted_solve(*args, **kwargs):
         nonlocal steps
@@ -125,13 +124,12 @@ def record_qps(scn, first_step=0):
         finally:
             steps += 1
 
-    oampc.nmpc._pool = False
     oampc.sim_engine.solve = counted_solve
     oampc.solver.solve_qp = lambda *qp: steps >= first_step and qps.append(qp) or recorded(*qp)
     try:
         log, _ = run(scn)
     finally:
-        oampc.nmpc._pool, oampc.solver.solve_qp, oampc.sim_engine.solve = pool, recorded, solve
+        oampc.solver.solve_qp, oampc.sim_engine.solve = recorded, solve
     return qps, log
 
 
@@ -659,9 +657,9 @@ def assert_same_as_parent(evaluate, x0, lb, ub, feas_tol=1e-6, res=None):
 
 def record_sqp_calls(scn):
     """(evaluate, x0, lb, ub, feas_tol, result) of every solve_sqp call of
-    scn's run, every probe run in this process, where it is recorded."""
+    scn's run."""
     calls = []
-    pool, solve = oampc.nmpc._pool, oampc.nmpc.solve_sqp
+    solve = oampc.nmpc.solve_sqp
 
     def recorded(evaluate, x0, lb, ub, *, feas_tol):
         x0, lb, ub = np.array(x0), np.array(lb), np.array(ub)
@@ -669,12 +667,11 @@ def record_sqp_calls(scn):
         calls.append((evaluate, x0, lb, ub, feas_tol, res))
         return res
 
-    oampc.nmpc._pool = False
     oampc.nmpc.solve_sqp = recorded
     try:
         run(scn)
     finally:
-        oampc.nmpc._pool, oampc.nmpc.solve_sqp = pool, solve
+        oampc.nmpc.solve_sqp = solve
     return calls
 
 

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oampc.sim_engine
 from oampc.summarize import read
@@ -64,6 +65,20 @@ class TestAgainst:
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
         assert f"  QP solves: {qp_solves} against {qp_solves + 4}" in capsys.readouterr().out.splitlines()
 
+    def test_a_missing_log_exits_two_before_any_episode_runs(self, tmp_path, monkeypatch, capsys):
+        # DIR holds seed 1's log, not seed 2's: nothing runs, and the error
+        # names the first missing log.
+        short_runs(monkeypatch)
+        args = ["--workloads", "corner-fast", "--seeds", "1", "2"]
+        assert step_logs.main([str(tmp_path / "a"), "--workloads", "corner-fast", "--seeds", "1"]) == 0
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(step_logs, "run", lambda scn: ran.append(scn))
+        with pytest.raises(SystemExit) as raised:
+            step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")])
+        assert raised.value.code == 2 and not ran and not (tmp_path / "b").exists()
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f"error: no log {tmp_path / 'a/corner-fast/2/0.jsonl'} to compare with\n")
 
     def test_totals_over_the_seeds_of_a_workload(self, tmp_path, monkeypatch, capsys):
         # With two or more seeds, each workload's seeds are followed by the

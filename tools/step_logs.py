@@ -21,7 +21,8 @@ With --against DIR, each episode's log is also compared with DIR/W/S/E.jsonl
 after each workload and seed come the outcome and counter totals of its
 episodes, this run's against DIR's, the steps attempted first, and with two
 or more seeds, after a workload's seeds, the totals over all of them. Exits 1
-if any plan differs.
+if any plan differs, and 2, before running any episode, if DIR lacks the log
+of one of them.
 """
 
 import sys
@@ -52,6 +53,16 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, metavar="DIR", help="compare with the logs under DIR")
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    if args.against is not None:
+        logs = (
+            args.against / workload / str(seed) / f"{i}.jsonl"
+            for workload in args.workloads
+            for seed in args.seeds
+            for i in range(episodes_for(workload, seconds))
+        )
+        missing = next((path for path in logs if not path.is_file()), None)
+        if missing is not None:
+            parser.error(f"no log {missing} to compare with")
     same_plans = True
     for workload in args.workloads:
         every_ours, every_theirs = [], []
