@@ -29,6 +29,7 @@ from oampc.nmpc import (
 )
 from oampc.reachability import AgentModel, build_capsules, build_disks
 from oampc.solver import STATUS_INFEASIBLE, _violation, solve_sqp
+from oampc.summarize import main as summarize_main
 from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
 from oracles import (
@@ -492,8 +493,8 @@ SWEEP_SCRIPT = textwrap.dedent(
 
 
 def run_script(tmp_path, goal):
-    """SWEEP_SCRIPT's exit status, printed words and standard error. A script
-    that hangs is killed with every process it started."""
+    """SWEEP_SCRIPT's exit status, printed words, standard error and session
+    ID. A script that hangs is killed with every process it started."""
     script = tmp_path / "sweep.py"
     script.write_text(SWEEP_SCRIPT.replace("GOAL", repr(goal)))
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -505,12 +506,13 @@ def run_script(tmp_path, goal):
         except subprocess.TimeoutExpired:
             os.killpg(done.pid, signal.SIGKILL)
             raise
-    return done.returncode, out.split(), err
+    return done.returncode, out.split(), err, done.pid
 
 
 class TestProbesInProcess:
     """Every stop-index probe runs in the planner's process, one after
-    another, where its counters are taken and a tracer sees it."""
+    another, where its counters are taken and a tracer sees it; a solve
+    keeps nothing from one call to the next."""
 
     def test_a_sweep_forks_nothing_and_runs_every_probe_here(self, monkeypatch):
         # SWEEP_SCRIPT's problem at the goal: one SQP per probe, each seen
@@ -524,6 +526,29 @@ class TestProbesInProcess:
         monkeypatch.setattr(oampc.nmpc, "solve_sqp", lambda *args, **kwargs: sqps.append(1) or sqp(*args, **kwargs))
         res = solve(make_problem([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
         assert res.search == "sweep" and res.work.probes == len(sqps) >= MpcParams().N - 1
+
+    def test_a_recorded_step_solved_again_gives_its_result(self, corner_fast_run):
+        # The run's searched steps, solved again on their own and in reverse
+        # order, return the plans, tie-breaks and counters the run's solves
+        # did.
+        _, _, solves = corner_fast_run
+        searched = [(p, r) for p, r in solves if r.search != "full"]
+        assert {r.search for _, r in searched} == {"hint", "sweep"}
+        for problem, recorded in reversed(searched):
+            here = solve(problem)
+            assert np.array_equal(here.plan.states, recorded.plan.states)
+            assert np.array_equal(here.plan.inputs, recorded.plan.inputs)
+            for name in ("status", "objective", "stop_index", "search", "work"):
+                assert getattr(here, name) == getattr(recorded, name), name
+
+    def test_corner_fast_same_log_on_a_second_run(self, corner_fast_run, tmp_path):
+        # The closed loop run again from its scenario writes the same log:
+        # every field but the times the same to the bit.
+        scn, first, _ = corner_fast_run
+        again, _ = oampc.sim_engine.run(scn)
+        first.write_jsonl(tmp_path / "first.jsonl")
+        again.write_jsonl(tmp_path / "again.jsonl")
+        assert summarize_main([str(tmp_path / "again.jsonl"), "--against", str(tmp_path / "first.jsonl")]) == 0
 
     def test_rungs_and_infeasible_probes_counted(self, corner_fast_run, monkeypatch):
         # Counted independently in this process: a rung is a solve of an
@@ -557,15 +582,23 @@ class TestProbesInProcess:
         # Corner-fast climbs the penalty ladder and ends probes infeasible.
         assert total_rungs > 0 and total_infeasible > 0
 
-    def test_sweep_imports_no_multiprocessing_and_starts_no_thread(self, tmp_path):
-        code, out, err = run_script(tmp_path, [1.0, 0.0, 0.0])
+    def test_unguarded_script_sweeps_and_leaves_no_process(self, tmp_path):
+        # The script has no __main__ guard; once it has ended, no process of
+        # its session is left.
+        code, out, err, session = run_script(tmp_path, [1.0, 0.0, 0.0])
         assert code == 0 and err == ""
-        search, probes, *rest = out
+        search, probes, *_ = out
         assert search == "sweep" and int(probes) >= MpcParams().N - 1
-        assert rest == ["False", "1"]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(session, 0)
+
+    def test_sweep_imports_no_multiprocessing_and_starts_no_thread(self, tmp_path):
+        code, out, err, _ = run_script(tmp_path, [1.0, 0.0, 0.0])
+        assert code == 0 and err == ""
+        assert out[0] == "sweep" and out[2:] == ["False", "1"]
 
     def test_single_probe_step_never_imports_multiprocessing(self, tmp_path):
-        code, out, err = run_script(tmp_path, [2.0, 0.0, 0.0])
+        code, out, err, _ = run_script(tmp_path, [2.0, 0.0, 0.0])
         assert code == 0 and err == ""
         assert out == ["full", "1", "False", "1"]
 
@@ -644,6 +677,55 @@ def sweep_round(probes, problem):
     k = max((i + 1 for i, (j, *_) in enumerate(probes) if j in earlier), default=0)
     assert all(j in earlier for j, *_ in probes[:k])
     return probes[k:]
+
+
+def solve_at_costs(monkeypatch, problem, cost):
+    """solve(problem) with each probe's candidate at cost(j, nudged), none
+    where that is None, and the plan each probe returned, by (j, nudged);
+    nudged is whether the probe starts from the nudged warm start."""
+    plans, probe = {}, oampc.nmpc._try_stop_index
+
+    def costed(data, start, j):
+        (_, plan, _), work = probe(data, start, j)
+        nudged = bool(np.all(start[:, 0] == 0.3))
+        plans[j, nudged] = plan
+        c = cost(j, nudged)
+        return (None if c is None else (c, plan, j)), work
+
+    monkeypatch.setattr(oampc.nmpc, "_try_stop_index", costed)
+    return solve(problem), plans
+
+
+class TestTieBreaks:
+    """The cheapest candidate wins, ties going to the larger stop index, then
+    to the warm start. The probes here, 1 m short of the goal from a warm
+    start at rest, are costed as standing still, the stationary plan at
+    stop index 0: no round ends below the floor, so every round runs."""
+
+    @staticmethod
+    def _problem():
+        problem = make_problem([0.0, 0.0, 0.0], [1.0, 0.0])
+        stay = total_cost(_aligned_stationary_plan(_probe(problem)), problem.goal, problem.params, problem.u_prev)
+        return problem, problem.params.N, stay
+
+    def test_a_tie_goes_to_the_larger_stop_index(self, monkeypatch):
+        # The full-freedom probes leave no candidate; every swept index ties
+        # with standing still, and the largest of them wins.
+        problem, n, stay = self._problem()
+        res, plans = solve_at_costs(monkeypatch, problem, lambda j, nudged: None if j == n - 1 else stay)
+        swept = [j for j, nudged in plans if j < n - 1]
+        assert res.search == "sweep" and len(swept) >= 2
+        assert res.stop_index == max(swept) and res.plan is plans[max(swept), False] and res.objective == stay
+
+    def test_a_tie_at_one_stop_index_goes_to_the_warm_start(self, monkeypatch):
+        # The full-freedom probes from the warm start and from its nudged
+        # copy tie with standing still, the other probes leave no candidate:
+        # the warm start's plan wins.
+        problem, n, stay = self._problem()
+        res, plans = solve_at_costs(monkeypatch, problem, lambda j, nudged: stay if j == n - 1 else None)
+        warm, nudged = plans[n - 1, False], plans[n - 1, True]
+        assert not np.array_equal(warm.inputs, nudged.inputs)
+        assert res.search == "sweep" and res.stop_index == n - 1 and res.plan is warm and res.objective == stay
 
 
 class TestSearchOrder:

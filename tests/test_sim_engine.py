@@ -776,6 +776,19 @@ class TestJsonLines:
         assert done.returncode == 0
         assert done.stderr == ""
 
+    def test_a_log_with_probe_ms_reads_as_one_without(self, tmp_path, capsys):
+        # Logs written before probe_ms was dropped carry it at every step:
+        # they summarize as before and compare the same as the log without it.
+        log, _ = run(corner_scenario().with_overrides(max_steps=3))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        log.write_jsonl(a)
+        rows = read(a)
+        assert "probe_ms" not in rows[0]
+        b.write_text("".join(json.dumps({**row, "probe_ms": 0.5 * row["solve_ms"]}) + "\n" for row in rows))
+        assert summarize(read(b)) == summarize(rows)
+        assert summarize_main([str(a), "--against", str(b)]) == 0
+        assert "first step that differs: none" in capsys.readouterr().out
+
     def test_against(self, tmp_path, capsys):
         log, _ = run(corner_scenario().with_overrides(max_steps=6))
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
