@@ -23,9 +23,10 @@ a search in rounds over the phases of SEARCH_PHASES (solve); the all-stopped
 plan is the always-feasible floor. A probe is one SQP at one stop index from
 one start (_try_stop_index), and a round runs its probes one after another.
 The sweep probes only the indexes whose warm start meets their rows
-(_first_violated_step), so each of its probes starts feasible and returns a
-candidate. What the probes cost is one _Work record, summed with + and
-returned as SolveResult.work; a step record takes its fields as they are.
+(_first_violated_step), and the nudged rounds only those whose nudged start
+does, so each of their probes starts feasible and returns a candidate. What
+the probes cost is one _Work record, summed with + and returned as
+SolveResult.work; a step record takes its fields as they are.
 """
 
 from __future__ import annotations
@@ -402,9 +403,13 @@ def solve(problem: NlpProblem) -> SolveResult:
     every other index below the first step at which the warm start breaks a
     row or a track limit (_first_violated_step), in increasing order: an
     index at or past that step would start its SQP infeasible, and such
-    probes nearly always end so. The search runs one tuple of rounds, each
-    a phase, a start and its indexes, and stops after the first round that
-    leaves a candidate below the floor, a cost clearly under standing still.
+    probes nearly always end so. The full and hint phases each get a second,
+    nudged round, from the warm start's inputs at a small forward speed, at
+    their restart indexes: those through which the warm start is at rest and
+    below the first step the nudged start breaks. The search runs one tuple
+    of rounds, each a phase, a start and its indexes, and stops after the
+    first round that leaves a candidate below the floor, a cost clearly
+    under standing still.
     SolveResult.search names the phase of the last round run, "sweep" also
     when the sweep had no index to probe. The cheapest candidate wins, ties
     going to the larger stop index, then to the warm start; the stationary
@@ -432,22 +437,26 @@ def solve(problem: NlpProblem) -> SolveResult:
     # and hint indexes whose warm start is at rest get a second round from
     # its inputs at a small forward speed. The sweep gets none: on
     # corner-fast its nudged re-starts took a fifth of the solve time and
-    # won 13 of 128 steps. Nor does the sweep probe an index whose warm
-    # start already breaks one of its rows (j >= _first_violated_step): on
-    # corner-fast such probes climbed the penalty ladder to its cap and
-    # ended infeasible 151 times in 155. Every index it does probe starts
-    # feasible, and solve_sqp never gives up a feasible iterate.
+    # won 13 of 128 steps. No round probes an index whose own start already
+    # breaks one of its rows (j >= _first_violated_step of that start),
+    # except the full and hint rounds from the warm start: on corner-fast
+    # such sweep probes climbed the penalty ladder to its cap and ended
+    # infeasible 151 times in 155, and skipping such nudged probes cut
+    # corner-occluded's interior-point iterations by 17%. Every index the
+    # sweep and the nudged rounds probe starts feasible, and solve_sqp never
+    # gives up a feasible iterate. Skipping in the warm full and hint rounds
+    # too moves the failed steps (ROADMAP item 8, variant B).
     hint = problem.stop_hint
     near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
     nudged = u_ws.copy()
     nudged[:, 0] = min(0.3, params.v_max)
-    at_rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
+    restart = [j for j in range(1, min(n, _first_violated_step(data, nudged))) if np.abs(u_ws[:j, 0]).max() < 0.1]
     met = min(n - 1, _first_violated_step(data, u_ws))
     rounds = (
         ("full", u_ws, [n - 1]),
-        ("full", nudged, [j for j in [n - 1] if j in at_rest]),
+        ("full", nudged, [j for j in [n - 1] if j in restart]),
         ("hint", u_ws, near),
-        ("hint", nudged, [j for j in near if j in at_rest]),
+        ("hint", nudged, [j for j in near if j in restart]),
         ("sweep", u_ws, [j for j in range(1, met) if j not in near]),
     )
     # Warm candidates come first, so min's tie-break keeps them.

@@ -6,16 +6,17 @@
 Prints the number of steps; p50 and p99 of each layer time and of the step
 time (their sum); the steps over the control period, the fallback steps, the
 failed steps as the benchmark counts them (the fallback plan, an audit
-violation above `MpcParams.feas_tol` or a collision), the largest audit
-violation, the largest audit violation of the shifted previous plan (the
-fallback, applied or not) with its step and the steps where it is above
-`MpcParams.feas_tol`, the collision steps, each moving (its translation, dt
-times the applied speed, above `MpcParams.feas_tol`, as `check_feasibility`
-measures motion) or stopped, and the smallest occlusion, agent and static
-clearance with its step (the near misses); the planner's relaxed avoidance
-rows per step (rows the robot starts inside, which the planner holds to the
-start's standoff and the audit to the strict margin) with the steps that have
-any, and the largest strict excess among them; the stop-index probes,
+violation above `MpcParams.feas_tol` or a collision) and those of them that
+moved (their translation, dt times the applied speed, above
+`MpcParams.feas_tol`, as `check_feasibility` measures motion), the largest
+audit violation, the largest audit violation of the shifted previous plan
+(the fallback, applied or not) with its step and the steps where it is above
+`MpcParams.feas_tol`, the collision steps, each moving or stopped, and the
+smallest occlusion, agent and static clearance with its step (the near
+misses); the planner's relaxed avoidance rows per step (rows the robot starts
+inside, which the planner holds to the start's standoff and the audit to the
+strict margin) with the steps that have any, and the largest strict excess
+among them; the stop-index probes,
 infeasible probes, SQP iterations, QP solves, penalty rungs (QP solves after
 the first at one linearization) and interior-point iterations per step; and
 the steps that ended in each stop-index search phase, p50 and p99 of
@@ -30,9 +31,9 @@ has. The comparison names the first such step, the first step whose state,
 applied input or plan differs (`none` when only counters or other fields
 moved), the largest difference in states, applied inputs and plans (inf
 between plans of different horizons), the outcomes of each log (its steps,
-failed steps, moving and stopped collision steps and the largest audit
-violation) and the totals of the solver counters, each with this log's total
-less the other's.
+failed steps, failed moving steps, moving and stopped collision steps and the
+largest audit violation) and the totals of the solver counters, each with
+this log's total less the other's.
 """
 
 from __future__ import annotations
@@ -63,7 +64,14 @@ SLOWEST = 5  # slowest steps listed
 CLEARANCES = ("occlusion", "agent", "static")  # StepRecord's *_clearance fields
 # The labels of totals() that are not solver counters; the last is a largest
 # value, the others are step counts, the steps attempted first.
-OUTCOMES = ("steps", "failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation")
+OUTCOMES = (
+    "steps",
+    "failed steps",
+    "failed moving steps",
+    "moving collision steps",
+    "stopped collision steps",
+    "largest audit_violation",
+)
 
 
 def percentiles(values, qs) -> np.ndarray:
@@ -87,12 +95,17 @@ def _period(rows: list[dict]) -> float:
     return rows[1]["tau"] - rows[0]["tau"] if len(rows) > 1 else MpcParams().dt
 
 
-def _collisions(rows: list[dict]) -> tuple[list[int], list[int]]:
-    """The collision steps that moved (translation above `feas_tol`) and
-    those that stopped."""
+def _moving(rows: list[dict], steps: list[int]) -> list[int]:
+    """Those of steps that moved: their translation, dt times the applied
+    speed, above `feas_tol`, as `check_feasibility` measures motion."""
     dt = _period(rows)
+    return [k for k in steps if dt * abs(rows[k]["applied_input"][0]) > MpcParams().feas_tol]
+
+
+def _collisions(rows: list[dict]) -> tuple[list[int], list[int]]:
+    """The collision steps that moved and those that stopped."""
     collided = [k for k, row in enumerate(rows) if row["collision"]]
-    moving = [k for k in collided if dt * abs(rows[k]["applied_input"][0]) > MpcParams().feas_tol]
+    moving = _moving(rows, collided)
     return moving, [k for k in collided if k not in moving]
 
 
@@ -104,9 +117,11 @@ def _failed(rows: list[dict]) -> list[int]:
 
 def totals(rows: list[dict]) -> dict:
     """A log's outcomes (OUTCOMES) and the sum of each solver counter, by label."""
+    failed = _failed(rows)
     moving, stopped = _collisions(rows)
     worst = max((row["audit_violation"] for row in rows), default=0.0)
-    values = dict(zip(OUTCOMES, (len(rows), len(_failed(rows)), len(moving), len(stopped), worst)))
+    counts = (len(rows), len(failed), len(_moving(rows, failed)), len(moving), len(stopped))
+    values = dict(zip(OUTCOMES, (*counts, worst)))
     values.update((label, sum(row[name] for row in rows)) for label, name in COUNTERS)
     return values
 
@@ -135,10 +150,12 @@ def summarize(rows: list[dict]) -> list[str]:
     shift = [row["fallback_violation"] for row in rows]
     shift_failed = [k for k, v in enumerate(shift) if v > MpcParams().feas_tol]
     failed = _failed(rows)
+    failed_moving = _moving(rows, failed)
     lines += [
         f"steps over dt ({dt * 1e3:.0f} ms): {np.count_nonzero(step_ms > dt * 1e3)}",
         f"fallback steps: {sum(row['fallback_used'] for row in rows)}",
         f"failed steps: {len(failed)} {failed}",
+        f"failed moving steps: {len(failed_moving)} {failed_moving}",
         f"largest audit_violation: {max(row['audit_violation'] for row in rows)!r}",
         f"largest fallback_violation: {max(shift)!r} at step {int(np.argmax(shift))}, "
         f"above feas_tol at {len(shift_failed)} steps {shift_failed}",

@@ -731,22 +731,30 @@ class TestTieBreaks:
 class TestSearchOrder:
     def test_phases_run_in_order(self, corner_fast_run, monkeypatch):
         # A recorded step whose full-freedom probe is blocked and whose hint
-        # phase found nothing, solved again with other hints. Its warm start
-        # is at rest through step 5, so the nudged rounds probe the hint
-        # indexes up to 5 and not the full-freedom index; it breaks a row at
-        # step 6, so the sweep probes the other indexes up to 5. The probes
-        # are those of the first rounds, one after another, and the last
-        # round run names the search (a probe recorder sees no empty round);
-        # a hint next to the stop index that wins the sweep ends the search
-        # in a hint round.
+        # phase found nothing, solved again with other hints; its sweep is
+        # won past index 1, so the warm probe at index 1 leaves the nudged
+        # one something to beat. Its warm start is at rest through step 4,
+        # and its nudged start breaks a row at step 2, so the nudged rounds
+        # probe hint index 1 alone, and not the full-freedom index; the warm
+        # start breaks a row at step 5, so the sweep probes the other
+        # indexes up to 4. The probes are those of the first rounds, one
+        # after another, and the last round run names the search (a probe
+        # recorder sees no empty round); a hint next to the stop index that
+        # wins the sweep ends the search in a hint round.
         _, _, solves = corner_fast_run
-        problem = next(p for p, r in solves if r.search == "sweep" and abs(p.warm_start.inputs[0, 0]) < 0.1)
+        problem = next(
+            p for p, r in solves if r.search == "sweep" and r.stop_index > 1 and abs(p.warm_start.inputs[0, 0]) < 0.1
+        )
         n = problem.params.N
         u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
         rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
-        assert rest == [1, 2, 3, 4, 5]
+        assert rest == [1, 2, 3, 4]
         met = _first_violated_step(_probe(problem), u_ws)
-        assert met == 6
+        assert met == 5
+        nudged_start = u_ws.copy()
+        nudged_start[:, 0] = 0.3
+        restart = [j for j in rest if j < _first_violated_step(_probe(problem), nudged_start)]
+        assert restart == [1]
         calls = record_probes(monkeypatch)
         searches, nudged = set(), []
         for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
@@ -756,7 +764,7 @@ class TestSearchOrder:
                 ([n - 1], False),
                 ([], True),
                 (near, False),
-                ([j for j in near if j in rest], True),
+                ([j for j in near if j in restart], True),
                 ([j for j in range(1, met) if j not in near], False),
             ]
             probes = [(j, from_nudged) for j, from_nudged, _ in calls]
@@ -863,6 +871,40 @@ class TestFirstViolatedStep:
             probed += len(js)
             skipped += not all(met)
         assert swept >= 15 and probed >= 60 and skipped >= 10
+
+    def test_nudged_rounds_probe_only_starts_that_meet_their_rows(self, corner_fast_run, monkeypatch):
+        # The recorded steps whose warm start is at rest at step 1 and whose
+        # search went past full freedom, solved again with hints 1 and 4:
+        # every probe from the nudged start is at an index through which the
+        # warm start is at rest, starts meeting its own rows, as its SQP
+        # measures them, and returns a candidate. Some nudged round that
+        # surely ran skips an at-rest index whose nudged start breaks a row.
+        _, _, solves = corner_fast_run
+        calls = record_probes(monkeypatch)
+        steps = probed = skipped = 0
+        for problem, recorded in solves:
+            params, n = problem.params, problem.params.N
+            u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
+            if recorded.search == "full" or abs(u_ws[0, 0]) >= 0.1:
+                continue
+            nudged = u_ws.copy()
+            nudged[:, 0] = min(0.3, params.v_max)
+            met = [v <= params.feas_tol for v in start_violations(_probe(problem), nudged)]
+            rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
+            for hint in (1, 4):
+                calls.clear()
+                res = solve(dataclasses.replace(problem, stop_hint=hint))
+                js = [j for j, from_nudged, _ in calls if from_nudged]
+                assert all(j in rest and met[j - 1] for j in js), (js, met)
+                assert all(cand is not None for _, from_nudged, (cand, _) in calls if from_nudged)
+                # The nudged rounds that surely ran: full's once the search
+                # went past it, hint's once the sweep ran.
+                near = [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
+                ran = ([n - 1] if res.search != "full" else []) + (near if res.search == "sweep" else [])
+                skipped += any(j in rest and not met[j - 1] for j in ran)
+                probed += len(js)
+            steps += 1
+        assert steps >= 15 and probed >= 15 and skipped >= 15
 
 
 class TestCheckFeasibility:

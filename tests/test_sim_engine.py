@@ -709,6 +709,31 @@ class TestJsonLines:
         assert lines["collision steps"] == "5 [1, 2, 3, 4, 5]"
         assert lines["collision steps by motion"] == "moving [1, 4], stopped [2, 3, 5]"
 
+    def test_failed_steps_that_moved(self, tmp_path):
+        # A failed step moved when its translation, dt times its logged
+        # applied speed, in either direction, is above feas_tol, as a
+        # collision step does; a moving step that did not fail is not
+        # counted. The comparison's totals count them alike.
+        log, _ = run(corner_scenario().with_overrides(max_steps=6))
+        path = tmp_path / "corner.jsonl"
+        log.write_jsonl(path)
+        rows = read(path)
+        for row in rows:
+            row.update(fallback_used=False, audit_violation=0.0, collision=False, applied_input=[0.0, 0.3])
+        tol = MpcParams().feas_tol
+        rows[1].update(fallback_used=True, applied_input=[0.5, 0.0])
+        rows[2].update(audit_violation=2 * tol, applied_input=[1.9e-6, 0.3])
+        rows[3].update(collision=True, applied_input=[-1.1e-5, 0.0])
+        rows[4].update(applied_input=[0.5, 0.0])
+        rows[5].update(audit_violation=2 * tol)
+        lines = dict(line.split(": ", 1) for line in summarize(rows))
+        assert lines["failed steps"] == "4 [1, 2, 3, 5]"
+        assert lines["failed moving steps"] == "2 [1, 3]"
+        assert totals(rows)["failed moving steps"] == 2
+        for row in rows:
+            row.update(applied_input=[0.0, 0.0])
+        assert totals(rows)["failed moving steps"] == 0
+
     def test_relaxed_rows_and_their_steps(self, tmp_path):
         # The relaxed rows per step with the steps that have any, and the
         # largest strict excess with its step; without any, no step.
@@ -829,6 +854,10 @@ class TestJsonLines:
         assert summarize_main([str(a), "--against", str(b)]) == 1
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert lines["failed steps"] == "0 against 4"
+        # The run drives on at steps 4 and 5, so they fail moving, as the
+        # moving collision at step 1 does.
+        assert min(abs(moved[k]["applied_input"][0]) for k in (4, 5)) > 0.1
+        assert lines["failed moving steps"] == "0 against 3"
         assert lines["moving collision steps"] == "0 against 1"
         assert lines["stopped collision steps"] == "0 against 1"
         assert lines["largest audit_violation"] == f"{worst!r} against 2.0"

@@ -142,12 +142,12 @@ def corner_fast_qps():
 
 @pytest.fixture(scope="module")
 def corner_occluded_qps():
-    """The planner's QPs from steps 12-39 of a corner-occluded episode: four
-    full-freedom steps, its first hint run, probing stop indexes 8 down to 1
-    against capsule rows, and sixteen full-freedom steps after it."""
-    qps, log = record_qps(generate("corner-occluded", 1, 1)[0].with_overrides(max_steps=40), first_step=12)
-    assert [rec.search for rec in log][15:25] == ["full", *["hint"] * 8, "full"]
-    assert all(rec.n_boundaries > 0 for rec in log.records[12:])
+    """The planner's QPs of a whole corner-occluded episode: sixteen
+    full-freedom steps, its hint run, probing stop indexes 8 down to 1
+    against capsule rows, and the full-freedom steps after it to the goal."""
+    qps, log = record_qps(generate("corner-occluded", 1, 1)[0])
+    assert [rec.search for rec in log] == [*["full"] * 16, *["hint"] * 9, *["full"] * 22]
+    assert all(rec.n_boundaries > 0 for rec in log.records)
     return qps
 
 

@@ -36,7 +36,8 @@ class TestAgainst:
         assert f"  probes: {probes} against {probes}" in out
         assert out[2:4] == ["  steps: 4 against 4", "  failed steps: 0 against 0"]
         assert [line.split(":")[0].strip() for line in out[2:]] == [
-            "steps", "failed steps", "moving collision steps", "stopped collision steps", "largest audit_violation",
+            "steps", "failed steps", "failed moving steps", "moving collision steps", "stopped collision steps",
+            "largest audit_violation",
             "probes", "infeasible probes", "SQP iterations", "QP solves", "penalty rungs", "interior-point iterations",
         ]
         # A log to compare with whose step-2 plan differs in its last bit and
@@ -96,7 +97,7 @@ class TestAgainst:
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
         out = capsys.readouterr().out.splitlines()
         at = out.index("corner-fast seeds 1 2, totals of 2 episodes:")
-        assert at == len(out) - 12 and out[at - 12] == "corner-fast seed 2, totals of 1 episodes:"
+        assert at == len(out) - 13 and out[at - 13] == "corner-fast seed 2, totals of 1 episodes:"
         ours = [read(tmp_path / f"b/corner-fast/{seed}/0.jsonl") for seed in (1, 2)]
         probes = sum(row["probes"] for rows in ours for row in rows)
         worst = max(row["audit_violation"] for rows in ours for row in rows)
