@@ -5,9 +5,10 @@ boundaries from range discontinuities between consecutive rays, and thins
 obstacle hit points into coverage circles for static avoidance.
 
 A Scan holds per-ray ranges, points and hit segment indexes; a ray hit
-exactly where its segment index is not -1, and its angle is _sweep's. A sweep
-is cast in one ray_hits call over (ray, segment) pairs: each segment is
-paired with the rays near its bearing arc, and each ray keeps its nearest hit.
+exactly where its segment index is not -1, and ray i of n is at angle
+2 pi i / n. A sweep is cast in one ray_hits call over (ray, segment) pairs:
+each segment is paired with the rays near its bearing arc, and each ray
+keeps its nearest hit.
 
 Both results are arrays: detect_occlusions gives a (B, 2, 2) array of
 [near, far] boundary ends in ray order, and downsample an (M, 3) array of
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class LidarParams:
 
 @dataclass(frozen=True)
 class Scan:
-    """One sweep, ray i at angle _sweep(n).angles[i]: ranges clamped to
+    """One sweep of n rays, ray i at angle 2 pi i / n: ranges clamped to
     max_range, and per-ray points (true hits, or the max-range point on the
     ray for misses so open space still reads as potentially occupied). The
     values are those of a cast of every ray at every segment, the lowest
@@ -85,11 +85,11 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     origin = pose.position()
     if not world.contains_free(origin):
         raise PoseInObstacleError(f"sensor pose ({pose.x}, {pose.y}) is inside an obstacle")
-    sweep = _sweep(params.num_rays)
+    dirs = _sweep(params.num_rays)
     seg_a, seg_b = world.segment_arrays()
     rays, segs = _ray_segment_pairs(origin, seg_a, seg_b, params.num_rays)
     # np.take gathers rows about 8x faster than fancy indexing here.
-    t = ray_hits(origin, *(np.take(x, i, axis=0) for x, i in ((sweep.dirs, rays), (seg_a, segs), (seg_b, segs))))
+    t = ray_hits(origin, *(np.take(x, i, axis=0) for x, i in ((dirs, rays), (seg_a, segs), (seg_b, segs))))
     ranges = np.full(params.num_rays, float(params.max_range))  # misses (inf) and far hits leave it
     np.minimum.at(ranges, rays, t)
     # A ray's nearest hits are those at its range; index len(seg_a) marks none.
@@ -97,25 +97,18 @@ def scan(world: WorldMap, pose: RobotState, params: LidarParams) -> Scan:
     index = np.full(params.num_rays, len(seg_a))
     np.minimum.at(index, rays[nearest], segs[nearest])
     index[index == len(seg_a)] = -1
-    points = origin[None, :] + ranges[:, None] * sweep.dirs
+    points = origin[None, :] + ranges[:, None] * dirs
     return Scan(ranges, points, index)
 
 
-class _Sweep(NamedTuple):
-    """The fixed rays of an n-ray sweep."""
-
-    angles: np.ndarray  # (n,) strictly increasing over [0, 2pi)
-    dirs: np.ndarray  # (n, 2) unit directions
-
-
 @lru_cache(maxsize=8)
-def _sweep(n: int) -> _Sweep:
+def _sweep(n: int) -> np.ndarray:
+    """The read-only (n, 2) unit directions of an n-ray sweep, ray i at
+    angle 2 pi i / n."""
     angles = 2.0 * np.pi * np.arange(n) / n
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    sweep = _Sweep(angles, dirs)
-    for array in sweep:
-        array.flags.writeable = False
-    return sweep
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _ray_segment_pairs(origin, seg_a, seg_b, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,14 +1,10 @@
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oampc import lidar_sim
-from oampc.geometry import ray_hits
 from oampc.lidar_sim import (
     LidarParams,
     PoseInObstacleError,
@@ -23,10 +19,9 @@ from oampc.lidar_sim import (
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
+from conftest import recording
 from oracles import cast_rays_parent, coverage_centers_loop, greedy_walk_scalar, occlusion_pairs_loop
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import generate  # noqa: E402
+from workloads import generate
 
 
 def square_room(half=2.0):
@@ -44,7 +39,7 @@ class TestScan:
         s = scan(square_room(), RobotState(0, 0, 0), params)
         assert np.all(s.segment_index >= 0)
         assert s.ranges.min() == pytest.approx(2.0)
-        for th, r in zip(_sweep(360).angles, s.ranges):
+        for th, r in zip(2.0 * np.pi * np.arange(360) / 360, s.ranges):
             assert r == pytest.approx(2.0 / max(abs(math.cos(th)), abs(math.sin(th))), abs=1e-9)
 
     def test_empty_world_all_miss(self):
@@ -69,7 +64,7 @@ class TestScan:
         j = 180
         assert s.ranges[j] == pytest.approx(4.0)
         # Analytic expected range per ray: min over walls and obstacle faces.
-        for i, th in enumerate(_sweep(360).angles):
+        for i, th in enumerate(2.0 * np.pi * np.arange(360) / 360):
             d = np.array([math.cos(th), math.sin(th)])
             expect = _analytic_range(d)
             assert s.ranges[i] == pytest.approx(expect, abs=1e-9), f"ray {i}"
@@ -88,7 +83,13 @@ class TestScan:
         assert np.array_equal(s1.points, s2.points)
 
     def test_angles_strictly_increasing(self):
-        angles = _sweep(90).angles
+        # Ray i points at angle 2 pi i / n; the directions are read-only.
+        n = 90
+        dirs = _sweep(n)
+        angles = 2.0 * np.pi * np.arange(n) / n
+        assert np.array_equal(dirs, np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        assert not dirs.flags.writeable
+        angles = np.remainder(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi)
         assert np.all(np.diff(angles) > 0)
         assert angles[0] == 0.0
         assert angles[-1] < 2 * np.pi
@@ -97,10 +98,7 @@ class TestScan:
 def dense_cast(world, pose, params):
     """A dense cast by cast_rays_parent, the earlier ray kernel: every ray
     against every map segment, the sweep unsplit."""
-    n = params.num_rays
-    angles = 2.0 * np.pi * np.arange(n) / n
-    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return cast_rays_parent(pose.position(), dirs, *world.segment_arrays(), params.max_range)
+    return cast_rays_parent(pose.position(), _sweep(params.num_rays), *world.segment_arrays(), params.max_range)
 
 
 def workload_poses(world, seed, count):
@@ -134,16 +132,10 @@ class TestSectorScan:
     segment indexes are those of dense_cast."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        """The ray_hits calls of scan, counted by a spy."""
-        made = []
-
-        def spy(*args):
-            made.append(args[1].shape)
-            return ray_hits(*args)
-
-        monkeypatch.setattr(lidar_sim, "ray_hits", spy)
-        return made
+    def calls(self):
+        """The ray_hits calls of scan."""
+        with recording("oampc.lidar_sim.ray_hits") as (made,):
+            yield made
 
     @staticmethod
     def assert_dense(world, pose, params, calls):
@@ -254,11 +246,8 @@ def _analytic_range(d, half=4.0, box=(1.0, -0.5, 2.0, 0.5)):
 
 class TestDetectOcclusions:
     def _scan_from_ranges(self, ranges, max_range=10.0):
-        n = len(ranges)
-        angles = 2 * np.pi * np.arange(n) / n
         ranges = np.asarray(ranges, dtype=float)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        points = ranges[:, None] * dirs
+        points = ranges[:, None] * _sweep(len(ranges))
         return Scan(ranges, points, np.where(ranges < max_range, 0, -1))
 
     def test_single_jump(self):
@@ -454,20 +443,14 @@ class TestDownsample:
         assert added and deduplicated
 
 
-    def test_matches_loop_oracle_on_recorded_scans(self, monkeypatch):
-        # The scans of a closed-loop pillars-crowd run; on some of them the
-        # backstop adds centres.
-        import oampc.sim_engine
-
-        scans = []
-        thin = oampc.sim_engine.downsample
-        monkeypatch.setattr(oampc.sim_engine, "downsample", lambda *a, **k: scans.append((a, k)) or thin(*a, **k))
-        scn = generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=10)
-        oampc.sim_engine.run(scn)
-        world, params = scn.world, scn.lidar
+    def test_matches_loop_oracle_on_recorded_scans(self, pillars_crowd_run):
+        # The scans of the first 10 steps of a closed-loop pillars-crowd run;
+        # on some of them the backstop adds centres.
+        scans = pillars_crowd_run.calls("oampc.sim_engine.downsample", 10)
+        world, params = pillars_crowd_run.scenario.world, pillars_crowd_run.scenario.lidar
         assert len(scans) == 10
         added = 0
-        for args, kwargs in scans:
+        for _, args, kwargs, _ in scans:
             s = args[0]
             hits = s.points[(s.segment_index >= 0) & ~world.is_boundary_segment(s.segment_index)]
             want = coverage_centers_loop(hits, params.downsample_spacing, params.coverage_radius)

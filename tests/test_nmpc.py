@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from oampc.solver import STATUS_INFEASIBLE, _violation, solve_sqp
 from oampc.summarize import main as summarize_main
 from oampc.unicycle import ControlInput, RobotState, dynamics_step, rollout, rollout_sensitivities
 
+from conftest import recording
 from oracles import (
     avoidance_margins_loop,
     input_hessian_loop,
@@ -42,8 +44,6 @@ from oracles import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import generate  # noqa: E402
 
 
 def circle_rows(circles):
@@ -260,52 +260,37 @@ class TestEvaluatorMatchesParent:
     tests/oracles.py, bit for bit (signs of zeros included)."""
 
     @staticmethod
-    def _recording(monkeypatch):
-        calls = []
-        evaluate = _NlpEvaluator.__call__
-
-        def recorded(ev, x):
-            calls.append((ev.problem, ev.j, x.copy()))
-            return evaluate(ev, x)
-
-        monkeypatch.setattr(_NlpEvaluator, "__call__", recorded)
-        return calls
-
-    @staticmethod
     def _assert_same_bits(calls):
-        for problem, j, x in calls:
-            got = _NlpEvaluator(problem, j)(x)
-            want = nlp_evaluation_parent(problem, j, x)
+        for ev, x in (call.args for call in calls):
+            got = _NlpEvaluator(ev.problem, ev.j)(x)
+            want = nlp_evaluation_parent(ev.problem, ev.j, x)
             assert got.f == want[0]
             for name, value in zip(("grad", "hess", "c", "jac"), want[1:]):
                 assert np.array_equal(getattr(got, name), value), name
                 assert np.array_equal(np.signbit(getattr(got, name)), np.signbit(value)), name
 
-    def test_pillars_crowd_calls(self, monkeypatch):
-        calls = self._recording(monkeypatch)
-        oampc.sim_engine.run(generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=12))
-        monkeypatch.undo()
-        assert len(calls) >= 50 and any(len(p.row_step) for p, _, _ in calls)
+    def test_pillars_crowd_calls(self, pillars_crowd_run):
+        calls = pillars_crowd_run.calls("oampc.nmpc._NlpEvaluator.__call__", 12)
+        assert len(calls) >= 50 and any(len(call.args[0].problem.row_step) for call in calls)
         self._assert_same_bits(calls)
 
-    def test_corner_fast_search_calls(self, corner_fast_run, monkeypatch):
+    def test_corner_fast_search_calls(self, corner_fast_run):
         # The probes of the steps that search earlier stop indexes among the
         # first 56: state bounds and capsule rows. The sweep skips the
         # indexes whose start breaks a row, and these steps probe neither 6
         # nor 7, so the start of every stop index at every such step is
         # evaluated too, and every stop index is covered.
-        _, _, solves = corner_fast_run
-        searched = [p for p, r in solves if r.search != "full"]
-        calls = self._recording(monkeypatch)
-        for problem in searched:
-            solve(problem)
-        assert len(calls) >= 200
-        for problem in searched:
-            u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
-            start_violations(_probe(problem), u_ws)
-        monkeypatch.undo()
-        assert {j for _, j, _ in calls} == set(range(1, MpcParams().N))
-        assert all(p.params.state_bounds is not None for p, _, _ in calls)
+        searched = [p for p, r in step_solves(corner_fast_run) if r.search != "full"]
+        with recording("oampc.nmpc._NlpEvaluator.__call__") as (calls,):
+            for problem in searched:
+                solve(problem)
+            assert len(calls) >= 200
+            for problem in searched:
+                u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
+                start_violations(_probe(problem), u_ws)
+        evaluators = [call.args[0] for call in calls]
+        assert {ev.j for ev in evaluators} == set(range(1, MpcParams().N))
+        assert all(ev.problem.params.state_bounds is not None for ev in evaluators)
         self._assert_same_bits(calls)
 
 
@@ -435,38 +420,19 @@ class TestSolve:
         assert r1.stop_index == r2.stop_index
 
 
-def record_solves(workload, steps):
-    """The first steps of seed-1 episode 0 of a workload: its scenario, its
-    log and the (problem, result) of every step."""
-    solves = []
-    recorded = oampc.sim_engine.solve
-
-    def recorded_solve(problem):
-        solves.append((problem, recorded(problem)))
-        return solves[-1][1]
-
-    scn = generate(workload, 1, 1)[0].with_overrides(max_steps=steps)
-    oampc.sim_engine.solve = recorded_solve
-    try:
-        log, _ = oampc.sim_engine.run(scn)
-    finally:
-        oampc.sim_engine.solve = recorded
-    return scn, log, solves
+def step_solves(run, steps=None):
+    """The (problem, result) of each step of a recorded run, or of its first
+    steps."""
+    return [(call.args[0], call.result) for call in run.calls("oampc.sim_engine.solve", steps)]
 
 
 @pytest.fixture(scope="module")
-def corner_fast_run():
-    """The first 56 steps of a corner-fast episode (record_solves)."""
-    return record_solves("corner-fast", 56)
-
-
-@pytest.fixture(scope="module")
-def workload_solves(corner_fast_run):
+def workload_solves(corner_fast_run, corner_occluded_run, pillars_crowd_run):
     """The (workload, step, problem, result) of the first 56 steps of
     corner-fast, 40 of corner-occluded and 20 of pillars-crowd."""
-    runs = {"corner-fast": corner_fast_run}
-    runs.update((w, record_solves(w, steps)) for w, steps in (("corner-occluded", 40), ("pillars-crowd", 20)))
-    return [(w, t, p, r) for w, (_, _, solves) in runs.items() for t, (p, r) in enumerate(solves)]
+    runs = (("corner-fast", corner_fast_run, 56), ("corner-occluded", corner_occluded_run, 40),
+            ("pillars-crowd", pillars_crowd_run, 20))
+    return [(w, t, p, r) for w, run, steps in runs for t, (p, r) in enumerate(step_solves(run, steps))]
 
 
 # One solve from z0 = (1, 0, 0) toward GOAL. At the goal no move beats standing
@@ -520,19 +486,16 @@ class TestProbesInProcess:
         def no_fork():
             raise OSError("a probe forked")
 
-        sqps = []
-        sqp = oampc.nmpc.solve_sqp
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(oampc.nmpc, "solve_sqp", lambda *args, **kwargs: sqps.append(1) or sqp(*args, **kwargs))
-        res = solve(make_problem([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+        with recording("oampc.nmpc.solve_sqp") as (sqps,):
+            res = solve(make_problem([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
         assert res.search == "sweep" and res.work.probes == len(sqps) >= MpcParams().N - 1
 
     def test_a_recorded_step_solved_again_gives_its_result(self, corner_fast_run):
         # The run's searched steps, solved again on their own and in reverse
         # order, return the plans, tie-breaks and counters the run's solves
         # did.
-        _, _, solves = corner_fast_run
-        searched = [(p, r) for p, r in solves if r.search != "full"]
+        searched = [(p, r) for p, r in step_solves(corner_fast_run) if r.search != "full"]
         assert {r.search for _, r in searched} == {"hint", "sweep"}
         for problem, recorded in reversed(searched):
             here = solve(problem)
@@ -544,37 +507,23 @@ class TestProbesInProcess:
     def test_corner_fast_same_log_on_a_second_run(self, corner_fast_run, tmp_path):
         # The closed loop run again from its scenario writes the same log:
         # every field but the times the same to the bit.
-        scn, first, _ = corner_fast_run
-        again, _ = oampc.sim_engine.run(scn)
+        first = corner_fast_run.log
+        again, _ = oampc.sim_engine.run(corner_fast_run.scenario)
         first.write_jsonl(tmp_path / "first.jsonl")
         again.write_jsonl(tmp_path / "again.jsonl")
         assert summarize_main([str(tmp_path / "again.jsonl"), "--against", str(tmp_path / "first.jsonl")]) == 0
 
-    def test_rungs_and_infeasible_probes_counted(self, corner_fast_run, monkeypatch):
+    def test_rungs_and_infeasible_probes_counted(self, corner_fast_run):
         # Counted independently in this process: a rung is a solve of an
         # elastic QP already solved once (one QP per linearization), and an
         # infeasible probe an SQP that returns STATUS_INFEASIBLE.
-        _, _, solves = corner_fast_run
-        calls, statuses = {}, []
-        qp_solve, sqp = oampc.solver._ElasticQp.solve, oampc.nmpc.solve_sqp
-
-        def counted_qp_solve(qp, mu):
-            calls[qp] = calls.get(qp, 0) + 1  # keyed by the QP itself, kept alive
-            return qp_solve(qp, mu)
-
-        def counted_sqp(*args, **kwargs):
-            res = sqp(*args, **kwargs)
-            statuses.append(res.status)
-            return res
-
-        monkeypatch.setattr(oampc.solver._ElasticQp, "solve", counted_qp_solve)
-        monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
         total_rungs = total_infeasible = 0
-        for problem, recorded in solves:
-            calls.clear()
-            statuses.clear()
-            here = solve(problem).work
-            assert here.penalty_rungs == recorded.work.penalty_rungs == sum(k - 1 for k in calls.values())
+        for problem, recorded in step_solves(corner_fast_run):
+            with recording("oampc.solver._ElasticQp.solve", "oampc.nmpc.solve_sqp") as (qp_solves, sqps):
+                here = solve(problem).work
+            per_qp = Counter(call.args[0] for call in qp_solves)  # keyed by the QP itself, kept alive
+            statuses = [call.result.status for call in sqps]
+            assert here.penalty_rungs == recorded.work.penalty_rungs == sum(k - 1 for k in per_qp.values())
             assert here.infeasible_probes == recorded.work.infeasible_probes == statuses.count(STATUS_INFEASIBLE)
             assert here.probes == len(statuses)
             total_rungs += here.penalty_rungs
@@ -604,41 +553,27 @@ class TestProbesInProcess:
 
 
 class TestStopIndexProbe:
-    def test_one_evaluator_per_stop_index(self, corner_fast_run, monkeypatch):
-        # Each probe builds one evaluator and runs one SQP on it.
-        _, _, solves = corner_fast_run
-        built, per_probe, sqp_evaluators = [], [], []
-        init, probe, sqp = _NlpEvaluator.__init__, oampc.nmpc._try_stop_index, oampc.nmpc.solve_sqp
-
-        def counted_init(evaluator, *args):
-            built.append(evaluator)
-            init(evaluator, *args)
-
-        def counted_probe(problem, start, j):
-            before = len(built), len(sqp_evaluators)
-            result = probe(problem, start, j)
-            per_probe.append((len(built) - before[0], len(sqp_evaluators) - before[1]))
-            return result
-
-        def counted_sqp(evaluator, *args, **kwargs):
-            sqp_evaluators.append(evaluator)
-            return sqp(evaluator, *args, **kwargs)
-
-        monkeypatch.setattr(_NlpEvaluator, "__init__", counted_init)
-        monkeypatch.setattr(oampc.nmpc, "_try_stop_index", counted_probe)
-        monkeypatch.setattr(oampc.nmpc, "solve_sqp", counted_sqp)
-        for problem, _ in solves:
-            solve(problem)
-        assert per_probe and set(per_probe) == {(1, 1)}
-        assert [id(e) for e in sqp_evaluators] == [id(e) for e in built]
+    def test_one_evaluator_per_stop_index(self, corner_fast_run):
+        # Each probe builds one evaluator and runs one SQP on it: in order,
+        # probe k builds evaluator k for its own problem and stop index, and
+        # SQP k runs on evaluator k from the probe's start.
+        targets = ("oampc.nmpc._try_stop_index", "oampc.nmpc._NlpEvaluator.__init__", "oampc.nmpc.solve_sqp")
+        with recording(*targets) as (probes, built, sqps):
+            for problem, _ in step_solves(corner_fast_run):
+                solve(problem)
+        assert probes and len(probes) == len(built) == len(sqps)
+        for probe, init, sqp in zip(probes, built, sqps):
+            problem, start, j = probe.args
+            evaluator, for_problem, for_j = init.args
+            assert for_problem is problem and for_j == j and sqp.args[0] is evaluator
+            assert np.array_equal(sqp.args[1], start[:j].ravel())
 
     def test_a_probe_runs_one_sqp(self, corner_fast_run):
         # The recorded steps parked with a warm start at rest, probed at every
         # stop index from the warm start and from its nudged copy: whatever
         # its cost, a probe is one SQP.
-        _, _, solves = corner_fast_run
         at_rest = 0
-        for problem, _ in solves:
+        for problem, _ in step_solves(corner_fast_run):
             params = problem.params
             u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
             if abs(u_ws[0, 0]) >= 0.1:
@@ -653,18 +588,12 @@ class TestStopIndexProbe:
         assert at_rest >= 100
 
 
-def record_probes(monkeypatch):
-    """The stop-index probes of the solves that follow, in order, each (stop
-    index, whether it starts from the nudged warm start, its result)."""
-    probes = []
-    probe = oampc.nmpc._try_stop_index
-
-    def recorded(data, start, j):
-        probes.append((j, bool(np.all(start[:, 0] == 0.3)), probe(data, start, j)))
-        return probes[-1][2]
-
-    monkeypatch.setattr(oampc.nmpc, "_try_stop_index", recorded)
-    return probes
+def probes_of(problem):
+    """solve(problem) and its stop-index probes, in order, each (stop index,
+    whether it starts from the nudged warm start, its result)."""
+    with recording("oampc.nmpc._try_stop_index") as (calls,):
+        res = solve(problem)
+    return res, [(call.args[2], bool(np.all(call.args[1][:, 0] == 0.3)), call.result) for call in calls]
 
 
 def sweep_round(probes, problem):
@@ -729,7 +658,7 @@ class TestTieBreaks:
 
 
 class TestSearchOrder:
-    def test_phases_run_in_order(self, corner_fast_run, monkeypatch):
+    def test_phases_run_in_order(self, corner_fast_run):
         # A recorded step whose full-freedom probe is blocked and whose hint
         # phase found nothing, solved again with other hints; its sweep is
         # won past index 1, so the warm probe at index 1 leaves the nudged
@@ -741,7 +670,7 @@ class TestSearchOrder:
         # after another, and the last round run names the search (a probe
         # recorder sees no empty round); a hint next to the stop index that
         # wins the sweep ends the search in a hint round.
-        _, _, solves = corner_fast_run
+        solves = step_solves(corner_fast_run)
         problem = next(
             p for p, r in solves if r.search == "sweep" and r.stop_index > 1 and abs(p.warm_start.inputs[0, 0]) < 0.1
         )
@@ -755,11 +684,9 @@ class TestSearchOrder:
         nudged_start[:, 0] = 0.3
         restart = [j for j in rest if j < _first_violated_step(_probe(problem), nudged_start)]
         assert restart == [1]
-        calls = record_probes(monkeypatch)
         searches, nudged = set(), []
         for hint, near in ((None, []), (1, [1, 2]), (4, [4, 3, 5]), (n - 2, [n - 2, n - 3])):
-            calls.clear()
-            res = solve(dataclasses.replace(problem, stop_hint=hint))
+            res, calls = probes_of(dataclasses.replace(problem, stop_hint=hint))
             rounds = [
                 ([n - 1], False),
                 ([], True),
@@ -780,22 +707,19 @@ class TestSearchOrder:
         assert searches == {"hint", "sweep"}
         assert nudged  # a nudged hint round ran
 
-    def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_run, monkeypatch):
+    def test_the_sweep_probes_each_index_once_and_ends_the_search(self, corner_fast_run):
         # The recorded steps that swept: the sweep is the last round, from
         # the warm start, and probes once every index outside the hint's
         # neighbourhood and below the first step the warm start breaks.
-        _, _, solves = corner_fast_run
-        calls = record_probes(monkeypatch)
         swept = 0
-        for problem, recorded in solves:
+        for problem, recorded in step_solves(corner_fast_run):
             if recorded.search != "sweep":
                 continue
             n, hint = problem.params.N, problem.stop_hint
             near = [] if hint is None else [j for j in (hint, hint - 1, hint + 1) if 1 <= j <= n - 2]
             u_ws = np.clip(problem.warm_start.inputs, *problem.params.input_box)
             met = min(n - 1, _first_violated_step(_probe(problem), u_ws))
-            calls.clear()
-            res = solve(problem)
+            res, calls = probes_of(problem)
             assert res.search == "sweep"
             assert [(j, from_nudged) for j, from_nudged, _ in sweep_round(calls, problem)] == [
                 (j, False) for j in range(1, met) if j not in near
@@ -847,23 +771,21 @@ class TestFirstViolatedStep:
             broken = [v > params.feas_tol for v in start_violations(data, steps)]
             assert broken == [j >= first for j in range(1, params.N)]
 
-    def test_the_sweep_probes_the_feasible_starts_and_ends_none_infeasible(self, corner_fast_run, monkeypatch):
+    def test_the_sweep_probes_the_feasible_starts_and_ends_none_infeasible(self, corner_fast_run):
         # Every recorded sweep step: the sweep round probes the indexes
         # outside the hint's neighbourhood whose start meets its own rows,
         # as its SQP measures them, and each of its probes returns a
         # candidate.
-        _, _, solves = corner_fast_run
-        calls = record_probes(monkeypatch)
         swept = probed = skipped = 0
-        for problem, recorded in solves:
+        for problem, recorded in step_solves(corner_fast_run):
             if recorded.search != "sweep":
                 continue
             params, hint = problem.params, problem.stop_hint
             near = [] if hint is None else [hint - 1, hint, hint + 1]
             u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
             met = [v <= params.feas_tol for v in start_violations(_probe(problem), u_ws)][:-1]
-            calls.clear()
-            assert solve(problem).search == "sweep"
+            res, calls = probes_of(problem)
+            assert res.search == "sweep"
             js, _, results = zip(*sweep_round(calls, problem)) or ((), (), ())
             assert list(js) == [j for j, ok in enumerate(met, 1) if ok and j not in near]
             assert all(cand is not None and not work.infeasible_probes for cand, work in results)
@@ -872,17 +794,15 @@ class TestFirstViolatedStep:
             skipped += not all(met)
         assert swept >= 15 and probed >= 60 and skipped >= 10
 
-    def test_nudged_rounds_probe_only_starts_that_meet_their_rows(self, corner_fast_run, monkeypatch):
+    def test_nudged_rounds_probe_only_starts_that_meet_their_rows(self, corner_fast_run):
         # The recorded steps whose warm start is at rest at step 1 and whose
         # search went past full freedom, solved again with hints 1 and 4:
         # every probe from the nudged start is at an index through which the
         # warm start is at rest, starts meeting its own rows, as its SQP
         # measures them, and returns a candidate. Some nudged round that
         # surely ran skips an at-rest index whose nudged start breaks a row.
-        _, _, solves = corner_fast_run
-        calls = record_probes(monkeypatch)
         steps = probed = skipped = 0
-        for problem, recorded in solves:
+        for problem, recorded in step_solves(corner_fast_run):
             params, n = problem.params, problem.params.N
             u_ws = np.clip(problem.warm_start.inputs, *params.input_box)
             if recorded.search == "full" or abs(u_ws[0, 0]) >= 0.1:
@@ -892,8 +812,7 @@ class TestFirstViolatedStep:
             met = [v <= params.feas_tol for v in start_violations(_probe(problem), nudged)]
             rest = [j for j in range(1, n) if np.abs(u_ws[:j, 0]).max() < 0.1]
             for hint in (1, 4):
-                calls.clear()
-                res = solve(dataclasses.replace(problem, stop_hint=hint))
+                res, calls = probes_of(dataclasses.replace(problem, stop_hint=hint))
                 js = [j for j, from_nudged, _ in calls if from_nudged]
                 assert all(j in rest and met[j - 1] for j in js), (js, met)
                 assert all(cand is not None for _, from_nudged, (cand, _) in calls if from_nudged)
@@ -981,7 +900,8 @@ class TestSolveProperties:
         # The shift of the previous plan, applied or not, audited against the
         # step's problem: its largest violation is the record's. The shift
         # fails at some of these steps.
-        scn, log, solves = corner_fast_run
+        scn, log, _ = corner_fast_run
+        solves = step_solves(corner_fast_run)
         previous = [OpenLoopPlan.stationary(scn.robot_init.as_array(), scn.mpc.N), *(rec.plan for rec in log)]
         failed = 0
         for rec, (problem, _), prev in zip(log, solves, previous):
@@ -998,10 +918,9 @@ class TestSolveProperties:
     )
     def test_applied_plans_pass_the_audit(self, corner_fast_run):
         # 21 of these 56 corner-fast steps fail, on the avoidance term alone.
-        _, log, solves = corner_fast_run
         failed = [
             t
-            for t, (rec, (problem, _)) in enumerate(zip(log, solves))
+            for t, (rec, (problem, _)) in enumerate(zip(corner_fast_run.log, step_solves(corner_fast_run)))
             if not check_feasibility(
                 rec.plan, problem.projections, problem.static_circles, problem.params, z_init=problem.z0
             ).ok(problem.params.feas_tol)

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -16,14 +17,15 @@ from oampc.reachability import AgentModel
 from oampc.sim_engine import (
     GOAL_TOLERANCE,
     MODE_BASELINE,
-    MODE_OCCLUSION_AWARE,
     AgentScript,
     Metrics,
     Scenario,
     StepRecord,
     TrajectoryLog,
+    _SimState,
     ground_truth_collision,
     run,
+    step,
 )
 from oampc.solver import STATUS_INFEASIBLE
 from oampc.summarize import main as summarize_main
@@ -31,6 +33,7 @@ from oampc.summarize import read, summarize, totals
 from oampc.unicycle import RobotState
 from oampc.world import WorldMap, rectangle
 
+from conftest import corner_scenario, recording
 from oracles import segment_distance
 
 
@@ -78,70 +81,32 @@ class TestGroundTruthCollision:
             assert got == (clearance <= 0.3)
 
 
-def corner_scenario(**fields) -> Scenario:
-    """Two blocks leave a 1.6 m corridor at 2 <= x <= 4; a pedestrian walks
-    down x = 4.8 at 0.5 m/s, hidden behind the upper block at the start.
-    `fields` replace the defaults before the scenario is built."""
-    world = WorldMap(
-        boundary=rectangle(-1, -3, 10, 6),
-        obstacles=[rectangle(2, 0.8, 4, 5), rectangle(2, -3, 4, -0.8)],
-    )
-    ped = AgentScript(waypoints=np.array([[4.8, 4.5], [4.8, -2.5]]), speed=0.5, initially_hidden=True)
-    defaults = dict(
-        name="corner",
-        world=world,
-        robot_init=RobotState(0.0, 0.0, 0.0),
-        goals=[np.array([8.0, 0.0])],
-        agents=[ped],
-        mpc=MpcParams(state_bounds=(-1, 10, -3, 6)),
-        agent_model=AgentModel(0.5),
-        mode=MODE_OCCLUSION_AWARE,
-        max_steps=64,
-    )
-    return Scenario(**{**defaults, **fields})
-
-
-def spy_on_families(monkeypatch) -> list[list]:
-    """The reachable families of every step the closed loop runs from now on,
-    as project_plan receives them: the capsules, then the disks."""
-    steps = []
-    project = oampc.sim_engine.project_plan
-
-    def recorded_project(points, families):
-        steps.append(list(families))
-        return project(points, families)
-
-    monkeypatch.setattr(oampc.sim_engine, "project_plan", recorded_project)
-    return steps
-
-
-def assert_disks_of_detections(scenario: Scenario, log: TrajectoryLog, steps: list[list]):
-    """Every agent is seen at every step, and its family is the disks of its
-    detection: centre at its position at the step's time, step-k radius
-    k * v_target * dt plus its own radius."""
+def assert_disks_of_detections(scenario: Scenario):
+    """Run the scenario: every agent is seen at every step, and its family is
+    the disks of its detection, as project_plan receives them after the
+    capsules: centre at its position at the step's time, step-k radius k *
+    v_target * dt plus its own radius. Returns the run's log and metrics."""
     n, dt = scenario.mpc.N, scenario.mpc.dt
-    assert len(steps) == len(log)
-    for rec, families in zip(log, steps):
+    with recording("oampc.sim_engine.project_plan") as (projections,):
+        log, metrics = run(scenario)
+    assert len(projections) == len(log)
+    for rec, call in zip(log, projections):
+        _, families = call.args
         disks = families[rec.n_boundaries :]
         assert len(disks) == len(scenario.agents)
         for agent, family in zip(scenario.agents, disks):
             centre = agent.position(rec.tau)
             assert np.array_equal(family.a, centre) and np.array_equal(family.b, centre)
             assert np.array_equal(family.radii, np.arange(1, n + 1) * (scenario.agent_model.v_target * dt) + agent.radius)
+    return log, metrics
 
 
 class TestClosedLoop:
-    def test_corner_reaches_goal_safely(self, monkeypatch, tmp_path):
-        problems = []
-        solve = oampc.sim_engine.solve
-
-        def recorded_solve(problem):
-            problems.append(problem)
-            return solve(problem)
-
-        monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
+    def test_corner_reaches_goal_safely(self, tmp_path):
         scenario = corner_scenario()
-        log, metrics = run(scenario)
+        with recording("oampc.sim_engine.solve") as (solves,):
+            log, metrics = run(scenario)
+        problems = [call.args[0] for call in solves]
         assert metrics.goals_reached == 1
         assert metrics.terminal_reason == "goal"
         # The last step reaches the goal, at its end.
@@ -171,7 +136,7 @@ class TestClosedLoop:
         assert int(lines["steps over dt (100 ms)"]) == sum(t > 100.0 for t in step_ms)
         assert lines["collision steps"] == "0 []" and lines["fallback steps"] == "0"
 
-    def test_open_world_with_one_visible_agent(self, monkeypatch, tmp_path):
+    def test_open_world_with_one_visible_agent(self, tmp_path):
         # No map segment: every ray misses, so each step has no occlusion
         # boundary and no static circle, and the empty arrays pass through
         # the problem, its audit and the clearances. One pedestrian, walking
@@ -185,20 +150,10 @@ class TestClosedLoop:
             agents=[ped],
             max_steps=64,
         )
-        boundaries, problems = [], []
-        detect, solve = oampc.sim_engine.detect_occlusions, oampc.sim_engine.solve
-
-        def recorded_detect(*args):
-            boundaries.append(detect(*args))
-            return boundaries[-1]
-
-        def recorded_solve(problem):
-            problems.append(problem)
-            return solve(problem)
-
-        monkeypatch.setattr(oampc.sim_engine, "detect_occlusions", recorded_detect)
-        monkeypatch.setattr(oampc.sim_engine, "solve", recorded_solve)
-        log, metrics = run(scenario)
+        with recording("oampc.sim_engine.detect_occlusions", "oampc.sim_engine.solve") as (detections, solves):
+            log, metrics = run(scenario)
+        boundaries = [call.result for call in detections]
+        problems = [call.args[0] for call in solves]
         assert metrics.terminal_reason == "goal" and len(log) == 18
         assert all(b.shape == (0, 2, 2) for b in boundaries) and len(boundaries) == len(log)
         assert not any(rec.collision or rec.fallback_used for rec in log)
@@ -219,7 +174,7 @@ class TestClosedLoop:
             assert rec.audit_violation == report.max_violation
             assert report.ok(problem.params.feas_tol)
 
-    def test_each_visible_agent_gets_the_disks_of_its_detection(self, monkeypatch):
+    def test_each_visible_agent_gets_the_disks_of_its_detection(self):
         # Detections are exact and every agent keeps to v_target, one at the
         # bound itself, so no track is kept: at every step each agent's
         # disks start from where it is.
@@ -235,13 +190,11 @@ class TestClosedLoop:
             agents=peds,
             max_steps=10,
         )
-        steps = spy_on_families(monkeypatch)
-        log, _ = run(scenario)
+        log, _ = assert_disks_of_detections(scenario)
         assert len(log) == 10
-        assert_disks_of_detections(scenario, log, steps)
 
     @pytest.mark.parametrize("radius", [0.0, 0.1])
-    def test_agent_at_the_move_slack_keeps_its_bound(self, monkeypatch, radius):
+    def test_agent_at_the_move_slack_keeps_its_bound(self, radius):
         # 5e-10 m/s over v_target, so each 0.1 s move is 5e-11 m over the
         # step distance, inside MOVE_SLACK: the step check accepts every
         # move, and each step's disks start from the agent's detection. A
@@ -258,10 +211,8 @@ class TestClosedLoop:
             agent_model=AgentModel(0.5),
             max_steps=10,
         )
-        steps = spy_on_families(monkeypatch)
-        log, metrics = run(scenario)
+        log, metrics = assert_disks_of_detections(scenario)
         assert metrics.terminal_reason == "budget" and len(log) == 10
-        assert_disks_of_detections(scenario, log, steps)
 
     def test_solver_counters_logged_and_repeatable(self):
         scenario = corner_scenario().with_overrides(max_steps=4)
@@ -277,7 +228,7 @@ class TestClosedLoop:
         assert all(probes >= 1 for _, probes in solves)
         assert solves == [(rec.qp_solves, rec.probes) for rec in second]
 
-    def test_fallback_step_applies_the_shift(self, monkeypatch, tmp_path):
+    def test_fallback_step_applies_the_shift(self, corner_fast_run, monkeypatch, tmp_path, caplog):
         # Steps 3 and 4 solve infeasible and return the warm start, as
         # nmpc.solve does when it has no candidate: each applies the shift of
         # the plan before it and audits it.
@@ -305,6 +256,26 @@ class TestClosedLoop:
                 shift, problem.projections, problem.static_circles, problem.params, z_init=rec.state
             )
             assert rec.audit_violation == rec.fallback_violation == report.max_violation
+        # The first recorded corner-fast step whose shift fails the audit,
+        # stepped again from its state (the parked robot has reached no goal)
+        # with solve infeasible: the shift is applied there too, its audit is
+        # the applied plan's, and the step warns.
+        scn, log, _ = corner_fast_run
+        k = next(t for t, rec in enumerate(log) if rec.fallback_violation > scn.mpc.feas_tol)
+        solved = corner_fast_run.calls("oampc.sim_engine.solve")[k].result
+
+        def infeasible(problem):
+            return replace(solved, status=STATUS_INFEASIBLE, plan=problem.warm_start, objective=math.inf)
+
+        monkeypatch.setattr(oampc.sim_engine, "solve", infeasible)
+        steps = TrajectoryLog(log.records[:k])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="oampc.sim"):
+            step(_SimState(scn, log.records[k].state.copy()), steps)
+        rec = steps.records[k]
+        assert rec.fallback_used and rec.fallback_violation == log.records[k].fallback_violation
+        assert rec.audit_violation == rec.fallback_violation
+        assert caplog.messages == [f"step {k}: fallback plan failed the feasibility audit"]
 
 
 class TestAgentInputs:

@@ -1,10 +1,6 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import oampc.nmpc
 import oampc.solver
 from oampc.sim_engine import MODE_BASELINE, run
 from oampc.solver import (
@@ -18,11 +14,8 @@ from oampc.solver import (
     solve_sqp,
 )
 
+from conftest import corner_scenario, recorded_run, recording
 from oracles import elastic_qp_parent, solve_qp_parent, solve_qp_reference, solve_sqp_parent
-from test_sim_engine import corner_scenario
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import generate  # noqa: E402
 
 
 class TestQp:
@@ -112,62 +105,40 @@ class TestQpMatchesReference:
         assert clipped >= 5
 
 
-def record_qps(scn, first_step=0):
-    """The planner's QPs from step first_step of scn's run on, and the run's log."""
-    qps, steps = [], 0
-    recorded, solve = oampc.solver.solve_qp, oampc.sim_engine.solve
-
-    def counted_solve(*args, **kwargs):
-        nonlocal steps
-        try:
-            return solve(*args, **kwargs)
-        finally:
-            steps += 1
-
-    oampc.sim_engine.solve = counted_solve
-    oampc.solver.solve_qp = lambda *qp: steps >= first_step and qps.append(qp) or recorded(*qp)
-    try:
-        log, _ = run(scn)
-    finally:
-        oampc.solver.solve_qp, oampc.sim_engine.solve = recorded, solve
-    return qps, log
+def planner_qps(run, steps=None):
+    """The planner's QPs of a recorded run's first steps, or of all."""
+    return [call.args for call in run.calls("oampc.solver.solve_qp", steps)]
 
 
 @pytest.fixture(scope="module")
-def corner_fast_qps():
-    """The planner's QPs from the first 17 steps of a corner-fast episode.
+def corner_fast_qps(corner_fast_run):
+    """The planner's QPs of the first 17 steps of a corner-fast episode.
     They climb the penalty ladder to its top and include stall exits."""
-    return record_qps(generate("corner-fast", 1, 1)[0].with_overrides(max_steps=17))[0]
+    return planner_qps(corner_fast_run, 17)
 
 
 @pytest.fixture(scope="module")
-def corner_occluded_qps():
+def corner_occluded_qps(corner_occluded_run):
     """The planner's QPs of a whole corner-occluded episode: sixteen
     full-freedom steps, its hint run, probing stop indexes 8 down to 1
     against capsule rows, and the full-freedom steps after it to the goal."""
-    qps, log = record_qps(generate("corner-occluded", 1, 1)[0])
+    log = corner_occluded_run.log
     assert [rec.search for rec in log] == [*["full"] * 16, *["hint"] * 9, *["full"] * 22]
     assert all(rec.n_boundaries > 0 for rec in log.records)
-    return qps
+    return planner_qps(corner_occluded_run)
 
 
 @pytest.fixture
-def cholesky_failures(monkeypatch):
-    """The matrices whose Cholesky factorization failed during the test.
-    solve_qp and solve_qp_parent look np.linalg.cholesky up at call time, so
-    both are counted."""
-    failures = []
-    cholesky = np.linalg.cholesky
+def cholesky_calls():
+    """The Cholesky factorizations of the test. solve_qp and solve_qp_parent
+    look np.linalg.cholesky up at call time, so both are recorded."""
+    with recording("numpy.linalg.cholesky") as (calls,):
+        yield calls
 
-    def counting_cholesky(M):
-        try:
-            return cholesky(M)
-        except np.linalg.LinAlgError:
-            failures.append(M)
-            raise
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    return failures
+def failed(calls):
+    """The recorded calls that raised."""
+    return [call for call in calls if isinstance(call.result, Exception)]
 
 
 def singular_qp(a):
@@ -209,12 +180,12 @@ class TestQpMatchesParent:
             assert assert_same_bits(*planner_shaped_qp(rng)) > 0
 
     @pytest.mark.parametrize("a", [1 / 3, 0.7, np.sqrt(2), 3.7])
-    def test_singular_normal_matrix(self, a, cholesky_failures):
+    def test_singular_normal_matrix(self, a, cholesky_calls):
         # solve_qp stops at the first factorization that fails and returns
         # its incumbent. The parent raised its regularisation there and went
         # on, but truncated at that iteration it returns the same incumbent.
         iterations = assert_same_bits(*singular_qp(a))
-        assert cholesky_failures
+        assert failed(cholesky_calls)
         assert 0 < iterations < solve_qp_parent(*singular_qp(a))[2]
 
     def test_random_kkt_qps(self):
@@ -234,20 +205,20 @@ class TestQpMatchesParent:
         assert assert_same_bits(*qp) == 0
         assert np.signbit(solve_qp(*qp)[0]).tolist() == [False, True]
 
-    def test_pillars_crowd_qps(self, cholesky_failures):
+    def test_pillars_crowd_qps(self, pillars_crowd_run, cholesky_calls):
         # The planner's own QPs from the first steps of a pillars-crowd
         # episode: baseline mode, so disk rows, and static circles thinned
         # from 1440-ray scans.
-        scn = generate("pillars-crowd", 1, 1)[0].with_overrides(max_steps=6)
+        scn = pillars_crowd_run.scenario
         assert scn.mode == MODE_BASELINE and scn.lidar.num_rays == 1440
-        qps = record_qps(scn)[0]
+        qps = planner_qps(pillars_crowd_run, 6)
         assert len(qps) >= 30 and max(len(h) for _, _, _, h in qps) >= 100
         for qp in qps:
             assert_same_bits(*qp)
         # No planner QP reaches solve_qp's exit on a failed factorization.
-        assert not cholesky_failures
+        assert not failed(cholesky_calls)
 
-    def test_corner_fast_qps(self, corner_fast_qps, cholesky_failures):
+    def test_corner_fast_qps(self, corner_fast_qps, cholesky_calls):
         # Penalty rungs up to the largest weight, and QPs the cold start does
         # not solve, which leave through the stall exit with their incumbent.
         stalls = 0
@@ -259,17 +230,19 @@ class TestQpMatchesParent:
         assert len(corner_fast_qps) >= 150
         assert sum(q[-1] == _PENALTY_MAX for _, q, _, _ in corner_fast_qps) >= 5
         assert stalls >= 10
-        assert not cholesky_failures
+        assert not failed(cholesky_calls)
 
-    def test_corner_occluded_qps(self, corner_occluded_qps, cholesky_failures):
+    def test_corner_occluded_qps(self, corner_occluded_qps, cholesky_calls):
         # Capsule rows of hidden agents, in the stop-index probes of a hint
         # run and the full-freedom solves around it.
         for qp in corner_occluded_qps:
             assert_same_bits(*qp)
-        assert len(corner_occluded_qps) >= 300 and max(len(h) for _, _, _, h in corner_occluded_qps) >= 150
-        assert not cholesky_failures
+        recorded = len(corner_occluded_qps)
+        assert recorded >= 300, f"{recorded} QPs recorded"
+        assert max(len(h) for _, _, _, h in corner_occluded_qps) >= 150
+        assert not failed(cholesky_calls)
 
-    def test_exhausted_regularisation_returns_incumbent(self, cholesky_failures):
+    def test_exhausted_regularisation_returns_incumbent(self, cholesky_calls):
         # A normal matrix that does not factor ends solve_qp with its
         # incumbent, which the parent returned once its regularisation ladder
         # was exhausted. The singular QP fails once, after a few iterations;
@@ -278,7 +251,7 @@ class TestQpMatchesParent:
         # iterations.
         qp = singular_qp(0.7)
         solve_qp(*qp)
-        assert len(cholesky_failures) == 1
+        assert len(failed(cholesky_calls)) == 1
         assert assert_same_bits(*qp) == 3
         qp = (-10.0 * np.eye(2), np.ones(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
         y, z, _ = solve_qp(*qp)
@@ -309,16 +282,15 @@ class TestWorkspace:
 
 
 class TestFloorExit:
-    def test_planner_qps_stop_where_the_parent_stalls(self, monkeypatch):
+    def test_planner_qps_stop_where_the_parent_stalls(self):
         # The planner's own QPs, from the first steps of the corner run. Where
         # the pre-rewrite loop idles at the floating-point floor until its
         # 8-iteration stall exit, solve_qp stops at the first iterate within
         # the tolerance.
-        qps = []
-        monkeypatch.setattr(oampc.solver, "solve_qp", lambda *qp: qps.append(qp) or solve_qp(*qp))
-        run(corner_scenario().with_overrides(max_steps=5))
+        with recording("oampc.solver.solve_qp") as (calls,):
+            run(corner_scenario().with_overrides(max_steps=5))
         stalls = 0
-        for P, q, G, h in qps:
+        for P, q, G, h in (call.args for call in calls):
             y, z, iterations = solve_qp(P, q, G, h)
             y_par, z_par, iterations_par = solve_qp_parent(P, q, G, h)
             # A stall exit returns an incumbent 8 or more iterations older
@@ -331,13 +303,8 @@ class TestFloorExit:
                 continue
             stalls += 1
             assert iterations < iterations_par
-            # KKT residuals at the returned point, the slack taken as h - Gy.
             scale = 1.0 + max(np.abs(q).max(), np.abs(h).max())
-            slack = h - G @ y
-            r_d = np.abs(P @ y + q + G.T @ z).max()
-            r_p = max(0.0, -slack.min())
-            mu = float(np.maximum(slack, 0.0) @ z) / len(h)
-            assert max(r_d, r_p, mu) <= 1e-9 * scale
+            assert kkt_residual(P, q, G, h, y, z) <= 1e-9 * scale
         assert stalls >= 1
 
 
@@ -374,6 +341,16 @@ def quadratic_problem(center, H=None):
         )
 
     return evaluate
+
+
+# The elastic QP's assembly and solve, whose calls radius_and_penalty reads.
+ELASTIC_QP = ("oampc.solver._ElasticQp.__init__", "oampc.solver._ElasticQp.solve")
+
+
+def radius_and_penalty(built, solved):
+    """(trust radius, penalty) of each recorded elastic QP solve, in order."""
+    radius = {call.args[0]: call.args[5] for call in built}
+    return [(radius[call.args[0]], call.args[1]) for call in solved]
 
 
 class TestSqp:
@@ -427,7 +404,7 @@ class TestSqp:
         # sub-millimeter landing spot is the expected precision here.
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-3)
 
-    def test_second_order_correction_takes_the_corrected_step(self, monkeypatch):
+    def test_second_order_correction_takes_the_corrected_step(self):
         # Stay inside the unit disk and get close to (0.5, 1), starting from
         # (0, 1) on the circle. The constraint's linearization there is the
         # tangent y <= 1, so the full step runs along it to about (0.5, 1)
@@ -436,7 +413,7 @@ class TestSqp:
         # full step and its Jacobian at the start, which pulls the point back
         # to about (0.5, 0.88); that point is taken.
         target = np.array([0.5, 1.0])
-        evals, built = [], []  # (x, evaluation) of evaluate calls and QP assemblies
+        evals = []  # (x, evaluation) of evaluate calls
 
         def evaluate(x):
             e, d = x - target, np.hypot(*x)
@@ -444,20 +421,15 @@ class TestSqp:
             evals.append((x, ev))
             return ev
 
-        class Recorded(_ElasticQp):
-            def __init__(self, ev, x, *box):
-                built.append((x, ev))
-                super().__init__(ev, x, *box)
-
-        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
-        res = solve_sqp(evaluate, np.array([0.0, 1.0]), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
+        with recording("oampc.solver._ElasticQp.__init__") as (built,):
+            res = solve_sqp(evaluate, np.array([0.0, 1.0]), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
         (_, ev0), (full, ev_full), (corrected, ev_corrected) = evals[:3]
         assert -ev_full.c[0] > 0.1 and abs(ev_corrected.c[0]) < 0.02
         # The second QP is the correction's, the third the next iteration's:
         # the SQP moved to the corrected point, not to the full step.
-        x, ev = built[1]
+        _, ev, x, *_ = built[1].args
         assert x is full and ev.c is ev_full.c and ev.jac is ev0.jac
-        x, ev = built[2]
+        _, ev, x, *_ = built[2].args
         assert x is corrected and ev is ev_corrected
         assert res.status == "optimal"
         assert res.x == pytest.approx(target / np.hypot(*target), abs=1e-3)
@@ -483,42 +455,33 @@ class TestSqp:
         assert res.objective == pytest.approx((np.sqrt(13.0) - 1.0) ** 2, abs=1e-3)
 
     @staticmethod
-    def _collapsing_radius(violation, monkeypatch):
+    def _collapsing_radius(violation):
         """solve_sqp on one constraint whose linear model promises to remove
         its violation with a step of 1e-13 but whose value never moves, so
         every step is rejected and the trust radius shrinks 4x per iteration,
         from 1 to its floor of 1e-12 in 20 iterations. Returns the result and
         the (trust radius, penalty) of every QP solve."""
-        solves = []
-
-        class Recorded(_ElasticQp):
-            def __init__(self, ev, x, lb, ub, delta):
-                self.delta = delta
-                super().__init__(ev, x, lb, ub, delta)
-
-            def solve(self, mu):
-                solves.append((self.delta, mu))
-                return super().solve(mu)
 
         def evaluate(x):
             return EvalResult(0.0, np.zeros(1), np.eye(1), c=np.array([-violation]), jac=np.array([[1e7]]))
 
-        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
-        res = solve_sqp(evaluate, np.zeros(1), lb=np.array([-1.0]), ub=np.array([1.0]))
+        with recording(*ELASTIC_QP) as calls:
+            res = solve_sqp(evaluate, np.zeros(1), lb=np.array([-1.0]), ub=np.array([1.0]))
+        solves = radius_and_penalty(*calls)
         assert solves[:20] == [(0.25**k, 10.0) for k in range(20)]
         assert np.array_equal(res.x, np.zeros(1))
         return res, solves
 
-    def test_collapsed_trust_region_stops_when_feasible(self, monkeypatch):
+    def test_collapsed_trust_region_stops_when_feasible(self):
         # The violation is within feas_tol: at the floor the SQP stops.
-        res, solves = self._collapsing_radius(5e-7, monkeypatch)
+        res, solves = self._collapsing_radius(5e-7)
         assert (res.status, res.iterations, len(solves)) == ("optimal", 20, 20)
 
-    def test_collapsed_trust_region_raises_the_penalty(self, monkeypatch):
+    def test_collapsed_trust_region_raises_the_penalty(self):
         # The violation exceeds feas_tol: at the floor the penalty rises
         # tenfold and the radius restarts at 0.01, well within the SQP's
         # iteration cap.
-        res, solves = self._collapsing_radius(2e-6, monkeypatch)
+        res, solves = self._collapsing_radius(2e-6)
         assert solves[20] == (0.01, 100.0)
         assert res.status == "infeasible" and 20 < res.iterations <= _SQP_MAX_ITER
 
@@ -655,26 +618,6 @@ def assert_same_as_parent(evaluate, x0, lb, ub, feas_tol=1e-6, res=None):
     return res, ref
 
 
-def record_sqp_calls(scn):
-    """(evaluate, x0, lb, ub, feas_tol, result) of every solve_sqp call of
-    scn's run."""
-    calls = []
-    solve = oampc.nmpc.solve_sqp
-
-    def recorded(evaluate, x0, lb, ub, *, feas_tol):
-        x0, lb, ub = np.array(x0), np.array(lb), np.array(ub)
-        res = solve(evaluate, x0, lb, ub, feas_tol=feas_tol)
-        calls.append((evaluate, x0, lb, ub, feas_tol, res))
-        return res
-
-    oampc.nmpc.solve_sqp = recorded
-    try:
-        run(scn)
-    finally:
-        oampc.nmpc.solve_sqp = solve
-    return calls
-
-
 class TestSqpMatchesParent:
     """solve_sqp returns what it returned when every iteration solved its QP
     (oracles.solve_sqp_parent), bit for bit, with no more QP solves: the
@@ -683,11 +626,10 @@ class TestSqpMatchesParent:
 
     @pytest.mark.parametrize("workload, episodes, steps", [("pillars-crowd", 1, 30), ("corner-fast", 2, 24)])
     def test_planner_calls(self, workload, episodes, steps):
-        scn = generate(workload, 1, episodes)[0].with_overrides(max_steps=steps)
-        calls = record_sqp_calls(scn)
+        calls = recorded_run(workload, episodes, steps).calls("oampc.nmpc.solve_sqp")
         repeated = 0
-        for evaluate, x0, lb, ub, feas_tol, res in calls:
-            res, ref = assert_same_as_parent(evaluate, x0, lb, ub, feas_tol, res)
+        for _, (evaluate, x0, lb, ub), kwargs, res in calls:
+            res, ref = assert_same_as_parent(evaluate, x0, lb, ub, kwargs["feas_tol"], res)
             repeated += res.qp_solves < ref.qp_solves
         # Both take repeats; corner-fast's first is at step 23, a full search.
         assert repeated > 0
@@ -717,7 +659,7 @@ class TestSqpMatchesParent:
         assert (res.status, res.x[0], res.iterations, res.qp_solves) == ("infeasible", 0.0, 1, 1)
         assert (ref.iterations, ref.qp_solves) == (3, 3)
 
-    def test_repeats_stop_above_the_qp_tolerance(self, monkeypatch):
+    def test_repeats_stop_above_the_qp_tolerance(self):
         # With the Hessian at 1e9 the QP's tolerance (1e-9 times its data
         # scale, 11 here) is far above the exact step, 2e-13, and the first
         # QP returns 7.2e-10. Its rejection repeats down to the radius
@@ -729,20 +671,9 @@ class TestSqpMatchesParent:
         # floor took a step at penalty 100 instead, where the parent stays
         # infeasible. Every step is then rejected until the radius reaches
         # its floor of 1e-12, which restarts it at 0.01.
-        solves = []
-
-        class Recorded(_ElasticQp):
-            def __init__(self, ev, x, lb, ub, delta):
-                self.delta = delta
-                super().__init__(ev, x, lb, ub, delta)
-
-            def solve(self, mu):
-                solves.append((self.delta, mu))
-                return super().solve(mu)
-
-        monkeypatch.setattr(oampc.solver, "_ElasticQp", Recorded)
-        res = solve_sqp(self.jump(1e9), np.zeros(1), np.array([-1.0]), np.array([1.0]))
-        taken = solves[:]
+        with recording(*ELASTIC_QP) as calls:
+            res = solve_sqp(self.jump(1e9), np.zeros(1), np.array([-1.0]), np.array([1.0]))
+        taken = radius_and_penalty(*calls)
         res, ref = assert_same_as_parent(self.jump(1e9), np.zeros(1), np.array([-1.0]), np.array([1.0]), res=res)
         assert res.status == "infeasible" and res.qp_solves < ref.qp_solves
         assert taken[:2] == [(1.0, 10.0), (0.25**10, 10.0)]

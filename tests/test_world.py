@@ -1,6 +1,4 @@
-import sys
 from dataclasses import FrozenInstanceError
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +8,7 @@ from hypothesis import strategies as st
 from oampc.world import WorldMap, rectangle
 
 from oracles import cast_rays_parent, point_in_convex_polygon, point_in_polygon_loop, segment_distance, segments_cross
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from workloads import generate  # noqa: E402
+from workloads import generate
 
 
 def polygon_edges(verts):
