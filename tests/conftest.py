@@ -159,7 +159,7 @@ def corner_fast_run():
 
 @pytest.fixture(scope="session")
 def corner_occluded_run():
-    """The whole episode: it reaches its goal at step 47."""
+    """The whole episode: it reaches its goal in 47 steps."""
     return recorded_run("corner-occluded", 1, 47)
 
 
