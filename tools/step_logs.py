@@ -18,11 +18,13 @@ which exits 0 when every plan, state and counter is the same to the bit.
 
 With --against DIR, each episode's log is also compared with DIR/W/S/E.jsonl
 (`summarize.compare`): its line names the first step whose plan differs, and
-after each workload and seed come the outcome and counter totals of its
-episodes, this run's against DIR's, the steps attempted first, and with two
-or more seeds, after a workload's seeds, the totals over all of them. Exits 1
-if any plan differs, and 2, before running any episode, if DIR lacks the log
-of one of them.
+after each workload and seed come the number of its episodes whose plans
+differ and the outcome and counter totals of its episodes, this run's against
+DIR's, the steps attempted first, and with two or more seeds, after a
+workload's seeds, the same over all of them. Exits 1 if any plan differs, and
+2, before running any episode, if DIR lacks the log of one of them or DIR/W/S
+holds more logs than the run generates: the scenarios depend on the number of
+episodes generated, so those logs are of other scenarios.
 """
 
 import sys
@@ -54,22 +56,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     if args.against is not None:
-        logs = (
-            args.against / workload / str(seed) / f"{i}.jsonl"
-            for workload in args.workloads
-            for seed in args.seeds
-            for i in range(episodes_for(workload, seconds))
-        )
-        missing = next((path for path in logs if not path.is_file()), None)
-        if missing is not None:
-            parser.error(f"no log {missing} to compare with")
-    same_plans = True
+        for workload in args.workloads:
+            episodes = episodes_for(workload, seconds)
+            for seed in args.seeds:
+                folder = args.against / workload / str(seed)
+                missing = next((i for i in range(episodes) if not (folder / f"{i}.jsonl").is_file()), None)
+                if missing is not None:
+                    parser.error(f"no log {folder / f'{missing}.jsonl'} to compare with")
+                held = len(list(folder.glob("*.jsonl")))
+                if held > episodes:
+                    parser.error(f"{folder} holds {held} logs, not the {episodes} this run generates")
+    moved = 0  # episodes whose plans differ
     for workload in args.workloads:
-        every_ours, every_theirs = [], []
+        every_ours, every_theirs, every_differ = [], [], 0
         for seed in args.seeds:
             folder = args.out / workload / str(seed)
             folder.mkdir(parents=True, exist_ok=True)
-            ours, theirs = [], []
+            ours, theirs, differ = [], [], 0
             for i, scenario in enumerate(generate(workload, seed, episodes_for(workload, seconds))):
                 log, metrics = run(scenario)
                 log.write_jsonl(folder / f"{i}.jsonl")
@@ -78,23 +81,27 @@ def main(argv=None) -> int:
                 if args.against is not None:
                     a, b = read(folder / f"{i}.jsonl"), read(args.against / workload / str(seed) / f"{i}.jsonl")
                     lines, _, same = compare(a, b)
-                    same_plans &= same
+                    differ += not same
                     line += ", " + next(x for x in lines if x.startswith("first plan difference"))
                     ours.append(totals(a))
                     theirs.append(totals(b))
                 print(line, flush=True)
             if ours:
-                print_totals(f"{workload} seed {seed}", ours, theirs)
+                print_totals(f"{workload} seed {seed}", ours, theirs, differ)
                 every_ours += ours
                 every_theirs += theirs
+                every_differ += differ
         if every_ours and len(args.seeds) > 1:
-            print_totals(f"{workload} seeds {' '.join(map(str, args.seeds))}", every_ours, every_theirs)
-    return 0 if same_plans else 1
+            print_totals(f"{workload} seeds {' '.join(map(str, args.seeds))}", every_ours, every_theirs, every_differ)
+        moved += every_differ
+    return 1 if moved else 0
 
 
-def print_totals(what: str, ours: list[dict], theirs: list[dict]) -> None:
-    """The combined totals of these episodes' logs, ours against theirs."""
+def print_totals(what: str, ours: list[dict], theirs: list[dict], differ: int) -> None:
+    """How many of these episodes' plans differ, and the combined totals of
+    their logs, ours against theirs."""
     ta, tb = combine(ours), combine(theirs)
+    print(f"{what}: plans differ in {differ} of {len(ours)} episodes", flush=True)
     print(f"{what}, totals of {len(ours)} episodes:", flush=True)
     print("".join(f"  {label}: {ta[label]!r} against {tb[label]!r}\n" for label in ta), end="", flush=True)
 
