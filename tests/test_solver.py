@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oampc.solver
 from oampc.sim_engine import MODE_BASELINE, run
 from oampc.solver import (
     _PENALTY_MAX,
@@ -406,6 +407,28 @@ class TestSqp:
         # sub-millimeter landing spot is the expected precision here.
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-3)
 
+    def test_rejected_tangent_step_still_reaches_the_disk(self):
+        # Stay inside the unit disk and get close to (0.5, 1), starting from
+        # (0, 1) on the circle. The constraint's linearization there is the
+        # tangent y <= 1, so the full step runs along it to about (0.5, 1)
+        # and leaves the disk by 0.12, which the penalty rejects: the next QP
+        # is solved in a box a quarter the size, and the SQP goes on along
+        # the circle to the nearest point to the target.
+        target = np.array([0.5, 1.0])
+        evals = []  # evaluation of each evaluate call
+
+        def evaluate(x):
+            e, d = x - target, np.hypot(*x)
+            evals.append(EvalResult(float(e @ e), 2 * e, 2 * np.eye(2), c=np.array([1.0 - d]), jac=-(x / d)[None, :]))
+            return evals[-1]
+
+        with recording(*ELASTIC_QP) as calls:
+            res = solve_sqp(evaluate, np.array([0.0, 1.0]), lb=np.full(2, -3.0), ub=np.full(2, 3.0))
+        assert -evals[1].c[0] > 0.1
+        assert radius_and_penalty(*calls)[:2] == [(1.0, 10.0), (0.25, 10.0)]
+        assert res.status == "optimal"
+        assert res.x == pytest.approx(target / np.hypot(*target), abs=1e-3)
+
     @pytest.mark.xfail(
         strict=True,
         reason="large-penalty elastic QPs read as an active slack stop the SQP at its start (ROADMAP item 6)",
@@ -464,11 +487,16 @@ class TestSqp:
         assert after[0] == (0.01, 100.0) and after[-1] == (0.01, _PENALTY_MAX)
         assert res.status == "infeasible" and res.iterations < _SQP_MAX_ITER
 
+    @staticmethod
+    def _jump(x):
+        """One constraint c = 1e7 x - 2e-6, exactly linear, and an objective
+        that jumps from 0 to 1e-4 off the start x = 0, which its model
+        (gradient 0, Hessian 1e9) does not see."""
+        f = 0.0 if x[0] == 0.0 else 1e-4
+        return EvalResult(f, np.zeros(1), 1e9 * np.eye(1), c=np.array([1e7 * x[0] - 2e-6]), jac=np.array([[1e7]]))
+
     def test_rejected_step_shrinks_to_the_box_it_fits(self):
-        # One constraint c = 1e7 x - 2e-6, violated by 2e-6 at the start x = 0
-        # and exactly linear, and an objective that jumps from 0 to 1e-4 off
-        # the start, which its model (gradient 0, Hessian 1e9) does not see.
-        # At penalty 10 every step is rejected (rho = -4); at penalty 100,
+        # The constraint is violated by 2e-6 at the start. At penalty 10 every step is rejected (rho = -4); at penalty 100,
         # rho = 0.5 and the step is taken. The first QP returns 7.2e-10, far
         # above the exact step of 2e-13 (its tolerance is 1.1e-8), and the
         # radius shrinks with no QP to 0.25^15 = 9.3e-10, the first whose
@@ -478,17 +506,27 @@ class TestSqp:
         # ends feasible. The parent, which solves each radius, gets the box's
         # edge with an active slack from the QP at 0.25^16 (CHANGES.md
         # FOUND), climbs the penalty ladder there and ends infeasible.
-        def evaluate(x):
-            f = 0.0 if x[0] == 0.0 else 1e-4
-            return EvalResult(f, np.zeros(1), 1e9 * np.eye(1), c=np.array([1e7 * x[0] - 2e-6]), jac=np.array([[1e7]]))
-
         lb, ub = np.array([-1.0]), np.array([1.0])
         with recording(*ELASTIC_QP) as calls:
-            res = solve_sqp(evaluate, np.zeros(1), lb, ub)
+            res = solve_sqp(self._jump, np.zeros(1), lb, ub)
         assert radius_and_penalty(*calls) == [(1.0, 10.0), (0.25**15, 10.0), (0.01, 100.0), (0.01, 100.0)]
         assert res.status == "optimal" and 1e7 * res.x[0] - 2e-6 >= 0.0 and res.iterations == 4
-        ref = solve_sqp_parent(evaluate, np.zeros(1), lb, ub)
+        ref = solve_sqp_parent(self._jump, np.zeros(1), lb, ub)
         assert (ref.status, ref.x[0]) == ("infeasible", 0.0)
+
+    def test_shrinks_do_not_count_toward_the_cap(self, monkeypatch):
+        # On the problem above, with a cap of 4 iterations: the SQP's four
+        # QPs fit under it, although its radius shrank through more than 20
+        # quarterings, and it ends as it does under the full cap. An SQP
+        # that counts each quartering as an iteration (the parent, which
+        # solves a QP at each) stops at its start, still infeasible.
+        monkeypatch.setattr(oampc.solver, "_SQP_MAX_ITER", 4)
+        lb, ub = np.array([-1.0]), np.array([1.0])
+        res = solve_sqp(self._jump, np.zeros(1), lb, ub)
+        assert (res.status, res.iterations, res.qp_solves) == ("optimal", 4, 4)
+        assert 1e7 * res.x[0] - 2e-6 >= 0.0
+        ref = solve_sqp_parent(self._jump, np.zeros(1), lb, ub)
+        assert (ref.status, ref.x[0], ref.iterations) == ("infeasible", 0.0, 4)
 
     def test_infeasible_detected(self):
         # c1: x0 >= 1, c2: -x0 >= 1 cannot both hold.
@@ -640,3 +678,27 @@ class TestSqpMatchesParent:
             skipped += res.qp_solves < ref.qp_solves
         # Each run skips QPs; corner-occluded's calls hold capsule rows.
         assert skipped > 0
+
+    def test_curved_constraint_skips_a_qp(self):
+        # Keep c = 0.1 - x - 100 x^2 >= 0 and get close to x = 3, from x = 0.
+        # The linearized constraint ends the step at d = 0.1, but the
+        # constraint's curvature puts the trial point 1 outside, and the step
+        # is rejected. It fits in half of the quartered radius, 0.25, so the
+        # radius is quartered again, to 0.0625, with no QP at 0.25, where the
+        # parent's QP returns the same step and is rejected again.
+        def evaluate(x):
+            return EvalResult(
+                0.5 * float((x[0] - 3.0) ** 2),
+                x - 3.0,
+                np.eye(1),
+                c=np.array([0.1 - x[0] - 100.0 * x[0] ** 2]),
+                jac=np.array([[-1.0 - 200.0 * x[0]]]),
+            )
+
+        lb, ub = np.array([-5.0]), np.array([5.0])
+        with recording(*ELASTIC_QP) as calls:
+            res = solve_sqp(evaluate, np.zeros(1), lb, ub)
+        assert radius_and_penalty(*calls)[:2] == [(1.0, 10.0), (0.0625, 10.0)]
+        res, ref = assert_same_as_parent(evaluate, np.zeros(1), lb, ub, res=res)
+        assert res.status == "optimal" and 0.1 - res.x[0] - 100.0 * res.x[0] ** 2 >= -1e-6
+        assert res.qp_solves < ref.qp_solves and ref.penalty_rungs == 0
